@@ -1,4 +1,4 @@
-"""E-counts — sufficient-statistic engine scaling to million-agent populations.
+"""E-counts — sufficient-statistic engine scaling and its crossover with batched.
 
 Not a paper artifact: like ``bench_engine_throughput``, this tracks the
 simulation machinery. The counts engine steps ``(R, S)`` state-count matrices
@@ -13,28 +13,44 @@ benchmark measures that promise end to end on the FET dissemination workload
   engines stop being an option at all;
 * **state memory** per cell: the count matrix is ``trials x 2(ell+1)``
   int64 entries, growing only with ``ell = Theta(log n)`` — kilobytes at
-  ten million agents, vs gigabytes for per-agent opinion/counter arrays.
+  ten million agents, vs gigabytes for per-agent opinion/counter arrays;
+* **the small-n crossover scan** behind ``engine="auto"``: every protocol
+  with a count model x n in {32 .. 1e4} x {all-wrong, Bernoulli(1/2)} x
+  {10, 500} trials, counts vs batched wall-clock on a 300-round budget,
+  summed over up to three seeds per cell.
+  A protocol's crossover is the smallest scanned n from which counts is at
+  least as fast as batched at every larger scanned n, for both starts and
+  both trial counts; ``Protocol.counts_min_n`` must equal it (checked by
+  ``tests/test_dispatch.py`` against the recorded rows).
 
-Emits ``results/BENCH_counts.json``. The gate asserts a >= 10x counts-over-
-batched speedup at every n >= 1e5 overlap cell (measured orders of magnitude
-higher; the floor leaves CI headroom), that the n = 1e7 cell still converges
-every trial, and that its count matrix stays within a few hundred KiB
-(measured 130 KiB — four orders of magnitude under the per-agent state).
+Emits ``results/BENCH_counts.json`` with the machine facts. The gate asserts
+a >= 10x counts-over-batched speedup at every n >= 1e5 overlap cell (measured
+orders of magnitude higher; the floor leaves CI headroom), that the n = 1e7
+cell still converges every trial, that its count matrix stays within a few
+hundred KiB (measured 130 KiB — four orders of magnitude under the
+per-agent state), and that every protocol's ``counts_min_n`` is the scan's
+crossover.
 
-Run directly (``PYTHONPATH=src python benchmarks/bench_counts_scaling.py``)
+Run directly (``PYTHONPATH=src python benchmarks/bench_counts_scaling.py``,
+``--scan`` for the crossover scan alone, merged into the existing record)
 or through pytest-benchmark.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import platform
 import sys
 import time
+
+import numpy as np
 
 from bench_common import banner, results_path, run_once
 from repro.config import RunSpec
 from repro.experiments.harness import TrialStats
 from repro.protocols.fet import ell_for
+from repro.sweep.registry import build_protocol
 from repro.viz.tables import format_table
 
 TRIALS = 64
@@ -46,6 +62,42 @@ NS = [10**3, 10**4, 10**5, 10**6, 10**7]
 BATCHED_MAX_N = 10**5
 #: timing repetitions per cell; min-of-k filters scheduler noise and warm-up
 REPEATS = 3
+
+#: the crossover scan: every protocol with a count model, registry defaults
+SCAN_PROTOCOLS = [
+    {"name": "fet"},
+    {"name": "simple-trend"},
+    {"name": "sample-majority"},
+    {"name": "hysteresis-fet"},
+    {"name": "voter"},
+    {"name": "k-majority", "k": 3},
+    {"name": "undecided-state"},
+]
+SCAN_NS = [32, 64, 100, 128, 256, 1000, 4096, 10**4]
+SCAN_STARTS = [{"name": "all-wrong"}, {"name": "bernoulli", "p": 0.5}]
+SCAN_TRIALS = [10, 500]
+SCAN_ROUNDS = 300
+#: scan cells stop repeating once either engine's total exceeds this: their
+#: counts/batched ratio is far from 1 and repeats would only add minutes
+SCAN_REPEAT_BELOW_S = 1.0
+
+
+def machine_facts() -> dict:
+    cpu = platform.processor() or platform.machine()
+    try:
+        with open("/proc/cpuinfo") as info:
+            cpu = next(
+                (line.split(":", 1)[1].strip() for line in info if line.startswith("model name")),
+                cpu,
+            )
+    except OSError:
+        pass
+    return {
+        "nproc": len(os.sched_getaffinity(0)),
+        "cpu_model": cpu,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
 
 
 def _spec(n: int, engine: str) -> RunSpec:
@@ -95,8 +147,90 @@ def run_cell(n: int) -> dict:
     return row
 
 
+def scan_cell(protocol: dict, n: int, start: dict, trials: int) -> dict:
+    """Wall-clock of both engines on one scan cell, summed over up to
+    ``REPEATS`` seeds. The engines draw different realizations, and with
+    few trials one lucky seed (every replica converging in a few rounds)
+    would time the realization instead of the engine; summing over seeds
+    averages that out, and alternating the engines spreads slow spells of a
+    shared host over both."""
+    seconds = {"batched": 0.0, "counts": 0.0}
+    for repeat in range(REPEATS):
+        for engine in seconds:
+            spec = RunSpec(
+                protocol=protocol,
+                n=n,
+                initializer=start,
+                trials=trials,
+                max_rounds=SCAN_ROUNDS,
+                seed=SEED + repeat,
+                engine=engine,
+            )
+            begin = time.perf_counter()
+            spec.execute()
+            seconds[engine] += time.perf_counter() - begin
+        if max(seconds.values()) > SCAN_REPEAT_BELOW_S:
+            break
+    return {
+        "protocol": protocol["name"],
+        "n": n,
+        "init": start["name"],
+        "trials": trials,
+        "repeats": repeat + 1,
+        "batched_seconds": round(seconds["batched"], 5),
+        "counts_seconds": round(seconds["counts"], 5),
+        "ratio": round(seconds["batched"] / seconds["counts"], 3),
+    }
+
+
+def crossovers(rows: list[dict]) -> dict[str, int | None]:
+    """Per protocol: the smallest scanned n from which counts is at least as
+    fast as batched (ratio >= 1) in every scanned cell with that n or more;
+    ``None`` when counts loses at the largest scanned n."""
+    out: dict[str, int | None] = {}
+    for name in dict.fromkeys(row["protocol"] for row in rows):
+        own = [row for row in rows if row["protocol"] == name]
+        crossover = None
+        for n in sorted({row["n"] for row in own}, reverse=True):
+            if all(row["ratio"] >= 1.0 for row in own if row["n"] == n):
+                crossover = n
+            else:
+                break
+        out[name] = crossover
+    return out
+
+
+def run_scan() -> dict:
+    scan_cell(SCAN_PROTOCOLS[0], SCAN_NS[0], SCAN_STARTS[0], SCAN_TRIALS[0])  # warm-up
+    rows = []
+    for protocol in SCAN_PROTOCOLS:
+        for n in SCAN_NS:
+            for start in SCAN_STARTS:
+                for trials in SCAN_TRIALS:
+                    rows.append(scan_cell(protocol, n, start, trials))
+                    print(rows[-1], flush=True)
+    return {
+        "machine": machine_facts(),
+        "rounds": SCAN_ROUNDS,
+        "rows": rows,
+        "crossover": crossovers(rows),
+    }
+
+
+def counts_min_n() -> dict[str, int]:
+    """The protocols' ``counts_min_n`` constants, by scan protocol name."""
+    return {
+        protocol["name"]: build_protocol(protocol, SCAN_NS[0]).counts_min_n
+        for protocol in SCAN_PROTOCOLS
+    }
+
+
 def run_benchmark() -> dict:
-    return {"cells": [run_cell(n) for n in NS]}
+    return {
+        "machine": machine_facts(),
+        "cells": [run_cell(n) for n in NS],
+        "scan": run_scan(),
+    }
 
 
 def report(payload: dict) -> None:
@@ -131,9 +265,32 @@ def report(payload: dict) -> None:
             f"state memory {rows[-1]['counts_state_bytes'] / 1024:.1f} KiB "
             f"at n={rows[-1]['n']:.0e}"
         )
+    report_scan(payload["scan"])
     path = results_path("BENCH_counts.json")
     path.write_text(json.dumps(payload, indent=2))
     print(f"wrote {path}")
+
+
+def report_scan(scan: dict) -> None:
+    print(banner("Crossover scan — batched / counts wall-clock (>1: counts faster)"))
+    rows = scan["rows"]
+    names = list(scan["crossover"])
+    table = []
+    for name in names:
+        for n in SCAN_NS:
+            ratios = [row["ratio"] for row in rows if row["protocol"] == name and row["n"] == n]
+            if ratios:
+                table.append([name, n, min(ratios), float(np.median(ratios)), max(ratios)])
+    print(format_table(["protocol", "n", "min ratio", "median", "max"], table))
+    constants = counts_min_n()
+    for name in names:
+        print(f"{name}: crossover n={scan['crossover'][name]}, counts_min_n={constants[name]}")
+
+
+def check_scan(scan: dict) -> None:
+    # auto never picks the slower engine: each protocol's constant is the
+    # measured crossover of this machine's scan.
+    assert counts_min_n() == scan["crossover"]
 
 
 def test_counts_scaling(benchmark):
@@ -156,8 +313,17 @@ def test_counts_scaling(benchmark):
         rows[10**7]["counts_state_bytes"]
         < rows[10**7]["per_agent_state_bytes"] / 10**4
     )
+    check_scan(payload["scan"])
 
 
 if __name__ == "__main__":
-    report(run_benchmark())
+    if "--scan" in sys.argv[1:]:
+        path = results_path("BENCH_counts.json")
+        payload = json.loads(path.read_text()) if path.exists() else {"cells": []}
+        payload["scan"] = run_scan()
+        report_scan(payload["scan"])
+        path.write_text(json.dumps(payload, indent=2))
+        print(f"wrote {path}")
+    else:
+        report(run_benchmark())
     sys.exit(0)

@@ -453,9 +453,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["auto", "batched", "sequential", "counts"],
         default="auto",
         help=(
-            "trial execution engine (default auto: batched when the protocol "
-            "supports it; counts runs the sufficient-statistic engine and "
-            "skips protocols without a count model)"
+            "trial execution engine (default auto: counts for count-capable "
+            "protocols at n >= their measured crossover, else batched when "
+            "the protocol supports it; counts runs the sufficient-statistic "
+            "engine and skips protocols without a count model)"
         ),
     )
 

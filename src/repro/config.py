@@ -68,6 +68,10 @@ __all__ = [
 #: default-elided fields do NOT bump it — see the hash-compatibility note.)
 RUN_SCHEMA = 1
 
+#: Default of the ``batched_sampler`` keyword of :meth:`RunSpec.resolve_engine`
+#: and :meth:`RunSpec.counts_obstacle`: resolve the spec's own sampler.
+_SPEC_SAMPLER = object()
+
 
 def canonical_json(obj: Any) -> str:
     """Serialize to the canonical form used for hashing (sorted keys, no
@@ -141,10 +145,15 @@ class RunSpec:
     stability_rounds:
         Consecutive all-correct rounds required for convergence.
     engine:
-        ``"auto"`` (batched when the protocol and observation component
-        support it), ``"batched"``, ``"sequential"``, or ``"counts"`` (the
-        sufficient-statistic engine — explicit opt-in, never auto-selected;
-        requires count-capable protocol/initializer/sampler components).
+        ``"auto"``, ``"batched"``, ``"sequential"``, or ``"counts"`` (the
+        sufficient-statistic engine; explicit requests need count-capable
+        components). ``"auto"`` runs the condition on counts when it is
+        count-capable and ``n`` is at or above the protocol's measured
+        crossover ``Protocol.counts_min_n``, else on batched when the
+        protocol and observation component support it, else sequential
+        (:meth:`resolve_engine`). Explicit ``"batched"``/``"sequential"``
+        are the override. The policy, not the resolved engine, is part of
+        the content hash.
     measure:
         Measurement descriptor; kinds live in the sweep runner's registry.
     sampler:
@@ -344,7 +353,7 @@ class RunSpec:
         happens in the sampler registry, so a declared component can never
         reach the batched engine without its batched counterpart — a
         registry entry without one (e.g. the literal index sampler) returns
-        ``None`` for the batched side, which :meth:`use_batched` treats as
+        ``None`` for the batched side, which :meth:`resolve_engine` treats as
         "sequential only".
         """
         from .sweep.registry import build_samplers
@@ -357,18 +366,121 @@ class RunSpec:
 
         return None, BatchedBinomialSampler()
 
-    def use_batched(self, protocol: "Protocol") -> bool:
-        """Engine resolution for a live protocol instance.
+    def counts_obstacle(
+        self,
+        protocol: "Protocol",
+        initializer: "Initializer",
+        *,
+        batched_sampler: "BatchedSampler | None | object" = _SPEC_SAMPLER,
+        custom_population: bool = False,
+    ) -> str | None:
+        """Why this condition cannot run on the counts engine, or ``None``
+        when it can — the one count-capability rule.
 
-        ``"counts"`` reports ``False`` here: the sufficient-statistic engine
-        is neither per-agent path, and its consumers dispatch on
-        ``engine == "counts"`` explicitly before asking this question.
+        A condition is count-capable when the protocol has a count model,
+        the initializer is exchangeable (``supports_counts``), the
+        population is the standard source-pinned layout, the batched
+        observation model is keyed on one-fractions (``effective_fractions``)
+        and no per-agent flip counts are recorded. ``batched_sampler``
+        replaces the spec's own (``None`` when a live scalar sampler has no
+        batched side) and ``custom_population`` marks a live
+        ``population_factory`` override. :meth:`resolve_engine` and
+        ``validate_cell`` both ask this question, so "``auto`` picks counts"
+        and "explicit counts is accepted" cannot drift apart.
         """
-        if self.engine in ("sequential", "counts"):
-            return False
-        if self.engine == "batched":
-            return True
-        return protocol.batch_vectorized and self.samplers()[1] is not None
+        if not protocol.counts_supported:
+            return (
+                f"protocol {protocol.name!r} has no count model "
+                "(counts_supported=False); the counts engine cannot run it — "
+                "use engine='auto', 'batched' or 'sequential'"
+            )
+        if not initializer.supports_counts:
+            return (
+                f"initializer {initializer.name!r} builds per-agent "
+                "configurations (supports_counts=False); the counts engine "
+                "needs an exchangeable count-level initializer"
+            )
+        if self.population is not None and self.population.get("name") != "standard":
+            return (
+                f"population {self.population.get('name')!r} is a crafted "
+                "per-agent layout; the counts engine only models the standard "
+                "source-pinned population"
+            )
+        if custom_population:
+            return (
+                "population_factory builds a per-agent layout; the counts "
+                "engine only models the standard source-pinned population"
+            )
+        if batched_sampler is _SPEC_SAMPLER:
+            batched_sampler = self.samplers()[1]
+        if batched_sampler is None:
+            name = self.sampler["name"] if self.sampler is not None else "sampler_factory"
+            return (
+                f"sampler {name!r} has no fraction-keyed batched observation "
+                "model; the counts engine cannot run it"
+            )
+        if not hasattr(batched_sampler, "effective_fractions"):
+            return (
+                f"sampler {type(batched_sampler).__name__} is not keyed on "
+                "one-fractions; the counts engine draws its own multinomial "
+                "transitions and only supports the BatchedBinomialSampler family"
+            )
+        if self.measure.get("kind") == "trace" and self.measure.get("flips"):
+            return (
+                "per-agent flip counts are not a function of the state-count "
+                "sufficient statistic; the counts engine cannot record them — "
+                "use engine='batched'"
+            )
+        return None
+
+    def resolve_engine(
+        self,
+        protocol: "Protocol",
+        initializer: "Initializer",
+        *,
+        batched_sampler: "BatchedSampler | None | object" = _SPEC_SAMPLER,
+        custom_population: bool = False,
+    ) -> str:
+        """The engine this condition runs on: ``"counts"``, ``"batched"`` or
+        ``"sequential"`` — the one engine-resolution rule.
+
+        ``"auto"`` picks counts when the condition is count-capable
+        (:meth:`counts_obstacle`) and ``n`` is at or above the protocol's
+        measured crossover ``Protocol.counts_min_n``; otherwise batched when
+        the protocol steps replicas vectorized and the observation model has
+        a batched side, else sequential. Explicit engines are returned as
+        declared, after checking that their components can run on them
+        (``ValueError`` otherwise). Keywords as in :meth:`counts_obstacle`.
+        """
+        if batched_sampler is _SPEC_SAMPLER:
+            batched_sampler = self.samplers()[1]
+        if self.engine == "counts":
+            obstacle = self.counts_obstacle(
+                protocol,
+                initializer,
+                batched_sampler=batched_sampler,
+                custom_population=custom_population,
+            )
+            if obstacle is not None:
+                raise ValueError(obstacle)
+            return "counts"
+        if self.engine == "batched" and batched_sampler is None:
+            raise ValueError(
+                f"sampler {self.sampler!r} has no batched observation model; "
+                "this condition can only run on the sequential engine"
+            )
+        if self.engine != "auto":
+            return self.engine
+        if self.n >= protocol.counts_min_n and self.counts_obstacle(
+            protocol,
+            initializer,
+            batched_sampler=batched_sampler,
+            custom_population=custom_population,
+        ) is None:
+            return "counts"
+        if protocol.batch_vectorized and batched_sampler is not None:
+            return "batched"
+        return "sequential"
 
     # ------------------------------------------------------------- execution
 

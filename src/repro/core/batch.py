@@ -38,14 +38,11 @@ their final value, so per-round logs survive retirement.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ..telemetry.registry import current_registry
-from ..telemetry.spans import span
+from .lockstep import BatchRunResult, LockstepEngine
 from .population import PopulationState
 from .protocol import Protocol, ProtocolState
 from .rng import as_rng
@@ -319,53 +316,11 @@ def stack_states(states: Sequence[ProtocolState]) -> ProtocolState:
     return {key: np.stack([state[key] for state in states]) for key in keys}
 
 
-@dataclass
-class BatchRunResult:
-    """Per-replica outcome of a :class:`BatchedEngine` run.
+class BatchedEngine(LockstepEngine):
+    """Lock-step engine for R ``(R, n)`` replicas with per-replica retirement.
 
-    Attributes
-    ----------
-    converged:
-        ``(R,)`` bool — replica reached the correct consensus and held it for
-        the stability window before ``max_rounds``.
-    rounds:
-        ``(R,)`` int — the replica's ``t_con`` (first round of the final
-        streak) when converged, else the number of rounds executed; exactly
-        :attr:`RunResult.rounds` of the sequential engine, per replica.
-    rounds_executed:
-        ``(R,)`` int — synchronous rounds actually simulated for the replica
-        (its retirement round, or ``max_rounds``). Throughput accounting.
-    final_fractions:
-        ``(R,)`` float — one-fraction of each replica's final configuration.
-    """
-
-    converged: np.ndarray
-    rounds: np.ndarray
-    rounds_executed: np.ndarray
-    final_fractions: np.ndarray
-
-    @property
-    def replicas(self) -> int:
-        return int(self.converged.shape[0])
-
-    @property
-    def successes(self) -> int:
-        return int(np.count_nonzero(self.converged))
-
-    def times(self) -> np.ndarray:
-        """Convergence rounds of the successful replicas, as floats."""
-        return self.rounds[self.converged].astype(float)
-
-    def summary(self) -> dict:
-        return {
-            "replicas": self.replicas,
-            "successes": self.successes,
-            "total_rounds_executed": int(self.rounds_executed.sum()),
-        }
-
-
-class BatchedEngine:
-    """Lock-step driver for R replicas with per-replica retirement.
+    Runs on the shared :func:`~repro.core.lockstep.run_lockstep` driver
+    (:meth:`~repro.core.lockstep.LockstepEngine.run`).
 
     Parameters
     ----------
@@ -391,6 +346,8 @@ class BatchedEngine:
         it on retirement).
     """
 
+    engine_name = "batched"
+
     def __init__(
         self,
         protocol: Protocol,
@@ -414,198 +371,28 @@ class BatchedEngine:
         if batch.pin_each_round:
             batch.pin_sources()
 
-    def run(
-        self,
-        max_rounds: int,
-        *,
-        stability_rounds: int = 2,
-        stop_condition: Callable[[BatchedPopulation], np.ndarray] | None = None,
-        recorder: "TraceRecorder | None" = None,
-        linger_rounds: int = 0,
-    ) -> BatchRunResult:
-        """Run until every replica converged (condition held for
-        ``stability_rounds`` consecutive observations) or ``max_rounds``.
+    # ----------------------------------------------------- lock-step backend
 
-        ``stop_condition`` optionally replaces the correct-consensus test; it
-        must map a :class:`BatchedPopulation` to an ``(A,)`` boolean vector
-        over its rows (e.g. :meth:`BatchedPopulation.at_consensus`).
+    @property
+    def _rows(self) -> BatchedPopulation:
+        return self.batch
 
-        ``recorder`` optionally captures per-replica trajectories: the engine
-        reports the full ``(R,)`` one-fraction vector (and, when the recorder
-        asks for them, per-replica flip counts) for round 0 and after every
-        executed round, with retired rows frozen at their final values.
+    def _recorder_facts(self) -> dict:
+        prefs = self.batch.source_preferences[self.batch.source_mask]
+        return {
+            "sources_correct": int((prefs == self.batch.correct_opinion).sum()),
+            "pin_each_round": self.batch.pin_each_round,
+        }
 
-        ``linger_rounds`` keeps a replica running that many extra rounds
-        after its convergence is detected before retiring it — convergence
-        accounting (``converged``/``rounds``) is locked at detection and not
-        revisited. This is the settle-window hook: the sequential θ measure
-        keeps stepping an engine after its stop condition fired, and linger
-        reproduces that per replica under retirement (the extra rounds are
-        allowed to run past ``max_rounds``, exactly as sequential settle
-        stepping does).
+    def _step(self, work: BatchedPopulation, flips: bool) -> np.ndarray | None:
+        old = work.opinions.copy() if flips else None
+        work.set_opinions(self.protocol.step_batch(work, self.states, self.sampler, self.rng))
+        return np.count_nonzero(work.opinions != old, axis=1) if flips else None
 
-        Single-shot: retirement compacts the protocol state down to the
-        replicas that were still running, so a second ``run`` on the same
-        engine has no coherent state to resume from and is rejected. Build a
-        fresh engine (or use the sequential engine, whose ``run`` can be
-        re-entered) to continue simulating.
-        """
-        with span("engine.run", engine="batched"):
-            return self._run(
-                max_rounds,
-                stability_rounds=stability_rounds,
-                stop_condition=stop_condition,
-                recorder=recorder,
-                linger_rounds=linger_rounds,
-            )
-
-    def _run(
-        self,
-        max_rounds: int,
-        *,
-        stability_rounds: int,
-        stop_condition: Callable[[BatchedPopulation], np.ndarray] | None,
-        recorder: "TraceRecorder | None",
-        linger_rounds: int,
-    ) -> BatchRunResult:
-        if self._consumed:
-            raise RuntimeError(
-                "BatchedEngine.run is single-shot; build a fresh engine to run again"
-            )
-        self._consumed = True
-        # Same bound and message as run_trials: a 0-round budget cannot
-        # observe anything and previously slipped through as an instant
-        # "nothing converged" result here while the harness rejected it.
-        if max_rounds < 1:
-            raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
-        if stability_rounds < 1:
-            raise ValueError(f"stability_rounds must be >= 1, got {stability_rounds}")
-        if linger_rounds < 0:
-            raise ValueError(f"linger_rounds must be non-negative, got {linger_rounds}")
-        condition = stop_condition or BatchedPopulation.at_correct_consensus
-        metrics = current_registry()
-        run_start = time.perf_counter() if metrics is not None else 0.0
-
-        total = self.batch.replicas
-        converged = np.zeros(total, dtype=bool)
-        rounds = np.zeros(total, dtype=np.int64)
-        rounds_executed = np.zeros(total, dtype=np.int64)
-
-        # Compact working set: only rows still running. ``ids`` maps working
-        # row -> replica index in the full batch.
-        ids = np.arange(total)
-        work = self.batch.select(ids)
-        states = self.states
-
-        wants_flips = recorder is not None and getattr(recorder, "record_flips", False)
-        if recorder is not None:
-            prefs = self.batch.source_preferences[self.batch.source_mask]
-            recorder.bind(
-                replicas=total,
-                n=self.batch.n,
-                num_sources=self.batch.num_sources,
-                sources_correct=int((prefs == self.batch.correct_opinion).sum()),
-                correct_opinion=self.batch.correct_opinion,
-                pin_each_round=self.batch.pin_each_round,
-            )
-            # Full-batch value vectors; retired rows simply stop being
-            # written, which freezes them at their final values.
-            current_x = work.fraction_ones().astype(float)
-            current_flips = np.zeros(total, dtype=np.int64)
-            recorder.on_round(0, current_x, current_flips if wants_flips else None)
-
-        ok = condition(work)
-        streak = ok.astype(np.int64)
-        first_hit = np.where(ok, 0, -1)
-        # Lock/linger bookkeeping: a replica whose streak reaches the
-        # stability window is *locked* (its outcome is final) but keeps
-        # stepping for ``linger_rounds`` more rounds before it retires.
-        locked = np.zeros(total, dtype=bool)
-        locked_round = np.full(total, -1, dtype=np.int64)
-        countdown = np.zeros(total, dtype=np.int64)
-        rounds_done = 0
-
-        while True:
-            newly_locked = ~locked & (streak >= stability_rounds)
-            if newly_locked.any():
-                locked_round = np.where(newly_locked, first_hit, locked_round)
-                countdown = np.where(newly_locked, linger_rounds, countdown)
-                locked = locked | newly_locked
-            done = locked & (countdown <= 0)
-            if rounds_done >= max_rounds:
-                # Budget exhausted: unconverged replicas stop here; locked
-                # replicas mid-linger keep stepping their settle window out.
-                done = done | ~locked
-            if done.any():
-                retired = ids[done]
-                conv = locked[done]
-                converged[retired] = conv
-                rounds[retired] = np.where(conv, locked_round[done], rounds_done)
-                rounds_executed[retired] = rounds_done
-                self.batch.opinions[retired] = work.opinions[done]
-                keep = ~done
-                states = {key: value[keep] for key, value in states.items()}
-                ids = ids[keep]
-                streak = streak[keep]
-                first_hit = first_hit[keep]
-                locked = locked[keep]
-                locked_round = locked_round[keep]
-                countdown = countdown[keep]
-                if ids.size:
-                    work = work.select(keep)
-            if ids.size == 0:
-                break
-            old = work.opinions.copy() if wants_flips else None
-            new = self.protocol.step_batch(work, states, self.sampler, self.rng)
-            work.set_opinions(new)
-            rounds_done += 1
-            self.round_index += 1
-            countdown = countdown - locked
-            ok = condition(work)
-            # Locked replicas stop tracking the condition: their outcome was
-            # sealed at detection (mirrors sequential settle stepping, which
-            # never re-checks).
-            tracking = ~locked
-            newly_ok = ok & (streak == 0) & tracking
-            streak = np.where(tracking, np.where(ok, streak + 1, 0), streak)
-            first_hit = np.where(
-                tracking,
-                np.where(ok, np.where(newly_ok, rounds_done, first_hit), -1),
-                first_hit,
-            )
-            if recorder is not None:
-                current_x[ids] = work.fraction_ones()
-                if wants_flips:
-                    current_flips[:] = 0
-                    current_flips[ids] = np.count_nonzero(work.opinions != old, axis=1)
-                    recorder.on_round(rounds_done, current_x, current_flips)
-                else:
-                    recorder.on_round(rounds_done, current_x, None)
-
-        self.states = states
-        self.batch.invalidate_cache()
-        if metrics is not None:
-            metrics.counter(
-                "repro_engine_rounds_total",
-                "Lock-step synchronous rounds executed, by engine.",
-                engine="batched",
-            ).inc(rounds_done)
-            metrics.counter(
-                "repro_engine_replicas_retired_total",
-                "Replicas that left the batched working set (converged, "
-                "lingered out, or budget-exhausted).",
-            ).inc(total)
-            metrics.histogram(
-                "repro_engine_run_seconds",
-                "Wall-clock seconds per engine run() call, by engine.",
-                engine="batched",
-            ).observe(time.perf_counter() - run_start)
-        return BatchRunResult(
-            converged=converged,
-            rounds=rounds,
-            rounds_executed=rounds_executed,
-            final_fractions=self.batch.fraction_ones(),
-        )
+    def _retire(self, retired: np.ndarray, work: BatchedPopulation, done: np.ndarray) -> None:
+        self.batch.opinions[retired] = work.opinions[done]
+        keep = ~done
+        self.states = {key: value[keep] for key, value in self.states.items()}
 
 
 def run_protocol_batched(

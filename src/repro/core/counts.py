@@ -11,8 +11,9 @@ built on that observation:
   the per-state displayed opinions — enough to answer every question the
   engine contract asks (one-fractions, consensus predicates, non-source
   correct fraction) in O(S) per replica;
-* :class:`CountEngine` drives it with the exact semantics of
-  :class:`~repro.core.batch.BatchedEngine.run`: per-replica stability
+* :class:`CountEngine` drives it on the lock-step driver it shares with
+  :class:`~repro.core.batch.BatchedEngine` (:mod:`repro.core.lockstep`),
+  so the run contract is the same code: per-replica stability
   windows, ``t_con`` accounting, retirement with a compact working set,
   ``linger_rounds`` settle windows, and the ``recorder=`` hook emitting
   per-round one-fractions — so traces and measures work unchanged.
@@ -40,19 +41,17 @@ What the counts path cannot express (and rejects with clear errors):
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..telemetry.registry import current_registry
-from ..telemetry.spans import span
-from .batch import BatchRunResult
+from .lockstep import LockstepEngine
 from .protocol import Protocol
 from .rng import as_rng
 from .sampling import BatchedBinomialSampler
 
-if TYPE_CHECKING:  # pragma: no cover - typing only; trace layers on core
-    from ..trace.recorder import TraceRecorder
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..telemetry.registry import MetricsRegistry
 
 __all__ = [
     "CountPopulation",
@@ -295,13 +294,17 @@ def make_count_population(
     )
 
 
-class CountEngine:
-    """Lock-step driver for R count replicas with per-replica retirement.
+class CountEngine(LockstepEngine):
+    """Lock-step engine for R count replicas with per-replica retirement.
 
-    The counts analogue of :class:`~repro.core.batch.BatchedEngine`, meeting
-    the same ``run`` contract (stability windows, ``t_con`` accounting,
-    retirement, linger, ``recorder=``) so every consumer above the harness —
-    traces, the θ and trace sweep measures, telemetry — works unchanged.
+    The counts analogue of :class:`~repro.core.batch.BatchedEngine`, on the
+    same :func:`~repro.core.lockstep.run_lockstep` driver — so the ``run``
+    contract (stability windows, ``t_con`` accounting, retirement, linger,
+    ``recorder=``) is literally shared and every consumer above the harness
+    — traces, the θ and trace sweep measures, telemetry — works unchanged.
+    ``stop_condition`` sees a :class:`CountPopulation`; recorders asking for
+    flip counts are rejected, because which agents flipped is not a function
+    of the sufficient statistic.
 
     Parameters
     ----------
@@ -322,6 +325,8 @@ class CountEngine:
     rng:
         Generator or integer seed for the shared dynamics stream.
     """
+
+    engine_name = "counts"
 
     def __init__(
         self,
@@ -361,177 +366,38 @@ class CountEngine:
         self.rng = as_rng(rng)
         self.round_index = 0
         self._consumed = False
+        self._draw_seconds = 0.0
 
-    def run(
-        self,
-        max_rounds: int,
-        *,
-        stability_rounds: int = 2,
-        stop_condition: Callable[[CountPopulation], np.ndarray] | None = None,
-        recorder: "TraceRecorder | None" = None,
-        linger_rounds: int = 0,
-    ) -> BatchRunResult:
-        """Run until every replica converged (condition held for
-        ``stability_rounds`` consecutive observations) or ``max_rounds``.
+    # ----------------------------------------------------- lock-step backend
 
-        Same contract as :meth:`~repro.core.batch.BatchedEngine.run` —
-        ``stop_condition`` maps a :class:`CountPopulation` to an ``(A,)``
-        boolean vector, ``recorder`` captures per-round one-fractions with
-        retired rows frozen, ``linger_rounds`` keeps locked replicas stepping
-        their settle window out (past ``max_rounds`` if needed), and the
-        engine is single-shot. Recorders asking for flip counts are rejected:
-        which agents flipped is not a function of the sufficient statistic.
-        """
-        with span("engine.run", engine="counts"):
-            return self._run(
-                max_rounds,
-                stability_rounds=stability_rounds,
-                stop_condition=stop_condition,
-                recorder=recorder,
-                linger_rounds=linger_rounds,
-            )
+    @property
+    def _rows(self) -> CountPopulation:
+        return self.population
 
-    def _run(
-        self,
-        max_rounds: int,
-        *,
-        stability_rounds: int,
-        stop_condition: Callable[[CountPopulation], np.ndarray] | None,
-        recorder: "TraceRecorder | None",
-        linger_rounds: int,
-    ) -> BatchRunResult:
-        if self._consumed:
-            raise RuntimeError(
-                "CountEngine.run is single-shot; build a fresh engine to run again"
-            )
-        self._consumed = True
-        if max_rounds < 1:
-            raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
-        if stability_rounds < 1:
-            raise ValueError(f"stability_rounds must be >= 1, got {stability_rounds}")
-        if linger_rounds < 0:
-            raise ValueError(f"linger_rounds must be non-negative, got {linger_rounds}")
-        if recorder is not None and getattr(recorder, "record_flips", False):
+    def _recorder_facts(self) -> dict:
+        return {"sources_correct": self.population.num_sources, "pin_each_round": True}
+
+    def _check_recorder(self, flips: bool) -> None:
+        if flips:
             raise ValueError(
                 "the counts engine cannot record flips: per-agent flip counts "
                 "are not a function of the state-count sufficient statistic; "
                 "use engine='batched' for flip recording"
             )
-        condition = stop_condition or CountPopulation.at_correct_consensus
-        metrics = current_registry()
-        run_start = time.perf_counter() if metrics is not None else 0.0
-        draw_seconds = 0.0
 
-        total = self.population.replicas
-        converged = np.zeros(total, dtype=bool)
-        rounds = np.zeros(total, dtype=np.int64)
-        rounds_executed = np.zeros(total, dtype=np.int64)
+    def _step(self, work: CountPopulation, flips: bool) -> None:
+        x_eff = np.asarray(self.sampler.effective_fractions(work), dtype=float)
+        draw_start = time.perf_counter()
+        new_counts = self.protocol.step_counts(work.counts, x_eff, self.rng)
+        self._draw_seconds += time.perf_counter() - draw_start
+        work.set_counts(new_counts)
 
-        # Compact working set: only rows still running. ``ids`` maps working
-        # row -> replica index in the full population.
-        ids = np.arange(total)
-        work = self.population.select(ids)
+    def _retire(self, retired: np.ndarray, work: CountPopulation, done: np.ndarray) -> None:
+        self.population.counts[retired] = work.counts[done]
 
-        if recorder is not None:
-            recorder.bind(
-                replicas=total,
-                n=self.population.n,
-                num_sources=self.population.num_sources,
-                sources_correct=self.population.num_sources,
-                correct_opinion=self.population.correct_opinion,
-                pin_each_round=True,
-            )
-            # Full-batch value vector; retired rows simply stop being
-            # written, which freezes them at their final values.
-            current_x = work.fraction_ones().astype(float)
-            recorder.on_round(0, current_x, None)
-
-        ok = condition(work)
-        streak = ok.astype(np.int64)
-        first_hit = np.where(ok, 0, -1)
-        locked = np.zeros(total, dtype=bool)
-        locked_round = np.full(total, -1, dtype=np.int64)
-        countdown = np.zeros(total, dtype=np.int64)
-        rounds_done = 0
-
-        while True:
-            newly_locked = ~locked & (streak >= stability_rounds)
-            if newly_locked.any():
-                locked_round = np.where(newly_locked, first_hit, locked_round)
-                countdown = np.where(newly_locked, linger_rounds, countdown)
-                locked = locked | newly_locked
-            done = locked & (countdown <= 0)
-            if rounds_done >= max_rounds:
-                # Budget exhausted: unconverged replicas stop here; locked
-                # replicas mid-linger keep stepping their settle window out.
-                done = done | ~locked
-            if done.any():
-                retired = ids[done]
-                conv = locked[done]
-                converged[retired] = conv
-                rounds[retired] = np.where(conv, locked_round[done], rounds_done)
-                rounds_executed[retired] = rounds_done
-                self.population.counts[retired] = work.counts[done]
-                keep = ~done
-                ids = ids[keep]
-                streak = streak[keep]
-                first_hit = first_hit[keep]
-                locked = locked[keep]
-                locked_round = locked_round[keep]
-                countdown = countdown[keep]
-                if ids.size:
-                    work = work.select(keep)
-            if ids.size == 0:
-                break
-            x_eff = np.asarray(self.sampler.effective_fractions(work), dtype=float)
-            draw_start = time.perf_counter() if metrics is not None else 0.0
-            new_counts = self.protocol.step_counts(work.counts, x_eff, self.rng)
-            if metrics is not None:
-                draw_seconds += time.perf_counter() - draw_start
-            work.set_counts(new_counts)
-            rounds_done += 1
-            self.round_index += 1
-            countdown = countdown - locked
-            ok = condition(work)
-            # Locked replicas stop tracking the condition: their outcome was
-            # sealed at detection (mirrors the batched engine exactly).
-            tracking = ~locked
-            newly_ok = ok & (streak == 0) & tracking
-            streak = np.where(tracking, np.where(ok, streak + 1, 0), streak)
-            first_hit = np.where(
-                tracking,
-                np.where(ok, np.where(newly_ok, rounds_done, first_hit), -1),
-                first_hit,
-            )
-            if recorder is not None:
-                current_x[ids] = work.fraction_ones()
-                recorder.on_round(rounds_done, current_x, None)
-
-        self.population.invalidate_cache()
-        if metrics is not None:
-            metrics.counter(
-                "repro_engine_rounds_total",
-                "Lock-step synchronous rounds executed, by engine.",
-                engine="counts",
-            ).inc(rounds_done)
-            metrics.counter(
-                "repro_engine_replicas_retired_total",
-                "Replicas that left the batched working set (converged, "
-                "lingered out, or budget-exhausted).",
-            ).inc(total)
-            metrics.histogram(
-                "repro_engine_run_seconds",
-                "Wall-clock seconds per engine run() call, by engine.",
-                engine="counts",
-            ).observe(time.perf_counter() - run_start)
-            metrics.histogram(
-                "repro_counts_draw_seconds",
-                "Wall-clock seconds spent in count-level multinomial "
-                "transitions (step_counts) per counts-engine run.",
-            ).observe(draw_seconds)
-        return BatchRunResult(
-            converged=converged,
-            rounds=rounds,
-            rounds_executed=rounds_executed,
-            final_fractions=self.population.fraction_ones(),
-        )
+    def _observe(self, metrics: "MetricsRegistry") -> None:
+        metrics.histogram(
+            "repro_counts_draw_seconds",
+            "Wall-clock seconds spent in count-level multinomial "
+            "transitions (step_counts) per counts-engine run.",
+        ).observe(self._draw_seconds)

@@ -1,0 +1,313 @@
+"""The one lock-step driver behind the batched and counts engines.
+
+Both replica engines advance R independent trials of one condition in
+lock-step and differ only in how a replica is stored and stepped: an
+``(R, n)`` opinion matrix on :class:`~repro.core.batch.BatchedEngine`, an
+``(R, S)`` state-count matrix on :class:`~repro.core.counts.CountEngine`.
+Everything else — stability windows, ``t_con`` accounting, lock/linger
+settle windows, retirement into a compact working set, trace recorders,
+telemetry — is :func:`run_lockstep`, written once over a small backend
+that :class:`LockstepEngine` subclasses implement:
+
+* ``_rows`` — the full replica container (``select``, ``fraction_ones``,
+  ``invalidate_cache`` and the consensus predicates);
+* ``_step(work, flips)`` — advance the working set one round in place,
+  returning per-row flip counts when asked;
+* ``_retire(retired, work, done)`` — write the finished working rows back
+  into ``_rows`` and drop them from any per-replica engine state.
+
+Sharing the driver is what makes ``engine="auto"`` a transparent switch:
+whichever engine it resolves to, the run contract is the same code.
+"""
+
+from __future__ import annotations
+
+import time
+from abc import ABC, abstractmethod
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Callable
+
+import numpy as np
+
+from ..telemetry.registry import current_registry
+from ..telemetry.spans import span
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; trace layers on core
+    from ..telemetry.registry import MetricsRegistry
+    from ..trace.recorder import TraceRecorder
+
+__all__ = ["BatchRunResult", "LockstepEngine", "run_lockstep"]
+
+
+@dataclass
+class BatchRunResult:
+    """Per-replica outcome of a lock-step engine run.
+
+    Attributes
+    ----------
+    converged:
+        ``(R,)`` bool — replica reached the correct consensus and held it for
+        the stability window before ``max_rounds``.
+    rounds:
+        ``(R,)`` int — the replica's ``t_con`` (first round of the final
+        streak) when converged, else the number of rounds executed; exactly
+        :attr:`RunResult.rounds` of the sequential engine, per replica.
+    rounds_executed:
+        ``(R,)`` int — synchronous rounds actually simulated for the replica
+        (its retirement round, or ``max_rounds``). Throughput accounting.
+    final_fractions:
+        ``(R,)`` float — one-fraction of each replica's final configuration.
+    """
+
+    converged: np.ndarray
+    rounds: np.ndarray
+    rounds_executed: np.ndarray
+    final_fractions: np.ndarray
+
+    @property
+    def replicas(self) -> int:
+        return int(self.converged.shape[0])
+
+    @property
+    def successes(self) -> int:
+        return int(np.count_nonzero(self.converged))
+
+    def times(self) -> np.ndarray:
+        """Convergence rounds of the successful replicas, as floats."""
+        return self.rounds[self.converged].astype(float)
+
+    def summary(self) -> dict:
+        return {
+            "replicas": self.replicas,
+            "successes": self.successes,
+            "total_rounds_executed": int(self.rounds_executed.sum()),
+        }
+
+
+class LockstepEngine(ABC):
+    """Base of the replica engines: the shared ``run`` and its backend hooks.
+
+    Subclasses set :attr:`engine_name` (the ``engine`` label of spans and
+    metrics), initialize ``round_index = 0`` and ``_consumed = False``, and
+    implement the backend (module docstring).
+    """
+
+    engine_name = ""
+    round_index: int
+    _consumed: bool
+
+    @property
+    @abstractmethod
+    def _rows(self) -> Any:
+        """The full replica container the run reads and writes back into."""
+
+    @abstractmethod
+    def _step(self, work: Any, flips: bool) -> np.ndarray | None:
+        """Advance ``work`` one round in place; per-row flips if asked."""
+
+    @abstractmethod
+    def _retire(self, retired: np.ndarray, work: Any, done: np.ndarray) -> None:
+        """Write ``work``'s ``done`` rows back into ``_rows`` at ``retired``
+        and drop them from any per-replica engine state."""
+
+    @abstractmethod
+    def _recorder_facts(self) -> dict:
+        """``sources_correct`` and ``pin_each_round`` for ``recorder.bind``."""
+
+    def _check_recorder(self, flips: bool) -> None:
+        """Reject recorder channels the backend cannot fill."""
+
+    def _observe(self, metrics: "MetricsRegistry") -> None:
+        """Backend-specific metrics, emitted once per run."""
+
+    def run(
+        self,
+        max_rounds: int,
+        *,
+        stability_rounds: int = 2,
+        stop_condition: Callable[[Any], np.ndarray] | None = None,
+        recorder: "TraceRecorder | None" = None,
+        linger_rounds: int = 0,
+    ) -> BatchRunResult:
+        """Run until every replica converged (condition held for
+        ``stability_rounds`` consecutive observations) or ``max_rounds``.
+
+        ``stop_condition`` optionally replaces the correct-consensus test; it
+        must map the engine's replica container (a working subset of its
+        rows) to an ``(A,)`` boolean vector over them (e.g.
+        ``at_consensus``).
+
+        ``recorder`` optionally captures per-replica trajectories: the engine
+        reports the full ``(R,)`` one-fraction vector (and, when the recorder
+        asks for them and the engine can count them, per-replica flip
+        counts) for round 0 and after every executed round, with retired
+        rows frozen at their final values.
+
+        ``linger_rounds`` keeps a replica running that many extra rounds
+        after its convergence is detected before retiring it — convergence
+        accounting (``converged``/``rounds``) is locked at detection and not
+        revisited. This is the settle-window hook: the sequential θ measure
+        keeps stepping an engine after its stop condition fired, and linger
+        reproduces that per replica under retirement (the extra rounds are
+        allowed to run past ``max_rounds``, exactly as sequential settle
+        stepping does).
+
+        Single-shot: retirement compacts the working state down to the
+        replicas that were still running, so a second ``run`` on the same
+        engine has no coherent state to resume from and is rejected. Build a
+        fresh engine (or use the sequential engine, whose ``run`` can be
+        re-entered) to continue simulating.
+        """
+        with span("engine.run", engine=self.engine_name):
+            return run_lockstep(
+                self,
+                max_rounds,
+                stability_rounds=stability_rounds,
+                stop_condition=stop_condition,
+                recorder=recorder,
+                linger_rounds=linger_rounds,
+            )
+
+
+def run_lockstep(
+    engine: LockstepEngine,
+    max_rounds: int,
+    *,
+    stability_rounds: int,
+    stop_condition: Callable[[Any], np.ndarray] | None,
+    recorder: "TraceRecorder | None",
+    linger_rounds: int,
+) -> BatchRunResult:
+    """The lock-step loop of :meth:`LockstepEngine.run` over ``engine``'s
+    backend hooks (see the module docstring)."""
+    if engine._consumed:
+        raise RuntimeError(
+            f"{type(engine).__name__}.run is single-shot; build a fresh engine to run again"
+        )
+    engine._consumed = True
+    # Same bound and message as run_trials: a 0-round budget cannot observe
+    # anything.
+    if max_rounds < 1:
+        raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
+    if stability_rounds < 1:
+        raise ValueError(f"stability_rounds must be >= 1, got {stability_rounds}")
+    if linger_rounds < 0:
+        raise ValueError(f"linger_rounds must be non-negative, got {linger_rounds}")
+    wants_flips = recorder is not None and getattr(recorder, "record_flips", False)
+    engine._check_recorder(wants_flips)
+    rows = engine._rows
+    condition = stop_condition or type(rows).at_correct_consensus
+    metrics = current_registry()
+    run_start = time.perf_counter() if metrics is not None else 0.0
+
+    total = rows.replicas
+    converged = np.zeros(total, dtype=bool)
+    rounds = np.zeros(total, dtype=np.int64)
+    rounds_executed = np.zeros(total, dtype=np.int64)
+
+    # Compact working set: only rows still running. ``ids`` maps working
+    # row -> replica index in the full container.
+    ids = np.arange(total)
+    work = rows.select(ids)
+
+    if recorder is not None:
+        recorder.bind(
+            replicas=total,
+            n=rows.n,
+            num_sources=rows.num_sources,
+            correct_opinion=rows.correct_opinion,
+            **engine._recorder_facts(),
+        )
+        # Full-batch value vectors; retired rows simply stop being written,
+        # which freezes them at their final values.
+        current_x = work.fraction_ones().astype(float)
+        current_flips = np.zeros(total, dtype=np.int64) if wants_flips else None
+        recorder.on_round(0, current_x, current_flips)
+
+    ok = condition(work)
+    streak = ok.astype(np.int64)
+    first_hit = np.where(ok, 0, -1)
+    # Lock/linger bookkeeping: a replica whose streak reaches the stability
+    # window is *locked* (its outcome is final) but keeps stepping for
+    # ``linger_rounds`` more rounds before it retires.
+    locked = np.zeros(total, dtype=bool)
+    locked_round = np.full(total, -1, dtype=np.int64)
+    countdown = np.zeros(total, dtype=np.int64)
+    rounds_done = 0
+
+    while True:
+        newly_locked = ~locked & (streak >= stability_rounds)
+        if newly_locked.any():
+            locked_round = np.where(newly_locked, first_hit, locked_round)
+            countdown = np.where(newly_locked, linger_rounds, countdown)
+            locked = locked | newly_locked
+        done = locked & (countdown <= 0)
+        if rounds_done >= max_rounds:
+            # Budget exhausted: unconverged replicas stop here; locked
+            # replicas mid-linger keep stepping their settle window out.
+            done = done | ~locked
+        if done.any():
+            retired = ids[done]
+            conv = locked[done]
+            converged[retired] = conv
+            rounds[retired] = np.where(conv, locked_round[done], rounds_done)
+            rounds_executed[retired] = rounds_done
+            engine._retire(retired, work, done)
+            keep = ~done
+            ids = ids[keep]
+            streak = streak[keep]
+            first_hit = first_hit[keep]
+            locked = locked[keep]
+            locked_round = locked_round[keep]
+            countdown = countdown[keep]
+            if ids.size:
+                work = work.select(keep)
+        if ids.size == 0:
+            break
+        flips = engine._step(work, wants_flips)
+        rounds_done += 1
+        engine.round_index += 1
+        countdown = countdown - locked
+        ok = condition(work)
+        # Locked replicas stop tracking the condition: their outcome was
+        # sealed at detection (mirrors sequential settle stepping, which
+        # never re-checks).
+        tracking = ~locked
+        newly_ok = ok & (streak == 0) & tracking
+        streak = np.where(tracking, np.where(ok, streak + 1, 0), streak)
+        first_hit = np.where(
+            tracking,
+            np.where(ok, np.where(newly_ok, rounds_done, first_hit), -1),
+            first_hit,
+        )
+        if recorder is not None:
+            current_x[ids] = work.fraction_ones()
+            if wants_flips:
+                current_flips[:] = 0
+                current_flips[ids] = flips
+            recorder.on_round(rounds_done, current_x, current_flips)
+
+    rows.invalidate_cache()
+    if metrics is not None:
+        metrics.counter(
+            "repro_engine_rounds_total",
+            "Lock-step synchronous rounds executed, by engine.",
+            engine=engine.engine_name,
+        ).inc(rounds_done)
+        metrics.counter(
+            "repro_engine_replicas_retired_total",
+            "Replicas that left the batched working set (converged, "
+            "lingered out, or budget-exhausted).",
+        ).inc(total)
+        metrics.histogram(
+            "repro_engine_run_seconds",
+            "Wall-clock seconds per engine run() call, by engine.",
+            engine=engine.engine_name,
+        ).observe(time.perf_counter() - run_start)
+        engine._observe(metrics)
+    return BatchRunResult(
+        converged=converged,
+        rounds=rounds,
+        rounds_executed=rounds_executed,
+        final_fractions=rows.fraction_ones(),
+    )

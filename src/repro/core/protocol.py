@@ -61,6 +61,13 @@ class Protocol(ABC):
     #: behaviour is a function of its discrete state and the population
     #: one-fraction alone — no identity-dependent draws.
     counts_supported: bool = False
+    #: Smallest ``n`` at which ``engine="auto"`` runs a count-capable
+    #: condition of this protocol on the counts engine instead of batched:
+    #: the measured crossover (``results/BENCH_counts.json``, ``scan``) from
+    #: which counts is at least as fast as batched at every larger scanned
+    #: ``n``. A class constant, not a user option — explicit
+    #: ``engine="batched"``/``"sequential"`` are the override.
+    counts_min_n: int = 100
 
     @abstractmethod
     def init_state(self, n: int, rng: np.random.Generator) -> ProtocolState:

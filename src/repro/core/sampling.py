@@ -326,6 +326,11 @@ def _sparse_binomial_rows(
     q_lane = np.tile(q, blocks)
     with np.errstate(divide="ignore"):  # q == 1 -> log1p(-q) == -inf, handled
         log1m_q = np.log1p(-q_lane)
+    # Bound |ln(1-q)| below so the gap ratio ln U / ln(1-q) stays finite for
+    # denormal-tiny q: |ln U| <= 691, so the ratio is at most ~7e302 instead
+    # of overflowing. Such gaps exceed every lane end either way and are
+    # clamped to it below, so the draws are unchanged.
+    np.minimum(log1m_q, -_TINY, out=log1m_q)
 
     positive = np.nonzero(q_lane > 0.0)[0]
     hit_lanes: list[np.ndarray] = []

@@ -16,7 +16,8 @@ scalar/batched observation models. Everything above it speaks
 * :func:`run_trials` — the legacy factory-kwargs signature, kept working
   as a thin adapter over :meth:`RunSpec.execute`.
 
-Two execution engines are available (``engine`` policy):
+Three execution engines are available; :meth:`RunSpec.resolve_engine`
+maps the ``engine`` policy onto one of them:
 
 * ``"sequential"`` — one :class:`SynchronousEngine` per trial, each on its own
   spawned RNG stream.
@@ -29,19 +30,27 @@ Two execution engines are available (``engine`` policy):
   trajectory consumers (``keep_results=True``) are served by attaching a
   :class:`~repro.trace.FullTrace` recorder and converting the recorded
   ``(R, T)`` matrix back into per-trial :class:`RunResult` objects.
-* ``"auto"`` (default) — batched when the protocol ships a vectorized
-  ``step_batch`` (``Protocol.batch_vectorized``) and the observation model
-  has a batched side; sequential otherwise. ``engine="sequential"`` remains
-  the explicit escape hatch for bitwise per-trial streams.
-* ``"counts"`` — explicit opt-in to the sufficient-statistic
+* ``"counts"`` — the sufficient-statistic
   :class:`~repro.core.counts.CountEngine`: replicas are ``(S,)`` state-count
   vectors, one multinomial-family transition per round, O(num_states) memory
   regardless of ``n``. Exact in distribution for exchangeable populations
   but a *different* RNG consumption pattern, so per-trial streams do not
   match the other engines bitwise (aggregates are KS-equivalent). Requires
-  a count-model protocol (``Protocol.counts_supported``), a count-capable
-  initializer (``Initializer.supports_counts``), and a fraction-keyed
-  observation model; ``"auto"`` never selects it.
+  a count-capable condition (:meth:`RunSpec.counts_obstacle`): a count-model
+  protocol (``Protocol.counts_supported``), an exchangeable initializer
+  (``Initializer.supports_counts``), the standard population, a
+  fraction-keyed observation model, and no flip recording.
+* ``"auto"`` (default) — counts when the condition is count-capable and
+  ``n`` is at or above the protocol's measured crossover
+  (``Protocol.counts_min_n``); otherwise batched when the protocol ships a
+  vectorized ``step_batch`` (``Protocol.batch_vectorized``) and the
+  observation model has a batched side; sequential otherwise.
+  ``engine="batched"`` and ``engine="sequential"`` remain the explicit
+  overrides (the latter for bitwise per-trial streams).
+
+The batched and counts engines share one lock-step driver
+(:mod:`repro.core.lockstep`), so the run contract does not depend on which
+one ``auto`` picked.
 """
 
 from __future__ import annotations
@@ -195,69 +204,46 @@ def execute_run(
 
     Keyword overrides replace the spec's declarative components with live
     objects — the adapter path of :func:`run_trials` and the escape hatch
-    for components with no declarative form. When ``sampler_factory`` is
-    overridden without a ``batched_sampler``, an explicit ``"batched"``
-    engine request is an error and ``"auto"`` falls back to sequential
-    (exactly the legacy contract); declarative samplers are always paired
-    by the registry.
+    for components with no declarative form. The engine comes from
+    :meth:`RunSpec.resolve_engine` (a live ``population_factory`` keeps
+    ``"auto"`` off the counts engine). When ``sampler_factory`` is
+    overridden without a ``batched_sampler``, an explicit ``"batched"`` or
+    ``"counts"`` request is an error and ``"auto"`` falls back to
+    sequential (exactly the legacy contract); declarative samplers are
+    always paired by the registry.
     """
     if spec.engine in ("batched", "counts") and sampler_factory is not None and batched_sampler is None:
         raise ValueError(
             "a custom sampler_factory needs a matching batched_sampler "
             f"for the {spec.engine} engine"
         )
-    if spec.engine == "counts" and population_factory is not None:
-        raise ValueError(
-            "population_factory builds a per-agent layout; the counts engine "
-            "tracks state counts only — use engine='batched' or 'sequential'"
-        )
     if protocol_factory is None:
         protocol_factory = spec.protocol_factory()
     if initializer is None:
         initializer = spec.build_initializer()
+    custom_population = population_factory is not None
     if population_factory is None and spec.population is not None:
         population_factory = spec.population_factory()
-        if spec.engine == "counts" and population_factory is not None:
-            raise ValueError(
-                f"population {spec.population['name']!r} is a crafted "
-                "per-agent layout; the counts engine only models the "
-                "standard source-pinned population"
-            )
     if sampler_factory is None and batched_sampler is None:
         sampler_factory, batched_sampler = spec.samplers()
-        if spec.engine == "batched" and batched_sampler is None:
-            raise ValueError(
-                f"sampler {spec.sampler!r} has no batched observation model; "
-                "this condition can only run on the sequential engine"
-            )
-        if spec.engine == "counts" and batched_sampler is None:
-            raise ValueError(
-                f"sampler {spec.sampler!r} has no fraction-keyed batched "
-                "observation model; this condition cannot run on the counts "
-                "engine"
-            )
     # The declared population shape (n, num_sources, correct_opinion) is
-    # built natively by both per-agent engine paths; a declarative
-    # ``population`` component resolves to a factory above (``standard``
-    # resolves to None, i.e. the native path), and the keyword stays the
-    # escape hatch for layouts with no declarative form.
+    # built natively by every engine path; a declarative ``population``
+    # component resolves to a factory above (``standard`` resolves to None,
+    # i.e. the native path), and the keyword stays the escape hatch for
+    # layouts with no declarative form.
     max_rounds = spec.resolved_max_rounds()
-
-    probe: Protocol | None = None
-    use_batched = spec.engine == "batched"
-    if spec.engine == "auto" and (sampler_factory is None or batched_sampler is not None):
-        probe = protocol_factory()
-        use_batched = probe.batch_vectorized
+    probe = protocol_factory()
+    engine = spec.resolve_engine(
+        probe,
+        initializer,
+        batched_sampler=batched_sampler,
+        custom_population=custom_population,
+    )
     if spec.trials == 0:
         # Degrade gracefully: an empty aggregate with no division warnings
         # (success_rate and the time summary report NaN, times stays empty)
         # rather than an error — sweep grids may legitimately zip in empty
         # cells, and downstream table code handles the NaNs already.
-        probe = probe if probe is not None else protocol_factory()
-        if spec.engine == "counts":
-            idle_engine = "counts"
-        else:
-            idle_engine = "batched" if use_batched else "sequential"
         return TrialStats(
             protocol_name=probe.name,
             initializer_name=initializer.name,
@@ -266,20 +252,20 @@ def execute_run(
             max_rounds=max_rounds,
             successes=0,
             times=np.empty(0, dtype=float),
-            engine=idle_engine,
+            engine=engine,
         )
-    if spec.engine == "counts":
+    if engine == "counts":
         return _run_trials_counts(
-            probe if probe is not None else protocol_factory(),
+            probe,
             spec,
             initializer,
             batched_sampler=batched_sampler,
             max_rounds=max_rounds,
             keep_results=keep_results,
         )
-    if use_batched:
+    if engine == "batched":
         return _run_trials_batched(
-            probe if probe is not None else protocol_factory(),
+            probe,
             spec.n,
             initializer,
             trials=spec.trials,

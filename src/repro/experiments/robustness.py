@@ -80,9 +80,10 @@ def sweep_noise(
     samplers, and clock-sync applies the same per-bit flip model to the
     opinion bits it reads directly (its clock message stays clean — the
     noise model covers opinion observations). Since the clock-sync
-    vectorization, every registered protocol rides the batched engine under
-    ``engine="auto"``, so baseline rows cost the same per trial as FET rows
-    instead of falling back to the per-replica path.
+    vectorization, every registered protocol rides a lock-step engine under
+    ``engine="auto"`` (counts where the cell is count-capable and past the
+    protocol's crossover, batched otherwise), so baseline rows cost the same
+    per trial as FET rows instead of falling back to the per-replica path.
     """
     initializer = initializer if initializer is not None else AllWrong()
     protocol_axis: list[dict | str] = (

@@ -53,6 +53,8 @@ class HysteresisFETProtocol(Protocol):
     passive = True
     batch_vectorized = True
     counts_supported = True
+    #: measured counts/batched crossover (results/BENCH_counts.json, scan)
+    counts_min_n = 64
 
     def __init__(self, ell: int, band: int) -> None:
         if ell < 1:

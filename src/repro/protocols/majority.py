@@ -27,6 +27,8 @@ class MajorityProtocol(Protocol):
     passive = True
     batch_vectorized = True
     counts_supported = True
+    #: measured counts/batched crossover (results/BENCH_counts.json, scan)
+    counts_min_n = 32
 
     def __init__(self, k: int = 3) -> None:
         if k < 1 or k % 2 == 0:

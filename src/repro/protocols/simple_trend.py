@@ -37,6 +37,8 @@ class SimpleTrendProtocol(Protocol):
     passive = True
     batch_vectorized = True
     counts_supported = True
+    #: measured counts/batched crossover (results/BENCH_counts.json, scan)
+    counts_min_n = 10_000
 
     def __init__(self, ell: int) -> None:
         if ell < 1:

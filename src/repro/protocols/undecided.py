@@ -34,6 +34,8 @@ class UndecidedStateProtocol(Protocol):
     passive = True
     batch_vectorized = True
     counts_supported = True
+    #: measured counts/batched crossover (results/BENCH_counts.json, scan)
+    counts_min_n = 32
     name = "undecided-state"
 
     def init_state(self, n: int, rng: np.random.Generator) -> ProtocolState:

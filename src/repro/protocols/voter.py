@@ -29,6 +29,8 @@ class VoterProtocol(Protocol):
     passive = True
     batch_vectorized = True
     counts_supported = True
+    #: measured counts/batched crossover (results/BENCH_counts.json, scan)
+    counts_min_n = 32
     name = "voter"
 
     def init_state(self, n: int, rng: np.random.Generator) -> ProtocolState:

@@ -371,34 +371,12 @@ def validate_cell(cell) -> None:
             )
         if cell.engine == "counts":
             # The counts engine models exchangeable source-pinned populations
-            # through their state-count sufficient statistic; every component
+            # through their state-count sufficient statistic; a component
             # that needs per-agent structure is rejected here, before any
-            # worker is spawned.
-            if not protocol.counts_supported:
-                raise ValueError(
-                    f"protocol {cell.protocol['name']!r} has no count model "
-                    "(counts_supported=False); the counts engine cannot run "
-                    "it — use engine='auto', 'batched' or 'sequential'"
-                )
-            if not initializer.supports_counts:
-                raise ValueError(
-                    f"initializer {cell.initializer['name']!r} builds "
-                    "per-agent configurations (supports_counts=False); the "
-                    "counts engine needs an exchangeable count-level "
-                    "initializer"
-                )
-            if population is not None and population.get("name") != "standard":
-                raise ValueError(
-                    f"population {population.get('name')!r} is a crafted "
-                    "per-agent layout; the counts engine only models the "
-                    "standard source-pinned population"
-                )
-            if cell.measure.get("kind") == "trace" and cell.measure.get("flips"):
-                raise ValueError(
-                    "per-agent flip counts are not a function of the "
-                    "state-count sufficient statistic; the counts engine "
-                    "cannot record them — use engine='batched'"
-                )
+            # worker is spawned — by the same rule ``auto`` uses to pick it.
+            obstacle = cell.counts_obstacle(protocol, initializer)
+            if obstacle is not None:
+                raise ValueError(obstacle)
         if cell.sampler is not None:
             _, batched = build_samplers(cell.sampler)
             if batched is None:
@@ -410,24 +388,11 @@ def validate_cell(cell) -> None:
                         f"sampler {cell.sampler['name']!r} has no batched "
                         "observation model; use engine='auto' or 'sequential'"
                     )
-                if cell.engine == "counts":
-                    raise ValueError(
-                        f"sampler {cell.sampler['name']!r} has no "
-                        "fraction-keyed batched observation model; the "
-                        "counts engine cannot run it"
-                    )
                 if cell.measure.get("kind") == "trace":
                     raise ValueError(
                         "the trace measure runs on the batched engine, but "
                         f"sampler {cell.sampler['name']!r} has no batched "
                         "observation model"
                     )
-            elif cell.engine == "counts" and not hasattr(batched, "effective_fractions"):
-                raise ValueError(
-                    f"sampler {cell.sampler['name']!r} is not keyed on "
-                    "one-fractions; the counts engine draws its own "
-                    "multinomial transitions and only supports the "
-                    "BatchedBinomialSampler family"
-                )
     except (ValueError, KeyError, TypeError) as error:
         raise ValueError(f"invalid sweep cell [{cell.label()}]: {error}") from error

@@ -383,11 +383,13 @@ class MeteredCell:
         return result
 
 
-def _use_batched(cell: Cell, protocol) -> bool:
-    """Engine resolution shared by the trace-backed measures (the cell's
-    own policy: auto requires both a vectorized protocol step and a batched
-    observation model)."""
-    return cell.use_batched(protocol)
+def _lockstep_engine(cell: Cell, engine: str, protocol, initializer):
+    """The prepared counts or batched engine of a trace-backed measure. Both
+    share one run contract (stop condition on the replica container,
+    recorder, linger retirement), so the measures are engine-agnostic."""
+    if engine == "counts":
+        return cell.count_engine(protocol=protocol, initializer=initializer)
+    return cell.batched_engine(protocol=protocol, initializer=initializer)
 
 
 def _base_payload(kind: str, protocol_name: str, initializer, engine: str) -> dict:
@@ -431,9 +433,10 @@ def _validate_theta(measure: dict) -> None:
 
 
 def _measure_theta(cell: Cell, factory, initializer) -> dict:
-    """θ-convergence + settle level, batched by default.
+    """θ-convergence + settle level, on a lock-step engine by default.
 
-    The batched path runs all trials lock-step with a full-trace recorder:
+    The lock-step path (counts or batched, as the cell's engine policy
+    resolves) runs all trials with a full-trace recorder:
     ``linger_rounds`` keeps each replica stepping through its settle window
     after it first held θ for the stability window (exactly the sequential
     semantics of stopping at θ and then stepping on), and the per-trial
@@ -443,23 +446,15 @@ def _measure_theta(cell: Cell, factory, initializer) -> dict:
     theta = float(cell.measure["theta"])
     settle_window = int(cell.measure.get("settle_window", 20))
     protocol = factory()
-    counts = cell.engine == "counts"
-    if not counts and not _use_batched(cell, protocol):
+    engine = cell.resolve_engine(protocol, initializer)
+    if engine == "sequential":
         return _measure_theta_sequential(cell, factory, initializer, theta, settle_window)
-    base = _base_payload("theta", protocol.name, initializer, "counts" if counts else "batched")
+    base = _base_payload("theta", protocol.name, initializer, engine)
     base.update({"reached": 0, "settle_levels": [], "theta": theta, "settle_window": settle_window})
     if cell.trials == 0:
         return base
     recorder = FullTrace()
-    # The counts engine implements the same run contract (stop condition on
-    # the population, recorder, linger retirement), so the whole measurement
-    # below is engine-agnostic once the right engine is built.
-    engine = (
-        cell.count_engine(protocol=protocol, initializer=initializer)
-        if counts
-        else cell.batched_engine(protocol=protocol, initializer=initializer)
-    )
-    result = engine.run(
+    result = _lockstep_engine(cell, engine, protocol, initializer).run(
         cell.max_rounds,
         stability_rounds=cell.stability_rounds,
         stop_condition=lambda b: b.nonsource_correct_fraction() >= theta,
@@ -556,7 +551,8 @@ def _validate_trace(measure: dict) -> None:
 def _measure_trace(cell: Cell, factory, initializer) -> dict:
     """Convergence aggregates plus trace-derived trajectory statistics.
 
-    Runs the cell's trials on the batched engine with a recorder configured
+    Runs the cell's trials on a lock-step engine (counts when the cell's
+    policy resolves to it, else batched) with a recorder configured
     by the measure parameters (``stride``, ``ring`` capacity, ``flips``) and
     reduces the trace vectorized: per-replica settle round (the round the
     trajectory freezes, within ``tolerance``) and, when the flip channel is
@@ -576,25 +572,15 @@ def _measure_trace(cell: Cell, factory, initializer) -> dict:
     ring = cell.measure.get("ring")
     flips = bool(cell.measure.get("flips", False))
     tolerance = float(cell.measure.get("tolerance", 0.0))
-    counts = cell.engine == "counts"
-    if counts and flips:
-        raise ValueError(
-            "per-agent flip counts are not a function of the state-count "
-            "sufficient statistic; the counts engine cannot record them — "
-            "use engine='batched'"
-        )
     protocol = factory()
-    base = _base_payload("trace", protocol.name, initializer, "counts" if counts else "batched")
+    # No per-trial implementation: a sequential resolution runs batched.
+    engine = "counts" if cell.resolve_engine(protocol, initializer) == "counts" else "batched"
+    base = _base_payload("trace", protocol.name, initializer, engine)
     base.update({"successes": 0, "settle_rounds": [], "recorded_columns": 0})
     if cell.trials == 0:
         return base
     recorder = make_recorder(ring=ring, stride=stride, record_flips=flips)
-    engine = (
-        cell.count_engine(protocol=protocol, initializer=initializer)
-        if counts
-        else cell.batched_engine(protocol=protocol, initializer=initializer)
-    )
-    result = engine.run(
+    result = _lockstep_engine(cell, engine, protocol, initializer).run(
         cell.max_rounds,
         stability_rounds=cell.stability_rounds,
         recorder=recorder,

@@ -60,3 +60,7 @@ def pytest_configure(config):
         "metrics_smoke: end-to-end telemetry smoke (CI runs these "
         "separately with `pytest -m metrics_smoke` after the demo sweep)",
     )
+    # A RuntimeWarning raised from repro's own code (overflow, invalid
+    # value, ...) is a bug. The filter is module-scoped, so third-party
+    # notices such as scipy's ks_2samp method fallback stay warnings.
+    config.addinivalue_line("filterwarnings", "error::RuntimeWarning:repro")

@@ -346,21 +346,29 @@ class TestEngineEquivalence:
 
 
 class TestRunTrialsDispatch:
-    def test_auto_uses_batched_for_vectorized_protocol(self):
-        stats = run_trials(
+    def test_auto_switches_to_counts_at_the_crossover(self):
+        # FET's measured crossover is n = 100: batched below it, counts from it.
+        below = run_trials(
+            lambda: FETProtocol(16), 99, AllWrong(), trials=8, max_rounds=400, seed=0
+        )
+        at = run_trials(
             lambda: FETProtocol(16), 100, AllWrong(), trials=8, max_rounds=400, seed=0
         )
-        assert stats.engine == "batched"
+        assert FETProtocol.counts_min_n == 100
+        assert below.engine == "batched"
+        assert at.engine == "counts"
+        assert below.successes == at.successes == 8
 
-    def test_auto_keeps_batched_for_keep_results(self):
-        # Since the trace subsystem, keep_results rides the batched engine:
-        # a FullTrace recorder captures per-replica trajectories and converts
-        # them back into per-trial RunResults.
+    @pytest.mark.parametrize("n,engine", [(99, "batched"), (100, "counts")])
+    def test_auto_keeps_results_on_either_lockstep_engine(self, n, engine):
+        # keep_results rides the lock-step engines: a FullTrace recorder
+        # captures per-replica trajectories and converts them back into
+        # per-trial RunResults, on batched and counts alike.
         stats = run_trials(
-            lambda: FETProtocol(16), 100, AllWrong(), trials=4, max_rounds=400, seed=0,
+            lambda: FETProtocol(16), n, AllWrong(), trials=4, max_rounds=400, seed=0,
             keep_results=True,
         )
-        assert stats.engine == "batched"
+        assert stats.engine == engine
         assert len(stats.results) == 4
         for result in stats.results:
             assert result.converged

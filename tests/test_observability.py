@@ -185,6 +185,9 @@ class TestObservabilityServer:
             with pytest.raises(urllib.error.HTTPError) as err:
                 scrape(server.url("/nope"))
             assert err.value.code == 404
+            # The error holds the response and its socket; close it here
+            # rather than leave it to a later test's garbage collection.
+            err.value.close()
 
 
 # --------------------------------------------------- live scrape during run

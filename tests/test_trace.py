@@ -444,16 +444,18 @@ class TestThetaAgreement:
         assert rows["batched"]["settle"] == pytest.approx(rows["sequential"]["settle"], abs=0.02)
         assert rows["batched"]["median"] == pytest.approx(rows["sequential"]["median"], abs=3)
 
-    def test_theta_cells_default_to_batched(self):
+    @pytest.mark.parametrize("n,engine", [(96, "batched"), (200, "counts")])
+    def test_theta_cells_default_to_a_lockstep_engine(self, n, engine):
+        # auto: batched below FET's counts crossover (n = 100), counts from it
         spec = SweepSpec(
-            axes={"protocol": [{"name": "fet", "ell": 20}], "n": [200]},
+            axes={"protocol": [{"name": "fet", "ell": 20}], "n": [n]},
             trials=2,
             max_rounds=300,
             stability_rounds=1,
             measure={"kind": "theta", "theta": 0.9, "settle_window": 4},
         )
         row = run_sweep(spec).rows()[0]
-        assert row["engine"] == "batched"
+        assert row["engine"] == engine
         assert row["successes"] == 2
         assert row["settle"] == pytest.approx(1.0, abs=0.05)
 
