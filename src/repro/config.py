@@ -26,7 +26,7 @@ The layers consume it uniformly:
   derived seed), so grids, the store, and the dispatcher all speak it;
 * :meth:`RunSpec.batched_engine` hands trace/θ consumers a fully prepared
   :class:`~repro.core.batch.BatchedEngine`, so no caller outside the
-  harness builds engines or pairs scalar/batched samplers by hand.
+  harness builds engines or resolves observation models by hand.
 
 **Hash compatibility.** :meth:`spec_dict` emits the new fields
 (``sampler``, ``num_sources``, ``correct_opinion``, ``linger_rounds``)
@@ -70,7 +70,7 @@ RUN_SCHEMA = 1
 
 #: Default of the ``batched_sampler`` keyword of :meth:`RunSpec.resolve_engine`
 #: and :meth:`RunSpec.counts_obstacle`: resolve the spec's own sampler.
-_SPEC_SAMPLER = object()
+_SPEC_SAMPLER: Any = object()
 
 
 def canonical_json(obj: Any) -> str:
@@ -130,8 +130,7 @@ class RunSpec:
     noise:
         Per-bit observation-flip probability ε. Sugar for the default noisy
         observation component: when ``sampler`` is ``None`` and ε > 0 the
-        run observes through the paired
-        :class:`~repro.core.noise.NoisyCountSampler` /
+        run observes through
         :class:`~repro.core.noise.BatchedNoisyCountSampler`.
     initializer:
         ``{"name": ..., params}`` component (initializer registry).
@@ -149,27 +148,25 @@ class RunSpec:
         sufficient-statistic engine; explicit requests need count-capable
         components). ``"auto"`` runs the condition on counts when it is
         count-capable and ``n`` is at or above the protocol's measured
-        crossover ``Protocol.counts_min_n``, else on batched when the
-        protocol and observation component support it, else sequential
-        (:meth:`resolve_engine`). Explicit ``"batched"``/``"sequential"``
-        are the override. The policy, not the resolved engine, is part of
-        the content hash.
+        crossover ``Protocol.counts_min_n``, else on batched — never on
+        sequential (:meth:`resolve_engine`). ``"sequential"`` runs every
+        trial as its own one-replica lock-step run on its own spawned
+        stream. Explicit ``"batched"``/``"sequential"`` are the override.
+        The policy, not the resolved engine, is part of the content hash.
     measure:
         Measurement descriptor; kinds live in the sweep runner's registry.
     sampler:
         Observation component ``{"name": ..., params}`` (sampler registry),
-        or ``None`` for the noise-derived default. Scalar and batched
-        builders are *paired in the registry*, so declaring a sampler can
-        never strand the batched engine without its matching observation
-        model.
+        or ``None`` for the noise-derived default. The registry builds its
+        batched side, which every engine consumes (its ``scalar()`` side
+        serves per-replica protocol fallbacks).
     num_sources:
         Number of agreeing source agents (the E-multi axis).
     correct_opinion:
         The bit the population must converge on.
     linger_rounds:
-        Batched-engine settle window: converged replicas keep stepping this
-        many rounds before retiring (trace consumers; ignored by the
-        sequential engine, which steps on explicitly).
+        Lock-step settle window: converged replicas keep stepping this many
+        rounds before retiring (trace consumers).
     population:
         Population-layout component ``{"name": ..., params}`` (population
         registry), or ``None`` for the standard source-pinned layout built
@@ -344,17 +341,12 @@ class RunSpec:
             correct_opinion=self.correct_opinion,
         )
 
-    def samplers(self) -> tuple[Callable[[], "Sampler"] | None, "BatchedSampler | None"]:
-        """The paired (scalar factory, batched) observation components.
+    def samplers(self) -> "BatchedSampler":
+        """The batched observation component every engine consumes.
 
         Resolution: an explicit ``sampler`` component wins; otherwise
-        ``noise`` > 0 selects the noisy pair and ``noise`` = 0 the engine
-        defaults (``None`` scalar factory means "engine default"). Pairing
-        happens in the sampler registry, so a declared component can never
-        reach the batched engine without its batched counterpart — a
-        registry entry without one (e.g. the literal index sampler) returns
-        ``None`` for the batched side, which :meth:`resolve_engine` treats as
-        "sequential only".
+        ``noise`` > 0 selects the noisy model and ``noise`` = 0 the exact
+        binomial default.
         """
         from .sweep.registry import build_samplers
 
@@ -362,16 +354,14 @@ class RunSpec:
             return build_samplers(self.sampler)
         if self.noise > 0.0:
             return build_samplers({"name": "noisy", "epsilon": self.noise})
-        from .core.sampling import BatchedBinomialSampler
-
-        return None, BatchedBinomialSampler()
+        return build_samplers({"name": "binomial"})
 
     def counts_obstacle(
         self,
         protocol: "Protocol",
         initializer: "Initializer",
         *,
-        batched_sampler: "BatchedSampler | None | object" = _SPEC_SAMPLER,
+        batched_sampler: "BatchedSampler" = _SPEC_SAMPLER,
         custom_population: bool = False,
     ) -> str | None:
         """Why this condition cannot run on the counts engine, or ``None``
@@ -382,8 +372,7 @@ class RunSpec:
         population is the standard source-pinned layout, the batched
         observation model is keyed on one-fractions (``effective_fractions``)
         and no per-agent flip counts are recorded. ``batched_sampler``
-        replaces the spec's own (``None`` when a live scalar sampler has no
-        batched side) and ``custom_population`` marks a live
+        replaces the spec's own and ``custom_population`` marks a live
         ``population_factory`` override. :meth:`resolve_engine` and
         ``validate_cell`` both ask this question, so "``auto`` picks counts"
         and "explicit counts is accepted" cannot drift apart.
@@ -412,18 +401,13 @@ class RunSpec:
                 "engine only models the standard source-pinned population"
             )
         if batched_sampler is _SPEC_SAMPLER:
-            batched_sampler = self.samplers()[1]
-        if batched_sampler is None:
-            name = self.sampler["name"] if self.sampler is not None else "sampler_factory"
-            return (
-                f"sampler {name!r} has no fraction-keyed batched observation "
-                "model; the counts engine cannot run it"
-            )
+            batched_sampler = self.samplers()
         if not hasattr(batched_sampler, "effective_fractions"):
             return (
-                f"sampler {type(batched_sampler).__name__} is not keyed on "
-                "one-fractions; the counts engine draws its own multinomial "
-                "transitions and only supports the BatchedBinomialSampler family"
+                f"sampler {type(batched_sampler).__name__} has no fraction-keyed "
+                "batched observation model; the counts engine draws its own "
+                "multinomial transitions and only supports the "
+                "BatchedBinomialSampler family"
             )
         if self.measure.get("kind") == "trace" and self.measure.get("flips"):
             return (
@@ -438,7 +422,7 @@ class RunSpec:
         protocol: "Protocol",
         initializer: "Initializer",
         *,
-        batched_sampler: "BatchedSampler | None | object" = _SPEC_SAMPLER,
+        batched_sampler: "BatchedSampler" = _SPEC_SAMPLER,
         custom_population: bool = False,
     ) -> str:
         """The engine this condition runs on: ``"counts"``, ``"batched"`` or
@@ -446,14 +430,13 @@ class RunSpec:
 
         ``"auto"`` picks counts when the condition is count-capable
         (:meth:`counts_obstacle`) and ``n`` is at or above the protocol's
-        measured crossover ``Protocol.counts_min_n``; otherwise batched when
-        the protocol steps replicas vectorized and the observation model has
-        a batched side, else sequential. Explicit engines are returned as
-        declared, after checking that their components can run on them
-        (``ValueError`` otherwise). Keywords as in :meth:`counts_obstacle`.
+        measured crossover ``Protocol.counts_min_n``, else batched; it never
+        picks sequential. Explicit engines are returned as declared, after
+        checking that counts' components can run on it (``ValueError``
+        otherwise). Keywords as in :meth:`counts_obstacle`.
         """
         if batched_sampler is _SPEC_SAMPLER:
-            batched_sampler = self.samplers()[1]
+            batched_sampler = self.samplers()
         if self.engine == "counts":
             obstacle = self.counts_obstacle(
                 protocol,
@@ -464,11 +447,6 @@ class RunSpec:
             if obstacle is not None:
                 raise ValueError(obstacle)
             return "counts"
-        if self.engine == "batched" and batched_sampler is None:
-            raise ValueError(
-                f"sampler {self.sampler!r} has no batched observation model; "
-                "this condition can only run on the sequential engine"
-            )
         if self.engine != "auto":
             return self.engine
         if self.n >= protocol.counts_min_n and self.counts_obstacle(
@@ -478,9 +456,7 @@ class RunSpec:
             custom_population=custom_population,
         ) is None:
             return "counts"
-        if protocol.batch_vectorized and batched_sampler is not None:
-            return "batched"
-        return "sequential"
+        return "batched"
 
     # ------------------------------------------------------------- execution
 
@@ -500,8 +476,8 @@ class RunSpec:
         (:func:`~repro.experiments.harness.run_trials`) and for components
         with no declarative form (crafted populations, scripted samplers);
         each override replaces the corresponding declared component. All
-        execution — engine choice, sampler pairing, per-trial vs. lock-step
-        stepping — happens in the harness core behind this method.
+        execution — engine choice, observation-model resolution, engine
+        assembly — happens in the harness core behind this method.
         """
         from .experiments.harness import execute_run
 
@@ -527,7 +503,7 @@ class RunSpec:
         :meth:`execute`'s batched path), resolves the batched observation
         component, and returns the engine ready for
         :meth:`~repro.core.batch.BatchedEngine.run` — the one entry point
-        for trace/θ consumers, so they never assemble engines or pair
+        for trace/θ consumers, so they never assemble engines or resolve
         samplers by hand. ``protocol``/``initializer`` accept pre-built
         instances to avoid rebuilding them around a registry validation.
         """

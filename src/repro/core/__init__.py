@@ -59,6 +59,7 @@ from .sampling import (
     BatchedSampler,
     BinomialCountSampler,
     IndexSampler,
+    PerReplicaSampler,
     Sampler,
     batched_binomial_counts,
 )
@@ -72,6 +73,7 @@ __all__ = [
     "BatchedSampler",
     "BinomialCountSampler",
     "IndexSampler",
+    "PerReplicaSampler",
     "NoisyCountSampler",
     "PopulationState",
     "Protocol",

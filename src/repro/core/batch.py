@@ -17,19 +17,20 @@ therefore advance in lock-step as one matrix-shaped system:
   vectorized protocols (``Protocol.batch_vectorized``) step every replica with
   a handful of numpy calls.
 
-:class:`BatchedEngine` drives the batch with the exact semantics of
-:class:`~repro.core.engine.SynchronousEngine.run`: per-replica stability-window
-tracking, the same convergence-round accounting (``t_con`` = first round of
-the final all-correct streak), and *retirement* — a replica whose streak
+:class:`BatchedEngine` drives the batch through the shared lock-step driver
+(:mod:`repro.core.lockstep`), whose ``R = 1`` case is
+:class:`~repro.core.engine.SynchronousEngine`: per-replica stability-window
+tracking, convergence-round accounting (``t_con`` = first round of the final
+all-correct streak), and *retirement* — a replica whose streak
 reaches the stability window is removed from the active working set, so
 finished trials stop costing work and their state provably never changes
 again. The working set is kept compact (converged rows are physically dropped,
 not masked), so late rounds with few stragglers cost ``O(active × n)``, not
 ``O(R × n)``.
 
-The batched path is exact in distribution, not bitwise identical to looping
-:class:`~repro.core.engine.SynchronousEngine` over trials: replicas consume a
-shared dynamics stream instead of per-trial streams. Trajectory- and
+The batched path is exact in distribution, not bitwise identical to
+``engine="sequential"`` (one single-replica run per trial stream): replicas
+consume a shared dynamics stream instead of per-trial streams. Trajectory- and
 flip-recording consumers attach a :class:`~repro.trace.recorder.TraceRecorder`
 (``run(recorder=...)``): the engine reports the full ``(R,)`` one-fraction
 (and optionally flip-count) vector every round, with retired rows frozen at
@@ -203,14 +204,16 @@ class BatchedPopulation:
         The returned state is a read snapshot backed by a *view* of row ``r``;
         it shares the source arrays. Mutating it through its own methods
         rebinds its arrays and does not propagate back to the batch — the
-        generic per-replica fallback writes results back explicitly.
+        generic per-replica fallback writes results back explicitly. Rows of
+        a batch are valid by construction, so the view skips re-validation
+        (it is built once per replica per round).
         """
-        return PopulationState(
-            opinions=self.opinions[r],
-            source_mask=self.source_mask,
-            source_preferences=self.source_preferences,
-            correct_opinion=self.correct_opinion,
-            pin_each_round=self.pin_each_round,
+        return PopulationState._trusted(
+            self.opinions[r],
+            self.source_mask,
+            self.source_preferences,
+            self.correct_opinion,
+            self.pin_each_round,
         )
 
     # -------------------------------------------------------------- mutation
@@ -366,8 +369,8 @@ class BatchedEngine(LockstepEngine):
         self.states = states
         self.round_index = 0
         self._consumed = False
-        # Mirror SynchronousEngine: pin once up-front so a sloppy caller cannot
-        # start with a deviating source opinion in any replica.
+        # Pin once up-front so a sloppy caller cannot start with a deviating
+        # source opinion in any replica.
         if batch.pin_each_round:
             batch.pin_sources()
 

@@ -1,4 +1,4 @@
-"""Synchronous round engine.
+"""Synchronous round engine: the single-population view of the lock-step driver.
 
 Drives a :class:`~repro.core.protocol.Protocol` over a
 :class:`~repro.core.population.PopulationState` in synchronous rounds, exactly
@@ -12,22 +12,30 @@ For FET specifically, two consecutive all-correct rounds are provably
 absorbing: with ``x_t = x_{t+1} = 1`` every sampled block is all ones, both
 counters equal ℓ, and the tie rule keeps every opinion. The default stability
 window of 2 therefore makes the detection exact rather than heuristic.
+
+:class:`SynchronousEngine` owns no round loop: it is the ``R = 1`` case of
+:class:`~repro.core.batch.BatchedEngine`. Each :meth:`~SynchronousEngine.run`
+drives a one-row batch built on the caller's population and state through
+:func:`~repro.core.lockstep.run_lockstep`, then writes the final opinions and
+state back, so the population is mutated in place and runs can be chained.
 """
 
 from __future__ import annotations
 
-import time
+from dataclasses import replace
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from ..telemetry.registry import current_registry
 from ..telemetry.spans import span
+from ..trace.recorder import FullTrace
+from .batch import BatchedEngine, BatchedPopulation
+from .lockstep import run_lockstep
 from .population import PopulationState
 from .protocol import Protocol, ProtocolState
 from .records import RoundRecord, RunResult
 from .rng import as_rng
-from .sampling import BinomialCountSampler, Sampler
+from .sampling import BinomialCountSampler, PerReplicaSampler, Sampler
 
 if TYPE_CHECKING:  # pragma: no cover - typing only; trace layers on core
     from ..trace.recorder import TraceRecorder
@@ -35,8 +43,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only; trace layers on core
 __all__ = ["SynchronousEngine", "run_protocol"]
 
 
+class _RowEngine(BatchedEngine):
+    """One-row lock-step engine that keeps its state when the row retires."""
+
+    engine_name = "sequential"
+
+    def _retire(self, retired: np.ndarray, work: BatchedPopulation, done: np.ndarray) -> None:
+        self.final_states = self.states
+        super()._retire(retired, work, done)
+
+
 class SynchronousEngine:
-    """Stateful simulation driver.
+    """Stateful single-population simulation driver.
 
     Parameters
     ----------
@@ -45,8 +63,9 @@ class SynchronousEngine:
     population:
         The population to mutate in place.
     sampler:
-        PULL sampler; defaults to the fast exact-in-distribution
-        :class:`BinomialCountSampler`.
+        PULL sampler; reaches the lock-step driver through
+        :class:`PerReplicaSampler`. Defaults to the fast
+        exact-in-distribution :class:`BinomialCountSampler`.
     rng:
         Generator or integer seed for all stochastic choices.
     state:
@@ -65,7 +84,7 @@ class SynchronousEngine:
     ) -> None:
         self.protocol = protocol
         self.population = population
-        self.sampler = sampler if sampler is not None else BinomialCountSampler()
+        self.sampler = PerReplicaSampler(sampler if sampler is not None else BinomialCountSampler())
         self.rng = as_rng(rng)
         self.state = state if state is not None else protocol.init_state(population.n, self.rng)
         self.round_index = 0
@@ -74,6 +93,34 @@ class SynchronousEngine:
         if population.pin_each_round:
             population.pin_sources()
 
+    def _engine(self) -> _RowEngine:
+        """A fresh one-row engine over the population's live arrays — the
+        source structure is read anew on every call, since callers (e.g.
+        the changing-environment experiment) flip preferences between
+        steps."""
+        population = self.population
+        batch = BatchedPopulation._trusted(
+            population.opinions[None, :].copy(),
+            population.source_mask,
+            population.source_preferences,
+            population.correct_opinion,
+            population.pin_each_round,
+        )
+        engine = _RowEngine(
+            self.protocol,
+            batch,
+            sampler=self.sampler,
+            rng=self.rng,
+            states={key: value[None] for key, value in self.state.items()},
+        )
+        engine.round_index = self.round_index
+        return engine
+
+    def _write_back(self, engine: _RowEngine, states: ProtocolState) -> None:
+        self.population.set_opinions(engine.batch.opinions[0])
+        self.state.update({key: value[0] for key, value in states.items()})
+        self.round_index = engine.round_index
+
     def step(self) -> RoundRecord:
         """Run one synchronous round and return its summary.
 
@@ -81,19 +128,18 @@ class SynchronousEngine:
         sources are re-pinned: a source whose tentative opinion deviated but
         was pinned straight back never changed its public output.
         """
+        engine = self._engine()
         x_before = self.population.fraction_ones()
         old = self.population.opinions
-        new = self.protocol.step(self.population, self.state, self.sampler, self.rng)
-        self.population.set_opinions(new)
-        flips = int(np.count_nonzero(self.population.opinions != old))
-        record = RoundRecord(
-            round_index=self.round_index,
+        engine._step(engine.batch, False)
+        engine.round_index += 1
+        self._write_back(engine, engine.states)
+        return RoundRecord(
+            round_index=self.round_index - 1,
             x_before=x_before,
             x_after=self.population.fraction_ones(),
-            flips=flips,
+            flips=int(np.count_nonzero(self.population.opinions != old)),
         )
-        self.round_index += 1
-        return record
 
     def run(
         self,
@@ -112,94 +158,34 @@ class SynchronousEngine:
 
         ``recorder`` optionally mirrors the run into the trace subsystem as a
         one-replica batch — the same :class:`~repro.trace.recorder.BatchTrace`
-        shape the batched engine produces, which is what the
-        batched-vs-sequential trace cross-checks compare.
+        shape the batched engine produces.
         """
+        wants_flips = recorder is not None and getattr(recorder, "record_flips", False)
+        full = FullTrace(record_flips=record_flips or wants_flips)
+        condition = None
+        if stop_condition is not None:
+            condition = lambda rows: np.array([stop_condition(rows.replica(0))])  # noqa: E731
+        engine = self._engine()
         with span("engine.run", engine="sequential"):
-            return self._run(
+            result = run_lockstep(
+                engine,
                 max_rounds,
                 stability_rounds=stability_rounds,
-                record_flips=record_flips,
-                stop_condition=stop_condition,
-                recorder=recorder,
+                stop_condition=condition,
+                recorder=full,
+                linger_rounds=0,
             )
-
-    def _run(
-        self,
-        max_rounds: int,
-        *,
-        stability_rounds: int,
-        record_flips: bool,
-        stop_condition: Callable[[PopulationState], bool] | None,
-        recorder: "TraceRecorder | None",
-    ) -> RunResult:
-        if max_rounds < 0:
-            raise ValueError(f"max_rounds must be non-negative, got {max_rounds}")
-        if stability_rounds < 1:
-            raise ValueError(f"stability_rounds must be >= 1, got {stability_rounds}")
-        condition = stop_condition or PopulationState.at_correct_consensus
-        metrics = current_registry()
-        run_start = time.perf_counter() if metrics is not None else 0.0
-        trajectory = [self.population.fraction_ones()]
-        flip_log: list[int] = []
-        wants_flips = recorder is not None and getattr(recorder, "record_flips", False)
+        self._write_back(engine, engine.final_states)
+        trace = full.trace()
         if recorder is not None:
-            population = self.population
-            prefs = population.source_preferences[population.source_mask]
-            recorder.bind(
-                replicas=1,
-                n=population.n,
-                num_sources=int(population.source_mask.sum()),
-                sources_correct=int((prefs == population.correct_opinion).sum()),
-                correct_opinion=population.correct_opinion,
-                pin_each_round=population.pin_each_round,
-            )
-            recorder.on_round(
-                0,
-                np.array([trajectory[0]], dtype=float),
-                np.zeros(1, dtype=np.int64) if wants_flips else None,
-            )
-        streak = 1 if condition(self.population) else 0
-        first_hit = 0 if streak else -1
-        converged = streak >= stability_rounds
-        rounds_done = 0
-        while rounds_done < max_rounds and not converged:
-            record = self.step()
-            rounds_done += 1
-            trajectory.append(record.x_after)
-            if record_flips:
-                flip_log.append(record.flips)
-            if recorder is not None:
-                recorder.on_round(
-                    rounds_done,
-                    np.array([record.x_after], dtype=float),
-                    np.array([record.flips], dtype=np.int64) if wants_flips else None,
-                )
-            if condition(self.population):
-                if streak == 0:
-                    first_hit = rounds_done
-                streak += 1
-            else:
-                streak = 0
-                first_hit = -1
-            converged = streak >= stability_rounds
-        if metrics is not None:
-            metrics.counter(
-                "repro_engine_rounds_total",
-                "Lock-step synchronous rounds executed, by engine.",
-                engine="sequential",
-            ).inc(rounds_done)
-            metrics.histogram(
-                "repro_engine_run_seconds",
-                "Wall-clock seconds per engine run() call, by engine.",
-                engine="sequential",
-            ).observe(time.perf_counter() - run_start)
-        return RunResult(
-            converged=converged,
-            rounds=first_hit if converged else rounds_done,
-            trajectory=np.asarray(trajectory, dtype=float),
-            flips=np.asarray(flip_log, dtype=np.int64),
-        )
+            recorder.bind(**trace.meta)
+            for column, round_index in enumerate(trace.rounds):
+                flips = trace.flips[:, column] if wants_flips else None
+                recorder.on_round(int(round_index), trace.x[:, column], flips)
+        (run_result,) = trace.to_run_results(result)
+        if not record_flips:
+            run_result = replace(run_result, flips=np.zeros(0, dtype=np.int64))
+        return run_result
 
 
 def run_protocol(

@@ -1,4 +1,4 @@
-"""The one lock-step driver behind the batched and counts engines.
+"""The one synchronous round loop: the lock-step driver behind every engine.
 
 Both replica engines advance R independent trials of one condition in
 lock-step and differ only in how a replica is stored and stepped: an
@@ -17,7 +17,9 @@ that :class:`LockstepEngine` subclasses implement:
   into ``_rows`` and drop them from any per-replica engine state.
 
 Sharing the driver is what makes ``engine="auto"`` a transparent switch:
-whichever engine it resolves to, the run contract is the same code.
+whichever engine it resolves to, the run contract is the same code. The
+single-population :class:`~repro.core.engine.SynchronousEngine` and
+``engine="sequential"`` are its ``R = 1`` case.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ class BatchRunResult:
     rounds:
         ``(R,)`` int — the replica's ``t_con`` (first round of the final
         streak) when converged, else the number of rounds executed; exactly
-        :attr:`RunResult.rounds` of the sequential engine, per replica.
+        :attr:`RunResult.rounds`, per replica.
     rounds_executed:
         ``(R,)`` int — synchronous rounds actually simulated for the replica
         (its retirement round, or ``max_rounds``). Throughput accounting.
@@ -146,18 +148,21 @@ class LockstepEngine(ABC):
         ``linger_rounds`` keeps a replica running that many extra rounds
         after its convergence is detected before retiring it — convergence
         accounting (``converged``/``rounds``) is locked at detection and not
-        revisited. This is the settle-window hook: the sequential θ measure
-        keeps stepping an engine after its stop condition fired, and linger
-        reproduces that per replica under retirement (the extra rounds are
-        allowed to run past ``max_rounds``, exactly as sequential settle
-        stepping does).
+        revisited. This is the settle-window hook: the θ measure keeps each
+        replica stepping after its stop condition fired, under retirement
+        (the extra rounds are allowed to run past ``max_rounds``).
 
         Single-shot: retirement compacts the working state down to the
         replicas that were still running, so a second ``run`` on the same
         engine has no coherent state to resume from and is rejected. Build a
-        fresh engine (or use the sequential engine, whose ``run`` can be
-        re-entered) to continue simulating.
+        fresh engine (or use :class:`~repro.core.engine.SynchronousEngine`,
+        which builds one per ``run`` and writes its final state back) to
+        continue simulating.
         """
+        # Same bound and message as run_trials: a 0-round budget cannot
+        # observe anything.
+        if max_rounds < 1:
+            raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
         with span("engine.run", engine=self.engine_name):
             return run_lockstep(
                 self,
@@ -179,16 +184,15 @@ def run_lockstep(
     linger_rounds: int,
 ) -> BatchRunResult:
     """The lock-step loop of :meth:`LockstepEngine.run` over ``engine``'s
-    backend hooks (see the module docstring)."""
+    backend hooks (see the module docstring). A zero-round budget only
+    checks the initial configuration."""
     if engine._consumed:
         raise RuntimeError(
             f"{type(engine).__name__}.run is single-shot; build a fresh engine to run again"
         )
     engine._consumed = True
-    # Same bound and message as run_trials: a 0-round budget cannot observe
-    # anything.
-    if max_rounds < 1:
-        raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
+    if max_rounds < 0:
+        raise ValueError(f"max_rounds must be non-negative, got {max_rounds}")
     if stability_rounds < 1:
         raise ValueError(f"stability_rounds must be >= 1, got {stability_rounds}")
     if linger_rounds < 0:
@@ -224,12 +228,13 @@ def run_lockstep(
         current_flips = np.zeros(total, dtype=np.int64) if wants_flips else None
         recorder.on_round(0, current_x, current_flips)
 
-    ok = condition(work)
-    streak = ok.astype(np.int64)
-    first_hit = np.where(ok, 0, -1)
-    # Lock/linger bookkeeping: a replica whose streak reaches the stability
-    # window is *locked* (its outcome is final) but keeps stepping for
-    # ``linger_rounds`` more rounds before it retires.
+    # ``streak`` counts the consecutive rounds, up to the current one, that
+    # satisfied the condition, so its first round is ``rounds_done + 1 -
+    # streak``. Lock/linger bookkeeping: a replica whose streak reaches the
+    # stability window is *locked* (its outcome is final, its streak no
+    # longer read) but keeps stepping for ``linger_rounds`` more rounds
+    # before it retires.
+    streak = condition(work).astype(np.int64)
     locked = np.zeros(total, dtype=bool)
     locked_round = np.full(total, -1, dtype=np.int64)
     countdown = np.zeros(total, dtype=np.int64)
@@ -238,7 +243,7 @@ def run_lockstep(
     while True:
         newly_locked = ~locked & (streak >= stability_rounds)
         if newly_locked.any():
-            locked_round = np.where(newly_locked, first_hit, locked_round)
+            locked_round = np.where(newly_locked, rounds_done + 1 - streak, locked_round)
             countdown = np.where(newly_locked, linger_rounds, countdown)
             locked = locked | newly_locked
         done = locked & (countdown <= 0)
@@ -256,7 +261,6 @@ def run_lockstep(
             keep = ~done
             ids = ids[keep]
             streak = streak[keep]
-            first_hit = first_hit[keep]
             locked = locked[keep]
             locked_round = locked_round[keep]
             countdown = countdown[keep]
@@ -268,18 +272,7 @@ def run_lockstep(
         rounds_done += 1
         engine.round_index += 1
         countdown = countdown - locked
-        ok = condition(work)
-        # Locked replicas stop tracking the condition: their outcome was
-        # sealed at detection (mirrors sequential settle stepping, which
-        # never re-checks).
-        tracking = ~locked
-        newly_ok = ok & (streak == 0) & tracking
-        streak = np.where(tracking, np.where(ok, streak + 1, 0), streak)
-        first_hit = np.where(
-            tracking,
-            np.where(ok, np.where(newly_ok, rounds_done, first_hit), -1),
-            first_hit,
-        )
+        streak = (streak + 1) * condition(work)
         if recorder is not None:
             current_x[ids] = work.fraction_ones()
             if wants_flips:

@@ -69,6 +69,26 @@ class PopulationState:
         # ``opinions`` directly must call :meth:`invalidate_cache`.
         self._ones_count: int | None = None
 
+    @classmethod
+    def _trusted(
+        cls,
+        opinions: np.ndarray,
+        source_mask: np.ndarray,
+        source_preferences: np.ndarray,
+        correct_opinion: int,
+        pin_each_round: bool,
+    ) -> "PopulationState":
+        """Wrap arrays known to satisfy the invariants, skipping the O(n)
+        validation of ``__post_init__`` — for copies and batch-row views."""
+        population = object.__new__(cls)
+        population.opinions = opinions
+        population.source_mask = source_mask
+        population.source_preferences = source_preferences
+        population.correct_opinion = correct_opinion
+        population.pin_each_round = pin_each_round
+        population._ones_count = None
+        return population
+
     # ------------------------------------------------------------------ views
 
     @property
@@ -168,12 +188,13 @@ class PopulationState:
     def copy(self) -> "PopulationState":
         # Valid by construction — skip __post_init__'s O(n) re-validation,
         # which matters when a harness copies one template per trial.
-        new = object.__new__(PopulationState)
-        new.opinions = self.opinions.copy()
-        new.source_mask = self.source_mask.copy()
-        new.source_preferences = self.source_preferences.copy()
-        new.correct_opinion = self.correct_opinion
-        new.pin_each_round = self.pin_each_round
+        new = PopulationState._trusted(
+            self.opinions.copy(),
+            self.source_mask.copy(),
+            self.source_preferences.copy(),
+            self.correct_opinion,
+            self.pin_each_round,
+        )
         new._ones_count = self._ones_count
         return new
 

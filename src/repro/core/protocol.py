@@ -52,8 +52,8 @@ class Protocol(ABC):
     passive: bool = True
     #: ``True`` when :meth:`step_batch` is a genuinely vectorized override
     #: that advances all replicas with O(1) numpy calls; protocols that rely
-    #: on the generic per-replica fallback leave it ``False`` so dispatchers
-    #: (``run_trials(engine="auto")``) know the batched path is a fast path.
+    #: on the generic per-replica fallback leave it ``False``. Informational:
+    #: every protocol runs on the lock-step engines either way.
     batch_vectorized: bool = False
     #: ``True`` when the protocol exposes the sufficient-statistic count model
     #: (:meth:`count_states` / :meth:`step_counts` / the pmf hooks) consumed by

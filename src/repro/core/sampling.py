@@ -39,6 +39,7 @@ __all__ = [
     "IndexSampler",
     "BatchedSampler",
     "BatchedBinomialSampler",
+    "PerReplicaSampler",
     "batched_binomial_counts",
 ]
 
@@ -200,6 +201,45 @@ class BatchedSampler(ABC):
         Used by the generic per-replica :meth:`Protocol.step_batch` fallback,
         which drives each replica through the protocol's scalar ``step``.
         """
+
+
+class PerReplicaSampler(BatchedSampler):
+    """Batched face of any scalar :class:`Sampler`: one scalar call per row.
+
+    The inverse of :meth:`BatchedSampler.scalar`. Observation models with no
+    vectorized batched form (the literal :class:`IndexSampler`, custom
+    ``sampler_factory`` samplers) reach the lock-step engines through it,
+    and it is what :class:`~repro.core.engine.SynchronousEngine` wraps a
+    caller's scalar sampler in. It is not keyed on one-fractions (no
+    ``effective_fractions``), so the counts engine rejects it.
+    """
+
+    def __init__(self, sampler: Sampler) -> None:
+        self.sampler = sampler
+
+    def counts(
+        self,
+        batch: "BatchedPopulation",
+        ell: int,
+        rng: np.random.Generator,
+    ) -> np.ndarray:
+        return self.count_blocks(batch, ell, 1, rng)[0]
+
+    def count_blocks(
+        self,
+        batch: "BatchedPopulation",
+        ell: int,
+        blocks: int,
+        rng: np.random.Generator,
+    ) -> np.ndarray:
+        rows = [
+            self.sampler.count_blocks(batch.replica(r), ell, blocks, rng)
+            for r in range(batch.replicas)
+        ]
+        return np.stack(rows, axis=1)
+
+    def scalar(self) -> Sampler:
+        return self.sampler
 
 
 #: Use numpy's scalar-p binomial generator (geometric-search inversion, cheap

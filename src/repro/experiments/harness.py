@@ -2,14 +2,15 @@
 
 Runs many independent trials of a protocol from a chosen initializer and
 aggregates convergence statistics. This is the workhorse behind every
-benchmark table — and the **only** layer that assembles engines and pairs
-scalar/batched observation models. Everything above it speaks
-:class:`~repro.config.RunSpec`:
+benchmark table — and the **only** layer that assembles engines. Everything
+above it speaks :class:`~repro.config.RunSpec`:
 
 * :func:`execute_run` — the execution core behind
   :meth:`RunSpec.execute`: resolves the spec's declarative components
   (with optional live-object overrides), picks the engine, and runs the
   batch of trials;
+* :func:`make_lockstep_engines` — the one assembly behind every engine
+  path: the prepared lock-step engines that run a spec's trials;
 * :func:`make_batched_engine` — the core behind
   :meth:`RunSpec.batched_engine`: a fully prepared lock-step engine for
   trace/θ consumers;
@@ -17,19 +18,18 @@ scalar/batched observation models. Everything above it speaks
   as a thin adapter over :meth:`RunSpec.execute`.
 
 Three execution engines are available; :meth:`RunSpec.resolve_engine`
-maps the ``engine`` policy onto one of them:
+maps the ``engine`` policy onto one of them. All three run on the one
+lock-step driver (:mod:`repro.core.lockstep`), and every observation model
+reaches it through its batched side (models without a vectorized form via
+:class:`~repro.core.sampling.PerReplicaSampler`):
 
-* ``"sequential"`` — one :class:`SynchronousEngine` per trial, each on its own
-  spawned RNG stream.
+* ``"sequential"`` — one single-replica lock-step run per trial, each on
+  its own ``spawn_rngs(seed, trials)`` stream (initialization, then
+  dynamics), observing through the sampler's scalar side.
 * ``"batched"`` — all trials as one ``(R, n)`` system on the
-  :class:`~repro.core.batch.BatchedEngine`: initial configurations are built
-  per trial on the *same* spawned streams as the sequential path (so the
-  initial-condition distribution is bitwise identical), then all replicas
-  advance in lock-step and retire individually on convergence. Statistically
-  equivalent, several times faster for many-trial sweeps. Per-trial
-  trajectory consumers (``keep_results=True``) are served by attaching a
-  :class:`~repro.trace.FullTrace` recorder and converting the recorded
-  ``(R, T)`` matrix back into per-trial :class:`RunResult` objects.
+  :class:`~repro.core.batch.BatchedEngine`: all replicas advance in
+  lock-step and retire individually on convergence. Statistically
+  equivalent, several times faster for many-trial sweeps.
 * ``"counts"`` — the sufficient-statistic
   :class:`~repro.core.counts.CountEngine`: replicas are ``(S,)`` state-count
   vectors, one multinomial-family transition per round, O(num_states) memory
@@ -42,33 +42,32 @@ maps the ``engine`` policy onto one of them:
   fraction-keyed observation model, and no flip recording.
 * ``"auto"`` (default) — counts when the condition is count-capable and
   ``n`` is at or above the protocol's measured crossover
-  (``Protocol.counts_min_n``); otherwise batched when the protocol ships a
-  vectorized ``step_batch`` (``Protocol.batch_vectorized``) and the
-  observation model has a batched side; sequential otherwise.
-  ``engine="batched"`` and ``engine="sequential"`` remain the explicit
-  overrides (the latter for bitwise per-trial streams).
+  (``Protocol.counts_min_n``); batched otherwise. ``auto`` never picks
+  sequential; ``engine="batched"`` and ``engine="sequential"`` are the
+  explicit overrides.
 
-The batched and counts engines share one lock-step driver
-(:mod:`repro.core.lockstep`), so the run contract does not depend on which
-one ``auto`` picked.
+Per-trial trajectory consumers (``keep_results=True``) are served on every
+engine by attaching a :class:`~repro.trace.FullTrace` recorder and
+converting the recorded ``(R, T)`` matrix back into per-trial
+:class:`RunResult` objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from ..config import RunSpec
 from ..core.batch import BatchedEngine, BatchedPopulation, stack_states
 from ..core.counts import CountEngine, CountPopulation, make_count_population
-from ..core.engine import SynchronousEngine
 from ..core.population import PopulationState, make_population
+from ..core.lockstep import LockstepEngine
 from ..core.protocol import Protocol, ProtocolState
 from ..core.records import RunResult
 from ..core.rng import spawn_rngs
-from ..core.sampling import BatchedBinomialSampler, BatchedSampler, Sampler
+from ..core.sampling import BatchedSampler, PerReplicaSampler, Sampler
 from ..initializers.standard import Initializer
 from ..stats.summary import TimesSummary, describe_times, wilson_interval
 from ..trace import FullTrace
@@ -78,6 +77,7 @@ __all__ = [
     "execute_run",
     "make_batched_engine",
     "make_count_engine",
+    "make_lockstep_engines",
     "prepare_batch",
     "prepare_counts",
     "run_trials",
@@ -151,20 +151,19 @@ def run_trials(
     onto a :class:`~repro.config.RunSpec` and calls
     :meth:`~repro.config.RunSpec.execute` with the factories as live-object
     overrides. New code should construct the ``RunSpec`` directly — the
-    declarative components cover the common cases (including paired noisy
+    declarative components cover the common cases (including noisy
     observation models via ``noise``/``sampler``) without any factory
     plumbing.
 
-    Each trial builds a fresh population (factories keep trials independent
-    even for stateful protocols), applies ``initializer`` under its own RNG
-    stream, and runs to convergence or ``max_rounds``. ``trials=0`` is
-    allowed and yields an empty aggregate (no successes, empty ``times``,
-    NaN summaries) without touching either engine. ``batched_sampler``
-    supplies the batched observation model when ``sampler_factory``
-    customizes the sequential one (e.g.
-    :class:`~repro.core.noise.BatchedNoisyCountSampler` to pair with
-    :class:`~repro.core.noise.NoisyCountSampler`) — declaratively-built
-    specs never need the pair, the sampler registry pairs them.
+    Each trial gets a fresh population, is initialized by ``initializer``,
+    and runs to convergence or ``max_rounds``. ``trials=0`` is allowed and
+    yields an empty aggregate (no successes, empty ``times``, NaN
+    summaries) without touching any engine. ``batched_sampler`` supplies
+    the vectorized observation model (e.g.
+    :class:`~repro.core.noise.BatchedNoisyCountSampler`); a
+    ``sampler_factory`` alone reaches the engines one scalar call per
+    replica through :class:`~repro.core.sampling.PerReplicaSampler` —
+    declaratively-built specs need neither.
     """
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
@@ -206,119 +205,158 @@ def execute_run(
     objects — the adapter path of :func:`run_trials` and the escape hatch
     for components with no declarative form. The engine comes from
     :meth:`RunSpec.resolve_engine` (a live ``population_factory`` keeps
-    ``"auto"`` off the counts engine). When ``sampler_factory`` is
-    overridden without a ``batched_sampler``, an explicit ``"batched"`` or
-    ``"counts"`` request is an error and ``"auto"`` falls back to
-    sequential (exactly the legacy contract); declarative samplers are
-    always paired by the registry.
+    ``"auto"`` off the counts engine). A ``sampler_factory`` without a
+    ``batched_sampler`` reaches the lock-step engines through
+    :class:`~repro.core.sampling.PerReplicaSampler`, which the counts engine
+    rejects.
     """
-    if spec.engine in ("batched", "counts") and sampler_factory is not None and batched_sampler is None:
-        raise ValueError(
-            "a custom sampler_factory needs a matching batched_sampler "
-            f"for the {spec.engine} engine"
-        )
     if protocol_factory is None:
         protocol_factory = spec.protocol_factory()
     if initializer is None:
         initializer = spec.build_initializer()
     custom_population = population_factory is not None
-    if population_factory is None and spec.population is not None:
-        population_factory = spec.population_factory()
-    if sampler_factory is None and batched_sampler is None:
-        sampler_factory, batched_sampler = spec.samplers()
-    # The declared population shape (n, num_sources, correct_opinion) is
-    # built natively by every engine path; a declarative ``population``
-    # component resolves to a factory above (``standard`` resolves to None,
-    # i.e. the native path), and the keyword stays the escape hatch for
-    # layouts with no declarative form.
+    if batched_sampler is None:
+        batched_sampler = (
+            PerReplicaSampler(sampler_factory()) if sampler_factory is not None else spec.samplers()
+        )
     max_rounds = spec.resolved_max_rounds()
-    probe = protocol_factory()
+    protocol = protocol_factory()
     engine = spec.resolve_engine(
-        probe,
+        protocol,
         initializer,
         batched_sampler=batched_sampler,
         custom_population=custom_population,
+    )
+    stats = TrialStats(
+        protocol_name=protocol.name,
+        initializer_name=initializer.name,
+        n=spec.n,
+        trials=spec.trials,
+        max_rounds=max_rounds,
+        successes=0,
+        times=np.empty(0, dtype=float),
+        engine=engine,
     )
     if spec.trials == 0:
         # Degrade gracefully: an empty aggregate with no division warnings
         # (success_rate and the time summary report NaN, times stays empty)
         # rather than an error — sweep grids may legitimately zip in empty
         # cells, and downstream table code handles the NaNs already.
-        return TrialStats(
-            protocol_name=probe.name,
-            initializer_name=initializer.name,
-            n=spec.n,
-            trials=0,
-            max_rounds=max_rounds,
-            successes=0,
-            times=np.empty(0, dtype=float),
-            engine=engine,
-        )
-    if engine == "counts":
-        return _run_trials_counts(
-            probe,
-            spec,
-            initializer,
-            batched_sampler=batched_sampler,
-            max_rounds=max_rounds,
-            keep_results=keep_results,
-        )
-    if engine == "batched":
-        return _run_trials_batched(
-            probe,
-            spec.n,
-            initializer,
-            trials=spec.trials,
-            max_rounds=max_rounds,
-            seed=spec.seed,
-            correct_opinion=spec.correct_opinion,
-            num_sources=spec.num_sources,
-            batched_sampler=batched_sampler,
-            population_factory=population_factory,
+        return stats
+    times = [stats.times]
+    for lockstep in make_lockstep_engines(
+        spec,
+        engine,
+        protocol=protocol,
+        initializer=initializer,
+        sampler=batched_sampler,
+        population_factory=population_factory,
+    ):
+        # Per-trial trajectory consumers (keep_results) get a full trace,
+        # converted back into per-trial RunResult objects.
+        recorder = FullTrace() if keep_results else None
+        result = lockstep.run(
+            max_rounds,
             stability_rounds=spec.stability_rounds,
+            recorder=recorder,
             linger_rounds=spec.linger_rounds,
-            keep_results=keep_results,
         )
+        stats.successes += result.successes
+        times.append(result.times())
+        if recorder is not None:
+            stats.results.extend(recorder.trace().to_run_results(result))
+    stats.times = np.concatenate(times)
+    return stats
+
+
+def make_lockstep_engines(
+    spec: RunSpec,
+    engine: str,
+    *,
+    protocol: Protocol | None = None,
+    initializer: Initializer | None = None,
+    sampler: BatchedSampler | None = None,
+    population_factory: Callable[[], PopulationState] | None = None,
+) -> Iterable[LockstepEngine]:
+    """The prepared lock-step engines that run ``spec``'s trials on the
+    resolved ``engine`` — the one assembly behind every execution path.
+
+    ``"counts"`` and ``"batched"`` are one engine holding every trial as a
+    replica. ``"sequential"`` is one single-replica batched engine per
+    trial, lazily built on that trial's own ``spawn_rngs(seed, trials)``
+    stream (initialization, then dynamics) with the same per-trial
+    initialization as :func:`prepare_batch`'s fallback; it observes through
+    the sampler's scalar side, whose one direct draw per round is cheaper
+    at one replica than the batched draw-tier dispatch. Live-object
+    keywords override the spec's components.
+    """
+    if protocol is None:
+        protocol = spec.build_protocol()
+    if initializer is None:
+        initializer = spec.build_initializer()
+    if sampler is None:
+        sampler = spec.samplers()
+    if engine == "counts":
+        return [
+            make_count_engine(spec, protocol=protocol, initializer=initializer, sampler=sampler)
+        ]
+    if engine == "batched":
+        return [
+            make_batched_engine(
+                spec,
+                protocol=protocol,
+                initializer=initializer,
+                batched_sampler=sampler,
+                population_factory=population_factory,
+            )
+        ]
+    if population_factory is None and spec.population is not None:
+        population_factory = spec.population_factory()
+    sampler = PerReplicaSampler(sampler.scalar())
     rngs = spawn_rngs(spec.seed, spec.trials)
-    times: list[int] = []
-    successes = 0
-    results: list[RunResult] = []
-    protocol_name = ""
-    init_name = initializer.name
-    for rng in rngs:
-        protocol = protocol_factory()
-        protocol_name = protocol.name
-        population = (
-            population_factory()
-            if population_factory is not None
-            else make_population(spec.n, spec.correct_opinion, num_sources=spec.num_sources)
+    trials = _trial_populations(
+        protocol,
+        initializer,
+        rngs,
+        n=spec.n,
+        correct_opinion=spec.correct_opinion,
+        num_sources=spec.num_sources,
+        population_factory=population_factory,
+    )
+    return (
+        BatchedEngine(
+            protocol,
+            BatchedPopulation.from_populations([population]),
+            sampler=sampler,
+            rng=rng,
+            states=stack_states([state]),
         )
+        for rng, (population, state) in zip(rngs, trials)
+    )
+
+
+def _trial_populations(
+    protocol: Protocol,
+    initializer: Initializer,
+    rngs: list[np.random.Generator],
+    *,
+    n: int,
+    correct_opinion: int,
+    num_sources: int,
+    population_factory: Callable[[], PopulationState] | None,
+) -> Iterator[tuple[PopulationState, ProtocolState]]:
+    """Initialized ``(population, state)`` per trial stream, lazily."""
+    template = None
+    for rng in rngs:
+        if population_factory is not None:
+            population = population_factory()
+        else:
+            if template is None:
+                template = make_population(n, correct_opinion, num_sources=num_sources)
+            population = template.copy()
         state = protocol.init_state(population.n, rng)
         initializer(population, protocol, state, rng)
-        trial_engine = SynchronousEngine(
-            protocol,
-            population,
-            sampler=sampler_factory() if sampler_factory is not None else None,
-            rng=rng,
-            state=state,
-        )
-        result = trial_engine.run(max_rounds, stability_rounds=spec.stability_rounds)
-        if result.converged:
-            successes += 1
-            times.append(result.rounds)
-        if keep_results:
-            results.append(result)
-    return TrialStats(
-        protocol_name=protocol_name,
-        initializer_name=init_name,
-        n=spec.n,
-        trials=spec.trials,
-        max_rounds=max_rounds,
-        successes=successes,
-        times=np.asarray(times, dtype=float),
-        results=results,
-        engine="sequential",
-    )
+        yield population, state
 
 
 def prepare_batch(
@@ -343,11 +381,11 @@ def prepare_batch(
     (``num_sources`` sources at the canonical indices), the whole initial
     batch is built with vectorized draws (one stream for initialization,
     one for the lock-step dynamics). Otherwise initial configurations are
-    built per trial on the same spawned streams the sequential path uses,
-    so the initial-condition distribution matches it bitwise. One protocol
-    instance serves the whole batch — valid because protocol instances hold
-    round configuration only, with all per-agent state in the state dict
-    (the :class:`~repro.core.protocol.Protocol` contract).
+    built per trial on spawned streams, exactly as ``engine="sequential"``
+    builds them. One protocol instance serves the whole batch — valid
+    because protocol instances hold round configuration only, with all
+    per-agent state in the state dict (the
+    :class:`~repro.core.protocol.Protocol` contract).
     """
     if initializer.supports_batch and population_factory is None:
         init_rng, batch_rng = spawn_rngs(seed, 2)
@@ -355,26 +393,20 @@ def prepare_batch(
         batch = BatchedPopulation.from_population(template, trials)
         batch_states = protocol.init_state_batch(trials, n, init_rng)
         initializer.apply_batch(batch, protocol, batch_states, init_rng)
-    else:
-        rngs = spawn_rngs(seed, trials + 1)
-        batch_rng = rngs[-1]
-        template = None
-        populations: list[PopulationState] = []
-        states = []
-        for rng in rngs[:trials]:
-            if population_factory is not None:
-                population = population_factory()
-            else:
-                if template is None:
-                    template = make_population(n, correct_opinion, num_sources=num_sources)
-                population = template.copy()
-            state = protocol.init_state(population.n, rng)
-            initializer(population, protocol, state, rng)
-            populations.append(population)
-            states.append(state)
-        batch = BatchedPopulation.from_populations(populations)
-        batch_states = stack_states(states)
-    return batch, batch_states, batch_rng
+        return batch, batch_states, batch_rng
+    rngs = spawn_rngs(seed, trials + 1)
+    populations, states = zip(
+        *_trial_populations(
+            protocol,
+            initializer,
+            rngs[:trials],
+            n=n,
+            correct_opinion=correct_opinion,
+            num_sources=num_sources,
+            population_factory=population_factory,
+        )
+    )
+    return BatchedPopulation.from_populations(populations), stack_states(states), rngs[-1]
 
 
 def make_batched_engine(
@@ -391,20 +423,14 @@ def make_batched_engine(
     Resolves the protocol, initializer, batched observation model, and
     population layout from the spec (live-object keywords override), builds
     the initialized batch on the spec's seed, and returns the engine ready
-    to ``run``. Raises when the spec's observation component has no batched
-    side (e.g. the literal index sampler).
+    to ``run``.
     """
     if protocol is None:
         protocol = spec.build_protocol()
     if initializer is None:
         initializer = spec.build_initializer()
     if batched_sampler is None:
-        batched_sampler = spec.samplers()[1]
-        if batched_sampler is None:
-            raise ValueError(
-                f"sampler {spec.sampler!r} has no batched observation model; "
-                "this condition can only run on the sequential engine"
-            )
+        batched_sampler = spec.samplers()
     if population_factory is None and spec.population is not None:
         population_factory = spec.population_factory()
     batch, states, rng = prepare_batch(
@@ -418,67 +444,6 @@ def make_batched_engine(
         population_factory=population_factory,
     )
     return BatchedEngine(protocol, batch, sampler=batched_sampler, rng=rng, states=states)
-
-
-def _run_trials_batched(
-    protocol: Protocol,
-    n: int,
-    initializer: Initializer,
-    *,
-    trials: int,
-    max_rounds: int,
-    seed: int,
-    correct_opinion: int,
-    num_sources: int,
-    batched_sampler: BatchedSampler | None,
-    population_factory: Callable[[], PopulationState] | None,
-    stability_rounds: int,
-    linger_rounds: int,
-    keep_results: bool,
-) -> TrialStats:
-    """All trials as one ``(R, n)`` system on the batched engine.
-
-    ``keep_results`` attaches a :class:`~repro.trace.FullTrace` recorder to
-    the run and converts the recorded trajectory matrix back into per-trial
-    :class:`RunResult` objects, so trajectory consumers get the batched
-    speedup too.
-    """
-    batch, batch_states, batch_rng = prepare_batch(
-        protocol,
-        n,
-        initializer,
-        trials=trials,
-        seed=seed,
-        correct_opinion=correct_opinion,
-        num_sources=num_sources,
-        population_factory=population_factory,
-    )
-    engine = BatchedEngine(
-        protocol,
-        batch,
-        sampler=batched_sampler if batched_sampler is not None else BatchedBinomialSampler(),
-        rng=batch_rng,
-        states=batch_states,
-    )
-    recorder = FullTrace() if keep_results else None
-    result = engine.run(
-        max_rounds,
-        stability_rounds=stability_rounds,
-        recorder=recorder,
-        linger_rounds=linger_rounds,
-    )
-    results = recorder.trace().to_run_results(result) if recorder is not None else []
-    return TrialStats(
-        protocol_name=protocol.name,
-        initializer_name=initializer.name,
-        n=n,
-        trials=trials,
-        max_rounds=max_rounds,
-        successes=result.successes,
-        times=result.times(),
-        results=results,
-        engine="batched",
-    )
 
 
 def prepare_counts(
@@ -536,13 +501,7 @@ def make_count_engine(
     if initializer is None:
         initializer = spec.build_initializer()
     if sampler is None:
-        sampler = spec.samplers()[1]
-        if sampler is None:
-            raise ValueError(
-                f"sampler {spec.sampler!r} has no fraction-keyed batched "
-                "observation model; this condition cannot run on the counts "
-                "engine"
-            )
+        sampler = spec.samplers()
     population, rng = prepare_counts(
         protocol,
         spec.n,
@@ -553,44 +512,3 @@ def make_count_engine(
         num_sources=spec.num_sources,
     )
     return CountEngine(protocol, population, sampler=sampler, rng=rng)
-
-
-def _run_trials_counts(
-    protocol: Protocol,
-    spec: RunSpec,
-    initializer: Initializer,
-    *,
-    batched_sampler: BatchedSampler | None,
-    max_rounds: int,
-    keep_results: bool,
-) -> TrialStats:
-    """All trials as one ``(R, S)`` count matrix on the sufficient-statistic
-    engine.
-
-    ``keep_results`` works the same way as on the batched path: a
-    :class:`~repro.trace.FullTrace` recorder captures the per-round
-    one-fraction matrix and is converted back into per-trial
-    :class:`RunResult` objects.
-    """
-    engine = make_count_engine(
-        spec, protocol=protocol, initializer=initializer, sampler=batched_sampler
-    )
-    recorder = FullTrace() if keep_results else None
-    result = engine.run(
-        max_rounds,
-        stability_rounds=spec.stability_rounds,
-        recorder=recorder,
-        linger_rounds=spec.linger_rounds,
-    )
-    results = recorder.trace().to_run_results(result) if recorder is not None else []
-    return TrialStats(
-        protocol_name=protocol.name,
-        initializer_name=initializer.name,
-        n=spec.n,
-        trials=spec.trials,
-        max_rounds=max_rounds,
-        successes=result.successes,
-        times=result.times(),
-        results=results,
-        engine="counts",
-    )

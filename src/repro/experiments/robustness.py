@@ -21,7 +21,7 @@ run in parallel across ``jobs`` worker processes and can persist/resume
 through a results ``store``. Since the trace subsystem landed, the ``theta``
 measure runs each cell's trials on the *batched* engine (trace-recorded, with
 per-replica settle windows served by linger-retirement); pass
-``engine="sequential"`` to force the original per-trial loop.
+``engine="sequential"`` to run every trial on its own stream instead.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ pair, and aggregates (a) how long the chain dwells in each domain family and
 
 Trajectories come from the batched engine by default (one trace-recorded
 lock-step run per initializer instead of ``trials_per_init`` sequential
-runs); ``engine="sequential"`` keeps the original per-trial path as a
+runs); ``engine="sequential"`` runs each trial on its own stream as a
 cross-check.
 """
 
@@ -92,20 +92,17 @@ def collect_transitions(
 
     ``engine="auto"`` (default) and ``"batched"`` record all of an
     initializer's trials in one trace-recorded batched run — statistically
-    equivalent and several times faster; ``"sequential"`` keeps the original
-    per-trial engine (the cross-check path the equivalence tests compare
-    against).
+    equivalent and several times faster; ``"sequential"`` runs one
+    single-population engine per trial on its own spawned stream (the
+    cross-check path the equivalence tests compare against).
     """
     if engine not in ("auto", "batched", "sequential"):
         raise ValueError(f"engine must be 'auto', 'batched' or 'sequential', got {engine!r}")
-    use_batched = engine == "batched" or (
-        engine == "auto" and FETProtocol(ell).batch_vectorized
-    )
     summary = TransitionSummary()
     if trials_per_init == 0:
         return summary
     for init_index, initializer in enumerate(initializers):
-        if use_batched:
+        if engine != "sequential":
             annotated_runs = run_annotated_batch(
                 FETProtocol(ell),
                 n,

@@ -9,9 +9,9 @@ only job bookkeeping around it. A single-``RunSpec`` job rides the same
 path through a duck-typed one-cell "grid" (:class:`_RunJobSpec`), so runs
 and sweeps share cache-check, persistence, fault handling, and telemetry.
 
-Observability: every job executes under its *own* metrics registry and
-event log (the shared service registry is lock-free by design, so worker
-threads must not write it concurrently); a tiny
+Observability: every job executes under its *own* metrics registry (the
+shared service registry is lock-free by design, so worker threads must not
+write it concurrently); a tiny
 :class:`~repro.telemetry.ObservabilityServer`-shaped proxy captures the
 orchestrator's live :class:`~repro.telemetry.ProgressLine` stats. When the
 job finishes, its registry snapshot merges into the service registry under
@@ -28,7 +28,6 @@ from ..sweep.dispatch import FaultPolicy
 from ..sweep.orchestrator import run_sweep
 from ..sweep.spec import Cell, SweepSpec
 from ..sweep.store import ResultsStore
-from ..telemetry.events import EventLog
 from ..telemetry.registry import MetricsRegistry
 from .jobs import Job
 from .queue import JobQueue
@@ -37,9 +36,6 @@ __all__ = ["WorkerPool"]
 
 #: How long a worker sleeps in ``claim`` before re-checking the stop flag.
 _CLAIM_TICK_S = 0.2
-
-#: Events kept per finished job for the /runs/{id}/stream tail.
-_EVENT_KEEP = 256
 
 
 class _RunJobSpec:
@@ -103,8 +99,6 @@ class WorkerPool:
         self._merge_lock = threading.Lock()
         #: job_id -> live ProgressLine.stats callable (while running)
         self._progress: dict[str, Callable[[], dict[str, Any]]] = {}
-        #: job_id -> structured event tail (kept after completion)
-        self._events: dict[str, list[dict]] = {}
 
     # ---------------------------------------------------------------- control
 
@@ -154,10 +148,6 @@ class WorkerPool:
                 stats.append(entry)
         return stats
 
-    def events(self, job_id: str) -> list[dict]:
-        """Structured event tail of a running or finished job."""
-        return list(self._events.get(job_id, ()))
-
     # -------------------------------------------------------------- execution
 
     def _loop(self) -> None:
@@ -187,7 +177,6 @@ class WorkerPool:
 
             spec = _RunJobSpec(RunSpec.from_dict(job.spec))
         job_registry = MetricsRegistry()
-        job_events = EventLog()
         proxy = _ProgressProxy()
         self._progress[job.job_id] = lambda: (
             proxy.progress() if proxy.progress is not None else {}
@@ -200,13 +189,11 @@ class WorkerPool:
                 policy=self.policy,
                 work_fn=self.work_fn,
                 metrics=job_registry,
-                events=job_events,
                 serve=proxy,
                 job_id=job.job_id,
             )
         finally:
             self._progress.pop(job.job_id, None)
-            self._events[job.job_id] = (job_events.events() or [])[-_EVENT_KEEP:]
             self._merge(job_registry)
         summary = {
             "cells": len(result.cells),

@@ -11,7 +11,7 @@ cells fast and repeatable:
   like ``protocol.ell``) with deterministically derived per-cell seeds — a
   cell *is* a :class:`~repro.config.RunSpec` carrying its derived seed;
 * :mod:`~repro.sweep.registry` — name → protocol/initializer/sampler
-  builders (samplers as paired scalar+batched observation models), so
+  builders (samplers as batched observation models), so
   cells are JSON-able and picklable;
 * :mod:`~repro.sweep.runner` — :func:`execute_cell`, the pure worker
   function, plus the measure registry (consensus, trace-backed

@@ -10,11 +10,11 @@ process runs the cell. Three component kinds are registered:
   constructions (:class:`~repro.initializers.adversarial.FrozenUnanimity`
   additionally needs the ``majority`` population component — the pairing
   is cross-checked by :func:`validate_cell`);
-* **samplers** — observation models, registered as *paired* scalar and
-  batched builders (:func:`build_samplers`), so declaring a sampler always
-  yields the matching batched observation model alongside the scalar one
-  (entries without a batched counterpart, like the literal index sampler,
-  pair with ``None`` and force the sequential engine);
+* **samplers** — observation models, registered by their batched builder
+  (:func:`build_samplers`); every lock-step engine consumes that side, and
+  its single-replica equivalent is ``BatchedSampler.scalar()``. The literal
+  index sampler has no vectorized form and reaches the engines through the
+  one-call-per-row :class:`~repro.core.sampling.PerReplicaSampler`;
 * **populations** — population layouts (:func:`build_population`):
   ``standard`` is the default source-pinned layout every run spec builds
   natively (declaring it changes nothing), ``majority`` the
@@ -31,14 +31,13 @@ from __future__ import annotations
 
 from typing import Callable
 
-from ..core.noise import BatchedNoisyCountSampler, NoisyCountSampler
+from ..core.noise import BatchedNoisyCountSampler
 from ..core.protocol import Protocol
 from ..core.sampling import (
     BatchedBinomialSampler,
     BatchedSampler,
-    BinomialCountSampler,
     IndexSampler,
-    Sampler,
+    PerReplicaSampler,
 )
 from ..core.population import PopulationState, make_majority_population, make_population
 from ..initializers.adversarial import (
@@ -185,31 +184,15 @@ def _epsilon_param(params: dict) -> float:
     return float(params["epsilon"])
 
 
-#: name -> (scalar builder(params) -> Sampler,
-#:          batched builder(params) -> BatchedSampler | None when the model
-#:          has no batched counterpart (forces the sequential engine),
-#:          allowed parameter names)
-_SAMPLERS: dict[
-    str,
-    tuple[
-        Callable[[dict], Sampler],
-        Callable[[dict], BatchedSampler] | None,
-        set[str],
-    ],
-] = {
-    "binomial": (
-        lambda p: BinomialCountSampler(),
-        lambda p: BatchedBinomialSampler(_method_param(p)),
-        {"method"},
-    ),
+#: name -> (batched builder(params) -> BatchedSampler, allowed parameter names)
+_SAMPLERS: dict[str, tuple[Callable[[dict], BatchedSampler], set[str]]] = {
+    "binomial": (lambda p: BatchedBinomialSampler(_method_param(p)), {"method"}),
     "noisy": (
-        lambda p: NoisyCountSampler(_epsilon_param(p)),
         lambda p: BatchedNoisyCountSampler(_epsilon_param(p), _method_param(p)),
         {"epsilon", "method"},
     ),
     "index": (
-        lambda p: IndexSampler(exclude_self=bool(p.get("exclude_self", False))),
-        None,
+        lambda p: PerReplicaSampler(IndexSampler(exclude_self=bool(p.get("exclude_self", False)))),
         {"exclude_self"},
     ),
 }
@@ -241,7 +224,7 @@ def component_catalog() -> dict[str, dict[str, list[str]]]:
     return {
         "protocol": {name: sorted(entry[1]) for name, entry in sorted(_PROTOCOLS.items())},
         "initializer": {name: sorted(entry[1]) for name, entry in sorted(_INITIALIZERS.items())},
-        "sampler": {name: sorted(entry[2]) for name, entry in sorted(_SAMPLERS.items())},
+        "sampler": {name: sorted(entry[1]) for name, entry in sorted(_SAMPLERS.items())},
         "population": {name: sorted(entry[1]) for name, entry in sorted(_POPULATIONS.items())},
     }
 
@@ -321,26 +304,18 @@ def population_factory(
     )
 
 
-def build_samplers(
-    spec: dict,
-) -> tuple[Callable[[], Sampler], BatchedSampler | None]:
-    """The paired (scalar factory, batched sampler) for an observation spec.
+def build_samplers(spec: dict) -> BatchedSampler:
+    """The batched observation model for an observation spec.
 
-    One registry entry produces *both* sides of the observation model, so a
-    declared sampler can never reach the batched engine unpaired — the old
-    ``sampler_factory``-without-``batched_sampler`` footgun has no
-    declarative equivalent. Entries without a batched counterpart return
-    ``None`` on the batched side; engine resolution treats that as
-    "sequential only".
+    Every engine consumes this one object — the lock-step engines directly,
+    per-replica protocol fallbacks through its ``scalar()`` side — so a
+    declared sampler has no unpaired form.
     """
     name = spec.get("name")
     if name not in _SAMPLERS:
         raise ValueError(f"unknown sampler {name!r}; known samplers: {sampler_names()}")
-    scalar_builder, batched_builder, allowed = _SAMPLERS[name]
-    params = _params(spec, "sampler", allowed)
-    scalar_builder(params)  # surface parameter errors immediately
-    batched = batched_builder(params) if batched_builder is not None else None
-    return (lambda: scalar_builder(params)), batched
+    builder, allowed = _SAMPLERS[name]
+    return builder(_params(spec, "sampler", allowed))
 
 
 def validate_cell(cell) -> None:
@@ -378,21 +353,6 @@ def validate_cell(cell) -> None:
             if obstacle is not None:
                 raise ValueError(obstacle)
         if cell.sampler is not None:
-            _, batched = build_samplers(cell.sampler)
-            if batched is None:
-                # A sequential-only observation model is fine per se, but
-                # not with anything that requires the batched engine —
-                # surface the conflict here, not from inside a worker.
-                if cell.engine == "batched":
-                    raise ValueError(
-                        f"sampler {cell.sampler['name']!r} has no batched "
-                        "observation model; use engine='auto' or 'sequential'"
-                    )
-                if cell.measure.get("kind") == "trace":
-                    raise ValueError(
-                        "the trace measure runs on the batched engine, but "
-                        f"sampler {cell.sampler['name']!r} has no batched "
-                        "observation model"
-                    )
+            build_samplers(cell.sampler)
     except (ValueError, KeyError, TypeError) as error:
         raise ValueError(f"invalid sweep cell [{cell.label()}]: {error}") from error

@@ -17,17 +17,16 @@ Three kinds ship built in (``cell.measure["kind"]``):
     Full convergence aggregates via :meth:`~repro.config.RunSpec.execute`
     (a sweep cell *is* a run spec) — the measurement behind the
     scaling/comparison tables. Observation models are resolved by the
-    spec itself: noise cells get the paired noisy samplers, declarative
-    ``sampler`` components their registry pair, so the fast path is
-    preserved without any hand pairing.
+    spec itself: noise cells get the noisy sampler, declarative
+    ``sampler`` components their registry entry.
 ``theta``
     θ-convergence plus settle level — the robustness measurement of
-    :mod:`repro.experiments.robustness`. On the batched engines the settle
-    window is served by trace recording plus ``linger_rounds`` retirement
-    (replicas keep stepping through their window before retiring), and the
-    per-trial settle levels are reduced vectorized from the trace; the
-    sequential per-trial loop remains behind ``engine="sequential"`` as the
-    cross-check path.
+    :mod:`repro.experiments.robustness`. The settle window is served by
+    trace recording plus ``linger_rounds`` retirement (replicas keep
+    stepping through their window before retiring), and the per-trial
+    settle levels are reduced vectorized from the trace — on one lock-step
+    engine, or on one single-replica engine per trial under
+    ``engine="sequential"``.
 ``trace``
     Convergence aggregates plus trace-derived trajectory statistics (settle
     round per replica, optional post-settle flip rate) recorded through a
@@ -44,11 +43,9 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from ..core.engine import SynchronousEngine
 from ..telemetry.events import EventLog, use_event_log
 from ..telemetry.registry import MetricsRegistry, use_registry
 from ..telemetry.spans import SpanTracer, use_tracer
-from ..core.rng import spawn_rngs
 from ..stats.summary import TimesSummary, describe_times
 from ..trace import (
     FullTrace,
@@ -383,13 +380,15 @@ class MeteredCell:
         return result
 
 
-def _lockstep_engine(cell: Cell, engine: str, protocol, initializer):
-    """The prepared counts or batched engine of a trace-backed measure. Both
-    share one run contract (stop condition on the replica container,
-    recorder, linger retirement), so the measures are engine-agnostic."""
-    if engine == "counts":
-        return cell.count_engine(protocol=protocol, initializer=initializer)
-    return cell.batched_engine(protocol=protocol, initializer=initializer)
+def _lockstep_engines(cell: Cell, engine: str, protocol, initializer):
+    """The prepared lock-step engines of a trace-backed measure: one counts
+    or batched engine, or one single-replica engine per trial for
+    ``"sequential"``. All share one run contract (stop condition on the
+    replica container, recorder, linger retirement), so the measures are
+    engine-agnostic."""
+    from ..experiments.harness import make_lockstep_engines
+
+    return make_lockstep_engines(cell, engine, protocol=protocol, initializer=initializer)
 
 
 def _base_payload(kind: str, protocol_name: str, initializer, engine: str) -> dict:
@@ -406,8 +405,8 @@ def _base_payload(kind: str, protocol_name: str, initializer, engine: str) -> di
 
 
 def _measure_consensus(cell: Cell, factory, initializer) -> dict:
-    # The cell IS a RunSpec: its executor resolves the paired observation
-    # model (noise/sampler), population shape, and engine policy itself.
+    # The cell IS a RunSpec: its executor resolves the observation model
+    # (noise/sampler), population shape, and engine policy itself.
     stats = cell.execute(protocol_factory=factory, initializer=initializer)
     return {
         "measure": "consensus",
@@ -433,106 +432,44 @@ def _validate_theta(measure: dict) -> None:
 
 
 def _measure_theta(cell: Cell, factory, initializer) -> dict:
-    """θ-convergence + settle level, on a lock-step engine by default.
+    """θ-convergence + settle level, on the lock-step engines.
 
-    The lock-step path (counts or batched, as the cell's engine policy
-    resolves) runs all trials with a full-trace recorder:
+    Every engine (counts, batched, or the per-trial engines of
+    ``"sequential"``) runs its trials with a full-trace recorder:
     ``linger_rounds`` keeps each replica stepping through its settle window
-    after it first held θ for the stability window (exactly the sequential
-    semantics of stopping at θ and then stepping on), and the per-trial
+    after it first held θ for the stability window, and the per-trial
     settle levels come vectorized from the recorded non-source correct
-    fractions. ``engine="sequential"`` keeps the original per-trial loop.
+    fractions.
     """
     theta = float(cell.measure["theta"])
     settle_window = int(cell.measure.get("settle_window", 20))
     protocol = factory()
     engine = cell.resolve_engine(protocol, initializer)
-    if engine == "sequential":
-        return _measure_theta_sequential(cell, factory, initializer, theta, settle_window)
     base = _base_payload("theta", protocol.name, initializer, engine)
     base.update({"reached": 0, "settle_levels": [], "theta": theta, "settle_window": settle_window})
     if cell.trials == 0:
         return base
-    recorder = FullTrace()
-    result = _lockstep_engine(cell, engine, protocol, initializer).run(
-        cell.max_rounds,
-        stability_rounds=cell.stability_rounds,
-        stop_condition=lambda b: b.nonsource_correct_fraction() >= theta,
-        recorder=recorder,
-        linger_rounds=settle_window,
-    )
-    trace = recorder.trace()
-    levels = nonsource_correct_fractions(trace)
-    # The settle window opens where the sequential run stops stepping: the
-    # round the stability window closed (t_con + stability - 1).
-    window_start = np.where(
-        result.converged, result.rounds + (cell.stability_rounds - 1), -1
-    )
-    settle = window_mean_after(levels, trace.rounds, window_start, settle_window)
-    base.update(
-        {
-            "reached": int(result.successes),
-            "times": [float(t) for t in result.times()],
-            "settle_levels": [float(level) for level in settle[result.converged]],
-        }
-    )
-    return base
-
-
-def _measure_theta_sequential(
-    cell: Cell, factory, initializer, theta: float, settle_window: int
-) -> dict:
-    """Per-trial θ measurement on the sequential engine (cross-check path).
-
-    The settle window keeps stepping an engine after its stop condition
-    fired — the original semantics the batched linger path reproduces.
-    """
-    from ..core.population import make_population
-
-    protocol_name = ""
-    times: list[int] = []
-    settle_levels: list[float] = []
-    reached = 0
-    scalar_factory = cell.samplers()[0]
-    for rng in spawn_rngs(cell.seed, cell.trials):
-        protocol = factory()
-        protocol_name = protocol.name
-        population = make_population(cell.n, cell.correct_opinion, num_sources=cell.num_sources)
-        state = protocol.init_state(cell.n, rng)
-        initializer(population, protocol, state, rng)
-        engine = SynchronousEngine(
-            protocol,
-            population,
-            sampler=scalar_factory() if scalar_factory is not None else None,
-            rng=rng,
-            state=state,
-        )
-        result = engine.run(
+    for lockstep in _lockstep_engines(cell, engine, protocol, initializer):
+        recorder = FullTrace()
+        result = lockstep.run(
             cell.max_rounds,
             stability_rounds=cell.stability_rounds,
-            stop_condition=lambda pop: pop.nonsource_correct_fraction() >= theta,
+            stop_condition=lambda b: b.nonsource_correct_fraction() >= theta,
+            recorder=recorder,
+            linger_rounds=settle_window,
         )
-        if result.converged:
-            reached += 1
-            times.append(result.rounds)
-            levels = []
-            for _ in range(settle_window):
-                engine.step()
-                levels.append(population.nonsource_correct_fraction())
-            settle_levels.append(float(np.mean(levels)) if levels else float("nan"))
-    if cell.trials == 0:
-        protocol_name = factory().name
-    return {
-        "measure": "theta",
-        "protocol": protocol_name,
-        "initializer": initializer.name,
-        "reached": reached,
-        "times": [float(t) for t in times],
-        "settle_levels": settle_levels,
-        "theta": theta,
-        "settle_window": settle_window,
-        "engine": "sequential",
-    }
+        trace = recorder.trace()
+        levels = nonsource_correct_fractions(trace)
+        # The settle window opens where the θ condition's stability window
+        # closed: round t_con + stability - 1.
+        window_start = np.where(
+            result.converged, result.rounds + (cell.stability_rounds - 1), -1
+        )
+        settle = window_mean_after(levels, trace.rounds, window_start, settle_window)
+        base["reached"] += int(result.successes)
+        base["times"] += [float(t) for t in result.times()]
+        base["settle_levels"] += [float(level) for level in settle[result.converged]]
+    return base
 
 
 # ----------------------------------------------------------------- trace
@@ -573,14 +510,14 @@ def _measure_trace(cell: Cell, factory, initializer) -> dict:
     flips = bool(cell.measure.get("flips", False))
     tolerance = float(cell.measure.get("tolerance", 0.0))
     protocol = factory()
-    # No per-trial implementation: a sequential resolution runs batched.
-    engine = "counts" if cell.resolve_engine(protocol, initializer) == "counts" else "batched"
+    engine = cell.resolve_engine(protocol, initializer)
     base = _base_payload("trace", protocol.name, initializer, engine)
     base.update({"successes": 0, "settle_rounds": [], "recorded_columns": 0})
     if cell.trials == 0:
         return base
     recorder = make_recorder(ring=ring, stride=stride, record_flips=flips)
-    result = _lockstep_engine(cell, engine, protocol, initializer).run(
+    (lockstep,) = _lockstep_engines(cell, engine, protocol, initializer)
+    result = lockstep.run(
         cell.max_rounds,
         stability_rounds=cell.stability_rounds,
         recorder=recorder,

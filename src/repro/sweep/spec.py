@@ -148,8 +148,8 @@ class SweepSpec:
         ``{"kind": "consensus"}`` (default; full convergence aggregates via
         the run-spec executor), ``{"kind": "theta", "theta": ..,
         "settle_window": ..}`` (θ-convergence + settle level, the
-        robustness-sweep measurement — batched via trace recording unless
-        the spec forces ``engine="sequential"``), or ``{"kind": "trace",
+        robustness-sweep measurement, served by trace recording on the
+        lock-step engines), or ``{"kind": "trace",
         "stride": .., "ring": .., "flips": ..}`` (convergence aggregates
         plus trace-derived trajectory statistics). Kinds live in the
         runner's measure registry (``repro.sweep.register_measure``);

@@ -44,6 +44,10 @@ STREAMED = object()
 #: Snapshot attempts before falling back to the last good snapshot.
 _SNAPSHOT_RETRIES = 8
 
+#: Largest request body a handler reads; a longer ``Content-Length`` gets a
+#: 413 reply without the body being read.
+MAX_BODY_BYTES = 1 << 20
+
 _INDEX_BODY = "\n".join(
     [
         "repro observability endpoint",
@@ -206,14 +210,8 @@ def _make_handler(server: ObservabilityServer) -> type[BaseHTTPRequestHandler]:
 
         def _dispatch(self, method: str) -> None:
             path, _, query = self.path.partition("?")
-            body = b""
-            length = self.headers.get("Content-Length")
-            if length:
-                try:
-                    body = self.rfile.read(int(length))
-                except (ValueError, OSError):
-                    body = b""
             try:
+                body = _request_body(self)
                 route_method = "GET" if method == "HEAD" else method
                 outcome = server.handle_route(route_method, path, query, body, self)
             except RouteError as exc:
@@ -244,6 +242,32 @@ def _make_handler(server: ObservabilityServer) -> type[BaseHTTPRequestHandler]:
             pass  # scrapes must not pollute the sweep's stderr progress line
 
     return Handler
+
+
+def _request_body(handler: BaseHTTPRequestHandler) -> bytes:
+    """The request body, bounded by :data:`MAX_BODY_BYTES`.
+
+    A non-integer or negative ``Content-Length`` is a 400 (``rfile.read(-1)``
+    would block the handler thread until the client hangs up); an oversized
+    one is a 413, sent without reading the body, after which the connection
+    is closed since the unread bytes cannot be skipped.
+    """
+    length = handler.headers.get("Content-Length")
+    if not length:
+        return b""
+    try:
+        size = int(length)
+    except ValueError:
+        size = -1
+    if size < 0:
+        raise RouteError(400, f"invalid Content-Length {length!r}")
+    if size > MAX_BODY_BYTES:
+        handler.close_connection = True
+        raise RouteError(413, f"request body of {size} bytes exceeds {MAX_BODY_BYTES}")
+    try:
+        return handler.rfile.read(size)
+    except OSError:
+        return b""
 
 
 class RouteError(Exception):

@@ -2,7 +2,7 @@
 
 Measurement as a first-class layer over the engines (rather than an engine
 flag): :mod:`~repro.trace.recorder` captures per-replica one-fraction (and
-optionally flip) curves from the batched or sequential round loop —
+optionally flip) curves from the lock-step round loop —
 surviving replica retirement, optionally strided or ring-buffered — and
 :mod:`~repro.trace.measures` reduces the recorded ``(R, T)`` matrices into
 the trajectory-shaped quantities the experiments report (time-to-θ, settle

@@ -2,14 +2,14 @@
 
 The paper's headline figures are *trajectories* — per-round one-fraction
 curves showing self-stabilizing convergence and phase transitions. The
-sequential engine logs them for free (one Python append per round); the
-batched engine advances R replicas in lock-step and *retires* finished rows,
-so trajectory capture has to be a layer over the round loop rather than an
+lock-step engines advance R replicas together and *retire* finished rows,
+so trajectory capture is a layer over the one round loop rather than an
 engine flag. That layer is this module:
 
 * a :class:`TraceRecorder` is handed to ``BatchedEngine.run(recorder=...)``
-  (or ``SynchronousEngine.run(recorder=...)``, which records an ``R = 1``
-  batch). Each round the engine reports the full ``(R,)`` vector of
+  (or ``SynchronousEngine.run(recorder=...)``, the ``R = 1`` case, whose
+  own ``RunResult`` trajectory and flips come from a full trace too). Each
+  round the engine reports the full ``(R,)`` vector of
   per-replica one-fractions — retired replicas keep their frozen final value,
   so the recorded matrix *survives retirement*: a retired row simply stays
   constant from its retirement round on.
@@ -128,9 +128,9 @@ class BatchTrace:
         Requires a complete stride-1 trace starting at round 0 (a ring buffer
         that wrapped, or any stride > 1, has lost rounds and raises). Each
         replica's trajectory is trimmed to the rounds it actually executed —
-        exactly what a per-trial :class:`~repro.core.engine.SynchronousEngine`
-        run would have logged — so ``keep_results`` consumers (domain
-        classification, Figure 1b transitions) work unchanged on traces.
+        the trajectory :class:`~repro.core.engine.SynchronousEngine` returns
+        is built exactly this way — so ``keep_results`` consumers (domain
+        classification, Figure 1b transitions) work on every engine.
         """
         if self.stride != 1:
             raise ValueError(

@@ -383,12 +383,13 @@ class TestRunTrialsDispatch:
         assert stats.engine == "sequential"
         assert len(stats.results) == 4
 
-    def test_auto_falls_back_for_custom_sampler(self):
+    def test_auto_runs_custom_sampler_batched(self):
         stats = run_trials(
             lambda: FETProtocol(16), 100, AllWrong(), trials=4, max_rounds=400, seed=0,
             sampler_factory=BinomialCountSampler,
         )
-        assert stats.engine == "sequential"
+        assert stats.engine == "batched"
+        assert stats.successes == 4
 
     def test_batched_keep_results_matches_sequential_shape(self):
         seq = run_trials(
@@ -406,12 +407,12 @@ class TestRunTrialsDispatch:
             assert result.trajectory[0] == pytest.approx(0.01)
             assert result.final_fraction == 1.0
 
-    def test_batched_rejects_unpaired_sampler(self):
-        with pytest.raises(ValueError):
-            run_trials(
-                lambda: FETProtocol(16), 100, AllWrong(), trials=4, max_rounds=400,
-                seed=0, engine="batched", sampler_factory=BinomialCountSampler,
-            )
+    def test_unpaired_sampler_runs_batched_but_not_on_counts(self):
+        kwargs = dict(trials=4, max_rounds=400, seed=0, sampler_factory=BinomialCountSampler)
+        stats = run_trials(lambda: FETProtocol(16), 100, AllWrong(), engine="batched", **kwargs)
+        assert stats.engine == "batched" and stats.successes == 4
+        with pytest.raises(ValueError, match="fraction-keyed"):
+            run_trials(lambda: FETProtocol(16), 100, AllWrong(), engine="counts", **kwargs)
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError):

@@ -15,7 +15,7 @@ from scipy import stats as scipy_stats
 from repro.config import RunSpec, canonical_json, derive_seed
 from repro.core.noise import BatchedNoisyCountSampler, NoisyCountSampler
 from repro.core.population import make_population
-from repro.core.sampling import BatchedBinomialSampler, IndexSampler
+from repro.core.sampling import BatchedBinomialSampler, IndexSampler, PerReplicaSampler
 from repro.experiments.harness import run_trials
 from repro.experiments.multisource import sweep_sources
 from repro.initializers.standard import AllWrong
@@ -165,12 +165,15 @@ class TestRunSpecExecution:
         stats = demo_spec(correct_opinion=0).execute()
         assert stats.successes == stats.trials
 
-    def test_index_sampler_forces_sequential(self):
+    def test_index_sampler_runs_on_lockstep_engines(self):
         spec = demo_spec(sampler={"name": "index"}, trials=2, n=60)
         stats = spec.execute()
-        assert stats.engine == "sequential"
-        with pytest.raises(ValueError, match="no batched observation model"):
-            demo_spec(sampler={"name": "index"}, engine="batched").execute()
+        assert stats.engine == "batched"
+        assert stats.successes == 2
+        explicit = demo_spec(sampler={"name": "index"}, trials=2, n=60, engine="batched")
+        assert explicit.execute().successes == 2
+        with pytest.raises(ValueError, match="fraction-keyed"):
+            demo_spec(sampler={"name": "index"}, engine="counts").execute()
 
     def test_batched_engine_prepared(self):
         spec = demo_spec(trials=3, num_sources=5)
@@ -180,28 +183,26 @@ class TestRunSpecExecution:
         result = engine.run(spec.max_rounds, stability_rounds=spec.stability_rounds)
         assert result.converged.all()
 
-    def test_noise_resolves_paired_noisy_samplers(self):
-        scalar_factory, batched = demo_spec(noise=0.1).samplers()
-        assert isinstance(scalar_factory(), NoisyCountSampler)
+    def test_noise_resolves_noisy_sampler(self):
+        batched = demo_spec(noise=0.1).samplers()
         assert isinstance(batched, BatchedNoisyCountSampler)
-        assert scalar_factory().epsilon == batched.epsilon == 0.1
-        none_factory, default_batched = demo_spec().samplers()
-        assert none_factory is None
-        assert isinstance(default_batched, BatchedBinomialSampler)
+        assert isinstance(batched.scalar(), NoisyCountSampler)
+        assert batched.scalar().epsilon == batched.epsilon == 0.1
+        assert isinstance(demo_spec().samplers(), BatchedBinomialSampler)
 
 
 class TestSamplerRegistry:
-    def test_pairing_is_automatic(self):
-        scalar_factory, batched = build_samplers({"name": "noisy", "epsilon": 0.2})
-        assert isinstance(scalar_factory(), NoisyCountSampler)
+    def test_scalar_side_comes_from_the_batched_sampler(self):
+        batched = build_samplers({"name": "noisy", "epsilon": 0.2})
         assert isinstance(batched, BatchedNoisyCountSampler)
         assert batched.epsilon == 0.2
+        assert isinstance(batched.scalar(), NoisyCountSampler)
 
-    def test_index_sampler_has_no_batched_side(self):
-        scalar_factory, batched = build_samplers({"name": "index", "exclude_self": True})
-        sampler = scalar_factory()
+    def test_index_sampler_batched_through_per_replica_adapter(self):
+        batched = build_samplers({"name": "index", "exclude_self": True})
+        assert isinstance(batched, PerReplicaSampler)
+        sampler = batched.scalar()
         assert isinstance(sampler, IndexSampler) and sampler.exclude_self
-        assert batched is None
 
     def test_unknown_names_and_params_rejected(self):
         with pytest.raises(ValueError, match="unknown sampler"):
@@ -220,9 +221,11 @@ class TestSamplerRegistry:
         assert catalog["sampler"]["noisy"] == ["epsilon", "method"]
 
     def test_scalar_vs_batched_noise_equivalence(self):
-        """The registry-paired noisy samplers agree in distribution (KS)."""
+        """The registry's noisy sampler and its scalar side agree in
+        distribution (KS)."""
         eps, ell, n, reps = 0.2, 20, 400, 50
-        scalar_factory, batched_sampler = build_samplers({"name": "noisy", "epsilon": eps})
+        batched_sampler = build_samplers({"name": "noisy", "epsilon": eps})
+        scalar_factory = batched_sampler.scalar
         population = make_population(n, 1)
         population.adversarial_opinions((np.arange(n) % 3 == 0).astype(np.uint8))
         from repro.core.batch import BatchedPopulation
@@ -577,34 +580,42 @@ class TestStoreCompaction:
 
 
 class TestCellValidationConflicts:
-    def test_sequential_only_sampler_with_batched_engine_fails_fast(self):
+    def test_index_sampler_with_batched_engine_runs(self):
         spec = SweepSpec(
             axes={"protocol": ["fet"], "n": [100], "sampler": ["index"]},
             trials=1,
             max_rounds=50,
             engine="batched",
         )
-        with pytest.raises(ValueError, match="invalid sweep cell .*no batched"):
-            run_sweep(spec)
+        assert [row["engine"] for row in run_sweep(spec).rows()] == ["batched"]
 
-    def test_sequential_only_sampler_with_trace_measure_fails_fast(self):
+    def test_index_sampler_with_trace_measure_runs(self):
         spec = SweepSpec(
             axes={"protocol": ["fet"], "n": [100], "sampler": ["index"]},
             trials=1,
             max_rounds=50,
             measure={"kind": "trace"},
         )
-        with pytest.raises(ValueError, match="invalid sweep cell .*trace measure"):
+        assert [row["engine"] for row in run_sweep(spec).rows()] == ["batched"]
+
+    def test_index_sampler_with_counts_engine_fails_fast(self):
+        spec = SweepSpec(
+            axes={"protocol": ["fet"], "n": [100], "sampler": ["index"]},
+            trials=1,
+            max_rounds=50,
+            engine="counts",
+        )
+        with pytest.raises(ValueError, match="invalid sweep cell .*fraction-keyed"):
             run_sweep(spec)
 
-    def test_sequential_only_sampler_with_auto_engine_is_fine(self):
+    def test_index_sampler_with_auto_engine_runs_batched(self):
         spec = SweepSpec(
             axes={"protocol": ["fet", {"name": "fet", "ell": 12}], "n": [60], "sampler": ["index"]},
             trials=2,
             max_rounds=80,
         )
         result = run_sweep(spec)
-        assert all(row["engine"] == "sequential" for row in result.rows())
+        assert all(row["engine"] == "batched" for row in result.rows())
 
 
 class TestCLISurface:
@@ -658,7 +669,7 @@ class TestRunTrialsAdapter:
             run_trials(factory, 100, AllWrong(), trials=1, max_rounds=0, seed=0)
         with pytest.raises(ValueError, match="engine must be"):
             run_trials(factory, 100, AllWrong(), trials=1, max_rounds=10, seed=0, engine="x")
-        with pytest.raises(ValueError, match="matching batched_sampler"):
+        with pytest.raises(ValueError, match="fraction-keyed"):
             run_trials(
                 factory,
                 100,
@@ -666,6 +677,6 @@ class TestRunTrialsAdapter:
                 trials=1,
                 max_rounds=10,
                 seed=0,
-                engine="batched",
+                engine="counts",
                 sampler_factory=lambda: NoisyCountSampler(0.1),
             )

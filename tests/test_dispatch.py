@@ -3,7 +3,8 @@
 ``RunSpec.resolve_engine`` is the one rule: counts exactly when the
 condition is count-capable (``RunSpec.counts_obstacle`` is ``None``) and
 ``n`` is at or above the protocol's measured crossover
-``Protocol.counts_min_n``; batched or sequential otherwise. The matrix below
+``Protocol.counts_min_n``; batched otherwise — ``auto`` never picks
+sequential. The matrix below
 is generated from the component registry, so a new protocol or initializer
 is covered automatically. The crossover constants themselves are checked
 against the recorded scan in ``results/BENCH_counts.json``.
@@ -63,12 +64,7 @@ def test_auto_resolves_to_counts_exactly_when_capable_and_past_crossover(
     protocol = spec.build_protocol()
     initializer = spec.build_initializer()
     capable = protocol.counts_supported and initializer.supports_counts
-    if capable and n >= protocol.counts_min_n:
-        expected = "counts"
-    elif protocol.batch_vectorized:
-        expected = "batched"
-    else:
-        expected = "sequential"
+    expected = "counts" if capable and n >= protocol.counts_min_n else "batched"
     assert spec.resolve_engine(protocol, initializer) == expected
     assert (spec.counts_obstacle(protocol, initializer) is None) == capable
 
@@ -125,9 +121,9 @@ class TestNeverCounts:
         # the explicit standard layout is the native one: counts as usual
         assert _fet_spec(population={"name": "standard"}).execute().engine == "counts"
 
-    def test_index_sampler_stays_sequential(self):
+    def test_index_sampler_stays_batched(self):
         spec = _fet_spec(sampler={"name": "index"}, trials=1, n=120, max_rounds=50)
-        assert spec.execute().engine == "sequential"
+        assert spec.execute().engine == "batched"
 
     def test_live_population_factory_stays_batched(self):
         stats = _fet_spec().execute(population_factory=lambda: make_population(400, 1))
@@ -135,7 +131,7 @@ class TestNeverCounts:
 
     def test_live_sampler_without_fraction_seam_stays_off_counts(self):
         unpaired = _fet_spec().execute(sampler_factory=BinomialCountSampler)
-        assert unpaired.engine == "sequential"
+        assert unpaired.engine == "batched"
         seamless = _fet_spec().execute(
             sampler_factory=BinomialCountSampler, batched_sampler=FractionlessSampler()
         )

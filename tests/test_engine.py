@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
+from scipy import stats as scipy_stats
 
+from repro.config import RunSpec
 from repro.core.engine import SynchronousEngine, run_protocol
-from repro.core.population import make_population
+from repro.core.population import PopulationState, make_population
 from repro.core.protocol import Protocol
 from repro.core.rng import make_rng
+from repro.initializers.standard import AllWrong
 from repro.protocols.fet import FETProtocol
 
 
@@ -215,3 +220,125 @@ class TestStabilityValidation:
         engine = SynchronousEngine(ConstantProtocol(1), pop, rng=0)
         with pytest.raises(ValueError):
             engine.run(10, stability_rounds=-3)
+
+
+def _never(population: PopulationState) -> bool:
+    return False
+
+
+class TestSingleReplicaView:
+    """``SynchronousEngine`` is the R=1 case of the lock-step driver; these
+    pin the contract its callers rely on."""
+
+    def _fet_engine(self, n=200, ell=12, seed=5):
+        pop = make_population(n, 1)
+        proto = FETProtocol(ell)
+        rng = make_rng(seed)
+        state = proto.init_state(n, rng)
+        AllWrong()(pop, proto, state, rng)
+        return SynchronousEngine(proto, pop, rng=rng, state=state)
+
+    def test_population_and_state_mutated_in_place(self):
+        engine = self._fet_engine()
+        pop, state = engine.population, engine.state
+        before = state["prev_count"].copy()
+        result = engine.run(3, stop_condition=_never)
+        assert engine.population is pop and engine.state is state
+        assert pop.fraction_ones() == pytest.approx(result.final_fraction)
+        assert not np.array_equal(state["prev_count"], before)
+        assert engine.round_index == 3
+
+    def test_second_run_continues_from_first(self):
+        engine = self._fet_engine()
+        engine.run(4, stop_condition=_never)
+        # A twin built from the first run's final opinions, state and rng
+        # position must replay the second run exactly.
+        twin = SynchronousEngine(
+            engine.protocol,
+            engine.population.copy(),
+            rng=copy.deepcopy(engine.rng),
+            state={key: value.copy() for key, value in engine.state.items()},
+        )
+        x_mid = engine.population.fraction_ones()
+        second = engine.run(400)
+        replay = twin.run(400)
+        assert second.trajectory[0] == pytest.approx(x_mid)
+        assert np.array_equal(second.trajectory, replay.trajectory)
+        assert second.converged and second.rounds == replay.rounds
+
+    def test_source_preferences_changed_between_calls_are_read(self):
+        # Everyone proposes 0; only the pinned source can hold 1.
+        pop = make_population(10, 1)
+        engine = SynchronousEngine(ConstantProtocol(0), pop, rng=0)
+        assert engine.step().flips == 0 and pop.opinions[0] == 1
+
+        def flip_environment(opinion):
+            pop.correct_opinion = opinion
+            pop.source_preferences[pop.source_mask] = opinion
+
+        flip_environment(0)
+        result = engine.run(5, stability_rounds=1)
+        # Each run pins sources to the live preference before round 0.
+        assert result.converged and result.rounds == 0
+        flip_environment(1)
+        record = engine.step()
+        assert record.flips == 1 and pop.opinions[0] == 1
+        assert (pop.opinions[1:] == 0).all()
+
+    def test_scalar_stop_condition_sees_population_state(self):
+        seen = []
+
+        def condition(population):
+            seen.append(type(population))
+            return population.nonsource_correct_fraction() >= 0.5
+
+        engine = self._fet_engine()
+        result = engine.run(400, stability_rounds=1, stop_condition=condition)
+        assert result.converged
+        assert set(seen) == {PopulationState}
+        assert engine.population.nonsource_correct_fraction() >= 0.5
+
+    def test_record_flips_equal_per_round_flip_counts(self):
+        run_engine = self._fet_engine()
+        step_engine = self._fet_engine()
+        result = run_engine.run(25, record_flips=True, stop_condition=_never)
+        records = [step_engine.step() for _ in range(25)]
+        assert result.flips.tolist() == [record.flips for record in records]
+        assert np.allclose(result.trajectory[1:], [record.x_after for record in records])
+        assert np.array_equal(run_engine.population.opinions, step_engine.population.opinions)
+
+
+_EQUIVALENCE_CELLS = {
+    "index-sampler": dict(
+        protocol={"name": "fet", "ell": 10}, n=120, sampler={"name": "index"}, max_rounds=300
+    ),
+    "noisy-fet": dict(protocol={"name": "fet", "ell": 12}, n=150, noise=0.02, max_rounds=300),
+    "frozen-unanimity-witness": dict(
+        protocol={"name": "fet"},
+        n=64,
+        initializer={"name": "frozen-unanimity", "opinion": 1},
+        population={"name": "majority", "k0": 3, "k1": 2},
+        correct_opinion=0,
+        max_rounds=60,
+    ),
+}
+
+
+@pytest.mark.parametrize("cell", sorted(_EQUIVALENCE_CELLS))
+def test_sequential_and_batched_agree_in_distribution(cell):
+    """engine="sequential" (one R=1 lock-step run per trial stream) and
+    engine="batched" draw different streams but the same distribution."""
+    stats = {
+        engine: RunSpec(**_EQUIVALENCE_CELLS[cell], trials=40, seed=11, engine=engine).execute()
+        for engine in ("sequential", "batched")
+    }
+    seq, bat = stats["sequential"], stats["batched"]
+    assert (seq.engine, bat.engine) == ("sequential", "batched")
+    table = [[s.successes, s.trials - s.successes] for s in (seq, bat)]
+    assert scipy_stats.fisher_exact(table).pvalue > 1e-3
+    if cell == "frozen-unanimity-witness":
+        # Section 1.2: no passive protocol escapes the frozen unanimity.
+        assert seq.successes == bat.successes == 0
+    else:
+        assert min(seq.successes, bat.successes) >= 30
+        assert scipy_stats.ks_2samp(seq.times, bat.times).pvalue > 1e-3

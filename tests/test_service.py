@@ -13,6 +13,7 @@ nothing is stubbed between the client and the worker pool.
 from __future__ import annotations
 
 import json
+import socket
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -34,6 +35,7 @@ from repro.service import (
 )
 from repro.sweep import FaultPolicy, ResultsStore, SweepSpec, execute_cell, run_sweep
 from repro.telemetry import MetricsRegistry, validate_exposition
+from repro.telemetry.server import MAX_BODY_BYTES
 
 
 def tiny_grid(seed: int = 7, **overrides) -> dict:
@@ -394,6 +396,28 @@ class TestServiceEndToEnd:
             cancelled = client.cancel(submitted["job_id"])
             assert cancelled["state"] == "cancelled"
             assert client.job(submitted["job_id"])["state"] == "cancelled"
+        finally:
+            server.stop()
+
+    @pytest.mark.parametrize(
+        "length, status",
+        [("-1", 400), ("ten", 400), (str(MAX_BODY_BYTES + 1), 413)],
+    )
+    def test_bad_content_length_answered_without_reading_body(self, tmp_path, length, status):
+        # Raw socket: the client sends headers only. A handler that trusted
+        # Content-Length would block on the body until the socket timeout.
+        queue = JobQueue(tmp_path / "queue.jsonl")
+        server = RunServiceServer(queue=queue, pool=WorkerPool(queue, None))
+        port = server.start()
+        try:
+            with socket.create_connection(("127.0.0.1", port), timeout=10.0) as sock:
+                sock.sendall(
+                    f"POST /runs HTTP/1.1\r\nHost: localhost\r\n"
+                    f"Content-Length: {length}\r\n\r\n".encode()
+                )
+                reply = sock.recv(4096).decode("latin-1")
+            assert reply.split("\r\n", 1)[0].split()[1] == str(status)
+            assert queue.jobs() == []
         finally:
             server.stop()
 

@@ -475,9 +475,10 @@ class TestKeepResultsMigration:
             # trajectory covers exactly the executed rounds (t_con + window - 1)
             assert result.trajectory.shape[0] == result.rounds + 2
 
-    def test_auto_keep_results_falls_back_without_vectorization(self):
+    def test_auto_keep_results_runs_unvectorized_protocols_batched(self):
         # Since the clock-sync vectorization every shipped protocol is
-        # batch-vectorized, so the fallback is exercised by masking the flag.
+        # batch-vectorized; masking the flag shows auto never falls back to
+        # sequential — the generic per-replica step_batch serves it.
         from repro.protocols.clock_sync import ClockSyncProtocol
 
         def factory():
@@ -489,7 +490,7 @@ class TestKeepResultsMigration:
             factory, 64, AllWrong(),
             trials=2, max_rounds=150, seed=4, keep_results=True,
         )
-        assert stats.engine == "sequential"
+        assert stats.engine == "batched"
         assert len(stats.results) == 2
 
     def test_clock_sync_traces_ride_the_batched_engine(self):
