@@ -428,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit_cmd.add_argument(
         "--wait",
         action="store_true",
-        help="poll until the job terminates (quiet alternative to --follow)",
+        help="block until the job terminates (quiet alternative to --follow)",
     )
     submit_cmd.add_argument(
         "--out",

@@ -13,13 +13,14 @@ configuration*. Two layers keep it fast:
    through ``x_t``, R replicas advance in lock-step as a single ``(R, n)``
    matrix (:mod:`repro.core.batch`): per-replica one-fractions key one
    :class:`BatchedBinomialSampler` call per round, vectorized protocols
-   (``Protocol.batch_vectorized``) step every replica with a handful of numpy
-   ops, and converged replicas retire from a compacted working set so finished
-   trials stop costing work. The sampler tiers its draw strategy by where
-   each replica's ``x`` sits (deterministic fills at consensus, geometric-gap
-   sparse placement near consensus, numpy's scalar-p generator near the
-   ends, shared-CDF inversion in the middle), so the draws themselves — not
-   just the Python overhead — get cheaper than a per-trial loop.
+   (those overriding ``Protocol.step_batch``) step every replica with a
+   handful of numpy ops, and converged replicas retire from a compacted
+   working set so finished trials stop costing work. The sampler tiers its
+   draw strategy by where each replica's ``x`` sits (deterministic fills at
+   consensus, geometric-gap sparse placement near consensus, numpy's
+   scalar-p generator near the ends, shared-CDF inversion in the middle), so
+   the draws themselves — not just the Python overhead — get cheaper than a
+   per-trial loop.
 
 The batched fast path covers memoryless-*sampling* protocols (observation =
 1-count, everything whose scalar ``step`` consumes ``sampler.counts`` /

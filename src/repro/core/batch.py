@@ -14,8 +14,8 @@ therefore advance in lock-step as one matrix-shaped system:
   :class:`~repro.core.sampling.BatchedSampler` call keyed on the ``(R,)``
   vector of per-replica one-fractions;
 * per-agent protocol state is stacked the same way (leading replica axis), and
-  vectorized protocols (``Protocol.batch_vectorized``) step every replica with
-  a handful of numpy calls.
+  vectorized protocols (those overriding ``Protocol.step_batch``) step every
+  replica with a handful of numpy calls.
 
 :class:`BatchedEngine` drives the batch through the shared lock-step driver
 (:mod:`repro.core.lockstep`), whose ``R = 1`` case is
@@ -56,6 +56,7 @@ __all__ = [
     "BatchedPopulation",
     "BatchRunResult",
     "BatchedEngine",
+    "SequentialEngine",
     "run_protocol_batched",
     "stack_states",
 ]
@@ -396,6 +397,22 @@ class BatchedEngine(LockstepEngine):
         self.batch.opinions[retired] = work.opinions[done]
         keep = ~done
         self.states = {key: value[keep] for key, value in self.states.items()}
+
+
+class SequentialEngine(BatchedEngine):
+    """One-row :class:`BatchedEngine`: the ``R = 1`` case that serves
+    ``engine="sequential"`` and :class:`~repro.core.engine.SynchronousEngine`.
+
+    Its spans and metrics carry ``engine="sequential"``, and it keeps the
+    row's final protocol state (:attr:`final_states`) when the row retires,
+    so a caller can write that state back and continue.
+    """
+
+    engine_name = "sequential"
+
+    def _retire(self, retired: np.ndarray, work: BatchedPopulation, done: np.ndarray) -> None:
+        self.final_states = self.states
+        super()._retire(retired, work, done)
 
 
 def run_protocol_batched(

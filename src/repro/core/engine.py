@@ -14,7 +14,8 @@ counters equal ℓ, and the tie rule keeps every opinion. The default stability
 window of 2 therefore makes the detection exact rather than heuristic.
 
 :class:`SynchronousEngine` owns no round loop: it is the ``R = 1`` case of
-:class:`~repro.core.batch.BatchedEngine`. Each :meth:`~SynchronousEngine.run`
+:class:`~repro.core.batch.BatchedEngine`
+(:class:`~repro.core.batch.SequentialEngine`). Each :meth:`~SynchronousEngine.run`
 drives a one-row batch built on the caller's population and state through
 :func:`~repro.core.lockstep.run_lockstep`, then writes the final opinions and
 state back, so the population is mutated in place and runs can be chained.
@@ -29,7 +30,7 @@ import numpy as np
 
 from ..telemetry.spans import span
 from ..trace.recorder import FullTrace
-from .batch import BatchedEngine, BatchedPopulation
+from .batch import BatchedPopulation, SequentialEngine
 from .lockstep import run_lockstep
 from .population import PopulationState
 from .protocol import Protocol, ProtocolState
@@ -41,16 +42,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only; trace layers on core
     from ..trace.recorder import TraceRecorder
 
 __all__ = ["SynchronousEngine", "run_protocol"]
-
-
-class _RowEngine(BatchedEngine):
-    """One-row lock-step engine that keeps its state when the row retires."""
-
-    engine_name = "sequential"
-
-    def _retire(self, retired: np.ndarray, work: BatchedPopulation, done: np.ndarray) -> None:
-        self.final_states = self.states
-        super()._retire(retired, work, done)
 
 
 class SynchronousEngine:
@@ -93,7 +84,7 @@ class SynchronousEngine:
         if population.pin_each_round:
             population.pin_sources()
 
-    def _engine(self) -> _RowEngine:
+    def _engine(self) -> SequentialEngine:
         """A fresh one-row engine over the population's live arrays — the
         source structure is read anew on every call, since callers (e.g.
         the changing-environment experiment) flip preferences between
@@ -106,7 +97,7 @@ class SynchronousEngine:
             population.correct_opinion,
             population.pin_each_round,
         )
-        engine = _RowEngine(
+        engine = SequentialEngine(
             self.protocol,
             batch,
             sampler=self.sampler,
@@ -116,7 +107,7 @@ class SynchronousEngine:
         engine.round_index = self.round_index
         return engine
 
-    def _write_back(self, engine: _RowEngine, states: ProtocolState) -> None:
+    def _write_back(self, engine: SequentialEngine, states: ProtocolState) -> None:
         self.population.set_opinions(engine.batch.opinions[0])
         self.state.update({key: value[0] for key, value in states.items()})
         self.round_index = engine.round_index
@@ -166,7 +157,7 @@ class SynchronousEngine:
         if stop_condition is not None:
             condition = lambda rows: np.array([stop_condition(rows.replica(0))])  # noqa: E731
         engine = self._engine()
-        with span("engine.run", engine="sequential"):
+        with span("engine.run", engine=engine.engine_name):
             result = run_lockstep(
                 engine,
                 max_rounds,

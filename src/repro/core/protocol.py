@@ -50,11 +50,6 @@ class Protocol(ABC):
 
     name: str = "protocol"
     passive: bool = True
-    #: ``True`` when :meth:`step_batch` is a genuinely vectorized override
-    #: that advances all replicas with O(1) numpy calls; protocols that rely
-    #: on the generic per-replica fallback leave it ``False``. Informational:
-    #: every protocol runs on the lock-step engines either way.
-    batch_vectorized: bool = False
     #: ``True`` when the protocol exposes the sufficient-statistic count model
     #: (:meth:`count_states` / :meth:`step_counts` / the pmf hooks) consumed by
     #: the counts engine (``core/counts.py``). Requires that an agent's full
@@ -150,8 +145,7 @@ class Protocol(ABC):
         single-replica equivalent — correct for every protocol, but it keeps
         the per-replica Python cost. Vectorized overrides advance all
         replicas at once (numpy broadcasting makes the scalar body work
-        nearly verbatim on ``(A, n)`` arrays) and set
-        ``batch_vectorized = True``.
+        nearly verbatim on ``(A, n)`` arrays).
         """
         scalar = sampler.scalar()
         out = np.empty_like(batch.opinions)

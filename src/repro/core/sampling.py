@@ -217,6 +217,16 @@ class PerReplicaSampler(BatchedSampler):
     def __init__(self, sampler: Sampler) -> None:
         self.sampler = sampler
 
+    @property
+    def epsilon(self) -> float:
+        """The wrapped sampler's per-bit observation noise (0 if it has none).
+
+        Protocols that read sampled agents' state directly rather than
+        consuming counts (clock-sync) apply this level themselves, so the
+        wrapper must not hide it.
+        """
+        return getattr(self.sampler, "epsilon", 0.0)
+
     def counts(
         self,
         batch: "BatchedPopulation",

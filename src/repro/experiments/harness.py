@@ -60,7 +60,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from ..config import RunSpec
-from ..core.batch import BatchedEngine, BatchedPopulation, stack_states
+from ..core.batch import BatchedEngine, BatchedPopulation, SequentialEngine, stack_states
 from ..core.counts import CountEngine, CountPopulation, make_count_population
 from ..core.population import PopulationState, make_population
 from ..core.lockstep import LockstepEngine
@@ -282,10 +282,11 @@ def make_lockstep_engines(
     resolved ``engine`` — the one assembly behind every execution path.
 
     ``"counts"`` and ``"batched"`` are one engine holding every trial as a
-    replica. ``"sequential"`` is one single-replica batched engine per
-    trial, lazily built on that trial's own ``spawn_rngs(seed, trials)``
-    stream (initialization, then dynamics) with the same per-trial
-    initialization as :func:`prepare_batch`'s fallback; it observes through
+    replica. ``"sequential"`` is one single-replica
+    :class:`~repro.core.batch.SequentialEngine` per trial, lazily built on
+    that trial's own ``spawn_rngs(seed, trials)`` stream (initialization,
+    then dynamics) with the same per-trial initialization as
+    :func:`prepare_batch`'s fallback; it observes through
     the sampler's scalar side, whose one direct draw per round is cheaper
     at one replica than the batched draw-tier dispatch. Live-object
     keywords override the spec's components.
@@ -324,7 +325,7 @@ def make_lockstep_engines(
         population_factory=population_factory,
     )
     return (
-        BatchedEngine(
+        SequentialEngine(
             protocol,
             BatchedPopulation.from_populations([population]),
             sampler=sampler,

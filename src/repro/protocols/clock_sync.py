@@ -65,7 +65,6 @@ class ClockSyncProtocol(Protocol):
     """Plurality clock sync feeding the two-subphase dissemination rule."""
 
     passive = False
-    batch_vectorized = True
 
     def __init__(self, n_hint: int, ell: int) -> None:
         if n_hint < 2:

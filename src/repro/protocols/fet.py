@@ -64,7 +64,6 @@ class FETProtocol(Protocol):
     """
 
     passive = True
-    batch_vectorized = True
     counts_supported = True
 
     def __init__(self, ell: int) -> None:

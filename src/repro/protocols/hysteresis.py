@@ -51,7 +51,6 @@ class HysteresisFETProtocol(Protocol):
     """FET with a symmetric dead-band on the trend comparison."""
 
     passive = True
-    batch_vectorized = True
     counts_supported = True
     #: measured counts/batched crossover (results/BENCH_counts.json, scan)
     counts_min_n = 64

@@ -25,7 +25,6 @@ class MajorityProtocol(Protocol):
     """Adopt the majority among ``k`` uniform samples (odd ``k``, ties impossible)."""
 
     passive = True
-    batch_vectorized = True
     counts_supported = True
     #: measured counts/batched crossover (results/BENCH_counts.json, scan)
     counts_min_n = 32

@@ -27,7 +27,6 @@ class MajoritySamplingProtocol(Protocol):
     """Adopt the majority among ℓ uniform samples; keep opinion on ties."""
 
     passive = True
-    batch_vectorized = True
     counts_supported = True
 
     def __init__(self, ell: int) -> None:

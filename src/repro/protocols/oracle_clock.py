@@ -47,7 +47,6 @@ class OracleClockProtocol(Protocol):
     """
 
     passive = True
-    batch_vectorized = True
 
     def __init__(self, n_hint: int, ell: int = 1) -> None:
         if n_hint < 2:

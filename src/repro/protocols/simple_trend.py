@@ -35,7 +35,6 @@ class SimpleTrendProtocol(Protocol):
     """Single-counter trend following (ℓ samples per round)."""
 
     passive = True
-    batch_vectorized = True
     counts_supported = True
     #: measured counts/batched crossover (results/BENCH_counts.json, scan)
     counts_min_n = 10_000

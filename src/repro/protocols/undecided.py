@@ -32,7 +32,6 @@ class UndecidedStateProtocol(Protocol):
     """One-sample undecided-state dynamics under passive communication."""
 
     passive = True
-    batch_vectorized = True
     counts_supported = True
     #: measured counts/batched crossover (results/BENCH_counts.json, scan)
     counts_min_n = 32

@@ -27,7 +27,6 @@ class VoterProtocol(Protocol):
     """Copy one uniformly random agent's opinion each round."""
 
     passive = True
-    batch_vectorized = True
     counts_supported = True
     #: measured counts/batched crossover (results/BENCH_counts.json, scan)
     counts_min_n = 32

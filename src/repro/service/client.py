@@ -4,13 +4,14 @@ Backs the ``repro submit`` CLI and the end-to-end tests; the API surface
 mirrors the routes one-to-one so anything the service can do is one method
 call away. Streaming uses the SSE route — ``urllib`` de-chunks the
 response transparently, so :meth:`RunServiceClient.stream` is a plain
-generator of ``(event, payload)`` pairs.
+generator of ``(event, payload)`` pairs. :meth:`RunServiceClient.wait`
+follows that stream too, so a waiting client learns of completion when the
+server's queue signals it rather than on a polling timer.
 """
 
 from __future__ import annotations
 
 import json
-import time
 from typing import Any, Iterator
 from urllib import error, request
 
@@ -24,6 +25,18 @@ class ServiceError(RuntimeError):
         super().__init__(f"HTTP {status}: {message}")
         self.status = status
         self.message = message
+
+
+def _service_error(exc: error.URLError) -> ServiceError:
+    """The :class:`ServiceError` for a failed ``urlopen``."""
+    if isinstance(exc, error.HTTPError):
+        body = exc.read()
+        try:
+            message = json.loads(body.decode("utf-8")).get("error", "")
+        except (json.JSONDecodeError, UnicodeDecodeError):
+            message = body.decode("utf-8", "replace").strip()
+        return ServiceError(exc.code, message or exc.reason)
+    return ServiceError(0, f"service unreachable: {exc.reason}")
 
 
 class RunServiceClient:
@@ -49,15 +62,8 @@ class RunServiceClient:
         try:
             with request.urlopen(req, timeout=self.timeout) as resp:
                 return resp.status, resp.read()
-        except error.HTTPError as exc:
-            body = exc.read()
-            try:
-                message = json.loads(body.decode("utf-8")).get("error", "")
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                message = body.decode("utf-8", "replace").strip()
-            raise ServiceError(exc.code, message or exc.reason) from exc
         except error.URLError as exc:
-            raise ServiceError(0, f"service unreachable: {exc.reason}") from exc
+            raise _service_error(exc) from exc
 
     def _json(self, method: str, path: str, payload: dict | None = None) -> dict:
         _, body = self._request(method, path, payload)
@@ -86,18 +92,18 @@ class RunServiceClient:
     def result_rows(self, job_id: str) -> dict:
         return self._json("GET", f"/runs/{job_id}/result?format=json")
 
-    def wait(self, job_id: str, *, timeout: float = 300.0, poll: float = 0.2) -> dict:
-        """Poll until the job is terminal; returns its final status body."""
-        deadline = time.monotonic() + timeout
-        while True:
-            status = self.job(job_id)
-            if status["state"] in ("done", "failed", "cancelled"):
-                return status
-            if time.monotonic() >= deadline:
+    def wait(self, job_id: str, *, timeout: float = 300.0) -> dict:
+        """Follow the job's stream until it is terminal; returns its final
+        status body. Raises :class:`TimeoutError` if ``timeout`` seconds
+        pass first."""
+        for event, payload in self.stream(job_id, timeout=timeout):
+            if event == "done":
+                return payload
+            if event == "timeout":
                 raise TimeoutError(
-                    f"job {job_id[:12]} still {status['state']} after {timeout:g}s"
+                    f"job {job_id[:12]} still {payload['state']} after {timeout:g}s"
                 )
-            time.sleep(poll)
+        raise ServiceError(0, f"stream of job {job_id[:12]} ended before the job did")
 
     def stream(
         self, job_id: str, *, timeout: float = 600.0
@@ -109,8 +115,8 @@ class RunServiceClient:
         )
         try:
             resp = request.urlopen(req, timeout=timeout + self.timeout)
-        except error.HTTPError as exc:
-            raise ServiceError(exc.code, exc.read().decode("utf-8", "replace")) from exc
+        except error.URLError as exc:
+            raise _service_error(exc) from exc
         with resp:
             event: str | None = None
             data_lines: list[str] = []

@@ -19,6 +19,13 @@ in the results store is born ``done`` without ever touching a worker —
 the store, not the worker pool, is the source of truth for "already
 computed". Failed and cancelled jobs requeue on resubmission (that is the
 retry knob).
+
+Waiters never poll for state. Workers block in :meth:`JobQueue.claim` on a
+condition that submissions signal; clients following a job block in
+:meth:`JobQueue.wait_change` on a second condition over the same lock,
+signalled by every live state transition (claim, done, failed, cancel,
+requeue) — kept apart so a state change does not wake idle workers, nor a
+submission the job followers.
 """
 
 from __future__ import annotations
@@ -52,7 +59,8 @@ class JobQueue:
         self._jobs: dict[str, Job] = {}
         self._pending: list[str] = []  # job ids in submission order
         self._lock = threading.RLock()
-        self._ready = threading.Condition(self._lock)
+        self._ready = threading.Condition(self._lock)  # a job was queued
+        self._changed = threading.Condition(self._lock)  # a job changed state
         self._closed = False
         self._load()
 
@@ -109,6 +117,12 @@ class JobQueue:
             handle.flush()
 
     def _journal_transition(self, job: Job) -> None:
+        """Journal a live state change and wake :meth:`wait_change` callers.
+
+        Every transition after startup passes through here, under the lock;
+        the crash-recovery requeue in :meth:`_load` runs before any waiter
+        can exist and journals directly.
+        """
         entry: dict = {"job_id": job.job_id, "state": job.state, "ts": time.time()}
         if job.started_ts is not None:
             entry["started_ts"] = job.started_ts
@@ -119,6 +133,7 @@ class JobQueue:
         if job.error is not None:
             entry["error"] = job.error
         self._append(entry)
+        self._changed.notify_all()
 
     def _count(self, name: str, help_text: str, **labels: str) -> None:
         if self.registry is not None:
@@ -218,8 +233,7 @@ class JobQueue:
         """Pop the oldest queued job and mark it running; None on timeout.
 
         Blocks until a job is available, the timeout elapses, or the queue
-        is closed (workers use a short timeout and loop, so ``close()``
-        drains them promptly).
+        is closed (workers block with no timeout; ``close()`` wakes them).
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._lock:
@@ -284,6 +298,21 @@ class JobQueue:
             )
             return job
 
+    def wait_change(self, job_id: str, seen_state: str, timeout: float) -> bool:
+        """Block until job ``job_id`` leaves ``seen_state``, the queue is
+        closed, or ``timeout`` seconds pass; False once the queue is closed.
+
+        The state is compared under the lock before waiting, so a transition
+        that landed after the caller read ``seen_state`` returns at once
+        instead of being missed.
+        """
+        with self._lock:
+            self._changed.wait_for(
+                lambda: self._closed or self._jobs[job_id].state != seen_state,
+                timeout,
+            )
+            return not self._closed
+
     def get(self, job_id: str) -> Job | None:
         with self._lock:
             return self._jobs.get(job_id)
@@ -302,10 +331,12 @@ class JobQueue:
                 return None
 
     def close(self) -> None:
-        """Stop handing out work; blocked :meth:`claim` calls return None."""
+        """Stop handing out work; blocked :meth:`claim` calls return None
+        and blocked :meth:`wait_change` calls return False."""
         with self._lock:
             self._closed = True
             self._ready.notify_all()
+            self._changed.notify_all()
 
     def _require(self, job_id: str) -> Job:
         job = self._jobs.get(job_id)

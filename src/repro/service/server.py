@@ -21,6 +21,11 @@ service's contract is stdlib-only, and ``http.server`` cannot speak the
 websocket upgrade — SSE delivers the same one-directional progress feed
 over plain HTTP (``urllib`` and ``curl -N`` both follow it). The
 substitution is recorded in ROADMAP item 2.
+
+The stream is pushed, not polled: its handler blocks on the queue's
+state-change signal (:meth:`~repro.service.queue.JobQueue.wait_change`),
+so ``state`` and ``done`` events leave as the transition happens, while
+``progress`` events keep a pace of at most one per ``_STREAM_TICK_S``.
 """
 
 from __future__ import annotations
@@ -37,13 +42,14 @@ from urllib.parse import parse_qs
 from ..sweep.orchestrator import SweepResult
 from ..sweep.runner import CellResult
 from ..telemetry.server import STREAMED, ObservabilityServer, RouteError
-from .jobs import Job, JobError, job_cells, normalize_submission
+from .jobs import TERMINAL_STATES, Job, JobError, job_cells, normalize_submission
 from .queue import JobQueue
 from .worker import WorkerPool
 
 __all__ = ["RunServiceServer"]
 
-#: Seconds between SSE poll ticks while a job runs.
+#: Seconds between SSE ``progress`` events while a job runs; state changes
+#: do not wait for it.
 _STREAM_TICK_S = 0.1
 
 #: Default wall-clock cap on one SSE connection (client can override with
@@ -267,11 +273,14 @@ class RunServiceServer(ObservabilityServer):
     ) -> object:
         """Follow a job over SSE until it terminates (chunked HTTP/1.1).
 
-        Emits ``state`` events on every state change, ``progress`` events
-        while cells execute, and a final ``done`` event carrying the full
-        status body. The response is hand-chunked because the base handler
-        speaks HTTP/1.0 framing; SSE needs an open-ended body the client
-        (urllib, curl -N, EventSource) de-chunks incrementally.
+        Emits a ``state`` event on every state change as it happens,
+        ``progress`` events at most once per tick while cells execute, and
+        a final ``done`` event carrying the full status body — or a
+        ``timeout`` event once ``?timeout=`` seconds pass first. When the
+        service shuts down mid-job the stream ends with no final event.
+        The response is hand-chunked because the base handler speaks
+        HTTP/1.0 framing; SSE needs an open-ended body the client (urllib,
+        curl -N, EventSource) de-chunks incrementally.
         """
         job = self._job_or_404(job_id)
         params = parse_qs(query)
@@ -299,23 +308,29 @@ class RunServiceServer(ObservabilityServer):
         deadline = time.monotonic() + timeout
         last_state: str | None = None
         last_progress: dict | None = None
+        closed = False
         try:
             while True:
-                job = self._job_or_404(job_id)
-                if job.state != last_state:
-                    last_state = job.state
-                    emit("state", {"job_id": job.job_id, "state": job.state})
-                if job.terminal:
-                    emit("done", self._job_body(job))
+                state = job.state
+                if state != last_state:
+                    last_state = state
+                    emit("state", {"job_id": job.job_id, "state": state})
+                if state in TERMINAL_STATES:
+                    emit("done", self._job_body(job, spec=True))
                     break
                 progress = self.pool.progress(job.job_id)
                 if progress and progress != last_progress:
                     last_progress = progress
                     emit("progress", progress)
-                if time.monotonic() >= deadline:
-                    emit("timeout", {"job_id": job.job_id, "state": job.state})
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    emit("timeout", {"job_id": job.job_id, "state": state})
                     break
-                time.sleep(_STREAM_TICK_S)
+                if closed:
+                    break  # shutting down: the pass above caught any last transition
+                closed = not self.queue.wait_change(
+                    job.job_id, state, min(_STREAM_TICK_S, remaining)
+                )
             handler.wfile.write(b"0\r\n\r\n")
             handler.wfile.flush()
         except (BrokenPipeError, ConnectionResetError, OSError):

@@ -1,6 +1,8 @@
 """Background worker pool: claims jobs and runs them through the orchestrator.
 
-Each worker thread loops ``claim → execute → mark terminal``. Execution is
+Each worker thread loops ``claim → execute → mark terminal``, blocking in
+:meth:`~repro.service.queue.JobQueue.claim` until a job is queued and
+exiting when :meth:`WorkerPool.stop` closes the queue. Execution is
 a plain :func:`~repro.sweep.orchestrator.run_sweep` call against the shared
 results store under the service's :class:`~repro.sweep.dispatch.FaultPolicy`
 — retries, per-cell timeouts, crash isolation, and structured failure
@@ -33,9 +35,6 @@ from .jobs import Job
 from .queue import JobQueue
 
 __all__ = ["WorkerPool"]
-
-#: How long a worker sleeps in ``claim`` before re-checking the stop flag.
-_CLAIM_TICK_S = 0.2
 
 
 class _RunJobSpec:
@@ -95,7 +94,6 @@ class WorkerPool:
         self.registry = registry
         self.work_fn = work_fn  # test seam, forwarded to run_sweep
         self._threads: list[threading.Thread] = []
-        self._stop = threading.Event()
         self._merge_lock = threading.Lock()
         #: job_id -> live ProgressLine.stats callable (while running)
         self._progress: dict[str, Callable[[], dict[str, Any]]] = {}
@@ -105,7 +103,6 @@ class WorkerPool:
     def start(self) -> None:
         if self._threads:
             return
-        self._stop.clear()
         for index in range(self.workers):
             thread = threading.Thread(
                 target=self._loop, name=f"repro-service-worker-{index}", daemon=True
@@ -114,7 +111,8 @@ class WorkerPool:
             self._threads.append(thread)
 
     def stop(self, timeout: float = 10.0) -> None:
-        self._stop.set()
+        """Close the queue, which ends every worker's blocking ``claim``,
+        and join the threads, giving a running job ``timeout`` seconds."""
         self.queue.close()
         for thread in self._threads:
             thread.join(timeout=timeout)
@@ -151,10 +149,7 @@ class WorkerPool:
     # -------------------------------------------------------------- execution
 
     def _loop(self) -> None:
-        while not self._stop.is_set():
-            job = self.queue.claim(timeout=_CLAIM_TICK_S)
-            if job is None:
-                continue
+        while (job := self.queue.claim()) is not None:
             try:
                 self._execute(job)
             except Exception as exc:  # noqa: BLE001 - worker must survive

@@ -39,7 +39,6 @@ class GrowOneProtocol(Protocol):
     """
 
     name = "grow-one"
-    batch_vectorized = True
 
     def init_state(self, n, rng):
         return {}
@@ -64,7 +63,6 @@ class FlipAllProtocol(Protocol):
     """Inverts every opinion every round — never converges, never idles."""
 
     name = "flip-all"
-    batch_vectorized = True
 
     def init_state(self, n, rng):
         return {}
@@ -443,7 +441,6 @@ class TestRunTrialsDispatch:
 
         def factory():
             protocol = ClockSyncProtocol(64, 4)
-            protocol.batch_vectorized = False
             protocol.step_batch = (  # type: ignore[method-assign]
                 lambda *args: Protocol.step_batch(protocol, *args)
             )

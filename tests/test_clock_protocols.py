@@ -124,9 +124,6 @@ class TestClockSyncBatched:
     """Vectorized step_batch: identical streams at R=1, statistical
     equivalence at R>1, and chunking invariance."""
 
-    def test_is_batch_vectorized(self):
-        assert ClockSyncProtocol(100, 8).batch_vectorized is True
-
     def test_identical_stream_matches_scalar_step(self):
         # With one replica the batched draws consume the stream exactly as
         # the scalar step does, so both paths must agree bitwise, round by

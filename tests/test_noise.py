@@ -11,6 +11,7 @@ from repro.core.population import make_population
 from repro.core.rng import make_rng
 from repro.experiments.robustness import sweep_noise
 from repro.initializers.standard import AllWrong
+from repro.protocols.clock_sync import ClockSyncProtocol
 from repro.protocols.fet import FETProtocol, ell_for
 
 
@@ -123,6 +124,30 @@ class TestNoisyFET:
         assert rows[1].mean_settle_level < 1.0
 
 
+class TestNoisyClockSync:
+    def test_synchronous_engine_passes_noise_to_clock_sync(self):
+        """Regression: ``SynchronousEngine`` wraps its sampler in
+        ``PerReplicaSampler``, which used to hide the noise level from
+        clock-sync. At ε = 1/2 every bit it reads is a fair coin, so an
+        all-correct start cannot hold; at ε = 0 it is absorbing."""
+        n = 256
+        levels = {}
+        for eps in (0.0, 0.5):
+            proto = ClockSyncProtocol(n, 16)
+            pop = make_population(n, 1)
+            pop.set_opinions(np.ones(n, dtype=np.uint8))
+            engine = SynchronousEngine(
+                proto, pop, sampler=NoisyCountSampler(eps), rng=make_rng(5)
+            )
+            fractions = []
+            for _ in range(2 * proto.period):
+                engine.step()
+                fractions.append(pop.fraction_ones())
+            levels[eps] = min(fractions)
+        assert levels[0.0] == 1.0
+        assert levels[0.5] < 0.5
+
+
 class TestNoiseBaselineRows:
     def test_sweep_noise_protocol_axis(self):
         """Baseline rows share the noise grid and run batched by default."""
@@ -145,15 +170,18 @@ class TestNoiseBaselineRows:
         for row in rows:
             assert row.reached_theta == row.trials
 
-    def test_clock_sync_rows_are_not_noise_inert(self):
+    @pytest.mark.parametrize("engine", ["auto", "sequential"])
+    def test_clock_sync_rows_are_not_noise_inert(self, engine):
         """Regression: clock-sync ignores the count samplers, so its noise
         rows used to simulate eps=0 silently; it now applies the per-bit
         flip model to the opinion bits it reads. The settle window must span
-        a zero-subphase (> subphase_len) for the damage to be visible."""
+        a zero-subphase (> subphase_len) for the damage to be visible.
+        ``sequential`` reaches the protocol through ``PerReplicaSampler``,
+        which must pass the wrapped sampler's noise level through."""
         rows = sweep_noise(
             256, 8, [0.0, 0.05],
             trials=3, max_rounds=1500, seed=2, theta=0.9, settle_window=40,
-            protocols=[{"name": "clock-sync", "ell": 16}],
+            protocols=[{"name": "clock-sync", "ell": 16}], engine=engine,
         )
         clean, noisy = rows
         assert clean.epsilon == 0.0 and noisy.epsilon == 0.05

@@ -13,7 +13,10 @@ nothing is stubbed between the client and the worker pool.
 from __future__ import annotations
 
 import json
+import queue as queue_module
 import socket
+import sys
+import threading
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -22,6 +25,7 @@ import pytest
 
 from repro import cli
 from repro.config import RunSpec
+from repro.service import server as server_module
 from repro.service import (
     Job,
     JobError,
@@ -99,6 +103,32 @@ def service(tmp_path: Path, **pool_kwargs):
     finally:
         pool.stop()
         server.stop()
+
+
+@contextmanager
+def gated_service(tmp_path: Path):
+    """A live stack whose cells block until the yielded event is set.
+
+    The gate is released before the pool stops, so a test that never sets
+    it still tears down without waiting out the worker join.
+    """
+    gate = threading.Event()
+
+    def work(cell):
+        gate.wait(60.0)
+        return execute_cell(cell)
+
+    with service(tmp_path, work_fn=work) as svc:
+        try:
+            yield svc, gate
+        finally:
+            gate.set()
+
+
+def tiny_run() -> dict:
+    """One fast FET run as a submission."""
+    run = RunSpec(protocol={"name": "fet", "ell": 8}, n=60, trials=2, max_rounds=120)
+    return {"run": run.to_dict()}
 
 
 # ---------------------------------------------------------------- unit: jobs
@@ -226,6 +256,71 @@ class TestJobQueue:
         assert registry.total("repro_service_dedup_hits_total") == 1.0
         # Nothing pending: the job never touches a worker.
         assert queue.claim(timeout=0.05) is None
+
+    def test_close_wakes_blocked_wait_change(self, tmp_path):
+        queue = JobQueue(tmp_path / "queue.jsonl")
+        job, _ = queue.submit(*normalize_submission(tiny_grid()))
+        outcome = []
+        waiter = threading.Thread(
+            target=lambda: outcome.append(queue.wait_change(job.job_id, "queued", 30.0))
+        )
+        waiter.start()
+        time.sleep(0.05)
+        queue.close()
+        waiter.join(2.0)
+        assert not waiter.is_alive() and outcome == [False]
+
+    def test_wait_change_stress_loses_no_wakeup(self, tmp_path):
+        # More threads than cores and a tiny switch interval: a lost wakeup
+        # shows up as a wait that ran out its whole timeout, which the
+        # workers' few milliseconds of work never need.
+        queue = JobQueue(tmp_path / "queue.jsonl")
+        jobs = [queue.submit(*normalize_submission(tiny_grid(seed=s)))[0] for s in range(12)]
+        timed_out = []
+
+        def follow(job):
+            state = job.state
+            while not job.terminal:
+                began = time.monotonic()
+                queue.wait_change(job.job_id, state, 2.0)
+                if time.monotonic() - began >= 2.0:
+                    timed_out.append(job.job_id)
+                state = job.state
+
+        def work():
+            while (job := queue.claim(timeout=0.5)) is not None:
+                queue.mark_done(job.job_id, {})
+
+        threads = [threading.Thread(target=follow, args=(job,)) for job in jobs]
+        threads += [threading.Thread(target=work) for _ in range(4)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(20.0)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert timed_out == []
+        assert all(job.state == "done" for job in jobs)
+
+    def test_wait_change_returns_on_transition_and_after_it(self, tmp_path):
+        queue = JobQueue(tmp_path / "queue.jsonl")
+        job, _ = queue.submit(*normalize_submission(tiny_grid()))
+        claimer = threading.Timer(0.05, queue.claim)
+        began = time.monotonic()
+        claimer.start()
+        assert queue.wait_change(job.job_id, "queued", 30.0)
+        assert time.monotonic() - began < 2.0 and job.state == "running"
+        claimer.join()
+        # A transition that landed before the call is not waited for.
+        began = time.monotonic()
+        assert queue.wait_change(job.job_id, "queued", 30.0)
+        assert time.monotonic() - began < 1.0
+        # No change within the timeout: returns after it, queue still open.
+        assert queue.wait_change(job.job_id, "running", 0.05)
 
 
 # ---------------------------------------------------------- unit: store index
@@ -429,6 +524,109 @@ class TestServiceEndToEnd:
             text = raw.decode("utf-8")
             assert validate_exposition(text) > 0
             assert "repro_service_jobs_executed_total 1" in text
+
+
+class TestPushPath:
+    """Waiters block on the queue's state-change signal, never on a tick."""
+
+    def test_stream_wakes_on_transition_not_tick(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(server_module, "_STREAM_TICK_S", 30.0)
+        with gated_service(tmp_path) as (svc, gate):
+            job_id = svc.client.submit(tiny_run())["job_id"]
+            events: queue_module.Queue = queue_module.Queue()
+
+            def follow():
+                for event, payload in svc.client.stream(job_id, timeout=60.0):
+                    events.put((event, payload, time.monotonic()))
+
+            follower = threading.Thread(target=follow, daemon=True)
+            follower.start()
+            while True:
+                event, payload, _ = events.get(timeout=10.0)
+                if event == "state" and payload["state"] == "running":
+                    break
+            released = time.monotonic()
+            gate.set()
+            seen = {}
+            while "done" not in seen:
+                event, payload, at = events.get(timeout=10.0)
+                seen[event] = (payload, at)
+            payload, at = seen["done"]
+            assert payload["state"] == "done"
+            assert at - released < 2.0
+            follower.join(5.0)
+
+    def test_stream_timeout_still_fires_on_time(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(server_module, "_STREAM_TICK_S", 30.0)
+        with gated_service(tmp_path) as (svc, _gate):
+            job_id = svc.client.submit(tiny_run())["job_id"]
+            began = time.monotonic()
+            events = list(svc.client.stream(job_id, timeout=0.5))
+            elapsed = time.monotonic() - began
+            assert events[-1][0] == "timeout"
+            assert events[-1][1]["state"] in ("queued", "running")
+            assert 0.4 <= elapsed < 3.0
+
+    @pytest.mark.parametrize("work_fn, state", [(None, "done"), (_crash_cell, "failed")])
+    def test_wait_returns_full_status_body(self, tmp_path, work_fn, state):
+        with service(tmp_path, work_fn=work_fn) as svc:
+            job_id = svc.client.submit(tiny_run())["job_id"]
+            final = svc.client.wait(job_id, timeout=60.0)
+            assert final["state"] == state
+            assert final == svc.client.job(job_id)  # spec included
+
+    def test_wait_returns_when_queued_job_is_cancelled(self, tmp_path):
+        # No pool started: the job stays queued until another client
+        # cancels it, and the blocked wait must see that push.
+        queue = JobQueue(tmp_path / "queue.jsonl")
+        server = RunServiceServer(queue=queue, pool=WorkerPool(queue, None))
+        port = server.start()
+        client = RunServiceClient(f"http://127.0.0.1:{port}")
+        try:
+            job_id = client.submit(tiny_run())["job_id"]
+            outcome = []
+            waiter = threading.Thread(
+                target=lambda: outcome.append(client.wait(job_id, timeout=30.0))
+            )
+            waiter.start()
+            time.sleep(0.2)
+            client.cancel(job_id)
+            waiter.join(5.0)
+            assert not waiter.is_alive()
+            assert outcome[0]["state"] == "cancelled"
+            # A job that is already terminal returns at once.
+            assert client.wait(job_id, timeout=30.0)["state"] == "cancelled"
+        finally:
+            server.stop()
+
+    def test_wait_returns_store_deduplicated_job(self, tmp_path):
+        spec = tiny_grid()
+        with service(tmp_path) as svc:
+            run_sweep(SweepSpec.from_dict(spec), jobs=1, store=svc.store)
+            submitted = svc.client.submit({"sweep": spec})
+            assert submitted["deduplicated"] and submitted["state"] == "done"
+            final = svc.client.wait(submitted["job_id"], timeout=10.0)
+            assert final["state"] == "done"
+            assert final["result"]["source"] == "store"
+
+    def test_wait_times_out_on_running_job(self, tmp_path):
+        with gated_service(tmp_path) as (svc, _gate):
+            job_id = svc.client.submit(tiny_run())["job_id"]
+            began = time.monotonic()
+            with pytest.raises(TimeoutError, match=job_id[:12]):
+                svc.client.wait(job_id, timeout=0.5)
+            assert time.monotonic() - began < 3.0
+
+    def test_pool_stop_returns_promptly(self, tmp_path):
+        queue = JobQueue(tmp_path / "queue.jsonl")
+        pool = WorkerPool(queue, None, workers=2)
+        pool.start()
+        threads = list(pool._threads)
+        time.sleep(0.05)  # let both workers block in claim()
+        began = time.monotonic()
+        pool.stop()
+        assert time.monotonic() - began < 1.0
+        assert not any(thread.is_alive() for thread in threads)
 
 
 # --------------------------------------------------------------------- CLI

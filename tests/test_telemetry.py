@@ -340,6 +340,17 @@ class TestEngineInstrumentation:
         assert reg.total("repro_sampler_tier_rows_total") > 0
         assert reg.histogram("repro_engine_run_seconds", engine="batched").count >= 1
 
+    def test_sequential_cell_metrics_say_sequential(self):
+        cell = small_grid(engine="sequential").expand()[0]
+        reg = MetricsRegistry()
+        with use_registry(reg):
+            result = execute_cell(cell)
+        assert not result.failed
+        rounds = reg.total("repro_engine_rounds_total")
+        assert rounds > 0
+        assert reg.value("repro_engine_rounds_total", engine="sequential") == rounds
+        assert reg.histogram("repro_engine_run_seconds", engine="sequential").count == 2
+
     def test_metered_cell_ships_snapshot_by_value(self):
         cell = small_grid().expand()[0]
         result = MeteredCell(execute_cell)(cell)

@@ -38,7 +38,6 @@ class GrowOneProtocol(Protocol):
     """Deterministic: one more agent adopts 1 each round (staggered retire)."""
 
     name = "grow-one"
-    batch_vectorized = True
 
     def init_state(self, n, rng):
         return {}
@@ -475,19 +474,13 @@ class TestKeepResultsMigration:
             # trajectory covers exactly the executed rounds (t_con + window - 1)
             assert result.trajectory.shape[0] == result.rounds + 2
 
-    def test_auto_keep_results_runs_unvectorized_protocols_batched(self):
-        # Since the clock-sync vectorization every shipped protocol is
-        # batch-vectorized; masking the flag shows auto never falls back to
-        # sequential — the generic per-replica step_batch serves it.
+    def test_auto_keep_results_runs_clock_sync_batched(self):
+        # Keeping per-trial results never sends auto to sequential: the
+        # non-count-capable clock-sync still runs batched.
         from repro.protocols.clock_sync import ClockSyncProtocol
 
-        def factory():
-            protocol = ClockSyncProtocol(64, 4)
-            protocol.batch_vectorized = False
-            return protocol
-
         stats = run_trials(
-            factory, 64, AllWrong(),
+            lambda: ClockSyncProtocol(64, 4), 64, AllWrong(),
             trials=2, max_rounds=150, seed=4, keep_results=True,
         )
         assert stats.engine == "batched"
