@@ -59,25 +59,25 @@ SPEC = SweepSpec(
 )
 
 #: Worker variants. ``off`` is the bare cell executor (the telemetry-off
-#: sweep path); the rest wrap it in MeteredCell with the same flag
+#: sweep path); the rest wrap it in MeteredCell with the same pillar
 #: combinations the orchestrator uses for --metrics-out / --trace-out /
 #: the full observability CLI.
 VARIANTS = [
     ("off", None),
-    ("metrics", dict(metrics=True, spans=False, events=False)),
-    ("spans", dict(metrics=False, spans=True, events=False)),
-    ("full", dict(metrics=True, spans=True, events=True)),
+    ("metrics", ("metrics",)),
+    ("spans", ("spans",)),
+    ("full", ("metrics", "spans", "events")),
 ]
 
 
-def _worker(flags: dict | None):
-    if flags is None:
+def _worker(pillars: tuple[str, ...] | None):
+    if pillars is None:
         return execute_cell
-    return MeteredCell(execute_cell, **flags)
+    return MeteredCell(execute_cell, pillars)
 
 
-def _time_cell(cell, flags: dict | None) -> tuple[float, object]:
-    worker = _worker(flags)
+def _time_cell(cell, pillars: tuple[str, ...] | None) -> tuple[float, object]:
+    worker = _worker(pillars)
     seconds = float("inf")
     result = None
     for _ in range(REPEATS):
@@ -107,13 +107,13 @@ def run_benchmark() -> list[dict]:
     rows = []
     for cell in SPEC.expand():
         baseline = None
-        for label, flags in VARIANTS:
-            seconds, result = _time_cell(cell, flags)
+        for label, pillars in VARIANTS:
+            seconds, result = _time_cell(cell, pillars)
             if label == "off":
                 baseline = seconds
             span_count = None
-            if result.spans is not None:
-                span_count = len(result.spans["records"])
+            if result.telemetry is not None and "spans" in result.telemetry:
+                span_count = len(result.telemetry["spans"]["records"])
             rows.append(
                 {
                     "n": cell.n,

@@ -70,6 +70,7 @@ from .telemetry import (
     MetricsSnapshot,
     ObservabilityServer,
     SpanTracer,
+    catalog,
     render_prometheus,
     render_timeline,
     timeline_lanes,
@@ -740,9 +741,7 @@ def _cmd_serve_metrics(args: argparse.Namespace) -> int:
             print(f"error: cannot load snapshot {args.snapshot!r}: {exc}", file=sys.stderr)
             return 2
     started = time.monotonic()
-    uptime = registry.gauge(
-        "repro_process_uptime_seconds", "Seconds since serve-metrics started."
-    )
+    uptime = catalog.PROCESS_UPTIME.on(registry)
     server = ObservabilityServer(
         host=args.host,
         port=args.port,

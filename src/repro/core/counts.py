@@ -45,6 +45,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..telemetry import catalog
 from .lockstep import LockstepEngine
 from .protocol import Protocol
 from .rng import as_rng
@@ -396,8 +397,4 @@ class CountEngine(LockstepEngine):
         self.population.counts[retired] = work.counts[done]
 
     def _observe(self, metrics: "MetricsRegistry") -> None:
-        metrics.histogram(
-            "repro_counts_draw_seconds",
-            "Wall-clock seconds spent in count-level multinomial "
-            "transitions (step_counts) per counts-engine run.",
-        ).observe(self._draw_seconds)
+        catalog.COUNTS_DRAW_SECONDS.on(metrics).observe(self._draw_seconds)

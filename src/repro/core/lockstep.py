@@ -31,6 +31,7 @@ from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
+from ..telemetry import catalog
 from ..telemetry.registry import current_registry
 from ..telemetry.spans import span
 
@@ -282,21 +283,11 @@ def run_lockstep(
 
     rows.invalidate_cache()
     if metrics is not None:
-        metrics.counter(
-            "repro_engine_rounds_total",
-            "Lock-step synchronous rounds executed, by engine.",
-            engine=engine.engine_name,
-        ).inc(rounds_done)
-        metrics.counter(
-            "repro_engine_replicas_retired_total",
-            "Replicas that left the batched working set (converged, "
-            "lingered out, or budget-exhausted).",
-        ).inc(total)
-        metrics.histogram(
-            "repro_engine_run_seconds",
-            "Wall-clock seconds per engine run() call, by engine.",
-            engine=engine.engine_name,
-        ).observe(time.perf_counter() - run_start)
+        catalog.ENGINE_ROUNDS.on(metrics, engine=engine.engine_name).inc(rounds_done)
+        catalog.ENGINE_REPLICAS_RETIRED.on(metrics).inc(total)
+        catalog.ENGINE_RUN_SECONDS.on(metrics, engine=engine.engine_name).observe(
+            time.perf_counter() - run_start
+        )
         engine._observe(metrics)
     return BatchRunResult(
         converged=converged,

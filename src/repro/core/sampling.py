@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..telemetry import catalog
 from ..telemetry.registry import MetricsRegistry, current_registry
 from ..telemetry.spans import span
 from .population import PopulationState
@@ -484,7 +485,6 @@ def _record_tier_rows(
     histogram_rows: np.ndarray,
 ) -> None:
     """Count per-call tier routing of the ``"auto"`` strategy (rows per tier)."""
-    help_text = "Replica rows routed to each batched_binomial_counts auto tier."
     for tier, rows in (
         ("consensus", int(np.count_nonzero(zeros)) + int(np.count_nonzero(ones))),
         ("sparse", int(np.count_nonzero(sparse_rows))),
@@ -492,7 +492,7 @@ def _record_tier_rows(
         ("histogram", int(np.count_nonzero(histogram_rows))),
     ):
         if rows:
-            metrics.counter("repro_sampler_tier_rows_total", help_text, tier=tier).inc(rows)
+            catalog.SAMPLER_TIER_ROWS.on(metrics, tier=tier).inc(rows)
 
 
 def batched_binomial_counts(

@@ -36,6 +36,7 @@ import time
 from pathlib import Path
 
 from ..sweep.store import ResultsStore
+from ..telemetry import catalog
 from ..telemetry.registry import MetricsRegistry
 from .jobs import Job, JobError, job_cells
 
@@ -135,9 +136,9 @@ class JobQueue:
         self._append(entry)
         self._changed.notify_all()
 
-    def _count(self, name: str, help_text: str, **labels: str) -> None:
+    def _count(self, family: catalog.Family, **labels: str) -> None:
         if self.registry is not None:
-            self.registry.counter(name, help_text, **labels).inc()
+            family.on(self.registry, **labels).inc()
 
     # ----------------------------------------------------------------- submit
 
@@ -177,28 +178,16 @@ class JobQueue:
             existing = self._jobs.get(job.job_id)
             if existing is not None:
                 if existing.state == "done":
-                    self._count(
-                        "repro_service_dedup_hits_total",
-                        "Submissions resolved to an already-computed result "
-                        "without scheduling any work.",
-                        source="job",
-                    )
+                    self._count(catalog.SERVICE_DEDUP_HITS, source="job")
                     return existing, True
                 if existing.state in ("queued", "running"):
-                    self._count(
-                        "repro_service_coalesced_total",
-                        "Submissions coalesced onto an identical in-flight job.",
-                    )
+                    self._count(catalog.SERVICE_COALESCED)
                     return existing, True
                 # failed | cancelled -> requeue
                 existing.transition("queued")
                 self._journal_transition(existing)
                 self._pending.append(existing.job_id)
-                self._count(
-                    "repro_service_jobs_submitted_total",
-                    "Jobs accepted for execution (fresh or requeued).",
-                    kind=kind,
-                )
+                self._count(catalog.SERVICE_JOBS_SUBMITTED, kind=kind)
                 self._ready.notify()
                 return existing, False
             cached = self._store_result(kind, spec)
@@ -209,21 +198,12 @@ class JobQueue:
                 job.deduplicated = True
                 self._jobs[job.job_id] = job
                 self._append(job.to_dict())
-                self._count(
-                    "repro_service_dedup_hits_total",
-                    "Submissions resolved to an already-computed result "
-                    "without scheduling any work.",
-                    source="store",
-                )
+                self._count(catalog.SERVICE_DEDUP_HITS, source="store")
                 return job, True
             self._jobs[job.job_id] = job
             self._append(job.to_dict())
             self._pending.append(job.job_id)
-            self._count(
-                "repro_service_jobs_submitted_total",
-                "Jobs accepted for execution (fresh or requeued).",
-                kind=kind,
-            )
+            self._count(catalog.SERVICE_JOBS_SUBMITTED, kind=kind)
             self._ready.notify()
             return job, False
 
@@ -258,11 +238,7 @@ class JobQueue:
             job.result = result
             job.transition("done")
             self._journal_transition(job)
-            self._count(
-                "repro_service_jobs_finished_total",
-                "Jobs that reached a terminal state, by outcome.",
-                outcome="done",
-            )
+            self._count(catalog.SERVICE_JOBS_FINISHED, outcome="done")
             return job
 
     def mark_failed(self, job_id: str, error: dict) -> Job:
@@ -271,11 +247,7 @@ class JobQueue:
             job.error = error
             job.transition("failed")
             self._journal_transition(job)
-            self._count(
-                "repro_service_jobs_finished_total",
-                "Jobs that reached a terminal state, by outcome.",
-                outcome="failed",
-            )
+            self._count(catalog.SERVICE_JOBS_FINISHED, outcome="failed")
             return job
 
     # ------------------------------------------------------------ client side
@@ -291,11 +263,7 @@ class JobQueue:
             self._pending.remove(job_id)
             job.transition("cancelled")
             self._journal_transition(job)
-            self._count(
-                "repro_service_jobs_finished_total",
-                "Jobs that reached a terminal state, by outcome.",
-                outcome="cancelled",
-            )
+            self._count(catalog.SERVICE_JOBS_FINISHED, outcome="cancelled")
             return job
 
     def wait_change(self, job_id: str, seen_state: str, timeout: float) -> bool:

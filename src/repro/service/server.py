@@ -197,9 +197,10 @@ class RunServiceServer(ObservabilityServer):
 
         The store is the single source of truth for result bytes — whether
         the job computed its cells, resumed them, or dedup'd onto records
-        some earlier sweep wrote. Rebuilding through the same
-        :class:`CellResult` cached path the orchestrator uses keeps the
-        CSV rendering byte-identical to a direct ``run_sweep().write_csv``.
+        some earlier sweep wrote. Rebuilding through
+        :meth:`CellResult.from_record`, the cached path the orchestrator
+        uses, keeps the CSV rendering byte-identical to a direct
+        ``run_sweep().write_csv``.
         """
         if self.pool.store is None:
             raise RouteError(409, "service is running without a results store")
@@ -215,22 +216,7 @@ class RunServiceServer(ObservabilityServer):
                 raise RouteError(
                     409, f"result incomplete: cell {key[:12]} is missing from the store"
                 )
-            provenance = record.get("provenance") or {}
-            if "error" in record:
-                results.append(
-                    CellResult(
-                        key=key, cell=record["cell"], payload={}, cached=True,
-                        error=record["error"],
-                    )
-                )
-            else:
-                results.append(
-                    CellResult(
-                        key=key, cell=record["cell"], payload=record["payload"],
-                        cached=True, metrics=record.get("metrics"),
-                        elapsed_s=provenance.get("elapsed_s"),
-                    )
-                )
+            results.append(CellResult.from_record(key, record))
         return SweepResult(spec=None, cells=cells, results=results)  # type: ignore[arg-type]
 
     def _result(self, job_id: str, query: str) -> tuple[int, str, str]:

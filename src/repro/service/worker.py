@@ -11,14 +11,14 @@ only job bookkeeping around it. A single-``RunSpec`` job rides the same
 path through a duck-typed one-cell "grid" (:class:`_RunJobSpec`), so runs
 and sweeps share cache-check, persistence, fault handling, and telemetry.
 
-Observability: every job executes under its *own* metrics registry (the
-shared service registry is lock-free by design, so worker threads must not
-write it concurrently); a tiny
+Observability: every job executes under its *own* metrics registry, so its
+counters and progress are per job; a tiny
 :class:`~repro.telemetry.ObservabilityServer`-shaped proxy captures the
 orchestrator's live :class:`~repro.telemetry.ProgressLine` stats. When the
-job finishes, its registry snapshot merges into the service registry under
-the pool's lock — ``/metrics`` shows service-lifetime aggregates while
-``/progress`` and ``/runs/{id}`` show per-job live state.
+job finishes, its registry snapshot merges into the service registry (one
+atomic fold under that registry's lock) — ``/metrics`` shows
+service-lifetime aggregates while ``/progress`` and ``/runs/{id}`` show
+per-job live state.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from ..sweep.dispatch import FaultPolicy
 from ..sweep.orchestrator import run_sweep
 from ..sweep.spec import Cell, SweepSpec
 from ..sweep.store import ResultsStore
+from ..telemetry import catalog
 from ..telemetry.registry import MetricsRegistry
 from .jobs import Job
 from .queue import JobQueue
@@ -94,7 +95,6 @@ class WorkerPool:
         self.registry = registry
         self.work_fn = work_fn  # test seam, forwarded to run_sweep
         self._threads: list[threading.Thread] = []
-        self._merge_lock = threading.Lock()
         #: job_id -> live ProgressLine.stats callable (while running)
         self._progress: dict[str, Callable[[], dict[str, Any]]] = {}
 
@@ -130,12 +130,7 @@ class WorkerPool:
     def progress(self, job_id: str) -> dict[str, Any] | None:
         """Live progress stats for a running job, or None."""
         source = self._progress.get(job_id)
-        if source is None:
-            return None
-        try:
-            return source()
-        except RuntimeError:
-            return None  # raced the owning thread's registry mutation
+        return source() if source is not None else None
 
     def progress_all(self) -> list[dict[str, Any]]:
         """Stats for every currently-running job (the /progress body)."""
@@ -215,18 +210,8 @@ class WorkerPool:
             self.queue.mark_done(job.job_id, summary)
 
     def _merge(self, job_registry: MetricsRegistry) -> None:
-        """Fold a finished job's telemetry into the service registry.
-
-        Serialized under the pool lock because the shared registry is
-        lock-free — concurrent merges from two finishing jobs would race
-        its family dicts.
-        """
+        """Fold a finished job's telemetry into the service registry."""
         if self.registry is None:
             return
-        snapshot = job_registry.snapshot()
-        with self._merge_lock:
-            self.registry.merge_snapshot(snapshot)
-            self.registry.counter(
-                "repro_service_jobs_executed_total",
-                "Jobs a worker actually executed (dedup hits never get here).",
-            ).inc()
+        self.registry.merge_snapshot(job_registry.snapshot())
+        catalog.SERVICE_JOBS_EXECUTED.on(self.registry).inc()

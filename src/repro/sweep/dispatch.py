@@ -72,6 +72,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, TypeVar
 
+from ..telemetry import catalog
 from ..telemetry.events import emit_event
 from ..telemetry.registry import MetricsRegistry, current_registry
 
@@ -250,33 +251,12 @@ class _DispatchMetrics:
     """
 
     def __init__(self, registry: MetricsRegistry) -> None:
-        self.retries = registry.counter(
-            "repro_sweep_retries_total",
-            "Retry attempts granted after a charged cell failure "
-            "(exception, timeout, or worker-crash charge).",
-        )
-        self.backoff = registry.counter(
-            "repro_sweep_backoff_seconds_total",
-            "Exponential-backoff delay seconds scheduled ahead of retries.",
-        )
-        self.crashes = registry.counter(
-            "repro_sweep_worker_crashes_total",
-            "Worker-pool breakage events (a worker process died and the "
-            "pool was rebuilt); one event may charge several in-flight cells.",
-        )
-        self.watchdog = registry.counter(
-            "repro_sweep_watchdog_expiries_total",
-            "Per-cell timeout watchdog expiries (attempts abandoned over budget).",
-        )
-        self.inflight = registry.gauge(
-            "repro_sweep_inflight_cells",
-            "Cell attempts currently running in the dispatcher.",
-        )
-        self.cell_seconds = registry.histogram(
-            "repro_cell_seconds",
-            "Wall-clock seconds of finished cell attempts (successes and "
-            "cell exceptions; crashed or timed-out attempts are censored).",
-        )
+        self.retries = catalog.SWEEP_RETRIES.on(registry)
+        self.backoff = catalog.SWEEP_BACKOFF_SECONDS.on(registry)
+        self.crashes = catalog.SWEEP_WORKER_CRASHES.on(registry)
+        self.watchdog = catalog.SWEEP_WATCHDOG_EXPIRIES.on(registry)
+        self.inflight = catalog.SWEEP_INFLIGHT_CELLS.on(registry)
+        self.cell_seconds = catalog.CELL_SECONDS.on(registry)
 
     @classmethod
     def maybe(cls) -> "_DispatchMetrics | None":

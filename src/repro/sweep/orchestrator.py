@@ -24,16 +24,17 @@ fault-free aggregate CSVs byte-identical to their historical form.
 from __future__ import annotations
 
 import math
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
-from ..telemetry.events import EventLog, current_event_log, use_event_log
+from ..telemetry import catalog
+from ..telemetry.ambient import Telemetry, current_telemetry, use_telemetry
+from ..telemetry.events import EventLog, emit_event
 from ..telemetry.progress import ProgressLine
-from ..telemetry.registry import MetricsRegistry, current_registry, use_registry
+from ..telemetry.registry import MetricsRegistry
 from ..telemetry.snapshot import MetricsSnapshot
-from ..telemetry.spans import SpanLog, SpanTracer, current_tracer, use_tracer
+from ..telemetry.spans import SpanLog, SpanTracer, span
 from ..viz.csv_out import write_rows
 from ..viz.tables import format_table
 from .dispatch import FailedItem, FaultPolicy, make_dispatcher
@@ -187,11 +188,11 @@ def run_sweep(
         A :class:`~repro.telemetry.MetricsRegistry` to aggregate the run's
         telemetry into. Defaults to the ambient registry
         (:func:`~repro.telemetry.current_registry`), i.e. telemetry stays
-        off unless a caller opts in. When active, workers collect per-cell
-        snapshots (:class:`~repro.sweep.runner.MeteredCell`) that merge
-        parent-side **in cell order**, so aggregated counters are
-        byte-identical at any ``jobs``; the final snapshot is returned as
-        :attr:`SweepResult.metrics`.
+        off unless a caller opts in. When active, each cell runs under a
+        fresh telemetry bundle (:class:`~repro.sweep.runner.MeteredCell`)
+        whose payload merges parent-side **in cell order**, so aggregated
+        counters are byte-identical at any ``jobs``; the final snapshot is
+        returned as :attr:`SweepResult.metrics`.
     progress:
         Emit a live progress line on stderr (cells done/total, failures,
         retries, throughput, ETA), fed from the metrics registry — forced
@@ -200,8 +201,8 @@ def run_sweep(
         A :class:`~repro.telemetry.SpanTracer` to record the sweep's span
         timeline into. Defaults to the ambient tracer
         (:func:`~repro.telemetry.current_tracer`), i.e. tracing stays off
-        unless a caller opts in. When active, workers record per-cell span
-        logs (``cell > engine.run > draw_tier``) that graft under the
+        unless a caller opts in. When active, each cell's payload carries
+        its span log (``cell > engine.run > draw_tier``), grafted under the
         parent's ``sweep`` span **in cell order** — the merged timeline on
         :attr:`SweepResult.spans` has the same span tree at any ``jobs``.
     events:
@@ -223,274 +224,136 @@ def run_sweep(
         it into :meth:`~repro.telemetry.ProgressLine.stats`, so a shared
         ``/progress`` surface can attribute each line to its submission.
     """
-    registry = metrics if metrics is not None else current_registry()
+    ambient = current_telemetry()
+    registry = metrics if metrics is not None else ambient.registry
     if (progress or serve is not None) and registry is None:
         registry = MetricsRegistry()
-    if tracer is None:
-        tracer = current_tracer()
-    if events is None:
-        events = current_event_log()
-    with ExitStack() as ambient:
-        if registry is not None:
-            ambient.enter_context(use_registry(registry))
-        if tracer is not None:
-            ambient.enter_context(use_tracer(tracer))
-        if events is not None:
-            ambient.enter_context(use_event_log(events))
-        return _run_sweep(
-            spec,
-            jobs=jobs,
-            store=store,
-            force=force,
-            policy=policy,
-            retry_failed=retry_failed,
-            work_fn=work_fn,
-            durable=durable,
-            registry=registry,
-            progress=progress,
-            tracer=tracer,
-            events=events,
-            serve=serve,
-            job_id=job_id,
-        )
-
-
-def _run_sweep(
-    spec: SweepSpec,
-    *,
-    jobs: int,
-    store: ResultsStore | str | Path | None,
-    force: bool,
-    policy: FaultPolicy | None,
-    retry_failed: bool,
-    work_fn: Callable[[Cell], CellResult] | None,
-    durable: bool,
-    registry: MetricsRegistry | None,
-    progress: bool,
-    tracer: SpanTracer | None,
-    events: EventLog | None,
-    serve: "ObservabilityServer | None",
-    job_id: str | None,
-) -> SweepResult:
-    """The body of :func:`run_sweep`, with the observability state ambient."""
-    sweep_span = tracer.span("sweep", spec=spec.name) if tracer is not None else None
-    if sweep_span is not None:
-        sweep_span.__enter__()
-    try:
-        result = _run_sweep_traced(
-            spec,
-            jobs=jobs,
-            store=store,
-            force=force,
-            policy=policy,
-            retry_failed=retry_failed,
-            work_fn=work_fn,
-            durable=durable,
-            registry=registry,
-            progress=progress,
-            tracer=tracer,
-            events=events,
-            serve=serve,
-            job_id=job_id,
-        )
-    finally:
-        if sweep_span is not None:
-            sweep_span.__exit__(None, None, None)
-    # Merge worker observability AFTER the sweep span closes (so its
-    # duration is final), grafting/absorbing in CANONICAL CELL ORDER — the
-    # same fixed-order discipline as the metrics merge below, which is what
-    # makes the merged timeline structurally identical at any `jobs`.
-    if tracer is not None:
-        span_log = tracer.snapshot()
-        root = sweep_span.index if sweep_span is not None and sweep_span.index is not None else -1
-        for cell_result in result.results:
-            if cell_result is not None and cell_result.spans:
-                span_log.graft(SpanLog.from_dict(cell_result.spans), parent=root)
-        result.spans = span_log
-    if events is not None:
-        for cell_result in result.results:
-            if cell_result is not None and cell_result.events:
-                events.absorb(cell_result.events)
-        result.events = events.events()
-    return result
-
-
-def _run_sweep_traced(
-    spec: SweepSpec,
-    *,
-    jobs: int,
-    store: ResultsStore | str | Path | None,
-    force: bool,
-    policy: FaultPolicy | None,
-    retry_failed: bool,
-    work_fn: Callable[[Cell], CellResult] | None,
-    durable: bool,
-    registry: MetricsRegistry | None,
-    progress: bool,
-    tracer: SpanTracer | None,
-    events: EventLog | None,
-    serve: "ObservabilityServer | None",
-    job_id: str | None,
-) -> SweepResult:
-    cells = spec.expand()
-    for cell in cells:
-        validate_cell(cell)
-    if store is not None and not isinstance(store, ResultsStore):
-        store = ResultsStore(store, durable=durable)
-
-    if registry is not None:
-        completed_count = registry.counter(
-            "repro_cells_completed_total", "Cells computed successfully by this run."
-        )
-        failed_count = registry.counter(
-            "repro_cells_failed_total",
-            "Cells that exhausted their retries in this run (fresh failure records).",
-        )
-        cached_count = registry.counter(
-            "repro_cells_cached_total",
-            "Cells served from the results store without recomputation.",
-        )
-        hit_count = registry.counter(
-            "repro_store_cache_hits_total",
-            "Store lookups served on resume (successes and failure records).",
-        )
-        miss_count = registry.counter(
-            "repro_store_cache_misses_total",
-            "Store lookups that missed on resume (cell had to be computed).",
-        )
-    if registry is not None:
-        registry.gauge(
-            "repro_sweep_cells_total", "Cells in the sweep grid being run."
-        ).set(float(len(cells)))
-    tracker = (
-        ProgressLine(len(cells), registry, job_id=job_id)
-        if registry is not None and (progress or serve is not None)
-        else None
+    telemetry = Telemetry(
+        registry,
+        tracer if tracer is not None else ambient.tracer,
+        events if events is not None else ambient.events,
     )
-    # The tracker doubles as the /progress JSON source when serving; it only
-    # paints stderr when --progress asked for it.
-    progress_line = tracker if progress else None
-    if serve is not None:
-        serve.attach(
-            registry=registry,
-            progress=tracker.stats if tracker is not None else None,
-        )
-        serve.start()
+    with use_telemetry(telemetry), span("sweep", spec=spec.name) as sweep_span:
+        cells = spec.expand()
+        for cell in cells:
+            validate_cell(cell)
+        if store is not None and not isinstance(store, ResultsStore):
+            store = ResultsStore(store, durable=durable)
 
-    results: list[CellResult | None] = [None] * len(cells)
-    pending: list[int] = []
-    for index, cell in enumerate(cells):
-        key = cell.key()
-        consulted = store is not None and not force
-        record = store.get(key) if consulted else None
-        if record is not None and "error" in record and retry_failed:
-            record = None
-        if record is None:
-            pending.append(index)
-            if registry is not None and consulted:
-                miss_count.inc()
-            continue
         if registry is not None:
-            hit_count.inc()
-            cached_count.inc()
-        if events is not None:
-            events.emit("store.cache_hit", key=key, failed="error" in record)
-        provenance = record.get("provenance") or {}
-        if "error" in record:
-            results[index] = CellResult(
-                key=key, cell=record["cell"], payload={}, cached=True,
-                error=record["error"],
+            completed_count = catalog.CELLS_COMPLETED.on(registry)
+            failed_count = catalog.CELLS_FAILED.on(registry)
+            cached_count = catalog.CELLS_CACHED.on(registry)
+            hit_count = catalog.STORE_CACHE_HITS.on(registry)
+            miss_count = catalog.STORE_CACHE_MISSES.on(registry)
+            catalog.SWEEP_CELLS.on(registry).set(float(len(cells)))
+        tracker = (
+            ProgressLine(len(cells), registry, job_id=job_id)
+            if registry is not None and (progress or serve is not None)
+            else None
+        )
+        # The tracker doubles as the /progress JSON source when serving; it
+        # only paints stderr when --progress asked for it.
+        progress_line = tracker if progress else None
+        if serve is not None:
+            serve.attach(
+                registry=registry,
+                progress=tracker.stats if tracker is not None else None,
             )
-        else:
-            results[index] = CellResult(
-                key=key, cell=record["cell"], payload=record["payload"], cached=True,
-                metrics=record.get("metrics"),
-                elapsed_s=provenance.get("elapsed_s"),
-            )
-    if progress_line is not None:
-        progress_line.update(force=True)
+            serve.start()
 
-    if pending:
-        pending_cells = [cells[index] for index in pending]
-
-        def collect(pending_index: int, outcome: CellResult | FailedItem) -> None:
-            """Completion-order hook: count, persist, repaint progress.
-
-            Persistence happens here (the moment a cell finishes) so an
-            interrupted run leaves every completed cell on disk; the
-            metric counts are parent-side and scheduling-independent
-            (one increment per finished cell, whatever order they land in).
-            """
-            failed = isinstance(outcome, FailedItem)
+        results: list[CellResult | None] = [None] * len(cells)
+        pending: list[int] = []
+        for index, cell in enumerate(cells):
+            key = cell.key()
+            consulted = store is not None and not force
+            record = store.get(key) if consulted else None
+            if record is not None and "error" in record and retry_failed:
+                record = None
+            if record is None:
+                pending.append(index)
+                if registry is not None and consulted:
+                    miss_count.inc()
+                continue
             if registry is not None:
-                (failed_count if failed else completed_count).inc()
-            if store is not None:
-                if failed:
-                    cell = pending_cells[pending_index]
-                    store.put(
-                        cell.key(), {"cell": cell.to_dict(), "error": outcome.to_record()}
+                hit_count.inc()
+                cached_count.inc()
+            emit_event("store.cache_hit", key=key, failed="error" in record)
+            results[index] = CellResult.from_record(key, record)
+        if progress_line is not None:
+            progress_line.update(force=True)
+
+        if pending:
+            pending_cells = [cells[index] for index in pending]
+
+            def collect(pending_index: int, outcome: CellResult | FailedItem) -> None:
+                """Completion-order hook: count, persist, repaint progress.
+
+                Persistence happens here (the moment a cell finishes) so an
+                interrupted run leaves every completed cell on disk; the
+                metric counts are parent-side and scheduling-independent
+                (one increment per finished cell, whatever order they land
+                in).
+                """
+                failed = isinstance(outcome, FailedItem)
+                if registry is not None:
+                    (failed_count if failed else completed_count).inc()
+                if store is not None:
+                    if failed:
+                        cell = pending_cells[pending_index]
+                        store.put(
+                            cell.key(), {"cell": cell.to_dict(), "error": outcome.to_record()}
+                        )
+                    else:
+                        record = {"cell": outcome.cell, "payload": outcome.payload}
+                        if outcome.elapsed_s is not None:
+                            # Ride the provenance stamp: additive, so legacy
+                            # records (and readers) are untouched.
+                            stamp = provenance_stamp()
+                            stamp["elapsed_s"] = round(outcome.elapsed_s, 6)
+                            record["provenance"] = stamp
+                        store.put(outcome.key, record)
+                if progress_line is not None:
+                    progress_line.update()
+
+            fn = work_fn if work_fn is not None else execute_cell
+            if telemetry.pillars:
+                fn = MeteredCell(fn, telemetry.pillars)
+            if tracker is not None:
+                # Rate/ETA measure executed cells only: start the rate clock
+                # here, after cache serving, so a mostly-cached resume does
+                # not report instantly-served hits as throughput.
+                tracker.begin_execution()
+            with span("dispatch"):
+                computed = make_dispatcher(jobs).map(
+                    fn,
+                    pending_cells,
+                    on_result=collect,
+                    policy=policy,
+                )
+            for index, outcome in zip(pending, computed):
+                if isinstance(outcome, FailedItem):
+                    cell = cells[index]
+                    results[index] = CellResult(
+                        key=cell.key(), cell=cell.to_dict(), payload={},
+                        error=outcome.to_record(),
                     )
                 else:
-                    record = {"cell": outcome.cell, "payload": outcome.payload}
-                    if outcome.metrics is not None:
-                        record["metrics"] = outcome.metrics
-                    if outcome.elapsed_s is not None:
-                        # Ride the provenance stamp: additive, so legacy
-                        # records (and readers) are untouched.
-                        stamp = provenance_stamp()
-                        stamp["elapsed_s"] = round(outcome.elapsed_s, 6)
-                        record["provenance"] = stamp
-                    store.put(outcome.key, record)
-            if progress_line is not None:
-                progress_line.update()
+                    results[index] = outcome
 
-        fn = work_fn if work_fn is not None else execute_cell
-        if registry is not None or tracer is not None or events is not None:
-            fn = MeteredCell(
-                fn,
-                metrics=registry is not None,
-                spans=tracer is not None,
-                events=events is not None,
-            )
-        if tracker is not None:
-            # Rate/ETA measure executed cells only: start the rate clock
-            # here, after cache serving, so a mostly-cached resume does not
-            # report instantly-served hits as throughput.
-            tracker.begin_execution()
-        dispatch_span = tracer.span("dispatch") if tracer is not None else None
-        if dispatch_span is not None:
-            dispatch_span.__enter__()
-        try:
-            computed = make_dispatcher(jobs).map(
-                fn,
-                pending_cells,
-                on_result=collect,
-                policy=policy,
-            )
-        finally:
-            if dispatch_span is not None:
-                dispatch_span.__exit__(None, None, None)
-        for index, outcome in zip(pending, computed):
-            if isinstance(outcome, FailedItem):
-                cell = cells[index]
-                results[index] = CellResult(
-                    key=cell.key(), cell=cell.to_dict(), payload={},
-                    error=outcome.to_record(),
-                )
-            else:
-                results[index] = outcome
-
-        if registry is not None:
-            # Fold the worker-side snapshots in CANONICAL CELL ORDER — not
-            # the completion order they arrived in. Float sums are not
-            # associative, so a fixed merge order is what makes aggregated
-            # counters byte-identical between jobs=1 and jobs=N.
-            for index in pending:
-                outcome = results[index]
-                if outcome is not None and outcome.metrics:
-                    registry.merge_snapshot(MetricsSnapshot.from_dict(outcome.metrics))
-
-    if progress_line is not None:
-        progress_line.close()
-    snapshot = registry.snapshot() if registry is not None else None
-    return SweepResult(spec=spec, cells=cells, results=results, metrics=snapshot)  # type: ignore[arg-type]
+        if progress_line is not None:
+            progress_line.close()
+    # Fold the executed cells' telemetry AFTER the sweep span closes (so its
+    # duration is final) and in CANONICAL CELL ORDER — not the completion
+    # order the cells arrived in. Float sums are not associative and span
+    # grafts append, so the fixed order is what makes merged counters
+    # byte-identical and the merged timeline structurally identical at any
+    # `jobs`.
+    root = sweep_span.index if sweep_span.index is not None else -1
+    snapshot, span_log, event_list = telemetry.fold(
+        (result.telemetry for result in results), parent_span=root  # type: ignore[union-attr]
+    )
+    return SweepResult(
+        spec=spec, cells=cells, results=results,  # type: ignore[arg-type]
+        metrics=snapshot, spans=span_log, events=event_list,
+    )

@@ -37,15 +37,13 @@ Three kinds ship built in (``cell.measure["kind"]``):
 from __future__ import annotations
 
 import time
-from contextlib import ExitStack
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 import numpy as np
 
-from ..telemetry.events import EventLog, use_event_log
-from ..telemetry.registry import MetricsRegistry, use_registry
-from ..telemetry.spans import SpanTracer, use_tracer
+from ..telemetry.ambient import Telemetry, use_telemetry
+from ..telemetry.spans import span
 from ..stats.summary import TimesSummary, describe_times
 from ..trace import (
     FullTrace,
@@ -106,7 +104,8 @@ class CellResult:
     ``cell`` is the cell's ``to_dict()`` form and ``payload`` the
     measurement outcome — both JSON-able, so a result pickles to/from worker
     processes and round-trips through the JSON-lines store unchanged.
-    ``cached`` marks results served from a store instead of computed.
+    ``cached`` marks results served from a store instead of computed
+    (:meth:`from_record` rebuilds one from its store record).
 
     A cell that exhausted its retries under a ``FaultPolicy`` with
     ``on_failure="record"`` carries an ``error`` dict (the
@@ -121,23 +120,33 @@ class CellResult:
     payload: dict
     cached: bool = field(default=False, compare=False)
     error: dict | None = None
-    #: Worker-side metrics snapshot (``MetricsSnapshot.to_dict()`` form),
-    #: attached by :class:`MeteredCell` when the sweep runs with telemetry;
-    #: ``None`` otherwise. Excluded from equality: two runs of one cell are
-    #: the same result regardless of how they were observed.
-    metrics: dict | None = field(default=None, compare=False)
     #: Wall-clock seconds of the computing attempt; ``None`` on legacy
     #: records and on failure records (their duration is censored).
     elapsed_s: float | None = field(default=None, compare=False)
-    #: Worker-side span log (``SpanLog.to_dict()`` form), attached by
-    #: :class:`MeteredCell` when the sweep runs with tracing; ``None``
-    #: otherwise. Like ``metrics``, excluded from equality and not
-    #: persisted to the store (a cached cell was not executed, so it has
-    #: no timeline).
-    spans: dict | None = field(default=None, compare=False)
-    #: Worker-side structured events (plain dict list), attached by
-    #: :class:`MeteredCell` when the sweep runs with event logging.
-    events: list | None = field(default=None, compare=False)
+    #: Worker-side telemetry payload (:meth:`Telemetry.payload` form: the
+    #: metrics snapshot, span log and events of the pillars the sweep ran
+    #: with), attached by :class:`MeteredCell`; ``None`` otherwise.
+    #: Excluded from equality — two runs of one cell are the same result
+    #: however they were observed — and never persisted to the store (a
+    #: cached cell was not executed, so it has nothing to report).
+    telemetry: dict | None = field(default=None, compare=False)
+
+    @classmethod
+    def from_record(cls, key: str, record: dict) -> "CellResult":
+        """Rebuild a cached result (or failure record) from its store record.
+
+        Legacy records that still carry a ``metrics`` snapshot load the
+        same: the snapshot is ignored, since cached cells are never merged.
+        """
+        if "error" in record:
+            return cls(
+                key=key, cell=record["cell"], payload={}, cached=True, error=record["error"]
+            )
+        provenance = record.get("provenance") or {}
+        return cls(
+            key=key, cell=record["cell"], payload=record["payload"], cached=True,
+            elapsed_s=provenance.get("elapsed_s"),
+        )
 
     @property
     def failed(self) -> bool:
@@ -309,23 +318,22 @@ def execute_cell(cell: Cell) -> CellResult:
 class MeteredCell:
     """Picklable work-function wrapper that collects per-cell telemetry.
 
-    Runs the wrapped function under *fresh local* observability state — in
-    a pool worker or inline — and attaches by-value snapshots to the
-    returned :class:`CellResult`: ``registry.snapshot().to_dict()`` on
-    ``metrics`` (when ``metrics=True``, the default), a
-    ``SpanLog.to_dict()`` on ``spans`` (when ``spans=True``; the cell's
-    work runs under a root ``cell`` span labelled with protocol/n/key),
-    and the event list on ``events`` (when ``events=True``). Snapshots
-    ride back through the dispatcher's ordered ``on_result`` seam like any
-    other result field, so the orchestrator can aggregate worker telemetry
-    deterministically without shared memory. Attempts that raise (faults,
-    timeouts) contribute no snapshot: their partial counts die with the
-    attempt, keeping aggregated counters exactly reproducible across retry
-    schedules.
+    Runs the wrapped function under a *fresh local* telemetry bundle with
+    the named ``pillars`` switched on (``"metrics"``, ``"spans"``,
+    ``"events"`` — the orchestrator passes the pillars of its own bundle)
+    — in a pool worker or inline — and attaches the bundle's by-value
+    payload to the returned :class:`CellResult` as ``telemetry``. With
+    spans on, the cell's work runs under a root ``cell`` span labelled
+    with protocol/n/key. Payloads ride back through the dispatcher's
+    ordered ``on_result`` seam like any other result field, so the
+    orchestrator can aggregate worker telemetry deterministically without
+    shared memory. Attempts that raise (faults, timeouts) contribute no
+    payload: their partial counts die with the attempt, keeping aggregated
+    counters exactly reproducible across retry schedules.
 
-    The flags are plain constructor state (not ambient reads) because
-    ContextVars do not cross process boundaries — the wrapper pickles into
-    pool workers carrying its configuration with it.
+    The pillar names are plain constructor state (not ambient reads)
+    because ContextVars do not cross process boundaries — the wrapper
+    pickles into pool workers carrying its configuration with it.
 
     Composes with other wrappers (e.g. the fault injector): whatever
     ``fn(item)`` returns, only :class:`CellResult` values get annotated.
@@ -334,15 +342,10 @@ class MeteredCell:
     def __init__(
         self,
         fn: Callable[[Cell], CellResult] = execute_cell,
-        *,
-        metrics: bool = True,
-        spans: bool = False,
-        events: bool = False,
+        pillars: Iterable[str] = ("metrics",),
     ) -> None:
         self.fn = fn
-        self.metrics = metrics
-        self.spans = spans
-        self.events = events
+        self.pillars = tuple(pillars)
 
     @staticmethod
     def _cell_labels(cell) -> dict:
@@ -356,27 +359,12 @@ class MeteredCell:
             return {}  # arbitrary work items (tests map over ints) get a bare span
 
     def __call__(self, cell: Cell) -> CellResult:
-        registry = MetricsRegistry() if self.metrics else None
-        tracer = SpanTracer() if self.spans else None
-        log = EventLog() if self.events else None
-        with ExitStack() as stack:
-            if registry is not None:
-                stack.enter_context(use_registry(registry))
-            if log is not None:
-                stack.enter_context(use_event_log(log))
-            if tracer is not None:
-                stack.enter_context(use_tracer(tracer))
-                stack.enter_context(tracer.span("cell", **self._cell_labels(cell)))
+        bundle = Telemetry.fresh(self.pillars)
+        labels = self._cell_labels(cell) if bundle.tracer is not None else {}
+        with use_telemetry(bundle), span("cell", **labels):
             result = self.fn(cell)
         if isinstance(result, CellResult):
-            if registry is not None:
-                snapshot = registry.snapshot()
-                if snapshot.metrics:
-                    result.metrics = snapshot.to_dict()
-            if tracer is not None:
-                result.spans = tracer.snapshot().to_dict()
-            if log is not None:
-                result.events = log.events()
+            result.telemetry = bundle.payload()
         return result
 
 

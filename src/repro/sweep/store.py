@@ -56,6 +56,7 @@ import threading
 from datetime import datetime, timezone
 from pathlib import Path
 
+from ..telemetry import catalog
 from ..telemetry.events import emit_event
 from ..telemetry.registry import current_registry
 
@@ -150,11 +151,7 @@ class ResultsStore:
                     self.checksum_failures += 1
                     metrics = current_registry()
                     if metrics is not None:
-                        metrics.counter(
-                            "repro_store_checksum_failures_total",
-                            "Records refused at load because their checksum "
-                            "no longer matched their content.",
-                        ).inc()
+                        catalog.STORE_CHECKSUM_FAILURES.on(metrics).inc()
                     continue
                 self._loaded_lines += 1
                 self._index[key] = (start, len(raw))
@@ -227,10 +224,7 @@ class ResultsStore:
             self._loaded_lines += 1
         metrics = current_registry()
         if metrics is not None:
-            metrics.counter(
-                "repro_store_appends_total",
-                "Result/failure records appended to the results store.",
-            ).inc()
+            catalog.STORE_APPENDS.on(metrics).inc()
         emit_event("store.append", key=key, failed="error" in record)
 
     def compact(self) -> dict:
@@ -300,16 +294,13 @@ class ResultsStore:
             self._end_offset = position
         metrics = current_registry()
         if metrics is not None:
-            help_text = "Store lines dropped by compaction, by reason."
             for reason, dropped in (
                 ("superseded", summary["lines_before"] - summary["records"]),
                 ("corrupt", summary["corrupt_lines"]),
                 ("checksum", summary["checksum_failures"]),
             ):
                 if dropped:
-                    metrics.counter(
-                        "repro_store_compact_dropped_total", help_text, reason=reason
-                    ).inc(dropped)
+                    catalog.STORE_COMPACT_DROPPED.on(metrics, reason=reason).inc(dropped)
         return summary
 
     def keys(self) -> list[str]:

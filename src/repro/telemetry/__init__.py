@@ -1,14 +1,15 @@
 """Telemetry subsystem: metrics, spans, events, exposition, HTTP endpoint.
 
-Dependency-free observability for the whole stack, built as three pillars
-that share one contract — **ambient ContextVar seams, off by default, with
-JSON-able by-value snapshots** that ship across process boundaries through
-the sweep's ordered ``on_result`` merge for deterministic aggregation at
-any ``--jobs``:
+Dependency-free observability for the whole stack as **one mechanism**: a
+:class:`Telemetry` bundle of three pillars rides one ambient ContextVar
+(off by default), each executed sweep cell ships one JSON-able by-value
+payload of it, and the sweep folds those payloads in canonical cell order
+for deterministic aggregation at any ``--jobs``:
 
 * **Metrics** — :class:`MetricsRegistry` (counters, gauges, histograms
-  with labels and a ``timer()`` context manager; no locks, owned by one
-  thread) behind :func:`current_registry` / :func:`use_registry`;
+  with labels and a ``timer()`` context manager; one internal lock)
+  behind :func:`current_registry` / :func:`use_registry`, its ``repro_*``
+  families declared once in :mod:`repro.telemetry.catalog`;
   :class:`MetricsSnapshot` with an associative ``merge()``;
   :func:`render_prometheus` / :func:`validate_exposition` for the
   Prometheus text format.
@@ -44,6 +45,7 @@ Quickstart::
     print(log.kinds())
 """
 
+from .ambient import Telemetry, current_telemetry, use_telemetry
 from .registry import (
     DEFAULT_BUCKETS,
     Counter,
@@ -81,9 +83,11 @@ __all__ = [
     "Span",
     "SpanLog",
     "SpanTracer",
+    "Telemetry",
     "chrome_trace",
     "current_event_log",
     "current_registry",
+    "current_telemetry",
     "current_tracer",
     "emit_event",
     "render_prometheus",
@@ -92,6 +96,7 @@ __all__ = [
     "timeline_lanes",
     "use_event_log",
     "use_registry",
+    "use_telemetry",
     "use_tracer",
     "validate_exposition",
     "write_chrome_trace",

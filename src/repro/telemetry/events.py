@@ -5,7 +5,8 @@ happened, in order" — each retry, backoff sleep, worker crash, watchdog
 expiry, cache hit, and store append becomes a small dict with a wall-clock
 timestamp and a per-log sequence number.
 
-Same contract as the metrics registry and span tracer:
+It rides the one ambient telemetry bundle (:mod:`repro.telemetry.ambient`)
+with the metrics registry and the span tracer:
 
 * **Ambient, off by default.**  Probe sites call :func:`emit_event`,
   which is a no-op until a log is installed with :func:`use_event_log`.
@@ -13,9 +14,10 @@ Same contract as the metrics registry and span tracer:
   the oldest events fall off and ``dropped`` counts what was lost — a
   pathological sweep cannot exhaust memory.
 * **By-value across processes.**  Workers ship ``log.events()`` (plain
-  dicts) on ``CellResult.events``; the parent :meth:`EventLog.absorb`\\ s
-  them in canonical cell order, re-sequencing but preserving original
-  timestamps, so merged logs are deterministic modulo wall clocks.
+  dicts) in the cell's one telemetry payload (``CellResult.telemetry``);
+  the parent :meth:`EventLog.absorb`\\ s them in canonical cell order,
+  re-sequencing but preserving original timestamps, so merged logs are
+  deterministic modulo wall clocks.
 
 :func:`write_events_jsonl` renders any event list as one JSON object per
 line — the ``--events-out`` format.
@@ -26,10 +28,10 @@ from __future__ import annotations
 import json
 import time
 from collections import deque
-from contextlib import contextmanager
-from contextvars import ContextVar
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, ContextManager, Iterable
+
+from .ambient import AMBIENT, use_pillar
 
 __all__ = [
     "DEFAULT_CAPACITY",
@@ -111,28 +113,21 @@ def write_events_jsonl(path: str | Path, events: Iterable[dict[str, Any]]) -> Pa
     return target
 
 
-# -- ambient seam ---------------------------------------------------------
-
-_ACTIVE: ContextVar[EventLog | None] = ContextVar("repro_event_log", default=None)
+# -- ambient view ----------------------------------------------------------
 
 
 def current_event_log() -> EventLog | None:
     """The ambient event log, or ``None`` when logging is off (the default)."""
-    return _ACTIVE.get()
+    return AMBIENT.get().events
 
 
-@contextmanager
-def use_event_log(log: EventLog) -> Iterator[EventLog]:
-    """Install ``log`` as the ambient event log for the ``with`` scope."""
-    token = _ACTIVE.set(log)
-    try:
-        yield log
-    finally:
-        _ACTIVE.reset(token)
+def use_event_log(log: EventLog) -> ContextManager[EventLog]:
+    """Install ``log`` on the ambient telemetry bundle for the ``with`` scope."""
+    return use_pillar("events", log)
 
 
 def emit_event(kind: str, **fields: Any) -> None:
     """Emit onto the ambient log; a no-op when event logging is off."""
-    log = _ACTIVE.get()
+    log = AMBIENT.get().events
     if log is not None:
         log.emit(kind, **fields)

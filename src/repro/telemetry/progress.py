@@ -20,6 +20,7 @@ import sys
 import time
 from typing import Any, TextIO
 
+from .catalog import CELLS_CACHED, CELLS_COMPLETED, CELLS_FAILED, SWEEP_RETRIES
 from .registry import MetricsRegistry
 
 __all__ = ["ProgressLine"]
@@ -72,10 +73,10 @@ class ProgressLine:
         if now is None:
             now = time.monotonic()
         reg = self._registry
-        completed = int(reg.total("repro_cells_completed_total"))
-        failed = int(reg.total("repro_cells_failed_total"))
-        cached = int(reg.total("repro_cells_cached_total"))
-        retries = int(reg.total("repro_sweep_retries_total"))
+        completed = int(reg.total(CELLS_COMPLETED.name))
+        failed = int(reg.total(CELLS_FAILED.name))
+        cached = int(reg.total(CELLS_CACHED.name))
+        retries = int(reg.total(SWEEP_RETRIES.name))
         done = completed + failed + cached
         executed = completed + failed
         elapsed = max(now - self._start, 0.0)

@@ -2,34 +2,39 @@
 
 Design constraints (shared with the sweep orchestrator):
 
-* **No locks on the hot path.** A registry is owned by one thread of one
-  process. Cross-process aggregation happens by value: workers snapshot
-  their registry (:meth:`MetricsRegistry.snapshot`) and the parent merges
-  the snapshots deterministically (:meth:`MetricsRegistry.merge_snapshot`)
-  — the same ship-results-not-state pattern the sweep layer already uses
-  for payloads.
+* **One lock per registry.** One re-entrant lock inside
+  :class:`MetricsRegistry` guards family and child creation, child
+  updates, the readers (``value``/``total``/``snapshot``) and a whole
+  :meth:`~MetricsRegistry.merge_snapshot` fold, so the run service's
+  worker threads and scrapes can share one registry. Lock order: a caller
+  holding another lock (the job queue's) may take the registry lock, never
+  the reverse — the registry calls out to nothing while holding it.
+* **Snapshots, not registries, cross processes.** Workers ship
+  :meth:`MetricsRegistry.snapshot` by value and the parent merges them
+  in a canonical order. A registry carries its lock, so it cannot pickle.
 * **Null overhead when off.** Instrumented code asks
   :func:`current_registry` once and skips all metric work when it returns
   ``None``; no registry is ever installed unless a caller opts in with
   :func:`use_registry`.
-* **Ambient, not global.** The active registry lives in a
-  :class:`contextvars.ContextVar`, so worker processes and helper threads
-  start clean instead of inheriting (or corrupting) the parent's registry.
+* **Ambient, not global.** The active registry rides the one ambient
+  telemetry bundle (:mod:`repro.telemetry.ambient`), so worker processes
+  and helper threads start clean instead of inheriting the parent's.
 
-Metric and label names follow Prometheus conventions so
-:func:`repro.telemetry.exposition.render_prometheus` can emit the text
-format verbatim.
+The program's ``repro_*`` families are declared in
+:mod:`repro.telemetry.catalog`. Metric and label names follow Prometheus
+conventions so :func:`repro.telemetry.exposition.render_prometheus` can
+emit the text format verbatim.
 """
 
 from __future__ import annotations
 
 import bisect
-import contextlib
-import contextvars
 import re
+import threading
 import time
-from typing import Iterator
+from typing import ContextManager
 
+from .ambient import AMBIENT, use_pillar
 from .snapshot import HistogramData, MetricsSnapshot, SeriesKey, series_key
 
 __all__ = [
@@ -70,50 +75,59 @@ DEFAULT_BUCKETS: tuple[float, ...] = (
 class Counter:
     """Monotonically non-decreasing numeric total."""
 
-    __slots__ = ("value",)
+    __slots__ = ("value", "_lock")
 
-    def __init__(self) -> None:
+    def __init__(self, lock: ContextManager) -> None:
         self.value: float = 0
+        self._lock = lock
 
     def inc(self, amount: float = 1) -> None:
         if amount < 0:
             raise ValueError(f"counter increments must be >= 0, got {amount}")
-        self.value += amount
+        with self._lock:
+            self.value += amount
 
 
 class Gauge:
     """Instantaneous numeric value that can go up and down."""
 
-    __slots__ = ("value",)
+    __slots__ = ("value", "_lock")
 
-    def __init__(self) -> None:
+    def __init__(self, lock: ContextManager) -> None:
         self.value: float = 0
+        self._lock = lock
 
     def set(self, value: float) -> None:
-        self.value = value
+        with self._lock:
+            self.value = value
 
     def inc(self, amount: float = 1) -> None:
-        self.value += amount
+        with self._lock:
+            self.value += amount
 
     def dec(self, amount: float = 1) -> None:
-        self.value -= amount
+        with self._lock:
+            self.value -= amount
 
 
 class Histogram:
     """Cumulative histogram with fixed upper bounds (plus implicit +Inf)."""
 
-    __slots__ = ("bounds", "counts", "sum", "count")
+    __slots__ = ("bounds", "counts", "sum", "count", "_lock")
 
-    def __init__(self, bounds: tuple[float, ...]) -> None:
+    def __init__(self, bounds: tuple[float, ...], lock: ContextManager) -> None:
         self.bounds = bounds
         self.counts = [0] * (len(bounds) + 1)  # last slot is the +Inf bucket
         self.sum: float = 0.0
         self.count: int = 0
+        self._lock = lock
 
     def observe(self, value: float) -> None:
-        self.counts[bisect.bisect_left(self.bounds, value)] += 1
-        self.sum += value
-        self.count += 1
+        slot = bisect.bisect_left(self.bounds, value)
+        with self._lock:
+            self.counts[slot] += 1
+            self.sum += value
+            self.count += 1
 
 
 class _Timer:
@@ -155,13 +169,14 @@ def _validate_names(name: str, labels: dict[str, str]) -> None:
 class MetricsRegistry:
     """Holds metric families and hands out labeled children.
 
-    Children are plain attribute-bearing objects; call sites on hot paths
-    should fetch them once (``counter = registry.counter(...)``) and then
-    call ``inc``/``observe`` directly.
+    Children are plain attribute-bearing objects sharing the registry's
+    lock; call sites on hot paths should fetch them once (``counter =
+    registry.counter(...)``) and then call ``inc``/``observe`` directly.
     """
 
     def __init__(self) -> None:
         self._families: dict[str, _Family] = {}
+        self._lock = threading.RLock()
 
     def _child(
         self,
@@ -171,31 +186,32 @@ class MetricsRegistry:
         labels: dict[str, str],
         bounds: tuple[float, ...] | None = None,
     ) -> Counter | Gauge | Histogram:
-        family = self._families.get(name)
-        if family is None:
-            _validate_names(name, labels)
-            family = _Family(kind, help, bounds)
-            self._families[name] = family
-        else:
-            if family.kind != kind:
-                raise ValueError(
-                    f"metric {name!r} already registered as {family.kind}, not {kind}"
-                )
-            if kind == "histogram" and bounds is not None and family.bounds != bounds:
-                raise ValueError(f"metric {name!r} re-registered with different buckets")
-            if help and not family.help:
-                family.help = help
-        key = series_key(labels)
-        child = family.children.get(key)
-        if child is None:
-            if kind == "counter":
-                child = Counter()
-            elif kind == "gauge":
-                child = Gauge()
+        with self._lock:
+            family = self._families.get(name)
+            if family is None:
+                _validate_names(name, labels)
+                family = _Family(kind, help, bounds)
+                self._families[name] = family
             else:
-                child = Histogram(family.bounds or DEFAULT_BUCKETS)
-            family.children[key] = child
-        return child
+                if family.kind != kind:
+                    raise ValueError(
+                        f"metric {name!r} already registered as {family.kind}, not {kind}"
+                    )
+                if kind == "histogram" and bounds is not None and family.bounds != bounds:
+                    raise ValueError(f"metric {name!r} re-registered with different buckets")
+                if help and not family.help:
+                    family.help = help
+            key = series_key(labels)
+            child = family.children.get(key)
+            if child is None:
+                if kind == "counter":
+                    child = Counter(self._lock)
+                elif kind == "gauge":
+                    child = Gauge(self._lock)
+                else:
+                    child = Histogram(family.bounds or DEFAULT_BUCKETS, self._lock)
+                family.children[key] = child
+            return child
 
     def counter(self, name: str, help: str = "", **labels: str) -> Counter:
         return self._child(name, "counter", help, _str_labels(labels))  # type: ignore[return-value]
@@ -227,45 +243,48 @@ class MetricsRegistry:
 
     def value(self, name: str, **labels: str) -> float:
         """Current value of one counter/gauge series (0 if absent)."""
-        family = self._families.get(name)
-        if family is None:
-            return 0
-        child = family.children.get(series_key(_str_labels(labels)))
-        if child is None or isinstance(child, Histogram):
-            return 0
-        return child.value
+        with self._lock:
+            family = self._families.get(name)
+            if family is None:
+                return 0
+            child = family.children.get(series_key(_str_labels(labels)))
+            if child is None or isinstance(child, Histogram):
+                return 0
+            return child.value
 
     def total(self, name: str) -> float:
         """Sum of a counter/gauge family across all label sets (0 if absent)."""
-        family = self._families.get(name)
-        if family is None or family.kind == "histogram":
-            return 0
-        return sum(child.value for child in family.children.values())  # type: ignore[union-attr]
+        with self._lock:
+            family = self._families.get(name)
+            if family is None or family.kind == "histogram":
+                return 0
+            return sum(child.value for child in family.children.values())  # type: ignore[union-attr]
 
     # -- snapshot / merge ------------------------------------------------
 
     def snapshot(self) -> MetricsSnapshot:
         """Immutable-by-copy view of every series, for shipping or rendering."""
         snap = MetricsSnapshot()
-        for name, family in self._families.items():
-            series: dict[SeriesKey, float | HistogramData] = {}
-            for key, child in family.children.items():
-                if isinstance(child, Histogram):
-                    series[key] = HistogramData(
-                        counts=list(child.counts), sum=child.sum, count=child.count
-                    )
-                else:
-                    series[key] = child.value
-            snap.metrics[name] = {
-                "kind": family.kind,
-                "help": family.help,
-                "buckets": list(family.bounds) if family.bounds else None,
-                "series": series,
-            }
+        with self._lock:
+            for name, family in self._families.items():
+                series: dict[SeriesKey, float | HistogramData] = {}
+                for key, child in family.children.items():
+                    if isinstance(child, Histogram):
+                        series[key] = HistogramData(
+                            counts=list(child.counts), sum=child.sum, count=child.count
+                        )
+                    else:
+                        series[key] = child.value
+                snap.metrics[name] = {
+                    "kind": family.kind,
+                    "help": family.help,
+                    "buckets": list(family.bounds) if family.bounds else None,
+                    "series": series,
+                }
         return snap
 
     def merge_snapshot(self, snapshot: MetricsSnapshot) -> None:
-        """Fold a snapshot into this registry.
+        """Fold a snapshot into this registry, atomically for readers.
 
         Counters and gauges add; histograms add bucket-wise (bounds must
         match). Addition makes the operation associative and commutative
@@ -273,24 +292,25 @@ class MetricsRegistry:
         must merge in a canonical order (the sweep orchestrator merges in
         cell order, never completion order).
         """
-        for name, metric in snapshot.metrics.items():
-            kind = metric["kind"]
-            bounds = tuple(metric["buckets"]) if metric.get("buckets") else None
-            for key, data in metric["series"].items():
-                labels = dict(key)
-                child = self._child(name, kind, metric.get("help", ""), labels, bounds)
-                if kind == "histogram":
-                    assert isinstance(child, Histogram) and isinstance(data, HistogramData)
-                    if len(child.counts) != len(data.counts):
-                        raise ValueError(
-                            f"histogram {name!r} merge with mismatched bucket count"
-                        )
-                    for i, c in enumerate(data.counts):
-                        child.counts[i] += c
-                    child.sum += data.sum
-                    child.count += data.count
-                else:
-                    child.value += data  # type: ignore[union-attr, operator]
+        with self._lock:
+            for name, metric in snapshot.metrics.items():
+                kind = metric["kind"]
+                bounds = tuple(metric["buckets"]) if metric.get("buckets") else None
+                for key, data in metric["series"].items():
+                    labels = dict(key)
+                    child = self._child(name, kind, metric.get("help", ""), labels, bounds)
+                    if kind == "histogram":
+                        assert isinstance(child, Histogram) and isinstance(data, HistogramData)
+                        if len(child.counts) != len(data.counts):
+                            raise ValueError(
+                                f"histogram {name!r} merge with mismatched bucket count"
+                            )
+                        for i, c in enumerate(data.counts):
+                            child.counts[i] += c
+                        child.sum += data.sum
+                        child.count += data.count
+                    else:
+                        child.value += data  # type: ignore[union-attr, operator]
 
 
 def _str_labels(labels: dict[str, object]) -> dict[str, str]:
@@ -304,29 +324,15 @@ def _check_bounds(buckets: tuple[float, ...]) -> tuple[float, ...]:
     return bounds
 
 
-# -- ambient registry ----------------------------------------------------
-
-_ACTIVE: contextvars.ContextVar[MetricsRegistry | None] = contextvars.ContextVar(
-    "repro_metrics_registry", default=None
-)
+# -- ambient view ----------------------------------------------------------
 
 
 def current_registry() -> MetricsRegistry | None:
     """The ambient registry, or ``None`` when telemetry is off (the default)."""
-    return _ACTIVE.get()
+    return AMBIENT.get().registry
 
 
-@contextlib.contextmanager
-def use_registry(registry: MetricsRegistry) -> Iterator[MetricsRegistry]:
-    """Install ``registry`` as the ambient registry for the enclosed block.
-
-    Context-local: helper threads and worker processes spawned inside the
-    block do *not* inherit it (each starts with telemetry off), which is
-    exactly what the sweep layer wants — workers build their own registry
-    and ship snapshots back by value.
-    """
-    token = _ACTIVE.set(registry)
-    try:
-        yield registry
-    finally:
-        _ACTIVE.reset(token)
+def use_registry(registry: MetricsRegistry) -> ContextManager[MetricsRegistry]:
+    """Install ``registry`` on the ambient telemetry bundle for a ``with``
+    block (the tracer and event log in force stay as they are)."""
+    return use_pillar("registry", registry)

@@ -14,12 +14,9 @@ Used two ways: ``repro serve-metrics`` runs it as a foreground exporter
 --metrics-port`` attaches it to a *live* sweep so the run can be scraped
 while it executes.
 
-Thread-safety note: the metrics registry is deliberately lock-free (the
-owning thread mutates it; the hot path must stay cheap).  A scrape that
-races a family registration can hit a transient ``RuntimeError`` from
-dict iteration — the handler retries a few times and falls back to the
-last good snapshot rather than poisoning the scrape.  Sample *values* are
-plain float reads, so a scrape is always a coherent text page even while
+Thread-safety note: handler threads read the registry while its owner
+writes it; the registry's own lock makes each snapshot (and each progress
+read) a coherent page even while families are being registered and
 counters move.
 """
 
@@ -32,7 +29,6 @@ from typing import Any, Callable
 
 from .exposition import render_prometheus
 from .registry import MetricsRegistry
-from .snapshot import MetricsSnapshot
 
 __all__ = ["ObservabilityServer", "RouteError", "STREAMED"]
 
@@ -40,9 +36,6 @@ __all__ = ["ObservabilityServer", "RouteError", "STREAMED"]
 #: directly to the connection (e.g. a chunked SSE stream) — tells the
 #: request handler that nothing more should be sent.
 STREAMED = object()
-
-#: Snapshot attempts before falling back to the last good snapshot.
-_SNAPSHOT_RETRIES = 8
 
 #: Largest request body a handler reads; a longer ``Content-Length`` gets a
 #: 413 reply without the body being read.
@@ -78,7 +71,6 @@ class ObservabilityServer:
         self._refresh = refresh
         self._httpd: ThreadingHTTPServer | None = None
         self._thread: threading.Thread | None = None
-        self._last_snapshot: MetricsSnapshot | None = None
 
     def attach(
         self,
@@ -178,30 +170,11 @@ class ObservabilityServer:
         if self._refresh is not None:
             self._refresh()
         registry = self._registry
-        if registry is None:
-            return ""
-        for _ in range(_SNAPSHOT_RETRIES):
-            try:
-                snapshot = registry.snapshot()
-            except RuntimeError:
-                continue  # raced a family registration on the owning thread
-            self._last_snapshot = snapshot
-            return render_prometheus(snapshot)
-        if self._last_snapshot is not None:
-            return render_prometheus(self._last_snapshot)
-        return ""
+        return render_prometheus(registry.snapshot()) if registry is not None else ""
 
     def progress_json(self) -> dict[str, Any]:
         source = self._progress
-        if source is None:
-            return {"active": False}
-        for _ in range(_SNAPSHOT_RETRIES):
-            try:
-                stats = source()
-            except RuntimeError:
-                continue
-            return {"active": True, **stats}
-        return {"active": False}
+        return {"active": True, **source()} if source is not None else {"active": False}
 
 
 def _make_handler(server: ObservabilityServer) -> type[BaseHTTPRequestHandler]:

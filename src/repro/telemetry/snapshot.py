@@ -1,8 +1,9 @@
 """Snapshot value-object for metrics: JSON round-trip and deterministic merge.
 
-A :class:`MetricsSnapshot` is the wire format of telemetry: worker
-processes attach ``registry.snapshot().to_dict()`` to each
-:class:`~repro.sweep.runner.CellResult`, the parent rebuilds them with
+A :class:`MetricsSnapshot` is the wire format of metrics: worker
+processes put ``registry.snapshot().to_dict()`` in each
+:class:`~repro.sweep.runner.CellResult`'s telemetry payload, the parent
+rebuilds them with
 :meth:`MetricsSnapshot.from_dict` and folds them together in canonical
 cell order. Merging is plain addition per series (bucket-wise for
 histograms), so it is associative and commutative up to float rounding;

@@ -1,11 +1,12 @@
 """Hierarchical span tracing with an ambient, off-by-default seam.
 
 This module is the "where did the time go" pillar of :mod:`repro.telemetry`.
-It mirrors the metrics registry contract exactly:
+It rides the one ambient telemetry bundle (:mod:`repro.telemetry.ambient`)
+with the metrics registry and the event log:
 
 * **Ambient and off by default.**  Probe sites call the module-level
-  :func:`span` helper, which consults a :class:`~contextvars.ContextVar`.
-  With no tracer installed the helper returns a shared no-op span — the
+  :func:`span` helper, which reads the ambient bundle's tracer. With no
+  tracer installed the helper returns a shared no-op span — the
   instrumented hot paths pay one ContextVar read and a ``None`` check.
   Install a tracer for a scope with :func:`use_tracer`.
 
@@ -16,11 +17,11 @@ It mirrors the metrics registry contract exactly:
 
 * **By-value snapshots.**  :meth:`SpanTracer.snapshot` produces a
   :class:`SpanLog` — plain dicts and floats, JSON-serializable via
-  :meth:`SpanLog.to_dict` — which ships across process boundaries on
-  ``CellResult.spans`` exactly like ``MetricsSnapshot`` ships on
-  ``CellResult.metrics``.  The parent grafts worker logs under its own
-  ``sweep`` span **in canonical cell order**, so the merged timeline is
-  deterministic at any ``--jobs``.
+  :meth:`SpanLog.to_dict` — which ships across process boundaries in the
+  cell's one telemetry payload (``CellResult.telemetry``) beside the
+  metrics snapshot and the events.  The parent grafts worker logs under
+  its own ``sweep`` span **in canonical cell order**, so the merged
+  timeline is deterministic at any ``--jobs``.
 
 Span records are stored flat (index-addressed, ``parent`` pointing at the
 enclosing span's index or ``-1`` for roots).  The tracer is bounded:
@@ -32,10 +33,10 @@ from __future__ import annotations
 
 import os
 import time
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, ContextManager
+
+from .ambient import AMBIENT, use_pillar
 
 __all__ = [
     "DEFAULT_MAX_SPANS",
@@ -252,29 +253,22 @@ class SpanLog:
         return [build(index) for index in roots]
 
 
-# -- ambient seam ---------------------------------------------------------
-
-_ACTIVE: ContextVar[SpanTracer | None] = ContextVar("repro_span_tracer", default=None)
+# -- ambient view ----------------------------------------------------------
 
 
 def current_tracer() -> SpanTracer | None:
     """The ambient tracer, or ``None`` when tracing is off (the default)."""
-    return _ACTIVE.get()
+    return AMBIENT.get().tracer
 
 
-@contextmanager
-def use_tracer(tracer: SpanTracer) -> Iterator[SpanTracer]:
-    """Install ``tracer`` as the ambient tracer for the ``with`` scope."""
-    token = _ACTIVE.set(tracer)
-    try:
-        yield tracer
-    finally:
-        _ACTIVE.reset(token)
+def use_tracer(tracer: SpanTracer) -> ContextManager[SpanTracer]:
+    """Install ``tracer`` on the ambient telemetry bundle for the ``with`` scope."""
+    return use_pillar("tracer", tracer)
 
 
 def span(name: str, **labels: Any) -> Span | _NullSpan:
     """Open a span on the ambient tracer; a shared no-op when tracing is off."""
-    tracer = _ACTIVE.get()
+    tracer = AMBIENT.get().tracer
     if tracer is None:
         return _NULL_SPAN
     return Span(tracer, name, labels)

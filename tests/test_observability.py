@@ -22,9 +22,11 @@ import pytest
 
 from repro import cli
 from repro.sweep import (
+    CellResult,
     FaultInjector,
     FaultPlan,
     FaultPolicy,
+    ResultsStore,
     SweepSpec,
     execute_cell,
     run_sweep,
@@ -321,6 +323,56 @@ class TestSweepObservabilityE2E:
         backoffs = [e for e in result.events if e["kind"] == "sweep.backoff"]
         assert len(backoffs) == 1
         assert backoffs[0]["delay_s"] > 0
+
+    @pytest.mark.timeout(120)
+    def test_all_pillars_identical_across_jobs(self, tmp_path):
+        """One sweep with metrics, spans and events on: the single ordered
+        fold gives the same counters, span tree and event kinds at any
+        ``jobs``."""
+        outcomes = {}
+        for jobs in (1, 2):
+            result = run_sweep(
+                small_grid(),
+                jobs=jobs,
+                store=tmp_path / f"j{jobs}.jsonl",
+                durable=False,
+                metrics=MetricsRegistry(),
+                tracer=SpanTracer(),
+                events=EventLog(),
+            )
+            counters = result.metrics.select(lambda name, kind: kind != "histogram")
+            outcomes[jobs] = (
+                json.dumps(counters.to_dict(), sort_keys=True),
+                json.dumps(result.spans.tree()),
+                [event["kind"] for event in result.events],
+            )
+        assert outcomes[1] == outcomes[2]
+        assert outcomes[1][2] == ["store.append"] * 6
+
+    def test_metered_store_records_carry_no_metrics(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        run_sweep(small_grid(), store=path, durable=False, metrics=MetricsRegistry())
+        store = ResultsStore(path)
+        records = [store.get(key) for key in store.keys()]
+        assert len(records) == 6
+        assert all("metrics" not in record for record in records)
+
+    def test_legacy_records_with_metrics_serve_identical_csv(self, tmp_path):
+        fresh = run_sweep(small_grid(), store=tmp_path / "new.jsonl", durable=False)
+        expected = fresh.write_csv(tmp_path / "fresh.csv").read_bytes()
+        current = ResultsStore(tmp_path / "new.jsonl")
+        legacy = ResultsStore(tmp_path / "legacy.jsonl")
+        for key in current.keys():
+            record = current.get(key)
+            record["metrics"] = {"schema": 1, "metrics": []}
+            legacy.put(key, record)
+        resumed = run_sweep(small_grid(), store=tmp_path / "legacy.jsonl", durable=False)
+        assert resumed.cached == 6
+        assert resumed.write_csv(tmp_path / "resumed.csv").read_bytes() == expected
+        key = resumed.results[0].key
+        rebuilt = CellResult.from_record(key, legacy.get(key))
+        assert rebuilt == fresh.results[0]
+        assert rebuilt.cached and rebuilt.telemetry is None
 
     def test_observability_off_leaves_result_bare(self):
         result = run_sweep(small_grid())

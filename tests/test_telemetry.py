@@ -13,8 +13,12 @@ from __future__ import annotations
 import io
 import json
 import math
+import pickle
+import re
+import sys
 import threading
 import time
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -32,16 +36,25 @@ from repro.sweep import (
     execute_cell,
     run_sweep,
 )
+import repro
 from repro.sweep.runner import RESULT_COLUMNS, CellResult, MeteredCell
 from repro.telemetry import (
+    EventLog,
     MetricsRegistry,
     MetricsSnapshot,
     ProgressLine,
+    SpanTracer,
+    Telemetry,
+    current_event_log,
     current_registry,
+    current_telemetry,
     render_prometheus,
+    use_event_log,
     use_registry,
+    use_tracer,
     validate_exposition,
 )
+from repro.telemetry.catalog import FAMILIES
 
 
 def small_grid(seed: int = 7, **overrides) -> SweepSpec:
@@ -174,6 +187,170 @@ class TestAmbientRegistry:
             thread.join()
             assert current_registry() is reg
         assert seen == [None]
+
+
+class TestAmbientBundle:
+    def test_use_helpers_replace_one_pillar_of_one_bundle(self):
+        reg, tracer, log = MetricsRegistry(), SpanTracer(), EventLog()
+        with use_registry(reg), use_tracer(tracer):
+            assert current_telemetry() == Telemetry(reg, tracer, None)
+            with use_event_log(log) as installed:
+                assert installed is log
+                assert current_telemetry().pillars == ("metrics", "spans", "events")
+            assert current_event_log() is None
+            assert current_registry() is reg
+        assert current_telemetry() == Telemetry()
+
+    def test_fresh_bundle_switches_on_named_pillars_only(self):
+        bundle = Telemetry.fresh(["events", "metrics"])
+        assert bundle.pillars == ("metrics", "events")
+        assert bundle.tracer is None
+        assert set(bundle.payload()) == {"metrics", "events"}
+        with pytest.raises(ValueError, match="unknown telemetry pillars"):
+            Telemetry.fresh(["metrics", "logs"])
+
+    def test_telemetry_package_defines_one_contextvar(self):
+        package = Path(repro.__file__).parent / "telemetry"
+        found = [
+            path.name
+            for path in sorted(package.glob("*.py"))
+            for _ in re.finditer(r"\bContextVar\(", path.read_text(encoding="utf-8"))
+        ]
+        assert found == ["ambient.py"]
+
+    def test_only_snapshots_cross_process_boundaries(self):
+        """A registry carries its lock, so it cannot be pickled into a pool
+        worker by accident; the cell wrapper pickles with its pillar names
+        and its payload comes back as plain data."""
+        with pytest.raises(TypeError):
+            pickle.dumps(MetricsRegistry())
+        wrapper = pickle.loads(pickle.dumps(MeteredCell(execute_cell, ("metrics", "spans"))))
+        result = wrapper(small_grid().expand()[0])
+        assert pickle.loads(pickle.dumps(result.telemetry)) == result.telemetry
+
+
+class TestRegistryThreadSafety:
+    @pytest.mark.timeout(30)
+    def test_snapshot_races_family_creation(self):
+        """One thread keeps creating families and label sets while another
+        snapshots and totals the same registry; no read may fail."""
+        holder = [MetricsRegistry()]
+        stop = threading.Event()
+
+        def create() -> None:
+            while not stop.is_set():
+                registry = MetricsRegistry()
+                holder[0] = registry
+                for family in range(200):
+                    for label in range(50):
+                        registry.counter(f"family_{family}", "help", label=str(label)).inc()
+                        if stop.is_set():
+                            return
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        writer = threading.Thread(target=create, daemon=True)
+        errors: list[BaseException] = []
+        reads = 0
+        try:
+            writer.start()
+            deadline = time.monotonic() + 2.0
+            while time.monotonic() < deadline:
+                registry = holder[0]
+                try:
+                    registry.snapshot()
+                    registry.total("family_0")
+                except RuntimeError as exc:  # dict changed size during iteration
+                    errors.append(exc)
+                reads += 1
+        finally:
+            stop.set()
+            writer.join(timeout=5.0)
+            sys.setswitchinterval(previous)
+        assert not writer.is_alive()
+        assert reads > 0
+        assert errors == []
+
+    def test_merge_is_atomic_for_readers(self):
+        """A reader never sees half of a merged snapshot."""
+        source = MetricsRegistry()
+        for label in range(100):
+            source.counter("merged_total", label=str(label)).inc()
+        snapshot = source.snapshot()
+        target = MetricsRegistry()
+        totals: list[float] = []
+        stop = threading.Event()
+
+        def read() -> None:
+            while not stop.is_set():
+                totals.append(target.total("merged_total"))
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        reader = threading.Thread(target=read, daemon=True)
+        try:
+            reader.start()
+            for _ in range(20):
+                target.merge_snapshot(snapshot)
+        finally:
+            stop.set()
+            reader.join(timeout=5.0)
+            sys.setswitchinterval(previous)
+        assert not reader.is_alive()
+        assert all(total % 100 == 0 for total in totals)
+        assert target.total("merged_total") == 2000
+
+    @pytest.mark.timeout(30)
+    def test_concurrent_updates_lose_nothing(self):
+        """More threads than cores bump shared children; every update lands."""
+        registry = MetricsRegistry()
+        counter = registry.counter("bumps_total")
+        histogram = registry.histogram("bump_seconds", buckets=(1.0,))
+
+        def bump() -> None:
+            for _ in range(5_000):
+                counter.inc()
+                histogram.observe(0.5)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        threads = [threading.Thread(target=bump, daemon=True) for _ in range(4)]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=20.0)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert registry.value("bumps_total") == 20_000
+        assert histogram.count == 20_000 and histogram.counts[0] == 20_000
+
+
+class TestCatalog:
+    def test_every_metric_name_is_declared_once_in_the_catalog(self):
+        src = Path(repro.__file__).parent
+        literal = re.compile(r"""(["'])(repro_[A-Za-z0-9_]*)\1""")
+        places: dict[str, list[str]] = defaultdict(list)
+        for path in sorted(src.rglob("*.py")):
+            for match in literal.finditer(path.read_text(encoding="utf-8")):
+                places[match.group(2)].append(str(path.relative_to(src)))
+        assert places, "no metric-name literals found"
+        misplaced = {
+            name: where for name, where in places.items()
+            if where != ["telemetry/catalog.py"]
+        }
+        assert misplaced == {}
+        assert set(places) == set(FAMILIES)
+
+    def test_families_render_with_their_declared_kind_and_help(self):
+        registry = MetricsRegistry()
+        for family in FAMILIES.values():
+            family.on(registry)
+        snapshot = registry.snapshot()
+        for name, family in FAMILIES.items():
+            assert snapshot.metrics[name]["kind"] == family.kind
+            assert snapshot.metrics[name]["help"] == family.help
 
 
 # ------------------------------------------------------------- exposition
@@ -354,8 +531,8 @@ class TestEngineInstrumentation:
     def test_metered_cell_ships_snapshot_by_value(self):
         cell = small_grid().expand()[0]
         result = MeteredCell(execute_cell)(cell)
-        assert result.metrics is not None
-        snap = MetricsSnapshot.from_dict(result.metrics)
+        assert result.telemetry is not None
+        snap = MetricsSnapshot.from_dict(result.telemetry["metrics"])
         assert snap.total("repro_engine_replicas_retired_total") == 2
         # ... without touching any ambient registry.
         assert current_registry() is None
@@ -363,7 +540,7 @@ class TestEngineInstrumentation:
     def test_telemetry_off_attaches_nothing(self):
         cell = small_grid().expand()[0]
         result = execute_cell(cell)
-        assert result.metrics is None
+        assert result.telemetry is None
         assert result.elapsed_s is not None and result.elapsed_s > 0
 
 
