@@ -36,10 +36,9 @@ def test_impossibility_witness(benchmark):
         for n in SIZES:
             pop = make_majority_population(n, k0=n // 4, k1=n // 8)
             proto = FETProtocol(ell_for(n))
-            rng = make_rng(n)
-            state = proto.init_state(n, rng)
-            FrozenUnanimity(opinion=1)(pop, proto, state, rng)
-            result = run_protocol(proto, pop, n * n, rng=rng, state=state)
+            result = run_protocol(
+                proto, pop, n * n, rng=make_rng(n), initializer=FrozenUnanimity(opinion=1)
+            )
             frozen = bool((result.trajectory == 1.0).all())
             out.append((n, n * n, frozen, result.converged))
         return out

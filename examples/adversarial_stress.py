@@ -24,12 +24,11 @@ N = 3000
 
 
 def run_from(initializer, seed: int):
-    rng = make_rng(seed)
     protocol = FETProtocol(ell_for(N))
     population = make_population(N, correct_opinion=1)
-    state = protocol.init_state(N, rng)
-    initializer(population, protocol, state, rng)
-    return run_protocol(protocol, population, max_rounds=20_000, rng=rng, state=state)
+    return run_protocol(
+        protocol, population, max_rounds=20_000, rng=make_rng(seed), initializer=initializer
+    )
 
 
 def main() -> None:

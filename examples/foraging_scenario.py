@@ -34,10 +34,8 @@ EAST, WEST = 1, 0
 def morning(title: str, protocol, rounds: int, seed: int):
     rng = make_rng(seed)
     group = make_population(N_ANIMALS, correct_opinion=EAST)
-    state = protocol.init_state(N_ANIMALS, rng)
-    AllWrong()(group, protocol, state, rng)  # everyone starts on the west side
-
-    engine = SynchronousEngine(protocol, group, rng=rng, state=state)
+    # everyone starts on the west side
+    engine = SynchronousEngine(protocol, group, rng=rng, initializer=AllWrong())
     result = engine.run(rounds)
     east_share = group.opinions.mean()
     print(f"\n--- {title} ---")

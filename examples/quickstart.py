@@ -12,7 +12,7 @@ Run:  python examples/quickstart.py
 
 from __future__ import annotations
 
-from repro import FETProtocol, ell_for, make_population, run_protocol
+from repro import FETProtocol, SynchronousEngine, ell_for, make_population
 from repro.core import make_rng
 from repro.initializers import AllWrong
 from repro.viz import render_trajectory
@@ -28,13 +28,12 @@ def main() -> None:
 
     # Self-stabilizing setting: the adversary picks the initial opinions AND
     # the protocol's internal counters. AllWrong is the canonical start.
-    state = protocol.init_state(n, rng)
-    AllWrong()(population, protocol, state, rng)
+    engine = SynchronousEngine(protocol, population, rng=rng, initializer=AllWrong())
 
     print(f"n = {n} agents, 1 source, ell = {protocol.ell} samples per block")
     print(f"initial fraction holding the correct opinion: {population.fraction_ones():.4f}")
 
-    result = run_protocol(protocol, population, max_rounds=2000, rng=rng, state=state)
+    result = engine.run(max_rounds=2000)
 
     print(f"\nconverged: {result.converged} in {result.rounds} rounds")
     print(f"(Theorem 1 scale for comparison: ln(n)^2.5 = {__import__('math').log(n) ** 2.5:.0f})")

@@ -40,9 +40,9 @@ Quickstart::
     rng = make_rng(0)
     protocol = FETProtocol(ell_for(n))
     population = make_population(n, correct_opinion=1)
-    state = protocol.init_state(n, rng)
-    AllWrong()(population, protocol, state, rng)
-    result = run_protocol(protocol, population, max_rounds=2000, rng=rng, state=state)
+    result = run_protocol(
+        protocol, population, max_rounds=2000, rng=rng, initializer=AllWrong()
+    )
     print(result.converged, result.rounds)
 """
 
@@ -58,7 +58,7 @@ from .analysis import (
     theorem1_bound,
 )
 from .core import (
-    BinomialCountSampler,
+    BatchedBinomialSampler,
     IndexSampler,
     PopulationState,
     Protocol,
@@ -87,7 +87,7 @@ __version__ = "1.6.0"
 
 __all__ = [
     "BatchTrace",
-    "BinomialCountSampler",
+    "BatchedBinomialSampler",
     "ClockSyncProtocol",
     "Domain",
     "DomainPartition",

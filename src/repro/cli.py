@@ -469,9 +469,9 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     rng = make_rng(args.seed)
     protocol = FETProtocol(ell_for(n))
     population = make_population(n, correct_opinion=1)
-    state = protocol.init_state(n, rng)
-    AllWrong()(population, protocol, state, rng)
-    result = run_protocol(protocol, population, max_rounds=20_000, rng=rng, state=state)
+    result = run_protocol(
+        protocol, population, max_rounds=20_000, rng=rng, initializer=AllWrong()
+    )
     print(f"FET: n={n}, ell={protocol.ell}, all-wrong start")
     print(f"converged={result.converged} in {result.rounds} rounds "
           f"(ln^2.5 n = {math.log(n) ** 2.5:.0f})")

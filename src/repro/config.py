@@ -50,7 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .core.counts import CountEngine
     from .core.population import PopulationState
     from .core.protocol import Protocol
-    from .core.sampling import BatchedSampler, Sampler
+    from .core.sampling import BatchedSampler
     from .experiments.harness import TrialStats
     from .initializers.standard import Initializer
     from .trace.recorder import TraceRecorder
@@ -157,9 +157,8 @@ class RunSpec:
         Measurement descriptor; kinds live in the sweep runner's registry.
     sampler:
         Observation component ``{"name": ..., params}`` (sampler registry),
-        or ``None`` for the noise-derived default. The registry builds its
-        batched side, which every engine consumes (its ``scalar()`` side
-        serves per-replica protocol fallbacks).
+        or ``None`` for the noise-derived default. The registry builds one
+        batched sampler, which every engine consumes.
     num_sources:
         Number of agreeing source agents (the E-multi axis).
     correct_opinion:
@@ -466,7 +465,6 @@ class RunSpec:
         keep_results: bool = False,
         protocol_factory: Callable[[], "Protocol"] | None = None,
         initializer: "Initializer | None" = None,
-        sampler_factory: Callable[[], "Sampler"] | None = None,
         batched_sampler: "BatchedSampler | None" = None,
         population_factory: Callable[[], "PopulationState"] | None = None,
     ) -> "TrialStats":
@@ -486,7 +484,6 @@ class RunSpec:
             keep_results=keep_results,
             protocol_factory=protocol_factory,
             initializer=initializer,
-            sampler_factory=sampler_factory,
             batched_sampler=batched_sampler,
             population_factory=population_factory,
         )

@@ -4,23 +4,26 @@ Every aggregate result in this repository is an average over many independent
 trials of the *same* configuration: same ``n``, same source structure, same
 protocol, different random streams. Under uniform-with-replacement ``PULL``
 sampling the round update of a replica depends on the population only through
-its one-fraction ``x_t`` — the same observation that makes
-:class:`~repro.core.sampling.BinomialCountSampler` exact. R replicas can
-therefore advance in lock-step as one matrix-shaped system:
+its one-fraction ``x_t``, so R replicas can advance in lock-step as one
+matrix-shaped system:
 
 * opinions live in a single ``(R, n)`` ``uint8`` matrix
   (:class:`BatchedPopulation`), sharing the source structure across rows;
 * per-agent observations for the whole batch come from one
   :class:`~repro.core.sampling.BatchedSampler` call keyed on the ``(R,)``
   vector of per-replica one-fractions;
-* per-agent protocol state is stacked the same way (leading replica axis), and
-  vectorized protocols (those overriding ``Protocol.step_batch``) step every
-  replica with a handful of numpy calls.
+* per-agent protocol state is stacked the same way (leading replica axis),
+  and ``Protocol.step_batch`` steps every replica with a handful of numpy
+  calls.
+
+This is the only per-agent representation: protocols, samplers and
+initializers each have one implementation, written against the batch, and a
+single population is the ``R = 1`` case (:class:`SequentialEngine`, which
+also serves :class:`~repro.core.engine.SynchronousEngine`).
 
 :class:`BatchedEngine` drives the batch through the shared lock-step driver
-(:mod:`repro.core.lockstep`), whose ``R = 1`` case is
-:class:`~repro.core.engine.SynchronousEngine`: per-replica stability-window
-tracking, convergence-round accounting (``t_con`` = first round of the final
+(:mod:`repro.core.lockstep`): per-replica stability-window tracking,
+convergence-round accounting (``t_con`` = first round of the final
 all-correct streak), and *retirement* — a replica whose streak
 reaches the stability window is removed from the active working set, so
 finished trials stop costing work and their state provably never changes
@@ -29,7 +32,7 @@ not masked), so late rounds with few stragglers cost ``O(active × n)``, not
 ``O(R × n)``.
 
 The batched path is exact in distribution, not bitwise identical to
-``engine="sequential"`` (one single-replica run per trial stream): replicas
+``engine="sequential"`` (one one-row run per trial stream): replicas
 consume a shared dynamics stream instead of per-trial streams. Trajectory- and
 flip-recording consumers attach a :class:`~repro.trace.recorder.TraceRecorder`
 (``run(recorder=...)``): the engine reports the full ``(R,)`` one-fraction
@@ -39,7 +42,7 @@ their final value, so per-round logs survive retirement.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -58,7 +61,6 @@ __all__ = [
     "BatchedEngine",
     "SequentialEngine",
     "run_protocol_batched",
-    "stack_states",
 ]
 
 
@@ -139,34 +141,6 @@ class BatchedPopulation:
             pin_each_round=population.pin_each_round,
         )
 
-    @classmethod
-    def from_populations(cls, populations: Sequence[PopulationState]) -> "BatchedPopulation":
-        """Stack independently initialized populations of one configuration.
-
-        Every population must share the source structure — the batch models R
-        trials of the *same* system, only the random initial opinions differ.
-        """
-        if not populations:
-            raise ValueError("need at least one population")
-        first = populations[0]
-        for pop in populations[1:]:
-            if (
-                pop.n != first.n
-                or pop.correct_opinion != first.correct_opinion
-                or pop.pin_each_round != first.pin_each_round
-                or not np.array_equal(pop.source_mask, first.source_mask)
-                or not np.array_equal(pop.source_preferences, first.source_preferences)
-            ):
-                raise ValueError("all replicas must share the same source structure")
-        # Rows come from already-validated PopulationStates; skip re-validation.
-        return cls._trusted(
-            opinions=np.stack([pop.opinions for pop in populations]),
-            source_mask=first.source_mask.copy(),
-            source_preferences=first.source_preferences.copy(),
-            correct_opinion=first.correct_opinion,
-            pin_each_round=first.pin_each_round,
-        )
-
     # ------------------------------------------------------------------ views
 
     @property
@@ -204,10 +178,8 @@ class BatchedPopulation:
 
         The returned state is a read snapshot backed by a *view* of row ``r``;
         it shares the source arrays. Mutating it through its own methods
-        rebinds its arrays and does not propagate back to the batch — the
-        generic per-replica fallback writes results back explicitly. Rows of
-        a batch are valid by construction, so the view skips re-validation
-        (it is built once per replica per round).
+        rebinds its arrays and does not propagate back to the batch. Rows of
+        a batch are valid by construction, so the view skips re-validation.
         """
         return PopulationState._trusted(
             self.opinions[r],
@@ -304,22 +276,6 @@ class BatchedPopulation:
         return f"BatchedPopulation(replicas={self.replicas}, n={self.n})"
 
 
-def stack_states(states: Sequence[ProtocolState]) -> ProtocolState:
-    """Stack per-replica protocol states along a new leading replica axis.
-
-    ``R`` states with arrays of shape ``s`` become one state with arrays of
-    shape ``(R, *s)``. Stateless protocols (empty dicts) stack to an empty
-    dict.
-    """
-    if not states:
-        raise ValueError("need at least one state")
-    keys = set(states[0])
-    for state in states[1:]:
-        if set(state) != keys:
-            raise ValueError("all replica states must hold the same variables")
-    return {key: np.stack([state[key] for state in states]) for key in keys}
-
-
 class BatchedEngine(LockstepEngine):
     """Lock-step engine for R ``(R, n)`` replicas with per-replica retirement.
 
@@ -329,12 +285,10 @@ class BatchedEngine(LockstepEngine):
     Parameters
     ----------
     protocol:
-        The update rule; stepped through :meth:`Protocol.step_batch` (the
-        vectorized implementation when the protocol provides one, else the
-        generic per-replica fallback). One protocol instance serves the whole
-        batch, so instance attributes must be round configuration only — all
-        per-agent state belongs in the state dict, which is the existing
-        contract of :class:`Protocol`.
+        The update rule; stepped through :meth:`Protocol.step_batch`. One
+        protocol instance serves the whole batch, so instance attributes must
+        be round configuration only — all per-agent state belongs in the
+        state dict, which is the existing contract of :class:`Protocol`.
     batch:
         The replicas to simulate. After :meth:`run`, ``batch.opinions`` holds
         every replica's *final* configuration (frozen at retirement).
@@ -344,10 +298,9 @@ class BatchedEngine(LockstepEngine):
     rng:
         Generator or integer seed for the shared dynamics stream.
     states:
-        Batched internal protocol state: arrays with a leading replica axis,
-        e.g. from :func:`stack_states`. Defaults to stacking R fresh
-        ``protocol.init_state`` draws. The engine owns the dict (it compacts
-        it on retirement).
+        Batched internal protocol state: arrays with a leading replica axis.
+        Defaults to ``protocol.init_state_batch``. The engine owns the dict
+        (it compacts it on retirement).
     """
 
     engine_name = "batched"

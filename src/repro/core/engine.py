@@ -13,12 +13,17 @@ absorbing: with ``x_t = x_{t+1} = 1`` every sampled block is all ones, both
 counters equal ℓ, and the tie rule keeps every opinion. The default stability
 window of 2 therefore makes the detection exact rather than heuristic.
 
-:class:`SynchronousEngine` owns no round loop: it is the ``R = 1`` case of
+:class:`SynchronousEngine` owns no round loop, no sampler and no protocol
+step of its own: it is the ``R = 1`` case of
 :class:`~repro.core.batch.BatchedEngine`
 (:class:`~repro.core.batch.SequentialEngine`). Each :meth:`~SynchronousEngine.run`
 drives a one-row batch built on the caller's population and state through
-:func:`~repro.core.lockstep.run_lockstep`, then writes the final opinions and
-state back, so the population is mutated in place and runs can be chained.
+:func:`~repro.core.lockstep.run_lockstep` — observing through a
+:class:`~repro.core.sampling.BatchedSampler`, stepping through
+``Protocol.step_batch`` — then writes the final opinions and state back, so
+the population is mutated in place and runs can be chained. An
+``initializer`` is likewise installed through its batched ``apply_batch`` on
+that one-row batch.
 """
 
 from __future__ import annotations
@@ -36,9 +41,10 @@ from .population import PopulationState
 from .protocol import Protocol, ProtocolState
 from .records import RoundRecord, RunResult
 from .rng import as_rng
-from .sampling import BinomialCountSampler, PerReplicaSampler, Sampler
+from .sampling import BatchedBinomialSampler, BatchedSampler
 
-if TYPE_CHECKING:  # pragma: no cover - typing only; trace layers on core
+if TYPE_CHECKING:  # pragma: no cover - typing only; layers built on core
+    from ..initializers.standard import Initializer
     from ..trace.recorder import TraceRecorder
 
 __all__ = ["SynchronousEngine", "run_protocol"]
@@ -54,14 +60,17 @@ class SynchronousEngine:
     population:
         The population to mutate in place.
     sampler:
-        PULL sampler; reaches the lock-step driver through
-        :class:`PerReplicaSampler`. Defaults to the fast
-        exact-in-distribution :class:`BinomialCountSampler`.
+        PULL sampler, observing the one-row batch. Defaults to the fast
+        exact-in-distribution :class:`BatchedBinomialSampler`.
     rng:
         Generator or integer seed for all stochastic choices.
     state:
         Pre-built internal protocol state (e.g. adversarial); defaults to the
         protocol's clean initial state.
+    initializer:
+        Optional initial configuration, installed at construction through
+        its one implementation, ``apply_batch``, on the one-row batch (after
+        ``state``, on ``rng``).
     """
 
     def __init__(
@@ -69,16 +78,21 @@ class SynchronousEngine:
         protocol: Protocol,
         population: PopulationState,
         *,
-        sampler: Sampler | None = None,
+        sampler: BatchedSampler | None = None,
         rng: int | np.random.Generator | None = None,
         state: ProtocolState | None = None,
+        initializer: "Initializer | None" = None,
     ) -> None:
         self.protocol = protocol
         self.population = population
-        self.sampler = PerReplicaSampler(sampler if sampler is not None else BinomialCountSampler())
+        self.sampler = sampler if sampler is not None else BatchedBinomialSampler()
         self.rng = as_rng(rng)
         self.state = state if state is not None else protocol.init_state(population.n, self.rng)
         self.round_index = 0
+        if initializer is not None:
+            engine = self._engine()
+            initializer.apply_batch(engine.batch, protocol, engine.states, self.rng)
+            self._write_back(engine, engine.states)
         # The engine pins sources once up-front so that a sloppy caller cannot
         # start a single-source run with a deviating source opinion.
         if population.pin_each_round:
@@ -184,9 +198,10 @@ def run_protocol(
     population: PopulationState,
     max_rounds: int,
     *,
-    sampler: Sampler | None = None,
+    sampler: BatchedSampler | None = None,
     rng: int | np.random.Generator | None = None,
     state: ProtocolState | None = None,
+    initializer: "Initializer | None" = None,
     stability_rounds: int = 2,
     record_flips: bool = False,
 ) -> RunResult:
@@ -197,6 +212,7 @@ def run_protocol(
         sampler=sampler,
         rng=rng,
         state=state,
+        initializer=initializer,
     )
     return engine.run(
         max_rounds,

@@ -28,56 +28,20 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .population import PopulationState
-from .sampling import BatchedBinomialSampler, Sampler
+from .sampling import BatchedBinomialSampler
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .batch import BatchedPopulation
 
-__all__ = ["NoisyCountSampler", "BatchedNoisyCountSampler", "noisy_fraction"]
+__all__ = ["BatchedNoisyCountSampler", "noisy_fraction"]
 
 
-def noisy_fraction(x: float, epsilon: float) -> float:
-    """Effective one-fraction seen through per-bit flip noise ε."""
+def noisy_fraction(x, epsilon: float):
+    """Effective one-fraction(s) ``x`` (a float or an array) seen through
+    per-bit flip noise ε."""
     if not 0.0 <= epsilon <= 0.5:
         raise ValueError(f"epsilon must be in [0, 1/2], got {epsilon}")
     return x + epsilon * (1.0 - 2.0 * x)
-
-
-class NoisyCountSampler(Sampler):
-    """Fast sampler whose every observed bit flips independently w.p. ε.
-
-    Exact in distribution for the flip-noise model (see module docstring).
-    ``epsilon = 0`` reduces to the noiseless fast sampler.
-    """
-
-    def __init__(self, epsilon: float) -> None:
-        if not 0.0 <= epsilon <= 0.5:
-            raise ValueError(f"epsilon must be in [0, 1/2], got {epsilon}")
-        self.epsilon = epsilon
-
-    def counts(
-        self,
-        population: PopulationState,
-        ell: int,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        if ell < 0:
-            raise ValueError(f"ell must be non-negative, got {ell}")
-        x = noisy_fraction(population.fraction_ones(), self.epsilon)
-        return rng.binomial(ell, x, size=population.n)
-
-    def count_blocks(
-        self,
-        population: PopulationState,
-        ell: int,
-        blocks: int,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        if ell < 0:
-            raise ValueError(f"ell must be non-negative, got {ell}")
-        x = noisy_fraction(population.fraction_ones(), self.epsilon)
-        return rng.binomial(ell, x, size=(blocks, population.n))
 
 
 class BatchedNoisyCountSampler(BatchedBinomialSampler):
@@ -95,8 +59,4 @@ class BatchedNoisyCountSampler(BatchedBinomialSampler):
         self.epsilon = epsilon
 
     def _fractions(self, batch: "BatchedPopulation") -> np.ndarray:
-        x = batch.fraction_ones()
-        return x + self.epsilon * (1.0 - 2.0 * x)
-
-    def scalar(self) -> Sampler:
-        return NoisyCountSampler(self.epsilon)
+        return noisy_fraction(batch.fraction_ones(), self.epsilon)

@@ -2,18 +2,22 @@
 
 A protocol is the per-agent update rule executed synchronously each round. To
 keep large-``n`` simulation fast, protocols are written in vectorized form:
-one :meth:`Protocol.step` call computes the tentative next opinion of *every*
-agent at once from the shared population snapshot and the protocol's internal
-per-agent state arrays.
+one :meth:`Protocol.step_batch` call computes the tentative next opinion of
+*every* agent of *every* replica at once from the ``(R, n)`` batch snapshot
+and the protocol's stacked per-agent state arrays. That is the protocol's
+one per-agent implementation: a single population is the ``R = 1`` case, and
+count-capable protocols add the sufficient-statistic model behind
+``engine="counts"`` beside it.
 
 Self-stabilization contract
 ---------------------------
 The adversary controls the full initial configuration: opinions *and* internal
-state. Every protocol therefore implements :meth:`randomize_state`, which
-draws a uniformly random valid internal state, and keeps all state in a plain
-``dict[str, np.ndarray]`` so adversarial initializers can overwrite it
-directly. Convergence results in this repository are always reported under
-adversarial initialization unless stated otherwise.
+state. Every protocol with internal variables therefore implements
+:meth:`randomize_state_batch`, which draws a uniformly random valid internal
+state per replica, and keeps all state in a plain ``dict[str, np.ndarray]``
+so adversarial initializers can overwrite it directly. Convergence results in
+this repository are always reported under adversarial initialization unless
+stated otherwise.
 """
 
 from __future__ import annotations
@@ -23,8 +27,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from .population import PopulationState
-from .sampling import BatchedSampler, Sampler
+from .sampling import BatchedSampler
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .batch import BatchedPopulation
@@ -64,67 +67,36 @@ class Protocol(ABC):
     #: ``engine="batched"``/``"sequential"`` are the override.
     counts_min_n: int = 100
 
-    @abstractmethod
-    def init_state(self, n: int, rng: np.random.Generator) -> ProtocolState:
-        """Return the protocol's designated initial internal state.
-
-        This is the "clean start" state. Self-stabilization experiments do
-        not use it directly; they call :meth:`randomize_state`.
-        """
-
-    def randomize_state(self, n: int, rng: np.random.Generator) -> ProtocolState:
-        """Return a uniformly random *valid* internal state (adversarial).
-
-        Default: the clean initial state. Protocols with internal variables
-        must override so the adversary truly controls them.
-        """
-        return self.init_state(n, rng)
-
     def init_state_batch(
         self, replicas: int, n: int, rng: np.random.Generator
     ) -> ProtocolState:
         """Clean initial state for ``replicas`` independent replicas.
 
-        Arrays gain a leading replica axis (``(R, *per_replica_shape)``).
-        The generic fallback stacks per-replica :meth:`init_state` draws;
-        protocols on the batched fast path override with one vectorized draw.
+        Arrays carry a leading replica axis (``(R, *per_replica_shape)``).
+        This is the "clean start" state; self-stabilization experiments do
+        not use it directly, they call :meth:`randomize_state_batch`.
+        Default: no internal state (stateless protocols).
         """
-        first = self.init_state(n, rng)
-        if not first:
-            return {}
-        rest = [self.init_state(n, rng) for _ in range(replicas - 1)]
-        return {key: np.stack([first[key]] + [state[key] for state in rest]) for key in first}
+        return {}
 
     def randomize_state_batch(
         self, replicas: int, n: int, rng: np.random.Generator
     ) -> ProtocolState:
-        """Adversarial random state for ``replicas`` independent replicas.
+        """A uniformly random *valid* internal state per replica (adversarial).
 
-        Same layout contract as :meth:`init_state_batch`.
+        Same layout contract as :meth:`init_state_batch`. Default: the clean
+        initial state. Protocols with internal variables must override so
+        the adversary truly controls them.
         """
-        first = self.randomize_state(n, rng)
-        if not first:
-            return {}
-        rest = [self.randomize_state(n, rng) for _ in range(replicas - 1)]
-        return {key: np.stack([first[key]] + [state[key] for state in rest]) for key in first}
+        return self.init_state_batch(replicas, n, rng)
+
+    def init_state(self, n: int, rng: np.random.Generator) -> ProtocolState:
+        """Clean initial state of a single population: the one-row case of
+        :meth:`init_state_batch`, for
+        :class:`~repro.core.engine.SynchronousEngine` callers."""
+        return {key: value[0] for key, value in self.init_state_batch(1, n, rng).items()}
 
     @abstractmethod
-    def step(
-        self,
-        population: PopulationState,
-        state: ProtocolState,
-        sampler: Sampler,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Execute one synchronous round for all agents.
-
-        Reads the population snapshot (opinions of round ``t``), performs the
-        protocol's sampling through ``sampler``, mutates ``state`` in place to
-        its round-``t+1`` value, and returns the tentative opinion vector for
-        round ``t+1``. The engine installs the returned opinions and re-pins
-        sources, so protocols may uniformly update everyone.
-        """
-
     def step_batch(
         self,
         batch: "BatchedPopulation",
@@ -134,29 +106,15 @@ class Protocol(ABC):
     ) -> np.ndarray:
         """Execute one synchronous round for every replica of a batch.
 
-        ``states`` holds this protocol's state arrays with a leading replica
-        axis (shape ``(A, *per_replica_shape)``); the method mutates them to
-        their round-``t+1`` values and returns the ``(A, n)`` tentative
-        opinion matrix. The batched engine installs the returned opinions and
-        re-pins sources in every row.
-
-        The default implementation is a generic per-replica fallback that
-        drives each row through the scalar :meth:`step` with the sampler's
-        single-replica equivalent — correct for every protocol, but it keeps
-        the per-replica Python cost. Vectorized overrides advance all
-        replicas at once (numpy broadcasting makes the scalar body work
-        nearly verbatim on ``(A, n)`` arrays).
+        Reads the batch snapshot (opinions of round ``t``), performs the
+        protocol's sampling through ``sampler``, mutates ``states`` — this
+        protocol's state arrays with a leading replica axis (shape
+        ``(A, *per_replica_shape)``) — to their round-``t+1`` values, and
+        returns the ``(A, n)`` tentative opinion matrix. The engine installs
+        the returned opinions and re-pins sources in every row, so protocols
+        may uniformly update everyone. A single population is the ``A = 1``
+        case; there is no separate single-population step.
         """
-        scalar = sampler.scalar()
-        out = np.empty_like(batch.opinions)
-        for r in range(batch.replicas):
-            replica_state = {key: value[r] for key, value in states.items()}
-            out[r] = self.step(batch.replica(r), replica_state, scalar, rng)
-            # Scalar steps may rebind state entries rather than mutate them in
-            # place (FET does); fold the results back into the batched arrays.
-            for key in states:
-                states[key][r] = replica_state[key]
-        return out
 
     # ---------------------------------------------------------- count model
     #
@@ -184,7 +142,7 @@ class Protocol(ABC):
 
         Row ``o`` is the probability vector over count states for an agent
         whose opinion bit is ``o`` and whose internal state was drawn by
-        :meth:`init_state`.
+        :meth:`init_state_batch`.
         """
         raise NotImplementedError(
             f"{self.name} does not define a count model (counts_supported=False)"
@@ -195,7 +153,7 @@ class Protocol(ABC):
 
         Row ``o`` is the distribution over count states for an agent with
         opinion ``o`` whose internal state was drawn by
-        :meth:`randomize_state`.
+        :meth:`randomize_state_batch`.
         """
         raise NotImplementedError(
             f"{self.name} does not define a count model (counts_supported=False)"

@@ -6,17 +6,21 @@ communication the only extractable information is the opinion bit, so an
 observation is fully summarized by *the number of 1-opinions among the ℓ
 samples* (paper, Section 1.2).
 
-Two interchangeable samplers are provided:
+Every sampler is a :class:`BatchedSampler`: one call observes every agent of
+every replica of an ``(R, n)`` batch, and a single population is the
+``R = 1`` case — there is no separate single-population sampler. Two
+observation models are provided:
 
-* :class:`BinomialCountSampler` — the fast path. When sampling uniformly with
-  replacement from a population whose one-fraction is ``x``, the count of ones
-  among ``ℓ`` draws is exactly ``Binomial(ℓ, x)``; we draw those counts
-  directly, one per agent, in O(n) per round. This is an *exact* simulation of
-  the model, not an approximation.
-* :class:`IndexSampler` — the literal path. Draws explicit agent indices and
-  counts ones among them. Slower, but supports ``exclude_self`` (sampling "ℓ
-  *other* agents") and non-passive protocols that need to read sampled agents'
-  message vectors. Tests verify it agrees in distribution with the fast path.
+* :class:`BatchedBinomialSampler` — the fast path. When sampling uniformly
+  with replacement from a population whose one-fraction is ``x``, the count
+  of ones among ``ℓ`` draws is exactly ``Binomial(ℓ, x)``; we draw those
+  counts directly, keyed on each replica's ``x``, through the tiered
+  :func:`batched_binomial_counts`. This is an *exact* simulation of the
+  model, not an approximation.
+* :class:`IndexSampler` — the literal path. Draws explicit ``(R, n, ℓ)``
+  agent identities and counts ones among them. Slower, but supports
+  ``exclude_self`` (sampling "ℓ *other* agents"). Tests verify it agrees in
+  distribution with the fast path.
 """
 
 from __future__ import annotations
@@ -29,145 +33,24 @@ import numpy as np
 from ..telemetry import catalog
 from ..telemetry.registry import MetricsRegistry, current_registry
 from ..telemetry.spans import span
-from .population import PopulationState
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .batch import BatchedPopulation
 
 __all__ = [
-    "Sampler",
-    "BinomialCountSampler",
-    "IndexSampler",
     "BatchedSampler",
     "BatchedBinomialSampler",
-    "PerReplicaSampler",
+    "IndexSampler",
     "batched_binomial_counts",
 ]
-
-
-class Sampler(ABC):
-    """Produces per-agent PULL observations from the current population."""
-
-    @abstractmethod
-    def counts(
-        self,
-        population: PopulationState,
-        ell: int,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Return an ``(n,)`` int array: per-agent number of 1-opinions seen
-        among ``ell`` uniform-with-replacement samples."""
-
-    def count_blocks(
-        self,
-        population: PopulationState,
-        ell: int,
-        blocks: int,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Return an ``(blocks, n)`` int array of independent count vectors.
-
-        FET draws ``2ℓ`` samples and partitions them into two blocks of ℓ;
-        with uniform-with-replacement sampling the two block counts are
-        independent ``Binomial(ℓ, x)`` variables, which is what this returns
-        for ``blocks=2``.
-        """
-        return np.stack([self.counts(population, ell, rng) for _ in range(blocks)])
-
-    def indices(
-        self,
-        population: PopulationState,
-        ell: int,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Return an ``(n, ell)`` int array of sampled agent indices.
-
-        Only meaningful for samplers that materialize identities; the fast
-        sampler raises, since passive protocols never need identities.
-        """
-        raise NotImplementedError(f"{type(self).__name__} does not materialize sampled indices")
-
-
-class BinomialCountSampler(Sampler):
-    """Exact-in-distribution fast sampler (see module docstring)."""
-
-    def counts(
-        self,
-        population: PopulationState,
-        ell: int,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        if ell < 0:
-            raise ValueError(f"ell must be non-negative, got {ell}")
-        x = population.fraction_ones()
-        return rng.binomial(ell, x, size=population.n)
-
-    def count_blocks(
-        self,
-        population: PopulationState,
-        ell: int,
-        blocks: int,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        if ell < 0:
-            raise ValueError(f"ell must be non-negative, got {ell}")
-        x = population.fraction_ones()
-        return rng.binomial(ell, x, size=(blocks, population.n))
-
-
-class IndexSampler(Sampler):
-    """Literal index-level sampler.
-
-    Parameters
-    ----------
-    exclude_self:
-        When ``True``, agent ``i`` never samples itself (the paper's "ℓ
-        *other* agents"). For ``ℓ ≪ n`` the difference from unrestricted
-        sampling is ``O(ℓ/n)`` per observation and does not affect any result;
-        the option exists so the claim can be checked rather than assumed.
-    """
-
-    def __init__(self, exclude_self: bool = False) -> None:
-        self.exclude_self = exclude_self
-
-    def indices(
-        self,
-        population: PopulationState,
-        ell: int,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        n = population.n
-        if ell < 0:
-            raise ValueError(f"ell must be non-negative, got {ell}")
-        if not self.exclude_self:
-            return rng.integers(0, n, size=(n, ell))
-        # Sample from n-1 "other" agents: draw in [0, n-2] and shift values
-        # >= own index up by one, a standard bijection onto {0..n-1} \ {i}.
-        draws = rng.integers(0, n - 1, size=(n, ell))
-        own = np.arange(n)[:, None]
-        return draws + (draws >= own)
-
-    def counts(
-        self,
-        population: PopulationState,
-        ell: int,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        idx = self.indices(population, ell, rng)
-        if idx.size == 0:
-            return np.zeros(population.n, dtype=np.int64)
-        return population.opinions[idx].sum(axis=1).astype(np.int64)
-
-
-# --------------------------------------------------------------------- batched
 
 
 class BatchedSampler(ABC):
     """Per-agent PULL observations for *all replicas* of a batch at once.
 
-    The batched analogue of :class:`Sampler`: one call produces the counts of
-    every agent in every replica of a :class:`~repro.core.batch.BatchedPopulation`,
-    keyed on each replica's own one-fraction.
+    One call produces the counts of every agent in every replica of a
+    :class:`~repro.core.batch.BatchedPopulation`, drawn within each replica.
+    A single population is the one-row case.
     """
 
     @abstractmethod
@@ -189,44 +72,56 @@ class BatchedSampler(ABC):
     ) -> np.ndarray:
         """Return a ``(blocks, R, n)`` int array of independent count tensors.
 
+        FET draws ``2ℓ`` samples and partitions them into two blocks of ℓ;
+        with uniform-with-replacement sampling the two block counts are
+        independent ``Binomial(ℓ, x)`` variables, which is what this returns
+        for ``blocks=2``.
+
         The returned tensor must be freshly allocated per call: ownership
         passes to the caller, and vectorized protocol steps may consume the
         blocks as scratch buffers on their hot path.
         """
         return np.stack([self.counts(batch, ell, rng) for _ in range(blocks)])
 
-    @abstractmethod
-    def scalar(self) -> Sampler:
-        """Return the single-replica sampler with the same observation model.
 
-        Used by the generic per-replica :meth:`Protocol.step_batch` fallback,
-        which drives each replica through the protocol's scalar ``step``.
-        """
+class IndexSampler(BatchedSampler):
+    """Literal index-level sampler.
 
+    Draws explicit ``(R, n, ℓ)`` agent identities and counts ones among
+    them. Slower than :class:`BatchedBinomialSampler`, and not keyed on
+    one-fractions (no ``effective_fractions``), so the counts engine rejects
+    it; it exists so the fast path's exactness and the ``exclude_self``
+    claim can be checked rather than assumed.
 
-class PerReplicaSampler(BatchedSampler):
-    """Batched face of any scalar :class:`Sampler`: one scalar call per row.
-
-    The inverse of :meth:`BatchedSampler.scalar`. Observation models with no
-    vectorized batched form (the literal :class:`IndexSampler`, custom
-    ``sampler_factory`` samplers) reach the lock-step engines through it,
-    and it is what :class:`~repro.core.engine.SynchronousEngine` wraps a
-    caller's scalar sampler in. It is not keyed on one-fractions (no
-    ``effective_fractions``), so the counts engine rejects it.
+    Parameters
+    ----------
+    exclude_self:
+        When ``True``, agent ``i`` never samples itself (the paper's "ℓ
+        *other* agents"). For ``ℓ ≪ n`` the difference from unrestricted
+        sampling is ``O(ℓ/n)`` per observation and does not affect any result.
     """
 
-    def __init__(self, sampler: Sampler) -> None:
-        self.sampler = sampler
+    def __init__(self, exclude_self: bool = False) -> None:
+        self.exclude_self = exclude_self
 
-    @property
-    def epsilon(self) -> float:
-        """The wrapped sampler's per-bit observation noise (0 if it has none).
-
-        Protocols that read sampled agents' state directly rather than
-        consuming counts (clock-sync) apply this level themselves, so the
-        wrapper must not hide it.
-        """
-        return getattr(self.sampler, "epsilon", 0.0)
+    def indices(
+        self,
+        batch: "BatchedPopulation",
+        ell: int,
+        rng: np.random.Generator,
+    ) -> np.ndarray:
+        """Return an ``(R, n, ell)`` int array of sampled agent indices,
+        drawn within each replica."""
+        replicas, n = batch.replicas, batch.n
+        if ell < 0:
+            raise ValueError(f"ell must be non-negative, got {ell}")
+        if not self.exclude_self:
+            return rng.integers(0, n, size=(replicas, n, ell))
+        # Sample from n-1 "other" agents: draw in [0, n-2] and shift values
+        # >= own index up by one, a standard bijection onto {0..n-1} \ {i}.
+        draws = rng.integers(0, n - 1, size=(replicas, n, ell))
+        own = np.arange(n)[None, :, None]
+        return draws + (draws >= own)
 
     def counts(
         self,
@@ -234,23 +129,9 @@ class PerReplicaSampler(BatchedSampler):
         ell: int,
         rng: np.random.Generator,
     ) -> np.ndarray:
-        return self.count_blocks(batch, ell, 1, rng)[0]
-
-    def count_blocks(
-        self,
-        batch: "BatchedPopulation",
-        ell: int,
-        blocks: int,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        rows = [
-            self.sampler.count_blocks(batch.replica(r), ell, blocks, rng)
-            for r in range(batch.replicas)
-        ]
-        return np.stack(rows, axis=1)
-
-    def scalar(self) -> Sampler:
-        return self.sampler
+        idx = self.indices(batch, ell, rng)
+        rows = np.arange(batch.replicas)[:, None, None]
+        return batch.opinions[rows, idx].sum(axis=2, dtype=np.int64)
 
 
 #: Use numpy's scalar-p binomial generator (geometric-search inversion, cheap
@@ -505,9 +386,9 @@ def batched_binomial_counts(
 ) -> np.ndarray:
     """Draw a ``(blocks, A, n)`` tensor of ``Binomial(ℓ, x_r)`` counts.
 
-    Row ``r`` of every block holds ``n`` iid ``Binomial(ell, x[r])`` draws —
-    the batched analogue of one :class:`BinomialCountSampler` call per
-    replica. All methods are exact in distribution (up to float64 rounding of
+    Row ``r`` of every block holds ``n`` iid ``Binomial(ell, x[r])`` draws,
+    the per-agent counts of a replica at one-fraction ``x[r]``. All methods
+    are exact in distribution (up to float64 rounding of
     the pmf, the same resolution every float-p sampler has):
 
     * ``"binomial"`` — one broadcast ``rng.binomial`` call. Reference
@@ -653,6 +534,3 @@ class BatchedBinomialSampler(BatchedSampler):
         return batched_binomial_counts(
             rng, ell, self._fractions(batch), blocks, batch.n, self.method
         )
-
-    def scalar(self) -> Sampler:
-        return BinomialCountSampler()

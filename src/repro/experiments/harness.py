@@ -19,13 +19,12 @@ above it speaks :class:`~repro.config.RunSpec`:
 
 Three execution engines are available; :meth:`RunSpec.resolve_engine`
 maps the ``engine`` policy onto one of them. All three run on the one
-lock-step driver (:mod:`repro.core.lockstep`), and every observation model
-reaches it through its batched side (models without a vectorized form via
-:class:`~repro.core.sampling.PerReplicaSampler`):
+lock-step driver (:mod:`repro.core.lockstep`) with the same components:
+each protocol, observation model and initializer has one per-agent
+implementation, the batched one, and a single trial is its one-row case.
 
-* ``"sequential"`` — one single-replica lock-step run per trial, each on
-  its own ``spawn_rngs(seed, trials)`` stream (initialization, then
-  dynamics), observing through the sampler's scalar side.
+* ``"sequential"`` — one one-row lock-step run per trial, each on its own
+  ``spawn_rngs(seed, trials)`` stream (initialization, then dynamics).
 * ``"batched"`` — all trials as one ``(R, n)`` system on the
   :class:`~repro.core.batch.BatchedEngine`: all replicas advance in
   lock-step and retire individually on convergence. Statistically
@@ -55,19 +54,19 @@ converting the recorded ``(R, T)`` matrix back into per-trial
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 import numpy as np
 
 from ..config import RunSpec
-from ..core.batch import BatchedEngine, BatchedPopulation, SequentialEngine, stack_states
+from ..core.batch import BatchedEngine, BatchedPopulation, SequentialEngine
 from ..core.counts import CountEngine, CountPopulation, make_count_population
 from ..core.population import PopulationState, make_population
 from ..core.lockstep import LockstepEngine
 from ..core.protocol import Protocol, ProtocolState
 from ..core.records import RunResult
 from ..core.rng import spawn_rngs
-from ..core.sampling import BatchedSampler, PerReplicaSampler, Sampler
+from ..core.sampling import BatchedSampler
 from ..initializers.standard import Initializer
 from ..stats.summary import TimesSummary, describe_times, wilson_interval
 from ..trace import FullTrace
@@ -138,7 +137,6 @@ def run_trials(
     max_rounds: int,
     seed: int,
     correct_opinion: int = 1,
-    sampler_factory: Callable[[], Sampler] | None = None,
     population_factory: Callable[[], PopulationState] | None = None,
     stability_rounds: int = 2,
     keep_results: bool = False,
@@ -159,11 +157,9 @@ def run_trials(
     and runs to convergence or ``max_rounds``. ``trials=0`` is allowed and
     yields an empty aggregate (no successes, empty ``times``, NaN
     summaries) without touching any engine. ``batched_sampler`` supplies
-    the vectorized observation model (e.g.
-    :class:`~repro.core.noise.BatchedNoisyCountSampler`); a
-    ``sampler_factory`` alone reaches the engines one scalar call per
-    replica through :class:`~repro.core.sampling.PerReplicaSampler` —
-    declaratively-built specs need neither.
+    the observation model (e.g.
+    :class:`~repro.core.noise.BatchedNoisyCountSampler`); declaratively-built
+    specs do not need it.
     """
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
@@ -183,7 +179,6 @@ def run_trials(
         keep_results=keep_results,
         protocol_factory=protocol_factory,
         initializer=initializer,
-        sampler_factory=sampler_factory,
         batched_sampler=batched_sampler,
         population_factory=population_factory,
     )
@@ -195,7 +190,6 @@ def execute_run(
     keep_results: bool = False,
     protocol_factory: Callable[[], Protocol] | None = None,
     initializer: Initializer | None = None,
-    sampler_factory: Callable[[], Sampler] | None = None,
     batched_sampler: BatchedSampler | None = None,
     population_factory: Callable[[], PopulationState] | None = None,
 ) -> TrialStats:
@@ -205,10 +199,8 @@ def execute_run(
     objects — the adapter path of :func:`run_trials` and the escape hatch
     for components with no declarative form. The engine comes from
     :meth:`RunSpec.resolve_engine` (a live ``population_factory`` keeps
-    ``"auto"`` off the counts engine). A ``sampler_factory`` without a
-    ``batched_sampler`` reaches the lock-step engines through
-    :class:`~repro.core.sampling.PerReplicaSampler`, which the counts engine
-    rejects.
+    ``"auto"`` off the counts engine, as does a ``batched_sampler`` without
+    ``effective_fractions``).
     """
     if protocol_factory is None:
         protocol_factory = spec.protocol_factory()
@@ -216,9 +208,7 @@ def execute_run(
         initializer = spec.build_initializer()
     custom_population = population_factory is not None
     if batched_sampler is None:
-        batched_sampler = (
-            PerReplicaSampler(sampler_factory()) if sampler_factory is not None else spec.samplers()
-        )
+        batched_sampler = spec.samplers()
     max_rounds = spec.resolved_max_rounds()
     protocol = protocol_factory()
     engine = spec.resolve_engine(
@@ -282,14 +272,12 @@ def make_lockstep_engines(
     resolved ``engine`` — the one assembly behind every execution path.
 
     ``"counts"`` and ``"batched"`` are one engine holding every trial as a
-    replica. ``"sequential"`` is one single-replica
+    replica. ``"sequential"`` is one one-row
     :class:`~repro.core.batch.SequentialEngine` per trial, lazily built on
-    that trial's own ``spawn_rngs(seed, trials)`` stream (initialization,
-    then dynamics) with the same per-trial initialization as
-    :func:`prepare_batch`'s fallback; it observes through
-    the sampler's scalar side, whose one direct draw per round is cheaper
-    at one replica than the batched draw-tier dispatch. Live-object
-    keywords override the spec's components.
+    that trial's own ``spawn_rngs(seed, trials)`` stream (initialization by
+    the initializer's ``apply_batch``, then dynamics), observing through the
+    same batched sampler. Live-object keywords override the spec's
+    components.
     """
     if protocol is None:
         protocol = spec.build_protocol()
@@ -313,51 +301,40 @@ def make_lockstep_engines(
         ]
     if population_factory is None and spec.population is not None:
         population_factory = spec.population_factory()
-    sampler = PerReplicaSampler(sampler.scalar())
-    rngs = spawn_rngs(spec.seed, spec.trials)
-    trials = _trial_populations(
-        protocol,
-        initializer,
-        rngs,
-        n=spec.n,
-        correct_opinion=spec.correct_opinion,
-        num_sources=spec.num_sources,
-        population_factory=population_factory,
-    )
-    return (
-        SequentialEngine(
-            protocol,
-            BatchedPopulation.from_populations([population]),
-            sampler=sampler,
-            rng=rng,
-            states=stack_states([state]),
-        )
-        for rng, (population, state) in zip(rngs, trials)
-    )
+    template = _template(spec.n, spec.correct_opinion, spec.num_sources, population_factory)
+
+    def trial(rng: np.random.Generator) -> SequentialEngine:
+        batch, states = _initialized_batch(protocol, template, initializer, 1, rng)
+        return SequentialEngine(protocol, batch, sampler=sampler, rng=rng, states=states)
+
+    return (trial(rng) for rng in spawn_rngs(spec.seed, spec.trials))
 
 
-def _trial_populations(
-    protocol: Protocol,
-    initializer: Initializer,
-    rngs: list[np.random.Generator],
-    *,
+def _template(
     n: int,
     correct_opinion: int,
     num_sources: int,
     population_factory: Callable[[], PopulationState] | None,
-) -> Iterator[tuple[PopulationState, ProtocolState]]:
-    """Initialized ``(population, state)`` per trial stream, lazily."""
-    template = None
-    for rng in rngs:
-        if population_factory is not None:
-            population = population_factory()
-        else:
-            if template is None:
-                template = make_population(n, correct_opinion, num_sources=num_sources)
-            population = template.copy()
-        state = protocol.init_state(population.n, rng)
-        initializer(population, protocol, state, rng)
-        yield population, state
+) -> PopulationState:
+    """The population layout every replica of a run shares."""
+    if population_factory is not None:
+        return population_factory()
+    return make_population(n, correct_opinion, num_sources=num_sources)
+
+
+def _initialized_batch(
+    protocol: Protocol,
+    template: PopulationState,
+    initializer: Initializer,
+    replicas: int,
+    rng: np.random.Generator,
+) -> tuple[BatchedPopulation, ProtocolState]:
+    """``replicas`` rows of ``template`` with their stacked protocol states,
+    installed by the initializer's one implementation on ``rng``."""
+    batch = BatchedPopulation.from_population(template, replicas)
+    states = protocol.init_state_batch(replicas, batch.n, rng)
+    initializer.apply_batch(batch, protocol, states, rng)
+    return batch, states
 
 
 def prepare_batch(
@@ -378,36 +355,18 @@ def prepare_batch(
     the initialized batch, its stacked protocol states, and the generator for
     the lock-step dynamics stream.
 
-    With a batch-capable initializer and a declarative population layout
-    (``num_sources`` sources at the canonical indices), the whole initial
-    batch is built with vectorized draws (one stream for initialization,
-    one for the lock-step dynamics). Otherwise initial configurations are
-    built per trial on spawned streams, exactly as ``engine="sequential"``
-    builds them. One protocol instance serves the whole batch — valid
-    because protocol instances hold round configuration only, with all
-    per-agent state in the state dict (the
+    One stream initializes the whole batch with the initializer's vectorized
+    ``apply_batch``, the second drives the lock-step dynamics. Every replica
+    shares one population layout: ``population_factory``'s, else
+    ``num_sources`` sources at the canonical indices. One protocol instance
+    serves the whole batch — valid because protocol instances hold round
+    configuration only, with all per-agent state in the state dict (the
     :class:`~repro.core.protocol.Protocol` contract).
     """
-    if initializer.supports_batch and population_factory is None:
-        init_rng, batch_rng = spawn_rngs(seed, 2)
-        template = make_population(n, correct_opinion, num_sources=num_sources)
-        batch = BatchedPopulation.from_population(template, trials)
-        batch_states = protocol.init_state_batch(trials, n, init_rng)
-        initializer.apply_batch(batch, protocol, batch_states, init_rng)
-        return batch, batch_states, batch_rng
-    rngs = spawn_rngs(seed, trials + 1)
-    populations, states = zip(
-        *_trial_populations(
-            protocol,
-            initializer,
-            rngs[:trials],
-            n=n,
-            correct_opinion=correct_opinion,
-            num_sources=num_sources,
-            population_factory=population_factory,
-        )
-    )
-    return BatchedPopulation.from_populations(populations), stack_states(states), rngs[-1]
+    init_rng, batch_rng = spawn_rngs(seed, 2)
+    template = _template(n, correct_opinion, num_sources, population_factory)
+    batch, states = _initialized_batch(protocol, template, initializer, trials, init_rng)
+    return batch, states, batch_rng
 
 
 def make_batched_engine(

@@ -68,9 +68,7 @@ def run_annotated(
     """Run once and classify every trajectory pair into Figure 1a domains."""
     rng = as_rng(seed)
     population = make_population(n, correct_opinion)
-    state = protocol.init_state(n, rng)
-    initializer(population, protocol, state, rng)
-    engine = SynchronousEngine(protocol, population, rng=rng, state=state)
+    engine = SynchronousEngine(protocol, population, rng=rng, initializer=initializer)
     result = engine.run(max_rounds, stability_rounds=stability_rounds)
     partition = DomainPartition(n=n, delta=delta)
     domains = partition.classify_pairs(result.pairs())

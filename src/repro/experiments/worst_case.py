@@ -55,11 +55,13 @@ def _score(
     converged_all = True
     for r in range(runs):
         rng = derive_rng(seed, int(x_prev * 1000), int(x_now * 1000), r)
-        protocol = FETProtocol(ell)
-        population = make_population(n, 1)
-        state = protocol.init_state(n, rng)
-        TwoRoundTarget(x_prev, x_now)(population, protocol, state, rng)
-        result = run_protocol(protocol, population, budget, rng=rng, state=state)
+        result = run_protocol(
+            FETProtocol(ell),
+            make_population(n, 1),
+            budget,
+            rng=rng,
+            initializer=TwoRoundTarget(x_prev, x_now),
+        )
         converged_all &= result.converged
         times.append(result.rounds)
     return float(np.mean(times)), int(max(times)), converged_all

@@ -1,18 +1,17 @@
 """Standard initial-configuration builders.
 
-An initializer installs an initial opinion vector (and optionally internal
-protocol state) into a population before a run. The self-stabilizing setting
-means the adversary controls everything, so experiments sweep over these
-classes; the crafted worst-case constructions live in
-:mod:`repro.initializers.adversarial`.
+An initializer installs an initial opinion configuration (and optionally
+internal protocol state) before a run. The self-stabilizing setting means the
+adversary controls everything, so experiments sweep over these classes; the
+crafted worst-case constructions live in :mod:`repro.initializers.adversarial`.
 
-Every initializer is a callable ``(population, protocol, state, rng) -> None``
-mutating its arguments in place; :class:`Initializer` provides the naming
-plumbing used by benchmark tables. The standard classes additionally support
-*batched* application (``supports_batch`` / :meth:`Initializer.apply_batch`):
-one call initializes every replica of a
-:class:`~repro.core.batch.BatchedPopulation` with vectorized draws, which
-keeps many-trial setup off the per-trial Python path.
+Every initializer has one per-agent implementation,
+:meth:`Initializer.apply_batch`: one call initializes every replica of a
+:class:`~repro.core.batch.BatchedPopulation` with vectorized draws, and a
+single population is the one-row case (``SynchronousEngine(initializer=...)``,
+``engine="sequential"``). Exchangeable initializers additionally express
+their law at the count level (``supports_counts`` /
+:meth:`Initializer.apply_counts`) for the counts engine.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ import numpy as np
 from typing import TYPE_CHECKING
 
 from ..core.batch import BatchedPopulation
-from ..core.population import PopulationState
 from ..core.protocol import Protocol, ProtocolState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -32,6 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "Initializer",
+    "set_fraction",
     "AllWrong",
     "AllCorrect",
     "BernoulliRandom",
@@ -40,14 +39,25 @@ __all__ = [
 ]
 
 
+def set_fraction(batch: BatchedPopulation, x: float, rng: np.random.Generator) -> None:
+    """Give every replica exactly ``round(x·n)`` ones at uniformly random
+    positions (sources then re-pinned), independently per replica.
+
+    A uniform within-row shuffle of a fixed-weight row is exactly "ones at
+    uniformly random positions".
+    """
+    ones = int(round(x * batch.n))
+    row = np.zeros(batch.n, dtype=np.uint8)
+    row[:ones] = 1
+    opinions = np.tile(row, (batch.replicas, 1))
+    rng.permuted(opinions, axis=1, out=opinions)
+    batch.adversarial_opinions(opinions, validate=False)
+
+
 class Initializer(ABC):
     """Base class: installs opinions and/or protocol state in place."""
 
     name: str = "initializer"
-    #: ``True`` when :meth:`apply_batch` installs every replica of a batch in
-    #: one vectorized call; harnesses fall back to per-replica :meth:`apply`
-    #: otherwise.
-    supports_batch: bool = False
     #: ``True`` when :meth:`apply_counts` can express the initial distribution
     #: at the count level (exchangeable over non-source agents). Crafted
     #: per-agent constructions stay ``False`` and are rejected by the counts
@@ -55,15 +65,6 @@ class Initializer(ABC):
     supports_counts: bool = False
 
     @abstractmethod
-    def apply(
-        self,
-        population: PopulationState,
-        protocol: Protocol,
-        state: ProtocolState,
-        rng: np.random.Generator,
-    ) -> None:
-        """Mutate ``population`` / ``state`` to the initial configuration."""
-
     def apply_batch(
         self,
         batch: BatchedPopulation,
@@ -71,12 +72,10 @@ class Initializer(ABC):
         states: ProtocolState,
         rng: np.random.Generator,
     ) -> None:
-        """Install the initial configuration into every replica at once.
-
-        ``states`` holds the protocol's batched state (leading replica axis).
-        Only available when ``supports_batch`` is ``True``.
-        """
-        raise NotImplementedError(f"{type(self).__name__} does not support batched application")
+        """Install the initial configuration into every replica at once,
+        mutating ``batch`` and ``states`` (the protocol's batched state,
+        leading replica axis) in place. A single population is the one-row
+        case."""
 
     def apply_counts(
         self,
@@ -86,7 +85,7 @@ class Initializer(ABC):
     ) -> None:
         """Install the initial state-count distribution into every replica.
 
-        The counts analogue of :meth:`apply_batch`: draws each replica's
+        The count-level form of :meth:`apply_batch`: draws each replica's
         ``(S,)`` state-count vector directly (multinomial over the joint
         opinion/internal-state distribution this initializer induces), with
         no per-agent arrays. Exact in distribution for exchangeable
@@ -110,15 +109,6 @@ class Initializer(ABC):
             "see repro.sweep.registry for the supported initializers"
         )
 
-    def __call__(
-        self,
-        population: PopulationState,
-        protocol: Protocol,
-        state: ProtocolState,
-        rng: np.random.Generator,
-    ) -> None:
-        self.apply(population, protocol, state, rng)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"
 
@@ -132,14 +122,7 @@ class AllWrong(Initializer):
     """
 
     name = "all-wrong"
-    supports_batch = True
     supports_counts = True
-
-    def apply(self, population, protocol, state, rng) -> None:
-        wrong = 1 - population.correct_opinion
-        opinions = np.full(population.n, wrong, dtype=np.uint8)
-        population.adversarial_opinions(opinions, validate=False)
-        state.update(protocol.randomize_state(population.n, rng))
 
     def apply_batch(self, batch, protocol, states, rng) -> None:
         wrong = 1 - batch.correct_opinion
@@ -164,13 +147,7 @@ class AllCorrect(Initializer):
     """Every agent starts on the correct opinion (stability check)."""
 
     name = "all-correct"
-    supports_batch = True
     supports_counts = True
-
-    def apply(self, population, protocol, state, rng) -> None:
-        opinions = np.full(population.n, population.correct_opinion, dtype=np.uint8)
-        population.adversarial_opinions(opinions, validate=False)
-        state.update(protocol.randomize_state(population.n, rng))
 
     def apply_batch(self, batch, protocol, states, rng) -> None:
         opinions = np.full((batch.replicas, batch.n), batch.correct_opinion, dtype=np.uint8)
@@ -195,13 +172,7 @@ class BernoulliRandom(Initializer):
             raise ValueError(f"p must be in [0, 1], got {p}")
         self.p = p
         self.name = f"bernoulli(p={p})"
-        self.supports_batch = True
         self.supports_counts = True
-
-    def apply(self, population, protocol, state, rng) -> None:
-        opinions = (rng.random(population.n) < self.p).astype(np.uint8)
-        population.adversarial_opinions(opinions, validate=False)
-        state.update(protocol.randomize_state(population.n, rng))
 
     def apply_batch(self, batch, protocol, states, rng) -> None:
         opinions = (rng.random((batch.replicas, batch.n)) < self.p).astype(np.uint8)
@@ -234,31 +205,14 @@ class ExactFraction(Initializer):
             raise ValueError(f"x must be in [0, 1], got {x}")
         self.x = x
         self.name = f"fraction(x={x})"
-        self.supports_batch = True
         self.supports_counts = True
 
-    def apply(self, population, protocol, state, rng) -> None:
-        n = population.n
-        ones = int(round(self.x * n))
-        opinions = np.zeros(n, dtype=np.uint8)
-        chosen = rng.choice(n, size=ones, replace=False)
-        opinions[chosen] = 1
-        population.adversarial_opinions(opinions, validate=False)
-        state.update(protocol.randomize_state(population.n, rng))
-
     def apply_batch(self, batch, protocol, states, rng) -> None:
-        ones = int(round(self.x * batch.n))
-        row = np.zeros(batch.n, dtype=np.uint8)
-        row[:ones] = 1
-        # A uniform within-row shuffle of a fixed-weight row is exactly the
-        # scalar rule's "ones at uniformly random positions".
-        opinions = np.tile(row, (batch.replicas, 1))
-        rng.permuted(opinions, axis=1, out=opinions)
-        batch.adversarial_opinions(opinions, validate=False)
+        set_fraction(batch, self.x, rng)
         states.update(protocol.randomize_state_batch(batch.replicas, batch.n, rng))
 
     def apply_counts(self, population, protocol, rng) -> None:
-        # The scalar rule places round(x·n) ones uniformly among all n agents
+        # apply_batch places round(x·n) ones uniformly among all n agents
         # and then pins sources, so the number landing on non-sources is
         # hypergeometric; internal state is adversarial-uniform per opinion.
         ones = int(round(self.x * population.n))
@@ -286,11 +240,7 @@ class RandomizeProtocolState(Initializer):
     """Leave opinions untouched; randomize only the internal protocol state."""
 
     name = "randomize-state"
-    supports_batch = True
     supports_counts = True
-
-    def apply(self, population, protocol, state, rng) -> None:
-        state.update(protocol.randomize_state(population.n, rng))
 
     def apply_batch(self, batch, protocol, states, rng) -> None:
         states.update(protocol.randomize_state_batch(batch.replicas, batch.n, rng))

@@ -33,9 +33,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..core.population import PopulationState
 from ..core.protocol import Protocol, ProtocolState
-from ..core.sampling import BatchedSampler, Sampler
+from ..core.sampling import BatchedSampler
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..core.batch import BatchedPopulation
@@ -76,13 +75,6 @@ class ClockSyncProtocol(Protocol):
         self.period = 2 * self.subphase_len
         self.name = f"clock-sync(T={self.period},ell={ell})"
 
-    def init_state(self, n: int, rng: np.random.Generator) -> ProtocolState:
-        return {"clock": np.zeros(n, dtype=np.int64)}
-
-    def randomize_state(self, n: int, rng: np.random.Generator) -> ProtocolState:
-        """Fully adversarial: every agent's clock is arbitrary."""
-        return {"clock": rng.integers(0, self.period, size=n, dtype=np.int64)}
-
     def init_state_batch(
         self, replicas: int, n: int, rng: np.random.Generator
     ) -> ProtocolState:
@@ -93,51 +85,6 @@ class ClockSyncProtocol(Protocol):
     ) -> ProtocolState:
         return {"clock": rng.integers(0, self.period, size=(replicas, n), dtype=np.int64)}
 
-    def step(
-        self,
-        population: PopulationState,
-        state: ProtocolState,
-        sampler: Sampler,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        n = population.n
-        clocks = state["clock"]
-        # Decoupled messages require reading sampled agents' state, so this
-        # protocol materializes indices itself (uniform with replacement),
-        # independent of the engine's count sampler. int32 indices: half the
-        # memory traffic of the gathers, and n always fits.
-        idx = rng.integers(0, n, size=(n, self.ell), dtype=np.int32)
-
-        sampled_clocks = clocks[idx]  # (n, ell)
-        # Per-agent plurality over period values; ties resolve to the
-        # smallest clock value (argmax returns the first maximum).
-        flat = (np.arange(n)[:, None] * self.period + sampled_clocks).ravel()
-        tallies = np.bincount(flat, minlength=n * self.period).reshape(n, self.period)
-        new_clocks = (tallies.argmax(axis=1) + 1) % self.period
-
-        sampled_opinions = population.opinions[idx]
-        epsilon = _observation_epsilon(sampler)
-        if epsilon:
-            # Honor the engine's per-bit observation-noise model on the
-            # opinion channel: each observed bit independently flipped with
-            # probability epsilon (the clock message stays clean — the noise
-            # model of repro.core.noise is defined on opinion observations).
-            flips = rng.random(idx.shape) < epsilon
-            sampled_opinions = sampled_opinions ^ flips.astype(np.uint8)
-        saw_zero = (sampled_opinions == 0).any(axis=1)
-        saw_one = (sampled_opinions == 1).any(axis=1)
-        in_zero_subphase = new_clocks < self.subphase_len
-
-        opinions = population.opinions
-        new = np.where(
-            in_zero_subphase & saw_zero,
-            np.uint8(0),
-            np.where(~in_zero_subphase & saw_one, np.uint8(1), opinions),
-        ).astype(np.uint8)
-
-        state["clock"] = new_clocks
-        return new
-
     def step_batch(
         self,
         batch: "BatchedPopulation",
@@ -147,16 +94,17 @@ class ClockSyncProtocol(Protocol):
     ) -> np.ndarray:
         """All replicas at once: identity samples, plurality, two subphases.
 
-        The scalar body broadcasts almost verbatim: ``(A, n, ell)`` identity
-        draws replace the ``(n, ell)`` ones, and the per-agent plurality
-        becomes a single bincount over flattened ``(replica, agent, clock)``
-        keys. ``argmax`` along the clock axis keeps the scalar tie rule
-        (ties resolve to the smallest clock value). Replicas are processed
-        in chunks so the ``(A, n, ell)`` sample tensor and the
-        ``(A, n, period)`` tally tensor stay within a fixed element budget;
-        with one replica per chunk the draws consume the stream exactly as
-        the scalar ``step`` does (the identical-stream equivalence tests
-        rely on this).
+        Each round every agent draws ``ell`` uniform identities (an
+        ``(A, n, ell)`` tensor), and the per-agent plurality over sampled
+        clocks is a single bincount over flattened ``(replica, agent,
+        clock)`` keys; ``argmax`` along the clock axis resolves ties to the
+        smallest clock value. Replicas are processed in chunks so the
+        ``(A, n, ell)`` sample tensor and the ``(A, n, period)`` tally
+        tensor stay within a fixed element budget. With one replica per
+        chunk, each replica consumes the stream exactly as a one-row batch
+        does, so a batch run chunk by chunk matches independent one-row
+        runs bitwise (``tests/reference/clock_sync.py`` holds the per-agent
+        reference the identical-stream tests compare against).
         """
         n = batch.n
         replicas = batch.replicas
@@ -181,7 +129,7 @@ class ClockSyncProtocol(Protocol):
             if epsilon:
                 # Per-bit observation noise on the opinion channel: flipping
                 # an observed bit is an XOR on the packed key's low bit (the
-                # clock message stays clean, as in the scalar step).
+                # clock message stays clean).
                 sampled = sampled ^ (rng.random(sampled.shape) < epsilon)
             # One flat bincount over (replica, agent, clock, opinion) keys:
             # entry (r, i, v, b) counts how often agent i of replica r sampled
@@ -191,7 +139,7 @@ class ClockSyncProtocol(Protocol):
                 c, n, self.period, 2
             )
             # Plurality over clock values ignores the opinion bit; argmax
-            # keeps the scalar tie rule (ties resolve to the smallest clock).
+            # resolves ties to the smallest clock value.
             # Slice-add instead of sum(axis=3): numpy's reduction over a
             # length-2 axis pays per-element loop overhead (~7× slower here).
             clock_tallies = tallies[:, :, :, 0] + tallies[:, :, :, 1]
@@ -221,13 +169,10 @@ class ClockSyncProtocol(Protocol):
     def clock_agreement(self, state: ProtocolState) -> float:
         """Fraction of agents holding the plurality clock value (diagnostic).
 
-        Accepts scalar ``(n,)`` and batched ``(R, n)`` state; the batched
-        form reports the mean per-replica plurality fraction.
+        Accepts single-population ``(n,)`` and batched ``(R, n)`` state;
+        the batched form reports the mean per-replica plurality fraction.
         """
-        clocks = state["clock"]
-        if clocks.ndim == 1:
-            counts = np.bincount(clocks, minlength=self.period)
-            return float(counts.max() / clocks.size)
+        clocks = np.atleast_2d(state["clock"])
         replicas, n = clocks.shape
         flat = (np.arange(replicas)[:, None] * self.period + clocks).ravel()
         counts = np.bincount(flat, minlength=replicas * self.period).reshape(

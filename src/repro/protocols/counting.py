@@ -56,7 +56,7 @@ def prev_count_init_pmf(ell: int) -> np.ndarray:
 
 def prev_count_random_pmf(ell: int) -> np.ndarray:
     """Adversarial state of a prev-count protocol: ``prev_count`` uniform on
-    ``{0..ℓ}`` given o (matches ``randomize_state``'s uniform counters)."""
+    ``{0..ℓ}`` given o (matches ``randomize_state_batch``'s uniform counters)."""
     pmf = np.zeros((2, 2 * (ell + 1)))
     pmf[0, : ell + 1] = 1.0 / (ell + 1)
     pmf[1, ell + 1 :] = 1.0 / (ell + 1)

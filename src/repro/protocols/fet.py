@@ -29,9 +29,8 @@ import math
 import numpy as np
 
 from ..core.batch import BatchedPopulation
-from ..core.population import PopulationState
 from ..core.protocol import Protocol, ProtocolState
-from ..core.sampling import BatchedSampler, Sampler
+from ..core.sampling import BatchedSampler
 from .counting import (
     prev_count_display,
     prev_count_init_pmf,
@@ -74,49 +73,23 @@ class FETProtocol(Protocol):
 
     # ---------------------------------------------------------------- state
 
-    def init_state(self, n: int, rng: np.random.Generator) -> ProtocolState:
+    def init_state_batch(
+        self, replicas: int, n: int, rng: np.random.Generator
+    ) -> ProtocolState:
         """Clean start: as if the previous round's block was all zeros.
 
         The concrete value is irrelevant to correctness (the protocol is
         self-stabilizing); adversarial runs overwrite it anyway.
         """
-        return {"prev_count": np.zeros(n, dtype=np.int64)}
-
-    def randomize_state(self, n: int, rng: np.random.Generator) -> ProtocolState:
-        """Adversarial state: arbitrary counters in ``{0, …, ℓ}``."""
-        return {"prev_count": rng.integers(0, self.ell + 1, size=n, dtype=np.int64)}
-
-    def init_state_batch(
-        self, replicas: int, n: int, rng: np.random.Generator
-    ) -> ProtocolState:
         return {"prev_count": np.zeros((replicas, n), dtype=np.int64)}
 
     def randomize_state_batch(
         self, replicas: int, n: int, rng: np.random.Generator
     ) -> ProtocolState:
+        """Adversarial state: arbitrary counters in ``{0, …, ℓ}``."""
         return {"prev_count": rng.integers(0, self.ell + 1, size=(replicas, n), dtype=np.int64)}
 
     # ----------------------------------------------------------------- step
-
-    def step(
-        self,
-        population: PopulationState,
-        state: ProtocolState,
-        sampler: Sampler,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        blocks = sampler.count_blocks(population, self.ell, 2, rng)
-        count_prime = blocks[0]
-        count_dprime = blocks[1]
-        prev = state["prev_count"]
-        opinions = population.opinions
-        new = np.where(
-            count_prime > prev,
-            np.uint8(1),
-            np.where(count_prime < prev, np.uint8(0), opinions),
-        ).astype(np.uint8)
-        state["prev_count"] = count_dprime
-        return new
 
     def step_batch(
         self,
@@ -125,7 +98,7 @@ class FETProtocol(Protocol):
         sampler: BatchedSampler,
         rng: np.random.Generator,
     ) -> np.ndarray:
-        """All replicas at once: the scalar rule broadcast over ``(A, n)``.
+        """All replicas at once: Protocol 1's rule over ``(A, n)``.
 
         The three-way rule (greater → 1, smaller → 0, tie → keep) is fused
         into a single comparison: doubling both counters makes room to fold

@@ -34,9 +34,8 @@ import math
 import numpy as np
 
 from ..core.batch import BatchedPopulation
-from ..core.population import PopulationState
 from ..core.protocol import Protocol, ProtocolState
-from ..core.sampling import BatchedSampler, Sampler
+from ..core.sampling import BatchedSampler
 from .counting import (
     prev_count_display,
     prev_count_init_pmf,
@@ -64,12 +63,6 @@ class HysteresisFETProtocol(Protocol):
         self.band = band
         self.name = f"hysteresis-fet(ell={ell},band={band})"
 
-    def init_state(self, n: int, rng: np.random.Generator) -> ProtocolState:
-        return {"prev_count": np.zeros(n, dtype=np.int64)}
-
-    def randomize_state(self, n: int, rng: np.random.Generator) -> ProtocolState:
-        return {"prev_count": rng.integers(0, self.ell + 1, size=n, dtype=np.int64)}
-
     def init_state_batch(
         self, replicas: int, n: int, rng: np.random.Generator
     ) -> ProtocolState:
@@ -79,26 +72,6 @@ class HysteresisFETProtocol(Protocol):
         self, replicas: int, n: int, rng: np.random.Generator
     ) -> ProtocolState:
         return {"prev_count": rng.integers(0, self.ell + 1, size=(replicas, n), dtype=np.int64)}
-
-    def step(
-        self,
-        population: PopulationState,
-        state: ProtocolState,
-        sampler: Sampler,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        blocks = sampler.count_blocks(population, self.ell, 2, rng)
-        count_prime = blocks[0]
-        count_dprime = blocks[1]
-        prev = state["prev_count"]
-        opinions = population.opinions
-        new = np.where(
-            count_prime > prev + self.band,
-            np.uint8(1),
-            np.where(count_prime < prev - self.band, np.uint8(0), opinions),
-        ).astype(np.uint8)
-        state["prev_count"] = count_dprime
-        return new
 
     def step_batch(
         self,

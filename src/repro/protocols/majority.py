@@ -13,9 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.batch import BatchedPopulation
-from ..core.population import PopulationState
 from ..core.protocol import Protocol, ProtocolState
-from ..core.sampling import BatchedSampler, Sampler, _binomial_pmf_rows
+from ..core.sampling import BatchedSampler, _binomial_pmf_rows
 from .counting import OPINION_DISPLAY, OPINION_STATE_PMF
 
 __all__ = ["MajorityProtocol"]
@@ -34,19 +33,6 @@ class MajorityProtocol(Protocol):
             raise ValueError(f"k must be odd and >= 1, got {k}")
         self.k = k
         self.name = f"{k}-majority"
-
-    def init_state(self, n: int, rng: np.random.Generator) -> ProtocolState:
-        return {}
-
-    def step(
-        self,
-        population: PopulationState,
-        state: ProtocolState,
-        sampler: Sampler,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        counts = sampler.counts(population, self.k, rng)
-        return (2 * counts > self.k).astype(np.uint8)
 
     def step_batch(
         self,

@@ -15,9 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.batch import BatchedPopulation
-from ..core.population import PopulationState
 from ..core.protocol import Protocol, ProtocolState
-from ..core.sampling import BatchedSampler, Sampler, _binomial_pmf_rows
+from ..core.sampling import BatchedSampler, _binomial_pmf_rows
 from .counting import OPINION_DISPLAY, OPINION_STATE_PMF
 
 __all__ = ["MajoritySamplingProtocol"]
@@ -34,25 +33,6 @@ class MajoritySamplingProtocol(Protocol):
             raise ValueError(f"ell must be >= 1, got {ell}")
         self.ell = ell
         self.name = f"sample-majority(ell={ell})"
-
-    def init_state(self, n: int, rng: np.random.Generator) -> ProtocolState:
-        return {}
-
-    def step(
-        self,
-        population: PopulationState,
-        state: ProtocolState,
-        sampler: Sampler,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        counts = sampler.counts(population, self.ell, rng)
-        opinions = population.opinions
-        twice = 2 * counts
-        return np.where(
-            twice > self.ell,
-            np.uint8(1),
-            np.where(twice < self.ell, np.uint8(0), opinions),
-        ).astype(np.uint8)
 
     def step_batch(
         self,

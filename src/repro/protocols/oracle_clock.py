@@ -16,9 +16,9 @@ setting — it shows why the self-stabilizing clock-synchronization machinery of
 Boczkowski et al. 2019 / Bastide et al. 2021 (see
 :mod:`repro.protocols.clock_sync`) was needed, and it provides the fast
 reference point the benchmarks compare FET against. Adversarial
-``randomize_state`` shifts the shared clock by a random offset (the phase
-structure is cyclic, so the protocol must and does tolerate that); it does not
-desynchronize agents, which the oracle forbids.
+``randomize_state_batch`` shifts the shared clock by a random offset (the
+phase structure is cyclic, so the protocol must and does tolerate that); it
+does not desynchronize agents, which the oracle forbids.
 """
 
 from __future__ import annotations
@@ -28,9 +28,8 @@ import math
 import numpy as np
 
 from ..core.batch import BatchedPopulation
-from ..core.population import PopulationState
 from ..core.protocol import Protocol, ProtocolState
-from ..core.sampling import BatchedSampler, Sampler
+from ..core.sampling import BatchedSampler
 
 __all__ = ["OracleClockProtocol"]
 
@@ -58,12 +57,6 @@ class OracleClockProtocol(Protocol):
         self.period = 2 * self.subphase_len
         self.name = f"oracle-clock(T={self.period},ell={ell})"
 
-    def init_state(self, n: int, rng: np.random.Generator) -> ProtocolState:
-        return {"clock": np.zeros(1, dtype=np.int64)}
-
-    def randomize_state(self, n: int, rng: np.random.Generator) -> ProtocolState:
-        return {"clock": np.array([rng.integers(0, self.period)], dtype=np.int64)}
-
     def init_state_batch(
         self, replicas: int, n: int, rng: np.random.Generator
     ) -> ProtocolState:
@@ -73,27 +66,6 @@ class OracleClockProtocol(Protocol):
         self, replicas: int, n: int, rng: np.random.Generator
     ) -> ProtocolState:
         return {"clock": rng.integers(0, self.period, size=(replicas, 1), dtype=np.int64)}
-
-    def step(
-        self,
-        population: PopulationState,
-        state: ProtocolState,
-        sampler: Sampler,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        t = int(state["clock"][0])
-        in_zero_subphase = (t % self.period) < self.subphase_len
-        counts = sampler.counts(population, self.ell, rng)
-        opinions = population.opinions
-        if in_zero_subphase:
-            # Adopt 0 iff at least one sampled opinion is 0.
-            saw_zero = counts < self.ell
-            new = np.where(saw_zero, np.uint8(0), opinions)
-        else:
-            saw_one = counts > 0
-            new = np.where(saw_one, np.uint8(1), opinions)
-        state["clock"][0] = t + 1
-        return new.astype(np.uint8)
 
     def step_batch(
         self,

@@ -18,9 +18,8 @@ import math
 import numpy as np
 
 from ..core.batch import BatchedPopulation
-from ..core.population import PopulationState
 from ..core.protocol import Protocol, ProtocolState
-from ..core.sampling import BatchedSampler, Sampler, _binomial_pmf_rows
+from ..core.sampling import BatchedSampler, _binomial_pmf_rows
 from .counting import (
     prev_count_display,
     prev_count_init_pmf,
@@ -46,12 +45,6 @@ class SimpleTrendProtocol(Protocol):
         self.name = f"simple-trend(ell={ell})"
         self._count_targets: np.ndarray | None = None
 
-    def init_state(self, n: int, rng: np.random.Generator) -> ProtocolState:
-        return {"prev_count": np.zeros(n, dtype=np.int64)}
-
-    def randomize_state(self, n: int, rng: np.random.Generator) -> ProtocolState:
-        return {"prev_count": rng.integers(0, self.ell + 1, size=n, dtype=np.int64)}
-
     def init_state_batch(
         self, replicas: int, n: int, rng: np.random.Generator
     ) -> ProtocolState:
@@ -61,24 +54,6 @@ class SimpleTrendProtocol(Protocol):
         self, replicas: int, n: int, rng: np.random.Generator
     ) -> ProtocolState:
         return {"prev_count": rng.integers(0, self.ell + 1, size=(replicas, n), dtype=np.int64)}
-
-    def step(
-        self,
-        population: PopulationState,
-        state: ProtocolState,
-        sampler: Sampler,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        count = sampler.counts(population, self.ell, rng)
-        prev = state["prev_count"]
-        opinions = population.opinions
-        new = np.where(
-            count > prev,
-            np.uint8(1),
-            np.where(count < prev, np.uint8(0), opinions),
-        ).astype(np.uint8)
-        state["prev_count"] = count
-        return new
 
     def step_batch(
         self,

@@ -21,9 +21,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.batch import BatchedPopulation
-from ..core.population import PopulationState
 from ..core.protocol import Protocol, ProtocolState
-from ..core.sampling import BatchedSampler, Sampler
+from ..core.sampling import BatchedSampler
 
 __all__ = ["UndecidedStateProtocol"]
 
@@ -37,12 +36,6 @@ class UndecidedStateProtocol(Protocol):
     counts_min_n = 32
     name = "undecided-state"
 
-    def init_state(self, n: int, rng: np.random.Generator) -> ProtocolState:
-        return {"undecided": np.zeros(n, dtype=bool)}
-
-    def randomize_state(self, n: int, rng: np.random.Generator) -> ProtocolState:
-        return {"undecided": rng.integers(0, 2, size=n).astype(bool)}
-
     def init_state_batch(
         self, replicas: int, n: int, rng: np.random.Generator
     ) -> ProtocolState:
@@ -52,28 +45,6 @@ class UndecidedStateProtocol(Protocol):
         self, replicas: int, n: int, rng: np.random.Generator
     ) -> ProtocolState:
         return {"undecided": rng.integers(0, 2, size=(replicas, n)).astype(bool)}
-
-    def step(
-        self,
-        population: PopulationState,
-        state: ProtocolState,
-        sampler: Sampler,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        seen = (sampler.counts(population, 1, rng) > 0).astype(np.uint8)
-        opinions = population.opinions
-        undecided = state["undecided"]
-
-        disagree = seen != opinions
-        # Decided agents seeing disagreement become undecided (opinion shown
-        # is unchanged). Undecided agents adopt whatever they see and become
-        # decided. Note every observation is a decided *display* under passive
-        # communication, so an undecided observer always adopts.
-        new_undecided = np.where(undecided, False, disagree)
-        new_opinions = np.where(undecided, seen, opinions).astype(np.uint8)
-
-        state["undecided"] = new_undecided
-        return new_opinions
 
     def step_batch(
         self,

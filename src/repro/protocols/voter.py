@@ -15,9 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.batch import BatchedPopulation
-from ..core.population import PopulationState
 from ..core.protocol import Protocol, ProtocolState
-from ..core.sampling import BatchedSampler, Sampler
+from ..core.sampling import BatchedSampler
 from .counting import OPINION_DISPLAY, OPINION_STATE_PMF
 
 __all__ = ["VoterProtocol"]
@@ -31,21 +30,6 @@ class VoterProtocol(Protocol):
     #: measured counts/batched crossover (results/BENCH_counts.json, scan)
     counts_min_n = 32
     name = "voter"
-
-    def init_state(self, n: int, rng: np.random.Generator) -> ProtocolState:
-        return {}
-
-    def step(
-        self,
-        population: PopulationState,
-        state: ProtocolState,
-        sampler: Sampler,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        # One sample per agent; the sampled opinion is Bernoulli(x) under
-        # uniform-with-replacement sampling, i.e. counts with ell = 1.
-        seen = sampler.counts(population, 1, rng)
-        return (seen > 0).astype(np.uint8)
 
     def step_batch(
         self,

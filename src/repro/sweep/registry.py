@@ -10,11 +10,11 @@ process runs the cell. Three component kinds are registered:
   constructions (:class:`~repro.initializers.adversarial.FrozenUnanimity`
   additionally needs the ``majority`` population component — the pairing
   is cross-checked by :func:`validate_cell`);
-* **samplers** — observation models, registered by their batched builder
-  (:func:`build_samplers`); every lock-step engine consumes that side, and
-  its single-replica equivalent is ``BatchedSampler.scalar()``. The literal
-  index sampler has no vectorized form and reaches the engines through the
-  one-call-per-row :class:`~repro.core.sampling.PerReplicaSampler`;
+* **samplers** — observation models (:func:`build_samplers`), each one
+  :class:`~repro.core.sampling.BatchedSampler` that every engine consumes
+  (a sequential trial observes through it as a one-row batch; the counts
+  engine reads its ``effective_fractions``, which the literal ``index``
+  sampler lacks);
 * **populations** — population layouts (:func:`build_population`):
   ``standard`` is the default source-pinned layout every run spec builds
   natively (declaring it changes nothing), ``majority`` the
@@ -37,7 +37,6 @@ from ..core.sampling import (
     BatchedBinomialSampler,
     BatchedSampler,
     IndexSampler,
-    PerReplicaSampler,
 )
 from ..core.population import PopulationState, make_majority_population, make_population
 from ..initializers.adversarial import (
@@ -192,7 +191,7 @@ _SAMPLERS: dict[str, tuple[Callable[[dict], BatchedSampler], set[str]]] = {
         {"epsilon", "method"},
     ),
     "index": (
-        lambda p: PerReplicaSampler(IndexSampler(exclude_self=bool(p.get("exclude_self", False)))),
+        lambda p: IndexSampler(exclude_self=bool(p.get("exclude_self", False))),
         {"exclude_self"},
     ),
 }
@@ -305,11 +304,12 @@ def population_factory(
 
 
 def build_samplers(spec: dict) -> BatchedSampler:
-    """The batched observation model for an observation spec.
+    """The observation model for an observation spec.
 
-    Every engine consumes this one object — the lock-step engines directly,
-    per-replica protocol fallbacks through its ``scalar()`` side — so a
-    declared sampler has no unpaired form.
+    Every engine consumes this one :class:`BatchedSampler`: the batched
+    engine on its ``(R, n)`` batch, ``engine="sequential"`` on each trial's
+    one-row batch, and the counts engine through its
+    ``effective_fractions`` (fraction-keyed models only).
     """
     name = spec.get("name")
     if name not in _SAMPLERS:

@@ -5,31 +5,51 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.batch import BatchedPopulation
 from repro.core.population import make_population
 from repro.core.rng import make_rng
-from repro.core.sampling import Sampler
+from repro.core.sampling import BatchedSampler
 
 
-class ScriptedCountSampler(Sampler):
-    """Sampler returning pre-scripted per-agent counts.
+class ScriptedCountSampler(BatchedSampler):
+    """Batched sampler returning pre-scripted per-agent counts.
 
     Each call to :meth:`counts` (or each block of :meth:`count_blocks`) pops
-    the next scripted vector. Lets protocol-semantics tests drive FET's
-    comparisons deterministically.
+    the next scripted vector: ``(n,)`` for a one-row batch, ``(R, n)`` for a
+    full one. Lets protocol-semantics tests drive the update rules
+    deterministically.
     """
 
     def __init__(self, scripted: list[np.ndarray]) -> None:
         self.scripted = [np.asarray(v, dtype=np.int64) for v in scripted]
         self.cursor = 0
 
-    def counts(self, population, ell, rng):
+    def counts(self, batch, ell, rng):
         if self.cursor >= len(self.scripted):
             raise AssertionError("scripted sampler exhausted")
-        out = self.scripted[self.cursor]
+        out = self.scripted[self.cursor].reshape(-1, batch.n)
         self.cursor += 1
-        if out.shape != (population.n,):
+        if out.shape != (batch.replicas, batch.n):
             raise AssertionError("scripted vector has wrong shape")
-        return out
+        return out.copy()  # callers own (and may overwrite) what they get
+
+
+def scripted_sampler(*vectors) -> ScriptedCountSampler:
+    return ScriptedCountSampler(list(vectors))
+
+
+def step_row(protocol, population, state, sampler, rng):
+    """One ``step_batch`` round of ``population`` as a one-row batch.
+
+    ``state`` holds single-population ``(n,)``-shaped arrays and is updated
+    in place to the round-``t+1`` values; returns the ``(n,)`` tentative
+    opinions.
+    """
+    batch = BatchedPopulation.from_population(population, 1)
+    states = {key: np.array(value)[None] for key, value in state.items()}
+    new = protocol.step_batch(batch, states, sampler, rng)
+    state.update({key: value[0] for key, value in states.items()})
+    return new[0]
 
 
 @pytest.fixture
@@ -40,10 +60,6 @@ def rng():
 @pytest.fixture
 def small_population():
     return make_population(50, correct_opinion=1)
-
-
-def scripted_sampler(*vectors) -> ScriptedCountSampler:
-    return ScriptedCountSampler(list(vectors))
 
 
 def pytest_configure(config):
@@ -60,7 +76,6 @@ def pytest_configure(config):
         "metrics_smoke: end-to-end telemetry smoke (CI runs these "
         "separately with `pytest -m metrics_smoke` after the demo sweep)",
     )
-    # A RuntimeWarning raised from repro's own code (overflow, invalid
-    # value, ...) is a bug. The filter is module-scoped, so third-party
-    # notices such as scipy's ks_2samp method fallback stay warnings.
-    config.addinivalue_line("filterwarnings", "error::RuntimeWarning:repro")
+    # Any RuntimeWarning in the test run (overflow, invalid value, a
+    # library's silent method fallback, ...) is a bug.
+    config.addinivalue_line("filterwarnings", "error::RuntimeWarning")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import scripted_sampler
+from conftest import scripted_sampler, step_row
 from repro.core.engine import run_protocol
 from repro.core.population import make_population
 from repro.core.rng import make_rng
@@ -21,7 +21,7 @@ class TestVoter:
         proto = VoterProtocol()
         pop = make_population(4, 1)
         sampler = scripted_sampler(np.array([1, 0, 1, 0]))
-        new = proto.step(pop, {}, sampler, make_rng(0))
+        new = step_row(proto, pop, {}, sampler, make_rng(0))
         assert new.tolist() == [1, 0, 1, 0]
 
     def test_is_passive_single_sample(self):
@@ -36,9 +36,7 @@ class TestVoter:
         proto = VoterProtocol()
         pop = make_population(n, 1)
         rng = make_rng(0)
-        state = proto.init_state(n, rng)
-        AllWrong()(pop, proto, state, rng)
-        result = run_protocol(proto, pop, 300, rng=rng, state=state)
+        result = run_protocol(proto, pop, 300, rng=rng, initializer=AllWrong())
         assert not result.converged
 
     def test_preserves_consensus_of_nonsource_free_system(self):
@@ -64,7 +62,7 @@ class TestMajority:
         proto = MajorityProtocol(3)
         pop = make_population(4, 1)
         sampler = scripted_sampler(np.array([3, 2, 1, 0]))
-        new = proto.step(pop, {}, sampler, make_rng(0))
+        new = step_row(proto, pop, {}, sampler, make_rng(0))
         assert new.tolist() == [1, 1, 0, 0]
 
     def test_locks_wrong_majority(self):
@@ -73,9 +71,7 @@ class TestMajority:
         proto = MajorityProtocol(3)
         pop = make_population(n, 1)
         rng = make_rng(2)
-        state = proto.init_state(n, rng)
-        AllWrong()(pop, proto, state, rng)
-        result = run_protocol(proto, pop, 200, rng=rng, state=state)
+        result = run_protocol(proto, pop, 200, rng=rng, initializer=AllWrong())
         assert not result.converged
         assert result.final_fraction < 0.05  # stuck near the wrong consensus
 
@@ -100,7 +96,7 @@ class TestMajoritySampling:
         pop = make_population(5, 1)
         pop.adversarial_opinions(np.array([0, 0, 1, 1, 0], dtype=np.uint8))
         sampler = scripted_sampler(np.array([3, 1, 2, 2, 4]))
-        new = proto.step(pop, {}, sampler, make_rng(0))
+        new = step_row(proto, pop, {}, sampler, make_rng(0))
         # counts 3>2 -> 1; 1<2 -> 0; tie keeps 1; tie keeps 1; 4>2 -> 1
         assert new.tolist() == [1, 0, 1, 1, 1]
 
@@ -109,9 +105,7 @@ class TestMajoritySampling:
         proto = MajoritySamplingProtocol(20)
         pop = make_population(n, 1)
         rng = make_rng(4)
-        state = proto.init_state(n, rng)
-        AllWrong()(pop, proto, state, rng)
-        result = run_protocol(proto, pop, 300, rng=rng, state=state)
+        result = run_protocol(proto, pop, 300, rng=rng, initializer=AllWrong())
         assert not result.converged
         assert result.final_fraction < 0.05
 
@@ -128,7 +122,7 @@ class TestUndecided:
         pop.adversarial_opinions(np.array([1, 0, 1], dtype=np.uint8))
         state = {"undecided": np.zeros(3, dtype=bool)}
         sampler = scripted_sampler(np.array([0, 0, 1]))  # sees 0, 0, 1
-        new = proto.step(pop, state, sampler, make_rng(0))
+        new = step_row(proto, pop, state, sampler, make_rng(0))
         # Agent 0 (opinion 1) saw 0 -> undecided, keeps displaying 1.
         assert new.tolist() == [1, 0, 1]
         assert state["undecided"].tolist() == [True, False, False]
@@ -139,14 +133,14 @@ class TestUndecided:
         pop.adversarial_opinions(np.array([1, 0, 0], dtype=np.uint8))
         state = {"undecided": np.array([False, True, True])}
         sampler = scripted_sampler(np.array([1, 1, 0]))
-        new = proto.step(pop, state, sampler, make_rng(0))
+        new = step_row(proto, pop, state, sampler, make_rng(0))
         assert new.tolist()[1] == 1  # adopted the seen opinion
         assert new.tolist()[2] == 0
         assert not state["undecided"][1] and not state["undecided"][2]
 
     def test_randomize_state_varies(self):
         proto = UndecidedStateProtocol()
-        state = proto.randomize_state(500, make_rng(0))
+        state = proto.randomize_state_batch(2, 250, make_rng(0))
         assert 0 < state["undecided"].sum() < 500
 
     def test_fails_from_all_wrong(self):
@@ -154,8 +148,6 @@ class TestUndecided:
         proto = UndecidedStateProtocol()
         pop = make_population(n, 1)
         rng = make_rng(5)
-        state = proto.init_state(n, rng)
-        AllWrong()(pop, proto, state, rng)
-        result = run_protocol(proto, pop, 300, rng=rng, state=state)
+        result = run_protocol(proto, pop, 300, rng=rng, initializer=AllWrong())
         assert not result.converged
         assert result.final_fraction < 0.05

@@ -13,16 +13,11 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from repro.core.batch import (
-    BatchedEngine,
-    BatchedPopulation,
-    run_protocol_batched,
-    stack_states,
-)
+from repro.core.batch import BatchedEngine, BatchedPopulation, run_protocol_batched
 from repro.core.population import make_population
 from repro.core.protocol import Protocol
 from repro.core.rng import make_rng
-from repro.core.sampling import BatchedBinomialSampler, BinomialCountSampler
+from repro.core.sampling import BatchedBinomialSampler, IndexSampler
 from repro.experiments.harness import run_trials
 from repro.initializers.standard import AllWrong, BernoulliRandom, ExactFraction
 from repro.protocols.fet import FETProtocol
@@ -40,16 +35,6 @@ class GrowOneProtocol(Protocol):
 
     name = "grow-one"
 
-    def init_state(self, n, rng):
-        return {}
-
-    def step(self, population, state, sampler, rng):
-        new = population.opinions.copy()
-        zeros = np.nonzero(new == 0)[0]
-        if zeros.size:
-            new[zeros[0]] = 1
-        return new
-
     def step_batch(self, batch, states, sampler, rng):
         new = batch.opinions.copy()
         for row in new:  # deterministic, test-only; clarity over speed
@@ -64,12 +49,6 @@ class FlipAllProtocol(Protocol):
 
     name = "flip-all"
 
-    def init_state(self, n, rng):
-        return {}
-
-    def step(self, population, state, sampler, rng):
-        return (1 - population.opinions).astype(np.uint8)
-
     def step_batch(self, batch, states, sampler, rng):
         return (1 - batch.opinions).astype(np.uint8)
 
@@ -80,12 +59,6 @@ class TestBatchedPopulation:
         batch = BatchedPopulation.from_population(pop, 4)
         assert batch.replicas == 4 and batch.n == 10
         assert np.array_equal(batch.opinions, np.tile(pop.opinions, (4, 1)))
-
-    def test_from_populations_requires_shared_structure(self):
-        a = make_population(10, 1)
-        b = make_population(10, 1, num_sources=2)
-        with pytest.raises(ValueError):
-            BatchedPopulation.from_populations([a, b])
 
     def test_per_replica_predicates(self):
         pop = make_population(4, 1)
@@ -130,12 +103,6 @@ class TestBatchedPopulation:
                 source_preferences=pop.source_preferences,
                 correct_opinion=1,
             )
-
-    def test_stack_states_shapes(self):
-        states = [{"a": np.arange(3)} for _ in range(4)]
-        stacked = stack_states(states)
-        assert stacked["a"].shape == (4, 3)
-        assert stack_states([{} for _ in range(4)]) == {}
 
 
 class TestBatchedEngineSemantics:
@@ -227,26 +194,6 @@ class TestBatchedEngineSemantics:
         assert (result.rounds == 9).all()
         assert (result.rounds_executed == 9).all()
 
-    def test_generic_fallback_matches_vectorized_distribution(self):
-        # Drive FET once through its vectorized step_batch and once through
-        # the generic per-replica fallback; outcomes must agree statistically.
-        def run(force_fallback: bool) -> np.ndarray:
-            protocol = FETProtocol(16)
-            if force_fallback:
-                protocol.step_batch = (  # type: ignore[method-assign]
-                    lambda *args: Protocol.step_batch(protocol, *args)
-                )
-            pop = make_population(120, 1)
-            batch = BatchedPopulation.from_population(pop, 64)
-            rng = make_rng(5)
-            states = protocol.randomize_state_batch(64, 120, rng)
-            engine = BatchedEngine(protocol, batch, rng=rng, states=states)
-            return engine.run(400).rounds
-
-        # KS on convergence rounds; both paths must see the same dynamics law
-        a, b = run(False), run(True)
-        assert scipy_stats.ks_2samp(a, b).pvalue > 1e-3
-
 
 def _times(stats):
     return np.asarray(stats.times, dtype=float)
@@ -255,16 +202,15 @@ def _times(stats):
 class TestEngineEquivalence:
     """Batched vs sequential: success rates and time distributions agree."""
 
-    def check(self, factory, n, initializer, *, trials, max_rounds, seed, sampler=None,
+    def check(self, factory, n, initializer, *, trials, max_rounds, seed,
               batched_sampler=None, expect_success=None):
         seq = run_trials(
             factory, n, initializer, trials=trials, max_rounds=max_rounds, seed=seed,
-            engine="sequential", sampler_factory=sampler,
+            engine="sequential", batched_sampler=batched_sampler,
         )
         bat = run_trials(
             factory, n, initializer, trials=trials, max_rounds=max_rounds, seed=seed,
             engine="batched", batched_sampler=batched_sampler,
-            sampler_factory=sampler,
         )
         assert bat.engine == "batched" and seq.engine == "sequential"
         # success-rate agreement at CI level (overlapping Wilson intervals)
@@ -278,7 +224,9 @@ class TestEngineEquivalence:
             assert bat.success_rate == expect_success
         ts, tb = _times(seq), _times(bat)
         if ts.size > 30 and tb.size > 30:
-            assert scipy_stats.ks_2samp(ts, tb).pvalue > 1e-3
+            # asymptotic p-value: the exact one fails on tied integer
+            # rounds at these sizes, and scipy falls back to it anyway
+            assert scipy_stats.ks_2samp(ts, tb, method="asymp").pvalue > 1e-3
         return seq, bat
 
     def test_fet_equivalent(self):
@@ -384,7 +332,7 @@ class TestRunTrialsDispatch:
     def test_auto_runs_custom_sampler_batched(self):
         stats = run_trials(
             lambda: FETProtocol(16), 100, AllWrong(), trials=4, max_rounds=400, seed=0,
-            sampler_factory=BinomialCountSampler,
+            batched_sampler=IndexSampler(),
         )
         assert stats.engine == "batched"
         assert stats.successes == 4
@@ -405,8 +353,8 @@ class TestRunTrialsDispatch:
             assert result.trajectory[0] == pytest.approx(0.01)
             assert result.final_fraction == 1.0
 
-    def test_unpaired_sampler_runs_batched_but_not_on_counts(self):
-        kwargs = dict(trials=4, max_rounds=400, seed=0, sampler_factory=BinomialCountSampler)
+    def test_index_sampler_runs_batched_but_not_on_counts(self):
+        kwargs = dict(trials=4, max_rounds=400, seed=0, batched_sampler=IndexSampler())
         stats = run_trials(lambda: FETProtocol(16), 100, AllWrong(), engine="batched", **kwargs)
         assert stats.engine == "batched" and stats.successes == 4
         with pytest.raises(ValueError, match="fraction-keyed"):
@@ -432,26 +380,6 @@ class TestRunTrialsDispatch:
             population_factory=lambda: make_population(100, 0),
         )
         assert stats.successes == 6
-
-    def test_non_vectorized_protocol_through_batched_api(self):
-        # Protocols without a vectorized step_batch run through the generic
-        # per-replica fallback; it must still carry identity-sampling state
-        # (clock-sync's clock vector) end to end through the batched engine.
-        from repro.protocols.clock_sync import ClockSyncProtocol
-
-        def factory():
-            protocol = ClockSyncProtocol(64, 4)
-            protocol.step_batch = (  # type: ignore[method-assign]
-                lambda *args: Protocol.step_batch(protocol, *args)
-            )
-            return protocol
-
-        stats = run_trials(
-            factory, 64, AllWrong(),
-            trials=3, max_rounds=200, seed=4, engine="batched",
-        )
-        assert stats.engine == "batched"
-        assert stats.trials == 3
 
 
 class TestBatchedSamplerStatistics:
@@ -502,9 +430,6 @@ class TestBatchedSamplerStatistics:
         blocks = sampler.count_blocks(batch, 7, 2, rng)
         assert blocks.shape == (2, 3, 50)
 
-    def test_scalar_pairing(self):
-        assert isinstance(BatchedBinomialSampler().scalar(), BinomialCountSampler)
-
     def test_rejects_bad_method(self):
         with pytest.raises(ValueError):
             BatchedBinomialSampler("alias")
@@ -519,16 +444,15 @@ class TestBatchedSamplerStatistics:
 
 class TestBatchedNoise:
     def test_noisy_equivalence(self):
-        from repro.core.noise import BatchedNoisyCountSampler, NoisyCountSampler
+        from repro.core.noise import BatchedNoisyCountSampler
 
         seq = run_trials(
             lambda: FETProtocol(24), 200, AllWrong(), trials=120, max_rounds=60,
-            seed=21, engine="sequential", sampler_factory=lambda: NoisyCountSampler(0.1),
+            seed=21, engine="sequential", batched_sampler=BatchedNoisyCountSampler(0.1),
         )
         bat = run_trials(
             lambda: FETProtocol(24), 200, AllWrong(), trials=120, max_rounds=60,
-            seed=21, engine="batched", sampler_factory=lambda: NoisyCountSampler(0.1),
-            batched_sampler=BatchedNoisyCountSampler(0.1),
+            seed=21, engine="batched", batched_sampler=BatchedNoisyCountSampler(0.1),
         )
         assert bat.engine == "batched"
         lo_s, hi_s = seq.success_interval

@@ -7,9 +7,14 @@ import math
 import numpy as np
 import pytest
 
+from conftest import step_row
+from reference.clock_sync import clock_sync_step
+from repro.core.batch import BatchedPopulation
 from repro.core.engine import run_protocol
+from repro.core.noise import BatchedNoisyCountSampler
 from repro.core.population import make_population
 from repro.core.rng import make_rng
+from repro.core.sampling import BatchedBinomialSampler
 from repro.initializers.standard import AllWrong, BernoulliRandom
 from repro.protocols.clock_sync import ClockSyncProtocol
 from repro.protocols.fet import ell_for
@@ -43,9 +48,7 @@ class TestOracleClockBehaviour:
         proto = OracleClockProtocol(n, ell=1)
         pop = make_population(n, correct)
         rng = make_rng(correct)
-        state = proto.init_state(n, rng)
-        AllWrong()(pop, proto, state, rng)
-        result = run_protocol(proto, pop, 10 * proto.period, rng=rng, state=state)
+        result = run_protocol(proto, pop, 10 * proto.period, rng=rng, initializer=AllWrong())
         assert result.converged
         # Two phases always suffice from a clean clock.
         assert result.rounds <= 2 * proto.period
@@ -55,8 +58,7 @@ class TestOracleClockBehaviour:
         proto = OracleClockProtocol(n, ell=1)
         pop = make_population(n, 1)
         rng = make_rng(9)
-        state = proto.randomize_state(n, rng)
-        AllWrong()(pop, proto, state, rng)
+        state = {"clock": np.array([proto.period // 2 + 3])}
         result = run_protocol(proto, pop, 10 * proto.period, rng=rng, state=state)
         assert result.converged
 
@@ -65,10 +67,8 @@ class TestOracleClockBehaviour:
         pop = make_population(16, 1)
         rng = make_rng(0)
         state = proto.init_state(16, rng)
-        from repro.core.sampling import BinomialCountSampler
-
-        proto.step(pop, state, BinomialCountSampler(), rng)
-        proto.step(pop, state, BinomialCountSampler(), rng)
+        step_row(proto, pop, state, BatchedBinomialSampler(), rng)
+        step_row(proto, pop, state, BatchedBinomialSampler(), rng)
         assert int(state["clock"][0]) == 2
 
 
@@ -84,7 +84,7 @@ class TestClockSync:
 
     def test_randomize_state_spreads_clocks(self):
         proto = ClockSyncProtocol(256, 8)
-        state = proto.randomize_state(2000, make_rng(0))
+        state = proto.randomize_state_batch(1, 2000, make_rng(0))
         assert len(np.unique(state["clock"])) > proto.period // 2
 
     def test_clock_agreement_diagnostic(self):
@@ -99,12 +99,10 @@ class TestClockSync:
         proto = ClockSyncProtocol(n, ell_for(n))
         pop = make_population(n, 1)
         rng = make_rng(3)
-        state = proto.randomize_state(n, rng)
-        from repro.core.sampling import BinomialCountSampler
-
-        sampler = BinomialCountSampler()
+        state = {"clock": proto.randomize_state_batch(1, n, rng)["clock"][0]}
+        sampler = BatchedBinomialSampler()
         for _ in range(5 * proto.period):
-            new = proto.step(pop, state, sampler, rng)
+            new = step_row(proto, pop, state, sampler, rng)
             pop.set_opinions(new)
         assert proto.clock_agreement(state) > 0.99
 
@@ -113,10 +111,10 @@ class TestClockSync:
         proto = ClockSyncProtocol(n, ell_for(n))
         pop = make_population(n, 1)
         rng = make_rng(4)
-        state = proto.randomize_state(n, rng)
-        BernoulliRandom(0.5)(pop, proto, state, rng)
-        # BernoulliRandom re-randomizes internal state; that is fine here.
-        result = run_protocol(proto, pop, 40 * proto.period, rng=rng, state=state)
+        # BernoulliRandom randomizes the clocks along with the opinions.
+        result = run_protocol(
+            proto, pop, 40 * proto.period, rng=rng, initializer=BernoulliRandom(0.5)
+        )
         assert result.converged
 
 
@@ -126,19 +124,17 @@ class TestClockSyncBatched:
 
     def test_identical_stream_matches_scalar_step(self):
         # With one replica the batched draws consume the stream exactly as
-        # the scalar step does, so both paths must agree bitwise, round by
+        # the per-agent reference does, so both must agree bitwise, round by
         # round — clocks and opinions alike.
-        from repro.core.batch import BatchedPopulation
-
         n = 96
         proto = ClockSyncProtocol(n, 5)
         pop = make_population(n, 1)
         rng_scalar, rng_batch = make_rng(7), make_rng(7)
-        state = proto.randomize_state(n, make_rng(3))
-        batch_state = {"clock": state["clock"][None, :].copy()}
+        batch_state = proto.randomize_state_batch(1, n, make_rng(3))
+        state = {"clock": batch_state["clock"][0].copy()}
         batch = BatchedPopulation.from_population(pop, 1)
         for round_index in range(3 * proto.period):
-            new_scalar = proto.step(pop, state, None, rng_scalar)
+            new_scalar = clock_sync_step(proto, pop.opinions, state, 0.0, rng_scalar)
             new_batched = proto.step_batch(batch, batch_state, None, rng_batch)
             assert np.array_equal(new_scalar, new_batched[0]), round_index
             assert np.array_equal(state["clock"], batch_state["clock"][0]), round_index
@@ -166,9 +162,6 @@ class TestClockSyncBatched:
         assert proto.clock_agreement(mixed) == pytest.approx(0.75)
 
     def test_batched_clocks_synchronize_from_adversarial_start(self):
-        from repro.core.batch import BatchedPopulation
-        from repro.core.sampling import BatchedBinomialSampler
-
         n, replicas = 400, 6
         proto = ClockSyncProtocol(n, ell_for(n))
         batch = BatchedPopulation.from_population(make_population(n, 1), replicas)
@@ -220,26 +213,21 @@ class TestClockSyncObservationNoise:
     """Clock-sync reads opinions directly, so it must apply the noisy
     sampler's per-bit flip model itself — on both engines."""
 
-    def test_scalar_step_consumes_sampler_epsilon(self):
-        from repro.core.noise import NoisyCountSampler
-
+    def test_single_population_step_consumes_sampler_epsilon(self):
         n = 400
         proto = ClockSyncProtocol(n, 8)
         pop = make_population(n, 1)
         pop.adversarial_opinions(np.ones(n, dtype=np.uint8))
         state = proto.init_state(n, make_rng(0))  # clock 0: zero-subphase
-        new = proto.step(pop, state, NoisyCountSampler(0.5), make_rng(1))
+        new = step_row(proto, pop, state, BatchedNoisyCountSampler(0.5), make_rng(1))
         # At the all-ones consensus with eps=1/2 every agent sees a flipped
         # bit w.p. 1 - 2^-8 and the zero-subphase rule adopts 0; noiseless,
         # nobody would move.
         assert (new == 0).mean() > 0.9
-        clean = proto.step(pop, state, NoisyCountSampler(0.0), make_rng(2))
+        clean = step_row(proto, pop, state, BatchedNoisyCountSampler(0.0), make_rng(2))
         assert (clean == 1).all()
 
     def test_batched_step_consumes_sampler_epsilon(self):
-        from repro.core.batch import BatchedPopulation
-        from repro.core.noise import BatchedNoisyCountSampler
-
         n, replicas = 400, 3
         proto = ClockSyncProtocol(n, 8)
         pop = make_population(n, 1)
@@ -254,18 +242,15 @@ class TestClockSyncObservationNoise:
 
     def test_noisy_identical_stream_scalar_vs_batched(self):
         # The R=1 bitwise equivalence must survive the extra noise draws.
-        from repro.core.batch import BatchedPopulation
-        from repro.core.noise import BatchedNoisyCountSampler, NoisyCountSampler
-
         n = 96
         proto = ClockSyncProtocol(n, 5)
         pop = make_population(n, 1)
         rng_scalar, rng_batch = make_rng(7), make_rng(7)
-        state = proto.randomize_state(n, make_rng(3))
-        batch_state = {"clock": state["clock"][None, :].copy()}
+        batch_state = proto.randomize_state_batch(1, n, make_rng(3))
+        state = {"clock": batch_state["clock"][0].copy()}
         batch = BatchedPopulation.from_population(pop, 1)
         for _ in range(20):
-            new_scalar = proto.step(pop, state, NoisyCountSampler(0.1), rng_scalar)
+            new_scalar = clock_sync_step(proto, pop.opinions, state, 0.1, rng_scalar)
             new_batched = proto.step_batch(
                 batch, batch_state, BatchedNoisyCountSampler(0.1), rng_batch
             )

@@ -13,9 +13,9 @@ import pytest
 from scipy import stats as scipy_stats
 
 from repro.config import RunSpec, canonical_json, derive_seed
-from repro.core.noise import BatchedNoisyCountSampler, NoisyCountSampler
+from repro.core.noise import BatchedNoisyCountSampler
 from repro.core.population import make_population
-from repro.core.sampling import BatchedBinomialSampler, IndexSampler, PerReplicaSampler
+from repro.core.sampling import BatchedBinomialSampler, IndexSampler
 from repro.experiments.harness import run_trials
 from repro.experiments.multisource import sweep_sources
 from repro.initializers.standard import AllWrong
@@ -186,23 +186,20 @@ class TestRunSpecExecution:
     def test_noise_resolves_noisy_sampler(self):
         batched = demo_spec(noise=0.1).samplers()
         assert isinstance(batched, BatchedNoisyCountSampler)
-        assert isinstance(batched.scalar(), NoisyCountSampler)
-        assert batched.scalar().epsilon == batched.epsilon == 0.1
+        assert batched.epsilon == 0.1
         assert isinstance(demo_spec().samplers(), BatchedBinomialSampler)
 
 
 class TestSamplerRegistry:
-    def test_scalar_side_comes_from_the_batched_sampler(self):
+    def test_noisy_sampler_carries_epsilon(self):
         batched = build_samplers({"name": "noisy", "epsilon": 0.2})
         assert isinstance(batched, BatchedNoisyCountSampler)
         assert batched.epsilon == 0.2
-        assert isinstance(batched.scalar(), NoisyCountSampler)
 
-    def test_index_sampler_batched_through_per_replica_adapter(self):
-        batched = build_samplers({"name": "index", "exclude_self": True})
-        assert isinstance(batched, PerReplicaSampler)
-        sampler = batched.scalar()
+    def test_index_sampler_is_batched(self):
+        sampler = build_samplers({"name": "index", "exclude_self": True})
         assert isinstance(sampler, IndexSampler) and sampler.exclude_self
+        assert not hasattr(sampler, "effective_fractions")
 
     def test_unknown_names_and_params_rejected(self):
         with pytest.raises(ValueError, match="unknown sampler"):
@@ -220,23 +217,23 @@ class TestSamplerRegistry:
         assert catalog["protocol"]["hysteresis-fet"] == ["band", "ell", "sample_constant"]
         assert catalog["sampler"]["noisy"] == ["epsilon", "method"]
 
-    def test_scalar_vs_batched_noise_equivalence(self):
-        """The registry's noisy sampler and its scalar side agree in
-        distribution (KS)."""
+    def test_noisy_sampler_matches_flip_noise_law(self):
+        """The registry's noisy sampler draws Binomial(ℓ, x + ε(1 − 2x)),
+        the flip-noise observation law (KS against direct draws)."""
         eps, ell, n, reps = 0.2, 20, 400, 50
         batched_sampler = build_samplers({"name": "noisy", "epsilon": eps})
-        scalar_factory = batched_sampler.scalar
         population = make_population(n, 1)
         population.adversarial_opinions((np.arange(n) % 3 == 0).astype(np.uint8))
         from repro.core.batch import BatchedPopulation
+        from repro.core.noise import noisy_fraction
         from repro.core.rng import make_rng
 
         batch = BatchedPopulation.from_population(population, reps)
-        scalar_counts = np.concatenate(
-            [scalar_factory().counts(population, ell, make_rng(100 + i)) for i in range(reps)]
+        law = make_rng(100).binomial(
+            ell, noisy_fraction(population.fraction_ones(), eps), size=n * reps
         )
         batched_counts = batched_sampler.counts(batch, ell, make_rng(999)).ravel()
-        ks = scipy_stats.ks_2samp(scalar_counts, batched_counts)
+        ks = scipy_stats.ks_2samp(law, batched_counts, method="asymp")
         assert ks.pvalue > 1e-3
 
 
@@ -678,5 +675,5 @@ class TestRunTrialsAdapter:
                 max_rounds=10,
                 seed=0,
                 engine="counts",
-                sampler_factory=lambda: NoisyCountSampler(0.1),
+                batched_sampler=IndexSampler(),
             )

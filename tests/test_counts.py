@@ -201,7 +201,9 @@ class TestEngineEquivalence:
         assert counts.engine == "counts"
         assert batched.successes == trials, protocol["name"]
         assert counts.successes == trials, protocol["name"]
-        assert scipy_stats.ks_2samp(batched.times, counts.times).pvalue > 1e-3
+        # asymptotic p-value: the exact one fails on tied integer rounds
+        # (k-majority), and scipy falls back to it anyway
+        assert scipy_stats.ks_2samp(batched.times, counts.times, method="asymp").pvalue > 1e-3
 
     def test_ks_equivalent_under_observation_noise(self):
         trials = 96

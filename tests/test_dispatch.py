@@ -20,7 +20,7 @@ import pytest
 
 from repro.config import RunSpec
 from repro.core.population import make_population
-from repro.core.sampling import BatchedBinomialSampler, BatchedSampler, BinomialCountSampler
+from repro.core.sampling import BatchedBinomialSampler, BatchedSampler
 from repro.sweep import SweepSpec, run_sweep
 from repro.sweep.registry import (
     build_protocol,
@@ -87,9 +87,6 @@ class FractionlessSampler(BatchedSampler):
     def count_blocks(self, batch, ell, blocks, rng):
         return self._inner.count_blocks(batch, ell, blocks, rng)
 
-    def scalar(self):
-        return BinomialCountSampler()
-
 
 class TestNeverCounts:
     """Per-agent structure keeps ``auto`` off the counts engine at any n."""
@@ -130,16 +127,10 @@ class TestNeverCounts:
         assert stats.engine == "batched"
 
     def test_live_sampler_without_fraction_seam_stays_off_counts(self):
-        unpaired = _fet_spec().execute(sampler_factory=BinomialCountSampler)
-        assert unpaired.engine == "batched"
-        seamless = _fet_spec().execute(
-            sampler_factory=BinomialCountSampler, batched_sampler=FractionlessSampler()
-        )
+        seamless = _fet_spec().execute(batched_sampler=FractionlessSampler())
         assert seamless.engine == "batched"
-        # a fraction-keyed batched side makes the override count-capable
-        keyed = _fet_spec().execute(
-            sampler_factory=BinomialCountSampler, batched_sampler=BatchedBinomialSampler()
-        )
+        # a fraction-keyed sampler makes the override count-capable
+        keyed = _fet_spec().execute(batched_sampler=BatchedBinomialSampler())
         assert keyed.engine == "counts"
 
     def test_explicit_overrides_win(self):

@@ -25,11 +25,8 @@ class ConstantProtocol(Protocol):
     def __init__(self, value: int) -> None:
         self.value = value
 
-    def init_state(self, n, rng):
-        return {}
-
-    def step(self, population, state, sampler, rng):
-        return np.full(population.n, self.value, dtype=np.uint8)
+    def step_batch(self, batch, states, sampler, rng):
+        return np.full(batch.opinions.shape, self.value, dtype=np.uint8)
 
 
 class FlipFlopProtocol(Protocol):
@@ -37,11 +34,8 @@ class FlipFlopProtocol(Protocol):
 
     name = "flipflop"
 
-    def init_state(self, n, rng):
-        return {}
-
-    def step(self, population, state, sampler, rng):
-        return (1 - population.opinions).astype(np.uint8)
+    def step_batch(self, batch, states, sampler, rng):
+        return (1 - batch.opinions).astype(np.uint8)
 
 
 class TestEngineBasics:
@@ -181,11 +175,8 @@ class SourceDeviatorProtocol(Protocol):
 
     name = "source-deviator"
 
-    def init_state(self, n, rng):
-        return {}
-
-    def step(self, population, state, sampler, rng):
-        return np.zeros(population.n, dtype=np.uint8)
+    def step_batch(self, batch, states, sampler, rng):
+        return np.zeros_like(batch.opinions)
 
 
 class TestFlipAccounting:
@@ -233,10 +224,7 @@ class TestSingleReplicaView:
     def _fet_engine(self, n=200, ell=12, seed=5):
         pop = make_population(n, 1)
         proto = FETProtocol(ell)
-        rng = make_rng(seed)
-        state = proto.init_state(n, rng)
-        AllWrong()(pop, proto, state, rng)
-        return SynchronousEngine(proto, pop, rng=rng, state=state)
+        return SynchronousEngine(proto, pop, rng=make_rng(seed), initializer=AllWrong())
 
     def test_population_and_state_mutated_in_place(self):
         engine = self._fet_engine()
@@ -320,6 +308,22 @@ _EQUIVALENCE_CELLS = {
         population={"name": "majority", "k0": 3, "k1": 2},
         correct_opinion=0,
         max_rounds=60,
+    ),
+    # No count model: this is their only cross-engine check.
+    "clock-sync": dict(protocol={"name": "clock-sync", "ell": 5}, n=120, max_rounds=1200),
+    "oracle-clock": dict(protocol={"name": "oracle-clock", "ell": 1}, n=120, max_rounds=300),
+    # Crafted starts, initialized per trial by apply_batch on a one-row batch.
+    "zero-speed-center": dict(
+        protocol={"name": "fet", "ell": 12},
+        n=150,
+        initializer={"name": "zero-speed-center"},
+        max_rounds=600,
+    ),
+    "two-round": dict(
+        protocol={"name": "fet", "ell": 12},
+        n=150,
+        initializer={"name": "two-round", "x_prev": 0.9, "x_now": 0.1},
+        max_rounds=600,
     ),
 }
 

@@ -7,8 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import scripted_sampler
-from repro.core.engine import run_protocol
+from conftest import scripted_sampler, step_row
+from repro.core.engine import SynchronousEngine, run_protocol
 from repro.core.population import make_population
 from repro.core.rng import make_rng
 from repro.core.sampling import IndexSampler
@@ -58,7 +58,7 @@ class TestState:
 
     def test_randomize_state_in_range(self):
         proto = FETProtocol(5)
-        state = proto.randomize_state(1000, make_rng(0))
+        state = proto.randomize_state_batch(4, 250, make_rng(0))
         assert state["prev_count"].min() >= 0
         assert state["prev_count"].max() <= 5
         # All values of {0..5} should occur in 1000 draws.
@@ -77,14 +77,14 @@ class TestStepSemantics:
         proto, pop = self.make()
         state = {"prev_count": np.full(6, 1, dtype=np.int64)}
         sampler = scripted_sampler(np.full(6, 3), np.zeros(6))  # count' = 3 > 1
-        new = proto.step(pop, state, sampler, make_rng(0))
+        new = step_row(proto, pop, state, sampler, make_rng(0))
         assert (new == 1).all()
 
     def test_smaller_adopts_zero(self):
         proto, pop = self.make()
         state = {"prev_count": np.full(6, 3, dtype=np.int64)}
         sampler = scripted_sampler(np.full(6, 1), np.zeros(6))  # count' = 1 < 3
-        new = proto.step(pop, state, sampler, make_rng(0))
+        new = step_row(proto, pop, state, sampler, make_rng(0))
         assert (new == 0).all()
 
     def test_tie_keeps_opinion(self):
@@ -93,7 +93,7 @@ class TestStepSemantics:
         pop.adversarial_opinions(opinions)
         state = {"prev_count": np.full(6, 2, dtype=np.int64)}
         sampler = scripted_sampler(np.full(6, 2), np.zeros(6))  # tie
-        new = proto.step(pop, state, sampler, make_rng(0))
+        new = step_row(proto, pop, state, sampler, make_rng(0))
         assert np.array_equal(new, pop.opinions)
 
     def test_mixed_rules_per_agent(self):
@@ -102,7 +102,7 @@ class TestStepSemantics:
         state = {"prev_count": np.array([2, 2, 2, 2, 2, 2], dtype=np.int64)}
         counts = np.array([3, 1, 2, 3, 2, 1], dtype=np.int64)
         sampler = scripted_sampler(counts, np.zeros(6))
-        new = proto.step(pop, state, sampler, make_rng(0))
+        new = step_row(proto, pop, state, sampler, make_rng(0))
         assert new.tolist() == [1, 0, 0, 1, 1, 0]
 
     def test_state_updated_to_second_block(self):
@@ -110,7 +110,7 @@ class TestStepSemantics:
         state = {"prev_count": np.zeros(6, dtype=np.int64)}
         second_block = np.array([4, 3, 2, 1, 0, 4], dtype=np.int64)
         sampler = scripted_sampler(np.zeros(6), second_block)
-        proto.step(pop, state, sampler, make_rng(0))
+        step_row(proto, pop, state, sampler, make_rng(0))
         assert np.array_equal(state["prev_count"], second_block)
 
 
@@ -121,9 +121,7 @@ class TestConvergence:
         proto = FETProtocol(ell_for(n))
         pop = make_population(n, correct)
         rng = make_rng(42 + correct)
-        state = proto.init_state(n, rng)
-        AllWrong()(pop, proto, state, rng)
-        result = run_protocol(proto, pop, 2000, rng=rng, state=state)
+        result = run_protocol(proto, pop, 2000, rng=rng, initializer=AllWrong())
         assert result.converged
         assert result.rounds < 200
 
@@ -132,9 +130,7 @@ class TestConvergence:
         proto = FETProtocol(ell_for(n))
         pop = make_population(n, 1)
         rng = make_rng(7)
-        state = proto.init_state(n, rng)
-        BernoulliRandom(0.5)(pop, proto, state, rng)
-        result = run_protocol(proto, pop, 3000, rng=rng, state=state)
+        result = run_protocol(proto, pop, 3000, rng=rng, initializer=BernoulliRandom(0.5))
         assert result.converged
 
     def test_stays_at_correct_consensus(self):
@@ -142,9 +138,7 @@ class TestConvergence:
         proto = FETProtocol(ell_for(n))
         pop = make_population(n, 1)
         rng = make_rng(3)
-        state = proto.init_state(n, rng)
-        AllCorrect()(pop, proto, state, rng)
-        result = run_protocol(proto, pop, 300, rng=rng, state=state)
+        result = run_protocol(proto, pop, 300, rng=rng, initializer=AllCorrect())
         assert result.converged
         # After at most a couple of settling rounds, x stays at 1: the
         # adversarial counters can cause an initial dip but never a collapse.
@@ -156,10 +150,13 @@ class TestConvergence:
         proto = FETProtocol(ell_for(n, 4.0))
         pop = make_population(n, 1)
         rng = make_rng(11)
-        state = proto.init_state(n, rng)
-        AllWrong()(pop, proto, state, rng)
         result = run_protocol(
-            proto, pop, 1500, sampler=IndexSampler(exclude_self=True), rng=rng, state=state
+            proto,
+            pop,
+            1500,
+            sampler=IndexSampler(exclude_self=True),
+            rng=rng,
+            initializer=AllWrong(),
         )
         assert result.converged
 
@@ -168,15 +165,10 @@ class TestConvergence:
         n = 800
         proto = FETProtocol(ell_for(n))
         pop = make_population(n, 1)
-        rng = make_rng(5)
-        state = proto.init_state(n, rng)
-        AllWrong()(pop, proto, state, rng)
-        result = run_protocol(proto, pop, 2000, rng=rng, state=state)
+        engine = SynchronousEngine(proto, pop, rng=make_rng(5), initializer=AllWrong())
+        result = engine.run(2000)
         assert result.converged
         # Continue for 100 extra rounds manually: opinion vector must not move.
-        from repro.core.engine import SynchronousEngine
-
-        engine = SynchronousEngine(proto, pop, rng=rng, state=state)
         for _ in range(100):
             record = engine.step()
             assert record.x_after == 1.0
@@ -210,9 +202,6 @@ class TestFusedBatchStep:
                 assert blocks_count == 2
                 return blocks.copy()
 
-            def scalar(self):  # pragma: no cover - unused
-                raise AssertionError
-
         expected = np.where(
             blocks[0] == prev, batch.opinions, blocks[0] > prev
         ).astype(np.uint8)
@@ -222,37 +211,22 @@ class TestFusedBatchStep:
         # the carried state is the second block, untouched by the fusion
         assert np.array_equal(states["prev_count"], blocks[1])
 
-    def test_fused_step_batch_bitwise_matches_scalar_at_r1(self):
-        """R=1 batched step equals the scalar step on identical counts."""
-        from repro.core.batch import BatchedPopulation
-        from repro.core.sampling import BatchedSampler
-
+    def test_fused_step_batch_matches_three_way_rule_at_r1(self):
+        """A one-row batch (the single-population case) resolves the
+        three-way rule exactly, agent by agent."""
         ell, n = 6, 30
         proto = FETProtocol(ell)
         pop = make_population(n, 1)
-        start = (make_rng(4).random(n) < 0.5).astype("uint8")
-        pop.adversarial_opinions(start)
-        batch = BatchedPopulation.from_population(pop, 1)
+        pop.adversarial_opinions((make_rng(4).random(n) < 0.5).astype("uint8"))
         counts = make_rng(5).integers(0, ell + 1, size=(2, n))
         prev = make_rng(6).integers(0, ell + 1, size=n)
-
-        class ScriptedBatched(BatchedSampler):
-            def counts(self, batch, ell, rng):  # pragma: no cover - unused
-                raise AssertionError
-
-            def count_blocks(self, batch, ell, blocks_count, rng):
-                return counts[:, None, :].copy()
-
-            def scalar(self):  # pragma: no cover - unused
-                raise AssertionError
-
-        scalar_state = {"prev_count": prev.copy()}
-        batch_states = {"prev_count": prev.copy()[None, :]}
-        scripted = scripted_sampler(counts[0], counts[1])
-        scalar_new = proto.step(pop, scalar_state, scripted, make_rng(0))
-        batch_new = proto.step_batch(batch, batch_states, ScriptedBatched(), make_rng(0))
-        assert np.array_equal(batch_new[0], scalar_new)
-        assert np.array_equal(batch_states["prev_count"][0], scalar_state["prev_count"])
+        state = {"prev_count": prev.copy()}
+        new = step_row(proto, pop, state, scripted_sampler(counts[0], counts[1]), make_rng(0))
+        expected = [
+            1 if c > p else 0 if c < p else o for c, p, o in zip(counts[0], prev, pop.opinions)
+        ]
+        assert new.tolist() == expected
+        assert np.array_equal(state["prev_count"], counts[1])
 
     def test_fused_step_batch_leaves_aliasing_sampler_buffers_intact(self):
         """A buffer-reusing sampler (returns the same tensor every call)
@@ -274,9 +248,6 @@ class TestFusedBatchStep:
 
             def count_blocks(self, batch, ell, blocks_count, rng):
                 return cached  # same buffer every round, never rewritten
-
-            def scalar(self):  # pragma: no cover - unused
-                raise AssertionError
 
         states = {"prev_count": cached[1]}  # aliases the sampler's buffer
         expected = np.where(

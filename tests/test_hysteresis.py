@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import scripted_sampler
+from conftest import scripted_sampler, step_row
 from repro.core.engine import run_protocol
 from repro.core.population import make_population
 from repro.core.rng import make_rng
@@ -38,7 +38,7 @@ class TestStepSemantics:
         # diffs: +2 (within band), -2 (within band), +3 (above), -3 (below)
         counts = np.array([7, 3, 8, 2], dtype=np.int64)
         sampler = scripted_sampler(counts, np.zeros(4))
-        new = proto.step(pop, state, sampler, make_rng(0))
+        new = step_row(proto, pop, state, sampler, make_rng(0))
         assert new.tolist() == [1, 0, 1, 0]
 
     def test_band_zero_equals_fet(self):
@@ -55,7 +55,7 @@ class TestStepSemantics:
             pop.adversarial_opinions(opinions.copy())
             state = {"prev_count": prev.copy()}
             sampler = scripted_sampler(counts.copy(), second.copy())
-            results.append(proto.step(pop, state, sampler, make_rng(0)))
+            results.append(step_row(proto, pop, state, sampler, make_rng(0)))
         assert np.array_equal(results[0], results[1])
 
 
@@ -67,9 +67,7 @@ class TestNegativeResult:
         proto = HysteresisFETProtocol(56, 0)
         pop = make_population(n, 1)
         rng = make_rng(0)
-        state = proto.init_state(n, rng)
-        AllWrong()(pop, proto, state, rng)
-        result = run_protocol(proto, pop, 2000, rng=rng, state=state)
+        result = run_protocol(proto, pop, 2000, rng=rng, initializer=AllWrong())
         assert result.converged
 
     def test_moderate_band_still_converges_but_slower(self):
@@ -79,9 +77,7 @@ class TestNegativeResult:
             proto = HysteresisFETProtocol(56, band)
             pop = make_population(n, 1)
             rng = make_rng(1)
-            state = proto.init_state(n, rng)
-            AllWrong()(pop, proto, state, rng)
-            result = run_protocol(proto, pop, 20_000, rng=rng, state=state)
+            result = run_protocol(proto, pop, 20_000, rng=rng, initializer=AllWrong())
             assert result.converged, f"band={band} failed"
             times[band] = result.rounds
         assert times[2] >= times[0]  # the band can only slow things down
@@ -92,7 +88,5 @@ class TestNegativeResult:
         proto = HysteresisFETProtocol(56, 8)
         pop = make_population(n, 1)
         rng = make_rng(2)
-        state = proto.init_state(n, rng)
-        AllWrong()(pop, proto, state, rng)
-        result = run_protocol(proto, pop, 1000, rng=rng, state=state)
+        result = run_protocol(proto, pop, 1000, rng=rng, initializer=AllWrong())
         assert not result.converged

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.batch import BatchedPopulation
-from repro.core.engine import run_protocol
+from repro.core.engine import SynchronousEngine, run_protocol
 from repro.core.population import make_majority_population, make_population
 from repro.core.rng import make_rng
 from repro.experiments.harness import run_trials
@@ -26,6 +26,12 @@ from repro.initializers.standard import (
 from repro.protocols.fet import FETProtocol
 
 
+def install(initializer, pop, proto, state, rng):
+    """The single-population case: ``apply_batch`` on a one-row batch,
+    written back into ``pop`` and ``state``."""
+    SynchronousEngine(proto, pop, rng=rng, state=state, initializer=initializer)
+
+
 def fresh(n=100, ell=10, correct=1):
     proto = FETProtocol(ell)
     pop = make_population(n, correct)
@@ -37,25 +43,25 @@ def fresh(n=100, ell=10, correct=1):
 class TestAllWrong:
     def test_nonsources_wrong(self):
         proto, pop, state, rng = fresh()
-        AllWrong()(pop, proto, state, rng)
+        install(AllWrong(), pop, proto, state, rng)
         assert (pop.opinions[~pop.source_mask] == 0).all()
         assert pop.opinions[pop.source_mask].tolist() == [1]
 
     def test_respects_correct_zero(self):
         proto, pop, state, rng = fresh(correct=0)
-        AllWrong()(pop, proto, state, rng)
+        install(AllWrong(), pop, proto, state, rng)
         assert (pop.opinions[~pop.source_mask] == 1).all()
 
     def test_randomizes_internal_state(self):
         proto, pop, state, rng = fresh(ell=20)
-        AllWrong()(pop, proto, state, rng)
+        install(AllWrong(), pop, proto, state, rng)
         assert len(np.unique(state["prev_count"])) > 1
 
 
 class TestAllCorrect:
     def test_everyone_correct(self):
         proto, pop, state, rng = fresh()
-        AllCorrect()(pop, proto, state, rng)
+        install(AllCorrect(), pop, proto, state, rng)
         assert pop.at_correct_consensus()
 
 
@@ -66,7 +72,7 @@ class TestBernoulliRandom:
 
     def test_fraction_near_p(self):
         proto, pop, state, rng = fresh(n=4000)
-        BernoulliRandom(0.3)(pop, proto, state, rng)
+        install(BernoulliRandom(0.3), pop, proto, state, rng)
         assert pop.fraction_ones() == pytest.approx(0.3, abs=0.05)
 
     def test_name_contains_p(self):
@@ -76,7 +82,7 @@ class TestBernoulliRandom:
 class TestExactFraction:
     def test_exact_count(self):
         proto, pop, state, rng = fresh(n=200)
-        ExactFraction(0.35)(pop, proto, state, rng)
+        install(ExactFraction(0.35), pop, proto, state, rng)
         # Source pinning can add at most one extra 1.
         assert abs(pop.count_ones() - 70) <= 1
 
@@ -86,7 +92,7 @@ class TestExactFraction:
 
     def test_zero_fraction(self):
         proto, pop, state, rng = fresh(n=100)
-        ExactFraction(0.0)(pop, proto, state, rng)
+        install(ExactFraction(0.0), pop, proto, state, rng)
         assert pop.count_ones() == 1  # only the pinned source
 
 
@@ -94,24 +100,24 @@ class TestRandomizeProtocolState:
     def test_leaves_opinions(self):
         proto, pop, state, rng = fresh()
         before = pop.opinions.copy()
-        RandomizeProtocolState()(pop, proto, state, rng)
+        install(RandomizeProtocolState(), pop, proto, state, rng)
         assert np.array_equal(before, pop.opinions)
 
     def test_randomizes_state(self):
         proto, pop, state, rng = fresh(ell=20)
-        RandomizeProtocolState()(pop, proto, state, rng)
+        install(RandomizeProtocolState(), pop, proto, state, rng)
         assert len(np.unique(state["prev_count"])) > 1
 
 
 class TestTwoRoundTarget:
     def test_sets_fraction(self):
         proto, pop, state, rng = fresh(n=1000)
-        TwoRoundTarget(0.2, 0.6)(pop, proto, state, rng)
+        install(TwoRoundTarget(0.2, 0.6), pop, proto, state, rng)
         assert pop.fraction_ones() == pytest.approx(0.6, abs=0.01)
 
     def test_counters_reflect_x_prev(self):
         proto, pop, state, rng = fresh(n=5000, ell=40)
-        TwoRoundTarget(0.2, 0.6)(pop, proto, state, rng)
+        install(TwoRoundTarget(0.2, 0.6), pop, proto, state, rng)
         assert state["prev_count"].mean() / 40 == pytest.approx(0.2, abs=0.03)
 
     def test_rejects_bad_inputs(self):
@@ -124,7 +130,7 @@ class TestTwoRoundTarget:
 class TestZeroSpeedCenter:
     def test_center_configuration(self):
         proto, pop, state, rng = fresh(n=1000, ell=40)
-        ZeroSpeedCenter()(pop, proto, state, rng)
+        install(ZeroSpeedCenter(), pop, proto, state, rng)
         assert pop.fraction_ones() == pytest.approx(0.5, abs=0.01)
         assert state["prev_count"].mean() / 40 == pytest.approx(0.5, abs=0.05)
 
@@ -133,16 +139,14 @@ class TestZeroSpeedCenter:
         proto = FETProtocol(56)
         pop = make_population(n, 1)
         rng = make_rng(17)
-        state = proto.init_state(n, rng)
-        ZeroSpeedCenter()(pop, proto, state, rng)
-        result = run_protocol(proto, pop, 5000, rng=rng, state=state)
+        result = run_protocol(proto, pop, 5000, rng=rng, initializer=ZeroSpeedCenter())
         assert result.converged
 
 
 class TestPoisonedCounters:
     def test_counters_saturated(self):
         proto, pop, state, rng = fresh(ell=10)
-        PoisonedCounters()(pop, proto, state, rng)
+        install(PoisonedCounters(), pop, proto, state, rng)
         assert (state["prev_count"] == 10).all()
         assert (pop.opinions[~pop.source_mask] == 0).all()
 
@@ -151,9 +155,7 @@ class TestPoisonedCounters:
         proto = FETProtocol(56)
         pop = make_population(n, 1)
         rng = make_rng(21)
-        state = proto.init_state(n, rng)
-        PoisonedCounters()(pop, proto, state, rng)
-        result = run_protocol(proto, pop, 3000, rng=rng, state=state)
+        result = run_protocol(proto, pop, 3000, rng=rng, initializer=PoisonedCounters())
         assert result.converged
 
 
@@ -161,7 +163,7 @@ class TestFrozenUnanimity:
     def test_rejects_pinned_population(self):
         proto, pop, state, rng = fresh()
         with pytest.raises(ValueError):
-            FrozenUnanimity()(pop, proto, state, rng)
+            install(FrozenUnanimity(), pop, proto, state, rng)
 
     def test_rejects_bad_opinion(self):
         with pytest.raises(ValueError):
@@ -172,7 +174,7 @@ class TestFrozenUnanimity:
         proto = FETProtocol(8)
         rng = make_rng(0)
         state = proto.init_state(40, rng)
-        FrozenUnanimity(opinion=1)(pop, proto, state, rng)
+        install(FrozenUnanimity(opinion=1), pop, proto, state, rng)
         assert (pop.opinions == 1).all()
         assert (state["prev_count"] == 8).all()
 
@@ -181,9 +183,7 @@ class TestFrozenUnanimity:
         pop = make_majority_population(60, k0=15, k1=5)  # majority prefers 0
         proto = FETProtocol(8)
         rng = make_rng(1)
-        state = proto.init_state(60, rng)
-        FrozenUnanimity(opinion=1)(pop, proto, state, rng)
-        result = run_protocol(proto, pop, 500, rng=rng, state=state)
+        result = run_protocol(proto, pop, 500, rng=rng, initializer=FrozenUnanimity(opinion=1))
         assert not result.converged  # correct bit is 0, population frozen at 1
         assert (result.trajectory == 1.0).all()
 
@@ -191,9 +191,7 @@ class TestFrozenUnanimity:
         pop = make_majority_population(60, k0=5, k1=15)  # majority prefers 1
         proto = FETProtocol(8)
         rng = make_rng(2)
-        state = proto.init_state(60, rng)
-        FrozenUnanimity(opinion=0)(pop, proto, state, rng)
-        result = run_protocol(proto, pop, 300, rng=rng, state=state)
+        result = run_protocol(proto, pop, 300, rng=rng, initializer=FrozenUnanimity(opinion=0))
         assert not result.converged
         assert (result.trajectory == 0.0).all()
 
@@ -209,8 +207,16 @@ class TestAdversarialBatched:
         return proto, batch, states, rng
 
     def test_all_support_batch(self):
+        # One implementation serves every batch size, the one-row
+        # (single-population) case included.
+        pop = make_majority_population(30, k0=2, k1=1)
         for init in (TwoRoundTarget(0.3, 0.7), ZeroSpeedCenter(), PoisonedCounters(), FrozenUnanimity()):
-            assert init.supports_batch
+            for replicas in (1, 3):
+                proto = FETProtocol(6)
+                batch = BatchedPopulation.from_population(pop, replicas)
+                states = proto.init_state_batch(replicas, 30, make_rng(0))
+                init.apply_batch(batch, proto, states, make_rng(1))
+                assert batch.opinions.shape == states["prev_count"].shape == (replicas, 30)
 
     def test_two_round_target_rows(self):
         proto, batch, states, rng = self.batch()
@@ -235,6 +241,12 @@ class TestAdversarialBatched:
         proto, batch, states, rng = self.batch()
         with pytest.raises(ValueError, match="ell"):
             TwoRoundTarget(0.5, 0.5).apply_batch(batch, NoEll(), states, rng)
+
+    def test_zero_speed_center_is_the_centre_target(self):
+        assert isinstance(ZeroSpeedCenter(), TwoRoundTarget)
+        assert (ZeroSpeedCenter().x_prev, ZeroSpeedCenter().x_now) == (0.5, 0.5)
+        assert ZeroSpeedCenter().name == "zero-speed-center"
+        assert ZeroSpeedCenter().spec() == {"name": "zero-speed-center"}
 
     def test_zero_speed_center_delegates(self):
         proto, batch, states, rng = self.batch(n=80)

@@ -29,9 +29,7 @@ class TestAdversarialGrid:
         proto = FETProtocol(ell_for(n))
         pop = make_population(n, 1)
         rng = make_rng(int(x_prev * 10) * 17 + int(x_now * 10))
-        state = proto.init_state(n, rng)
-        TwoRoundTarget(x_prev, x_now)(pop, proto, state, rng)
-        result = run_protocol(proto, pop, 4000, rng=rng, state=state)
+        result = run_protocol(proto, pop, 4000, rng=rng, initializer=TwoRoundTarget(x_prev, x_now))
         assert result.converged
 
 
@@ -110,9 +108,7 @@ class TestImpossibilityWitness:
         pop = make_majority_population(n, k0=n // 4, k1=n // 8)
         proto = FETProtocol(16)
         rng = make_rng(5)
-        state = proto.init_state(n, rng)
-        FrozenUnanimity(opinion=1)(pop, proto, state, rng)
-        result = run_protocol(proto, pop, n * n, rng=rng, state=state)
+        result = run_protocol(proto, pop, n * n, rng=rng, initializer=FrozenUnanimity(opinion=1))
         assert not result.converged
         assert (result.trajectory == 1.0).all()
 
@@ -134,9 +130,7 @@ class TestDomainTrajectoryConsistency:
         proto = FETProtocol(ell_for(n))
         pop = make_population(n, 1)
         rng = make_rng(8)
-        state = proto.init_state(n, rng)
-        AllWrong()(pop, proto, state, rng)
-        result = run_protocol(proto, pop, 3000, rng=rng, state=state)
+        result = run_protocol(proto, pop, 3000, rng=rng, initializer=AllWrong())
         part = DomainPartition(n=n)
         families = [part.classify(float(x), float(y)).family for x, y in result.pairs()]
         assert families[0] == "Cyan"
@@ -170,14 +164,12 @@ class TestIndexSamplerEndToEnd:
         proto = FETProtocol(ell_for(n, 4.0))
         pop = make_population(n, 1)
         rng = make_rng(10)
-        state = proto.init_state(n, rng)
-        ExactFraction(0.5)(pop, proto, state, rng)
         result = run_protocol(
             proto,
             pop,
             3000,
             sampler=IndexSampler(exclude_self=True),
             rng=rng,
-            state=state,
+            initializer=ExactFraction(0.5),
         )
         assert result.converged

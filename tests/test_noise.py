@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.core.engine import SynchronousEngine
-from repro.core.noise import NoisyCountSampler, noisy_fraction
+from repro.core.batch import BatchedPopulation
+from repro.core.noise import BatchedNoisyCountSampler, noisy_fraction
 from repro.core.population import make_population
 from repro.core.rng import make_rng
 from repro.experiments.robustness import sweep_noise
@@ -37,30 +38,34 @@ class TestNoisyFraction:
 
 
 class TestNoisyCountSampler:
+    """``BatchedNoisyCountSampler`` on one-row batches."""
+
     def test_zero_eps_matches_clean_distribution(self):
         pop = make_population(4000, 1)
         opinions = np.zeros(4000, dtype=np.uint8)
         opinions[:1200] = 1
         pop.adversarial_opinions(opinions)
-        counts = NoisyCountSampler(0.0).counts(pop, 20, make_rng(0))
+        batch = BatchedPopulation.from_population(pop, 1)
+        counts = BatchedNoisyCountSampler(0.0).counts(batch, 20, make_rng(0))
         assert counts.mean() / 20 == pytest.approx(pop.fraction_ones(), abs=0.02)
 
     def test_noise_biases_toward_half(self):
-        pop = make_population(4000, 1)  # x ~ 1/4000: nearly all zeros
-        counts = NoisyCountSampler(0.2).counts(pop, 20, make_rng(1))
+        # x ~ 1/4000: nearly all zeros
+        batch = BatchedPopulation.from_population(make_population(4000, 1), 1)
+        counts = BatchedNoisyCountSampler(0.2).counts(batch, 20, make_rng(1))
         assert counts.mean() / 20 == pytest.approx(0.2, abs=0.02)
 
     def test_blocks_shape(self):
-        pop = make_population(100, 1)
-        blocks = NoisyCountSampler(0.1).count_blocks(pop, 8, 2, make_rng(2))
-        assert blocks.shape == (2, 100)
+        batch = BatchedPopulation.from_population(make_population(100, 1), 1)
+        blocks = BatchedNoisyCountSampler(0.1).count_blocks(batch, 8, 2, make_rng(2))
+        assert blocks.shape == (2, 1, 100)
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
-            NoisyCountSampler(0.7)
-        pop = make_population(10, 1)
+            BatchedNoisyCountSampler(0.7)
+        batch = BatchedPopulation.from_population(make_population(10, 1), 1)
         with pytest.raises(ValueError):
-            NoisyCountSampler(0.1).counts(pop, -1, make_rng(0))
+            BatchedNoisyCountSampler(0.1).counts(batch, -1, make_rng(0))
 
 
 class TestNoisyFET:
@@ -76,7 +81,7 @@ class TestNoisyFET:
         pop.set_opinions(np.ones(n, dtype=np.uint8))
         state = {"prev_count": np.full(n, 30, dtype=np.int64)}
         engine = SynchronousEngine(
-            proto, pop, sampler=NoisyCountSampler(0.2), rng=make_rng(3), state=state
+            proto, pop, sampler=BatchedNoisyCountSampler(0.2), rng=make_rng(3), state=state
         )
         fractions = []
         for _ in range(50):
@@ -97,7 +102,7 @@ class TestNoisyFET:
         pop.set_opinions(np.ones(n, dtype=np.uint8))
         state = {"prev_count": np.full(n, ell, dtype=np.int64)}
         engine = SynchronousEngine(
-            proto, pop, sampler=NoisyCountSampler(1e-5), rng=make_rng(4), state=state
+            proto, pop, sampler=BatchedNoisyCountSampler(1e-5), rng=make_rng(4), state=state
         )
         fractions = []
         for _ in range(50):
@@ -126,10 +131,10 @@ class TestNoisyFET:
 
 class TestNoisyClockSync:
     def test_synchronous_engine_passes_noise_to_clock_sync(self):
-        """Regression: ``SynchronousEngine`` wraps its sampler in
-        ``PerReplicaSampler``, which used to hide the noise level from
-        clock-sync. At ε = 1/2 every bit it reads is a fair coin, so an
-        all-correct start cannot hold; at ε = 0 it is absorbing."""
+        """Regression: the noise level must reach clock-sync through the
+        sampler ``SynchronousEngine`` hands to its step. At ε = 1/2 every
+        bit it reads is a fair coin, so an all-correct start cannot hold;
+        at ε = 0 it is absorbing."""
         n = 256
         levels = {}
         for eps in (0.0, 0.5):
@@ -137,7 +142,7 @@ class TestNoisyClockSync:
             pop = make_population(n, 1)
             pop.set_opinions(np.ones(n, dtype=np.uint8))
             engine = SynchronousEngine(
-                proto, pop, sampler=NoisyCountSampler(eps), rng=make_rng(5)
+                proto, pop, sampler=BatchedNoisyCountSampler(eps), rng=make_rng(5)
             )
             fractions = []
             for _ in range(2 * proto.period):
@@ -175,9 +180,8 @@ class TestNoiseBaselineRows:
         """Regression: clock-sync ignores the count samplers, so its noise
         rows used to simulate eps=0 silently; it now applies the per-bit
         flip model to the opinion bits it reads. The settle window must span
-        a zero-subphase (> subphase_len) for the damage to be visible.
-        ``sequential`` reaches the protocol through ``PerReplicaSampler``,
-        which must pass the wrapped sampler's noise level through."""
+        a zero-subphase (> subphase_len) for the damage to be visible, on
+        every engine."""
         rows = sweep_noise(
             256, 8, [0.0, 0.05],
             trials=3, max_rounds=1500, seed=2, theta=0.9, settle_window=40,

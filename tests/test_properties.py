@@ -134,7 +134,7 @@ class TestEngineProperties:
         proto = FETProtocol(ell)
         pop = make_population(n, 1)
         rng = make_rng(seed)
-        state = proto.randomize_state(n, rng)
+        state = {"prev_count": proto.randomize_state_batch(1, n, rng)["prev_count"][0]}
         pop.adversarial_opinions(rng.integers(0, 2, size=n).astype(np.uint8))
         engine = SynchronousEngine(proto, pop, rng=rng, state=state)
         for _ in range(rounds):

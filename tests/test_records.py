@@ -55,11 +55,8 @@ class TestProtocolDefaults:
         class Bare(Protocol):
             name = "bare"
 
-            def init_state(self, n, rng):
-                return {}
-
-            def step(self, population, state, sampler, rng):
-                return population.opinions
+            def step_batch(self, batch, states, sampler, rng):
+                return batch.opinions
 
         desc = Bare().describe()
         assert desc == {
@@ -71,15 +68,27 @@ class TestProtocolDefaults:
 
     def test_randomize_defaults_to_init(self):
         class Bare(Protocol):
-            def init_state(self, n, rng):
-                return {"x": np.arange(n)}
+            def init_state_batch(self, replicas, n, rng):
+                return {"x": np.tile(np.arange(n), (replicas, 1))}
 
-            def step(self, population, state, sampler, rng):
-                return population.opinions
+            def step_batch(self, batch, states, sampler, rng):
+                return batch.opinions
 
         proto = Bare()
         rng = np.random.default_rng(0)
-        assert np.array_equal(proto.randomize_state(4, rng)["x"], np.arange(4))
+        assert np.array_equal(proto.randomize_state_batch(2, 4, rng)["x"], [np.arange(4)] * 2)
+        # the single-population state is the one-row case
+        assert np.array_equal(proto.init_state(4, rng)["x"], np.arange(4))
+
+    def test_stateless_by_default(self):
+        class Bare(Protocol):
+            def step_batch(self, batch, states, sampler, rng):
+                return batch.opinions
+
+        rng = np.random.default_rng(0)
+        assert Bare().init_state_batch(3, 4, rng) == {}
+        assert Bare().randomize_state_batch(3, 4, rng) == {}
+        assert Bare().init_state(4, rng) == {}
 
     def test_fet_repr(self):
         assert "FETProtocol" in repr(FETProtocol(5))

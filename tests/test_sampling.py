@@ -5,79 +5,83 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.batch import BatchedPopulation
 from repro.core.population import make_population
 from repro.core.rng import make_rng
-from repro.core.sampling import BinomialCountSampler, IndexSampler
+from repro.core.sampling import BatchedBinomialSampler, IndexSampler
 
 
-def population_with_fraction(n: int, x: float):
+def population_with_fraction(n: int, x: float, replicas: int = 1) -> BatchedPopulation:
+    """``replicas`` rows of a population with one-fraction ``x`` (one row:
+    the single-population case)."""
     pop = make_population(n, 1)
     opinions = np.zeros(n, dtype=np.uint8)
     opinions[: int(round(x * n))] = 1
     pop.adversarial_opinions(opinions)
-    return pop
+    return BatchedPopulation.from_population(pop, replicas)
 
 
 class TestBinomialCountSampler:
+    """``BatchedBinomialSampler`` on one- and few-row batches."""
+
     def test_counts_shape(self):
-        pop = population_with_fraction(100, 0.3)
-        counts = BinomialCountSampler().counts(pop, 10, make_rng(0))
-        assert counts.shape == (100,)
+        pop = population_with_fraction(100, 0.3, replicas=3)
+        counts = BatchedBinomialSampler().counts(pop, 10, make_rng(0))
+        assert counts.shape == (3, 100)
 
     def test_counts_range(self):
         pop = population_with_fraction(100, 0.3)
-        counts = BinomialCountSampler().counts(pop, 10, make_rng(0))
+        counts = BatchedBinomialSampler().counts(pop, 10, make_rng(0))
         assert counts.min() >= 0 and counts.max() <= 10
 
     def test_zero_ell(self):
         pop = population_with_fraction(100, 0.3)
-        counts = BinomialCountSampler().counts(pop, 0, make_rng(0))
+        counts = BatchedBinomialSampler().counts(pop, 0, make_rng(0))
         assert (counts == 0).all()
 
     def test_negative_ell_rejected(self):
         pop = population_with_fraction(10, 0.3)
         with pytest.raises(ValueError):
-            BinomialCountSampler().counts(pop, -1, make_rng(0))
+            BatchedBinomialSampler().counts(pop, -1, make_rng(0))
 
     def test_all_ones_population(self):
         pop = population_with_fraction(50, 1.0)
-        counts = BinomialCountSampler().counts(pop, 7, make_rng(0))
+        counts = BatchedBinomialSampler().counts(pop, 7, make_rng(0))
         assert (counts == 7).all()
 
     def test_mean_matches_fraction(self):
         pop = population_with_fraction(4000, 0.4)
-        counts = BinomialCountSampler().counts(pop, 20, make_rng(1))
+        counts = BatchedBinomialSampler().counts(pop, 20, make_rng(1))
         assert counts.mean() / 20 == pytest.approx(0.4, abs=0.02)
 
     def test_blocks_shape(self):
         pop = population_with_fraction(100, 0.3)
-        blocks = BinomialCountSampler().count_blocks(pop, 10, 2, make_rng(0))
-        assert blocks.shape == (2, 100)
+        blocks = BatchedBinomialSampler().count_blocks(pop, 10, 2, make_rng(0))
+        assert blocks.shape == (2, 1, 100)
 
     def test_blocks_are_not_identical(self):
         pop = population_with_fraction(500, 0.5)
-        blocks = BinomialCountSampler().count_blocks(pop, 10, 2, make_rng(0))
+        blocks = BatchedBinomialSampler().count_blocks(pop, 10, 2, make_rng(0))
         assert not np.array_equal(blocks[0], blocks[1])
 
     def test_no_indices(self):
-        pop = population_with_fraction(10, 0.3)
-        with pytest.raises(NotImplementedError):
-            BinomialCountSampler().indices(pop, 2, make_rng(0))
+        # passive protocols never need identities; the fast path has none
+        assert not hasattr(BatchedBinomialSampler(), "indices")
 
 
 class TestIndexSampler:
     def test_indices_shape_and_range(self):
-        pop = population_with_fraction(30, 0.5)
+        pop = population_with_fraction(30, 0.5, replicas=2)
         idx = IndexSampler().indices(pop, 5, make_rng(0))
-        assert idx.shape == (30, 5)
+        assert idx.shape == (2, 30, 5)
         assert idx.min() >= 0 and idx.max() < 30
 
     def test_exclude_self(self):
-        pop = population_with_fraction(20, 0.5)
+        pop = population_with_fraction(20, 0.5, replicas=3)
         sampler = IndexSampler(exclude_self=True)
         for seed in range(5):
             idx = sampler.indices(pop, 8, make_rng(seed))
-            own = np.arange(20)[:, None]
+            own = np.arange(20)[None, :, None]
             assert (idx != own).all()
 
     def test_exclude_self_covers_all_others(self):
@@ -85,17 +89,23 @@ class TestIndexSampler:
         idx = IndexSampler(exclude_self=True).indices(pop, 2000, make_rng(3))
         for agent in range(5):
             others = set(range(5)) - {agent}
-            assert set(np.unique(idx[agent])) == others
+            assert set(np.unique(idx[0, agent])) == others
 
     def test_counts_match_indices(self):
-        pop = population_with_fraction(40, 0.25)
+        pop = population_with_fraction(40, 0.25, replicas=2)
+        pop.opinions[1] = 1 - pop.opinions[1]
+        pop.pin_sources()
+        idx = IndexSampler().indices(pop, 6, make_rng(2))
         counts = IndexSampler().counts(pop, 6, make_rng(2))
-        assert counts.shape == (40,)
-        assert counts.min() >= 0 and counts.max() <= 6
+        assert counts.shape == (2, 40)
+        # each row counts ones within its own replica
+        for r in range(2):
+            assert np.array_equal(counts[r], pop.opinions[r][idx[r]].sum(axis=1))
 
     def test_zero_ell_counts(self):
         pop = population_with_fraction(40, 0.25)
         counts = IndexSampler().counts(pop, 0, make_rng(2))
+        assert counts.shape == (1, 40)
         assert (counts == 0).all()
 
     def test_negative_ell_rejected(self):
@@ -110,7 +120,7 @@ class TestDistributionalAgreement:
     def test_count_means_agree(self):
         pop = population_with_fraction(2000, 0.3)
         ell = 15
-        fast = BinomialCountSampler().counts(pop, ell, make_rng(10))
+        fast = BatchedBinomialSampler().counts(pop, ell, make_rng(10))
         literal = IndexSampler().counts(pop, ell, make_rng(11))
         # Means of 2000 Binomial(15, 0.3) draws: sd of mean ~ 0.04.
         assert fast.mean() == pytest.approx(literal.mean(), abs=0.25)
@@ -118,15 +128,15 @@ class TestDistributionalAgreement:
     def test_count_variances_agree(self):
         pop = population_with_fraction(2000, 0.3)
         ell = 15
-        fast = BinomialCountSampler().counts(pop, ell, make_rng(12))
+        fast = BatchedBinomialSampler().counts(pop, ell, make_rng(12))
         literal = IndexSampler().counts(pop, ell, make_rng(13))
         assert fast.var() == pytest.approx(literal.var(), rel=0.2)
 
     def test_histograms_agree(self):
         pop = population_with_fraction(5000, 0.5)
         ell = 8
-        fast = BinomialCountSampler().counts(pop, ell, make_rng(14))
-        literal = IndexSampler().counts(pop, ell, make_rng(15))
+        fast = BatchedBinomialSampler().counts(pop, ell, make_rng(14)).ravel()
+        literal = IndexSampler().counts(pop, ell, make_rng(15)).ravel()
         hist_fast = np.bincount(fast, minlength=ell + 1) / fast.size
         hist_lit = np.bincount(literal, minlength=ell + 1) / literal.size
         assert np.abs(hist_fast - hist_lit).max() < 0.03

@@ -39,16 +39,6 @@ class GrowOneProtocol(Protocol):
 
     name = "grow-one"
 
-    def init_state(self, n, rng):
-        return {}
-
-    def step(self, population, state, sampler, rng):
-        new = population.opinions.copy()
-        zeros = np.nonzero(new == 0)[0]
-        if zeros.size:
-            new[zeros[0]] = 1
-        return new
-
     def step_batch(self, batch, states, sampler, rng):
         new = batch.opinions.copy()
         for row in new:
@@ -386,18 +376,19 @@ class TestThetaAgreement:
         # Record noisy sequential FET runs round by round; the vectorized
         # trace measures and a plain per-trial reimplementation of the
         # sequential θ/settle logic must agree exactly on the same streams.
-        from repro.core.noise import NoisyCountSampler
+        from repro.core.noise import BatchedNoisyCountSampler
 
         theta, window, max_rounds = 0.9, 8, 120
         curves = []
         for seed in range(6):
             protocol = FETProtocol(24)
             pop = make_population(200, 1)
-            rng = np.random.default_rng(seed)
-            state = protocol.init_state(200, rng)
-            AllWrong()(pop, protocol, state, rng)
             engine = SynchronousEngine(
-                protocol, pop, sampler=NoisyCountSampler(0.1), rng=rng, state=state
+                protocol,
+                pop,
+                sampler=BatchedNoisyCountSampler(0.1),
+                rng=np.random.default_rng(seed),
+                initializer=AllWrong(),
             )
             levels = [pop.nonsource_correct_fraction()]
             for _ in range(max_rounds):
