@@ -24,6 +24,15 @@ Construction (simplified; see DESIGN.md §4 for the substitution rationale):
 Unlike the cited works, the clock-agreement step here is empirical rather
 than proven; the baseline benchmark (E-base) reports its measured success
 rate alongside FET's.
+
+Once a replica's clocks all agree, step 2 is deterministic (every clock
+advances by one) and step 3 depends on the samples only through how many
+ones they hold, so ``step_batch`` steps such a replica in closed form —
+one uniform per agent against ``1 - x̃^ℓ`` (zero subphase) or
+``1 - (1-x̃)^ℓ`` (one subphase) — instead of drawing identities. The law
+is unchanged; only replicas whose clocks disagree consume the stream as
+the per-agent reference in ``tests/reference/clock_sync.py`` does, so the
+bitwise comparison with it holds only up to synchronization.
 """
 
 from __future__ import annotations
@@ -92,36 +101,49 @@ class ClockSyncProtocol(Protocol):
         sampler: BatchedSampler,
         rng: np.random.Generator,
     ) -> np.ndarray:
-        """All replicas at once: identity samples, plurality, two subphases.
+        """All replicas at once: a closed form for synchronized replicas,
+        identity samples, plurality and two subphases for the rest.
 
-        Each round every agent draws ``ell`` uniform identities (an
-        ``(A, n, ell)`` tensor), and the per-agent plurality over sampled
-        clocks is a single bincount over flattened ``(replica, agent,
-        clock)`` keys; ``argmax`` along the clock axis resolves ties to the
-        smallest clock value. Replicas are processed in chunks so the
-        ``(A, n, ell)`` sample tensor and the ``(A, n, period)`` tally
-        tensor stay within a fixed element budget. With one replica per
-        chunk, each replica consumes the stream exactly as a one-row batch
-        does, so a batch run chunk by chunk matches independent one-row
-        runs bitwise (``tests/reference/clock_sync.py`` holds the per-agent
-        reference the identical-stream tests compare against).
+        *Synchronized tier.* A replica whose clocks all equal ``c`` needs no
+        identity draw: every sampled clock is ``c``, so every new clock is
+        ``(c+1) % period``, and each agent's ``ell`` sampled opinion bits are
+        iid with ``P(1) = x̃ = x(1-ε) + (1-x)ε`` (``x`` the row's fraction of
+        ones over all ``n`` agents — sampling is with replacement and
+        includes self and the sources). An agent therefore adopts 0 in the
+        zero subphase with probability ``1 - x̃^ell`` and 1 in the one
+        subphase with probability ``1 - (1-x̃)^ell``: one uniform per agent,
+        the same law as the literal rule.
+
+        *Plurality tier.* Every other replica draws ``ell`` uniform
+        identities per agent (an ``(A, n, ell)`` tensor), and the per-agent
+        plurality over sampled clocks is a single bincount over flattened
+        ``(replica, agent, clock)`` keys; ``argmax`` along the clock axis
+        resolves ties to the smallest clock value. These replicas are
+        processed first, in chunks so the ``(A, n, ell)`` sample tensor and
+        the ``(A, n, period)`` tally tensor stay within a fixed element
+        budget; the synchronized replicas' uniforms are drawn after them.
+        So the unsynchronized rows of a batch consume the stream exactly as
+        a batch of those rows alone, and with one replica per chunk a
+        replica matches the per-agent reference in
+        ``tests/reference/clock_sync.py`` bitwise until its clocks agree.
         """
         n = batch.n
-        replicas = batch.replicas
         clocks = states["clock"]
         opinions = batch.opinions
         new_opinions = np.empty_like(opinions)
         new_clocks = np.empty_like(clocks)
         width = 2 * self.period
         epsilon = _observation_epsilon(sampler)
+        synced = clocks.min(axis=1) == clocks.max(axis=1)
+        lagging = np.flatnonzero(~synced)
         # Reading a sampled agent's state is one gather: its clock and its
         # opinion are packed into a single key (clock, opinion-bit), so the
         # bincount below tallies both at once.
-        packed = (clocks * 2 + opinions).astype(np.int32)
+        packed = (clocks[lagging] * 2 + opinions[lagging]).astype(np.int32)
         per_replica = n * max(self.ell, width)
         chunk = max(1, _CHUNK_ELEMENT_BUDGET // per_replica)
-        for start in range(0, replicas, chunk):
-            stop = min(start + chunk, replicas)
+        for start in range(0, lagging.size, chunk):
+            stop = min(start + chunk, lagging.size)
             c = stop - start
             idx = rng.integers(0, n, size=(c, n, self.ell), dtype=np.int32)
             rows = np.arange(start, stop)[:, None, None]
@@ -150,13 +172,29 @@ class ClockSyncProtocol(Protocol):
             saw_zero = ones_seen < self.ell
             in_zero_subphase = chunk_clocks < self.subphase_len
 
-            chunk_opinions = opinions[start:stop]
-            new_opinions[start:stop] = np.where(
+            targets = lagging[start:stop]
+            new_opinions[targets] = np.where(
                 in_zero_subphase & saw_zero,
                 np.uint8(0),
-                np.where(~in_zero_subphase & saw_one, np.uint8(1), chunk_opinions),
+                np.where(~in_zero_subphase & saw_one, np.uint8(1), opinions[targets]),
             ).astype(np.uint8)
-            new_clocks[start:stop] = chunk_clocks
+            new_clocks[targets] = chunk_clocks
+
+        aligned = np.flatnonzero(synced)
+        if aligned.size:
+            next_clock = (clocks[aligned, 0] + 1) % self.period
+            x = batch.count_ones()[aligned] / n
+            x_tilde = x * (1.0 - epsilon) + (1.0 - x) * epsilon
+            # The zero subphase adopts 0 unless all ell bits read 1; the one
+            # subphase adopts 1 unless all read 0.
+            adopt = (next_clock >= self.subphase_len).astype(np.uint8)
+            p_other = np.where(adopt == 0, x_tilde, 1.0 - x_tilde)
+            p_adopt = 1.0 - p_other**self.ell
+            u = rng.random((aligned.size, n))
+            new_opinions[aligned] = np.where(
+                u < p_adopt[:, None], adopt[:, None], opinions[aligned]
+            )
+            new_clocks[aligned] = next_clock[:, None]
         states["clock"] = new_clocks
         return new_opinions
 

@@ -6,8 +6,13 @@ sampled clocks plus one (ties to the smallest value), and applies the
 two-subphase opinion rule driven by its new clock. Per-bit observation
 noise ``epsilon`` flips the sampled opinion bits (never the clocks).
 
-It consumes a generator exactly as one chunk of ``step_batch`` holding a
-single replica does, so the two must agree bitwise on identical streams.
+It consumes a generator exactly as one chunk of ``step_batch``'s
+plurality tier holding a single replica does, so the two agree bitwise on
+identical streams while the replica's clocks disagree. Once they all agree,
+``step_batch`` switches to its closed-form synchronized tier — the same law
+from one uniform per agent — so from the first synchronized round on the
+two agree only in distribution. This body stays the literal rule either way:
+it is the ground truth both tiers are tested against.
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats as scipy_stats
 
 from conftest import step_row
 from reference.clock_sync import clock_sync_step
@@ -119,27 +120,92 @@ class TestClockSync:
 
 
 class TestClockSyncBatched:
-    """Vectorized step_batch: identical streams at R=1, statistical
-    equivalence at R>1, and chunking invariance."""
+    """Vectorized step_batch: identical streams at R=1 until the clocks
+    synchronize, the synchronized tier's exact one-step law, chunking
+    invariance, and the run-level law against the literal rule."""
 
     def test_identical_stream_matches_scalar_step(self):
-        # With one replica the batched draws consume the stream exactly as
-        # the per-agent reference does, so both must agree bitwise, round by
-        # round — clocks and opinions alike.
-        n = 96
+        # With one replica the plurality tier consumes the stream exactly as
+        # the per-agent reference does, so both agree bitwise, round by
+        # round, until the clocks synchronize and the closed-form tier takes
+        # over with a different draw.
+        rounds = _compare_with_reference_until_synced(epsilon=0.0)
+        assert rounds >= 5
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.1])
+    @pytest.mark.parametrize("clock", ["zero-subphase", "one-subphase", "wrap"])
+    def test_synchronized_tier_matches_reference_law(self, clock, epsilon):
+        # From synchronized clocks every clock moves forward by one and every
+        # agent holding the other opinion adopts the subphase's bit
+        # independently with probability 1 - x̃^ell (zero subphase) or
+        # 1 - (1-x̃)^ell (one subphase): the per-row adopter counts are
+        # Binomial(m, ·) on both the tier and the literal per-agent rule.
+        n, replicas, x = 200, 400, 0.7
+        proto = ClockSyncProtocol(n, 3)
+        c = {"zero-subphase": 0, "one-subphase": proto.subphase_len - 1,
+             "wrap": proto.period - 1}[clock]
+        next_clock = (c + 1) % proto.period
+        adopt = 0 if next_clock < proto.subphase_len else 1
+        # Identical rows with round(x·n) ones (sources included), clocks at c.
+        opinions = np.zeros(n, dtype=np.uint8)
+        opinions[: round(x * n)] = 1
+        batch = BatchedPopulation.from_population(make_population(n, 1), replicas)
+        batch.adversarial_opinions(np.tile(opinions, (replicas, 1)))
+        states = {"clock": np.full((replicas, n), c, dtype=np.int64)}
+        others = opinions != adopt
+        m = int(others.sum())
+        sampler = BatchedNoisyCountSampler(epsilon)
+        tier = proto.step_batch(batch, states, sampler, make_rng(5))
+        assert (states["clock"] == next_clock).all()
+        tier_adopters = (tier[:, others] == adopt).sum(axis=1)
+
+        rng = make_rng(6)
+        reference_adopters = np.empty(replicas, dtype=np.int64)
+        for r in range(replicas):
+            state = {"clock": np.full(n, c, dtype=np.int64)}
+            new = clock_sync_step(proto, opinions, state, epsilon, rng)
+            assert (state["clock"] == next_clock).all()
+            reference_adopters[r] = int((new[others] == adopt).sum())
+        assert scipy_stats.ks_2samp(
+            tier_adopters, reference_adopters, method="asymp"
+        ).pvalue > 1e-3
+
+        x_tilde = x * (1 - epsilon) + (1 - x) * epsilon
+        p_adopt = 1 - (x_tilde if adopt == 0 else 1 - x_tilde) ** proto.ell
+        for adopters in (tier_adopters, reference_adopters):
+            total = int(adopters.sum())
+            assert scipy_stats.binomtest(total, m * replicas, p_adopt).pvalue > 1e-3
+
+    def test_mixed_batch_unsynced_rows_match_a_batch_of_them_alone(self, monkeypatch):
+        # Synced and unsynced rows interleaved, one replica per chunk: the
+        # plurality tier draws before the closed-form tier, so the unsynced
+        # rows consume the stream exactly as a batch of those rows alone.
+        import repro.protocols.clock_sync as clock_sync_module
+
+        monkeypatch.setattr(clock_sync_module, "_CHUNK_ELEMENT_BUDGET", 1500)
+        n, replicas = 60, 6
         proto = ClockSyncProtocol(n, 5)
-        pop = make_population(n, 1)
-        rng_scalar, rng_batch = make_rng(7), make_rng(7)
-        batch_state = proto.randomize_state_batch(1, n, make_rng(3))
-        state = {"clock": batch_state["clock"][0].copy()}
-        batch = BatchedPopulation.from_population(pop, 1)
-        for round_index in range(3 * proto.period):
-            new_scalar = clock_sync_step(proto, pop.opinions, state, 0.0, rng_scalar)
-            new_batched = proto.step_batch(batch, batch_state, None, rng_batch)
-            assert np.array_equal(new_scalar, new_batched[0]), round_index
-            assert np.array_equal(state["clock"], batch_state["clock"][0]), round_index
-            pop.set_opinions(new_scalar)
-            batch.set_opinions(new_batched)
+        opinions = (make_rng(1).random((replicas, n)) < 0.5).astype(np.uint8)
+        clocks = proto.randomize_state_batch(replicas, n, make_rng(2))["clock"]
+        clocks[1::2] = np.arange(replicas // 2)[:, None] * 3
+        lagging = np.arange(0, replicas, 2)
+
+        mixed = BatchedPopulation.from_population(make_population(n, 1), replicas)
+        mixed.adversarial_opinions(opinions, pin_sources=False)
+        mixed_states = {"clock": clocks.copy()}
+        mixed_new = proto.step_batch(
+            mixed, mixed_states, BatchedNoisyCountSampler(0.1), make_rng(9)
+        )
+
+        alone = BatchedPopulation.from_population(make_population(n, 1), lagging.size)
+        alone.adversarial_opinions(opinions[lagging], pin_sources=False)
+        alone_states = {"clock": clocks[lagging].copy()}
+        alone_new = proto.step_batch(
+            alone, alone_states, BatchedNoisyCountSampler(0.1), make_rng(9)
+        )
+        assert np.array_equal(mixed_new[lagging], alone_new)
+        assert np.array_equal(mixed_states["clock"][lagging], alone_states["clock"])
+        assert (mixed_states["clock"][1::2] == clocks[1::2] + 1).all()
 
     def test_batched_state_shapes(self):
         proto = ClockSyncProtocol(128, 6)
@@ -186,27 +252,31 @@ class TestClockSyncBatched:
         assert stats.successes == 6
 
     def test_success_rates_agree_across_seeds(self):
-        # The tentpole acceptance: batched and sequential success rates agree
-        # within sampling error, checked over several independent seeds.
+        # Ground truth: the batched engine against independent trials of the
+        # literal per-agent rule, over several seeds — success counts by
+        # Fisher's test, t_con by KS.
         from repro.experiments.harness import run_trials
-        from repro.initializers.standard import BernoulliRandom
-        from repro.stats.summary import wilson_interval
 
         n = 200
-        kwargs = dict(trials=40, max_rounds=30 * ClockSyncProtocol(n, 8).period)
+        max_rounds = 30 * ClockSyncProtocol(n, 8).period
         for seed in (0, 1, 2):
-            seq = run_trials(
-                lambda: ClockSyncProtocol(n, ell_for(n)), n, BernoulliRandom(0.5),
-                seed=seed, engine="sequential", **kwargs,
-            )
             bat = run_trials(
                 lambda: ClockSyncProtocol(n, ell_for(n)), n, BernoulliRandom(0.5),
-                seed=seed, engine="batched", **kwargs,
+                seed=seed, engine="batched", trials=40, max_rounds=max_rounds,
             )
             assert bat.engine == "batched"
-            lo_s, hi_s = wilson_interval(seq.successes, seq.trials)
-            lo_b, hi_b = wilson_interval(bat.successes, bat.trials)
-            assert max(lo_s, lo_b) <= min(hi_s, hi_b), (seed, seq.successes, bat.successes)
+            outcomes = [
+                _reference_trial(n, np.random.default_rng([seed, trial]), max_rounds)
+                for trial in range(40)
+            ]
+            ref_times = [t_con for converged, t_con in outcomes if converged]
+            table = [
+                [len(ref_times), 40 - len(ref_times)],
+                [bat.successes, bat.trials - bat.successes],
+            ]
+            assert scipy_stats.fisher_exact(table).pvalue > 1e-3, (seed, table)
+            assert min(len(ref_times), bat.successes) >= 30, (seed, table)
+            assert scipy_stats.ks_2samp(ref_times, bat.times, method="asymp").pvalue > 1e-3
 
 
 class TestClockSyncObservationNoise:
@@ -241,19 +311,50 @@ class TestClockSyncObservationNoise:
         assert (clean == 1).all()
 
     def test_noisy_identical_stream_scalar_vs_batched(self):
-        # The R=1 bitwise equivalence must survive the extra noise draws.
-        n = 96
-        proto = ClockSyncProtocol(n, 5)
-        pop = make_population(n, 1)
-        rng_scalar, rng_batch = make_rng(7), make_rng(7)
-        batch_state = proto.randomize_state_batch(1, n, make_rng(3))
-        state = {"clock": batch_state["clock"][0].copy()}
-        batch = BatchedPopulation.from_population(pop, 1)
-        for _ in range(20):
-            new_scalar = clock_sync_step(proto, pop.opinions, state, 0.1, rng_scalar)
-            new_batched = proto.step_batch(
-                batch, batch_state, BatchedNoisyCountSampler(0.1), rng_batch
-            )
-            assert np.array_equal(new_scalar, new_batched[0])
-            pop.set_opinions(new_scalar)
-            batch.set_opinions(new_batched)
+        # The R=1 bitwise equivalence up to synchronization must survive the
+        # extra noise draws.
+        rounds = _compare_with_reference_until_synced(epsilon=0.1)
+        assert rounds >= 5
+
+
+def _compare_with_reference_until_synced(epsilon: float) -> int:
+    """Step one replica through ``step_batch`` and the per-agent reference
+    on identical streams from adversarial clocks, asserting bitwise equal
+    clocks and opinions every round until the clocks all agree; return the
+    number of rounds compared. Fails if the clocks never synchronize."""
+    n = 96
+    proto = ClockSyncProtocol(n, 5)
+    pop = make_population(n, 1)
+    rng_scalar, rng_batch = make_rng(7), make_rng(7)
+    batch_state = proto.randomize_state_batch(1, n, make_rng(3))
+    state = {"clock": batch_state["clock"][0].copy()}
+    batch = BatchedPopulation.from_population(pop, 1)
+    sampler = BatchedNoisyCountSampler(epsilon)
+    for round_index in range(3 * proto.period):
+        if (state["clock"] == state["clock"][0]).all():
+            return round_index
+        new_scalar = clock_sync_step(proto, pop.opinions, state, epsilon, rng_scalar)
+        new_batched = proto.step_batch(batch, batch_state, sampler, rng_batch)
+        assert np.array_equal(new_scalar, new_batched[0]), round_index
+        assert np.array_equal(state["clock"], batch_state["clock"][0]), round_index
+        pop.set_opinions(new_scalar)
+        batch.set_opinions(new_batched)
+    raise AssertionError(f"clocks did not synchronize in {3 * proto.period} rounds")
+
+
+def _reference_trial(n, rng, max_rounds, stability_rounds=2):
+    """One ``BernoulliRandom(0.5)`` trial of the literal per-agent rule
+    under the lock-step run contract: ``(converged, t_con)``, where
+    ``t_con`` is the first round of the final correct-consensus streak of
+    ``stability_rounds`` rounds."""
+    proto = ClockSyncProtocol(n, ell_for(n))
+    pop = make_population(n, 1)
+    pop.adversarial_opinions((rng.random(n) < 0.5).astype(np.uint8))
+    state = {"clock": rng.integers(0, proto.period, size=n, dtype=np.int64)}
+    streak = int(pop.at_correct_consensus())
+    for rounds_done in range(1, max_rounds + 1):
+        pop.set_opinions(clock_sync_step(proto, pop.opinions, state, 0.0, rng))
+        streak = streak + 1 if pop.at_correct_consensus() else 0
+        if streak >= stability_rounds:
+            return True, rounds_done + 1 - streak
+    return False, max_rounds
