@@ -111,6 +111,9 @@ def test_adversarial_initializations(benchmark):
 
     for stats in all_stats:
         assert stats.successes == stats.trials, f"{stats.initializer_name} failed"
+        # every start is exchangeable over the non-sources, so auto runs it
+        # on the counts engine
+        assert stats.engine == "counts", stats.initializer_name
     # The all-correct start must be (near-)instant: at most a couple of
     # settling rounds caused by adversarial counters.
     ordered = {s.initializer_name: s for s in all_stats}

@@ -358,7 +358,6 @@ class RunSpec:
     def counts_obstacle(
         self,
         protocol: "Protocol",
-        initializer: "Initializer",
         *,
         batched_sampler: "BatchedSampler" = _SPEC_SAMPLER,
         custom_population: bool = False,
@@ -367,8 +366,7 @@ class RunSpec:
         when it can — the one count-capability rule.
 
         A condition is count-capable when the protocol has a count model,
-        the initializer is exchangeable (``supports_counts``), the
-        population is the standard source-pinned layout, the batched
+        the population is the standard source-pinned layout, the batched
         observation model is keyed on one-fractions (``effective_fractions``)
         and no per-agent flip counts are recorded. ``batched_sampler``
         replaces the spec's own and ``custom_population`` marks a live
@@ -381,12 +379,6 @@ class RunSpec:
                 f"protocol {protocol.name!r} has no count model "
                 "(counts_supported=False); the counts engine cannot run it — "
                 "use engine='auto', 'batched' or 'sequential'"
-            )
-        if not initializer.supports_counts:
-            return (
-                f"initializer {initializer.name!r} builds per-agent "
-                "configurations (supports_counts=False); the counts engine "
-                "needs an exchangeable count-level initializer"
             )
         if self.population is not None and self.population.get("name") != "standard":
             return (
@@ -419,7 +411,6 @@ class RunSpec:
     def resolve_engine(
         self,
         protocol: "Protocol",
-        initializer: "Initializer",
         *,
         batched_sampler: "BatchedSampler" = _SPEC_SAMPLER,
         custom_population: bool = False,
@@ -439,7 +430,6 @@ class RunSpec:
         if self.engine == "counts":
             obstacle = self.counts_obstacle(
                 protocol,
-                initializer,
                 batched_sampler=batched_sampler,
                 custom_population=custom_population,
             )
@@ -450,7 +440,6 @@ class RunSpec:
             return self.engine
         if self.n >= protocol.counts_min_n and self.counts_obstacle(
             protocol,
-            initializer,
             batched_sampler=batched_sampler,
             custom_population=custom_population,
         ) is None:
@@ -520,8 +509,8 @@ class RunSpec:
         ``(R, S)`` state-count matrix, resolves the fraction-keyed observation
         component, and returns a :class:`~repro.core.counts.CountEngine`
         ready to ``run``. Raises when any declared component has no
-        count-level form (per-agent initializers, the index sampler,
-        protocols without a count model).
+        count-level form (frozen unanimity, the index sampler, protocols
+        without a count model).
         """
         from .experiments.harness import make_count_engine
 

@@ -7,10 +7,10 @@ vector*, not an ``(R, n)`` opinion matrix. This module is the third engine
 built on that observation:
 
 * :class:`CountPopulation` holds the ``(R, S)`` matrix of non-source state
-  counts (``S = protocol.count_states()``), the shared source structure, and
-  the per-state displayed opinions — enough to answer every question the
-  engine contract asks (one-fractions, consensus predicates, non-source
-  correct fraction) in O(S) per replica;
+  counts (``S = protocol.count_display().size``), the shared source
+  structure, and the per-state displayed opinions — enough to answer every
+  question the engine contract asks (one-fractions, consensus predicates,
+  non-source correct fraction) in O(S) per replica;
 * :class:`CountEngine` drives it on the lock-step driver it shares with
   :class:`~repro.core.batch.BatchedEngine` (:mod:`repro.core.lockstep`),
   so the run contract is the same code: per-replica stability
@@ -31,8 +31,12 @@ What the counts path cannot express (and rejects with clear errors):
   observation model through the
   :meth:`~repro.core.sampling.BatchedBinomialSampler.effective_fractions`
   seam alone (noise included);
-* crafted per-agent configurations — adversarial initializers that place
-  specific agents in specific states declare ``supports_counts = False``;
+* crafted per-agent layouts — populations whose sources are not pinned to
+  the correct opinion (the majority variant, and with it frozen unanimity,
+  the one initializer that is not exchangeable over the non-sources); every
+  other initializer, the paper's crafted Yellow-centre, two-round and
+  poisoned-counter starts included, installs its one law here through
+  :meth:`~repro.initializers.standard.Initializer.apply_counts`;
 * per-replica flip counts — which agents flipped is not a function of the
   sufficient statistic, so recorders with ``record_flips=True`` are
   rejected.
@@ -257,13 +261,10 @@ def make_count_population(
     """Clean-start count template — the counts analogue of
     :func:`~repro.core.population.make_population`.
 
-    Every non-source agent starts in the clean-start state of the *wrong*
-    opinion (callers normally overwrite with an initializer's
-    ``apply_counts`` before running). Requires the protocol's clean start to
-    be deterministic given the opinion (a point mass per row of
-    :meth:`~repro.core.protocol.Protocol.count_init_state_pmf`), which holds
-    for every protocol in this repository; a stochastic clean start would
-    need an explicitly drawn count matrix instead.
+    Every non-source agent starts in the first state that displays the
+    *wrong* opinion — the protocol's clean start for that opinion (callers
+    normally overwrite with an initializer's ``apply_counts`` before
+    running).
     """
     if not getattr(protocol, "counts_supported", False):
         raise ValueError(
@@ -276,19 +277,12 @@ def make_count_population(
         raise ValueError(f"correct_opinion must be 0 or 1, got {correct_opinion}")
     if not 1 <= num_sources < n:
         raise ValueError(f"num_sources must be in [1, n), got {num_sources}")
-    states = protocol.count_states()
-    wrong_row = np.asarray(protocol.count_init_state_pmf(), dtype=float)[1 - correct_opinion]
-    start = int(np.argmax(wrong_row))
-    if wrong_row[start] != 1.0:
-        raise ValueError(
-            f"protocol {protocol.name!r} has a stochastic clean start; build the "
-            "initial CountPopulation from explicitly drawn counts instead"
-        )
-    counts = np.zeros((replicas, states), dtype=np.int64)
-    counts[:, start] = n - num_sources
+    display = protocol.count_display()
+    counts = np.zeros((replicas, display.size), dtype=np.int64)
+    counts[:, int(np.argmax(display == 1 - correct_opinion))] = n - num_sources
     return CountPopulation(
         counts,
-        protocol.count_display(),
+        display,
         n=n,
         num_sources=num_sources,
         correct_opinion=correct_opinion,
@@ -351,7 +345,7 @@ class CountEngine(LockstepEngine):
                 "supports fraction-keyed observation models "
                 "(the BatchedBinomialSampler family)"
             )
-        states = protocol.count_states()
+        states = protocol.count_display().size
         if population.num_states != states:
             raise ValueError(
                 f"population has {population.num_states} states but protocol "

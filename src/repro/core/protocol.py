@@ -54,10 +54,10 @@ class Protocol(ABC):
     name: str = "protocol"
     passive: bool = True
     #: ``True`` when the protocol exposes the sufficient-statistic count model
-    #: (:meth:`count_states` / :meth:`step_counts` / the pmf hooks) consumed by
-    #: the counts engine (``core/counts.py``). Requires that an agent's full
-    #: behaviour is a function of its discrete state and the population
-    #: one-fraction alone — no identity-dependent draws.
+    #: (:meth:`count_display` / :meth:`count_state_pmf` / :meth:`step_counts`)
+    #: consumed by the counts engine (``core/counts.py``). Requires that an
+    #: agent's full behaviour is a function of its discrete state and the
+    #: population one-fraction alone — no identity-dependent draws.
     counts_supported: bool = False
     #: Smallest ``n`` at which ``engine="auto"`` runs a count-capable
     #: condition of this protocol on the counts engine instead of batched:
@@ -123,13 +123,9 @@ class Protocol(ABC):
     # (opinion bit plus internal variables); an exchangeable replica is then
     # fully described by its ``(S,)`` state-count vector and is stepped in
     # O(S) via multinomial transitions, independent of ``n``. Protocols that
-    # implement the four hooks below set ``counts_supported = True``.
-
-    def count_states(self) -> int:
-        """Number of discrete per-agent states ``S`` in the count model."""
-        raise NotImplementedError(
-            f"{self.name} does not define a count model (counts_supported=False)"
-        )
+    # implement the three hooks below set ``counts_supported = True``; the
+    # number of states is ``S = count_display().size``, and the clean start
+    # of an opinion is the first state that displays it.
 
     def count_display(self) -> np.ndarray:
         """``(S,)`` uint8 vector: the opinion bit displayed by each state."""
@@ -137,23 +133,15 @@ class Protocol(ABC):
             f"{self.name} does not define a count model (counts_supported=False)"
         )
 
-    def count_init_state_pmf(self) -> np.ndarray:
-        """``(2, S)`` rows: clean-start state distribution given opinion o.
+    def count_state_pmf(self, counter: np.ndarray | None = None) -> np.ndarray:
+        """``(2, S)`` rows: the state law of an agent given its opinion o.
 
-        Row ``o`` is the probability vector over count states for an agent
-        whose opinion bit is ``o`` and whose internal state was drawn by
-        :meth:`init_state_batch`.
-        """
-        raise NotImplementedError(
-            f"{self.name} does not define a count model (counts_supported=False)"
-        )
-
-    def count_random_state_pmf(self) -> np.ndarray:
-        """``(2, S)`` rows: adversarial-uniform state distribution given o.
-
-        Row ``o`` is the distribution over count states for an agent with
-        opinion ``o`` whose internal state was drawn by
-        :meth:`randomize_state_batch`.
+        Row ``o`` is the distribution over count states of an agent showing
+        ``o`` whose internal state was drawn by :meth:`randomize_state_batch`
+        — with its carried ``prev_count`` drawn from ``counter`` (a pmf on
+        ``{0..ℓ}``) instead, when given. Protocols without a ``prev_count``
+        ignore ``counter``, exactly as initializers leave their per-agent
+        state adversarial.
         """
         raise NotImplementedError(
             f"{self.name} does not define a count model (counts_supported=False)"

@@ -36,9 +36,10 @@ implementation, the batched one, and a single trial is its one-row case.
   but a *different* RNG consumption pattern, so per-trial streams do not
   match the other engines bitwise (aggregates are KS-equivalent). Requires
   a count-capable condition (:meth:`RunSpec.counts_obstacle`): a count-model
-  protocol (``Protocol.counts_supported``), an exchangeable initializer
-  (``Initializer.supports_counts``), the standard population, a
-  fraction-keyed observation model, and no flip recording.
+  protocol (``Protocol.counts_supported``), the standard population, a
+  fraction-keyed observation model, and no flip recording. Every
+  initializer on the standard population is exchangeable over the
+  non-sources and installs one law in either engine.
 * ``"auto"`` (default) — counts when the condition is count-capable and
   ``n`` is at or above the protocol's measured crossover
   (``Protocol.counts_min_n``); batched otherwise. ``auto`` never picks
@@ -213,7 +214,6 @@ def execute_run(
     protocol = protocol_factory()
     engine = spec.resolve_engine(
         protocol,
-        initializer,
         batched_sampler=batched_sampler,
         custom_population=custom_population,
     )
@@ -420,17 +420,9 @@ def prepare_counts(
 
     The counts analogue of :func:`prepare_batch`: one stream initializes
     every replica's state-count vector via the initializer's count-level
-    application, the second drives the lock-step dynamics. There is no
-    per-agent fallback — initializers without ``supports_counts`` are a
-    hard error, because a crafted per-agent layout has no faithful
-    sufficient-statistic representation.
+    application — the same law ``apply_batch`` installs per agent — and the
+    second drives the lock-step dynamics.
     """
-    if not initializer.supports_counts:
-        raise ValueError(
-            f"initializer {initializer.name!r} builds per-agent configurations "
-            "(supports_counts=False); the counts engine needs an exchangeable "
-            "count-level initializer — use engine='batched' or 'sequential'"
-        )
     init_rng, dyn_rng = spawn_rngs(seed, 2)
     population = make_count_population(
         protocol, trials, n, num_sources=num_sources, correct_opinion=correct_opinion
@@ -453,8 +445,8 @@ def make_count_engine(
     from the spec (live-object keywords override), draws the initial count
     matrix on the spec's seed, and returns the engine ready to ``run``.
     Raises when any component has no count-level form: a protocol without a
-    count model, a per-agent initializer, or an observation model that is
-    not keyed on one-fractions.
+    count model, frozen unanimity, or an observation model that is not
+    keyed on one-fractions.
     """
     if protocol is None:
         protocol = spec.build_protocol()

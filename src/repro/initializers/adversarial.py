@@ -5,17 +5,22 @@ analysis, plus the impossibility construction of Section 1.2. All of them
 control both opinions and internal protocol state (the full power the
 self-stabilizing adversary has).
 
-Like the standard classes, each construction has one implementation,
-``apply_batch``: one vectorized call installs every replica of a
-:class:`~repro.core.batch.BatchedPopulation`, and a single population is the
-one-row case. None is exchangeable, so none has a count-level form.
+The two-round targets (the zero-speed centre among them) and poisoned
+counters are exchangeable over the non-source agents, so each is a
+declaration like the standard classes: a non-source opinion count and a
+counter law, which :class:`~repro.initializers.standard.Initializer`
+installs in the per-agent and the count engines alike. Frozen unanimity is
+the one per-agent construction: it sets sources off their preference on the
+majority population, so it keeps its own ``apply_batch`` and has no
+count-level form.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .standard import Initializer, set_fraction
+from ..core.sampling import _binomial_pmf_rows
+from .standard import AllWrong, Initializer, fraction_ones
 
 __all__ = [
     "TwoRoundTarget",
@@ -23,6 +28,11 @@ __all__ = [
     "FrozenUnanimity",
     "PoisonedCounters",
 ]
+
+_MAJORITY_ONLY = (
+    "FrozenUnanimity models the majority variant; build the population "
+    "with make_majority_population (pin_each_round=False)"
+)
 
 
 class TwoRoundTarget(Initializer):
@@ -43,17 +53,11 @@ class TwoRoundTarget(Initializer):
         self.x_now = x_now
         self.name = f"two-round(x_prev={x_prev}, x_now={x_now})"
 
-    def apply_batch(self, batch, protocol, states, rng) -> None:
-        set_fraction(batch, self.x_now, rng)
-        if "prev_count" in states:
-            ell = getattr(protocol, "ell", None)
-            if ell is None:
-                raise ValueError("TwoRoundTarget needs a protocol exposing .ell")
-            states["prev_count"] = rng.binomial(
-                ell, self.x_prev, size=(batch.replicas, batch.n)
-            ).astype(np.int64)
-        else:
-            states.update(protocol.randomize_state_batch(batch.replicas, batch.n, rng))
+    def nonsource_ones(self, population, rng):
+        return fraction_ones(population, self.x_now, rng)
+
+    def counter_pmf(self, ell):
+        return _binomial_pmf_rows(ell, np.array([self.x_prev]))[0]
 
     def spec(self) -> dict:
         return {"name": "two-round", "x_prev": self.x_prev, "x_now": self.x_now}
@@ -77,7 +81,7 @@ class ZeroSpeedCenter(TwoRoundTarget):
         return {"name": "zero-speed-center"}
 
 
-class PoisonedCounters(Initializer):
+class PoisonedCounters(AllWrong):
     """Wrong consensus with counters asserting a saturated history.
 
     All non-source opinions are wrong, and every trend counter is forced to
@@ -88,15 +92,8 @@ class PoisonedCounters(Initializer):
 
     name = "poisoned-counters"
 
-    def apply_batch(self, batch, protocol, states, rng) -> None:
-        wrong = 1 - batch.correct_opinion
-        opinions = np.full((batch.replicas, batch.n), wrong, dtype=np.uint8)
-        batch.adversarial_opinions(opinions, validate=False)
-        if "prev_count" in states:
-            ell = getattr(protocol, "ell", 1)
-            states["prev_count"] = np.full((batch.replicas, batch.n), ell, dtype=np.int64)
-        else:
-            states.update(protocol.randomize_state_batch(batch.replicas, batch.n, rng))
+    def counter_pmf(self, ell):
+        return np.eye(ell + 1)[ell]
 
     def spec(self) -> dict:
         return {"name": "poisoned-counters"}
@@ -122,12 +119,14 @@ class FrozenUnanimity(Initializer):
         self.opinion = opinion
         self.name = f"frozen-unanimity(opinion={opinion})"
 
+    def nonsource_ones(self, population, rng):
+        # Only the base apply_counts asks, and the count engine models only
+        # source-pinned populations: never the majority variant.
+        raise ValueError(_MAJORITY_ONLY)
+
     def apply_batch(self, batch, protocol, states, rng) -> None:
         if batch.pin_each_round:
-            raise ValueError(
-                "FrozenUnanimity models the majority variant; build the population "
-                "with make_majority_population (pin_each_round=False)"
-            )
+            raise ValueError(_MAJORITY_ONLY)
         opinions = np.full((batch.replicas, batch.n), self.opinion, dtype=np.uint8)
         batch.adversarial_opinions(opinions, pin_sources=False, validate=False)
         if "prev_count" in states:

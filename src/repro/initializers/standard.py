@@ -5,22 +5,31 @@ internal protocol state) before a run. The self-stabilizing setting means the
 adversary controls everything, so experiments sweep over these classes; the
 crafted worst-case constructions live in :mod:`repro.initializers.adversarial`.
 
-Every initializer has one per-agent implementation,
-:meth:`Initializer.apply_batch`: one call initializes every replica of a
-:class:`~repro.core.batch.BatchedPopulation` with vectorized draws, and a
-single population is the one-row case (``SynchronousEngine(initializer=...)``,
-``engine="sequential"``). Exchangeable initializers additionally express
-their law at the count level (``supports_counts`` /
-:meth:`Initializer.apply_counts`) for the counts engine.
+Every start in this package except frozen unanimity is exchangeable over the
+non-source agents, so its law is declared once, as two pieces:
+
+* :meth:`Initializer.nonsource_ones` — how many non-sources of each replica
+  show opinion 1 (``None`` keeps the current opinions);
+* :meth:`Initializer.counter_pmf` — the law of a carried ``prev_count`` on
+  ``{0..ℓ}`` (``None`` keeps the protocol's adversarial-uniform state).
+
+The base class installs that one law in both engines:
+:meth:`Initializer.apply_batch` places the drawn ones among each row's
+non-source positions of a :class:`~repro.core.batch.BatchedPopulation`
+(a single population is the one-row case), and
+:meth:`Initializer.apply_counts` splits each opinion class of a
+:class:`~repro.core.counts.CountPopulation` multinomially over the
+protocol's :meth:`~repro.core.protocol.Protocol.count_state_pmf`. Both read
+the same opinion-count draw, so the per-agent and the count engines start
+from one law by construction.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from typing import TYPE_CHECKING, Union
 
 import numpy as np
-
-from typing import TYPE_CHECKING
 
 from ..core.batch import BatchedPopulation
 from ..core.protocol import Protocol, ProtocolState
@@ -28,9 +37,11 @@ from ..core.protocol import Protocol, ProtocolState
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.counts import CountPopulation
 
+    Population = Union[BatchedPopulation, CountPopulation]
+
 __all__ = [
     "Initializer",
-    "set_fraction",
+    "fraction_ones",
     "AllWrong",
     "AllCorrect",
     "BernoulliRandom",
@@ -39,32 +50,48 @@ __all__ = [
 ]
 
 
-def set_fraction(batch: BatchedPopulation, x: float, rng: np.random.Generator) -> None:
-    """Give every replica exactly ``round(x·n)`` ones at uniformly random
-    positions (sources then re-pinned), independently per replica.
+def _n_free(population: "Population") -> int:
+    return population.n - population.num_sources
 
-    A uniform within-row shuffle of a fixed-weight row is exactly "ones at
-    uniformly random positions".
-    """
-    ones = int(round(x * batch.n))
-    row = np.zeros(batch.n, dtype=np.uint8)
-    row[:ones] = 1
-    opinions = np.tile(row, (batch.replicas, 1))
-    rng.permuted(opinions, axis=1, out=opinions)
-    batch.adversarial_opinions(opinions, validate=False)
+
+def _uniform_ones(population: "Population", opinion: int) -> np.ndarray:
+    """Every non-source of every replica on ``opinion``: ``(R,)`` one-counts."""
+    return np.full(population.replicas, _n_free(population) if opinion else 0, dtype=np.int64)
+
+
+def fraction_ones(
+    population: "Population", x: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Non-source one-counts when ``round(x·n)`` ones land uniformly on all n
+    agents and the sources are then pinned: hypergeometric per replica."""
+    ones = int(round(x * population.n))
+    n_free = _n_free(population)
+    if ones <= 0:
+        return np.zeros(population.replicas, dtype=np.int64)
+    if ones >= population.n:
+        return np.full(population.replicas, n_free, dtype=np.int64)
+    return rng.hypergeometric(n_free, population.num_sources, ones, size=population.replicas)
 
 
 class Initializer(ABC):
-    """Base class: installs opinions and/or protocol state in place."""
+    """Base class: one exchangeable initial-state law, installed in both
+    engines (see the module docstring)."""
 
     name: str = "initializer"
-    #: ``True`` when :meth:`apply_counts` can express the initial distribution
-    #: at the count level (exchangeable over non-source agents). Crafted
-    #: per-agent constructions stay ``False`` and are rejected by the counts
-    #: engine dispatch.
-    supports_counts: bool = False
 
     @abstractmethod
+    def nonsource_ones(
+        self, population: "Population", rng: np.random.Generator
+    ) -> np.ndarray | None:
+        """``(R,)`` number of non-source agents showing opinion 1, per replica
+        of ``population`` (a batched or a count population), or ``None`` to
+        keep the current opinions."""
+
+    def counter_pmf(self, ell: int) -> np.ndarray | None:
+        """Law of a carried ``prev_count`` on ``{0..ℓ}``, or ``None`` for the
+        protocol's own adversarial-uniform state."""
+        return None
+
     def apply_batch(
         self,
         batch: BatchedPopulation,
@@ -72,10 +99,31 @@ class Initializer(ABC):
         states: ProtocolState,
         rng: np.random.Generator,
     ) -> None:
-        """Install the initial configuration into every replica at once,
-        mutating ``batch`` and ``states`` (the protocol's batched state,
-        leading replica axis) in place. A single population is the one-row
-        case."""
+        """Install the law into every replica at once, mutating ``batch`` and
+        ``states`` (the protocol's batched state, leading replica axis) in
+        place: the drawn ones sit at uniformly random non-source positions,
+        internal state is adversarial, and a ``prev_count`` state is redrawn
+        iid from :meth:`counter_pmf`."""
+        ones = self.nonsource_ones(batch, rng)
+        if ones is not None:
+            free = batch.nonsource_mask
+            n_free = _n_free(batch)
+            placed = (np.arange(n_free) < ones[:, None]).view(np.uint8)
+            if not ((ones == 0) | (ones == n_free)).all():
+                rng.permuted(placed, axis=1, out=placed)
+            opinions = np.zeros((batch.replicas, batch.n), dtype=np.uint8)
+            opinions[:, free] = placed
+            batch.adversarial_opinions(opinions, validate=False)
+        states.update(protocol.randomize_state_batch(batch.replicas, batch.n, rng))
+        if "prev_count" in states:
+            ell = getattr(protocol, "ell", None)
+            if ell is None:
+                raise ValueError(f"{self.name} needs a protocol exposing .ell")
+            counter = self.counter_pmf(ell)
+            if counter is not None:
+                states["prev_count"] = rng.choice(
+                    ell + 1, size=(batch.replicas, batch.n), p=counter
+                )
 
     def apply_counts(
         self,
@@ -83,17 +131,16 @@ class Initializer(ABC):
         protocol: Protocol,
         rng: np.random.Generator,
     ) -> None:
-        """Install the initial state-count distribution into every replica.
-
-        The count-level form of :meth:`apply_batch`: draws each replica's
-        ``(S,)`` state-count vector directly (multinomial over the joint
-        opinion/internal-state distribution this initializer induces), with
-        no per-agent arrays. Exact in distribution for exchangeable
-        initializers; only available when ``supports_counts`` is ``True``.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support count-level application "
-            "(supports_counts=False)"
+        """Install the law into every replica's ``(S,)`` state-count vector:
+        each opinion class splits multinomially over the protocol's state
+        law given that opinion, with no per-agent arrays."""
+        ones = self.nonsource_ones(population, rng)
+        if ones is None:
+            ones = population.count_ones() - population.sources_ones
+        ell = getattr(protocol, "ell", None)
+        pmf = protocol.count_state_pmf(None if ell is None else self.counter_pmf(ell))
+        population.set_counts(
+            rng.multinomial(ones, pmf[1]) + rng.multinomial(population.n_free - ones, pmf[0])
         )
 
     def spec(self) -> dict:
@@ -122,22 +169,9 @@ class AllWrong(Initializer):
     """
 
     name = "all-wrong"
-    supports_counts = True
 
-    def apply_batch(self, batch, protocol, states, rng) -> None:
-        wrong = 1 - batch.correct_opinion
-        opinions = np.full((batch.replicas, batch.n), wrong, dtype=np.uint8)
-        batch.adversarial_opinions(opinions, validate=False)
-        states.update(protocol.randomize_state_batch(batch.replicas, batch.n, rng))
-
-    def apply_counts(self, population, protocol, rng) -> None:
-        # Every non-source shows the wrong opinion with adversarial-uniform
-        # internal state: one multinomial over that opinion's state row.
-        wrong = 1 - population.correct_opinion
-        pmf = protocol.count_random_state_pmf()[wrong]
-        population.set_counts(
-            rng.multinomial(population.n_free, pmf, size=population.replicas)
-        )
+    def nonsource_ones(self, population, rng):
+        return _uniform_ones(population, 1 - population.correct_opinion)
 
     def spec(self) -> dict:
         return {"name": "all-wrong"}
@@ -147,18 +181,9 @@ class AllCorrect(Initializer):
     """Every agent starts on the correct opinion (stability check)."""
 
     name = "all-correct"
-    supports_counts = True
 
-    def apply_batch(self, batch, protocol, states, rng) -> None:
-        opinions = np.full((batch.replicas, batch.n), batch.correct_opinion, dtype=np.uint8)
-        batch.adversarial_opinions(opinions, validate=False)
-        states.update(protocol.randomize_state_batch(batch.replicas, batch.n, rng))
-
-    def apply_counts(self, population, protocol, rng) -> None:
-        pmf = protocol.count_random_state_pmf()[population.correct_opinion]
-        population.set_counts(
-            rng.multinomial(population.n_free, pmf, size=population.replicas)
-        )
+    def nonsource_ones(self, population, rng):
+        return _uniform_ones(population, population.correct_opinion)
 
     def spec(self) -> dict:
         return {"name": "all-correct"}
@@ -172,22 +197,9 @@ class BernoulliRandom(Initializer):
             raise ValueError(f"p must be in [0, 1], got {p}")
         self.p = p
         self.name = f"bernoulli(p={p})"
-        self.supports_counts = True
 
-    def apply_batch(self, batch, protocol, states, rng) -> None:
-        opinions = (rng.random((batch.replicas, batch.n)) < self.p).astype(np.uint8)
-        batch.adversarial_opinions(opinions, validate=False)
-        states.update(protocol.randomize_state_batch(batch.replicas, batch.n, rng))
-
-    def apply_counts(self, population, protocol, rng) -> None:
-        # Non-source opinions are iid Bernoulli(p); with adversarial internal
-        # state the per-agent state distribution is the p-mixture of the two
-        # opinion rows, so each replica is one multinomial draw from it.
-        rows = protocol.count_random_state_pmf()
-        pmf = self.p * rows[1] + (1.0 - self.p) * rows[0]
-        population.set_counts(
-            rng.multinomial(population.n_free, pmf, size=population.replicas)
-        )
+    def nonsource_ones(self, population, rng):
+        return rng.binomial(_n_free(population), self.p, size=population.replicas)
 
     def spec(self) -> dict:
         return {"name": "bernoulli", "p": self.p}
@@ -205,32 +217,9 @@ class ExactFraction(Initializer):
             raise ValueError(f"x must be in [0, 1], got {x}")
         self.x = x
         self.name = f"fraction(x={x})"
-        self.supports_counts = True
 
-    def apply_batch(self, batch, protocol, states, rng) -> None:
-        set_fraction(batch, self.x, rng)
-        states.update(protocol.randomize_state_batch(batch.replicas, batch.n, rng))
-
-    def apply_counts(self, population, protocol, rng) -> None:
-        # apply_batch places round(x·n) ones uniformly among all n agents
-        # and then pins sources, so the number landing on non-sources is
-        # hypergeometric; internal state is adversarial-uniform per opinion.
-        ones = int(round(self.x * population.n))
-        n_free = population.n_free
-        replicas = population.replicas
-        if ones <= 0:
-            ones_free = np.zeros(replicas, dtype=np.int64)
-        elif ones >= population.n:
-            ones_free = np.full(replicas, n_free, dtype=np.int64)
-        else:
-            ones_free = rng.hypergeometric(
-                n_free, population.num_sources, ones, size=replicas
-            )
-        rows = protocol.count_random_state_pmf()
-        counts = rng.multinomial(ones_free, rows[1]) + rng.multinomial(
-            n_free - ones_free, rows[0]
-        )
-        population.set_counts(counts)
+    def nonsource_ones(self, population, rng):
+        return fraction_ones(population, self.x, rng)
 
     def spec(self) -> dict:
         return {"name": "fraction", "x": self.x}
@@ -240,20 +229,9 @@ class RandomizeProtocolState(Initializer):
     """Leave opinions untouched; randomize only the internal protocol state."""
 
     name = "randomize-state"
-    supports_counts = True
 
-    def apply_batch(self, batch, protocol, states, rng) -> None:
-        states.update(protocol.randomize_state_batch(batch.replicas, batch.n, rng))
-
-    def apply_counts(self, population, protocol, rng) -> None:
-        # Opinions keep their current per-replica totals; internal state is
-        # redrawn adversarial-uniform within each opinion class.
-        rows = protocol.count_random_state_pmf()
-        ones_mass = population.counts @ (population.display == 1).astype(np.int64)
-        counts = rng.multinomial(ones_mass, rows[1]) + rng.multinomial(
-            population.n_free - ones_mass, rows[0]
-        )
-        population.set_counts(counts)
+    def nonsource_ones(self, population, rng):
+        return None
 
     def spec(self) -> dict:
         return {"name": "randomize-state"}

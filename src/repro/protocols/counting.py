@@ -28,16 +28,14 @@ __all__ = [
     "OPINION_DISPLAY",
     "OPINION_STATE_PMF",
     "prev_count_display",
-    "prev_count_init_pmf",
-    "prev_count_random_pmf",
+    "prev_count_state_pmf",
     "two_block_trend_step_counts",
     "scatter_counts",
 ]
 
 #: Opinion-only protocols: state ``s`` *is* the opinion bit.
 OPINION_DISPLAY = np.array([0, 1], dtype=np.uint8)
-#: Both the clean and the adversarial state distribution of an opinion-only
-#: protocol are the point mass on the opinion itself.
+#: The state law of an opinion-only protocol given o: the point mass on o.
 OPINION_STATE_PMF = np.eye(2, dtype=float)
 
 
@@ -46,20 +44,15 @@ def prev_count_display(ell: int) -> np.ndarray:
     return np.repeat(np.array([0, 1], dtype=np.uint8), ell + 1)
 
 
-def prev_count_init_pmf(ell: int) -> np.ndarray:
-    """Clean start of a prev-count protocol: ``prev_count = 0`` given o."""
+def prev_count_state_pmf(ell: int, counter: np.ndarray | None = None) -> np.ndarray:
+    """State law of a prev-count protocol given o: ``prev_count ~ counter``,
+    uniform on ``{0..ℓ}`` when ``None`` (``randomize_state_batch``'s
+    counters)."""
+    if counter is None:
+        counter = np.full(ell + 1, 1.0 / (ell + 1))
     pmf = np.zeros((2, 2 * (ell + 1)))
-    pmf[0, 0] = 1.0
-    pmf[1, ell + 1] = 1.0
-    return pmf
-
-
-def prev_count_random_pmf(ell: int) -> np.ndarray:
-    """Adversarial state of a prev-count protocol: ``prev_count`` uniform on
-    ``{0..ℓ}`` given o (matches ``randomize_state_batch``'s uniform counters)."""
-    pmf = np.zeros((2, 2 * (ell + 1)))
-    pmf[0, : ell + 1] = 1.0 / (ell + 1)
-    pmf[1, ell + 1 :] = 1.0 / (ell + 1)
+    pmf[0, : ell + 1] = counter
+    pmf[1, ell + 1 :] = counter
     return pmf
 
 

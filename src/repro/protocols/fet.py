@@ -33,8 +33,7 @@ from ..core.protocol import Protocol, ProtocolState
 from ..core.sampling import BatchedSampler
 from .counting import (
     prev_count_display,
-    prev_count_init_pmf,
-    prev_count_random_pmf,
+    prev_count_state_pmf,
     two_block_trend_step_counts,
 )
 
@@ -136,17 +135,11 @@ class FETProtocol(Protocol):
     # independent second sample block, so the count transition factorizes
     # (see ``two_block_trend_step_counts``); FET is the band-0 case.
 
-    def count_states(self) -> int:
-        return 2 * (self.ell + 1)
-
     def count_display(self) -> np.ndarray:
         return prev_count_display(self.ell)
 
-    def count_init_state_pmf(self) -> np.ndarray:
-        return prev_count_init_pmf(self.ell)
-
-    def count_random_state_pmf(self) -> np.ndarray:
-        return prev_count_random_pmf(self.ell)
+    def count_state_pmf(self, counter: np.ndarray | None = None) -> np.ndarray:
+        return prev_count_state_pmf(self.ell, counter)
 
     def step_counts(
         self, counts: np.ndarray, x_eff: np.ndarray, rng: np.random.Generator

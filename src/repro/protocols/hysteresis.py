@@ -38,8 +38,7 @@ from ..core.protocol import Protocol, ProtocolState
 from ..core.sampling import BatchedSampler
 from .counting import (
     prev_count_display,
-    prev_count_init_pmf,
-    prev_count_random_pmf,
+    prev_count_state_pmf,
     two_block_trend_step_counts,
 )
 
@@ -97,17 +96,11 @@ class HysteresisFETProtocol(Protocol):
     # dead-band only changes the adoption thresholds in the factorized
     # transition. ``band = 0`` recovers FET's count model exactly.
 
-    def count_states(self) -> int:
-        return 2 * (self.ell + 1)
-
     def count_display(self) -> np.ndarray:
         return prev_count_display(self.ell)
 
-    def count_init_state_pmf(self) -> np.ndarray:
-        return prev_count_init_pmf(self.ell)
-
-    def count_random_state_pmf(self) -> np.ndarray:
-        return prev_count_random_pmf(self.ell)
+    def count_state_pmf(self, counter: np.ndarray | None = None) -> np.ndarray:
+        return prev_count_state_pmf(self.ell, counter)
 
     def step_counts(
         self, counts: np.ndarray, x_eff: np.ndarray, rng: np.random.Generator

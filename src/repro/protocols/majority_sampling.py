@@ -54,16 +54,10 @@ class MajoritySamplingProtocol(Protocol):
     # on the current opinion when ℓ is even: agents at opinion 1 also keep
     # on the tie count ℓ/2. Two binomial splits (one per opinion class).
 
-    def count_states(self) -> int:
-        return 2
-
     def count_display(self) -> np.ndarray:
         return OPINION_DISPLAY
 
-    def count_init_state_pmf(self) -> np.ndarray:
-        return OPINION_STATE_PMF
-
-    def count_random_state_pmf(self) -> np.ndarray:
+    def count_state_pmf(self, counter: np.ndarray | None = None) -> np.ndarray:
         return OPINION_STATE_PMF
 
     def step_counts(

@@ -22,8 +22,7 @@ from ..core.protocol import Protocol, ProtocolState
 from ..core.sampling import BatchedSampler, _binomial_pmf_rows
 from .counting import (
     prev_count_display,
-    prev_count_init_pmf,
-    prev_count_random_pmf,
+    prev_count_state_pmf,
     scatter_counts,
 )
 
@@ -83,17 +82,11 @@ class SimpleTrendProtocol(Protocol):
     # correlation that distinguishes this ablation from FET, preserved at
     # the count level.
 
-    def count_states(self) -> int:
-        return 2 * (self.ell + 1)
-
     def count_display(self) -> np.ndarray:
         return prev_count_display(self.ell)
 
-    def count_init_state_pmf(self) -> np.ndarray:
-        return prev_count_init_pmf(self.ell)
-
-    def count_random_state_pmf(self) -> np.ndarray:
-        return prev_count_random_pmf(self.ell)
+    def count_state_pmf(self, counter: np.ndarray | None = None) -> np.ndarray:
+        return prev_count_state_pmf(self.ell, counter)
 
     def _targets(self) -> np.ndarray:
         if self._count_targets is None:

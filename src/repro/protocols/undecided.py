@@ -66,19 +66,10 @@ class UndecidedStateProtocol(Protocol):
     # depends only on its state and the one observed bit (Bernoulli(x̃)), so
     # the full dense 4×4 kernel is cheap: one multinomial split per state.
 
-    def count_states(self) -> int:
-        return 4
-
     def count_display(self) -> np.ndarray:
         return np.array([0, 0, 1, 1], dtype=np.uint8)
 
-    def count_init_state_pmf(self) -> np.ndarray:
-        pmf = np.zeros((2, 4))
-        pmf[0, 0] = 1.0
-        pmf[1, 2] = 1.0
-        return pmf
-
-    def count_random_state_pmf(self) -> np.ndarray:
+    def count_state_pmf(self, counter: np.ndarray | None = None) -> np.ndarray:
         pmf = np.zeros((2, 4))
         pmf[0, 0] = pmf[0, 1] = 0.5
         pmf[1, 2] = pmf[1, 3] = 0.5

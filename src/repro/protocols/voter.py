@@ -47,16 +47,10 @@ class VoterProtocol(Protocol):
     # independently with probability x̃, so the new one-count is a single
     # binomial draw per replica.
 
-    def count_states(self) -> int:
-        return 2
-
     def count_display(self) -> np.ndarray:
         return OPINION_DISPLAY
 
-    def count_init_state_pmf(self) -> np.ndarray:
-        return OPINION_STATE_PMF
-
-    def count_random_state_pmf(self) -> np.ndarray:
+    def count_state_pmf(self, counter: np.ndarray | None = None) -> np.ndarray:
         return OPINION_STATE_PMF
 
     def step_counts(

@@ -328,7 +328,7 @@ def validate_cell(cell) -> None:
     """
     try:
         protocol = build_protocol(cell.protocol, cell.n)
-        initializer = build_initializer(cell.initializer)
+        build_initializer(cell.initializer)
         population = getattr(cell, "population", None)
         if population is not None:
             build_population(
@@ -349,7 +349,7 @@ def validate_cell(cell) -> None:
             # through their state-count sufficient statistic; a component
             # that needs per-agent structure is rejected here, before any
             # worker is spawned — by the same rule ``auto`` uses to pick it.
-            obstacle = cell.counts_obstacle(protocol, initializer)
+            obstacle = cell.counts_obstacle(protocol)
             if obstacle is not None:
                 raise ValueError(obstacle)
         if cell.sampler is not None:

@@ -432,7 +432,7 @@ def _measure_theta(cell: Cell, factory, initializer) -> dict:
     theta = float(cell.measure["theta"])
     settle_window = int(cell.measure.get("settle_window", 20))
     protocol = factory()
-    engine = cell.resolve_engine(protocol, initializer)
+    engine = cell.resolve_engine(protocol)
     base = _base_payload("theta", protocol.name, initializer, engine)
     base.update({"reached": 0, "settle_levels": [], "theta": theta, "settle_window": settle_window})
     if cell.trials == 0:
@@ -498,7 +498,7 @@ def _measure_trace(cell: Cell, factory, initializer) -> dict:
     flips = bool(cell.measure.get("flips", False))
     tolerance = float(cell.measure.get("tolerance", 0.0))
     protocol = factory()
-    engine = cell.resolve_engine(protocol, initializer)
+    engine = cell.resolve_engine(protocol)
     base = _base_payload("trace", protocol.name, initializer, engine)
     base.update({"successes": 0, "settle_rounds": [], "recorded_columns": 0})
     if cell.trials == 0:

@@ -429,7 +429,11 @@ class TestLegacySpecLoading:
         voter rows were re-recorded when ``auto`` began resolving voter
         cells at n >= 32 to the counts engine, after a 2000-trial check
         per cell (success rates by Fisher's exact test, t_con by KS) found
-        the two engines indistinguishable on every voter cell."""
+        the two engines indistinguishable on every voter cell. The bernoulli
+        rows were re-recorded when initializers began drawing the
+        non-source one-count first and placing it (same law, new draws),
+        after a 400-trial check of every bernoulli cell against the old
+        draws; the all-wrong rows never changed."""
         spec = load_spec(DATA / "golden_v1_spec.json")
         out = tmp_path / "agg.csv"
         run_sweep(spec).write_csv(out)

@@ -11,9 +11,10 @@ stability windows, retirement, linger, traces, single-shot — behaves exactly
 like :class:`~repro.core.batch.BatchedEngine`'s.
 
 Components with no count-level meaning (per-agent samplers, crafted
-initializers and populations, flip recording) must be rejected with a clear
-error at every entry point: the engine itself, the harness, and
-``validate_cell``.
+populations, flip recording) must be rejected with a clear error at every
+entry point: the engine itself, the harness, and ``validate_cell``. The
+paper's crafted starts are exchangeable over the non-sources and run here
+like any other initializer.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from repro.initializers.adversarial import ZeroSpeedCenter
 from repro.protocols.fet import FETProtocol
 from repro.protocols.oracle_clock import OracleClockProtocol
 from repro.protocols.voter import VoterProtocol
-from repro.sweep.registry import validate_cell
+from repro.sweep.registry import build_protocol, protocol_names, validate_cell
 from repro.trace.recorder import FullTrace
 
 
@@ -59,17 +60,29 @@ def chain_state_population(
     )
 
 
+COUNT_MODELS = [
+    name for name in protocol_names() if build_protocol({"name": name}, 50).counts_supported
+]
+
+
 class TestCountPopulation:
-    def test_clean_template_counts(self):
-        protocol = FETProtocol(4)
+    @pytest.mark.parametrize("name", COUNT_MODELS)
+    def test_clean_template_counts(self, name):
+        protocol = build_protocol({"name": name}, 50)
         pop = make_count_population(protocol, replicas=3, n=50)
-        assert pop.counts.shape == (3, protocol.count_states())
+        assert pop.counts.shape == (3, protocol.count_display().size)
         assert (pop.counts.sum(axis=1) == 49).all()
         # all non-sources wrong, one pinned source correct
         assert (pop.count_ones() == 1).all()
         assert pop.fraction_ones() == pytest.approx([0.02, 0.02, 0.02])
         assert not pop.at_correct_consensus().any()
         assert pop.nonsource_correct_fraction() == pytest.approx([0.0, 0.0, 0.0])
+        # every non-source in the clean start of the wrong opinion: opinion
+        # 0 with a zero counter (or decided) is state 0, and opinion 1's
+        # clean start opens the second half of every layout
+        assert (pop.counts[:, 0] == 49).all()
+        flipped = make_count_population(protocol, replicas=1, n=50, correct_opinion=0)
+        assert flipped.counts[0, protocol.count_display().size // 2] == 49
 
     def test_memory_is_independent_of_n(self):
         protocol = FETProtocol(6)
@@ -79,7 +92,7 @@ class TestCountPopulation:
 
     def test_row_sum_validation(self):
         protocol = FETProtocol(2)
-        counts = np.zeros((2, protocol.count_states()), dtype=np.int64)
+        counts = np.zeros((2, protocol.count_display().size), dtype=np.int64)
         counts[:, 0] = 7  # n - num_sources would be 9
         with pytest.raises(ValueError, match="sum to n - num_sources"):
             CountPopulation(counts, protocol.count_display(), n=10)
@@ -161,7 +174,8 @@ class TestExactChain:
 
 
 #: (protocol component, initializer component, n, max_rounds) — one cell per
-#: count-capable protocol, started where the dynamics actually converge.
+#: count-capable protocol, started where the dynamics actually converge, then
+#: the paper's crafted starts.
 LINEUP = [
     ({"name": "fet", "ell": 6}, {"name": "all-wrong"}, 256, 3000),
     # the band must sit well under the √ℓ count-noise scale to converge
@@ -171,7 +185,31 @@ LINEUP = [
     ({"name": "k-majority", "k": 3}, {"name": "fraction", "x": 0.75}, 256, 3000),
     ({"name": "undecided-state"}, {"name": "fraction", "x": 0.75}, 256, 3000),
     ({"name": "voter"}, {"name": "fraction", "x": 0.9}, 48, 30000),
+    ({"name": "fet", "ell": 6}, {"name": "zero-speed-center"}, 256, 3000),
+    ({"name": "fet", "ell": 6}, {"name": "poisoned-counters"}, 256, 3000),
+    ({"name": "fet", "ell": 6}, {"name": "two-round", "x_prev": 0.9, "x_now": 0.1}, 256, 3000),
+    (
+        {"name": "hysteresis-fet", "ell": 16, "band": 1},
+        {"name": "zero-speed-center"},
+        256,
+        3000,
+    ),
+    (
+        {"name": "simple-trend", "ell": 6},
+        {"name": "two-round", "x_prev": 0.1, "x_now": 0.9},
+        256,
+        3000,
+    ),
 ]
+
+
+def _lineup_ids() -> list[str]:
+    """A protocol's first entry is named after it, later ones after their start too."""
+    ids: list[str] = []
+    for protocol, initializer, *_ in LINEUP:
+        name = protocol["name"]
+        ids.append(f"{name}-{initializer['name']}" if name in ids else name)
+    return ids
 
 
 class TestEngineEquivalence:
@@ -180,7 +218,7 @@ class TestEngineEquivalence:
     @pytest.mark.parametrize(
         "protocol,initializer,n,max_rounds",
         LINEUP,
-        ids=[entry[0]["name"] for entry in LINEUP],
+        ids=_lineup_ids(),
     )
     def test_ks_equivalent_times(self, protocol, initializer, n, max_rounds):
         trials = 96
@@ -316,11 +354,13 @@ class TestRunContract:
 
 
 class TestHarnessDispatch:
-    def test_prepare_counts_rejects_per_agent_initializer(self):
-        with pytest.raises(ValueError, match="supports_counts=False"):
-            prepare_counts(
-                FETProtocol(4), 64, ZeroSpeedCenter(), trials=4, seed=0
-            )
+    def test_prepare_counts_installs_crafted_initializer(self):
+        population, _ = prepare_counts(
+            FETProtocol(4), 64, ZeroSpeedCenter(), trials=4, seed=0
+        )
+        # round(n/2) ones over all agents, hypergeometric on the non-sources
+        ones = population.count_ones()
+        assert ((ones >= 32) & (ones <= 33)).all()
 
     def test_make_count_engine_resolves_spec(self):
         spec = RunSpec(
@@ -409,9 +449,21 @@ class TestValidateCell:
         with pytest.raises(ValueError, match="no count model"):
             validate_cell(self._cell(protocol={"name": "clock-sync"}))
 
-    def test_rejects_crafted_initializer(self):
-        with pytest.raises(ValueError, match="per-agent configurations"):
-            validate_cell(self._cell(initializer={"name": "zero-speed-center"}))
+    def test_accepts_crafted_initializer(self):
+        cell = self._cell(initializer={"name": "zero-speed-center"}, max_rounds=3000)
+        validate_cell(cell)
+        stats = cell.execute()
+        assert stats.engine == "counts"
+        assert stats.successes == stats.trials
+
+    def test_rejects_frozen_unanimity_by_the_population_rule(self):
+        with pytest.raises(ValueError, match="crafted per-agent layout"):
+            validate_cell(
+                self._cell(
+                    initializer={"name": "frozen-unanimity"},
+                    population={"name": "majority", "k0": 1, "k1": 2},
+                )
+            )
 
     def test_rejects_index_sampler(self):
         with pytest.raises(ValueError, match="fraction-keyed"):

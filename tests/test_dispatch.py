@@ -62,11 +62,11 @@ def test_auto_resolves_to_counts_exactly_when_capable_and_past_crossover(
         trials=2,
     )
     protocol = spec.build_protocol()
-    initializer = spec.build_initializer()
-    capable = protocol.counts_supported and initializer.supports_counts
+    spec.build_initializer()
+    capable = protocol.counts_supported
     expected = "counts" if capable and n >= protocol.counts_min_n else "batched"
-    assert spec.resolve_engine(protocol, initializer) == expected
-    assert (spec.counts_obstacle(protocol, initializer) is None) == capable
+    assert spec.resolve_engine(protocol) == expected
+    assert (spec.counts_obstacle(protocol) is None) == capable
 
 
 def _fet_spec(**overrides) -> RunSpec:
@@ -138,6 +138,38 @@ class TestNeverCounts:
         assert _fet_spec(engine="sequential").execute().engine == "sequential"
 
 
+class TestCraftedStarts:
+    """The paper's crafted starts are exchangeable over the non-sources, so
+    they are no obstacle: ``auto`` runs them on counts past the crossover."""
+
+    @pytest.mark.parametrize(
+        "initializer",
+        [
+            {"name": "zero-speed-center"},
+            {"name": "poisoned-counters"},
+            {"name": "two-round", "x_prev": 0.9, "x_now": 0.1},
+        ],
+        ids=["zero-speed-center", "poisoned-counters", "two-round"],
+    )
+    def test_crafted_start_is_count_capable(self, initializer):
+        auto = _fet_spec(initializer=initializer)
+        protocol = auto.build_protocol()
+        assert auto.counts_obstacle(protocol) is None
+        assert auto.resolve_engine(protocol) == "counts"
+        validate_cell(_fet_spec(engine="counts", initializer=initializer))
+
+    def test_zero_speed_center_at_a_billion_agents(self):
+        stats = RunSpec(
+            protocol={"name": "fet"},
+            n=10**9,
+            initializer={"name": "zero-speed-center"},
+            trials=32,
+            seed=9,
+        ).execute()
+        assert stats.engine == "counts"
+        assert stats.successes == 32
+
+
 class TestOneRule:
     """Explicit-counts rejections are the auto rule's obstacles, verbatim."""
 
@@ -145,20 +177,18 @@ class TestOneRule:
         "overrides",
         [
             {"protocol": {"name": "clock-sync"}},
-            {"initializer": {"name": "zero-speed-center"}},
             {"population": {"name": "majority", "k0": 1, "k1": 2}},
             {"sampler": {"name": "index"}},
             {"measure": {"kind": "trace", "flips": True}},
         ],
-        ids=["protocol", "initializer", "population", "sampler", "flips"],
+        ids=["protocol", "population", "sampler", "flips"],
     )
     def test_validate_cell_reports_the_obstacle(self, overrides):
         auto = _fet_spec(**overrides)
         protocol = auto.build_protocol()
-        initializer = auto.build_initializer()
-        obstacle = auto.counts_obstacle(protocol, initializer)
+        obstacle = auto.counts_obstacle(protocol)
         assert obstacle is not None
-        assert auto.resolve_engine(protocol, initializer) != "counts"
+        assert auto.resolve_engine(protocol) != "counts"
         with pytest.raises(ValueError) as error:
             validate_cell(_fet_spec(engine="counts", **overrides))
         assert obstacle in str(error.value)

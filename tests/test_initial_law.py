@@ -1,0 +1,93 @@
+"""One initial law per initializer: ``apply_batch`` and ``apply_counts`` agree.
+
+Every exchangeable initializer declares its start once — a non-source
+opinion count and a counter law — and the base class installs it in both
+engines. This conformance matrix is generated from the component registry:
+for every count-capable protocol and every initializer except frozen
+unanimity (which needs the majority population the counts engine does not
+model), it installs the start per agent on a batch of one-source replicas,
+aggregates each replica's non-sources into the protocol's count states with
+a map written out here independently of the library, and compares with the
+count-level install on the same shape:
+
+* the per-replica non-source one-counts must be *identical* — both engines
+  read the same opinion-count draw from the same seed;
+* the pooled state histograms must pass a χ² homogeneity test. Given the
+  equal opinion margins, each engine's pooled histogram is a multinomial
+  split of every opinion class over the same state law, so the test is
+  exact in its assumptions.
+
+This is the guard that the per-agent rule (a ``prev_count`` state is drawn
+from ``counter_pmf``, every other internal state stays adversarial) and the
+protocol's ``count_state_pmf(counter)`` describe the same law.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from scipy import stats as scipy_stats
+
+from repro.core.batch import BatchedPopulation
+from repro.core.counts import make_count_population
+from repro.core.population import make_population
+from repro.sweep.registry import (
+    build_initializer,
+    build_protocol,
+    initializer_names,
+    protocol_names,
+)
+
+N = 40
+REPLICAS = 2000
+SEED = 2718
+
+#: required parameters of registry initializers that have no defaults
+INIT_PARAMS = {
+    "fraction": {"x": 0.3},
+    "two-round": {"x_prev": 0.8, "x_now": 0.35},
+}
+COUNT_MODELS = [
+    name for name in protocol_names() if build_protocol({"name": name}, N).counts_supported
+]
+#: frozen-unanimity only exists on the majority population
+INITIALIZERS = [name for name in initializer_names() if name != "frozen-unanimity"]
+
+
+def agent_states(protocol, opinions: np.ndarray, states: dict) -> np.ndarray:
+    """Per-agent count-state index, mapped from the per-agent arrays."""
+    if "prev_count" in states:
+        return opinions.astype(np.int64) * (protocol.ell + 1) + states["prev_count"]
+    if "undecided" in states:
+        return 2 * opinions.astype(np.int64) + states["undecided"]
+    return opinions.astype(np.int64)
+
+
+@pytest.mark.parametrize("init_name", INITIALIZERS)
+@pytest.mark.parametrize("protocol_name", COUNT_MODELS)
+def test_both_engines_install_one_law(protocol_name, init_name):
+    protocol = build_protocol({"name": protocol_name}, N)
+    initializer = build_initializer({"name": init_name, **INIT_PARAMS.get(init_name, {})})
+    num_states = protocol.count_display().size
+
+    batch = BatchedPopulation.from_population(make_population(N, 1), REPLICAS)
+    states = protocol.init_state_batch(REPLICAS, N, np.random.default_rng(0))
+    initializer.apply_batch(batch, protocol, states, np.random.default_rng(SEED))
+    free = batch.nonsource_mask
+    per_agent = agent_states(protocol, batch.opinions, states)[:, free]
+    batch_ones = batch.opinions[:, free].sum(axis=1)
+    batch_hist = np.bincount(per_agent.ravel(), minlength=num_states)
+
+    population = make_count_population(protocol, REPLICAS, N)
+    initializer.apply_counts(population, protocol, np.random.default_rng(SEED))
+    count_ones = population.count_ones() - population.sources_ones
+    count_hist = population.counts.sum(axis=0)
+
+    np.testing.assert_array_equal(batch_ones, count_ones)
+    assert batch_hist.sum() == count_hist.sum() == REPLICAS * (N - 1)
+    occupied = (batch_hist + count_hist) > 0
+    if occupied.sum() == 1:
+        np.testing.assert_array_equal(batch_hist, count_hist)
+        return
+    table = np.stack([batch_hist[occupied], count_hist[occupied]])
+    assert scipy_stats.chi2_contingency(table).pvalue > 1e-3

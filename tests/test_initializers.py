@@ -235,8 +235,8 @@ class TestAdversarialBatched:
         class NoEll:
             name = "no-ell"
 
-            def init_state(self, n, rng):
-                return {"prev_count": np.zeros(n, dtype=np.int64)}
+            def randomize_state_batch(self, replicas, n, rng):
+                return {"prev_count": np.zeros((replicas, n), dtype=np.int64)}
 
         proto, batch, states, rng = self.batch()
         with pytest.raises(ValueError, match="ell"):
