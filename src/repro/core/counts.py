@@ -19,10 +19,11 @@ built on that observation:
   per-round one-fractions — so traces and measures work unchanged.
 
 Per-round memory and compute are O(S) per replica, independent of ``n``:
-stepping draws per-state observation-count distributions multinomially
-(:meth:`~repro.core.protocol.Protocol.step_counts`), maps them through the
-decision rule, and re-aggregates — no per-agent arrays anywhere. That turns
-n = 10^6–10^8 populations into routine sweep cells.
+each protocol's :meth:`~repro.core.protocol.Protocol.step_counts` draws
+binomial and multinomial splits of the state counts against the effective
+fraction — only the splits its decision rule needs — with no per-agent
+arrays anywhere. That turns n = 10^6–10^8 populations into routine sweep
+cells.
 
 What the counts path cannot express (and rejects with clear errors):
 

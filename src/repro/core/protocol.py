@@ -155,10 +155,12 @@ class Protocol(ABC):
         ``counts[a, s]`` is the number of non-source agents of replica ``a``
         in count state ``s``; ``x_eff`` is the ``(A,)`` effective one-fraction
         each agent's samples are drawn against (noise already applied by the
-        engine's sampler seam). Draws per-state observation-count
-        distributions multinomially, maps them through the decision rule, and
-        returns the re-aggregated ``(A, S)`` int64 matrix — no per-agent
-        arrays anywhere.
+        engine's sampler seam). Every agent's count is an independent
+        ``Binomial(ℓ, x̃)`` draw, so the kernel draws only the splits its
+        decision rule needs — binomial or multinomial splits of the state
+        counts, over closed-form tail probabilities where a threshold is all
+        that matters — and returns the new ``(A, S)`` int64 matrix, with every
+        row keeping its sum. No per-agent arrays anywhere.
         """
         raise NotImplementedError(
             f"{self.name} does not define a count model (counts_supported=False)"

@@ -12,25 +12,31 @@ machinery both reuse:
   opinion bit is the whole state, ``S = 2``.
 
 All transitions are *exact in distribution*: within a replica every agent's
-observation count is an independent ``Binomial(ℓ, x̃)`` draw
-(:func:`~repro.core.sampling._binomial_pmf_rows` supplies the row-wise
-pmfs), so per-state transition counts are binomial/multinomial splits of
-the state counts — O(S) work per replica, independent of ``n``.
+observation count is an independent ``Binomial(ℓ, x̃)`` draw, so each kernel
+draws only the splits its decision rule needs. The two-block trend rule
+(:func:`two_block_trend_step_counts`) splits each state binomially into the
+new opinion classes and draws each class's fresh counters as one multinomial
+over the row-wise pmf (:func:`~repro.core.sampling._binomial_pmf_rows`);
+simple-trend splits by count below, equal to or above the carried counter
+and lands the movers with one hazard sweep; the opinion-only rules need one
+tail probability, read in closed form by :func:`binomial_upper_tail`. Every
+step costs O(A·ℓ) or less, independent of ``n``.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import bdtrc
 
 from ..core.sampling import _binomial_pmf_rows
 
 __all__ = [
     "OPINION_DISPLAY",
     "OPINION_STATE_PMF",
+    "binomial_upper_tail",
     "prev_count_display",
     "prev_count_state_pmf",
     "two_block_trend_step_counts",
-    "scatter_counts",
 ]
 
 #: Opinion-only protocols: state ``s`` *is* the opinion bit.
@@ -54,6 +60,16 @@ def prev_count_state_pmf(ell: int, counter: np.ndarray | None = None) -> np.ndar
     pmf[0, : ell + 1] = counter
     pmf[1, ell + 1 :] = counter
     return pmf
+
+
+def binomial_upper_tail(ell: int, k: int, x_eff: np.ndarray) -> np.ndarray:
+    """``P(Binomial(ℓ, x̃) ≥ k)`` per replica, for ``1 ≤ k ≤ ℓ``.
+
+    Read in closed form from the regularized incomplete beta function
+    (``scipy.special.bdtrc``) — the same sum as ``pmf[:, k:]`` without
+    building the ``(A, ℓ+1)`` pmf, and exactly 0 or 1 at ``x̃ ∈ {0, 1}``.
+    """
+    return bdtrc(k - 1, ell, x_eff)
 
 
 def two_block_trend_step_counts(
@@ -99,21 +115,3 @@ def two_block_trend_step_counts(
     new_zero = rng.multinomial(m_zero, pmf)
     new_one = rng.multinomial(m_one, pmf)
     return np.concatenate([new_zero, new_one], axis=1).astype(np.int64)
-
-
-def scatter_counts(dist: np.ndarray, targets: np.ndarray, num_states: int) -> np.ndarray:
-    """Re-aggregate a ``(A, S, K)`` transition-count tensor onto target states.
-
-    ``targets[s, k]`` names the destination state of the ``k``-th outcome
-    from source state ``s`` (shared across replicas). One offset-bincount
-    replaces a Python loop over replicas; the float64 weights are exact for
-    integer counts up to 2^53, far beyond any population size here.
-    """
-    replicas = dist.shape[0]
-    flat = (
-        np.arange(replicas, dtype=np.int64)[:, None] * num_states + targets.ravel()[None, :]
-    ).ravel()
-    out = np.bincount(
-        flat, weights=dist.reshape(replicas, -1).ravel(), minlength=replicas * num_states
-    )
-    return out.reshape(replicas, num_states).astype(np.int64)

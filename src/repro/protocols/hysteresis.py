@@ -51,7 +51,7 @@ class HysteresisFETProtocol(Protocol):
     passive = True
     counts_supported = True
     #: measured counts/batched crossover (results/BENCH_counts.json, scan)
-    counts_min_n = 64
+    counts_min_n = 128
 
     def __init__(self, ell: int, band: int) -> None:
         if ell < 1:

@@ -14,8 +14,8 @@ import numpy as np
 
 from ..core.batch import BatchedPopulation
 from ..core.protocol import Protocol, ProtocolState
-from ..core.sampling import BatchedSampler, _binomial_pmf_rows
-from .counting import OPINION_DISPLAY, OPINION_STATE_PMF
+from ..core.sampling import BatchedSampler
+from .counting import OPINION_DISPLAY, OPINION_STATE_PMF, binomial_upper_tail
 
 __all__ = ["MajorityProtocol"]
 
@@ -59,10 +59,9 @@ class MajorityProtocol(Protocol):
     def step_counts(
         self, counts: np.ndarray, x_eff: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
-        pmf = _binomial_pmf_rows(self.k, x_eff)
-        p_one = pmf[:, (self.k + 1) // 2 :].sum(axis=1)
+        p_one = binomial_upper_tail(self.k, (self.k + 1) // 2, x_eff)
         n_free = counts.sum(axis=1)
-        ones = rng.binomial(n_free, np.clip(p_one, 0.0, 1.0))
+        ones = rng.binomial(n_free, p_one)
         return np.stack([n_free - ones, ones], axis=1).astype(np.int64)
 
     def samples_per_round(self) -> int:

@@ -16,8 +16,8 @@ import numpy as np
 
 from ..core.batch import BatchedPopulation
 from ..core.protocol import Protocol, ProtocolState
-from ..core.sampling import BatchedSampler, _binomial_pmf_rows
-from .counting import OPINION_DISPLAY, OPINION_STATE_PMF
+from ..core.sampling import BatchedSampler
+from .counting import OPINION_DISPLAY, OPINION_STATE_PMF, binomial_upper_tail
 
 __all__ = ["MajoritySamplingProtocol"]
 
@@ -27,6 +27,8 @@ class MajoritySamplingProtocol(Protocol):
 
     passive = True
     counts_supported = True
+    #: measured counts/batched crossover (results/BENCH_counts.json, scan)
+    counts_min_n = 32
 
     def __init__(self, ell: int) -> None:
         if ell < 1:
@@ -52,7 +54,8 @@ class MajoritySamplingProtocol(Protocol):
     #
     # Stateless, but the tie-keep rule makes the adoption probability depend
     # on the current opinion when ℓ is even: agents at opinion 1 also keep
-    # on the tie count ℓ/2. Two binomial splits (one per opinion class).
+    # on the tie count ℓ/2. Two binomial splits (one per opinion class), with
+    # the tails read in closed form.
 
     def count_display(self) -> np.ndarray:
         return OPINION_DISPLAY
@@ -63,11 +66,11 @@ class MajoritySamplingProtocol(Protocol):
     def step_counts(
         self, counts: np.ndarray, x_eff: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
-        pmf = _binomial_pmf_rows(self.ell, x_eff)
-        p_up = pmf[:, self.ell // 2 + 1 :].sum(axis=1)
-        p_tie = pmf[:, self.ell // 2] if self.ell % 2 == 0 else 0.0
-        from_zero = rng.binomial(counts[:, 0], np.clip(p_up, 0.0, 1.0))
-        from_one = rng.binomial(counts[:, 1], np.clip(p_up + p_tie, 0.0, 1.0))
+        # opinion 0 moves on 2·count > ℓ; opinion 1 also keeps on the tie
+        p_up = binomial_upper_tail(self.ell, self.ell // 2 + 1, x_eff)
+        p_keep = binomial_upper_tail(self.ell, (self.ell + 1) // 2, x_eff)
+        from_zero = rng.binomial(counts[:, 0], p_up)
+        from_one = rng.binomial(counts[:, 1], p_keep)
         ones = from_zero + from_one
         return np.stack([counts.sum(axis=1) - ones, ones], axis=1).astype(np.int64)
 

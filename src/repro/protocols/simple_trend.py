@@ -20,11 +20,7 @@ import numpy as np
 from ..core.batch import BatchedPopulation
 from ..core.protocol import Protocol, ProtocolState
 from ..core.sampling import BatchedSampler, _binomial_pmf_rows
-from .counting import (
-    prev_count_display,
-    prev_count_state_pmf,
-    scatter_counts,
-)
+from .counting import prev_count_display, prev_count_state_pmf
 
 __all__ = ["SimpleTrendProtocol"]
 
@@ -35,14 +31,13 @@ class SimpleTrendProtocol(Protocol):
     passive = True
     counts_supported = True
     #: measured counts/batched crossover (results/BENCH_counts.json, scan)
-    counts_min_n = 10_000
+    counts_min_n = 4096
 
     def __init__(self, ell: int) -> None:
         if ell < 1:
             raise ValueError(f"ell must be >= 1, got {ell}")
         self.ell = ell
         self.name = f"simple-trend(ell={ell})"
-        self._count_targets: np.ndarray | None = None
 
     def init_state_batch(
         self, replicas: int, n: int, rng: np.random.Generator
@@ -76,11 +71,13 @@ class SimpleTrendProtocol(Protocol):
     # Same state space as FET (``s = opinion·(ℓ+1) + prev``) but the kernel
     # does NOT factorize: the carried counter *is* the compared count, so
     # the new ``(opinion, prev)`` pair is a deterministic function of the
-    # source state and the single draw ``count ~ Binomial(ℓ, x̃)``. The
-    # transition is one multinomial split per source state followed by a
-    # scatter onto the precomputed ``(s, count) -> s′`` map — exactly the
-    # correlation that distinguishes this ablation from FET, preserved at
-    # the count level.
+    # source state and the single draw ``count ~ Binomial(ℓ, x̃)``. The step
+    # draws only what that law needs: one binomial per state keeps the
+    # agents whose count equals ``prev``, one per counter value splits the
+    # rest into count below or above ``prev``, and one hazard sweep lands
+    # the movers, pooled over their origins, on their new counts — O(A·ℓ)
+    # draws per round. The correlation that distinguishes this ablation from
+    # FET is preserved.
 
     def count_display(self) -> np.ndarray:
         return prev_count_display(self.ell)
@@ -88,25 +85,74 @@ class SimpleTrendProtocol(Protocol):
     def count_state_pmf(self, counter: np.ndarray | None = None) -> np.ndarray:
         return prev_count_state_pmf(self.ell, counter)
 
-    def _targets(self) -> np.ndarray:
-        if self._count_targets is None:
-            width = self.ell + 1
-            prev = np.tile(np.arange(width), 2)[:, None]
-            opinion = np.repeat(np.array([0, 1]), width)[:, None]
-            count = np.arange(width)[None, :]
-            new_opinion = np.where(count > prev, 1, np.where(count < prev, 0, opinion))
-            self._count_targets = new_opinion * width + count
-        return self._count_targets
-
     def step_counts(
         self, counts: np.ndarray, x_eff: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
+        replicas, width = counts.shape[0], self.ell + 1
         pmf = _binomial_pmf_rows(self.ell, x_eff)
-        dist = rng.multinomial(counts, pmf[:, None, :])
-        return scatter_counts(dist, self._targets(), 2 * (self.ell + 1))
+        # at_most[:, c] = P(count ≤ c), at_least[:, c] = P(count ≥ c); each is
+        # a running sum of non-negative terms, so it bounds pmf[:, c] from
+        # above and every ratio below stays within [0, 1].
+        at_most = np.cumsum(pmf, axis=1)
+        at_least = np.cumsum(pmf[:, ::-1], axis=1)[:, ::-1]
+
+        by_prev = counts.reshape(replicas, 2, width)
+        # Agents whose count equals prev keep their state. The rest move, and
+        # whether down or up does not depend on the opinion: one binomial per
+        # counter value with P(count < p | count ≠ p).
+        new = rng.binomial(by_prev, pmf[:, None, :])
+        movers = (by_prev - new).sum(axis=1)
+        below = np.zeros_like(pmf)
+        below[:, 1:] = at_most[:, :-1]
+        above = np.zeros_like(pmf)
+        above[:, :-1] = at_least[:, 1:]
+        p_down = np.zeros_like(pmf)
+        np.divide(below, below + above, out=p_down, where=below > 0)
+        down = rng.binomial(movers, p_down)
+
+        # One sweep lands both directions, count-major so each step reads a
+        # contiguous row: columns ``:A`` rise into ``(1, c)``, columns ``A:``
+        # fall into ``(0, c)`` on the reversed count axis.
+        entering = np.concatenate([(movers - down).T, down.T[::-1]], axis=1)
+        hazard = np.ones((width, 2 * replicas))
+        rise, fall = hazard[:, :replicas], hazard[:, replicas:]
+        np.divide(pmf.T, at_least.T, out=rise, where=at_least.T > 0)
+        np.divide(pmf.T[::-1], at_most.T[::-1], out=fall, where=at_most.T[::-1] > 0)
+        landed = _hazard_sweep(entering, hazard, rng)
+        new[:, 1, :] += landed[:, :replicas].T
+        new[:, 0, :] += landed[::-1, replicas:].T
+        return new.reshape(replicas, 2 * width)
 
     def samples_per_round(self) -> int:
         return self.ell
 
     def memory_bits(self) -> float:
         return math.log2(self.ell + 1)
+
+
+def _hazard_sweep(
+    entering: np.ndarray, hazard: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """Land agents whose fresh count lies strictly above their origin.
+
+    Arrays are count-major, one column per pool: ``entering[p]`` agents hold
+    a count known to exceed ``p``, and ``hazard[c] = P(count = c | count ≥
+    c)``. Walking ``c`` upward, every agent still in the pool has count ≥
+    ``c`` whatever its origin, so ``Binomial(pool, hazard[c])`` of them land
+    at ``c`` — one binomial per count value for all origins at once. The walk
+    starts past the lowest occupied origin and stops once the last origin has
+    entered and the pool is empty; ``hazard[ℓ]`` is 1 (``pmf[ℓ] / pmf[ℓ]``),
+    which drains it at the top.
+    """
+    landed = np.zeros_like(entering)
+    origins = np.flatnonzero(entering.any(axis=1))
+    if origins.size == 0:
+        return landed
+    pool = np.zeros(entering.shape[1], dtype=np.int64)
+    for c in range(origins[0] + 1, entering.shape[0]):
+        pool += entering[c - 1]
+        if c > origins[-1] and not pool.any():
+            break
+        landed[c] = rng.binomial(pool, hazard[c])
+        pool -= landed[c]
+    return landed

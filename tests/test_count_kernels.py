@@ -1,0 +1,190 @@
+"""Count kernels: one step against the per-agent rule, and the edges.
+
+**One-step law.** For every count-capable protocol in the registry, at
+noise ε ∈ {0, 0.05}: start ``REPLICAS`` one-source replicas of ``N`` agents
+from one fixed mixed count vector, advance them one round per agent
+(``step_batch`` through the batched binomial sampler, the literal rule) and
+one round on counts (``step_counts`` from the same vector and the same
+effective fraction), and compare the resulting non-source count states:
+
+* per state, the law of its per-replica count (χ² homogeneity over the
+  observed values, sparse values pooled);
+* the pooled state histogram (χ² homogeneity over occupied states).
+
+The start vector is fixed, so the effective fraction is one number and every
+agent moves independently given it: both sides sample the same one-step law,
+and a kernel that sends any outcome to the wrong state fails here.
+
+**Edges.** The kernels that read tail sums — simple-trend's split and hazard
+sweep, the majority rules' closed-form tails — must stay well defined where
+those sums vanish: x̃ at or next to 0 and 1, ℓ from 1 to 129, all of up to
+10⁹ agents in one state. Every row keeps its sum, no count goes negative, no
+RuntimeWarning is raised (the suite turns one into an error), and the
+closed-form tails equal the pmf-slice sums they replace.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from scipy import stats as scipy_stats
+
+from repro.core.batch import BatchedPopulation
+from repro.core.noise import BatchedNoisyCountSampler
+from repro.core.population import make_population
+from repro.core.sampling import _binomial_pmf_rows
+from repro.protocols.counting import binomial_upper_tail
+from repro.protocols.majority import MajorityProtocol
+from repro.protocols.majority_sampling import MajoritySamplingProtocol
+from repro.protocols.simple_trend import SimpleTrendProtocol
+from repro.sweep.registry import build_protocol, protocol_names
+from reference.count_states import agent_states, install_states
+
+N = 40
+REPLICAS = 2000
+#: values of a per-state count are pooled until a bin holds this many replicas
+MIN_BIN = 20
+P_MIN = 1e-3
+COUNT_MODELS = [
+    name for name in protocol_names() if build_protocol({"name": name}, N).counts_supported
+]
+
+
+def start_vector(protocol) -> np.ndarray:
+    """A fixed mixed start: the non-sources split evenly between the
+    opinions; at opinion 0 a prev-count sits where a balanced population's
+    counts fall, at opinion 1 it is uniform — so the two opinions' states
+    differ wherever an outcome's opinion matters."""
+    ell = getattr(protocol, "ell", 1)
+    near = protocol.count_state_pmf(scipy_stats.binom.pmf(np.arange(ell + 1), ell, 0.5))
+    law = (near[0] + protocol.count_state_pmf()[1]) / 2
+    return np.random.default_rng(31).multinomial(N - 1, law / law.sum())
+
+
+def histograms(per_agent: np.ndarray, num_states: int) -> np.ndarray:
+    """``(R, S)`` per-replica state counts of an ``(R, m)`` state-index array."""
+    replicas = per_agent.shape[0]
+    flat = (np.arange(replicas)[:, None] * num_states + per_agent).ravel()
+    return np.bincount(flat, minlength=replicas * num_states).reshape(replicas, num_states)
+
+
+def value_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``2 × bins`` table of two samples' values, adjacent values pooled."""
+    top = int(max(a.max(), b.max())) + 1
+    table = np.stack([np.bincount(a, minlength=top), np.bincount(b, minlength=top)])
+    bins, pending = [], np.zeros(2, dtype=np.int64)
+    for column in table.T:
+        pending = pending + column
+        if pending.sum() >= MIN_BIN:
+            bins.append(pending)
+            pending = np.zeros(2, dtype=np.int64)
+    if bins:
+        bins[-1] = bins[-1] + pending
+    return np.array(bins).T
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.05])
+@pytest.mark.parametrize("protocol_name", COUNT_MODELS)
+def test_count_step_matches_the_per_agent_rule(protocol_name, epsilon):
+    protocol = build_protocol({"name": protocol_name}, N)
+    sampler = BatchedNoisyCountSampler(epsilon)
+    vector = start_vector(protocol)
+    num_states = vector.size
+
+    batch = BatchedPopulation.from_population(make_population(N, 1), REPLICAS)
+    states = protocol.init_state_batch(REPLICAS, N, np.random.default_rng(0))
+    free = batch.nonsource_mask
+    index = np.repeat(np.arange(num_states), vector)
+    opinions = batch.opinions[:, free]
+    sub_states = {key: value[:, free] for key, value in states.items()}
+    install_states(protocol, opinions, sub_states, np.broadcast_to(index, opinions.shape))
+    batch.opinions[:, free] = opinions
+    for key, value in sub_states.items():
+        states[key][:, free] = value
+    installed = histograms(agent_states(protocol, batch.opinions, states)[:, free], num_states)
+    np.testing.assert_array_equal(installed, np.broadcast_to(vector, installed.shape))
+    x_eff = sampler.effective_fractions(batch)
+
+    new_opinions = protocol.step_batch(batch, states, sampler, np.random.default_rng(101))
+    batched = histograms(agent_states(protocol, new_opinions, states)[:, free], num_states)
+
+    counts = protocol.step_counts(
+        np.tile(vector, (REPLICAS, 1)), x_eff, np.random.default_rng(202)
+    )
+    assert counts.shape == batched.shape
+    np.testing.assert_array_equal(counts.sum(axis=1), N - 1)
+
+    for state in range(num_states):
+        table = value_table(batched[:, state], counts[:, state])
+        if table.shape[1] > 1:
+            pvalue = scipy_stats.chi2_contingency(table).pvalue
+            assert pvalue > P_MIN, (state, pvalue)
+    pooled = np.stack([batched.sum(axis=0), counts.sum(axis=0)])
+    occupied = pooled.sum(axis=0) > 0
+    assert scipy_stats.chi2_contingency(pooled[:, occupied]).pvalue > P_MIN
+
+
+# ------------------------------------------------------------------ edges
+
+EDGE_X = [0.0, 1e-300, 1.0 - 1e-16, 1.0]
+EDGE_ELLS = [1, 2, 129]
+EDGE_FREE = [1, 10**9]
+
+
+def one_state_rows(num_states: int, n_free: int) -> np.ndarray:
+    """One row per state, all ``n_free`` agents in it."""
+    return n_free * np.eye(num_states, dtype=np.int64)
+
+
+@pytest.mark.parametrize("n_free", EDGE_FREE)
+@pytest.mark.parametrize("x", EDGE_X)
+@pytest.mark.parametrize("ell", EDGE_ELLS)
+def test_simple_trend_kernel_at_the_edges(ell, x, n_free):
+    protocol = SimpleTrendProtocol(ell)
+    width = ell + 1
+    counts = one_state_rows(2 * width, n_free)
+    new = protocol.step_counts(counts, np.full(len(counts), x), np.random.default_rng(7))
+    np.testing.assert_array_equal(new.sum(axis=1), n_free)
+    assert (new >= 0).all()
+    if x <= 1e-300:
+        # every fresh count is 0: rows at prev 0 keep their state, the rest
+        # fall to (0, 0)
+        expected = np.zeros_like(counts)
+        expected[:, 0] = n_free
+        expected[width, :] = counts[width]
+        np.testing.assert_array_equal(new, expected)
+    else:
+        # every fresh count is ℓ but for ~ℓ·1e-16 per agent: rows at prev ℓ
+        # keep their state, the rest rise to (1, ℓ)
+        top = np.full(len(counts), 2 * width - 1)
+        top[width - 1] = width - 1
+        assert (new[np.arange(len(counts)), top] >= n_free - 1000).all()
+
+
+@pytest.mark.parametrize("x", EDGE_X)
+@pytest.mark.parametrize("ell", EDGE_ELLS)
+def test_closed_form_tails_match_the_pmf_slices(ell, x):
+    xs = np.concatenate([[x], np.linspace(0.0, 1.0, 41)])
+    pmf = _binomial_pmf_rows(ell, xs)
+    for k in range(1, ell + 1):
+        np.testing.assert_allclose(
+            binomial_upper_tail(ell, k, xs), pmf[:, k:].sum(axis=1), rtol=0, atol=1e-12
+        )
+
+
+@pytest.mark.parametrize("n_free", EDGE_FREE)
+@pytest.mark.parametrize("x", EDGE_X)
+@pytest.mark.parametrize(
+    "protocol",
+    [MajoritySamplingProtocol(ell) for ell in EDGE_ELLS] + [MajorityProtocol(k) for k in (1, 3, 129)],
+    ids=lambda protocol: protocol.name,
+)
+def test_majority_kernels_at_the_edges(protocol, x, n_free):
+    counts = one_state_rows(2, n_free)
+    new = protocol.step_counts(counts, np.full(2, x), np.random.default_rng(7))
+    np.testing.assert_array_equal(new.sum(axis=1), n_free)
+    assert (new >= 0).all()
+    if x == 0.0:
+        np.testing.assert_array_equal(new[:, 1], 0)
+    elif x == 1.0:
+        np.testing.assert_array_equal(new[:, 0], 0)

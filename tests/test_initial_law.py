@@ -7,8 +7,8 @@ for every count-capable protocol and every initializer except frozen
 unanimity (which needs the majority population the counts engine does not
 model), it installs the start per agent on a batch of one-source replicas,
 aggregates each replica's non-sources into the protocol's count states with
-a map written out here independently of the library, and compares with the
-count-level install on the same shape:
+a map written independently of the library (``reference.count_states``),
+and compares with the count-level install on the same shape:
 
 * the per-replica non-source one-counts must be *identical* — both engines
   read the same opinion-count draw from the same seed;
@@ -37,6 +37,7 @@ from repro.sweep.registry import (
     initializer_names,
     protocol_names,
 )
+from reference.count_states import agent_states
 
 N = 40
 REPLICAS = 2000
@@ -52,15 +53,6 @@ COUNT_MODELS = [
 ]
 #: frozen-unanimity only exists on the majority population
 INITIALIZERS = [name for name in initializer_names() if name != "frozen-unanimity"]
-
-
-def agent_states(protocol, opinions: np.ndarray, states: dict) -> np.ndarray:
-    """Per-agent count-state index, mapped from the per-agent arrays."""
-    if "prev_count" in states:
-        return opinions.astype(np.int64) * (protocol.ell + 1) + states["prev_count"]
-    if "undecided" in states:
-        return 2 * opinions.astype(np.int64) + states["undecided"]
-    return opinions.astype(np.int64)
 
 
 @pytest.mark.parametrize("init_name", INITIALIZERS)
