@@ -11,9 +11,10 @@ benchmark measures that promise end to end on the FET dissemination workload
   the per-agent batched engine is still affordable) — the headline speedup;
 * **counts-only scaling** on the full grid up to n = 1e7, where per-agent
   engines stop being an option at all;
-* **state memory** per cell: the count matrix is ``trials x 2(ell+1)``
-  int64 entries, growing only with ``ell = Theta(log n)`` — kilobytes at
-  ten million agents, vs gigabytes for per-agent opinion/counter arrays;
+* **state memory** per cell: the whole engine state — FET's ``trials x 2``
+  opinion counts plus its ``trials x (ell+1)`` carried counter law — grows
+  only with ``ell = Theta(log n)``: kilobytes at ten million agents, vs
+  gigabytes for per-agent opinion/counter arrays;
 * **the small-n crossover scan** behind ``engine="auto"``: every protocol
   with a count model x n in {32 .. 1e4} x {all-wrong, Bernoulli(1/2)} x
   {10, 500} trials, counts vs batched wall-clock on a 300-round budget,
@@ -26,8 +27,8 @@ benchmark measures that promise end to end on the FET dissemination workload
 Emits ``results/BENCH_counts.json`` with the machine facts. The gate asserts
 a >= 10x counts-over-batched speedup at every n >= 1e5 overlap cell (measured
 orders of magnitude higher; the floor leaves CI headroom), that the n = 1e7
-cell still converges every trial, that its count matrix stays within a few
-hundred KiB (measured 130 KiB — four orders of magnitude under the
+cell still converges every trial, that its whole engine state stays within
+a few hundred KiB (measured 66 KiB — five orders of magnitude under the
 per-agent state), and that every protocol's ``counts_min_n`` is the scan's
 crossover.
 
@@ -121,9 +122,17 @@ def _time(spec: RunSpec) -> tuple[float, TrialStats]:
     return seconds, stats
 
 
+def counts_state_bytes(spec: RunSpec) -> tuple[int, int]:
+    """Count states per replica, and the bytes of the counts engine's whole
+    replica state: the count matrix plus the carried protocol state."""
+    engine = spec.count_engine()
+    carried = sum(value.nbytes for value in engine.states.values())
+    return engine.population.num_states, engine.population.counts.nbytes + carried
+
+
 def run_cell(n: int) -> dict:
     ell = ell_for(n)
-    states = 2 * (ell + 1)
+    states, state_bytes = counts_state_bytes(_spec(n, "counts"))
     counts_sec, counts_stats = _time(_spec(n, "counts"))
     row = {
         "n": n,
@@ -133,8 +142,8 @@ def run_cell(n: int) -> dict:
         "counts_successes": counts_stats.successes,
         "counts_mean_rounds": round(float(counts_stats.times.mean()), 2),
         "counts_seconds": round(counts_sec, 4),
-        # the engine's whole per-replica state: one int64 per count state
-        "counts_state_bytes": TRIALS * states * 8,
+        # the engine's whole per-replica state: counts plus carried law
+        "counts_state_bytes": state_bytes,
         # what a per-agent engine must hold: opinions + prev counters
         "per_agent_state_bytes": TRIALS * n * 2 * 8,
     }
@@ -306,8 +315,9 @@ def test_counts_scaling(benchmark):
     for row in rows.values():
         if "speedup" in row and row["n"] >= 10**5:
             assert row["speedup"] >= 10.0, row
-    # Memory is O(num_states) = O(log n), never O(n): the ten-million-agent
-    # cell's whole engine state fits in a few hundred kilobytes.
+    # Memory is O(S + ell) = O(log n), never O(n): the ten-million-agent
+    # cell's whole engine state (counts plus carried law) fits in a few
+    # hundred kilobytes.
     assert rows[10**7]["counts_state_bytes"] <= 256 * 1024
     assert (
         rows[10**7]["counts_state_bytes"]

@@ -506,7 +506,8 @@ class RunSpec:
         """A fully prepared sufficient-statistic engine for this condition.
 
         The counts analogue of :meth:`batched_engine`: builds the initialized
-        ``(R, S)`` state-count matrix, resolves the fraction-keyed observation
+        ``(R, S)`` state-count matrix and the protocol's carried count-model
+        state, resolves the fraction-keyed observation
         component, and returns a :class:`~repro.core.counts.CountEngine`
         ready to ``run``. Raises when any declared component has no
         count-level form (frozen unanimity, the index sampler, protocols

@@ -300,7 +300,7 @@ class BatchedEngine(LockstepEngine):
     states:
         Batched internal protocol state: arrays with a leading replica axis.
         Defaults to ``protocol.init_state_batch``. The engine owns the dict
-        (it compacts it on retirement).
+        (the lock-step driver compacts it on retirement).
     """
 
     engine_name = "batched"
@@ -348,8 +348,6 @@ class BatchedEngine(LockstepEngine):
 
     def _retire(self, retired: np.ndarray, work: BatchedPopulation, done: np.ndarray) -> None:
         self.batch.opinions[retired] = work.opinions[done]
-        keep = ~done
-        self.states = {key: value[keep] for key, value in self.states.items()}
 
 
 class SequentialEngine(BatchedEngine):

@@ -3,8 +3,9 @@
 Every batch-vectorized protocol in this repository observes the population
 only through its one-fraction, and per-agent state lives in a small finite
 set — so an exchangeable replica is fully described by its *state-count
-vector*, not an ``(R, n)`` opinion matrix. This module is the third engine
-built on that observation:
+vector* (plus, where the protocol carries one, a per-replica law of what the
+counts leave out), not an ``(R, n)`` opinion matrix. This module is the
+third engine built on that observation:
 
 * :class:`CountPopulation` holds the ``(R, S)`` matrix of non-source state
   counts (``S = protocol.count_display().size``), the shared source
@@ -16,12 +17,17 @@ built on that observation:
   so the run contract is the same code: per-replica stability
   windows, ``t_con`` accounting, retirement with a compact working set,
   ``linger_rounds`` settle windows, and the ``recorder=`` hook emitting
-  per-round one-fractions — so traces and measures work unchanged.
+  per-round one-fractions — so traces and measures work unchanged. Beside
+  the counts it carries the protocol's count-model state (FET's and
+  hysteresis-FET's ``(R, ℓ+1)`` counter law; ``{}`` for every other
+  protocol) in the ``states`` dict the driver compacts on retirement, as
+  the batched engine carries per-agent state.
 
-Per-round memory and compute are O(S) per replica, independent of ``n``:
-each protocol's :meth:`~repro.core.protocol.Protocol.step_counts` draws
-binomial and multinomial splits of the state counts against the effective
-fraction — only the splits its decision rule needs — with no per-agent
+Per-round memory and compute are O(S + ℓ) per replica, independent of
+``n``: each protocol's :meth:`~repro.core.protocol.Protocol.step_counts`
+draws binomial and multinomial splits of the state counts against the
+effective fraction — only the splits its decision rule needs; two binomials
+per replica for the two-block trend rules' pair chain — with no per-agent
 arrays anywhere. That turns n = 10^6–10^8 populations into routine sweep
 cells.
 
@@ -52,7 +58,7 @@ import numpy as np
 
 from ..telemetry import catalog
 from .lockstep import LockstepEngine
-from .protocol import Protocol
+from .protocol import Protocol, ProtocolState
 from .rng import as_rng
 from .sampling import BatchedBinomialSampler
 
@@ -320,6 +326,11 @@ class CountEngine(LockstepEngine):
         Per-agent samplers (no such seam) are rejected.
     rng:
         Generator or integer seed for the shared dynamics stream.
+    states:
+        The protocol's carried count-model state, leading replica axis.
+        Defaults to ``protocol.init_count_state`` (the clean start). The
+        engine owns the dict (the lock-step driver compacts it on
+        retirement).
     """
 
     engine_name = "counts"
@@ -331,6 +342,7 @@ class CountEngine(LockstepEngine):
         *,
         sampler: BatchedBinomialSampler | None = None,
         rng: int | np.random.Generator | None = None,
+        states: ProtocolState | None = None,
     ) -> None:
         if not getattr(protocol, "counts_supported", False):
             raise ValueError(
@@ -346,11 +358,11 @@ class CountEngine(LockstepEngine):
                 "supports fraction-keyed observation models "
                 "(the BatchedBinomialSampler family)"
             )
-        states = protocol.count_display().size
-        if population.num_states != states:
+        num_states = protocol.count_display().size
+        if population.num_states != num_states:
             raise ValueError(
                 f"population has {population.num_states} states but protocol "
-                f"{protocol.name!r} defines {states}"
+                f"{protocol.name!r} defines {num_states}"
             )
         if not np.array_equal(population.display, protocol.count_display()):
             raise ValueError(
@@ -360,6 +372,11 @@ class CountEngine(LockstepEngine):
         self.population = population
         self.sampler = sampler
         self.rng = as_rng(rng)
+        if states is None:
+            states = protocol.init_count_state(population.replicas)
+        if any(len(value) != population.replicas for value in states.values()):
+            raise ValueError("every carried count-model state needs one row per replica")
+        self.states = states
         self.round_index = 0
         self._consumed = False
         self._draw_seconds = 0.0
@@ -384,7 +401,7 @@ class CountEngine(LockstepEngine):
     def _step(self, work: CountPopulation, flips: bool) -> None:
         x_eff = np.asarray(self.sampler.effective_fractions(work), dtype=float)
         draw_start = time.perf_counter()
-        new_counts = self.protocol.step_counts(work.counts, x_eff, self.rng)
+        new_counts = self.protocol.step_counts(work.counts, self.states, x_eff, self.rng)
         self._draw_seconds += time.perf_counter() - draw_start
         work.set_counts(new_counts)
 

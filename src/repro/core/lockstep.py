@@ -4,6 +4,9 @@ Both replica engines advance R independent trials of one condition in
 lock-step and differ only in how a replica is stored and stepped: an
 ``(R, n)`` opinion matrix on :class:`~repro.core.batch.BatchedEngine`, an
 ``(R, S)`` state-count matrix on :class:`~repro.core.counts.CountEngine`.
+Beside it, both carry the protocol's per-replica state in one
+``states`` dict with a leading replica axis (per-agent arrays on batched,
+the count model's carried state — FET's counter law — on counts).
 Everything else — stability windows, ``t_con`` accounting, lock/linger
 settle windows, retirement into a compact working set, trace recorders,
 telemetry — is :func:`run_lockstep`, written once over a small backend
@@ -14,7 +17,9 @@ that :class:`LockstepEngine` subclasses implement:
 * ``_step(work, flips)`` — advance the working set one round in place,
   returning per-row flip counts when asked;
 * ``_retire(retired, work, done)`` — write the finished working rows back
-  into ``_rows`` and drop them from any per-replica engine state.
+  into ``_rows``.
+
+The driver compacts ``states`` with the working set when replicas retire.
 
 Sharing the driver is what makes ``engine="auto"`` a transparent switch:
 whichever engine it resolves to, the run contract is the same code. The
@@ -91,13 +96,15 @@ class LockstepEngine(ABC):
     """Base of the replica engines: the shared ``run`` and its backend hooks.
 
     Subclasses set :attr:`engine_name` (the ``engine`` label of spans and
-    metrics), initialize ``round_index = 0`` and ``_consumed = False``, and
+    metrics), initialize ``round_index = 0``, ``_consumed = False`` and the
+    per-replica protocol ``states`` (``{}`` when there are none), and
     implement the backend (module docstring).
     """
 
     engine_name = ""
     round_index: int
     _consumed: bool
+    states: dict[str, np.ndarray]
 
     @property
     @abstractmethod
@@ -110,8 +117,7 @@ class LockstepEngine(ABC):
 
     @abstractmethod
     def _retire(self, retired: np.ndarray, work: Any, done: np.ndarray) -> None:
-        """Write ``work``'s ``done`` rows back into ``_rows`` at ``retired``
-        and drop them from any per-replica engine state."""
+        """Write ``work``'s ``done`` rows back into ``_rows`` at ``retired``."""
 
     @abstractmethod
     def _recorder_facts(self) -> dict:
@@ -260,6 +266,7 @@ def run_lockstep(
             rounds_executed[retired] = rounds_done
             engine._retire(retired, work, done)
             keep = ~done
+            engine.states = {key: value[keep] for key, value in engine.states.items()}
             ids = ids[keep]
             streak = streak[keep]
             locked = locked[keep]

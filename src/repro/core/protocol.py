@@ -54,7 +54,8 @@ class Protocol(ABC):
     name: str = "protocol"
     passive: bool = True
     #: ``True`` when the protocol exposes the sufficient-statistic count model
-    #: (:meth:`count_display` / :meth:`count_state_pmf` / :meth:`step_counts`)
+    #: (:meth:`count_display` / :meth:`count_state_pmf` / :meth:`step_counts`,
+    #: and a carried state through :meth:`init_count_state`)
     #: consumed by the counts engine (``core/counts.py``). Requires that an
     #: agent's full behaviour is a function of its discrete state and the
     #: population one-fraction alone — no identity-dependent draws.
@@ -119,13 +120,16 @@ class Protocol(ABC):
     # ---------------------------------------------------------- count model
     #
     # The sufficient-statistic interface behind ``engine="counts"``. A count
-    # state is one point of the protocol's finite per-agent state space
-    # (opinion bit plus internal variables); an exchangeable replica is then
-    # fully described by its ``(S,)`` state-count vector and is stepped in
-    # O(S) via multinomial transitions, independent of ``n``. Protocols that
-    # implement the three hooks below set ``counts_supported = True``; the
-    # number of states is ``S = count_display().size``, and the clean start
-    # of an opinion is the first state that displays it.
+    # state is one point of a finite per-agent state space (the opinion bit,
+    # plus whatever internal variables the counts must resolve); an
+    # exchangeable replica is then described by its ``(S,)`` state-count
+    # vector plus an optional carried per-replica state — FET's counter law,
+    # say — kept in a :data:`ProtocolState` dict with a leading replica axis,
+    # the way the batched engine carries per-agent state. A replica costs
+    # O(S + ℓ) memory and compute, independent of ``n``. Protocols that
+    # implement the hooks below set ``counts_supported = True``; the number
+    # of states is ``S = count_display().size``, and the clean start of an
+    # opinion is the first state that displays it.
 
     def count_display(self) -> np.ndarray:
         """``(S,)`` uint8 vector: the opinion bit displayed by each state."""
@@ -139,28 +143,49 @@ class Protocol(ABC):
         Row ``o`` is the distribution over count states of an agent showing
         ``o`` whose internal state was drawn by :meth:`randomize_state_batch`
         — with its carried ``prev_count`` drawn from ``counter`` (a pmf on
-        ``{0..ℓ}``) instead, when given. Protocols without a ``prev_count``
-        ignore ``counter``, exactly as initializers leave their per-agent
-        state adversarial.
+        ``{0..ℓ}``) instead, when given and resolved by the count states.
+        Protocols whose count states do not hold a ``prev_count`` ignore
+        ``counter``, exactly as initializers leave their per-agent state
+        adversarial.
         """
         raise NotImplementedError(
             f"{self.name} does not define a count model (counts_supported=False)"
         )
 
+    def init_count_state(self, replicas: int) -> ProtocolState:
+        """Carried count-model state of the clean start, one entry per
+        replica (the counts analogue of :meth:`init_state_batch`). Default:
+        none."""
+        return {}
+
+    def randomize_count_state(
+        self, replicas: int, counter: np.ndarray | None = None
+    ) -> ProtocolState:
+        """Carried count-model state of an adversarial start (the counts
+        analogue of :meth:`randomize_state_batch`), with a carried counter
+        law ``counter`` when given. Default: the clean state."""
+        return self.init_count_state(replicas)
+
     def step_counts(
-        self, counts: np.ndarray, x_eff: np.ndarray, rng: np.random.Generator
+        self,
+        counts: np.ndarray,
+        states: ProtocolState,
+        x_eff: np.ndarray,
+        rng: np.random.Generator,
     ) -> np.ndarray:
         """Advance ``(A, S)`` state-count matrices one synchronous round.
 
         ``counts[a, s]`` is the number of non-source agents of replica ``a``
-        in count state ``s``; ``x_eff`` is the ``(A,)`` effective one-fraction
-        each agent's samples are drawn against (noise already applied by the
-        engine's sampler seam). Every agent's count is an independent
-        ``Binomial(ℓ, x̃)`` draw, so the kernel draws only the splits its
-        decision rule needs — binomial or multinomial splits of the state
-        counts, over closed-form tail probabilities where a threshold is all
-        that matters — and returns the new ``(A, S)`` int64 matrix, with every
-        row keeping its sum. No per-agent arrays anywhere.
+        in count state ``s``; ``states`` is the carried count-model state
+        (leading axis ``A``), updated in place to its next-round value;
+        ``x_eff`` is the ``(A,)`` effective one-fraction each agent's samples
+        are drawn against (noise already applied by the engine's sampler
+        seam). Every agent's count is an independent ``Binomial(ℓ, x̃)``
+        draw, so the kernel draws only the splits its decision rule needs —
+        binomial or multinomial splits of the state counts, over closed-form
+        tail probabilities where a threshold is all that matters — and
+        returns the new ``(A, S)`` int64 matrix, with every row keeping its
+        sum. No per-agent arrays anywhere.
         """
         raise NotImplementedError(
             f"{self.name} does not define a count model (counts_supported=False)"

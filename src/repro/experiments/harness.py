@@ -31,7 +31,8 @@ implementation, the batched one, and a single trial is its one-row case.
   equivalent, several times faster for many-trial sweeps.
 * ``"counts"`` — the sufficient-statistic
   :class:`~repro.core.counts.CountEngine`: replicas are ``(S,)`` state-count
-  vectors, one multinomial-family transition per round, O(num_states) memory
+  vectors plus the protocol's carried per-replica state (FET's counter
+  law), one binomial-family transition per round, O(S + ℓ) memory
   regardless of ``n``. Exact in distribution for exchangeable populations
   but a *different* RNG consumption pattern, so per-trial streams do not
   match the other engines bitwise (aggregates are KS-equivalent). Requires
@@ -415,20 +416,22 @@ def prepare_counts(
     seed: int,
     correct_opinion: int = 1,
     num_sources: int = 1,
-) -> tuple[CountPopulation, np.random.Generator]:
-    """Build the initialized ``(R, S)`` count population for ``trials`` trials.
+) -> tuple[CountPopulation, ProtocolState, np.random.Generator]:
+    """Build the initialized ``(R, S)`` count population for ``trials``
+    trials, with the protocol's carried count-model state.
 
     The counts analogue of :func:`prepare_batch`: one stream initializes
-    every replica's state-count vector via the initializer's count-level
-    application — the same law ``apply_batch`` installs per agent — and the
-    second drives the lock-step dynamics.
+    every replica's state-count vector and carried state via the
+    initializer's count-level application — the same law ``apply_batch``
+    installs per agent — and the second drives the lock-step dynamics.
     """
     init_rng, dyn_rng = spawn_rngs(seed, 2)
     population = make_count_population(
         protocol, trials, n, num_sources=num_sources, correct_opinion=correct_opinion
     )
-    initializer.apply_counts(population, protocol, init_rng)
-    return population, dyn_rng
+    states = protocol.init_count_state(trials)
+    initializer.apply_counts(population, protocol, states, init_rng)
+    return population, states, dyn_rng
 
 
 def make_count_engine(
@@ -454,7 +457,7 @@ def make_count_engine(
         initializer = spec.build_initializer()
     if sampler is None:
         sampler = spec.samplers()
-    population, rng = prepare_counts(
+    population, states, rng = prepare_counts(
         protocol,
         spec.n,
         initializer,
@@ -463,4 +466,4 @@ def make_count_engine(
         correct_opinion=spec.correct_opinion,
         num_sources=spec.num_sources,
     )
-    return CountEngine(protocol, population, sampler=sampler, rng=rng)
+    return CountEngine(protocol, population, sampler=sampler, rng=rng, states=states)

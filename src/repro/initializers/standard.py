@@ -19,9 +19,11 @@ non-source positions of a :class:`~repro.core.batch.BatchedPopulation`
 (a single population is the one-row case), and
 :meth:`Initializer.apply_counts` splits each opinion class of a
 :class:`~repro.core.counts.CountPopulation` multinomially over the
-protocol's :meth:`~repro.core.protocol.Protocol.count_state_pmf`. Both read
-the same opinion-count draw, so the per-agent and the count engines start
-from one law by construction.
+protocol's :meth:`~repro.core.protocol.Protocol.count_state_pmf` and hands
+the counter law to the protocol's carried count-model state
+(:meth:`~repro.core.protocol.Protocol.randomize_count_state`; FET carries it
+as one law per replica). Both read the same opinion-count draw, so the
+per-agent and the count engines start from one law by construction.
 """
 
 from __future__ import annotations
@@ -129,19 +131,24 @@ class Initializer(ABC):
         self,
         population: "CountPopulation",
         protocol: Protocol,
+        states: ProtocolState,
         rng: np.random.Generator,
     ) -> None:
-        """Install the law into every replica's ``(S,)`` state-count vector:
-        each opinion class splits multinomially over the protocol's state
-        law given that opinion, with no per-agent arrays."""
+        """Install the law into every replica's ``(S,)`` state-count vector
+        and ``states`` (the protocol's carried count-model state, leading
+        replica axis) in place: each opinion class splits multinomially over
+        the protocol's state law given that opinion, and a carried counter
+        law becomes :meth:`counter_pmf` — with no per-agent arrays."""
         ones = self.nonsource_ones(population, rng)
         if ones is None:
             ones = population.count_ones() - population.sources_ones
         ell = getattr(protocol, "ell", None)
-        pmf = protocol.count_state_pmf(None if ell is None else self.counter_pmf(ell))
+        counter = None if ell is None else self.counter_pmf(ell)
+        pmf = protocol.count_state_pmf(counter)
         population.set_counts(
             rng.multinomial(ones, pmf[1]) + rng.multinomial(population.n_free - ones, pmf[0])
         )
+        states.update(protocol.randomize_count_state(population.replicas, counter))
 
     def spec(self) -> dict:
         """Declarative ``{"name": ..., params}`` form for sweep cells.

@@ -32,9 +32,10 @@ from ..core.batch import BatchedPopulation
 from ..core.protocol import Protocol, ProtocolState
 from ..core.sampling import BatchedSampler
 from .counting import (
-    prev_count_display,
-    prev_count_state_pmf,
-    two_block_trend_step_counts,
+    OPINION_DISPLAY,
+    OPINION_STATE_PMF,
+    counter_law_state,
+    pair_chain_step_counts,
 )
 
 __all__ = ["FETProtocol", "ell_for", "DEFAULT_SAMPLE_CONSTANT"]
@@ -131,20 +132,36 @@ class FETProtocol(Protocol):
 
     # ---------------------------------------------------------- count model
     #
-    # State ``s = opinion·(ℓ+1) + prev_count``. The carried counter is an
-    # independent second sample block, so the count transition factorizes
-    # (see ``two_block_trend_step_counts``); FET is the band-0 case.
+    # The paper's pair chain. The carried counter is an independent second
+    # sample block, so given the opinions every non-source's counter is iid
+    # from one law whatever its opinion (Observation 1). A replica is its
+    # opinion counts (S = 2) plus that ``(ℓ+1,)`` counter law, carried as
+    # per-replica protocol state: a point mass at 0 for the clean start, the
+    # initializer's ``counter_pmf`` otherwise. A round is two binomial draws
+    # (``pair_chain_step_counts``); FET is the band-0 case.
 
     def count_display(self) -> np.ndarray:
-        return prev_count_display(self.ell)
+        return OPINION_DISPLAY
 
     def count_state_pmf(self, counter: np.ndarray | None = None) -> np.ndarray:
-        return prev_count_state_pmf(self.ell, counter)
+        return OPINION_STATE_PMF
+
+    def init_count_state(self, replicas: int) -> ProtocolState:
+        return counter_law_state(replicas, self.ell, np.eye(self.ell + 1)[0])
+
+    def randomize_count_state(
+        self, replicas: int, counter: np.ndarray | None = None
+    ) -> ProtocolState:
+        return counter_law_state(replicas, self.ell, counter)
 
     def step_counts(
-        self, counts: np.ndarray, x_eff: np.ndarray, rng: np.random.Generator
+        self,
+        counts: np.ndarray,
+        states: ProtocolState,
+        x_eff: np.ndarray,
+        rng: np.random.Generator,
     ) -> np.ndarray:
-        return two_block_trend_step_counts(counts, x_eff, rng, self.ell, 0)
+        return pair_chain_step_counts(counts, states, x_eff, rng, self.ell, 0)
 
     # ----------------------------------------------------------- accounting
 

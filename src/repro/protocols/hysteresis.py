@@ -37,9 +37,10 @@ from ..core.batch import BatchedPopulation
 from ..core.protocol import Protocol, ProtocolState
 from ..core.sampling import BatchedSampler
 from .counting import (
-    prev_count_display,
-    prev_count_state_pmf,
-    two_block_trend_step_counts,
+    OPINION_DISPLAY,
+    OPINION_STATE_PMF,
+    counter_law_state,
+    pair_chain_step_counts,
 )
 
 __all__ = ["HysteresisFETProtocol"]
@@ -51,7 +52,7 @@ class HysteresisFETProtocol(Protocol):
     passive = True
     counts_supported = True
     #: measured counts/batched crossover (results/BENCH_counts.json, scan)
-    counts_min_n = 128
+    counts_min_n = 32
 
     def __init__(self, ell: int, band: int) -> None:
         if ell < 1:
@@ -92,20 +93,33 @@ class HysteresisFETProtocol(Protocol):
 
     # ---------------------------------------------------------- count model
     #
-    # Same state space as FET (``s = opinion·(ℓ+1) + prev_count``); the
-    # dead-band only changes the adoption thresholds in the factorized
-    # transition. ``band = 0`` recovers FET's count model exactly.
+    # FET's pair chain (opinion counts plus one carried counter law per
+    # replica); the dead-band only moves the adoption thresholds inside
+    # ``pair_chain_step_counts``. ``band = 0`` recovers FET's count model
+    # exactly.
 
     def count_display(self) -> np.ndarray:
-        return prev_count_display(self.ell)
+        return OPINION_DISPLAY
 
     def count_state_pmf(self, counter: np.ndarray | None = None) -> np.ndarray:
-        return prev_count_state_pmf(self.ell, counter)
+        return OPINION_STATE_PMF
+
+    def init_count_state(self, replicas: int) -> ProtocolState:
+        return counter_law_state(replicas, self.ell, np.eye(self.ell + 1)[0])
+
+    def randomize_count_state(
+        self, replicas: int, counter: np.ndarray | None = None
+    ) -> ProtocolState:
+        return counter_law_state(replicas, self.ell, counter)
 
     def step_counts(
-        self, counts: np.ndarray, x_eff: np.ndarray, rng: np.random.Generator
+        self,
+        counts: np.ndarray,
+        states: ProtocolState,
+        x_eff: np.ndarray,
+        rng: np.random.Generator,
     ) -> np.ndarray:
-        return two_block_trend_step_counts(counts, x_eff, rng, self.ell, self.band)
+        return pair_chain_step_counts(counts, states, x_eff, rng, self.ell, self.band)
 
     def samples_per_round(self) -> int:
         return 2 * self.ell

@@ -57,7 +57,11 @@ class MajorityProtocol(Protocol):
         return OPINION_STATE_PMF
 
     def step_counts(
-        self, counts: np.ndarray, x_eff: np.ndarray, rng: np.random.Generator
+        self,
+        counts: np.ndarray,
+        states: ProtocolState,
+        x_eff: np.ndarray,
+        rng: np.random.Generator,
     ) -> np.ndarray:
         p_one = binomial_upper_tail(self.k, (self.k + 1) // 2, x_eff)
         n_free = counts.sum(axis=1)

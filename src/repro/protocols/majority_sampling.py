@@ -64,7 +64,11 @@ class MajoritySamplingProtocol(Protocol):
         return OPINION_STATE_PMF
 
     def step_counts(
-        self, counts: np.ndarray, x_eff: np.ndarray, rng: np.random.Generator
+        self,
+        counts: np.ndarray,
+        states: ProtocolState,
+        x_eff: np.ndarray,
+        rng: np.random.Generator,
     ) -> np.ndarray:
         # opinion 0 moves on 2·count > ℓ; opinion 1 also keeps on the tie
         p_up = binomial_upper_tail(self.ell, self.ell // 2 + 1, x_eff)

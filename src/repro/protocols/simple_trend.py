@@ -20,7 +20,6 @@ import numpy as np
 from ..core.batch import BatchedPopulation
 from ..core.protocol import Protocol, ProtocolState
 from ..core.sampling import BatchedSampler, _binomial_pmf_rows
-from .counting import prev_count_display, prev_count_state_pmf
 
 __all__ = ["SimpleTrendProtocol"]
 
@@ -68,10 +67,12 @@ class SimpleTrendProtocol(Protocol):
 
     # ---------------------------------------------------------- count model
     #
-    # Same state space as FET (``s = opinion·(ℓ+1) + prev``) but the kernel
-    # does NOT factorize: the carried counter *is* the compared count, so
-    # the new ``(opinion, prev)`` pair is a deterministic function of the
-    # source state and the single draw ``count ~ Binomial(ℓ, x̃)``. The step
+    # State ``s = opinion·(ℓ+1) + prev`` (S = 2(ℓ+1)). Unlike FET's pair
+    # chain, the counters do not stay iid from one law beside the opinions:
+    # the carried counter *is* the compared count, so the new ``(opinion,
+    # prev)`` pair is a deterministic function of the source state and the
+    # single draw ``count ~ Binomial(ℓ, x̃)``, and the histogram over both
+    # must be carried. The step
     # draws only what that law needs: one binomial per state keeps the
     # agents whose count equals ``prev``, one per counter value splits the
     # rest into count below or above ``prev``, and one hazard sweep lands
@@ -80,13 +81,25 @@ class SimpleTrendProtocol(Protocol):
     # FET is preserved.
 
     def count_display(self) -> np.ndarray:
-        return prev_count_display(self.ell)
+        return np.repeat(np.array([0, 1], dtype=np.uint8), self.ell + 1)
 
     def count_state_pmf(self, counter: np.ndarray | None = None) -> np.ndarray:
-        return prev_count_state_pmf(self.ell, counter)
+        """Given o: ``prev ~ counter``, uniform on ``{0..ℓ}`` when ``None``
+        (``randomize_state_batch``'s counters)."""
+        width = self.ell + 1
+        if counter is None:
+            counter = np.full(width, 1.0 / width)
+        pmf = np.zeros((2, 2 * width))
+        pmf[0, :width] = counter
+        pmf[1, width:] = counter
+        return pmf
 
     def step_counts(
-        self, counts: np.ndarray, x_eff: np.ndarray, rng: np.random.Generator
+        self,
+        counts: np.ndarray,
+        states: ProtocolState,
+        x_eff: np.ndarray,
+        rng: np.random.Generator,
     ) -> np.ndarray:
         replicas, width = counts.shape[0], self.ell + 1
         pmf = _binomial_pmf_rows(self.ell, x_eff)

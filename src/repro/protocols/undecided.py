@@ -76,7 +76,11 @@ class UndecidedStateProtocol(Protocol):
         return pmf
 
     def step_counts(
-        self, counts: np.ndarray, x_eff: np.ndarray, rng: np.random.Generator
+        self,
+        counts: np.ndarray,
+        states: ProtocolState,
+        x_eff: np.ndarray,
+        rng: np.random.Generator,
     ) -> np.ndarray:
         replicas = counts.shape[0]
         x = np.asarray(x_eff, dtype=float)

@@ -54,7 +54,11 @@ class VoterProtocol(Protocol):
         return OPINION_STATE_PMF
 
     def step_counts(
-        self, counts: np.ndarray, x_eff: np.ndarray, rng: np.random.Generator
+        self,
+        counts: np.ndarray,
+        states: ProtocolState,
+        x_eff: np.ndarray,
+        rng: np.random.Generator,
     ) -> np.ndarray:
         n_free = counts.sum(axis=1)
         ones = rng.binomial(n_free, x_eff)

@@ -11,12 +11,20 @@ effective fraction), and compare the resulting non-source count states:
   observed values, sparse values pooled);
 * the pooled state histogram (χ² homogeneity over occupied states).
 
+FET and hysteresis-FET carry their counter as one law per replica beside
+the opinion counts. They start from an opinion-independent law that is not
+``Binomial(ℓ, x̃)`` — half a point mass at ℓ, half uniform — drawn iid per
+agent on the batched side, so a kernel that reads the fresh ``pmf(x̃)`` in
+place of the carried law fails. The stepped law must match the batched
+side's pooled fresh counters (χ² goodness of fit, sparse bins pooled).
+
 The start vector is fixed, so the effective fraction is one number and every
 agent moves independently given it: both sides sample the same one-step law,
 and a kernel that sends any outcome to the wrong state fails here.
 
 **Edges.** The kernels that read tail sums — simple-trend's split and hazard
-sweep, the majority rules' closed-form tails — must stay well defined where
+sweep, the majority rules' closed-form tails, the pair chain's averaged
+adoption probabilities — must stay well defined where
 those sums vanish: x̃ at or next to 0 and 1, ℓ from 1 to 129, all of up to
 10⁹ agents in one state. Every row keeps its sum, no count goes negative, no
 RuntimeWarning is raised (the suite turns one into an error), and the
@@ -34,11 +42,18 @@ from repro.core.noise import BatchedNoisyCountSampler
 from repro.core.population import make_population
 from repro.core.sampling import _binomial_pmf_rows
 from repro.protocols.counting import binomial_upper_tail
+from repro.protocols.fet import FETProtocol
+from repro.protocols.hysteresis import HysteresisFETProtocol
 from repro.protocols.majority import MajorityProtocol
 from repro.protocols.majority_sampling import MajoritySamplingProtocol
 from repro.protocols.simple_trend import SimpleTrendProtocol
 from repro.sweep.registry import build_protocol, protocol_names
-from reference.count_states import agent_states, install_states
+from reference.count_states import (
+    agent_states,
+    counter_in_state,
+    install_states,
+    pooled_chisquare,
+)
 
 N = 40
 REPLICAS = 2000
@@ -52,13 +67,21 @@ COUNT_MODELS = [
 
 def start_vector(protocol) -> np.ndarray:
     """A fixed mixed start: the non-sources split evenly between the
-    opinions; at opinion 0 a prev-count sits where a balanced population's
-    counts fall, at opinion 1 it is uniform — so the two opinions' states
-    differ wherever an outcome's opinion matters."""
+    opinions; at opinion 0 a prev-count held in the count states sits where
+    a balanced population's counts fall, at opinion 1 it is uniform — so
+    the two opinions' states differ wherever an outcome's opinion matters."""
     ell = getattr(protocol, "ell", 1)
     near = protocol.count_state_pmf(scipy_stats.binom.pmf(np.arange(ell + 1), ell, 0.5))
     law = (near[0] + protocol.count_state_pmf()[1]) / 2
     return np.random.default_rng(31).multinomial(N - 1, law / law.sum())
+
+
+def start_counter(ell: int) -> np.ndarray:
+    """A carried counter law that no ``Binomial(ℓ, x̃)`` matches: half a
+    point mass at ℓ, half uniform on ``{0..ℓ}``."""
+    law = np.full(ell + 1, 0.5 / (ell + 1))
+    law[ell] += 0.5
+    return law
 
 
 def histograms(per_agent: np.ndarray, num_states: int) -> np.ndarray:
@@ -101,6 +124,13 @@ def test_count_step_matches_the_per_agent_rule(protocol_name, epsilon):
     batch.opinions[:, free] = opinions
     for key, value in sub_states.items():
         states[key][:, free] = value
+    counter = start_counter(protocol.ell) if hasattr(protocol, "ell") else None
+    count_states = protocol.randomize_count_state(REPLICAS, counter)
+    carried = "prev_count" in states and not counter_in_state(protocol)
+    if carried:
+        states["prev_count"][:, free] = np.random.default_rng(5).choice(
+            protocol.ell + 1, size=(REPLICAS, N - 1), p=counter
+        )
     installed = histograms(agent_states(protocol, batch.opinions, states)[:, free], num_states)
     np.testing.assert_array_equal(installed, np.broadcast_to(vector, installed.shape))
     x_eff = sampler.effective_fractions(batch)
@@ -109,7 +139,7 @@ def test_count_step_matches_the_per_agent_rule(protocol_name, epsilon):
     batched = histograms(agent_states(protocol, new_opinions, states)[:, free], num_states)
 
     counts = protocol.step_counts(
-        np.tile(vector, (REPLICAS, 1)), x_eff, np.random.default_rng(202)
+        np.tile(vector, (REPLICAS, 1)), count_states, x_eff, np.random.default_rng(202)
     )
     assert counts.shape == batched.shape
     np.testing.assert_array_equal(counts.sum(axis=1), N - 1)
@@ -122,6 +152,12 @@ def test_count_step_matches_the_per_agent_rule(protocol_name, epsilon):
     pooled = np.stack([batched.sum(axis=0), counts.sum(axis=0)])
     occupied = pooled.sum(axis=0) > 0
     assert scipy_stats.chi2_contingency(pooled[:, occupied]).pvalue > P_MIN
+
+    if carried:
+        # the stepped law against the batched side's fresh counters
+        fresh = np.bincount(states["prev_count"][:, free].ravel(), minlength=protocol.ell + 1)
+        expected = count_states["counter_law"].sum(axis=0) * (N - 1)
+        assert pooled_chisquare(fresh, expected) > P_MIN
 
 
 # ------------------------------------------------------------------ edges
@@ -143,7 +179,7 @@ def test_simple_trend_kernel_at_the_edges(ell, x, n_free):
     protocol = SimpleTrendProtocol(ell)
     width = ell + 1
     counts = one_state_rows(2 * width, n_free)
-    new = protocol.step_counts(counts, np.full(len(counts), x), np.random.default_rng(7))
+    new = protocol.step_counts(counts, {}, np.full(len(counts), x), np.random.default_rng(7))
     np.testing.assert_array_equal(new.sum(axis=1), n_free)
     assert (new >= 0).all()
     if x <= 1e-300:
@@ -159,6 +195,30 @@ def test_simple_trend_kernel_at_the_edges(ell, x, n_free):
         top = np.full(len(counts), 2 * width - 1)
         top[width - 1] = width - 1
         assert (new[np.arange(len(counts)), top] >= n_free - 1000).all()
+
+
+@pytest.mark.parametrize("n_free", EDGE_FREE)
+@pytest.mark.parametrize("x", EDGE_X)
+@pytest.mark.parametrize("ell", EDGE_ELLS)
+@pytest.mark.parametrize("band", [0, 1])
+def test_pair_chain_kernel_at_the_edges(band, ell, x, n_free):
+    protocol = HysteresisFETProtocol(ell, band) if band else FETProtocol(ell)
+    counts = one_state_rows(2, n_free)
+    states = protocol.randomize_count_state(2, start_counter(ell))
+    new = protocol.step_counts(counts, states, np.full(2, x), np.random.default_rng(7))
+    np.testing.assert_array_equal(new.sum(axis=1), n_free)
+    assert (new >= 0).all()
+    law = states["counter_law"]
+    assert law.shape == (2, ell + 1)
+    np.testing.assert_allclose(law.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    if x == 0.0:
+        # every fresh count is 0: nobody adopts 1, and the law is δ₀
+        np.testing.assert_array_equal(new[0], [n_free, 0])
+        np.testing.assert_allclose(law[:, 0], 1.0, rtol=0, atol=1e-12)
+    elif x == 1.0:
+        # every fresh count is ℓ: nobody adopts 0, and the law is δ_ℓ
+        np.testing.assert_array_equal(new[1], [0, n_free])
+        np.testing.assert_allclose(law[:, ell], 1.0, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("x", EDGE_X)
@@ -181,7 +241,7 @@ def test_closed_form_tails_match_the_pmf_slices(ell, x):
 )
 def test_majority_kernels_at_the_edges(protocol, x, n_free):
     counts = one_state_rows(2, n_free)
-    new = protocol.step_counts(counts, np.full(2, x), np.random.default_rng(7))
+    new = protocol.step_counts(counts, {}, np.full(2, x), np.random.default_rng(7))
     np.testing.assert_array_equal(new.sum(axis=1), n_free)
     assert (new >= 0).all()
     if x == 0.0:

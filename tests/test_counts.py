@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from repro.analysis.markov import ExactPairChain
+from repro.analysis.markov import ExactPairChain, next_count_distribution
 from repro.config import RunSpec
 from repro.core.batch import BatchedEngine, BatchedPopulation
 from repro.core.counts import CountEngine, CountPopulation, make_count_population
@@ -36,28 +36,26 @@ from repro.protocols.oracle_clock import OracleClockProtocol
 from repro.protocols.voter import VoterProtocol
 from repro.sweep.registry import build_protocol, protocol_names, validate_cell
 from repro.trace.recorder import FullTrace
+from reference.count_states import pooled_chisquare
 
 
 def chain_state_population(
-    n: int, ell: int, i: int, j: int, replicas: int, rng: np.random.Generator
-) -> CountPopulation:
-    """Replicas of the FET count population at exact-chain state ``(i, j)``.
+    n: int, ell: int, i: int, j: int, replicas: int
+) -> tuple[CountPopulation, dict]:
+    """Replicas of the FET count model at exact-chain state ``(i, j)``.
 
     ``(i, j)`` are one-counts (pinned source included) at consecutive rounds;
     the chain treats each agent's stored counter as a fresh ``Binom(ℓ, i/n)``
-    draw, so the count vector is a multinomial over the binomial pmf, split
-    by current opinion (``j - 1`` non-source ones).
+    draw whatever its opinion — exactly the count model's carried counter
+    law — beside ``j - 1`` non-source ones.
     """
-    width = ell + 1
-    pmf = scipy_stats.binom.pmf(np.arange(width), ell, i / n)
-    pmf = pmf / pmf.sum()
-    counts = np.zeros((replicas, 2 * width), dtype=np.int64)
-    counts[:, :width] = rng.multinomial(n - j, pmf, size=replicas)
-    counts[:, width:] = rng.multinomial(j - 1, pmf, size=replicas)
+    counts = np.tile([n - j, j - 1], (replicas, 1))
+    law = scipy_stats.binom.pmf(np.arange(ell + 1), ell, i / n)
     protocol = FETProtocol(ell)
-    return CountPopulation(
+    population = CountPopulation(
         counts, protocol.count_display(), n=n, num_sources=1, correct_opinion=1
     )
+    return population, protocol.randomize_count_state(replicas, law / law.sum())
 
 
 COUNT_MODELS = [
@@ -125,12 +123,42 @@ class TestExactChain:
 
     N, ELL = 10, 4
 
+    @pytest.mark.parametrize("n", [10, 24])
+    @pytest.mark.parametrize("ell", [2, 4])
+    @pytest.mark.parametrize("pair", ["first", "last-one", "last-prev", "interior"])
+    def test_one_step_is_the_exact_pair_chain_step(self, n, ell, pair):
+        """One counts-engine round from pair state ``(i, j)`` draws the next
+        one-count from Observation 1's exact law (χ² goodness of fit,
+        sparse bins pooled)."""
+        i, j = {
+            "first": (1, 1),
+            "last-one": (1, n - 1),
+            "last-prev": (n - 1, 1),
+            "interior": (n // 2, n // 2 + 2),
+        }[pair]
+        replicas = 20000
+        pop, states = chain_state_population(n, ell, i, j, replicas)
+        rng = np.random.default_rng(n * ell + i)
+        engine = CountEngine(FETProtocol(ell), pop, rng=rng, states=states)
+        result = engine.run(1, stop_condition=lambda rows: np.zeros(rows.replicas, dtype=bool))
+        assert (result.rounds_executed == 1).all()
+        observed = np.bincount(engine.population.count_ones(), minlength=n + 1)
+        expected = next_count_distribution(n, i, j, ell) * replicas
+        pvalue = pooled_chisquare(observed, expected)
+        if pvalue is None:
+            # the law sits (almost) all on one count: an exact binomial test
+            # of the mass off it instead
+            mode = int(np.argmax(expected))
+            off = replicas - int(observed[mode])
+            pvalue = scipy_stats.binomtest(off, replicas, 1.0 - expected[mode] / replicas).pvalue
+        assert pvalue > 1e-3, (i, j, pvalue)
+
     def test_mean_time_matches_chain_from_all_wrong(self):
         chain = ExactPairChain(n=self.N, ell=self.ELL)
         exact = chain.expected_time_from_all_wrong()
         rng = np.random.default_rng(4242)
-        pop = chain_state_population(self.N, self.ELL, 1, 1, replicas=4000, rng=rng)
-        result = CountEngine(FETProtocol(self.ELL), pop, rng=rng).run(
+        pop, states = chain_state_population(self.N, self.ELL, 1, 1, replicas=4000)
+        result = CountEngine(FETProtocol(self.ELL), pop, rng=rng, states=states).run(
             5000, stability_rounds=2
         )
         assert result.converged.all()
@@ -140,8 +168,8 @@ class TestExactChain:
         chain = ExactPairChain(n=self.N, ell=self.ELL)
         exact = chain.expected_time_from(5, 8)
         rng = np.random.default_rng(77)
-        pop = chain_state_population(self.N, self.ELL, 5, 8, replicas=4000, rng=rng)
-        result = CountEngine(FETProtocol(self.ELL), pop, rng=rng).run(
+        pop, states = chain_state_population(self.N, self.ELL, 5, 8, replicas=4000)
+        result = CountEngine(FETProtocol(self.ELL), pop, rng=rng, states=states).run(
             5000, stability_rounds=2
         )
         assert result.converged.all()
@@ -150,8 +178,8 @@ class TestExactChain:
     def test_counts_and_batched_agree_from_identical_start(self):
         """Tight cross-check: both engines from the same (1,1) start law."""
         rng = np.random.default_rng(2024)
-        pop = chain_state_population(self.N, self.ELL, 1, 1, replicas=3000, rng=rng)
-        counts_result = CountEngine(FETProtocol(self.ELL), pop, rng=rng).run(
+        pop, states = chain_state_population(self.N, self.ELL, 1, 1, replicas=3000)
+        counts_result = CountEngine(FETProtocol(self.ELL), pop, rng=rng, states=states).run(
             5000, stability_rounds=2
         )
 
@@ -355,7 +383,7 @@ class TestRunContract:
 
 class TestHarnessDispatch:
     def test_prepare_counts_installs_crafted_initializer(self):
-        population, _ = prepare_counts(
+        population, _, _ = prepare_counts(
             FETProtocol(4), 64, ZeroSpeedCenter(), trials=4, seed=0
         )
         # round(n/2) ones over all agents, hypergeometric on the non-sources

@@ -15,11 +15,15 @@ and compares with the count-level install on the same shape:
 * the pooled state histograms must pass a χ² homogeneity test. Given the
   equal opinion margins, each engine's pooled histogram is a multinomial
   split of every opinion class over the same state law, so the test is
-  exact in its assumptions.
+  exact in its assumptions;
+* where the count model carries the counter as a per-replica law (FET,
+  hysteresis-FET), every replica's installed law must equal the declared
+  ``counter_pmf`` (uniform for ``None``) to 1e-15, and the per-agent
+  counters, pooled, must fit it (χ² goodness of fit, sparse bins pooled).
 
 This is the guard that the per-agent rule (a ``prev_count`` state is drawn
 from ``counter_pmf``, every other internal state stays adversarial) and the
-protocol's ``count_state_pmf(counter)`` describe the same law.
+protocol's count model describe the same law.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from repro.sweep.registry import (
     initializer_names,
     protocol_names,
 )
-from reference.count_states import agent_states
+from reference.count_states import agent_states, counter_in_state, pooled_chisquare
 
 N = 40
 REPLICAS = 2000
@@ -71,7 +75,8 @@ def test_both_engines_install_one_law(protocol_name, init_name):
     batch_hist = np.bincount(per_agent.ravel(), minlength=num_states)
 
     population = make_count_population(protocol, REPLICAS, N)
-    initializer.apply_counts(population, protocol, np.random.default_rng(SEED))
+    count_states = protocol.init_count_state(REPLICAS)
+    initializer.apply_counts(population, protocol, count_states, np.random.default_rng(SEED))
     count_ones = population.count_ones() - population.sources_ones
     count_hist = population.counts.sum(axis=0)
 
@@ -80,6 +85,20 @@ def test_both_engines_install_one_law(protocol_name, init_name):
     occupied = (batch_hist + count_hist) > 0
     if occupied.sum() == 1:
         np.testing.assert_array_equal(batch_hist, count_hist)
+    else:
+        table = np.stack([batch_hist[occupied], count_hist[occupied]])
+        assert scipy_stats.chi2_contingency(table).pvalue > 1e-3
+
+    if "prev_count" not in states or counter_in_state(protocol):
+        assert count_states == {}
         return
-    table = np.stack([batch_hist[occupied], count_hist[occupied]])
-    assert scipy_stats.chi2_contingency(table).pvalue > 1e-3
+    width = protocol.ell + 1
+    declared = initializer.counter_pmf(protocol.ell)
+    if declared is None:
+        declared = np.full(width, 1.0 / width)
+    law = count_states["counter_law"]
+    assert law.shape == (REPLICAS, width)
+    np.testing.assert_allclose(law, np.broadcast_to(declared, law.shape), rtol=0, atol=1e-15)
+    counters = np.bincount(states["prev_count"][:, free].ravel(), minlength=width)
+    pvalue = pooled_chisquare(counters, declared * REPLICAS * (N - 1))
+    assert pvalue is None or pvalue > 1e-3
