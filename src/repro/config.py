@@ -61,6 +61,7 @@ __all__ = [
     "canonical_json",
     "default_round_budget",
     "derive_seed",
+    "normalize_component",
 ]
 
 #: Bumped when the run-spec schema changes incompatibly, so stale store
@@ -94,6 +95,18 @@ def derive_seed(base_seed: int, spec_dict: dict) -> int:
     return int(sequence.generate_state(1, dtype=np.uint64)[0])
 
 
+def normalize_component(value: Any, what: str) -> dict:
+    """Coerce a declared component — a bare name or a ``{"name": ...,
+    params}`` dict — to its dict form (a copy); ``what`` labels errors."""
+    if isinstance(value, str):
+        return {"name": value}
+    if isinstance(value, dict):
+        if "name" not in value:
+            raise ValueError(f"{what} entries need a 'name' key, got {value!r}")
+        return {key: value[key] for key in value}
+    raise ValueError(f"{what} entries must be names or dicts, got {value!r}")
+
+
 def default_round_budget(n: int) -> int:
     """The Theorem-1 poly-log round budget: ``max(200, 40·(ln n)^2.5)``.
 
@@ -124,7 +137,10 @@ class RunSpec:
         ``{"name": ..., params}`` component (see the protocol registry), or
         ``None`` for adapter use where a live ``protocol_factory`` override
         is supplied to :meth:`execute` — a ``None`` protocol cannot be
-        serialized or hashed.
+        serialized or hashed. Every component field (``protocol``,
+        ``initializer``, ``sampler``, ``population``) also takes a bare
+        name, normalized at construction to ``{"name": ...}``, so both forms
+        run and hash alike.
     n:
         Population size (sources included).
     noise:
@@ -194,6 +210,10 @@ class RunSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("protocol", "initializer", "sampler", "population"):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, normalize_component(value, name))
         if self.n < 2:
             raise ValueError(f"population sizes must be >= 2, got {self.n}")
         if self.trials < 0:

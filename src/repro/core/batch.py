@@ -42,7 +42,7 @@ their final value, so per-round logs survive retirement.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -341,10 +341,15 @@ class BatchedEngine(LockstepEngine):
             "pin_each_round": self.batch.pin_each_round,
         }
 
-    def _step(self, work: BatchedPopulation, flips: bool) -> np.ndarray | None:
+    def _step(
+        self,
+        work: BatchedPopulation,
+        flips: bool,
+        horizon: Callable[[], np.ndarray] | None,
+    ) -> tuple[np.ndarray | None, int]:
         old = work.opinions.copy() if flips else None
         work.set_opinions(self.protocol.step_batch(work, self.states, self.sampler, self.rng))
-        return np.count_nonzero(work.opinions != old, axis=1) if flips else None
+        return (np.count_nonzero(work.opinions != old, axis=1) if flips else None), 1
 
     def _retire(self, retired: np.ndarray, work: BatchedPopulation, done: np.ndarray) -> None:
         self.batch.opinions[retired] = work.opinions[done]

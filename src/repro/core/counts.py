@@ -31,6 +31,25 @@ per replica for the two-block trend rules' pair chain — with no per-agent
 arrays anywhere. That turns n = 10^6–10^8 populations into routine sweep
 cells.
 
+Stalled replicas skip ahead. For the two-class models (voter, k-majority,
+sample-majority, FET, hysteresis-FET: ``protocol.count_jumps``) the engine
+tracks which working rows are *still* — their last round left the counts
+unchanged, so x̃ and the adoption law ``(q₀, q₁)`` are unchanged too (for
+the pair chain the carried law already sits at its fixed point
+``Binomial(ℓ, x̃)``). Such a row keeps every agent put each round with the
+same probability ``p_stay = (1−q₀)^{m₀}·q₁^{m₁}``, so its holding time is
+``Geometric(1 − p_stay)`` and the round that ends it draws the step law
+conditioned on a move: with weight ``1 − (1−q₀)^{m₀}`` a zero-truncated
+``Binomial(m₀, q₀)`` of new ones beside ``Binomial(m₁, q₁)``, otherwise no
+new one and a zero-truncated ``Binomial(m₁, 1−q₁)`` of ones lost — a
+zero-truncated ``Binomial(m, p)`` being ``1 + Binomial(m − G, p)`` with G
+the first success's position, drawn by inverse CDF. A still row with
+``p_stay ≥ ½`` takes that jump through
+:meth:`~repro.protocols.counting.TwoClassCountModel.jump_counts`, no
+further than the lock-step horizon allows; the per-replica clocks of
+:func:`~repro.core.lockstep.run_lockstep` keep every row's accounting
+exact. With a recorder attached nothing jumps, so traces see every round.
+
 What the counts path cannot express (and rejects with clear errors):
 
 * per-agent observation models — the literal index sampler materializes
@@ -52,7 +71,7 @@ What the counts path cannot express (and rejects with clear errors):
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -183,7 +202,8 @@ class CountPopulation:
     def count_ones(self) -> np.ndarray:
         """Per-replica number of 1-opinions (sources included), shape ``(R,)``."""
         if self._ones_count is None:
-            ones_mass = self.counts @ (self.display == 1).astype(np.int64)
+            # display is 0/1-valued: it weighs each state by its one
+            ones_mass = self.counts @ self.display
             self._ones_count = ones_mass + self.sources_ones
         return self._ones_count
 
@@ -380,6 +400,11 @@ class CountEngine(LockstepEngine):
         self.round_index = 0
         self._consumed = False
         self._draw_seconds = 0.0
+        # Two-class models: which working rows' last round left their
+        # counts unchanged (none before the first round), and the rounds
+        # their jumps covered beyond one per step.
+        self._still = np.zeros(population.replicas, dtype=bool) if protocol.count_jumps else None
+        self._skipped = 0
 
     # ----------------------------------------------------- lock-step backend
 
@@ -398,15 +423,36 @@ class CountEngine(LockstepEngine):
                 "use engine='batched' for flip recording"
             )
 
-    def _step(self, work: CountPopulation, flips: bool) -> None:
+    def _step(
+        self,
+        work: CountPopulation,
+        flips: bool,
+        horizon: Callable[[], np.ndarray] | None,
+    ) -> tuple[None, int | np.ndarray]:
         x_eff = np.asarray(self.sampler.effective_fractions(work), dtype=float)
         draw_start = time.perf_counter()
-        new_counts = self.protocol.step_counts(work.counts, self.states, x_eff, self.rng)
+        counts, still, delta = work.counts, self._still, 1
+        # No horizon (a recorder is attached) means no jump for the whole run.
+        jumps = horizon is not None and still is not None
+        if jumps and still.any():
+            new_counts, delta = self.protocol.jump_counts(
+                counts, self.states, x_eff, still, horizon, self.rng
+            )
+        else:
+            new_counts = self.protocol.step_counts(counts, self.states, x_eff, self.rng)
         self._draw_seconds += time.perf_counter() - draw_start
+        if jumps:
+            self._still = new_counts[:, 1] == counts[:, 1]
+        if isinstance(delta, np.ndarray):
+            self._skipped += int(delta.sum()) - delta.size
         work.set_counts(new_counts)
+        return None, delta
 
     def _retire(self, retired: np.ndarray, work: CountPopulation, done: np.ndarray) -> None:
         self.population.counts[retired] = work.counts[done]
+        if self._still is not None:
+            self._still = self._still[~done]
 
     def _observe(self, metrics: "MetricsRegistry") -> None:
         catalog.COUNTS_DRAW_SECONDS.on(metrics).observe(self._draw_seconds)
+        catalog.ENGINE_ROUNDS_SKIPPED.on(metrics, engine=self.engine_name).inc(self._skipped)

@@ -136,7 +136,7 @@ class SynchronousEngine:
         engine = self._engine()
         x_before = self.population.fraction_ones()
         old = self.population.opinions
-        engine._step(engine.batch, False)
+        engine._step(engine.batch, False, None)
         engine.round_index += 1
         self._write_back(engine, engine.states)
         return RoundRecord(

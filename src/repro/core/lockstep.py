@@ -14,12 +14,29 @@ that :class:`LockstepEngine` subclasses implement:
 
 * ``_rows`` — the full replica container (``select``, ``fraction_ones``,
   ``invalidate_cache`` and the consensus predicates);
-* ``_step(work, flips)`` — advance the working set one round in place,
-  returning per-row flip counts when asked;
+* ``_step(work, flips, horizon)`` — advance the working set in place,
+  returning per-row flip counts when asked and the rounds each row
+  advanced (``1``, or an ``(A,)`` array of ``Δ ≥ 1``);
 * ``_retire(retired, work, done)`` — write the finished working rows back
   into ``_rows``.
 
 The driver compacts ``states`` with the working set when replicas retire.
+
+**Per-replica clocks.** Every iteration advances each working row by at
+least one round; a backend may advance a row further (the counts engine
+lets a still two-class replica jump straight to the round where it next
+moves, :mod:`repro.protocols.counting`), so each row keeps its own round
+clock. ``horizon()`` tells the backend how far each row may go: no row
+crosses, mid-jump, its round budget (unlocked rows), the end of its
+stability window (a row whose condition holds), or the end of its linger
+countdown (locked rows). Those are the only rounds the loop acts on, so a
+row's accounting — its ``t_con``, its lock round, its retirement — is what
+stepping it round by round gives. A streak grows by ``Δ`` across a jump
+when the condition held before it and restarts at 1 otherwise
+(``where(streak > 0, streak + Δ, 1) * cond``, which is ``(streak + 1) *
+cond`` at ``Δ = 1``). With a recorder attached no horizon is offered and
+every ``Δ`` is 1, so traces and the θ measure still see every round; the
+batched engine always advances one round.
 
 Sharing the driver is what makes ``engine="auto"`` a transparent switch:
 whichever engine it resolves to, the run contract is the same code. The
@@ -61,8 +78,9 @@ class BatchRunResult:
         streak) when converged, else the number of rounds executed; exactly
         :attr:`RunResult.rounds`, per replica.
     rounds_executed:
-        ``(R,)`` int — synchronous rounds actually simulated for the replica
-        (its retirement round, or ``max_rounds``). Throughput accounting.
+        ``(R,)`` int — synchronous rounds the replica advanced (its
+        retirement round, or ``max_rounds``), rounds covered by jumps
+        included. Throughput accounting.
     final_fractions:
         ``(R,)`` float — one-fraction of each replica's final configuration.
     """
@@ -112,8 +130,12 @@ class LockstepEngine(ABC):
         """The full replica container the run reads and writes back into."""
 
     @abstractmethod
-    def _step(self, work: Any, flips: bool) -> np.ndarray | None:
-        """Advance ``work`` one round in place; per-row flips if asked."""
+    def _step(
+        self, work: Any, flips: bool, horizon: Callable[[], np.ndarray] | None
+    ) -> tuple[np.ndarray | None, int | np.ndarray]:
+        """Advance ``work`` in place: per-row flips if asked, and the rounds
+        each row advanced — ``1``, or ``(A,)`` values no larger than
+        ``horizon()`` (only offered when rows may jump)."""
 
     @abstractmethod
     def _retire(self, retired: np.ndarray, work: Any, done: np.ndarray) -> None:
@@ -235,35 +257,50 @@ def run_lockstep(
         current_flips = np.zeros(total, dtype=np.int64) if wants_flips else None
         recorder.on_round(0, current_x, current_flips)
 
-    # ``streak`` counts the consecutive rounds, up to the current one, that
-    # satisfied the condition, so its first round is ``rounds_done + 1 -
+    # ``streak`` counts the consecutive rounds, up to the row's current one,
+    # that satisfied the condition, so its first round is ``clock + 1 -
     # streak``. Lock/linger bookkeeping: a replica whose streak reaches the
     # stability window is *locked* (its outcome is final, its streak no
     # longer read) but keeps stepping for ``linger_rounds`` more rounds
-    # before it retires.
+    # before it retires. A row's clock is ``rounds_done + ahead``: the
+    # iterations run plus the extra rounds its jumps covered; ``lead``
+    # bounds ``ahead`` over the working set, so rounds that nobody jumped
+    # keep the scalar budget test.
     streak = condition(work).astype(np.int64)
     locked = np.zeros(total, dtype=bool)
     locked_round = np.full(total, -1, dtype=np.int64)
     countdown = np.zeros(total, dtype=np.int64)
+    ahead = np.zeros(total, dtype=np.int64)
+    lead = 0
     rounds_done = 0
+
+    def horizon() -> np.ndarray:
+        """How far each working row may advance: locked rows to the end of
+        their linger countdown, the others to their budget and, while the
+        condition holds, to the end of their stability window."""
+        window = np.where(streak > 0, stability_rounds - streak, max_rounds)
+        budget = np.minimum(max_rounds - rounds_done - ahead, window)
+        return np.where(locked, countdown, budget)
 
     while True:
         newly_locked = ~locked & (streak >= stability_rounds)
         if newly_locked.any():
-            locked_round = np.where(newly_locked, rounds_done + 1 - streak, locked_round)
+            first_round = rounds_done + ahead + 1 - streak
+            locked_round = np.where(newly_locked, first_round, locked_round)
             countdown = np.where(newly_locked, linger_rounds, countdown)
             locked = locked | newly_locked
         done = locked & (countdown <= 0)
-        if rounds_done >= max_rounds:
+        if rounds_done + lead >= max_rounds:
             # Budget exhausted: unconverged replicas stop here; locked
             # replicas mid-linger keep stepping their settle window out.
-            done = done | ~locked
+            done = done | (~locked & (rounds_done + ahead >= max_rounds))
         if done.any():
             retired = ids[done]
             conv = locked[done]
+            clock = rounds_done + ahead[done]
             converged[retired] = conv
-            rounds[retired] = np.where(conv, locked_round[done], rounds_done)
-            rounds_executed[retired] = rounds_done
+            rounds[retired] = np.where(conv, locked_round[done], clock)
+            rounds_executed[retired] = clock
             engine._retire(retired, work, done)
             keep = ~done
             engine.states = {key: value[keep] for key, value in engine.states.items()}
@@ -272,15 +309,24 @@ def run_lockstep(
             locked = locked[keep]
             locked_round = locked_round[keep]
             countdown = countdown[keep]
+            ahead = ahead[keep]
+            lead = int(ahead.max()) if ahead.size else 0
             if ids.size:
                 work = work.select(keep)
         if ids.size == 0:
             break
-        flips = engine._step(work, wants_flips)
+        flips, delta = engine._step(work, wants_flips, None if recorder is not None else horizon)
         rounds_done += 1
         engine.round_index += 1
-        countdown = countdown - locked
-        streak = (streak + 1) * condition(work)
+        holds = condition(work)
+        if isinstance(delta, np.ndarray):
+            ahead += delta - 1
+            lead = int(ahead.max())
+            countdown = countdown - locked * delta
+            streak = np.where(streak > 0, streak + delta, 1) * holds
+        else:
+            countdown = countdown - locked
+            streak = (streak + 1) * holds
         if recorder is not None:
             current_x[ids] = work.fraction_ones()
             if wants_flips:

@@ -60,6 +60,11 @@ class Protocol(ABC):
     #: agent's full behaviour is a function of its discrete state and the
     #: population one-fraction alone — no identity-dependent draws.
     counts_supported: bool = False
+    #: ``True`` for the two-class count models
+    #: (:class:`~repro.protocols.counting.TwoClassCountModel`): the counts
+    #: engine then tracks which replicas are still and lets them jump ahead
+    #: to their next move through ``jump_counts``.
+    count_jumps: bool = False
     #: Smallest ``n`` at which ``engine="auto"`` runs a count-capable
     #: condition of this protocol on the counts engine instead of batched:
     #: the measured crossover (``results/BENCH_counts.json``, ``scan``) from

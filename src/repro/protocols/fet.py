@@ -29,14 +29,9 @@ import math
 import numpy as np
 
 from ..core.batch import BatchedPopulation
-from ..core.protocol import Protocol, ProtocolState
+from ..core.protocol import ProtocolState
 from ..core.sampling import BatchedSampler
-from .counting import (
-    OPINION_DISPLAY,
-    OPINION_STATE_PMF,
-    counter_law_state,
-    pair_chain_step_counts,
-)
+from .counting import PairChainCountModel
 
 __all__ = ["FETProtocol", "ell_for", "DEFAULT_SAMPLE_CONSTANT"]
 
@@ -53,7 +48,7 @@ def ell_for(n: int, c: float = DEFAULT_SAMPLE_CONSTANT) -> int:
     return max(1, math.ceil(c * math.log(n)))
 
 
-class FETProtocol(Protocol):
+class FETProtocol(PairChainCountModel):
     """Vectorized FET (paper, Protocol 1).
 
     Parameters
@@ -63,7 +58,8 @@ class FETProtocol(Protocol):
     """
 
     passive = True
-    counts_supported = True
+    #: FET's count model is the band-0 pair chain.
+    band = 0
 
     def __init__(self, ell: int) -> None:
         if ell < 1:
@@ -137,31 +133,9 @@ class FETProtocol(Protocol):
     # from one law whatever its opinion (Observation 1). A replica is its
     # opinion counts (S = 2) plus that ``(ℓ+1,)`` counter law, carried as
     # per-replica protocol state: a point mass at 0 for the clean start, the
-    # initializer's ``counter_pmf`` otherwise. A round is two binomial draws
-    # (``pair_chain_step_counts``); FET is the band-0 case.
-
-    def count_display(self) -> np.ndarray:
-        return OPINION_DISPLAY
-
-    def count_state_pmf(self, counter: np.ndarray | None = None) -> np.ndarray:
-        return OPINION_STATE_PMF
-
-    def init_count_state(self, replicas: int) -> ProtocolState:
-        return counter_law_state(replicas, self.ell, np.eye(self.ell + 1)[0])
-
-    def randomize_count_state(
-        self, replicas: int, counter: np.ndarray | None = None
-    ) -> ProtocolState:
-        return counter_law_state(replicas, self.ell, counter)
-
-    def step_counts(
-        self,
-        counts: np.ndarray,
-        states: ProtocolState,
-        x_eff: np.ndarray,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        return pair_chain_step_counts(counts, states, x_eff, rng, self.ell, 0)
+    # initializer's ``counter_pmf`` otherwise (``PairChainCountModel``). A
+    # round is two binomial draws over the adoption law ``pair_chain_law``
+    # reads off the carried law; FET is the band-0 case.
 
     # ----------------------------------------------------------- accounting
 

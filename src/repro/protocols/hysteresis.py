@@ -34,23 +34,17 @@ import math
 import numpy as np
 
 from ..core.batch import BatchedPopulation
-from ..core.protocol import Protocol, ProtocolState
+from ..core.protocol import ProtocolState
 from ..core.sampling import BatchedSampler
-from .counting import (
-    OPINION_DISPLAY,
-    OPINION_STATE_PMF,
-    counter_law_state,
-    pair_chain_step_counts,
-)
+from .counting import PairChainCountModel
 
 __all__ = ["HysteresisFETProtocol"]
 
 
-class HysteresisFETProtocol(Protocol):
+class HysteresisFETProtocol(PairChainCountModel):
     """FET with a symmetric dead-band on the trend comparison."""
 
     passive = True
-    counts_supported = True
     #: measured counts/batched crossover (results/BENCH_counts.json, scan)
     counts_min_n = 32
 
@@ -94,32 +88,9 @@ class HysteresisFETProtocol(Protocol):
     # ---------------------------------------------------------- count model
     #
     # FET's pair chain (opinion counts plus one carried counter law per
-    # replica); the dead-band only moves the adoption thresholds inside
-    # ``pair_chain_step_counts``. ``band = 0`` recovers FET's count model
-    # exactly.
-
-    def count_display(self) -> np.ndarray:
-        return OPINION_DISPLAY
-
-    def count_state_pmf(self, counter: np.ndarray | None = None) -> np.ndarray:
-        return OPINION_STATE_PMF
-
-    def init_count_state(self, replicas: int) -> ProtocolState:
-        return counter_law_state(replicas, self.ell, np.eye(self.ell + 1)[0])
-
-    def randomize_count_state(
-        self, replicas: int, counter: np.ndarray | None = None
-    ) -> ProtocolState:
-        return counter_law_state(replicas, self.ell, counter)
-
-    def step_counts(
-        self,
-        counts: np.ndarray,
-        states: ProtocolState,
-        x_eff: np.ndarray,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        return pair_chain_step_counts(counts, states, x_eff, rng, self.ell, self.band)
+    # replica, ``PairChainCountModel``); the dead-band only moves the
+    # adoption thresholds inside ``pair_chain_law``. ``band = 0`` recovers
+    # FET's count model exactly.
 
     def samples_per_round(self) -> int:
         return 2 * self.ell

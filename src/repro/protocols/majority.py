@@ -13,18 +13,17 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.batch import BatchedPopulation
-from ..core.protocol import Protocol, ProtocolState
+from ..core.protocol import ProtocolState
 from ..core.sampling import BatchedSampler
-from .counting import OPINION_DISPLAY, OPINION_STATE_PMF, binomial_upper_tail
+from .counting import TwoClassCountModel, binomial_upper_tail
 
 __all__ = ["MajorityProtocol"]
 
 
-class MajorityProtocol(Protocol):
+class MajorityProtocol(TwoClassCountModel):
     """Adopt the majority among ``k`` uniform samples (odd ``k``, ties impossible)."""
 
     passive = True
-    counts_supported = True
     #: measured counts/batched crossover (results/BENCH_counts.json, scan)
     counts_min_n = 32
 
@@ -46,27 +45,15 @@ class MajorityProtocol(Protocol):
 
     # ---------------------------------------------------------- count model
     #
-    # Stateless and opinion-independent (odd k, no ties): every agent adopts
-    # 1 with probability P(Binomial(k, x̃) > k/2), so the new one-count is a
+    # Stateless and opinion-blind (odd k, no ties): every agent adopts 1
+    # with probability P(Binomial(k, x̃) > k/2), so the new one-count is a
     # single binomial draw per replica.
 
-    def count_display(self) -> np.ndarray:
-        return OPINION_DISPLAY
-
-    def count_state_pmf(self, counter: np.ndarray | None = None) -> np.ndarray:
-        return OPINION_STATE_PMF
-
-    def step_counts(
-        self,
-        counts: np.ndarray,
-        states: ProtocolState,
-        x_eff: np.ndarray,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
+    def adoption_law(
+        self, states: ProtocolState, x_eff: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
         p_one = binomial_upper_tail(self.k, (self.k + 1) // 2, x_eff)
-        n_free = counts.sum(axis=1)
-        ones = rng.binomial(n_free, p_one)
-        return np.stack([n_free - ones, ones], axis=1).astype(np.int64)
+        return p_one, p_one
 
     def samples_per_round(self) -> int:
         return self.k

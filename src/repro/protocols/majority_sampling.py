@@ -15,18 +15,17 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.batch import BatchedPopulation
-from ..core.protocol import Protocol, ProtocolState
+from ..core.protocol import ProtocolState
 from ..core.sampling import BatchedSampler
-from .counting import OPINION_DISPLAY, OPINION_STATE_PMF, binomial_upper_tail
+from .counting import TwoClassCountModel, binomial_upper_tail
 
 __all__ = ["MajoritySamplingProtocol"]
 
 
-class MajoritySamplingProtocol(Protocol):
+class MajoritySamplingProtocol(TwoClassCountModel):
     """Adopt the majority among ℓ uniform samples; keep opinion on ties."""
 
     passive = True
-    counts_supported = True
     #: measured counts/batched crossover (results/BENCH_counts.json, scan)
     counts_min_n = 32
 
@@ -57,26 +56,13 @@ class MajoritySamplingProtocol(Protocol):
     # on the tie count ℓ/2. Two binomial splits (one per opinion class), with
     # the tails read in closed form.
 
-    def count_display(self) -> np.ndarray:
-        return OPINION_DISPLAY
-
-    def count_state_pmf(self, counter: np.ndarray | None = None) -> np.ndarray:
-        return OPINION_STATE_PMF
-
-    def step_counts(
-        self,
-        counts: np.ndarray,
-        states: ProtocolState,
-        x_eff: np.ndarray,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
+    def adoption_law(
+        self, states: ProtocolState, x_eff: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
         # opinion 0 moves on 2·count > ℓ; opinion 1 also keeps on the tie
         p_up = binomial_upper_tail(self.ell, self.ell // 2 + 1, x_eff)
         p_keep = binomial_upper_tail(self.ell, (self.ell + 1) // 2, x_eff)
-        from_zero = rng.binomial(counts[:, 0], p_up)
-        from_one = rng.binomial(counts[:, 1], p_keep)
-        ones = from_zero + from_one
-        return np.stack([counts.sum(axis=1) - ones, ones], axis=1).astype(np.int64)
+        return p_up, p_keep
 
     def samples_per_round(self) -> int:
         return self.ell

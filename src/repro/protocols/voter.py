@@ -15,18 +15,17 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.batch import BatchedPopulation
-from ..core.protocol import Protocol, ProtocolState
+from ..core.protocol import ProtocolState
 from ..core.sampling import BatchedSampler
-from .counting import OPINION_DISPLAY, OPINION_STATE_PMF
+from .counting import TwoClassCountModel
 
 __all__ = ["VoterProtocol"]
 
 
-class VoterProtocol(Protocol):
+class VoterProtocol(TwoClassCountModel):
     """Copy one uniformly random agent's opinion each round."""
 
     passive = True
-    counts_supported = True
     #: measured counts/batched crossover (results/BENCH_counts.json, scan)
     counts_min_n = 32
     name = "voter"
@@ -43,26 +42,14 @@ class VoterProtocol(Protocol):
 
     # ---------------------------------------------------------- count model
     #
-    # Stateless: the opinion bit is the whole state. Every agent adopts 1
-    # independently with probability x̃, so the new one-count is a single
-    # binomial draw per replica.
+    # Stateless and opinion-blind: every agent adopts 1 independently with
+    # probability x̃, so the new one-count is a single binomial draw per
+    # replica.
 
-    def count_display(self) -> np.ndarray:
-        return OPINION_DISPLAY
-
-    def count_state_pmf(self, counter: np.ndarray | None = None) -> np.ndarray:
-        return OPINION_STATE_PMF
-
-    def step_counts(
-        self,
-        counts: np.ndarray,
-        states: ProtocolState,
-        x_eff: np.ndarray,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        n_free = counts.sum(axis=1)
-        ones = rng.binomial(n_free, x_eff)
-        return np.stack([n_free - ones, ones], axis=1).astype(np.int64)
+    def adoption_law(
+        self, states: ProtocolState, x_eff: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        return x_eff, x_eff
 
     def samples_per_round(self) -> int:
         return 1

@@ -165,12 +165,16 @@ class FaultInjector:
 
         File-based so attempts survive worker death and pool rebuilds; safe
         without locking because the dispatcher never runs two attempts of
-        the same cell concurrently.
+        the same cell concurrently. The bump lands by atomic rename: a
+        broken pool kills its innocent in-flight workers too, and one
+        killed mid-write must not leave an empty counter behind.
         """
         path = self._counter_path(key)
         attempt = int(path.read_text()) if path.exists() else 0
         self.counter_dir.mkdir(parents=True, exist_ok=True)
-        path.write_text(str(attempt + 1))
+        pending = path.with_suffix(".pending")
+        pending.write_text(str(attempt + 1))
+        os.replace(pending, path)
         return attempt
 
     def attempts_seen(self, item) -> int:

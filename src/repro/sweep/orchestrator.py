@@ -3,7 +3,8 @@
 :func:`run_sweep` is the one entry point tying the sweep layers together: it
 expands a :class:`~repro.sweep.spec.SweepSpec` into cells, serves whatever a
 :class:`~repro.sweep.store.ResultsStore` already holds, fans the missing
-cells out over a dispatcher, and persists each cell the moment it completes.
+cells out over a dispatcher (cells on a per-agent engine ahead of counts
+cells), and persists each cell the moment it completes.
 The returned :class:`SweepResult` keeps cells and results aligned in the
 spec's canonical expansion order, so every export — rows, table, CSV — is
 **bitwise identical regardless of job count or how many runs (interrupted
@@ -131,6 +132,11 @@ class SweepResult:
                 ]
             )
         return write_rows(path, columns, table)
+
+
+def _runs_on_counts(cell: Cell) -> bool:
+    """Whether ``cell`` resolves to the counts engine."""
+    return cell.resolve_engine(cell.build_protocol()) == "counts"
 
 
 def run_sweep(
@@ -284,6 +290,11 @@ def run_sweep(
             progress_line.update(force=True)
 
         if pending:
+            # Per-agent cells (batched, sequential) go first: their rounds
+            # cost O(n) where a counts cell's rounds cost O(1), so they are
+            # usually the long ones and a pool that starts them first
+            # finishes sooner. Results still land in canonical cell order.
+            pending.sort(key=lambda index: _runs_on_counts(cells[index]))
             pending_cells = [cells[index] for index in pending]
 
             def collect(pending_index: int, outcome: CellResult | FailedItem) -> None:

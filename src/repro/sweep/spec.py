@@ -49,7 +49,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
-from ..config import RUN_SCHEMA, RunSpec, canonical_json, derive_seed
+from ..config import RUN_SCHEMA, RunSpec, canonical_json, derive_seed, normalize_component
 
 __all__ = [
     "AXES",
@@ -96,17 +96,6 @@ Cell = RunSpec
 
 #: Back-compat alias for the seed derivation (now in :mod:`repro.config`).
 derive_cell_seed = derive_seed
-
-
-def _normalize_component(value: Any, axis: str) -> dict:
-    """Coerce a protocol/initializer/sampler axis entry to ``{"name": ...}``."""
-    if isinstance(value, str):
-        return {"name": value}
-    if isinstance(value, dict):
-        if "name" not in value:
-            raise ValueError(f"{axis} axis entries need a 'name' key, got {value!r}")
-        return {key: value[key] for key in value}
-    raise ValueError(f"{axis} axis entries must be names or dicts, got {value!r}")
 
 
 def _int_values(values: list, axis: str, minimum: int) -> list[int]:
@@ -213,8 +202,10 @@ class SweepSpec:
             if not values:
                 raise ValueError(f"axis {axis!r} must have at least one value")
             axes[axis] = values
-        axes["protocol"] = [_normalize_component(v, "protocol") for v in axes["protocol"]]
-        axes["initializer"] = [_normalize_component(v, "initializer") for v in axes["initializer"]]
+        axes["protocol"] = [normalize_component(v, "protocol axis") for v in axes["protocol"]]
+        axes["initializer"] = [
+            normalize_component(v, "initializer axis") for v in axes["initializer"]
+        ]
         axes["n"] = [int(v) for v in axes["n"]]
         axes["noise"] = [float(v) for v in axes["noise"]]
         for n in axes["n"]:
@@ -224,10 +215,10 @@ class SweepSpec:
             if not 0.0 <= eps <= 0.5:
                 raise ValueError(f"noise levels must be in [0, 1/2], got {eps}")
         if "sampler" in axes:
-            axes["sampler"] = [_normalize_component(v, "sampler") for v in axes["sampler"]]
+            axes["sampler"] = [normalize_component(v, "sampler axis") for v in axes["sampler"]]
         if "population" in axes:
             axes["population"] = [
-                _normalize_component(v, "population") for v in axes["population"]
+                normalize_component(v, "population axis") for v in axes["population"]
             ]
         if "engine" in axes:
             for value in axes["engine"]:

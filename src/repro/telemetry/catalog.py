@@ -47,6 +47,11 @@ def _histogram(name: str, help: str) -> Family:
 ENGINE_ROUNDS = _counter(
     "repro_engine_rounds_total", "Lock-step synchronous rounds executed, by engine."
 )
+ENGINE_ROUNDS_SKIPPED = _counter(
+    "repro_engine_rounds_skipped_total",
+    "Replica-rounds covered by holding-time jumps instead of being stepped "
+    "one at a time, by engine.",
+)
 ENGINE_REPLICAS_RETIRED = _counter(
     "repro_engine_replicas_retired_total",
     "Replicas that left the batched working set (converged, "

@@ -65,6 +65,33 @@ class TestRunSpecBasics:
         # canonical form is byte-stable
         assert twin.to_json() == spec.to_json()
 
+    def test_bare_component_names_are_normalized(self):
+        bare = RunSpec(
+            protocol="voter",
+            n=64,
+            trials=2,
+            seed=0,
+            initializer="all-wrong",
+            sampler="binomial",
+            population="standard",
+        )
+        full = RunSpec(
+            protocol={"name": "voter"},
+            n=64,
+            trials=2,
+            seed=0,
+            initializer={"name": "all-wrong"},
+            sampler={"name": "binomial"},
+            population={"name": "standard"},
+        )
+        assert bare == full
+        assert bare.key() == full.key()
+        a, b = bare.execute(), full.execute()
+        assert (a.engine, a.successes) == (b.engine, b.successes)
+        np.testing.assert_array_equal(a.times, b.times)
+        with pytest.raises(ValueError, match="protocol entries need a 'name' key"):
+            RunSpec(protocol={"ell": 4}, n=64)
+
     def test_file_round_trip(self, tmp_path):
         spec = demo_spec()
         path = tmp_path / "run.json"

@@ -22,16 +22,25 @@ The start vector is fixed, so the effective fraction is one number and every
 agent moves independently given it: both sides sample the same one-step law,
 and a kernel that sends any outcome to the wrong state fails here.
 
+**Holding-time jumps.** For every two-class model in the registry, at
+ε ∈ {0, 0.05}, at a still state that holds (``p_stay ≥ ½``, the public
+``jump_counts`` route) and one that moves (``p_stay < ½``, the holding-time
+draw itself): a jump capped at one round is one plain step in law (χ²
+homogeneity of the new one-count, sparse values pooled).
+
 **Edges.** The kernels that read tail sums — simple-trend's split and hazard
 sweep, the majority rules' closed-form tails, the pair chain's averaged
-adoption probabilities — must stay well defined where
-those sums vanish: x̃ at or next to 0 and 1, ℓ from 1 to 129, all of up to
-10⁹ agents in one state. Every row keeps its sum, no count goes negative, no
+adoption probabilities, the holding-time jump's stay probabilities and
+zero-truncated draws — must stay well defined where those sums vanish: x̃
+at or next to 0 and 1, ℓ from 1 to 129, all of up to 10⁹ agents in one
+state. Every row keeps its sum, no count goes negative, no
 RuntimeWarning is raised (the suite turns one into an error), and the
 closed-form tails equal the pmf-slice sums they replace.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -41,12 +50,13 @@ from repro.core.batch import BatchedPopulation
 from repro.core.noise import BatchedNoisyCountSampler
 from repro.core.population import make_population
 from repro.core.sampling import _binomial_pmf_rows
-from repro.protocols.counting import binomial_upper_tail
+from repro.protocols.counting import _hold, _log_stay, binomial_upper_tail
 from repro.protocols.fet import FETProtocol
 from repro.protocols.hysteresis import HysteresisFETProtocol
 from repro.protocols.majority import MajorityProtocol
 from repro.protocols.majority_sampling import MajoritySamplingProtocol
 from repro.protocols.simple_trend import SimpleTrendProtocol
+from repro.protocols.voter import VoterProtocol
 from repro.sweep.registry import build_protocol, protocol_names
 from reference.count_states import (
     agent_states,
@@ -160,6 +170,76 @@ def test_count_step_matches_the_per_agent_rule(protocol_name, epsilon):
         assert pooled_chisquare(fresh, expected) > P_MIN
 
 
+# ----------------------------------------------------------- jumps
+
+JUMP_MODELS = [
+    name for name in COUNT_MODELS if build_protocol({"name": name}, N).count_jumps
+]
+#: population sizes scanned for still states (one source at opinion 1)
+JUMP_SIZES = [40, 12, 4, 2]
+
+
+def still_law(protocol, n: int, m1: np.ndarray, epsilon: float, replicas: int = 1):
+    """The effective fraction, carried state and ``(q₀, q₁)`` of still
+    replicas with ``m1`` non-sources at 1: the pair chain's counter law sits
+    at its fixed point ``Binomial(ℓ, x̃)`` after one unchanged round."""
+    fractions = np.broadcast_to((m1 + 1) / n, (replicas,))
+    x_eff = BatchedNoisyCountSampler(epsilon).effective_fractions(
+        SimpleNamespace(fraction_ones=lambda: fractions)
+    )
+    states = protocol.init_count_state(replicas)
+    protocol.adoption_law(states, x_eff)
+    fixed = {key: value.copy() for key, value in states.items()}
+    q0, q1 = protocol.adoption_law(states, x_eff)
+    return x_eff, fixed, q0, q1
+
+
+def still_state(protocol, epsilon: float, holds: bool) -> tuple[int, int]:
+    """``(n, m₁)`` of a still state whose ``p_stay`` is in ``[½, 0.99)``
+    (``holds``) or ``[0.05, ½)``, nearest 0.7 (resp. 0.25)."""
+    best = None
+    for n in JUMP_SIZES:
+        m1 = np.arange(n)
+        _, _, q0, q1 = still_law(protocol, n, m1, epsilon, n)
+        p_stay = np.exp(_log_stay(n - 1 - m1, m1, q0, q1))
+        lo, hi, target = (0.5, 0.99, 0.7) if holds else (0.05, 0.5, 0.25)
+        for ones, p in zip(m1, p_stay):
+            if lo <= p < hi and (best is None or abs(p - target) < best[0]):
+                best = (abs(p - target), n, int(ones))
+    assert best is not None, protocol.name
+    return best[1], best[2]
+
+
+@pytest.mark.parametrize("holds", [True, False], ids=["holds", "moves"])
+@pytest.mark.parametrize("epsilon", [0.0, 0.05])
+@pytest.mark.parametrize("protocol_name", JUMP_MODELS)
+def test_one_round_jump_is_the_plain_step(protocol_name, epsilon, holds):
+    protocol = build_protocol({"name": protocol_name}, N)
+    n, m1 = still_state(protocol, epsilon, holds)
+    counts = np.tile([n - 1 - m1, m1], (REPLICAS, 1))
+    x_eff, fixed, q0, q1 = still_law(protocol, n, m1, epsilon, REPLICAS)
+    plain = protocol.step_counts(
+        counts, {key: value.copy() for key, value in fixed.items()}, x_eff,
+        np.random.default_rng(303),
+    )[:, 1]
+    one_round = np.ones(REPLICAS, dtype=np.int64)
+    rng = np.random.default_rng(404)
+    if holds:
+        new, delta = protocol.jump_counts(
+            counts, fixed, x_eff, np.ones(REPLICAS, dtype=bool), lambda: one_round, rng
+        )
+        np.testing.assert_array_equal(new.sum(axis=1), n - 1)
+        jumped = new[:, 1]
+    else:
+        m0 = counts[:, 0]
+        log_stay = _log_stay(m0, counts[:, 1], q0, q1)
+        jumped, delta = _hold(m0, counts[:, 1], q0, q1, log_stay, one_round, rng)
+    np.testing.assert_array_equal(delta, 1)
+    table = value_table(plain, jumped)
+    assert table.shape[1] > 1
+    assert scipy_stats.chi2_contingency(table).pvalue > P_MIN
+
+
 # ------------------------------------------------------------------ edges
 
 EDGE_X = [0.0, 1e-300, 1.0 - 1e-16, 1.0]
@@ -219,6 +299,34 @@ def test_pair_chain_kernel_at_the_edges(band, ell, x, n_free):
         # every fresh count is ℓ: nobody adopts 0, and the law is δ_ℓ
         np.testing.assert_array_equal(new[1], [0, n_free])
         np.testing.assert_allclose(law[:, ell], 1.0, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_free", EDGE_FREE)
+@pytest.mark.parametrize("x", EDGE_X)
+@pytest.mark.parametrize(
+    "protocol",
+    [VoterProtocol(), MajorityProtocol(3), MajoritySamplingProtocol(2)]
+    + [FETProtocol(ell) for ell in EDGE_ELLS]
+    + [HysteresisFETProtocol(ell, 1) for ell in EDGE_ELLS],
+    ids=lambda protocol: protocol.name,
+)
+def test_jump_at_the_edges(protocol, x, n_free):
+    counts = one_state_rows(2, n_free)
+    x_eff = np.full(2, x)
+    states = protocol.randomize_count_state(2, start_counter(getattr(protocol, "ell", 1)))
+    protocol.adoption_law(states, x_eff)
+    cap = np.array([1, 7])
+    new, delta = protocol.jump_counts(
+        counts, states, x_eff, np.ones(2, dtype=bool), lambda: cap, np.random.default_rng(7)
+    )
+    np.testing.assert_array_equal(new.sum(axis=1), n_free)
+    assert (new >= 0).all()
+    assert ((delta >= 1) & (delta <= cap)).all()
+    q0, q1 = protocol.adoption_law(states, x_eff)
+    log_stay = _log_stay(counts[:, 0], counts[:, 1], q0, q1)
+    ones, delta = _hold(counts[:, 0], counts[:, 1], q0, q1, log_stay, cap, np.random.default_rng(8))
+    assert ((ones >= 0) & (ones <= n_free)).all()
+    assert ((delta >= 1) & (delta <= cap)).all()
 
 
 @pytest.mark.parametrize("x", EDGE_X)

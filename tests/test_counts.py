@@ -35,6 +35,7 @@ from repro.protocols.fet import FETProtocol
 from repro.protocols.oracle_clock import OracleClockProtocol
 from repro.protocols.voter import VoterProtocol
 from repro.sweep.registry import build_protocol, protocol_names, validate_cell
+from repro.telemetry import MetricsRegistry, use_registry
 from repro.trace.recorder import FullTrace
 from reference.count_states import pooled_chisquare
 
@@ -379,6 +380,122 @@ class TestRunContract:
         pop = make_count_population(protocol, replicas=2, n=32)
         with pytest.raises(ValueError, match="counts_supported"):
             CountEngine(OracleClockProtocol(32), pop)
+
+
+class TestHoldingTimeJumps:
+    """Still two-class replicas jump ahead; the run is the same process.
+
+    A run with a recorder attached never jumps (every replica steps every
+    round), so it is the reference the jumping run is held to: Fisher's
+    exact test on successes and KS on ``t_con``. Bookkeeping is held
+    exactly: the stability window, the linger countdown and the round
+    budget are never crossed mid-jump.
+    """
+
+    def _run(self, spec: RunSpec, *, recorder: bool, linger_rounds: int = 0):
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            result = spec.count_engine().run(
+                spec.max_rounds,
+                stability_rounds=spec.stability_rounds,
+                recorder=FullTrace() if recorder else None,
+                linger_rounds=linger_rounds,
+            )
+        return result, registry.total("repro_engine_rounds_skipped_total")
+
+    @pytest.mark.parametrize(
+        "protocol,n,initializer,max_rounds,stability_rounds",
+        [
+            ({"name": "k-majority", "k": 3}, 200, {"name": "bernoulli", "p": 0.5}, 60, 2),
+            ({"name": "hysteresis-fet", "ell": 20, "band": 1}, 2000, {"name": "all-wrong"}, 20, 2),
+            # a long window makes rows at consensus jump through it
+            ({"name": "fet", "ell": 4}, 64, {"name": "zero-speed-center"}, 400, 10),
+        ],
+        ids=["3-majority", "hysteresis-fet", "fet-zero-speed-center"],
+    )
+    def test_jumping_runs_match_round_by_round_runs(
+        self, protocol, n, initializer, max_rounds, stability_rounds
+    ):
+        results = {}
+        for recorder in (False, True):
+            spec = RunSpec(
+                protocol=protocol,
+                n=n,
+                initializer=initializer,
+                trials=800,
+                max_rounds=max_rounds,
+                stability_rounds=stability_rounds,
+                seed=11 + recorder,
+                engine="counts",
+            )
+            results[recorder], skipped = self._run(spec, recorder=recorder)
+            assert (skipped > 0) != recorder
+        jumped, stepped = results[False], results[True]
+        table = [
+            [jumped.successes, jumped.replicas - jumped.successes],
+            [stepped.successes, stepped.replicas - stepped.successes],
+        ]
+        assert 0 < stepped.successes < stepped.replicas
+        assert scipy_stats.fisher_exact(table).pvalue > 1e-3
+        pvalue = scipy_stats.ks_2samp(jumped.times(), stepped.times(), method="asymp").pvalue
+        assert pvalue > 1e-3
+
+    @pytest.mark.parametrize("linger", [0, 7])
+    def test_still_correct_consensus_retires_at_its_window(self, linger):
+        # noiseless voter at correct consensus stays put with probability 1:
+        # after the first round it jumps, no further than the window allows
+        stability = 40
+        spec = RunSpec(
+            protocol={"name": "voter"},
+            n=1000,
+            initializer={"name": "bernoulli", "p": 1.0},
+            trials=8,
+            max_rounds=100,
+            stability_rounds=stability,
+            engine="counts",
+        )
+        result, skipped = self._run(spec, recorder=False, linger_rounds=linger)
+        assert skipped > 0
+        assert result.converged.all()
+        np.testing.assert_array_equal(result.rounds, 0)
+        np.testing.assert_array_equal(result.rounds_executed, stability - 1 + linger)
+
+    def test_unlocked_rows_stop_at_the_budget(self):
+        # 3-majority stalls at the wrong consensus: every row jumps, none
+        # converges, and each stops exactly at max_rounds
+        spec = RunSpec(
+            protocol={"name": "k-majority", "k": 3},
+            n=10**6,
+            initializer={"name": "all-wrong"},
+            trials=64,
+            max_rounds=650,
+            engine="counts",
+        )
+        result, skipped = self._run(spec, recorder=False)
+        assert skipped > 0
+        assert not result.converged.any()
+        np.testing.assert_array_equal(result.rounds_executed, 650)
+        np.testing.assert_array_equal(result.rounds, 650)
+
+    def test_jumps_cover_the_skipped_rounds(self):
+        spec = RunSpec(
+            protocol={"name": "sample-majority"},
+            n=10**5,
+            initializer={"name": "all-wrong"},
+            trials=16,
+            max_rounds=300,
+            engine="counts",
+        )
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            result = spec.count_engine().run(300)
+        rounds = registry.total("repro_engine_rounds_total")
+        skipped = registry.total("repro_engine_rounds_skipped_total")
+        # every row took at least one step per lock-step iteration; jumps
+        # cover the rest of its 300 rounds
+        assert rounds < 300
+        assert result.rounds_executed.sum() - 16 * rounds <= skipped
+        assert skipped < result.rounds_executed.sum()
 
 
 class TestHarnessDispatch:

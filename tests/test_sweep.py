@@ -232,6 +232,37 @@ class TestRunSweep:
         for x, y in zip(serial.results, pooled.results):
             assert x.payload == y.payload
 
+    def test_per_agent_cells_are_submitted_first(self, tmp_path):
+        # voter resolves to counts from n = 32 on auto, FET only from 100:
+        # the submission order puts batched cells first, stable within
+        # each group, and the aggregate CSV does not move with it
+        spec = SweepSpec(
+            name="mixed-engines",
+            seed=3,
+            trials=3,
+            axes={
+                "protocol": ["voter", {"name": "fet", "ell": 8}],
+                "n": [64, 80],
+                "engine": ["auto", "batched", "counts"],
+            },
+            max_rounds=60,
+        )
+        submitted = []
+
+        def recording(cell):
+            submitted.append(cell)
+            return execute_cell(cell)
+
+        serial = run_sweep(spec, jobs=1, work_fn=recording)
+        engines = [cell.resolve_engine(cell.build_protocol()) for cell in serial.cells]
+        assert "counts" in engines and "batched" in engines
+        order = sorted(range(len(engines)), key=lambda index: engines[index] == "counts")
+        assert submitted == [serial.cells[index] for index in order]
+        pooled = run_sweep(spec, jobs=2)
+        a = serial.write_csv(tmp_path / "serial.csv")
+        b = pooled.write_csv(tmp_path / "pooled.csv")
+        assert a.read_bytes() == b.read_bytes()
+
     def test_cells_and_results_aligned(self):
         spec = small_spec()
         outcome = run_sweep(spec, jobs=1)
