@@ -455,9 +455,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         help=(
             "trial execution engine (default auto: counts for count-capable "
-            "protocols at n >= their measured crossover, else batched when "
-            "the protocol supports it; counts runs the sufficient-statistic "
-            "engine and skips protocols without a count model)"
+            "protocols at every n, else batched; counts runs the "
+            "sufficient-statistic engine and skips protocols without a "
+            "count model)"
         ),
     )
 

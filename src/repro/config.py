@@ -147,7 +147,9 @@ class RunSpec:
         Per-bit observation-flip probability ε. Sugar for the default noisy
         observation component: when ``sampler`` is ``None`` and ε > 0 the
         run observes through
-        :class:`~repro.core.noise.BatchedNoisyCountSampler`.
+        :class:`~repro.core.noise.BatchedNoisyCountSampler`. Beside an
+        explicit ``sampler``, ε > 0 is only accepted when that sampler is
+        ``{"name": "noisy", "epsilon": ε}`` (``ValueError`` otherwise).
     initializer:
         ``{"name": ..., params}`` component (initializer registry).
     trials:
@@ -162,10 +164,9 @@ class RunSpec:
     engine:
         ``"auto"``, ``"batched"``, ``"sequential"``, or ``"counts"`` (the
         sufficient-statistic engine; explicit requests need count-capable
-        components). ``"auto"`` runs the condition on counts when it is
-        count-capable and ``n`` is at or above the protocol's measured
-        crossover ``Protocol.counts_min_n``, else on batched — never on
-        sequential (:meth:`resolve_engine`). ``"sequential"`` runs every
+        components). ``"auto"`` runs the condition on counts whenever it is
+        count-capable, else on batched — never on sequential
+        (:meth:`resolve_engine`). ``"sequential"`` runs every
         trial as its own one-replica lock-step run on its own spawned
         stream. Explicit ``"batched"``/``"sequential"`` are the override.
         The policy, not the resolved engine, is part of the content hash.
@@ -231,6 +232,14 @@ class RunSpec:
             )
         if not 0.0 <= self.noise <= 0.5:
             raise ValueError(f"noise levels must be in [0, 1/2], got {self.noise}")
+        if self.noise > 0.0 and self.sampler is not None and self.sampler != {
+            "name": "noisy", "epsilon": self.noise
+        }:
+            raise ValueError(
+                f"noise={self.noise} conflicts with sampler {self.sampler!r}: an "
+                "explicit sampler replaces the noise-derived one, so declare "
+                "noise only as a 'noisy' sampler with the same epsilon"
+            )
         if self.correct_opinion not in (0, 1):
             raise ValueError(f"correct_opinion must be 0 or 1, got {self.correct_opinion}")
         if not 1 <= self.num_sources < self.n:
@@ -438,32 +447,23 @@ class RunSpec:
         """The engine this condition runs on: ``"counts"``, ``"batched"`` or
         ``"sequential"`` — the one engine-resolution rule.
 
-        ``"auto"`` picks counts when the condition is count-capable
-        (:meth:`counts_obstacle`) and ``n`` is at or above the protocol's
-        measured crossover ``Protocol.counts_min_n``, else batched; it never
-        picks sequential. Explicit engines are returned as declared, after
+        ``"auto"`` picks counts exactly when the condition is count-capable
+        (:meth:`counts_obstacle` is ``None``), else batched; it never picks
+        sequential. Explicit engines are returned as declared, after
         checking that counts' components can run on it (``ValueError``
         otherwise). Keywords as in :meth:`counts_obstacle`.
         """
-        if batched_sampler is _SPEC_SAMPLER:
-            batched_sampler = self.samplers()
-        if self.engine == "counts":
-            obstacle = self.counts_obstacle(
-                protocol,
-                batched_sampler=batched_sampler,
-                custom_population=custom_population,
-            )
-            if obstacle is not None:
-                raise ValueError(obstacle)
-            return "counts"
-        if self.engine != "auto":
+        if self.engine in ("batched", "sequential"):
             return self.engine
-        if self.n >= protocol.counts_min_n and self.counts_obstacle(
+        obstacle = self.counts_obstacle(
             protocol,
             batched_sampler=batched_sampler,
             custom_population=custom_population,
-        ) is None:
+        )
+        if obstacle is None:
             return "counts"
+        if self.engine == "counts":
+            raise ValueError(obstacle)
         return "batched"
 
     # ------------------------------------------------------------- execution

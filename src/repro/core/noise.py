@@ -52,8 +52,7 @@ class BatchedNoisyCountSampler(BatchedBinomialSampler):
     fast path is preserved.
     """
 
-    def __init__(self, epsilon: float, method: str = "auto") -> None:
-        super().__init__(method)
+    def __init__(self, epsilon: float) -> None:
         if not 0.0 <= epsilon <= 0.5:
             raise ValueError(f"epsilon must be in [0, 1/2], got {epsilon}")
         self.epsilon = epsilon

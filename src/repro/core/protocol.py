@@ -59,19 +59,14 @@ class Protocol(ABC):
     #: consumed by the counts engine (``core/counts.py``). Requires that an
     #: agent's full behaviour is a function of its discrete state and the
     #: population one-fraction alone — no identity-dependent draws.
+    #: ``engine="auto"`` runs every count-capable condition of such a
+    #: protocol on counts, at any ``n`` (:meth:`RunSpec.resolve_engine`).
     counts_supported: bool = False
     #: ``True`` for the two-class count models
     #: (:class:`~repro.protocols.counting.TwoClassCountModel`): the counts
     #: engine then tracks which replicas are still and lets them jump ahead
     #: to their next move through ``jump_counts``.
     count_jumps: bool = False
-    #: Smallest ``n`` at which ``engine="auto"`` runs a count-capable
-    #: condition of this protocol on the counts engine instead of batched:
-    #: the measured crossover (``results/BENCH_counts.json``, ``scan``) from
-    #: which counts is at least as fast as batched at every larger scanned
-    #: ``n``. A class constant, not a user option — explicit
-    #: ``engine="batched"``/``"sequential"`` are the override.
-    counts_min_n: int = 100
 
     def init_state_batch(
         self, replicas: int, n: int, rng: np.random.Generator

@@ -491,14 +491,8 @@ class BatchedBinomialSampler(BatchedSampler):
     Within replica ``r`` with one-fraction ``x_r``, every count is an
     independent ``Binomial(ℓ, x_r)`` draw; the whole batch is served by one
     :func:`batched_binomial_counts` call keyed on the ``(R,)`` fraction
-    vector. ``method`` selects the draw strategy (see the helper); the
-    default ``"auto"`` tiering is what the throughput benchmark measures.
+    vector, on the helper's default ``"auto"`` tiering.
     """
-
-    def __init__(self, method: str = "auto") -> None:
-        if method not in ("auto", "histogram", "binomial", "sparse"):
-            raise ValueError(f"unknown method {method!r}")
-        self.method = method
 
     def _fractions(self, batch: "BatchedPopulation") -> np.ndarray:
         """Per-replica effective one-fractions; hook for noisy variants."""
@@ -531,6 +525,4 @@ class BatchedBinomialSampler(BatchedSampler):
         blocks: int,
         rng: np.random.Generator,
     ) -> np.ndarray:
-        return batched_binomial_counts(
-            rng, ell, self._fractions(batch), blocks, batch.n, self.method
-        )
+        return batched_binomial_counts(rng, ell, self._fractions(batch), blocks, batch.n)

@@ -41,11 +41,10 @@ implementation, the batched one, and a single trial is its one-row case.
   fraction-keyed observation model, and no flip recording. Every
   initializer on the standard population is exchangeable over the
   non-sources and installs one law in either engine.
-* ``"auto"`` (default) — counts when the condition is count-capable and
-  ``n`` is at or above the protocol's measured crossover
-  (``Protocol.counts_min_n``); batched otherwise. ``auto`` never picks
-  sequential; ``engine="batched"`` and ``engine="sequential"`` are the
-  explicit overrides.
+* ``"auto"`` (default) — counts whenever the condition is count-capable,
+  at every ``n``; batched otherwise. ``auto`` never picks sequential;
+  ``engine="batched"`` and ``engine="sequential"`` are the explicit
+  overrides.
 
 Per-trial trajectory consumers (``keep_results=True``) are served on every
 engine by attaching a :class:`~repro.trace.FullTrace` recorder and

@@ -81,8 +81,8 @@ def sweep_noise(
     opinion bits it reads directly (its clock message stays clean — the
     noise model covers opinion observations). Since the clock-sync
     vectorization, every registered protocol rides a lock-step engine under
-    ``engine="auto"`` (counts where the cell is count-capable and past the
-    protocol's crossover, batched otherwise), so baseline rows cost the same
+    ``engine="auto"`` (counts where the cell is count-capable, batched
+    otherwise), so baseline rows cost the same
     per trial as FET rows instead of falling back to the per-replica path.
     """
     initializer = initializer if initializer is not None else AllWrong()

@@ -45,8 +45,6 @@ class HysteresisFETProtocol(PairChainCountModel):
     """FET with a symmetric dead-band on the trend comparison."""
 
     passive = True
-    #: measured counts/batched crossover (results/BENCH_counts.json, scan)
-    counts_min_n = 32
 
     def __init__(self, ell: int, band: int) -> None:
         if ell < 1:

@@ -24,8 +24,6 @@ class MajorityProtocol(TwoClassCountModel):
     """Adopt the majority among ``k`` uniform samples (odd ``k``, ties impossible)."""
 
     passive = True
-    #: measured counts/batched crossover (results/BENCH_counts.json, scan)
-    counts_min_n = 32
 
     def __init__(self, k: int = 3) -> None:
         if k < 1 or k % 2 == 0:

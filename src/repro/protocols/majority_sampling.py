@@ -26,8 +26,6 @@ class MajoritySamplingProtocol(TwoClassCountModel):
     """Adopt the majority among ℓ uniform samples; keep opinion on ties."""
 
     passive = True
-    #: measured counts/batched crossover (results/BENCH_counts.json, scan)
-    counts_min_n = 32
 
     def __init__(self, ell: int) -> None:
         if ell < 1:

@@ -29,8 +29,6 @@ class SimpleTrendProtocol(Protocol):
 
     passive = True
     counts_supported = True
-    #: measured counts/batched crossover (results/BENCH_counts.json, scan)
-    counts_min_n = 4096
 
     def __init__(self, ell: int) -> None:
         if ell < 1:

@@ -32,8 +32,6 @@ class UndecidedStateProtocol(Protocol):
 
     passive = True
     counts_supported = True
-    #: measured counts/batched crossover (results/BENCH_counts.json, scan)
-    counts_min_n = 32
     name = "undecided-state"
 
     def init_state_batch(

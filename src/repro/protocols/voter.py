@@ -26,8 +26,6 @@ class VoterProtocol(TwoClassCountModel):
     """Copy one uniformly random agent's opinion each round."""
 
     passive = True
-    #: measured counts/batched crossover (results/BENCH_counts.json, scan)
-    counts_min_n = 32
     name = "voter"
 
     def step_batch(

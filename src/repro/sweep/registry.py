@@ -173,10 +173,6 @@ def _build_majority(params: dict, n: int, correct_opinion: int) -> PopulationSta
     return population
 
 
-def _method_param(params: dict) -> str:
-    return str(params.get("method", "auto"))
-
-
 def _epsilon_param(params: dict) -> float:
     if "epsilon" not in params:
         raise ValueError("the 'noisy' sampler needs an 'epsilon' parameter")
@@ -185,11 +181,8 @@ def _epsilon_param(params: dict) -> float:
 
 #: name -> (batched builder(params) -> BatchedSampler, allowed parameter names)
 _SAMPLERS: dict[str, tuple[Callable[[dict], BatchedSampler], set[str]]] = {
-    "binomial": (lambda p: BatchedBinomialSampler(_method_param(p)), {"method"}),
-    "noisy": (
-        lambda p: BatchedNoisyCountSampler(_epsilon_param(p), _method_param(p)),
-        {"epsilon", "method"},
-    ),
+    "binomial": (lambda p: BatchedBinomialSampler(), set()),
+    "noisy": (lambda p: BatchedNoisyCountSampler(_epsilon_param(p)), {"epsilon"}),
     "index": (
         lambda p: IndexSampler(exclude_self=bool(p.get("exclude_self", False))),
         {"exclude_self"},

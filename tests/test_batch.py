@@ -17,7 +17,7 @@ from repro.core.batch import BatchedEngine, BatchedPopulation, run_protocol_batc
 from repro.core.population import make_population
 from repro.core.protocol import Protocol
 from repro.core.rng import make_rng
-from repro.core.sampling import BatchedBinomialSampler, IndexSampler
+from repro.core.sampling import BatchedBinomialSampler, IndexSampler, batched_binomial_counts
 from repro.experiments.harness import run_trials
 from repro.initializers.standard import AllWrong, BernoulliRandom, ExactFraction
 from repro.protocols.fet import FETProtocol
@@ -292,27 +292,15 @@ class TestEngineEquivalence:
 
 
 class TestRunTrialsDispatch:
-    def test_auto_switches_to_counts_at_the_crossover(self):
-        # FET's measured crossover is n = 100: batched below it, counts from it.
-        below = run_trials(
-            lambda: FETProtocol(16), 99, AllWrong(), trials=8, max_rounds=400, seed=0
-        )
-        at = run_trials(
-            lambda: FETProtocol(16), 100, AllWrong(), trials=8, max_rounds=400, seed=0
-        )
-        assert FETProtocol.counts_min_n == 100
-        assert below.engine == "batched"
-        assert at.engine == "counts"
-        assert below.successes == at.successes == 8
-
     @pytest.mark.parametrize("n,engine", [(99, "batched"), (100, "counts")])
     def test_auto_keeps_results_on_either_lockstep_engine(self, n, engine):
         # keep_results rides the lock-step engines: a FullTrace recorder
         # captures per-replica trajectories and converts them back into
-        # per-trial RunResults, on batched and counts alike.
+        # per-trial RunResults, on batched and counts alike. auto runs the
+        # count-capable cell on counts; batched is the explicit override.
         stats = run_trials(
             lambda: FETProtocol(16), n, AllWrong(), trials=4, max_rounds=400, seed=0,
-            keep_results=True,
+            keep_results=True, engine="batched" if engine == "batched" else "auto",
         )
         assert stats.engine == engine
         assert len(stats.results) == 4
@@ -384,21 +372,17 @@ class TestRunTrialsDispatch:
 
 class TestBatchedSamplerStatistics:
     def test_methods_agree_in_distribution(self):
+        # the draw tiers, forced one at a time, against the broadcast
+        # rng.binomial reference
         rng = make_rng(0)
-        pop = make_population(400, 1)
-        batch = BatchedPopulation.from_population(pop, 6)
-        # put replicas at assorted fractions, including consensus rows
-        fractions = [0.0, 0.05, 0.35, 0.65, 0.97, 1.0]
-        for r, x in enumerate(fractions):
-            ones = int(round(x * 400))
-            batch.opinions[r] = 0
-            batch.opinions[r, :ones] = 1
-        batch.invalidate_cache()
+        # replicas of n = 400 at assorted fractions, including consensus rows
+        fractions = np.array([0.0, 0.05, 0.35, 0.65, 0.97, 1.0])
         draws = {}
         for method in ("auto", "histogram", "binomial", "sparse"):
-            sampler = BatchedBinomialSampler(method)
             draws[method] = np.concatenate(
-                [sampler.counts(batch, 20, rng) for _ in range(40)], axis=1
+                [batched_binomial_counts(rng, 20, fractions, 1, 400, method)[0]
+                 for _ in range(40)],
+                axis=1,
             )
         for r, x in enumerate(fractions):
             ref = draws["binomial"][r]
@@ -413,8 +397,6 @@ class TestBatchedSamplerStatistics:
     def test_moments_match_theory(self):
         rng = make_rng(1)
         x = np.array([0.02, 0.3, 0.5, 0.8, 0.995])
-        from repro.core.sampling import batched_binomial_counts
-
         ell, n = 40, 60000
         counts = batched_binomial_counts(rng, ell, x, 1, n)[0]
         mean = counts.mean(axis=1)
@@ -432,7 +414,7 @@ class TestBatchedSamplerStatistics:
 
     def test_rejects_bad_method(self):
         with pytest.raises(ValueError):
-            BatchedBinomialSampler("alias")
+            batched_binomial_counts(make_rng(0), 5, np.array([0.5]), 1, 10, method="alias")
 
     def test_rejects_negative_ell(self):
         rng = make_rng(3)

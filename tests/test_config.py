@@ -139,6 +139,14 @@ class TestRunSpecBasics:
             demo_spec(engine="gpu")
         with pytest.raises(ValueError, match="noise levels"):
             demo_spec(noise=0.7)
+        # an explicit sampler replaces the noise-derived one: the run would
+        # observe at another ε than its label, row and hash declare
+        with pytest.raises(ValueError, match="conflicts with sampler"):
+            RunSpec(
+                protocol="fet", n=200, noise=0.2, sampler={"name": "binomial"}, trials=50, seed=1
+            )
+        with pytest.raises(ValueError, match="conflicts with sampler"):
+            demo_spec(noise=0.2, sampler={"name": "noisy", "epsilon": 0.01})
 
     def test_protocol_none_cannot_serialize(self):
         spec = RunSpec(protocol=None, n=50, trials=1, max_rounds=10)
@@ -176,7 +184,7 @@ class TestRunSpecExecution:
         )
         assert direct.successes == legacy.successes
         assert np.array_equal(direct.times, legacy.times)
-        # n=120 is past FET's counts crossover: both resolve to counts.
+        # a count-capable FET cell: both resolve to counts.
         assert direct.engine == legacy.engine == "counts"
 
     def test_execute_multisource_population(self):
@@ -242,7 +250,7 @@ class TestSamplerRegistry:
         assert sorted(catalog["initializer"]) == initializer_names()
         assert sorted(catalog["sampler"]) == sampler_names()
         assert catalog["protocol"]["hysteresis-fet"] == ["band", "ell", "sample_constant"]
-        assert catalog["sampler"]["noisy"] == ["epsilon", "method"]
+        assert catalog["sampler"]["noisy"] == ["epsilon"]
 
     def test_noisy_sampler_matches_flip_noise_law(self):
         """The registry's noisy sampler draws Binomial(ℓ, x + ε(1 − 2x)),
@@ -418,6 +426,17 @@ class TestSweepSpecV2:
         with pytest.raises(ValueError, match="num_sources must be in"):
             spec.expand()
 
+    def test_noise_crossed_with_a_sampler_fails_before_dispatch(self):
+        spec = SweepSpec(
+            axes={"protocol": ["fet"], "n": [100], "noise": [0, 0.05], "sampler": ["binomial"]},
+            trials=1,
+            max_rounds=50,
+        )
+        ran = []
+        with pytest.raises(ValueError, match="conflicts with sampler"):
+            run_sweep(spec, work_fn=ran.append)
+        assert ran == []
+
     def test_to_dict_round_trip_with_version(self):
         spec = SweepSpec(
             axes={"protocol": ["fet"], "n": [100], "num_sources": [1, 2]},
@@ -460,13 +479,20 @@ class TestLegacySpecLoading:
         rows were re-recorded when initializers began drawing the
         non-source one-count first and placing it (same law, new draws),
         after a 400-trial check of every bernoulli cell against the old
-        draws; the all-wrong rows never changed."""
+        draws. The FET rows were re-recorded when ``auto`` dropped its size
+        threshold and began running them on counts, after a 400-trial check
+        of all eight FET cells against the batched rows (Fisher on
+        successes, KS on times; the one p < 0.01 re-ran clean at 2000 trials
+        on three further seeds)."""
         spec = load_spec(DATA / "golden_v1_spec.json")
         out = tmp_path / "agg.csv"
         run_sweep(spec).write_csv(out)
         assert out.read_bytes() == (DATA / "golden_v1_aggregate.csv").read_bytes()
 
     def test_v1_theta_aggregate_csv_byte_identical(self, tmp_path):
+        """As above for a θ grid. Both rows were re-recorded when ``auto``
+        began running them on counts, after a 400-trial check against the
+        batched rows (Fisher on cells reaching θ, KS on times)."""
         spec = load_spec(DATA / "golden_v1_theta_spec.json")
         out = tmp_path / "agg.csv"
         run_sweep(spec).write_csv(out)

@@ -260,7 +260,8 @@ class TestSweepObservabilityE2E:
         assert sum(child[0] == "cell" for child in children) == 6
 
     def test_merged_log_contains_all_layers(self):
-        result = run_sweep(small_grid(), jobs=1, tracer=SpanTracer())
+        # draw_tier spans come from the batched engine's per-agent sampler
+        result = run_sweep(small_grid(engine="batched"), jobs=1, tracer=SpanTracer())
         names = {record["name"] for record in result.spans.records}
         assert {"sweep", "dispatch", "cell", "engine.run", "draw_tier"} <= names
         # every span closed: the sweep span is finalized before snapshot

@@ -217,13 +217,6 @@ class TestSparseDrawTier:
         ref = self._draws("binomial", [0.001], seed=12)[:, 0, :].ravel()
         assert scipy_stats.ks_2samp(auto, ref).pvalue > 1e-4
 
-    def test_sampler_accepts_sparse_method(self):
-        from repro.core.sampling import BatchedBinomialSampler
-
-        assert BatchedBinomialSampler("sparse").method == "sparse"
-        with pytest.raises(ValueError):
-            BatchedBinomialSampler("gaps")
-
     def test_denormal_x_terminates_and_returns_modal_fill(self):
         # Regression: x tiny enough that ln(U)/ln(1-q) overflows float64 used
         # to saturate the int64 cast negative and spin the placement loop

@@ -507,7 +507,8 @@ class TestSnapshot:
 
 class TestEngineInstrumentation:
     def test_execute_cell_reports_engine_and_tier_counters(self):
-        cell = small_grid().expand()[0]
+        # sampler tier rows are per-agent draws: the batched engine's
+        cell = small_grid(engine="batched").expand()[0]
         reg = MetricsRegistry()
         with use_registry(reg):
             result = execute_cell(cell)

@@ -436,8 +436,10 @@ class TestThetaAgreement:
 
     @pytest.mark.parametrize("n,engine", [(96, "batched"), (200, "counts")])
     def test_theta_cells_default_to_a_lockstep_engine(self, n, engine):
-        # auto: batched below FET's counts crossover (n = 100), counts from it
+        # auto runs the count-capable θ cell on counts; batched is the
+        # explicit override
         spec = SweepSpec(
+            engine="batched" if engine == "batched" else "auto",
             axes={"protocol": [{"name": "fet", "ell": 20}], "n": [n]},
             trials=2,
             max_rounds=300,
