@@ -11,11 +11,10 @@ same per-comparison sample size ℓ — from benign and adversarial starts.
 from __future__ import annotations
 
 from bench_common import banner, results_path, run_once
-from repro.experiments.harness import run_trials
+from repro.config import RunSpec
 from repro.initializers.adversarial import ZeroSpeedCenter
 from repro.initializers.standard import AllWrong, BernoulliRandom
-from repro.protocols.fet import FETProtocol, ell_for
-from repro.protocols.simple_trend import SimpleTrendProtocol
+from repro.protocols.fet import ell_for
 from repro.viz.csv_out import write_rows
 from repro.viz.tables import format_table
 
@@ -32,18 +31,14 @@ def test_split_sample_ablation(benchmark):
         for n in NS:
             ell = ell_for(n)
             for init_index, init in enumerate(INITS):
-                for label, factory in (
-                    ("FET", lambda ell=ell: FETProtocol(ell)),
-                    ("simple-trend", lambda ell=ell: SimpleTrendProtocol(ell)),
-                ):
-                    stats = run_trials(
-                        factory,
-                        n,
-                        init,
+                for label, name in (("FET", "fet"), ("simple-trend", "simple-trend")):
+                    stats = RunSpec(
+                        protocol={"name": name, "ell": ell},
+                        n=n,
                         trials=TRIALS,
                         max_rounds=MAX_ROUNDS,
                         seed=900 + init_index,
-                    )
+                    ).execute(initializer=init)
                     out.append((n, init.name, label, stats))
         return out
 

@@ -2,7 +2,7 @@
 
 Not a paper artifact: this benchmark tracks the *simulation machinery* itself,
 so the performance trajectory of the engines is measured from the PR that
-introduced the batched path onward. It times ``run_trials`` end to end
+introduced the batched path onward. It times ``RunSpec.execute`` end to end
 (initialization included) for FET on both engines across population sizes and
 the two canonical workloads:
 
@@ -38,11 +38,12 @@ import time
 import numpy as np
 
 from bench_common import banner, results_path, run_once
+from repro.config import RunSpec
 from repro.core.rng import make_rng
 from repro.core.sampling import batched_binomial_counts
-from repro.experiments.harness import TrialStats, run_trials
+from repro.experiments.harness import TrialStats
 from repro.initializers.standard import AllWrong, BernoulliRandom, Initializer
-from repro.protocols.fet import FETProtocol, ell_for
+from repro.protocols.fet import ell_for
 from repro.viz.tables import format_table
 
 #: (n, trials) cells; trials shrink with n to keep the benchmark brisk while
@@ -83,15 +84,14 @@ def run_cell(n: int, trials: int, initializer: Initializer) -> list[dict]:
         seconds = float("inf")
         for _ in range(REPEATS):
             start = time.perf_counter()
-            stats = run_trials(
-                lambda: FETProtocol(ell),
-                n,
-                initializer,
+            stats = RunSpec(
+                protocol={"name": "fet", "ell": ell},
+                n=n,
                 trials=trials,
                 max_rounds=MAX_ROUNDS,
                 seed=SEED,
                 engine=engine,
-            )
+            ).execute(initializer=initializer)
             seconds = min(seconds, time.perf_counter() - start)
         timings[engine] = seconds
         rounds = _executed_rounds(stats)

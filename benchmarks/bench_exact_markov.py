@@ -3,7 +3,7 @@
 For small n the pair process (x_t, x_{t+1}) is solved exactly: we build the
 transition law implied by Observation 1 and compute expected absorption times
 into (1, 1) by linear algebra, then check the Monte-Carlo simulator against
-them. This is the strongest end-to-end validation of the engine: any
+them. This is the strongest end-to-end validation of the engines: any
 discrepancy in sampling, update rule, or source pinning would surface here.
 """
 
@@ -13,58 +13,63 @@ import numpy as np
 
 from bench_common import banner, results_path, run_once
 from repro.analysis.markov import ExactPairChain
-from repro.core.engine import SynchronousEngine
-from repro.core.population import make_population
-from repro.core.rng import spawn_rngs
-from repro.protocols.fet import FETProtocol
+from repro.config import RunSpec
 from repro.viz.csv_out import write_rows
 from repro.viz.tables import format_table
 
 CASES = [(8, 3), (10, 4), (12, 4)]
-TRIALS = 400
+ENGINES = ("batched", "counts")
+TRIALS = 4000
 
 
-def _simulate_mean_absorption(n: int, ell: int, trials: int, seed: int) -> float:
-    total = 0.0
-    for rng in spawn_rngs(seed, trials):
-        proto = FETProtocol(ell)
-        pop = make_population(n, 1)
-        state = {"prev_count": rng.binomial(ell, 1 / n, size=n).astype(np.int64)}
-        engine = SynchronousEngine(proto, pop, rng=rng, state=state)
-        rounds = 0
-        prev_ones = pop.at_correct_consensus()
-        while rounds < 5000:
-            engine.step()
-            rounds += 1
-            now_ones = pop.at_correct_consensus()
-            if prev_ones and now_ones:
-                break
-            prev_ones = now_ones
-        total += rounds
-    return total / trials
+def _absorption_steps(n: int, ell: int, engine: str, seed: int) -> np.ndarray:
+    """Simulated absorption step counts ``t_con + 1`` from the pair state
+    (1, 1): all wrong, with counters as if only the source held 1 last
+    round (the two-round start at ``x_prev = 1/n``, ``x_now = 0``)."""
+    stats = RunSpec(
+        protocol={"name": "fet", "ell": ell},
+        n=n,
+        initializer={"name": "two-round", "x_prev": 1 / n, "x_now": 0.0},
+        trials=TRIALS,
+        max_rounds=5000,
+        seed=seed,
+        engine=engine,
+    ).execute()
+    assert stats.successes == TRIALS, f"n={n} {engine}: a trial missed the budget"
+    return stats.times + 1
 
 
 def test_exact_chain_vs_simulation(benchmark):
     def build():
         rows = []
         for n, ell in CASES:
-            chain = ExactPairChain(n=n, ell=ell)
-            exact = chain.expected_time_from_all_wrong()
-            simulated = _simulate_mean_absorption(n, ell, TRIALS, seed=n * 13 + ell)
-            rows.append((n, ell, exact, simulated, simulated / (exact + 1)))
+            exact = ExactPairChain(n=n, ell=ell).expected_time_from_all_wrong()
+            for engine in ENGINES:
+                steps = _absorption_steps(n, ell, engine, seed=n * 13 + ell)
+                standard_error = float(steps.std(ddof=1) / np.sqrt(TRIALS))
+                rows.append((n, ell, engine, exact, float(steps.mean()), standard_error))
         return rows
 
     rows = run_once(benchmark, build)
     print(banner("Observation 1 — exact absorption times vs. simulated means"))
     print(format_table(
-        ["n", "ell", "exact E[T] from (1,1)", f"simulated mean ({TRIALS} trials)", "sim/(exact+1)"],
-        [[n, e, round(x, 3), round(s, 3), round(r, 3)] for n, e, x, s, r in rows],
+        ["n", "ell", "engine", "exact E[T] from (1,1)", f"mean t_con+1 ({TRIALS} trials)", "z"],
+        [
+            [n, e, engine, round(x, 3), round(s, 3), round((s - x) / se, 2)]
+            for n, e, engine, x, s, se in rows
+        ],
     ))
-    print("(+1: the simulator counts the final pair-transition into (n, n))")
-    write_rows(results_path("exact_markov.csv"), ("n", "ell", "exact", "simulated"), rows)
+    print("(the pair chain reaches (n, n) one round after t_con)")
+    write_rows(
+        results_path("exact_markov.csv"),
+        ("n", "ell", "engine", "exact", "simulated", "standard_error"),
+        rows,
+    )
 
-    for n, ell, exact, simulated, ratio in rows:
-        assert abs(ratio - 1.0) < 0.12, f"n={n}: simulator disagrees with the exact chain"
+    for n, ell, engine, exact, simulated, standard_error in rows:
+        assert abs(simulated - exact) <= 4 * standard_error, (
+            f"n={n} {engine}: simulator disagrees with the exact chain"
+        )
 
 
 def test_absorption_time_heatmap(benchmark):

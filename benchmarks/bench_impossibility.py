@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from bench_common import banner, results_path, run_once
-from repro.core.engine import run_protocol
+from repro.core.engine import SynchronousEngine
 from repro.core.population import make_majority_population, make_population
 from repro.core.rng import make_rng
 from repro.initializers.adversarial import FrozenUnanimity
@@ -36,9 +36,9 @@ def test_impossibility_witness(benchmark):
         for n in SIZES:
             pop = make_majority_population(n, k0=n // 4, k1=n // 8)
             proto = FETProtocol(ell_for(n))
-            result = run_protocol(
-                proto, pop, n * n, rng=make_rng(n), initializer=FrozenUnanimity(opinion=1)
-            )
+            result = SynchronousEngine(
+                proto, pop, rng=make_rng(n), initializer=FrozenUnanimity(opinion=1)
+            ).run(n * n)
             frozen = bool((result.trajectory == 1.0).all())
             out.append((n, n * n, frozen, result.converged))
         return out
@@ -74,7 +74,7 @@ def test_single_source_contrast(benchmark):
         proto = FETProtocol(ell_for(n))
         pop.set_opinions(np.ones(n, dtype=np.uint8))
         state = {"prev_count": np.full(n, proto.ell, dtype=np.int64)}
-        result = run_protocol(proto, pop, 200, rng=make_rng(0), state=state)
+        result = SynchronousEngine(proto, pop, rng=make_rng(0), state=state).run(200)
         return result
 
     result = run_once(benchmark, build)

@@ -7,7 +7,7 @@ per round); this benchmark quantifies what that recording costs relative to
 the untraced batched run the consensus tables use.
 
 It is also the first benchmark expressed as a :class:`~repro.sweep.SweepSpec`
-grid instead of an ad-hoc ``run_trials`` loop (the ROADMAP "migrate the
+grid instead of an ad-hoc loop over trial batches (the ROADMAP "migrate the
 benchmark suite" step): the grid is declared once, expanded into cells, and
 each cell is timed through the orchestrator's own pure
 :func:`~repro.sweep.runner.execute_cell` worker. The traced variant of every

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 
-from repro import DomainPartition, FETProtocol, ell_for, make_population, run_protocol
+from repro import DomainPartition, FETProtocol, SynchronousEngine, ell_for, make_population
 from repro.core import make_rng
 from repro.initializers import PoisonedCounters, TwoRoundTarget, ZeroSpeedCenter
 from repro.viz import format_table
@@ -26,9 +26,9 @@ N = 3000
 def run_from(initializer, seed: int):
     protocol = FETProtocol(ell_for(N))
     population = make_population(N, correct_opinion=1)
-    return run_protocol(
-        protocol, population, max_rounds=20_000, rng=make_rng(seed), initializer=initializer
-    )
+    return SynchronousEngine(
+        protocol, population, rng=make_rng(seed), initializer=initializer
+    ).run(20_000)
 
 
 def main() -> None:

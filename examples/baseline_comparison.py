@@ -18,13 +18,12 @@ from repro import (
     MajorityProtocol,
     MajoritySamplingProtocol,
     OracleClockProtocol,
+    RunSpec,
     SimpleTrendProtocol,
     UndecidedStateProtocol,
     VoterProtocol,
     ell_for,
 )
-from repro.experiments import run_trials
-from repro.initializers import AllWrong
 from repro.viz import format_table
 
 N = 1500
@@ -35,28 +34,23 @@ MAX_ROUNDS = 800  # a poly-log budget: ~4x ln(N)^2.5
 def main() -> None:
     ell = ell_for(N)
     lineup = [
-        ("FET (paper)", lambda: FETProtocol(ell)),
-        ("simple-trend", lambda: SimpleTrendProtocol(ell)),
-        ("voter", lambda: VoterProtocol()),
-        ("3-majority", lambda: MajorityProtocol(3)),
-        ("sample-majority", lambda: MajoritySamplingProtocol(ell)),
-        ("undecided-state", lambda: UndecidedStateProtocol()),
-        ("oracle-clock", lambda: OracleClockProtocol(N, ell=1)),
-        ("clock-sync (non-passive)", lambda: ClockSyncProtocol(N, ell)),
+        ("FET (paper)", FETProtocol(ell)),
+        ("simple-trend", SimpleTrendProtocol(ell)),
+        ("voter", VoterProtocol()),
+        ("3-majority", MajorityProtocol(3)),
+        ("sample-majority", MajoritySamplingProtocol(ell)),
+        ("undecided-state", UndecidedStateProtocol()),
+        ("oracle-clock", OracleClockProtocol(N, ell=1)),
+        ("clock-sync (non-passive)", ClockSyncProtocol(N, ell)),
     ]
 
     rows = []
-    for index, (label, factory) in enumerate(lineup):
-        stats = run_trials(
-            factory,
-            N,
-            AllWrong(),
-            trials=TRIALS,
-            max_rounds=MAX_ROUNDS,
-            seed=42 + index,
-        )
+    for index, (label, proto) in enumerate(lineup):
+        # protocol=None: the live instance below replaces the declared component.
+        stats = RunSpec(
+            protocol=None, n=N, trials=TRIALS, max_rounds=MAX_ROUNDS, seed=42 + index
+        ).execute(protocol=proto)
         summary = stats.time_summary()
-        proto = factory()
         rows.append(
             [
                 label,

@@ -32,18 +32,21 @@ Communication" (arXiv:2203.11522). The package provides:
 
 Quickstart::
 
-    from repro import FETProtocol, ell_for, make_population, run_protocol
+    from repro import FETProtocol, RunSpec, SynchronousEngine, ell_for, make_population
     from repro.initializers import AllWrong
-    from repro.core import make_rng
 
+    # One live population, round by round through the lock-step driver:
     n = 1000
-    rng = make_rng(0)
-    protocol = FETProtocol(ell_for(n))
     population = make_population(n, correct_opinion=1)
-    result = run_protocol(
-        protocol, population, max_rounds=2000, rng=rng, initializer=AllWrong()
+    engine = SynchronousEngine(
+        FETProtocol(ell_for(n)), population, rng=0, initializer=AllWrong()
     )
+    result = engine.run(2000)
     print(result.converged, result.rounds)
+
+    # A batch of independent trials of one declared condition:
+    stats = RunSpec(protocol={"name": "fet"}, n=n, trials=100, seed=0).execute()
+    print(stats.success_rate, stats.time_summary().median)
 """
 
 from .config import RunSpec
@@ -67,7 +70,6 @@ from .core import (
     make_majority_population,
     make_population,
     make_rng,
-    run_protocol,
 )
 from .protocols import (
     ClockSyncProtocol,
@@ -119,7 +121,6 @@ __all__ = [
     "make_majority_population",
     "make_population",
     "make_rng",
-    "run_protocol",
     "run_sweep",
     "theorem1_bound",
     "__version__",

@@ -43,16 +43,12 @@ from typing import Sequence
 
 from .analysis.domains import DomainPartition
 from .config import RunSpec
-from .core.engine import run_protocol
+from .core.engine import SynchronousEngine
 from .core.population import make_population
 from .core.rng import make_rng
 from .experiments.convergence import default_round_budget, fit_scaling, sweep_population_sizes
-from .experiments.harness import run_trials
 from .initializers.standard import AllWrong
 from .protocols.fet import FETProtocol, ell_for
-from .protocols.majority_sampling import MajoritySamplingProtocol
-from .protocols.oracle_clock import OracleClockProtocol
-from .protocols.voter import VoterProtocol
 from .sweep import (
     FaultPolicy,
     ResultsStore,
@@ -469,9 +465,8 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     rng = make_rng(args.seed)
     protocol = FETProtocol(ell_for(n))
     population = make_population(n, correct_opinion=1)
-    result = run_protocol(
-        protocol, population, max_rounds=20_000, rng=rng, initializer=AllWrong()
-    )
+    engine = SynchronousEngine(protocol, population, rng=rng, initializer=AllWrong())
+    result = engine.run(20_000)
     print(f"FET: n={n}, ell={protocol.ell}, all-wrong start")
     print(f"converged={result.converged} in {result.rounds} rounds "
           f"(ln^2.5 n = {math.log(n) ** 2.5:.0f})")
@@ -504,25 +499,26 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     ell = ell_for(n)
     budget = max(200, int(3 * math.log(n) ** 2.5))
     lineup = [
-        ("FET", lambda: FETProtocol(ell)),
-        ("voter", lambda: VoterProtocol()),
-        ("sample-majority", lambda: MajoritySamplingProtocol(ell)),
-        ("oracle-clock", lambda: OracleClockProtocol(n, ell=1)),
+        ("FET", {"name": "fet", "ell": ell}),
+        ("voter", {"name": "voter"}),
+        ("sample-majority", {"name": "sample-majority", "ell": ell}),
+        ("oracle-clock", {"name": "oracle-clock", "ell": 1}),
     ]
     table = []
-    for index, (label, factory) in enumerate(lineup):
-        if args.engine == "counts" and not factory().counts_supported:
-            table.append([label, "no count model", "-"])
-            continue
-        stats = run_trials(
-            factory,
-            n,
-            AllWrong(),
+    for index, (label, component) in enumerate(lineup):
+        spec = RunSpec(
+            protocol=component,
+            n=n,
             trials=args.trials,
             max_rounds=budget,
             seed=args.seed + index,
             engine=args.engine,
         )
+        protocol = spec.build_protocol()
+        if args.engine == "counts" and not protocol.counts_supported:
+            table.append([label, "no count model", "-"])
+            continue
+        stats = spec.execute(protocol=protocol)
         summary = stats.time_summary()
         table.append([
             label,

@@ -19,9 +19,8 @@ registries in :mod:`repro.sweep.registry`, so a spec:
 The layers consume it uniformly:
 
 * :meth:`RunSpec.execute` runs the condition's batch of trials and returns
-  :class:`~repro.experiments.harness.TrialStats` — the legacy
-  :func:`~repro.experiments.harness.run_trials` factory-kwargs signature is
-  now a thin adapter over this method;
+  :class:`~repro.experiments.harness.TrialStats` — the one entry point for
+  a batch of trials;
 * a sweep :class:`~repro.sweep.spec.Cell` *is* a ``RunSpec`` (plus its
   derived seed), so grids, the store, and the dispatcher all speak it;
 * :meth:`RunSpec.batched_engine` hands trace/θ consumers a fully prepared
@@ -135,9 +134,9 @@ class RunSpec:
     ----------
     protocol:
         ``{"name": ..., params}`` component (see the protocol registry), or
-        ``None`` for adapter use where a live ``protocol_factory`` override
-        is supplied to :meth:`execute` — a ``None`` protocol cannot be
-        serialized or hashed. Every component field (``protocol``,
+        ``None`` when a live ``protocol`` instance is supplied to
+        :meth:`execute` — a ``None`` protocol cannot be serialized or
+        hashed. Every component field (``protocol``,
         ``initializer``, ``sampler``, ``population``) also takes a bare
         name, normalized at construction to ``{"name": ...}``, so both forms
         run and hash alike.
@@ -305,7 +304,7 @@ class RunSpec:
 
     def label(self) -> str:
         """Short human-readable tag for logs and errors."""
-        parts = [self.protocol["name"] if self.protocol else "<factory>", f"n={self.n}"]
+        parts = [self.protocol["name"] if self.protocol else "<live>", f"n={self.n}"]
         if self.noise:
             parts.append(f"eps={self.noise}")
         if self.sampler is not None:
@@ -337,14 +336,6 @@ class RunSpec:
         if self.protocol is None:
             raise ValueError("this RunSpec declares no protocol component")
         return build_protocol(self.protocol, self.n)
-
-    def protocol_factory(self) -> Callable[[], "Protocol"]:
-        """Zero-argument factory building a fresh protocol per call."""
-        from .sweep.registry import protocol_factory
-
-        if self.protocol is None:
-            raise ValueError("this RunSpec declares no protocol component")
-        return protocol_factory(self.protocol, self.n)
 
     def build_initializer(self) -> "Initializer":
         """Instantiate the declared initializer component."""
@@ -472,26 +463,27 @@ class RunSpec:
         self,
         *,
         keep_results: bool = False,
-        protocol_factory: Callable[[], "Protocol"] | None = None,
+        protocol: "Protocol | None" = None,
         initializer: "Initializer | None" = None,
         batched_sampler: "BatchedSampler | None" = None,
         population_factory: Callable[[], "PopulationState"] | None = None,
     ) -> "TrialStats":
         """Run the condition's batch of trials and aggregate the outcomes.
 
-        The keyword overrides exist for the legacy factory-kwargs adapters
-        (:func:`~repro.experiments.harness.run_trials`) and for components
-        with no declarative form (crafted populations, scripted samplers);
-        each override replaces the corresponding declared component. All
-        execution — engine choice, observation-model resolution, engine
-        assembly — happens in the harness core behind this method.
+        The keyword overrides take live objects — pre-built instances, or
+        components with no declarative form (crafted populations, scripted
+        samplers); each replaces the corresponding declared component. One
+        protocol instance serves every trial (protocol instances hold round
+        configuration only). All execution — engine choice,
+        observation-model resolution, engine assembly — happens in the
+        harness core behind this method.
         """
         from .experiments.harness import execute_run
 
         return execute_run(
             self,
             keep_results=keep_results,
-            protocol_factory=protocol_factory,
+            protocol=protocol,
             initializer=initializer,
             batched_sampler=batched_sampler,
             population_factory=population_factory,

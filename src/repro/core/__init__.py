@@ -44,17 +44,12 @@ deterministically derived seed. Vectorization scales within a cell, the
 process pool scales across cells.
 """
 
-from .batch import (
-    BatchedEngine,
-    BatchedPopulation,
-    BatchRunResult,
-    run_protocol_batched,
-)
-from .engine import SynchronousEngine, run_protocol
+from .batch import BatchedEngine, BatchedPopulation, BatchRunResult
+from .engine import SynchronousEngine
 from .noise import BatchedNoisyCountSampler, noisy_fraction
 from .population import PopulationState, make_majority_population, make_population
 from .protocol import Protocol, ProtocolState
-from .records import RoundRecord, RunResult
+from .records import RunResult
 from .rng import as_rng, derive_rng, make_rng, spawn_rngs
 from .sampling import (
     BatchedBinomialSampler,
@@ -74,7 +69,6 @@ __all__ = [
     "PopulationState",
     "Protocol",
     "ProtocolState",
-    "RoundRecord",
     "RunResult",
     "SynchronousEngine",
     "as_rng",
@@ -84,7 +78,5 @@ __all__ = [
     "make_population",
     "make_rng",
     "noisy_fraction",
-    "run_protocol",
-    "run_protocol_batched",
     "spawn_rngs",
 ]

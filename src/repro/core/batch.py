@@ -42,7 +42,7 @@ their final value, so per-round logs survive retirement.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
@@ -52,15 +52,11 @@ from .protocol import Protocol, ProtocolState
 from .rng import as_rng
 from .sampling import BatchedBinomialSampler, BatchedSampler
 
-if TYPE_CHECKING:  # pragma: no cover - typing only; trace layers on core
-    from ..trace.recorder import TraceRecorder
-
 __all__ = [
     "BatchedPopulation",
     "BatchRunResult",
     "BatchedEngine",
     "SequentialEngine",
-    "run_protocol_batched",
 ]
 
 
@@ -369,21 +365,3 @@ class SequentialEngine(BatchedEngine):
     def _retire(self, retired: np.ndarray, work: BatchedPopulation, done: np.ndarray) -> None:
         self.final_states = self.states
         super()._retire(retired, work, done)
-
-
-def run_protocol_batched(
-    protocol: Protocol,
-    population: PopulationState,
-    replicas: int,
-    max_rounds: int,
-    *,
-    sampler: BatchedSampler | None = None,
-    rng: int | np.random.Generator | None = None,
-    states: ProtocolState | None = None,
-    stability_rounds: int = 2,
-    recorder: "TraceRecorder | None" = None,
-) -> BatchRunResult:
-    """One-shot convenience: tile ``population`` and run the batched engine."""
-    batch = BatchedPopulation.from_population(population, replicas)
-    engine = BatchedEngine(protocol, batch, sampler=sampler, rng=rng, states=states)
-    return engine.run(max_rounds, stability_rounds=stability_rounds, recorder=recorder)

@@ -21,9 +21,12 @@ drives a one-row batch built on the caller's population and state through
 :func:`~repro.core.lockstep.run_lockstep` — observing through a
 :class:`~repro.core.sampling.BatchedSampler`, stepping through
 ``Protocol.step_batch`` — then writes the final opinions and state back, so
-the population is mutated in place and runs can be chained. An
-``initializer`` is likewise installed through its batched ``apply_batch`` on
-that one-row batch.
+the population is mutated in place and runs can be chained (a caller may
+change the source preferences between runs, as the changing-environment
+experiment does). An ``initializer`` is likewise installed through its
+batched ``apply_batch`` on that one-row batch. Every round of a live
+population runs through :meth:`~SynchronousEngine.run`; there is no
+single-round entry point.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .batch import BatchedPopulation, SequentialEngine
 from .lockstep import run_lockstep
 from .population import PopulationState
 from .protocol import Protocol, ProtocolState
-from .records import RoundRecord, RunResult
+from .records import RunResult
 from .rng import as_rng
 from .sampling import BatchedBinomialSampler, BatchedSampler
 
@@ -47,7 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only; layers built on core
     from ..initializers.standard import Initializer
     from ..trace.recorder import TraceRecorder
 
-__all__ = ["SynchronousEngine", "run_protocol"]
+__all__ = ["SynchronousEngine"]
 
 
 class SynchronousEngine:
@@ -102,7 +105,7 @@ class SynchronousEngine:
         """A fresh one-row engine over the population's live arrays — the
         source structure is read anew on every call, since callers (e.g.
         the changing-environment experiment) flip preferences between
-        steps."""
+        runs."""
         population = self.population
         batch = BatchedPopulation._trusted(
             population.opinions[None, :].copy(),
@@ -125,26 +128,6 @@ class SynchronousEngine:
         self.population.set_opinions(engine.batch.opinions[0])
         self.state.update({key: value[0] for key, value in states.items()})
         self.round_index = engine.round_index
-
-    def step(self) -> RoundRecord:
-        """Run one synchronous round and return its summary.
-
-        Flips are counted against the *published* opinion vectors, i.e. after
-        sources are re-pinned: a source whose tentative opinion deviated but
-        was pinned straight back never changed its public output.
-        """
-        engine = self._engine()
-        x_before = self.population.fraction_ones()
-        old = self.population.opinions
-        engine._step(engine.batch, False, None)
-        engine.round_index += 1
-        self._write_back(engine, engine.states)
-        return RoundRecord(
-            round_index=self.round_index - 1,
-            x_before=x_before,
-            x_after=self.population.fraction_ones(),
-            flips=int(np.count_nonzero(self.population.opinions != old)),
-        )
 
     def run(
         self,
@@ -191,31 +174,3 @@ class SynchronousEngine:
         if not record_flips:
             run_result = replace(run_result, flips=np.zeros(0, dtype=np.int64))
         return run_result
-
-
-def run_protocol(
-    protocol: Protocol,
-    population: PopulationState,
-    max_rounds: int,
-    *,
-    sampler: BatchedSampler | None = None,
-    rng: int | np.random.Generator | None = None,
-    state: ProtocolState | None = None,
-    initializer: "Initializer | None" = None,
-    stability_rounds: int = 2,
-    record_flips: bool = False,
-) -> RunResult:
-    """One-shot convenience wrapper around :class:`SynchronousEngine`."""
-    engine = SynchronousEngine(
-        protocol,
-        population,
-        sampler=sampler,
-        rng=rng,
-        state=state,
-        initializer=initializer,
-    )
-    return engine.run(
-        max_rounds,
-        stability_rounds=stability_rounds,
-        record_flips=record_flips,
-    )

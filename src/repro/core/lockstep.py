@@ -183,12 +183,13 @@ class LockstepEngine(ABC):
 
         Single-shot: retirement compacts the working state down to the
         replicas that were still running, so a second ``run`` on the same
-        engine has no coherent state to resume from and is rejected. Build a
-        fresh engine (or use :class:`~repro.core.engine.SynchronousEngine`,
-        which builds one per ``run`` and writes its final state back) to
-        continue simulating.
+        engine has no coherent state to resume from and is rejected. To
+        continue simulating one population, run it through
+        :class:`~repro.core.engine.SynchronousEngine`, whose every ``run``
+        drives a fresh one-row engine and writes the final opinions and
+        state back into the population.
         """
-        # Same bound and message as run_trials: a 0-round budget cannot
+        # Same bound and message as RunSpec's: a 0-round budget cannot
         # observe anything.
         if max_rounds < 1:
             raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")

@@ -10,21 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["RoundRecord", "RunResult"]
-
-
-@dataclass(frozen=True)
-class RoundRecord:
-    """Summary of a single synchronous round.
-
-    ``x_before``/``x_after`` are the global one-fractions before and after the
-    round; ``flips`` counts agents whose opinion changed.
-    """
-
-    round_index: int
-    x_before: float
-    x_after: float
-    flips: int
+__all__ = ["RunResult"]
 
 
 @dataclass

@@ -13,7 +13,6 @@ from .harness import (
     execute_run,
     make_batched_engine,
     prepare_batch,
-    run_trials,
 )
 from .multisource import SourceRow, sweep_sources
 from .robustness import NoiseRow, sweep_noise
@@ -39,7 +38,6 @@ __all__ = [
     "run_annotated",
     "run_annotated_batch",
     "run_changing_environment",
-    "run_trials",
     "search_worst_start",
     "sweep_noise",
     "sweep_population_sizes",

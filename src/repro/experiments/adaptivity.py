@@ -66,41 +66,44 @@ def run_changing_environment(
 
     The run starts converged on opinion 1. Each cycle flips the source's
     preference (and the population's ``correct_opinion``), then runs
-    ``period`` rounds, recording when the population first fully matches the
-    new correct opinion and how many rounds of the cycle were spent correct.
+    ``period`` rounds as one :meth:`SynchronousEngine.run` that never stops
+    early, and reads off its trajectory when the population first fully
+    matches the new correct opinion and how many rounds of the cycle were
+    spent correct. The engine writes its final opinions and counters back,
+    so each cycle starts from where the last one ended.
     """
     if period < 1:
         raise ValueError(f"period must be >= 1, got {period}")
     if flips < 1:
         raise ValueError(f"flips must be >= 1, got {flips}")
-    rng = as_rng(seed)
     protocol = FETProtocol(ell)
     population = make_population(n, correct_opinion=1)
     population.set_opinions(np.ones(n, dtype=np.uint8))
     state = {"prev_count": np.full(n, ell, dtype=np.int64)}
-    engine = SynchronousEngine(protocol, population, rng=rng, state=state)
+    engine = SynchronousEngine(protocol, population, rng=as_rng(seed), state=state)
 
     result = AdaptivityResult(n=n, period=period, flips=flips)
     correct_rounds = 0
-    total_rounds = 0
     for _ in range(flips):
         new_correct = 1 - population.correct_opinion
         population.correct_opinion = new_correct
         population.source_preferences[population.source_mask] = new_correct
         population.pin_sources()
 
-        lag = None
-        for t in range(period):
-            engine.step()
-            total_rounds += 1
-            if population.at_correct_consensus():
-                correct_rounds += 1
-                if lag is None:
-                    lag = t + 1
-        if lag is None:
+        run = engine.run(period, stop_condition=_never)
+        # trajectory[t] is the one-fraction after round t of the cycle; the
+        # whole population is correct exactly when it equals the new bit.
+        correct = run.trajectory[1:] == float(new_correct)
+        correct_rounds += int(np.count_nonzero(correct))
+        if correct.any():
+            result.lags.append(int(np.argmax(correct)) + 1)
+        else:
             result.missed += 1
             result.lags.append(period)
-        else:
-            result.lags.append(lag)
-    result.correct_time_fraction = correct_rounds / total_rounds if total_rounds else 0.0
+    result.correct_time_fraction = correct_rounds / (period * flips)
     return result
+
+
+def _never(population) -> bool:
+    """Stop condition of a cycle: run its full period."""
+    return False

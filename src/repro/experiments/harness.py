@@ -13,9 +13,7 @@ above it speaks :class:`~repro.config.RunSpec`:
   path: the prepared lock-step engines that run a spec's trials;
 * :func:`make_batched_engine` — the core behind
   :meth:`RunSpec.batched_engine`: a fully prepared lock-step engine for
-  trace/θ consumers;
-* :func:`run_trials` — the legacy factory-kwargs signature, kept working
-  as a thin adapter over :meth:`RunSpec.execute`.
+  trace/θ consumers.
 
 Three execution engines are available; :meth:`RunSpec.resolve_engine`
 maps the ``engine`` policy onto one of them. All three run on the one
@@ -80,7 +78,6 @@ __all__ = [
     "make_lockstep_engines",
     "prepare_batch",
     "prepare_counts",
-    "run_trials",
 ]
 
 
@@ -129,67 +126,11 @@ class TrialStats:
         }
 
 
-def run_trials(
-    protocol_factory: Callable[[], Protocol],
-    n: int,
-    initializer: Initializer,
-    *,
-    trials: int,
-    max_rounds: int,
-    seed: int,
-    correct_opinion: int = 1,
-    population_factory: Callable[[], PopulationState] | None = None,
-    stability_rounds: int = 2,
-    keep_results: bool = False,
-    engine: str = "auto",
-    batched_sampler: BatchedSampler | None = None,
-) -> TrialStats:
-    """Run ``trials`` independent runs and aggregate their outcomes.
-
-    Legacy factory-kwargs front door, kept stable: it adapts its arguments
-    onto a :class:`~repro.config.RunSpec` and calls
-    :meth:`~repro.config.RunSpec.execute` with the factories as live-object
-    overrides. New code should construct the ``RunSpec`` directly — the
-    declarative components cover the common cases (including noisy
-    observation models via ``noise``/``sampler``) without any factory
-    plumbing.
-
-    Each trial gets a fresh population, is initialized by ``initializer``,
-    and runs to convergence or ``max_rounds``. ``trials=0`` is allowed and
-    yields an empty aggregate (no successes, empty ``times``, NaN
-    summaries) without touching any engine. ``batched_sampler`` supplies
-    the observation model (e.g.
-    :class:`~repro.core.noise.BatchedNoisyCountSampler`); declaratively-built
-    specs do not need it.
-    """
-    if trials < 0:
-        raise ValueError(f"trials must be >= 0, got {trials}")
-    if max_rounds < 1:
-        raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
-    spec = RunSpec(
-        protocol=None,
-        n=n,
-        trials=trials,
-        max_rounds=max_rounds,
-        seed=seed,
-        correct_opinion=correct_opinion,
-        stability_rounds=stability_rounds,
-        engine=engine,
-    )
-    return spec.execute(
-        keep_results=keep_results,
-        protocol_factory=protocol_factory,
-        initializer=initializer,
-        batched_sampler=batched_sampler,
-        population_factory=population_factory,
-    )
-
-
 def execute_run(
     spec: RunSpec,
     *,
     keep_results: bool = False,
-    protocol_factory: Callable[[], Protocol] | None = None,
+    protocol: Protocol | None = None,
     initializer: Initializer | None = None,
     batched_sampler: BatchedSampler | None = None,
     population_factory: Callable[[], PopulationState] | None = None,
@@ -197,21 +138,19 @@ def execute_run(
     """Execution core of :meth:`RunSpec.execute` (see the module docstring).
 
     Keyword overrides replace the spec's declarative components with live
-    objects — the adapter path of :func:`run_trials` and the escape hatch
-    for components with no declarative form. The engine comes from
-    :meth:`RunSpec.resolve_engine` (a live ``population_factory`` keeps
-    ``"auto"`` off the counts engine, as does a ``batched_sampler`` without
-    ``effective_fractions``).
+    objects — pre-built instances, or components with no declarative form.
+    The engine comes from :meth:`RunSpec.resolve_engine` (a live
+    ``population_factory`` keeps ``"auto"`` off the counts engine, as does a
+    ``batched_sampler`` without ``effective_fractions``).
     """
-    if protocol_factory is None:
-        protocol_factory = spec.protocol_factory()
+    if protocol is None:
+        protocol = spec.build_protocol()
     if initializer is None:
         initializer = spec.build_initializer()
     custom_population = population_factory is not None
     if batched_sampler is None:
         batched_sampler = spec.samplers()
     max_rounds = spec.resolved_max_rounds()
-    protocol = protocol_factory()
     engine = spec.resolve_engine(
         protocol,
         batched_sampler=batched_sampler,

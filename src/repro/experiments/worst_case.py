@@ -19,11 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.engine import run_protocol
-from ..core.population import make_population
-from ..core.rng import derive_rng
-from ..initializers.adversarial import TwoRoundTarget
-from ..protocols.fet import FETProtocol
+from ..sweep.orchestrator import run_sweep
+from ..sweep.spec import SweepSpec
 
 __all__ = ["WorstCaseResult", "search_worst_start"]
 
@@ -40,31 +37,44 @@ class WorstCaseResult:
     all_converged: bool
 
 
-def _score(
+def _score_pass(
     n: int,
     ell: int,
-    x_prev: float,
-    x_now: float,
+    starts: list[tuple[float, float]],
     *,
     runs: int,
     budget: int,
     seed: int,
-) -> tuple[float, int, bool]:
-    """Mean/max convergence time of FET from the given pair (seeded)."""
-    times = []
-    converged_all = True
-    for r in range(runs):
-        rng = derive_rng(seed, int(x_prev * 1000), int(x_now * 1000), r)
-        result = run_protocol(
-            FETProtocol(ell),
-            make_population(n, 1),
-            budget,
-            rng=rng,
-            initializer=TwoRoundTarget(x_prev, x_now),
-        )
-        converged_all &= result.converged
-        times.append(result.rounds)
-    return float(np.mean(times)), int(max(times)), converged_all
+) -> list[tuple[float, int, bool]]:
+    """Mean/max convergence time and all-converged flag of FET from each
+    ``(x_prev, x_now)`` start, a run that never converged counting as
+    ``budget`` rounds.
+
+    The starts are one sweep's initializer axis: each is a cell whose seed
+    derives from its content hash, so distinct starts draw independent
+    streams however close they are.
+    """
+    spec = SweepSpec(
+        name="worst-start",
+        seed=seed,
+        trials=runs,
+        axes={
+            "protocol": [{"name": "fet", "ell": int(ell)}],
+            "n": [n],
+            "initializer": [
+                {"name": "two-round", "x_prev": xp, "x_now": xn} for xp, xn in starts
+            ],
+        },
+        max_rounds=budget,
+    )
+    scores = []
+    for result in run_sweep(spec).results:
+        stats = result.stats()
+        missed = stats.trials - stats.successes
+        mean = (float(stats.times.sum()) + missed * budget) / stats.trials
+        worst = budget if missed else int(stats.times.max())
+        scores.append((mean, worst, missed == 0))
+    return scores
 
 
 def search_worst_start(
@@ -80,26 +90,32 @@ def search_worst_start(
     """Grid-then-refine search for the worst (x_prev, x_now) start.
 
     ``coarse`` points per axis on the first pass; each refinement zooms by 3x
-    around the current worst cell. Scores are deterministic given ``seed``.
+    around the current worst cell. Each pass scores its ``coarse²``
+    candidates as one sweep on ``engine="auto"`` (the counts engine, for
+    FET), ``runs_per_candidate`` trials per candidate. Scores are
+    deterministic given ``seed``.
     """
     if coarse < 2:
         raise ValueError(f"coarse grid needs >= 2 points per axis, got {coarse}")
+    if runs_per_candidate < 1:
+        raise ValueError(f"runs_per_candidate must be >= 1, got {runs_per_candidate}")
     lo_p, hi_p = 0.0, 1.0
     lo_n, hi_n = 0.0, 1.0
     best = (-1.0, 0, True, 0.5, 0.5)  # (mean, max, converged, x_prev, x_now)
     evaluations = 0
     for _ in range(refine_steps + 1):
-        xs_prev = np.linspace(lo_p, hi_p, coarse)
-        xs_now = np.linspace(lo_n, hi_n, coarse)
-        for xp in xs_prev:
-            for xn in xs_now:
-                mean, worst, ok = _score(
-                    n, ell, float(xp), float(xn),
-                    runs=runs_per_candidate, budget=budget, seed=seed,
-                )
-                evaluations += 1
-                if mean > best[0]:
-                    best = (mean, worst, ok, float(xp), float(xn))
+        starts = [
+            (float(xp), float(xn))
+            for xp in np.linspace(lo_p, hi_p, coarse)
+            for xn in np.linspace(lo_n, hi_n, coarse)
+        ]
+        scores = _score_pass(
+            n, ell, starts, runs=runs_per_candidate, budget=budget, seed=seed
+        )
+        evaluations += len(starts)
+        for (xp, xn), (mean, worst, ok) in zip(starts, scores):
+            if mean > best[0]:
+                best = (mean, worst, ok, xp, xn)
         # Zoom in around the worst cell found so far.
         span_p = (hi_p - lo_p) / 3
         span_n = (hi_n - lo_n) / 3

@@ -70,7 +70,6 @@ from .registry import (
     build_samplers,
     component_catalog,
     initializer_names,
-    protocol_factory,
     protocol_names,
     sampler_names,
     validate_cell,
@@ -90,7 +89,6 @@ from .spec import (
     SPEC_VERSION,
     Cell,
     SweepSpec,
-    derive_cell_seed,
     fet_demo_spec,
     load_spec,
 )
@@ -122,14 +120,12 @@ __all__ = [
     "build_protocol",
     "build_samplers",
     "component_catalog",
-    "derive_cell_seed",
     "execute_cell",
     "fet_demo_spec",
     "initializer_names",
     "load_spec",
     "make_dispatcher",
     "measure_kinds",
-    "protocol_factory",
     "protocol_names",
     "register_measure",
     "run_sweep",

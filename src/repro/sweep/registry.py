@@ -76,7 +76,6 @@ __all__ = [
     "initializer_names",
     "population_factory",
     "population_names",
-    "protocol_factory",
     "protocol_names",
     "sampler_names",
     "validate_cell",
@@ -228,18 +227,6 @@ def build_protocol(spec: dict, n: int) -> Protocol:
         raise ValueError(f"unknown protocol {name!r}; known protocols: {protocol_names()}")
     builder, allowed = _PROTOCOLS[name]
     return builder(_params(spec, "protocol", allowed), n)
-
-
-def protocol_factory(spec: dict, n: int) -> Callable[[], Protocol]:
-    """Zero-argument factory building a fresh protocol instance per call.
-
-    The first instantiation (inside the factory's creator) surfaces spec
-    errors immediately; the orchestrator additionally validates every cell
-    *before* dispatching (:func:`validate_cell`), so bad specs fail fast in
-    the orchestrating process rather than inside a pool worker.
-    """
-    build_protocol(spec, n)
-    return lambda: build_protocol(spec, n)
 
 
 def build_initializer(spec: dict) -> Initializer:

@@ -53,10 +53,11 @@ from ..trace import (
     settle_rounds,
     window_mean_after,
 )
-from .registry import build_initializer, protocol_factory
+from .registry import build_initializer, build_protocol
 from .spec import Cell
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..core.protocol import Protocol
     from ..experiments.harness import TrialStats
 
 # The experiment drivers in repro.experiments build on this package, so the
@@ -253,18 +254,18 @@ class CellResult:
 
 # --------------------------------------------------------- measure registry
 
-#: kind -> (executor(cell, factory, initializer) -> payload, validator(measure))
+#: kind -> (executor(cell, protocol, initializer) -> payload, validator(measure))
 _MEASURES: dict[str, tuple[Callable, Callable[[dict], None] | None]] = {}
 
 
 def register_measure(
     kind: str,
-    executor: Callable[[Cell, Callable, object], dict],
+    executor: Callable[[Cell, "Protocol", object], dict],
     validator: Callable[[dict], None] | None = None,
 ) -> None:
     """Register a measurement kind for sweep cells.
 
-    ``executor(cell, protocol_factory, initializer)`` must return a JSON-able
+    ``executor(cell, protocol, initializer)`` must return a JSON-able
     payload dict carrying at least ``measure``, ``protocol``,
     ``initializer``, ``times`` and ``engine`` (the contract
     :meth:`CellResult.row` renders); include ``successes`` (or ``reached``)
@@ -300,13 +301,13 @@ def execute_cell(cell: Cell) -> CellResult:
     The measured wall-clock rides along as :attr:`CellResult.elapsed_s`
     (persisted through the store's provenance stamp).
     """
-    factory = protocol_factory(cell.protocol, cell.n)
+    protocol = build_protocol(cell.protocol, cell.n)
     initializer = build_initializer(cell.initializer)
     kind = cell.measure["kind"]
     if kind not in _MEASURES:
         raise ValueError(f"unknown measure kind {cell.measure!r}")
     start = time.perf_counter()
-    payload = _MEASURES[kind][0](cell, factory, initializer)
+    payload = _MEASURES[kind][0](cell, protocol, initializer)
     return CellResult(
         key=cell.key(),
         cell=cell.to_dict(),
@@ -392,10 +393,10 @@ def _base_payload(kind: str, protocol_name: str, initializer, engine: str) -> di
 # ------------------------------------------------------------- consensus
 
 
-def _measure_consensus(cell: Cell, factory, initializer) -> dict:
+def _measure_consensus(cell: Cell, protocol, initializer) -> dict:
     # The cell IS a RunSpec: its executor resolves the observation model
     # (noise/sampler), population shape, and engine policy itself.
-    stats = cell.execute(protocol_factory=factory, initializer=initializer)
+    stats = cell.execute(protocol=protocol, initializer=initializer)
     return {
         "measure": "consensus",
         "protocol": stats.protocol_name,
@@ -419,7 +420,7 @@ def _validate_theta(measure: dict) -> None:
         raise ValueError(f"settle_window must be >= 0, got {measure['settle_window']}")
 
 
-def _measure_theta(cell: Cell, factory, initializer) -> dict:
+def _measure_theta(cell: Cell, protocol, initializer) -> dict:
     """θ-convergence + settle level, on the lock-step engines.
 
     Every engine (counts, batched, or the per-trial engines of
@@ -431,7 +432,6 @@ def _measure_theta(cell: Cell, factory, initializer) -> dict:
     """
     theta = float(cell.measure["theta"])
     settle_window = int(cell.measure.get("settle_window", 20))
-    protocol = factory()
     engine = cell.resolve_engine(protocol)
     base = _base_payload("theta", protocol.name, initializer, engine)
     base.update({"reached": 0, "settle_levels": [], "theta": theta, "settle_window": settle_window})
@@ -473,7 +473,7 @@ def _validate_trace(measure: dict) -> None:
         raise ValueError(f"tolerance must be >= 0, got {measure['tolerance']}")
 
 
-def _measure_trace(cell: Cell, factory, initializer) -> dict:
+def _measure_trace(cell: Cell, protocol, initializer) -> dict:
     """Convergence aggregates plus trace-derived trajectory statistics.
 
     Runs the cell's trials on a lock-step engine (counts when the cell's
@@ -497,7 +497,6 @@ def _measure_trace(cell: Cell, factory, initializer) -> dict:
     ring = cell.measure.get("ring")
     flips = bool(cell.measure.get("flips", False))
     tolerance = float(cell.measure.get("tolerance", 0.0))
-    protocol = factory()
     engine = cell.resolve_engine(protocol)
     base = _base_payload("trace", protocol.name, initializer, engine)
     base.update({"successes": 0, "settle_rounds": [], "recorded_columns": 0})

@@ -31,7 +31,7 @@ instead (their value lists must have equal length), e.g. zipping ``n``
 with ``initializer`` pairs the i-th population size with the i-th start.
 
 Every cell receives its own integer seed derived from the spec's base seed
-and a content hash of the cell's configuration (:func:`derive_cell_seed`).
+and a content hash of the cell's configuration (:func:`~repro.config.derive_seed`).
 The derivation is a :class:`numpy.random.SeedSequence` over distinct
 entropy tuples, so cell streams are independent by construction, and —
 because the hash covers only the cell's own configuration — a cell keeps
@@ -49,7 +49,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
-from ..config import RUN_SCHEMA, RunSpec, canonical_json, derive_seed, normalize_component
+from ..config import RunSpec, canonical_json, derive_seed, normalize_component
 
 __all__ = [
     "AXES",
@@ -58,7 +58,6 @@ __all__ = [
     "Cell",
     "SweepSpec",
     "canonical_json",
-    "derive_cell_seed",
     "fet_demo_spec",
     "load_spec",
 ]
@@ -88,14 +87,8 @@ DOTTED_ROOTS = ("protocol", "initializer", "sampler", "measure")
 #: version 1 (core axes only) and load unchanged.
 SPEC_VERSION = 2
 
-#: Back-compat alias: the cell schema is the run-spec schema.
-CELL_SCHEMA = RUN_SCHEMA
-
 #: A sweep cell is a complete run description plus its derived seed.
 Cell = RunSpec
-
-#: Back-compat alias for the seed derivation (now in :mod:`repro.config`).
-derive_cell_seed = derive_seed
 
 
 def _int_values(values: list, axis: str, minimum: int) -> list[int]:
@@ -348,7 +341,7 @@ class SweepSpec:
                 linger_rounds=coords.get("linger_rounds", 0),
                 population=coords.get("population"),
             )
-            seed = derive_cell_seed(self.seed, draft.spec_dict())
+            seed = derive_seed(self.seed, draft.spec_dict())
             cells.append(replace(draft, seed=seed))
         return cells
 

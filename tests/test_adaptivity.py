@@ -66,3 +66,17 @@ class TestAdaptation:
         b = run_changing_environment(800, 40, period=50, flips=4, seed=9)
         assert a.lags == b.lags
         assert a.correct_time_fraction == b.correct_time_fraction
+
+
+class TestBookkeeping:
+    def test_correct_rounds_follow_from_the_lags(self):
+        """For FET at ε = 0 the first all-correct round is absorbing, so a
+        cycle that re-converges at round ``lag`` is correct for exactly
+        ``period − lag + 1`` of its rounds."""
+        n, period, flips = 800, 30, 6
+        result = run_changing_environment(n, ell_for(n), period=period, flips=flips, seed=11)
+        assert result.missed == 0
+        correct_rounds = sum(period - lag + 1 for lag in result.lags)
+        assert result.correct_time_fraction * period * flips == pytest.approx(
+            correct_rounds, rel=1e-12
+        )

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import scripted_sampler, step_row
-from repro.core.engine import run_protocol
+from repro.core.engine import SynchronousEngine
 from repro.core.population import make_population
 from repro.core.rng import make_rng
 from repro.initializers.standard import AllWrong
@@ -36,7 +36,7 @@ class TestVoter:
         proto = VoterProtocol()
         pop = make_population(n, 1)
         rng = make_rng(0)
-        result = run_protocol(proto, pop, 300, rng=rng, initializer=AllWrong())
+        result = SynchronousEngine(proto, pop, rng=rng, initializer=AllWrong()).run(300)
         assert not result.converged
 
     def test_preserves_consensus_of_nonsource_free_system(self):
@@ -44,7 +44,7 @@ class TestVoter:
         proto = VoterProtocol()
         pop = make_population(n, 1)
         pop.set_opinions(np.ones(n, dtype=np.uint8))
-        result = run_protocol(proto, pop, 20, rng=1)
+        result = SynchronousEngine(proto, pop, rng=1).run(20)
         assert result.converged
         assert result.rounds == 0
 
@@ -71,7 +71,7 @@ class TestMajority:
         proto = MajorityProtocol(3)
         pop = make_population(n, 1)
         rng = make_rng(2)
-        result = run_protocol(proto, pop, 200, rng=rng, initializer=AllWrong())
+        result = SynchronousEngine(proto, pop, rng=rng, initializer=AllWrong()).run(200)
         assert not result.converged
         assert result.final_fraction < 0.05  # stuck near the wrong consensus
 
@@ -82,7 +82,7 @@ class TestMajority:
         opinions = np.zeros(n, dtype=np.uint8)
         opinions[:700] = 1
         pop.adversarial_opinions(opinions)
-        result = run_protocol(proto, pop, 200, rng=3)
+        result = SynchronousEngine(proto, pop, rng=3).run(200)
         assert result.converged
 
 
@@ -105,7 +105,7 @@ class TestMajoritySampling:
         proto = MajoritySamplingProtocol(20)
         pop = make_population(n, 1)
         rng = make_rng(4)
-        result = run_protocol(proto, pop, 300, rng=rng, initializer=AllWrong())
+        result = SynchronousEngine(proto, pop, rng=rng, initializer=AllWrong()).run(300)
         assert not result.converged
         assert result.final_fraction < 0.05
 
@@ -148,6 +148,6 @@ class TestUndecided:
         proto = UndecidedStateProtocol()
         pop = make_population(n, 1)
         rng = make_rng(5)
-        result = run_protocol(proto, pop, 300, rng=rng, initializer=AllWrong())
+        result = SynchronousEngine(proto, pop, rng=rng, initializer=AllWrong()).run(300)
         assert not result.converged
         assert result.final_fraction < 0.05

@@ -13,17 +13,12 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from repro.core.batch import BatchedEngine, BatchedPopulation, run_protocol_batched
+from repro.config import RunSpec
+from repro.core.batch import BatchedEngine, BatchedPopulation
 from repro.core.population import make_population
 from repro.core.protocol import Protocol
 from repro.core.rng import make_rng
 from repro.core.sampling import BatchedBinomialSampler, IndexSampler, batched_binomial_counts
-from repro.experiments.harness import run_trials
-from repro.initializers.standard import AllWrong, BernoulliRandom, ExactFraction
-from repro.protocols.fet import FETProtocol
-from repro.protocols.majority_sampling import MajoritySamplingProtocol
-from repro.protocols.simple_trend import SimpleTrendProtocol
-from repro.protocols.voter import VoterProtocol
 
 
 class GrowOneProtocol(Protocol):
@@ -118,17 +113,17 @@ class TestBatchedEngineSemantics:
         with pytest.raises(ValueError):
             engine.run(-1)
 
-    def test_rejects_zero_max_rounds_like_run_trials(self):
-        # Regression: the engine used to accept max_rounds=0 while run_trials
-        # rejected it; both layers must refuse with the same message.
+    def test_rejects_zero_max_rounds_like_run_spec(self):
+        # Regression: the engine used to accept max_rounds=0 while the trial
+        # harness rejected it; both layers must refuse with the same message.
         pop = make_population(10, 1)
         engine = BatchedEngine(FlipAllProtocol(), BatchedPopulation.from_population(pop, 2), rng=0)
         with pytest.raises(ValueError, match="max_rounds must be >= 1, got 0"):
             engine.run(0)
         with pytest.raises(ValueError, match="max_rounds must be >= 1, got 0"):
-            run_trials(
-                lambda: FETProtocol(8), 10, AllWrong(), trials=2, max_rounds=0, seed=0
-            )
+            RunSpec(
+                protocol={"name": "fet", "ell": 8}, n=10, trials=2, max_rounds=0, seed=0
+            ).execute()
 
     def test_run_is_single_shot(self):
         # Retirement compacts the state arrays, so a second run has nothing
@@ -189,7 +184,8 @@ class TestBatchedEngineSemantics:
 
     def test_non_converged_reports_max_rounds(self):
         pop = make_population(6, 1)
-        result = run_protocol_batched(FlipAllProtocol(), pop, 3, 9, rng=0)
+        engine = BatchedEngine(FlipAllProtocol(), BatchedPopulation.from_population(pop, 3), rng=0)
+        result = engine.run(9)
         assert not result.converged.any()
         assert (result.rounds == 9).all()
         assert (result.rounds_executed == 9).all()
@@ -202,15 +198,18 @@ def _times(stats):
 class TestEngineEquivalence:
     """Batched vs sequential: success rates and time distributions agree."""
 
-    def check(self, factory, n, initializer, *, trials, max_rounds, seed,
-              batched_sampler=None, expect_success=None):
-        seq = run_trials(
-            factory, n, initializer, trials=trials, max_rounds=max_rounds, seed=seed,
-            engine="sequential", batched_sampler=batched_sampler,
-        )
-        bat = run_trials(
-            factory, n, initializer, trials=trials, max_rounds=max_rounds, seed=seed,
-            engine="batched", batched_sampler=batched_sampler,
+    def check(self, protocol, n, initializer, *, trials, max_rounds, seed, expect_success=None):
+        seq, bat = (
+            RunSpec(
+                protocol=protocol,
+                n=n,
+                initializer=initializer,
+                trials=trials,
+                max_rounds=max_rounds,
+                seed=seed,
+                engine=engine,
+            ).execute()
+            for engine in ("sequential", "batched")
         )
         assert bat.engine == "batched" and seq.engine == "sequential"
         # success-rate agreement at CI level (overlapping Wilson intervals)
@@ -231,19 +230,19 @@ class TestEngineEquivalence:
 
     def test_fet_equivalent(self):
         self.check(
-            lambda: FETProtocol(24), 300, AllWrong(),
+            {"name": "fet", "ell": 24}, 300, "all-wrong",
             trials=300, max_rounds=1500, seed=11, expect_success=1.0,
         )
 
     def test_fet_random_start_equivalent(self):
         self.check(
-            lambda: FETProtocol(24), 300, BernoulliRandom(0.5),
+            {"name": "fet", "ell": 24}, 300, {"name": "bernoulli", "p": 0.5},
             trials=300, max_rounds=1500, seed=12, expect_success=1.0,
         )
 
     def test_simple_trend_equivalent(self):
         self.check(
-            lambda: SimpleTrendProtocol(24), 300, AllWrong(),
+            {"name": "simple-trend", "ell": 24}, 300, "all-wrong",
             trials=200, max_rounds=1500, seed=13, expect_success=1.0,
         )
 
@@ -251,7 +250,7 @@ class TestEngineEquivalence:
         # Small n so the voter's polynomial escape is reachable; compare the
         # full outcome distribution, successes and failures alike.
         self.check(
-            lambda: VoterProtocol(), 24, BernoulliRandom(0.5),
+            "voter", 24, {"name": "bernoulli", "p": 0.5},
             trials=300, max_rounds=400, seed=14,
         )
 
@@ -259,21 +258,21 @@ class TestEngineEquivalence:
         # Correct-majority random start: sample-majority amplifies to the
         # correct consensus quickly.
         self.check(
-            lambda: MajoritySamplingProtocol(24), 300, BernoulliRandom(0.75),
+            {"name": "sample-majority", "ell": 24}, 300, {"name": "bernoulli", "p": 0.75},
             trials=300, max_rounds=400, seed=15, expect_success=1.0,
         )
 
     def test_majority_sampling_lockin_equivalent(self):
         # All-wrong start: both engines must agree the protocol fails.
         seq, bat = self.check(
-            lambda: MajoritySamplingProtocol(24), 300, AllWrong(),
+            {"name": "sample-majority", "ell": 24}, 300, "all-wrong",
             trials=60, max_rounds=120, seed=16,
         )
         assert seq.successes == 0 and bat.successes == 0
 
     def test_exact_fraction_equivalent(self):
         self.check(
-            lambda: FETProtocol(24), 300, ExactFraction(0.7),
+            {"name": "fet", "ell": 24}, 300, {"name": "fraction", "x": 0.7},
             trials=200, max_rounds=1500, seed=17, expect_success=1.0,
         )
 
@@ -286,7 +285,7 @@ class TestEngineEquivalence:
         n = 200
         budget = 40 * ClockSyncProtocol(n, 8).period
         self.check(
-            lambda: ClockSyncProtocol(n, ell_for(n)), n, AllWrong(),
+            {"name": "clock-sync", "ell": ell_for(n)}, n, "all-wrong",
             trials=120, max_rounds=budget, seed=18, expect_success=1.0,
         )
 
@@ -298,10 +297,14 @@ class TestRunTrialsDispatch:
         # captures per-replica trajectories and converts them back into
         # per-trial RunResults, on batched and counts alike. auto runs the
         # count-capable cell on counts; batched is the explicit override.
-        stats = run_trials(
-            lambda: FETProtocol(16), n, AllWrong(), trials=4, max_rounds=400, seed=0,
-            keep_results=True, engine="batched" if engine == "batched" else "auto",
-        )
+        stats = RunSpec(
+            protocol={"name": "fet", "ell": 16},
+            n=n,
+            trials=4,
+            max_rounds=400,
+            seed=0,
+            engine="batched" if engine == "batched" else "auto",
+        ).execute(keep_results=True)
         assert stats.engine == engine
         assert len(stats.results) == 4
         for result in stats.results:
@@ -310,30 +313,41 @@ class TestRunTrialsDispatch:
             assert result.trajectory.shape[0] >= result.rounds + 1
 
     def test_sequential_escape_hatch_for_keep_results(self):
-        stats = run_trials(
-            lambda: FETProtocol(16), 100, AllWrong(), trials=4, max_rounds=400, seed=0,
-            keep_results=True, engine="sequential",
-        )
+        stats = RunSpec(
+            protocol={"name": "fet", "ell": 16},
+            n=100,
+            trials=4,
+            max_rounds=400,
+            seed=0,
+            engine="sequential",
+        ).execute(keep_results=True)
         assert stats.engine == "sequential"
         assert len(stats.results) == 4
 
     def test_auto_runs_custom_sampler_batched(self):
-        stats = run_trials(
-            lambda: FETProtocol(16), 100, AllWrong(), trials=4, max_rounds=400, seed=0,
-            batched_sampler=IndexSampler(),
-        )
+        stats = RunSpec(
+            protocol={"name": "fet", "ell": 16}, n=100, trials=4, max_rounds=400, seed=0
+        ).execute(batched_sampler=IndexSampler())
         assert stats.engine == "batched"
         assert stats.successes == 4
 
     def test_batched_keep_results_matches_sequential_shape(self):
-        seq = run_trials(
-            lambda: FETProtocol(16), 100, AllWrong(), trials=4, max_rounds=400,
-            seed=0, engine="sequential", keep_results=True,
-        )
-        bat = run_trials(
-            lambda: FETProtocol(16), 100, AllWrong(), trials=4, max_rounds=400,
-            seed=0, engine="batched", keep_results=True,
-        )
+        seq = RunSpec(
+            protocol={"name": "fet", "ell": 16},
+            n=100,
+            trials=4,
+            max_rounds=400,
+            seed=0,
+            engine="sequential",
+        ).execute(keep_results=True)
+        bat = RunSpec(
+            protocol={"name": "fet", "ell": 16},
+            n=100,
+            trials=4,
+            max_rounds=400,
+            seed=0,
+            engine="batched",
+        ).execute(keep_results=True)
         assert len(bat.results) == len(seq.results) == 4
         for result in bat.results + seq.results:
             # same contract: trajectory[0] is the initial all-wrong fraction
@@ -342,31 +356,40 @@ class TestRunTrialsDispatch:
             assert result.final_fraction == 1.0
 
     def test_index_sampler_runs_batched_but_not_on_counts(self):
-        kwargs = dict(trials=4, max_rounds=400, seed=0, batched_sampler=IndexSampler())
-        stats = run_trials(lambda: FETProtocol(16), 100, AllWrong(), engine="batched", **kwargs)
+        kwargs = dict(protocol={"name": "fet", "ell": 16}, n=100, trials=4, max_rounds=400, seed=0)
+        stats = RunSpec(engine="batched", **kwargs).execute(batched_sampler=IndexSampler())
         assert stats.engine == "batched" and stats.successes == 4
         with pytest.raises(ValueError, match="fraction-keyed"):
-            run_trials(lambda: FETProtocol(16), 100, AllWrong(), engine="counts", **kwargs)
+            RunSpec(engine="counts", **kwargs).execute(batched_sampler=IndexSampler())
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError):
-            run_trials(
-                lambda: FETProtocol(16), 100, AllWrong(), trials=4, max_rounds=400,
-                seed=0, engine="turbo",
-            )
+            RunSpec(
+                protocol={"name": "fet", "ell": 16},
+                n=100,
+                trials=4,
+                max_rounds=400,
+                seed=0,
+                engine="turbo",
+            ).execute()
 
     def test_batched_reproducible(self):
-        kwargs = dict(trials=16, max_rounds=500, seed=42, engine="batched")
-        a = run_trials(lambda: FETProtocol(24), 300, AllWrong(), **kwargs)
-        b = run_trials(lambda: FETProtocol(24), 300, AllWrong(), **kwargs)
+        spec = RunSpec(
+            protocol={"name": "fet", "ell": 24}, n=300, trials=16, max_rounds=500, seed=42,
+            engine="batched",
+        )
+        a, b = spec.execute(), spec.execute()
         assert np.array_equal(a.times, b.times)
 
     def test_batched_with_population_factory(self):
-        stats = run_trials(
-            lambda: FETProtocol(16), 100, AllWrong(), trials=6, max_rounds=400,
-            seed=3, engine="batched",
-            population_factory=lambda: make_population(100, 0),
-        )
+        stats = RunSpec(
+            protocol={"name": "fet", "ell": 16},
+            n=100,
+            trials=6,
+            max_rounds=400,
+            seed=3,
+            engine="batched",
+        ).execute(population_factory=lambda: make_population(100, 0))
         assert stats.successes == 6
 
 
@@ -428,14 +451,22 @@ class TestBatchedNoise:
     def test_noisy_equivalence(self):
         from repro.core.noise import BatchedNoisyCountSampler
 
-        seq = run_trials(
-            lambda: FETProtocol(24), 200, AllWrong(), trials=120, max_rounds=60,
-            seed=21, engine="sequential", batched_sampler=BatchedNoisyCountSampler(0.1),
-        )
-        bat = run_trials(
-            lambda: FETProtocol(24), 200, AllWrong(), trials=120, max_rounds=60,
-            seed=21, engine="batched", batched_sampler=BatchedNoisyCountSampler(0.1),
-        )
+        seq = RunSpec(
+            protocol={"name": "fet", "ell": 24},
+            n=200,
+            trials=120,
+            max_rounds=60,
+            seed=21,
+            engine="sequential",
+        ).execute(batched_sampler=BatchedNoisyCountSampler(0.1))
+        bat = RunSpec(
+            protocol={"name": "fet", "ell": 24},
+            n=200,
+            trials=120,
+            max_rounds=60,
+            seed=21,
+            engine="batched",
+        ).execute(batched_sampler=BatchedNoisyCountSampler(0.1))
         assert bat.engine == "batched"
         lo_s, hi_s = seq.success_interval
         lo_b, hi_b = bat.success_interval

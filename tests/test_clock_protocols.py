@@ -10,8 +10,9 @@ from scipy import stats as scipy_stats
 
 from conftest import step_row
 from reference.clock_sync import clock_sync_step
+from repro.config import RunSpec
 from repro.core.batch import BatchedPopulation
-from repro.core.engine import run_protocol
+from repro.core.engine import SynchronousEngine
 from repro.core.noise import BatchedNoisyCountSampler
 from repro.core.population import make_population
 from repro.core.rng import make_rng
@@ -49,7 +50,9 @@ class TestOracleClockBehaviour:
         proto = OracleClockProtocol(n, ell=1)
         pop = make_population(n, correct)
         rng = make_rng(correct)
-        result = run_protocol(proto, pop, 10 * proto.period, rng=rng, initializer=AllWrong())
+        result = SynchronousEngine(
+            proto, pop, rng=rng, initializer=AllWrong()
+        ).run(10 * proto.period)
         assert result.converged
         # Two phases always suffice from a clean clock.
         assert result.rounds <= 2 * proto.period
@@ -60,7 +63,7 @@ class TestOracleClockBehaviour:
         pop = make_population(n, 1)
         rng = make_rng(9)
         state = {"clock": np.array([proto.period // 2 + 3])}
-        result = run_protocol(proto, pop, 10 * proto.period, rng=rng, state=state)
+        result = SynchronousEngine(proto, pop, rng=rng, state=state).run(10 * proto.period)
         assert result.converged
 
     def test_clock_advances(self):
@@ -113,9 +116,9 @@ class TestClockSync:
         pop = make_population(n, 1)
         rng = make_rng(4)
         # BernoulliRandom randomizes the clocks along with the opinions.
-        result = run_protocol(
-            proto, pop, 40 * proto.period, rng=rng, initializer=BernoulliRandom(0.5)
-        )
+        result = SynchronousEngine(
+            proto, pop, rng=rng, initializer=BernoulliRandom(0.5)
+        ).run(40 * proto.period)
         assert result.converged
 
 
@@ -240,14 +243,16 @@ class TestClockSyncBatched:
 
     def test_chunked_run_still_converges(self, monkeypatch):
         import repro.protocols.clock_sync as clock_sync_module
-        from repro.experiments.harness import run_trials
-        from repro.initializers.standard import AllWrong
 
         monkeypatch.setattr(clock_sync_module, "_CHUNK_ELEMENT_BUDGET", 1500)
-        stats = run_trials(
-            lambda: ClockSyncProtocol(128, 8), 128, AllWrong(),
-            trials=6, max_rounds=600, seed=2, engine="batched",
-        )
+        stats = RunSpec(
+            protocol={"name": "clock-sync", "ell": 8},
+            n=128,
+            trials=6,
+            max_rounds=600,
+            seed=2,
+            engine="batched",
+        ).execute()
         assert stats.engine == "batched"
         assert stats.successes == 6
 
@@ -255,15 +260,18 @@ class TestClockSyncBatched:
         # Ground truth: the batched engine against independent trials of the
         # literal per-agent rule, over several seeds — success counts by
         # Fisher's test, t_con by KS.
-        from repro.experiments.harness import run_trials
-
         n = 200
         max_rounds = 30 * ClockSyncProtocol(n, 8).period
         for seed in (0, 1, 2):
-            bat = run_trials(
-                lambda: ClockSyncProtocol(n, ell_for(n)), n, BernoulliRandom(0.5),
-                seed=seed, engine="batched", trials=40, max_rounds=max_rounds,
-            )
+            bat = RunSpec(
+                protocol={"name": "clock-sync", "ell": ell_for(n)},
+                n=n,
+                initializer={"name": "bernoulli", "p": 0.5},
+                trials=40,
+                max_rounds=max_rounds,
+                seed=seed,
+                engine="batched",
+            ).execute()
             assert bat.engine == "batched"
             outcomes = [
                 _reference_trial(n, np.random.default_rng([seed, trial]), max_rounds)

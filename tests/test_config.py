@@ -16,7 +16,6 @@ from repro.config import RunSpec, canonical_json, derive_seed
 from repro.core.noise import BatchedNoisyCountSampler
 from repro.core.population import make_population
 from repro.core.sampling import BatchedBinomialSampler, IndexSampler
-from repro.experiments.harness import run_trials
 from repro.experiments.multisource import sweep_sources
 from repro.initializers.standard import AllWrong
 from repro.protocols.fet import FETProtocol
@@ -169,23 +168,18 @@ class TestRunSpecBasics:
 
 
 class TestRunSpecExecution:
-    def test_execute_matches_run_trials_adapter(self):
-        # The declarative path and the legacy factory-kwargs adapter are the
+    def test_execute_matches_live_overrides(self):
+        # Declared components and live instances passed to execute are the
         # same core: identical streams, identical aggregates.
         spec = demo_spec()
         direct = spec.execute()
-        legacy = run_trials(
-            lambda: FETProtocol(10),
-            spec.n,
-            AllWrong(),
-            trials=spec.trials,
-            max_rounds=spec.max_rounds,
-            seed=spec.seed,
-        )
-        assert direct.successes == legacy.successes
-        assert np.array_equal(direct.times, legacy.times)
+        live = RunSpec(
+            protocol=None, n=spec.n, trials=spec.trials, max_rounds=spec.max_rounds, seed=spec.seed
+        ).execute(protocol=FETProtocol(10), initializer=AllWrong())
+        assert direct.successes == live.successes
+        assert np.array_equal(direct.times, live.times)
         # a count-capable FET cell: both resolve to counts.
-        assert direct.engine == legacy.engine == "counts"
+        assert direct.engine == live.engine == "counts"
 
     def test_execute_multisource_population(self):
         spec = demo_spec(num_sources=30)
@@ -538,15 +532,13 @@ class TestMultisourceMigration:
         n, ell, counts = 200, 15, [1, 25]
         rows = sweep_sources(n, ell, counts, trials=10, max_rounds=500, seed=0)
         manual = [
-            run_trials(
-                lambda: FETProtocol(ell),
-                n,
-                AllWrong(),
+            RunSpec(
+                protocol={"name": "fet", "ell": ell},
+                n=n,
                 trials=10,
                 max_rounds=500,
                 seed=100 + index,
-                population_factory=lambda k=k: make_population(n, 1, num_sources=k),
-            )
+            ).execute(population_factory=lambda k=k: make_population(n, 1, num_sources=k))
             for index, k in enumerate(counts)
         ]
         for row, stats in zip(rows, manual):
@@ -701,36 +693,16 @@ class TestCLISurface:
         assert "--store" in capsys.readouterr().err
 
 
-class TestRunTrialsAdapter:
-    def test_signature_unchanged_for_legacy_callers(self):
-        stats = run_trials(
-            lambda: FETProtocol(8),
-            100,
-            AllWrong(),
-            trials=3,
-            max_rounds=80,
-            seed=4,
-            stability_rounds=2,
-            engine="auto",
-        )
-        assert stats.trials == 3 and stats.engine == "counts"
-
-    def test_legacy_error_messages_preserved(self):
-        factory = lambda: FETProtocol(8)
+class TestLiveOverrides:
+    def test_error_messages_with_a_live_protocol(self):
+        protocol = FETProtocol(8)
         with pytest.raises(ValueError, match="trials must be >= 0"):
-            run_trials(factory, 100, AllWrong(), trials=-1, max_rounds=10, seed=0)
+            RunSpec(protocol=None, n=100, trials=-1, max_rounds=10).execute(protocol=protocol)
         with pytest.raises(ValueError, match="max_rounds must be >= 1"):
-            run_trials(factory, 100, AllWrong(), trials=1, max_rounds=0, seed=0)
+            RunSpec(protocol=None, n=100, trials=1, max_rounds=0).execute(protocol=protocol)
         with pytest.raises(ValueError, match="engine must be"):
-            run_trials(factory, 100, AllWrong(), trials=1, max_rounds=10, seed=0, engine="x")
+            RunSpec(protocol=None, n=100, engine="x").execute(protocol=protocol)
         with pytest.raises(ValueError, match="fraction-keyed"):
-            run_trials(
-                factory,
-                100,
-                AllWrong(),
-                trials=1,
-                max_rounds=10,
-                seed=0,
-                engine="counts",
-                batched_sampler=IndexSampler(),
+            RunSpec(protocol=None, n=100, max_rounds=10, engine="counts").execute(
+                protocol=protocol, batched_sampler=IndexSampler()
             )

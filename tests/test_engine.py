@@ -9,7 +9,7 @@ import pytest
 from scipy import stats as scipy_stats
 
 from repro.config import RunSpec
-from repro.core.engine import SynchronousEngine, run_protocol
+from repro.core.engine import SynchronousEngine
 from repro.core.population import PopulationState, make_population
 from repro.core.protocol import Protocol
 from repro.core.rng import make_rng
@@ -38,28 +38,30 @@ class FlipFlopProtocol(Protocol):
         return (1 - batch.opinions).astype(np.uint8)
 
 
+def _never(population: PopulationState) -> bool:
+    return False
+
+
 class TestEngineBasics:
-    def test_step_counts_rounds(self):
+    def test_runs_count_rounds(self):
         pop = make_population(10, 1)
         engine = SynchronousEngine(ConstantProtocol(1), pop, rng=0)
-        engine.step()
-        engine.step()
+        engine.run(1, stop_condition=_never)
+        engine.run(1, stop_condition=_never)
         assert engine.round_index == 2
 
-    def test_step_record_fields(self):
+    def test_one_round_trajectory_and_flips(self):
         pop = make_population(10, 1)
         engine = SynchronousEngine(ConstantProtocol(1), pop, rng=0)
-        record = engine.step()
-        assert record.round_index == 0
-        assert record.x_before == pytest.approx(0.1)
-        assert record.x_after == pytest.approx(1.0)
-        assert record.flips == 9
+        result = engine.run(1, record_flips=True, stop_condition=_never)
+        assert result.trajectory.tolist() == pytest.approx([0.1, 1.0])
+        assert result.flips.tolist() == [9]
 
     def test_source_pinned_by_engine(self):
         pop = make_population(10, 1)
         engine = SynchronousEngine(ConstantProtocol(0), pop, rng=0)
-        engine.step()
-        assert pop.opinions[0] == 1  # source re-pinned after each step
+        engine.run(1, stop_condition=_never)
+        assert pop.opinions[0] == 1  # source re-pinned after each round
 
     def test_engine_pins_at_construction(self):
         pop = make_population(10, 1)
@@ -71,30 +73,30 @@ class TestEngineBasics:
 class TestRun:
     def test_converges_with_constant_correct(self):
         pop = make_population(10, 1)
-        result = run_protocol(ConstantProtocol(1), pop, 50, rng=0)
+        result = SynchronousEngine(ConstantProtocol(1), pop, rng=0).run(50)
         assert result.converged
         assert result.rounds == 1  # first all-correct round
 
     def test_never_converges_with_wrong_constant(self):
         pop = make_population(10, 1)
-        result = run_protocol(ConstantProtocol(0), pop, 20, rng=0)
+        result = SynchronousEngine(ConstantProtocol(0), pop, rng=0).run(20)
         assert not result.converged
         assert result.rounds == 20
 
     def test_flipflop_never_converges(self):
         pop = make_population(10, 1)
-        result = run_protocol(FlipFlopProtocol(), pop, 30, rng=0)
+        result = SynchronousEngine(FlipFlopProtocol(), pop, rng=0).run(30)
         assert not result.converged
 
     def test_trajectory_includes_initial(self):
         pop = make_population(10, 1)
-        result = run_protocol(ConstantProtocol(1), pop, 50, rng=0)
+        result = SynchronousEngine(ConstantProtocol(1), pop, rng=0).run(50)
         assert result.trajectory[0] == pytest.approx(0.1)
         assert result.trajectory[-1] == pytest.approx(1.0)
 
     def test_stability_window_respected(self):
         pop = make_population(10, 1)
-        result = run_protocol(ConstantProtocol(1), pop, 50, rng=0, stability_rounds=4)
+        result = SynchronousEngine(ConstantProtocol(1), pop, rng=0).run(50, stability_rounds=4)
         assert result.converged
         # Convergence time reported is still the first all-correct round.
         assert result.rounds == 1
@@ -104,13 +106,13 @@ class TestRun:
     def test_already_converged_start(self):
         pop = make_population(10, 1)
         pop.set_opinions(np.ones(10, dtype=np.uint8))
-        result = run_protocol(ConstantProtocol(1), pop, 50, rng=0)
+        result = SynchronousEngine(ConstantProtocol(1), pop, rng=0).run(50)
         assert result.converged
         assert result.rounds == 0
 
     def test_zero_max_rounds(self):
         pop = make_population(10, 1)
-        result = run_protocol(ConstantProtocol(1), pop, 0, rng=0, stability_rounds=1)
+        result = SynchronousEngine(ConstantProtocol(1), pop, rng=0).run(0, stability_rounds=1)
         assert not result.converged  # no stability evidence gathered
 
     def test_negative_max_rounds_rejected(self):
@@ -121,7 +123,7 @@ class TestRun:
 
     def test_record_flips(self):
         pop = make_population(10, 1)
-        result = run_protocol(ConstantProtocol(1), pop, 50, rng=0, record_flips=True)
+        result = SynchronousEngine(ConstantProtocol(1), pop, rng=0).run(50, record_flips=True)
         assert result.flips.size >= 1
         assert result.flips[0] == 9
 
@@ -144,7 +146,7 @@ class TestEngineWithFET:
             proto = FETProtocol(20)
             rng = make_rng(99)
             state = proto.init_state(300, rng)
-            return run_protocol(proto, pop, 500, rng=rng, state=state)
+            return SynchronousEngine(proto, pop, rng=rng, state=state).run(500)
 
         r1, r2 = run_once(), run_once()
         assert r1.rounds == r2.rounds
@@ -157,14 +159,14 @@ class TestEngineWithFET:
         pop.set_opinions(np.ones(n, dtype=np.uint8))
         proto = FETProtocol(10)
         state = {"prev_count": np.full(n, 10, dtype=np.int64)}  # as after an all-1 round
-        result = run_protocol(proto, pop, 50, rng=0, state=state)
+        result = SynchronousEngine(proto, pop, rng=0, state=state).run(50)
         assert result.converged
         assert (result.trajectory == 1.0).all()
 
     def test_pairs_shape(self):
         pop = make_population(100, 1)
         proto = FETProtocol(10)
-        result = run_protocol(proto, pop, 100, rng=1)
+        result = SynchronousEngine(proto, pop, rng=1).run(100)
         pairs = result.pairs()
         assert pairs.shape == (result.trajectory.size - 1, 2)
         assert np.array_equal(pairs[:, 0], result.trajectory[:-1])
@@ -187,8 +189,8 @@ class TestFlipAccounting:
         pop = make_population(10, 1)
         pop.set_opinions(np.ones(10, dtype=np.uint8))
         engine = SynchronousEngine(SourceDeviatorProtocol(), pop, rng=0)
-        record = engine.step()
-        assert record.flips == 9
+        result = engine.run(1, record_flips=True, stop_condition=_never)
+        assert result.flips.tolist() == [9]
 
     def test_steady_source_not_a_flip(self):
         # From the all-correct configuration a constant-correct protocol
@@ -196,7 +198,7 @@ class TestFlipAccounting:
         pop = make_population(10, 1)
         pop.set_opinions(np.ones(10, dtype=np.uint8))
         engine = SynchronousEngine(ConstantProtocol(1), pop, rng=0)
-        assert engine.step().flips == 0
+        assert engine.run(1, record_flips=True, stop_condition=_never).flips.tolist() == [0]
 
 
 class TestStabilityValidation:
@@ -211,10 +213,6 @@ class TestStabilityValidation:
         engine = SynchronousEngine(ConstantProtocol(1), pop, rng=0)
         with pytest.raises(ValueError):
             engine.run(10, stability_rounds=-3)
-
-
-def _never(population: PopulationState) -> bool:
-    return False
 
 
 class TestSingleReplicaView:
@@ -258,7 +256,8 @@ class TestSingleReplicaView:
         # Everyone proposes 0; only the pinned source can hold 1.
         pop = make_population(10, 1)
         engine = SynchronousEngine(ConstantProtocol(0), pop, rng=0)
-        assert engine.step().flips == 0 and pop.opinions[0] == 1
+        first = engine.run(1, record_flips=True, stop_condition=_never)
+        assert first.flips.tolist() == [0] and pop.opinions[0] == 1
 
         def flip_environment(opinion):
             pop.correct_opinion = opinion
@@ -269,8 +268,10 @@ class TestSingleReplicaView:
         # Each run pins sources to the live preference before round 0.
         assert result.converged and result.rounds == 0
         flip_environment(1)
-        record = engine.step()
-        assert record.flips == 1 and pop.opinions[0] == 1
+        last = engine.run(1, record_flips=True, stop_condition=_never)
+        # The source moved to 1 when the run pinned it, before round 0.
+        assert last.trajectory.tolist() == pytest.approx([0.1, 0.1])
+        assert last.flips.tolist() == [0] and pop.opinions[0] == 1
         assert (pop.opinions[1:] == 0).all()
 
     def test_scalar_stop_condition_sees_population_state(self):
@@ -286,14 +287,18 @@ class TestSingleReplicaView:
         assert set(seen) == {PopulationState}
         assert engine.population.nonsource_correct_fraction() >= 0.5
 
-    def test_record_flips_equal_per_round_flip_counts(self):
-        run_engine = self._fet_engine()
-        step_engine = self._fet_engine()
-        result = run_engine.run(25, record_flips=True, stop_condition=_never)
-        records = [step_engine.step() for _ in range(25)]
-        assert result.flips.tolist() == [record.flips for record in records]
-        assert np.allclose(result.trajectory[1:], [record.x_after for record in records])
-        assert np.array_equal(run_engine.population.opinions, step_engine.population.opinions)
+    def test_chained_one_round_runs_replay_one_long_run(self):
+        long_engine = self._fet_engine()
+        chained_engine = self._fet_engine()
+        result = long_engine.run(25, record_flips=True, stop_condition=_never)
+        rounds = [
+            chained_engine.run(1, record_flips=True, stop_condition=_never) for _ in range(25)
+        ]
+        assert result.flips.tolist() == [r.flips[0] for r in rounds]
+        assert np.array_equal(result.trajectory[1:], [r.trajectory[1] for r in rounds])
+        assert np.array_equal(
+            long_engine.population.opinions, chained_engine.population.opinions
+        )
 
 
 _EQUIVALENCE_CELLS = {

@@ -5,91 +5,69 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.config import RunSpec
 from repro.core.population import make_population
 from repro.experiments.convergence import (
     fit_scaling,
     sweep_population_sizes,
     sweep_sample_sizes,
 )
-from repro.experiments.harness import run_trials
 from repro.experiments.trajectories import run_annotated
 from repro.experiments.transitions import collect_transitions
 from repro.initializers.standard import AllWrong, BernoulliRandom
 from repro.protocols.fet import FETProtocol, ell_for
-from repro.protocols.voter import VoterProtocol
 
 
 class TestRunTrials:
     def test_aggregates(self):
-        stats = run_trials(
-            lambda: FETProtocol(30),
-            400,
-            AllWrong(),
-            trials=10,
-            max_rounds=800,
-            seed=0,
-        )
+        stats = RunSpec(
+            protocol={"name": "fet", "ell": 30}, n=400, trials=10, max_rounds=800, seed=0
+        ).execute()
         assert stats.trials == 10
         assert stats.successes == 10
         assert stats.times.size == 10
         assert stats.success_rate == 1.0
 
     def test_reproducible(self):
-        kwargs = dict(trials=5, max_rounds=500, seed=42)
-        a = run_trials(lambda: FETProtocol(30), 300, AllWrong(), **kwargs)
-        b = run_trials(lambda: FETProtocol(30), 300, AllWrong(), **kwargs)
+        spec = RunSpec(
+            protocol={"name": "fet", "ell": 30}, n=300, trials=5, max_rounds=500, seed=42
+        )
+        a, b = spec.execute(), spec.execute()
         assert np.array_equal(a.times, b.times)
 
     def test_failure_counted(self):
-        stats = run_trials(
-            lambda: VoterProtocol(),
-            1000,
-            AllWrong(),
-            trials=5,
-            max_rounds=50,
-            seed=1,
-        )
+        stats = RunSpec(
+            protocol={"name": "voter"}, n=1000, trials=5, max_rounds=50, seed=1
+        ).execute()
         assert stats.successes == 0
         assert stats.times.size == 0
         assert np.isnan(stats.time_summary().mean)
 
     def test_row_fields(self):
-        stats = run_trials(
-            lambda: FETProtocol(30), 300, AllWrong(), trials=3, max_rounds=500, seed=2
-        )
+        stats = RunSpec(
+            protocol={"name": "fet", "ell": 30}, n=300, trials=3, max_rounds=500, seed=2
+        ).execute()
         row = stats.row()
         assert row["n"] == 300
         assert row["success"] == "3/3"
 
     def test_keep_results(self):
-        stats = run_trials(
-            lambda: FETProtocol(30),
-            300,
-            AllWrong(),
-            trials=3,
-            max_rounds=500,
-            seed=3,
-            keep_results=True,
-        )
+        stats = RunSpec(
+            protocol={"name": "fet", "ell": 30}, n=300, trials=3, max_rounds=500, seed=3
+        ).execute(keep_results=True)
         assert len(stats.results) == 3
 
     def test_custom_population_factory(self):
-        stats = run_trials(
-            lambda: FETProtocol(30),
-            300,
-            AllWrong(),
-            trials=2,
-            max_rounds=500,
-            seed=4,
-            population_factory=lambda: make_population(300, 0),
-        )
+        stats = RunSpec(
+            protocol={"name": "fet", "ell": 30}, n=300, trials=2, max_rounds=500, seed=4
+        ).execute(population_factory=lambda: make_population(300, 0))
         assert stats.successes == 2
 
     def test_zero_trials_degrade_gracefully(self):
         with np.errstate(all="raise"):  # any division warning would raise
-            stats = run_trials(
-                lambda: FETProtocol(10), 100, AllWrong(), trials=0, max_rounds=10, seed=0
-            )
+            stats = RunSpec(
+                protocol={"name": "fet", "ell": 10}, n=100, trials=0, max_rounds=10, seed=0
+            ).execute()
             assert stats.trials == 0
             assert stats.successes == 0
             assert stats.times.size == 0
@@ -102,21 +80,20 @@ class TestRunTrials:
 
     def test_rejects_negative_trials(self):
         with pytest.raises(ValueError, match="trials"):
-            run_trials(
-                lambda: FETProtocol(10), 100, AllWrong(), trials=-1, max_rounds=10, seed=0
-            )
+            RunSpec(
+                protocol={"name": "fet", "ell": 10}, n=100, trials=-1, max_rounds=10, seed=0
+            ).execute()
 
     def test_rejects_nonpositive_max_rounds(self):
         for max_rounds in (0, -5):
             with pytest.raises(ValueError, match="max_rounds"):
-                run_trials(
-                    lambda: FETProtocol(10),
-                    100,
-                    AllWrong(),
+                RunSpec(
+                    protocol={"name": "fet", "ell": 10},
+                    n=100,
                     trials=2,
                     max_rounds=max_rounds,
                     seed=0,
-                )
+                ).execute()
 
 
 class TestSweeps:

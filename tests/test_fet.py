@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import scripted_sampler, step_row
-from repro.core.engine import SynchronousEngine, run_protocol
+from repro.core.engine import SynchronousEngine
 from repro.core.population import make_population
 from repro.core.rng import make_rng
 from repro.core.sampling import IndexSampler
@@ -121,7 +121,7 @@ class TestConvergence:
         proto = FETProtocol(ell_for(n))
         pop = make_population(n, correct)
         rng = make_rng(42 + correct)
-        result = run_protocol(proto, pop, 2000, rng=rng, initializer=AllWrong())
+        result = SynchronousEngine(proto, pop, rng=rng, initializer=AllWrong()).run(2000)
         assert result.converged
         assert result.rounds < 200
 
@@ -130,7 +130,7 @@ class TestConvergence:
         proto = FETProtocol(ell_for(n))
         pop = make_population(n, 1)
         rng = make_rng(7)
-        result = run_protocol(proto, pop, 3000, rng=rng, initializer=BernoulliRandom(0.5))
+        result = SynchronousEngine(proto, pop, rng=rng, initializer=BernoulliRandom(0.5)).run(3000)
         assert result.converged
 
     def test_stays_at_correct_consensus(self):
@@ -138,7 +138,7 @@ class TestConvergence:
         proto = FETProtocol(ell_for(n))
         pop = make_population(n, 1)
         rng = make_rng(3)
-        result = run_protocol(proto, pop, 300, rng=rng, initializer=AllCorrect())
+        result = SynchronousEngine(proto, pop, rng=rng, initializer=AllCorrect()).run(300)
         assert result.converged
         # After at most a couple of settling rounds, x stays at 1: the
         # adversarial counters can cause an initial dip but never a collapse.
@@ -150,14 +150,9 @@ class TestConvergence:
         proto = FETProtocol(ell_for(n, 4.0))
         pop = make_population(n, 1)
         rng = make_rng(11)
-        result = run_protocol(
-            proto,
-            pop,
-            1500,
-            sampler=IndexSampler(exclude_self=True),
-            rng=rng,
-            initializer=AllWrong(),
-        )
+        result = SynchronousEngine(
+            proto, pop, sampler=IndexSampler(exclude_self=True), rng=rng, initializer=AllWrong()
+        ).run(1500)
         assert result.converged
 
     def test_absorbing_once_converged(self):
@@ -168,10 +163,9 @@ class TestConvergence:
         engine = SynchronousEngine(proto, pop, rng=make_rng(5), initializer=AllWrong())
         result = engine.run(2000)
         assert result.converged
-        # Continue for 100 extra rounds manually: opinion vector must not move.
-        for _ in range(100):
-            record = engine.step()
-            assert record.x_after == 1.0
+        # Continue for 100 extra rounds: the opinion vector must not move.
+        after = engine.run(100, stop_condition=lambda population: False)
+        assert (after.trajectory == 1.0).all()
 
 
 class TestFusedBatchStep:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import scripted_sampler, step_row
-from repro.core.engine import run_protocol
+from repro.core.engine import SynchronousEngine
 from repro.core.population import make_population
 from repro.core.rng import make_rng
 from repro.initializers.standard import AllWrong
@@ -67,7 +67,7 @@ class TestNegativeResult:
         proto = HysteresisFETProtocol(56, 0)
         pop = make_population(n, 1)
         rng = make_rng(0)
-        result = run_protocol(proto, pop, 2000, rng=rng, initializer=AllWrong())
+        result = SynchronousEngine(proto, pop, rng=rng, initializer=AllWrong()).run(2000)
         assert result.converged
 
     def test_moderate_band_still_converges_but_slower(self):
@@ -77,7 +77,7 @@ class TestNegativeResult:
             proto = HysteresisFETProtocol(56, band)
             pop = make_population(n, 1)
             rng = make_rng(1)
-            result = run_protocol(proto, pop, 20_000, rng=rng, initializer=AllWrong())
+            result = SynchronousEngine(proto, pop, rng=rng, initializer=AllWrong()).run(20_000)
             assert result.converged, f"band={band} failed"
             times[band] = result.rounds
         assert times[2] >= times[0]  # the band can only slow things down
@@ -88,5 +88,5 @@ class TestNegativeResult:
         proto = HysteresisFETProtocol(56, 8)
         pop = make_population(n, 1)
         rng = make_rng(2)
-        result = run_protocol(proto, pop, 1000, rng=rng, initializer=AllWrong())
+        result = SynchronousEngine(proto, pop, rng=rng, initializer=AllWrong()).run(1000)
         assert not result.converged

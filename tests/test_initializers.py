@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from repro.core.batch import BatchedPopulation
-from repro.core.engine import SynchronousEngine, run_protocol
+from repro.config import RunSpec
+from repro.core.engine import SynchronousEngine
 from repro.core.population import make_majority_population, make_population
 from repro.core.rng import make_rng
-from repro.experiments.harness import run_trials
 from repro.initializers.adversarial import (
     FrozenUnanimity,
     PoisonedCounters,
@@ -139,7 +139,7 @@ class TestZeroSpeedCenter:
         proto = FETProtocol(56)
         pop = make_population(n, 1)
         rng = make_rng(17)
-        result = run_protocol(proto, pop, 5000, rng=rng, initializer=ZeroSpeedCenter())
+        result = SynchronousEngine(proto, pop, rng=rng, initializer=ZeroSpeedCenter()).run(5000)
         assert result.converged
 
 
@@ -155,7 +155,7 @@ class TestPoisonedCounters:
         proto = FETProtocol(56)
         pop = make_population(n, 1)
         rng = make_rng(21)
-        result = run_protocol(proto, pop, 3000, rng=rng, initializer=PoisonedCounters())
+        result = SynchronousEngine(proto, pop, rng=rng, initializer=PoisonedCounters()).run(3000)
         assert result.converged
 
 
@@ -183,7 +183,9 @@ class TestFrozenUnanimity:
         pop = make_majority_population(60, k0=15, k1=5)  # majority prefers 0
         proto = FETProtocol(8)
         rng = make_rng(1)
-        result = run_protocol(proto, pop, 500, rng=rng, initializer=FrozenUnanimity(opinion=1))
+        result = SynchronousEngine(
+            proto, pop, rng=rng, initializer=FrozenUnanimity(opinion=1)
+        ).run(500)
         assert not result.converged  # correct bit is 0, population frozen at 1
         assert (result.trajectory == 1.0).all()
 
@@ -191,7 +193,9 @@ class TestFrozenUnanimity:
         pop = make_majority_population(60, k0=5, k1=15)  # majority prefers 1
         proto = FETProtocol(8)
         rng = make_rng(2)
-        result = run_protocol(proto, pop, 300, rng=rng, initializer=FrozenUnanimity(opinion=0))
+        result = SynchronousEngine(
+            proto, pop, rng=rng, initializer=FrozenUnanimity(opinion=0)
+        ).run(300)
         assert not result.converged
         assert (result.trajectory == 0.0).all()
 
@@ -279,23 +283,22 @@ class TestAdversarialBatched:
 
     def test_batched_harness_uses_fast_path(self):
         """Adversarial cells take the vectorized init branch end to end."""
-        stats = run_trials(
-            lambda: FETProtocol(30),
-            300,
-            PoisonedCounters(),
+        stats = RunSpec(
+            protocol={"name": "fet", "ell": 30},
+            n=300,
             trials=6,
             max_rounds=1500,
             seed=0,
             engine="batched",
-        )
+        ).execute(initializer=PoisonedCounters())
         assert stats.engine == "batched"
         assert stats.successes == 6
 
     def test_batched_matches_sequential_profile(self):
         """Same construction, both engines: equal success profile (the
         batched path is exact in distribution, not bitwise)."""
-        kwargs = dict(trials=5, max_rounds=1500, seed=7)
+        kwargs = dict(protocol={"name": "fet", "ell": 30}, n=300, trials=5, max_rounds=1500, seed=7)
         for init in (ZeroSpeedCenter(), TwoRoundTarget(0.5, 0.5)):
-            seq = run_trials(lambda: FETProtocol(30), 300, init, engine="sequential", **kwargs)
-            bat = run_trials(lambda: FETProtocol(30), 300, init, engine="batched", **kwargs)
+            seq = RunSpec(engine="sequential", **kwargs).execute(initializer=init)
+            bat = RunSpec(engine="batched", **kwargs).execute(initializer=init)
             assert seq.successes == bat.successes == 5

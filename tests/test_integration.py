@@ -8,16 +8,15 @@ import pytest
 from repro.analysis.domains import DomainPartition
 from repro.analysis.markov import ExactPairChain
 from repro.analysis.theory import theorem1_bound
-from repro.core.engine import run_protocol
+from repro.config import RunSpec
+from repro.core.engine import SynchronousEngine
 from repro.core.population import make_majority_population, make_population
 from repro.core.rng import make_rng, spawn_rngs
 from repro.core.sampling import IndexSampler
-from repro.experiments.harness import run_trials
-from repro.initializers.adversarial import FrozenUnanimity, TwoRoundTarget, ZeroSpeedCenter
-from repro.initializers.standard import AllWrong, BernoulliRandom, ExactFraction
+from repro.initializers.adversarial import FrozenUnanimity, TwoRoundTarget
+from repro.initializers.standard import AllWrong, ExactFraction
 from repro.protocols.fet import FETProtocol, ell_for
 from repro.protocols.oracle_clock import OracleClockProtocol
-from repro.protocols.simple_trend import SimpleTrendProtocol
 
 
 class TestAdversarialGrid:
@@ -29,7 +28,9 @@ class TestAdversarialGrid:
         proto = FETProtocol(ell_for(n))
         pop = make_population(n, 1)
         rng = make_rng(int(x_prev * 10) * 17 + int(x_now * 10))
-        result = run_protocol(proto, pop, 4000, rng=rng, initializer=TwoRoundTarget(x_prev, x_now))
+        result = SynchronousEngine(
+            proto, pop, rng=rng, initializer=TwoRoundTarget(x_prev, x_now)
+        ).run(4000)
         assert result.converged
 
 
@@ -37,27 +38,26 @@ class TestTheorem1Shape:
     def test_median_below_scaled_bound(self):
         """Measured medians stay below a constant multiple of log^{5/2} n."""
         for n in (256, 1024, 4096):
-            stats = run_trials(
-                lambda n=n: FETProtocol(ell_for(n)),
-                n,
-                AllWrong(),
+            stats = RunSpec(
+                protocol={"name": "fet", "ell": ell_for(n)},
+                n=n,
                 trials=6,
                 max_rounds=int(50 * theorem1_bound(n)),
                 seed=n,
-            )
+            ).execute()
             assert stats.successes == stats.trials
             assert np.median(stats.times) < 3.0 * theorem1_bound(n)
 
     def test_worst_case_init_still_polylog(self):
         n = 1024
-        stats = run_trials(
-            lambda: FETProtocol(ell_for(n)),
-            n,
-            ZeroSpeedCenter(),
+        stats = RunSpec(
+            protocol={"name": "fet", "ell": ell_for(n)},
+            n=n,
+            initializer={"name": "zero-speed-center"},
             trials=6,
             max_rounds=int(50 * theorem1_bound(n)),
             seed=7,
-        )
+        ).execute()
         assert stats.successes == stats.trials
 
 
@@ -65,14 +65,14 @@ class TestSimpleTrendParity:
     def test_simple_trend_also_converges(self):
         """The single-counter ablation behaves like FET empirically."""
         n = 1000
-        stats = run_trials(
-            lambda: SimpleTrendProtocol(ell_for(n)),
-            n,
-            BernoulliRandom(0.5),
+        stats = RunSpec(
+            protocol={"name": "simple-trend", "ell": ell_for(n)},
+            n=n,
+            initializer={"name": "bernoulli", "p": 0.5},
             trials=6,
             max_rounds=5000,
             seed=11,
-        )
+        ).execute()
         assert stats.successes == stats.trials
 
 
@@ -80,23 +80,17 @@ class TestPassiveVsOracle:
     def test_oracle_clock_faster_but_not_self_contained(self):
         """Oracle clock wins on speed; FET wins on assumptions."""
         n = 1024
-        fet_stats = run_trials(
-            lambda: FETProtocol(ell_for(n)),
-            n,
-            AllWrong(),
-            trials=5,
-            max_rounds=5000,
-            seed=13,
-        )
+        fet_stats = RunSpec(
+            protocol={"name": "fet", "ell": ell_for(n)}, n=n, trials=5, max_rounds=5000, seed=13
+        ).execute()
         oracle = OracleClockProtocol(n, ell=1)
-        oracle_stats = run_trials(
-            lambda: OracleClockProtocol(n, ell=1),
-            n,
-            AllWrong(),
+        oracle_stats = RunSpec(
+            protocol={"name": "oracle-clock", "ell": 1},
+            n=n,
             trials=5,
             max_rounds=20 * oracle.period,
             seed=13,
-        )
+        ).execute()
         assert fet_stats.successes == oracle_stats.successes == 5
         # FET pays a samples-per-round premium for self-containment.
         assert FETProtocol(ell_for(n)).samples_per_round() > oracle.samples_per_round()
@@ -108,7 +102,9 @@ class TestImpossibilityWitness:
         pop = make_majority_population(n, k0=n // 4, k1=n // 8)
         proto = FETProtocol(16)
         rng = make_rng(5)
-        result = run_protocol(proto, pop, n * n, rng=rng, initializer=FrozenUnanimity(opinion=1))
+        result = SynchronousEngine(
+            proto, pop, rng=rng, initializer=FrozenUnanimity(opinion=1)
+        ).run(n * n)
         assert not result.converged
         assert (result.trajectory == 1.0).all()
 
@@ -120,7 +116,7 @@ class TestImpossibilityWitness:
         rng = make_rng(6)
         state = {"prev_count": np.full(n, 16, dtype=np.int64)}
         pop.set_opinions(np.ones(n, dtype=np.uint8))
-        result = run_protocol(proto, pop, 100, rng=rng, state=state)
+        result = SynchronousEngine(proto, pop, rng=rng, state=state).run(100)
         assert result.converged
 
 
@@ -130,7 +126,7 @@ class TestDomainTrajectoryConsistency:
         proto = FETProtocol(ell_for(n))
         pop = make_population(n, 1)
         rng = make_rng(8)
-        result = run_protocol(proto, pop, 3000, rng=rng, initializer=AllWrong())
+        result = SynchronousEngine(proto, pop, rng=rng, initializer=AllWrong()).run(3000)
         part = DomainPartition(n=n)
         families = [part.classify(float(x), float(y)).family for x, y in result.pairs()]
         assert families[0] == "Cyan"
@@ -148,9 +144,9 @@ class TestExactChainAgainstHarness:
             proto = FETProtocol(ell)
             pop = make_population(n, 1)
             state = {"prev_count": rng.binomial(ell, 1 / n, size=n).astype(np.int64)}
-            result = run_protocol(
-                proto, pop, 2000, rng=rng, state=state, stability_rounds=2
-            )
+            result = SynchronousEngine(
+                proto, pop, rng=rng, state=state
+            ).run(2000, stability_rounds=2)
             assert result.converged
             # rounds is the first all-correct round; absorption into (n, n)
             # happens one round later, matching the chain's state pair.
@@ -164,12 +160,11 @@ class TestIndexSamplerEndToEnd:
         proto = FETProtocol(ell_for(n, 4.0))
         pop = make_population(n, 1)
         rng = make_rng(10)
-        result = run_protocol(
+        result = SynchronousEngine(
             proto,
             pop,
-            3000,
             sampler=IndexSampler(exclude_self=True),
             rng=rng,
             initializer=ExactFraction(0.5),
-        )
+        ).run(3000)
         assert result.converged

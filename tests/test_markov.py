@@ -7,10 +7,7 @@ import pytest
 
 from repro.analysis.drift import drift_g
 from repro.analysis.markov import ExactPairChain, next_count_distribution
-from repro.core.engine import SynchronousEngine
-from repro.core.population import make_population
-from repro.core.rng import spawn_rngs
-from repro.protocols.fet import FETProtocol
+from repro.config import RunSpec
 
 
 class TestNextCountDistribution:
@@ -94,34 +91,29 @@ class TestExactPairChain:
 
 
 class TestChainMatchesSimulation:
-    def test_expected_time_matches_simulated_mean(self):
-        """Ground truth: the engine must reproduce the exact chain's E[T]."""
-        n, ell = 10, 4
-        chain = ExactPairChain(n=n, ell=ell)
-        exact = chain.expected_time_from_all_wrong()
+    @pytest.mark.parametrize("engine", ["batched", "counts"])
+    @pytest.mark.parametrize("n,ell", [(8, 3), (10, 4), (12, 4)])
+    def test_expected_time_matches_simulated_mean(self, n, ell, engine):
+        """Ground truth: the engines reproduce the exact chain's E[T].
 
-        trials = 600
-        total = 0.0
-        for rng in spawn_rngs(2024, trials):
-            proto = FETProtocol(ell)
-            pop = make_population(n, 1)
-            # All-wrong with counters matching x_{t-1} = 1/n, i.e. the (1, 1)
-            # chain state: prev_count ~ Binomial(ell, 1/n).
-            state = {"prev_count": rng.binomial(ell, 1 / n, size=n).astype(np.int64)}
-            engine = SynchronousEngine(proto, pop, rng=rng, state=state)
-            rounds = 0
-            # Absorption at (n, n): two consecutive all-ones rounds.
-            prev_all_ones = pop.at_correct_consensus()
-            while rounds < 3000:
-                engine.step()
-                rounds += 1
-                now_all_ones = pop.at_correct_consensus()
-                if prev_all_ones and now_all_ones:
-                    break
-                prev_all_ones = now_all_ones
-            total += rounds
-        mean = total / trials
-        # The exact chain counts steps of the pair process; the simulated
-        # count reaches (n, n) one pair-transition at a time. Allow 10%
-        # Monte-Carlo tolerance plus a one-round offset ambiguity.
-        assert mean == pytest.approx(exact + 1, rel=0.12, abs=1.0)
+        The two-round start ``(x_prev, x_now) = (1/n, 0)`` is the pair state
+        (1, 1): all wrong, counters as if only the source held 1 last round.
+        The pair chain reaches (n, n) one round after ``t_con``, so the
+        absorption step count ``t_con + 1`` has mean ``h(1, 1)`` itself.
+        """
+        h = ExactPairChain(n=n, ell=ell).expected_time_from_all_wrong()
+        trials = 4000
+        stats = RunSpec(
+            protocol={"name": "fet", "ell": ell},
+            n=n,
+            initializer={"name": "two-round", "x_prev": 1 / n, "x_now": 0.0},
+            trials=trials,
+            max_rounds=5000,
+            seed=2024,
+            engine=engine,
+        ).execute()
+        assert stats.engine == engine
+        assert stats.successes == trials
+        steps = stats.times + 1
+        standard_error = steps.std(ddof=1) / np.sqrt(trials)
+        assert abs(steps.mean() - h) <= 4 * standard_error

@@ -14,6 +14,11 @@ from repro.experiments.robustness import sweep_noise
 from repro.initializers.standard import AllWrong
 from repro.protocols.clock_sync import ClockSyncProtocol
 from repro.protocols.fet import FETProtocol, ell_for
+from repro.trace import FullTrace, nonsource_correct_fractions
+
+
+def _never(population) -> bool:
+    return False
 
 
 class TestNoisyFraction:
@@ -83,10 +88,7 @@ class TestNoisyFET:
         engine = SynchronousEngine(
             proto, pop, sampler=BatchedNoisyCountSampler(0.2), rng=make_rng(3), state=state
         )
-        fractions = []
-        for _ in range(50):
-            engine.step()
-            fractions.append(pop.fraction_ones())
+        fractions = engine.run(50, stop_condition=_never).trajectory[1:]
         assert min(fractions) < 0.5  # consensus collapsed at least once
         assert max(fractions) > 0.9  # ... and was re-approached: oscillation
 
@@ -104,10 +106,9 @@ class TestNoisyFET:
         engine = SynchronousEngine(
             proto, pop, sampler=BatchedNoisyCountSampler(1e-5), rng=make_rng(4), state=state
         )
-        fractions = []
-        for _ in range(50):
-            engine.step()
-            fractions.append(pop.nonsource_correct_fraction())
+        recorder = FullTrace()
+        engine.run(50, stop_condition=_never, recorder=recorder)
+        fractions = nonsource_correct_fractions(recorder.trace())[0, 1:]
         assert min(fractions) < 0.9  # collapsed at least once
         assert max(fractions) > 0.95  # and recovered: oscillation, not death
 
@@ -144,10 +145,7 @@ class TestNoisyClockSync:
             engine = SynchronousEngine(
                 proto, pop, sampler=BatchedNoisyCountSampler(eps), rng=make_rng(5)
             )
-            fractions = []
-            for _ in range(2 * proto.period):
-                engine.step()
-                fractions.append(pop.fraction_ones())
+            fractions = engine.run(2 * proto.period, stop_condition=_never).trajectory[1:]
             levels[eps] = min(fractions)
         assert levels[0.0] == 1.0
         assert levels[0.5] < 0.5

@@ -137,12 +137,12 @@ class TestEngineProperties:
         state = {"prev_count": proto.randomize_state_batch(1, n, rng)["prev_count"][0]}
         pop.adversarial_opinions(rng.integers(0, 2, size=n).astype(np.uint8))
         engine = SynchronousEngine(proto, pop, rng=rng, state=state)
-        for _ in range(rounds):
-            engine.step()
-            assert pop.opinions[pop.source_mask].tolist() == [1]
-            assert np.isin(pop.opinions, (0, 1)).all()
-            assert state["prev_count"].min() >= 0
-            assert state["prev_count"].max() <= ell
+        # Each example checks the state after its own number of rounds.
+        engine.run(rounds, stop_condition=lambda population: False)
+        assert pop.opinions[pop.source_mask].tolist() == [1]
+        assert np.isin(pop.opinions, (0, 1)).all()
+        assert state["prev_count"].min() >= 0
+        assert state["prev_count"].max() <= ell
 
     @given(
         n=st.integers(min_value=4, max_value=80),
@@ -156,6 +156,6 @@ class TestEngineProperties:
         pop.set_opinions(np.ones(n, dtype=np.uint8))
         state = {"prev_count": np.full(n, 5, dtype=np.int64)}
         engine = SynchronousEngine(proto, pop, rng=make_rng(seed), state=state)
-        for _ in range(5):
-            engine.step()
-            assert pop.at_correct_consensus()
+        result = engine.run(5, stop_condition=lambda population: False)
+        assert (result.trajectory == 1.0).all()
+        assert pop.at_correct_consensus()

@@ -3,25 +3,10 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.core.protocol import Protocol
-from repro.core.records import RoundRecord, RunResult
+from repro.core.records import RunResult
 from repro.protocols.fet import FETProtocol
-
-
-class TestRoundRecord:
-    def test_fields(self):
-        record = RoundRecord(round_index=3, x_before=0.2, x_after=0.5, flips=30)
-        assert record.round_index == 3
-        assert record.x_before == 0.2
-        assert record.x_after == 0.5
-        assert record.flips == 30
-
-    def test_frozen(self):
-        record = RoundRecord(round_index=0, x_before=0.0, x_after=1.0, flips=5)
-        with pytest.raises(AttributeError):
-            record.flips = 7
 
 
 class TestRunResult:

@@ -13,11 +13,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.config import RunSpec
 from repro.core.batch import BatchedEngine, BatchedPopulation
 from repro.core.engine import SynchronousEngine
 from repro.core.population import make_population
 from repro.core.protocol import Protocol
-from repro.experiments.harness import run_trials
 from repro.experiments.transitions import collect_transitions
 from repro.initializers.standard import AllWrong
 from repro.protocols.fet import FETProtocol, ell_for
@@ -390,11 +390,9 @@ class TestThetaAgreement:
                 rng=np.random.default_rng(seed),
                 initializer=AllWrong(),
             )
-            levels = [pop.nonsource_correct_fraction()]
-            for _ in range(max_rounds):
-                engine.step()
-                levels.append(pop.nonsource_correct_fraction())
-            curves.append(levels)
+            recorder = FullTrace()
+            engine.run(max_rounds, stop_condition=lambda population: False, recorder=recorder)
+            curves.append(nonsource_correct_fractions(recorder.trace())[0])
         values = np.asarray(curves)
         rounds = np.arange(max_rounds + 1)
 
@@ -454,10 +452,14 @@ class TestThetaAgreement:
 
 class TestKeepResultsMigration:
     def test_batched_keep_results_round_trip(self):
-        stats = run_trials(
-            lambda: FETProtocol(20), 150, AllWrong(), trials=6, max_rounds=400,
-            seed=9, engine="batched", keep_results=True,
-        )
+        stats = RunSpec(
+            protocol={"name": "fet", "ell": 20},
+            n=150,
+            trials=6,
+            max_rounds=400,
+            seed=9,
+            engine="batched",
+        ).execute(keep_results=True)
         assert stats.engine == "batched"
         assert len(stats.results) == 6
         for result in stats.results:
@@ -472,10 +474,9 @@ class TestKeepResultsMigration:
         # non-count-capable clock-sync still runs batched.
         from repro.protocols.clock_sync import ClockSyncProtocol
 
-        stats = run_trials(
-            lambda: ClockSyncProtocol(64, 4), 64, AllWrong(),
-            trials=2, max_rounds=150, seed=4, keep_results=True,
-        )
+        stats = RunSpec(
+            protocol={"name": "clock-sync", "ell": 4}, n=64, trials=2, max_rounds=150, seed=4
+        ).execute(keep_results=True)
         assert stats.engine == "batched"
         assert len(stats.results) == 2
 
@@ -485,10 +486,9 @@ class TestKeepResultsMigration:
         # the batched path, with retired rows frozen at their final value.
         from repro.protocols.clock_sync import ClockSyncProtocol
 
-        stats = run_trials(
-            lambda: ClockSyncProtocol(64, 4), 64, AllWrong(),
-            trials=4, max_rounds=300, seed=4, keep_results=True,
-        )
+        stats = RunSpec(
+            protocol={"name": "clock-sync", "ell": 4}, n=64, trials=4, max_rounds=300, seed=4
+        ).execute(keep_results=True)
         assert stats.engine == "batched"
         assert len(stats.results) == 4
         for result in stats.results:
@@ -578,7 +578,7 @@ class TestSweepTraceMeasure:
 
     def test_register_measure_rejects_duplicates(self):
         with pytest.raises(ValueError, match="already registered"):
-            register_measure("consensus", lambda cell, f, i: {})
+            register_measure("consensus", lambda cell, p, i: {})
 
     def test_custom_measure_exports_without_successes(self):
         # A payload built to the documented minimum contract (no successes/
