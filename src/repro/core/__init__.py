@@ -50,7 +50,7 @@ from .noise import BatchedNoisyCountSampler, noisy_fraction
 from .population import PopulationState, make_majority_population, make_population
 from .protocol import Protocol, ProtocolState
 from .records import RunResult
-from .rng import as_rng, derive_rng, make_rng, spawn_rngs
+from .rng import as_rng, make_rng, spawn_rngs
 from .sampling import (
     BatchedBinomialSampler,
     BatchedSampler,
@@ -73,7 +73,6 @@ __all__ = [
     "SynchronousEngine",
     "as_rng",
     "batched_binomial_counts",
-    "derive_rng",
     "make_majority_population",
     "make_population",
     "make_rng",

@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["make_rng", "spawn_rngs", "derive_rng", "as_rng"]
+__all__ = ["make_rng", "spawn_rngs", "as_rng"]
 
 
 def make_rng(seed: int | None = None) -> np.random.Generator:
@@ -47,16 +47,6 @@ def spawn_rngs(seed: int, count: int) -> list[np.random.Generator]:
         raise ValueError(f"count must be non-negative, got {count}")
     root = np.random.SeedSequence(seed)
     return [np.random.default_rng(child) for child in root.spawn(count)]
-
-
-def derive_rng(seed: int, *keys: int) -> np.random.Generator:
-    """Derive a generator from a seed plus a tuple of integer sub-keys.
-
-    Useful for addressing a specific cell of a parameter sweep, e.g.
-    ``derive_rng(base_seed, n_index, trial_index)``; distinct key tuples give
-    independent streams.
-    """
-    return np.random.default_rng(np.random.SeedSequence((seed, *keys)))
 
 
 def interleave_seeds(seed: int, labels: Sequence[str] | Iterable[str]) -> dict[str, np.random.Generator]:

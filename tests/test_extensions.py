@@ -76,6 +76,10 @@ class TestWorstCaseSearch:
         with pytest.raises(ValueError):
             search_worst_start(100, 10, coarse=1)
 
+    def test_rejects_zero_runs_per_candidate(self):
+        with pytest.raises(ValueError):
+            search_worst_start(100, 10, runs_per_candidate=0)
+
     def test_worst_found_is_slower_than_benign(self):
         """The search must find something at least as bad as an easy start."""
         n = 400

@@ -137,12 +137,12 @@ class TestEngineProperties:
         state = {"prev_count": proto.randomize_state_batch(1, n, rng)["prev_count"][0]}
         pop.adversarial_opinions(rng.integers(0, 2, size=n).astype(np.uint8))
         engine = SynchronousEngine(proto, pop, rng=rng, state=state)
-        # Each example checks the state after its own number of rounds.
-        engine.run(rounds, stop_condition=lambda population: False)
-        assert pop.opinions[pop.source_mask].tolist() == [1]
-        assert np.isin(pop.opinions, (0, 1)).all()
-        assert state["prev_count"].min() >= 0
-        assert state["prev_count"].max() <= ell
+        for _ in range(rounds):
+            engine.run(1, stop_condition=lambda population: False)
+            assert pop.opinions[pop.source_mask].tolist() == [1]
+            assert np.isin(pop.opinions, (0, 1)).all()
+            assert state["prev_count"].min() >= 0
+            assert state["prev_count"].max() <= ell
 
     @given(
         n=st.integers(min_value=4, max_value=80),

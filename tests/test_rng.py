@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.rng import as_rng, derive_rng, make_rng, spawn_rngs
+from repro.core.rng import as_rng, make_rng, spawn_rngs
 from repro.core.rng import interleave_seeds
 
 
@@ -69,23 +69,6 @@ class TestSpawnRngs:
         spawned = spawn_rngs(5, 1)[0].random(4)
         plain = make_rng(5).random(4)
         assert not np.array_equal(spawned, plain)
-
-
-class TestDeriveRng:
-    def test_reproducible(self):
-        a = derive_rng(1, 2, 3).random(4)
-        b = derive_rng(1, 2, 3).random(4)
-        assert np.array_equal(a, b)
-
-    def test_distinct_keys_distinct_streams(self):
-        a = derive_rng(1, 2, 3).random(4)
-        b = derive_rng(1, 2, 4).random(4)
-        assert not np.array_equal(a, b)
-
-    def test_key_order_matters(self):
-        a = derive_rng(1, 2, 3).random(4)
-        b = derive_rng(1, 3, 2).random(4)
-        assert not np.array_equal(a, b)
 
 
 class TestInterleaveSeeds:
