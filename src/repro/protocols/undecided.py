@@ -60,9 +60,12 @@ class UndecidedStateProtocol(Protocol):
 
     # ---------------------------------------------------------- count model
     #
-    # State ``s = 2·opinion + undecided`` (S = 4). Each agent's transition
-    # depends only on its state and the one observed bit (Bernoulli(x̃)), so
-    # the full dense 4×4 kernel is cheap: one multinomial split per state.
+    # State ``s = 2·opinion + undecided`` (S = 4). Each agent's move depends
+    # only on its state and its one observed bit (Bernoulli(x̃)), and the
+    # two undecided states move alike, so three binomial splits give the
+    # exact law: decided-0 agents that see a 1 (they become undecided
+    # showing 0), decided-1 agents that see a 1 (they stay), and undecided
+    # agents that see a 1 (they decide 1; the rest decide 0).
 
     def count_display(self) -> np.ndarray:
         return np.array([0, 0, 1, 1], dtype=np.uint8)
@@ -80,23 +83,18 @@ class UndecidedStateProtocol(Protocol):
         x_eff: np.ndarray,
         rng: np.random.Generator,
     ) -> np.ndarray:
-        replicas = counts.shape[0]
-        x = np.asarray(x_eff, dtype=float)
-        kernel = np.zeros((replicas, 4, 4))
-        # Decided 0 (s=0): sees 1 w.p. x̃ -> undecided (s=1), else stays.
-        kernel[:, 0, 0] = 1.0 - x
-        kernel[:, 0, 1] = x
-        # Undecided showing 0 (s=1): adopts what it sees and decides.
-        kernel[:, 1, 0] = 1.0 - x
-        kernel[:, 1, 2] = x
-        # Decided 1 (s=2): sees 0 w.p. 1-x̃ -> undecided (s=3), else stays.
-        kernel[:, 2, 2] = x
-        kernel[:, 2, 3] = 1.0 - x
-        # Undecided showing 1 (s=3): adopts what it sees and decides.
-        kernel[:, 3, 0] = 1.0 - x
-        kernel[:, 3, 2] = x
-        moved = rng.multinomial(counts, kernel)
-        return moved.sum(axis=1).astype(np.int64)
+        decided0, undecided0, decided1, undecided1 = counts.T
+        undecided = undecided0 + undecided1
+        see_one = rng.binomial(
+            np.stack([decided0, decided1, undecided], axis=1),
+            np.asarray(x_eff, dtype=float)[:, None],
+        )
+        doubting, staying, deciding = see_one.T
+        return np.stack(
+            [decided0 - doubting + undecided - deciding, doubting,
+             staying + deciding, decided1 - staying],
+            axis=1,
+        ).astype(np.int64)
 
     def samples_per_round(self) -> int:
         return 1

@@ -12,6 +12,26 @@ batch: cells are embarrassingly parallel (independent derived seeds, no
 shared state), so the pool scales wall-clock with cores while the ordered
 collection keeps aggregate output bitwise identical to a serial run.
 
+Pool lifetime
+-------------
+
+Workers outlive the map that started them. A process keeps a free list of
+idle executors keyed by ``(os.getpid(), jobs)``; each
+:meth:`ProcessPoolDispatcher.map` checks one out (or forks a new one with
+``jobs`` workers), and puts it back when its work drains normally, so a
+run of small sweeps pays the fork and every worker's first-call costs
+once, not once per sweep. Any other way out — a watchdog expiry, a dead
+worker, an exception under ``on_failure="raise"``, ``KeyboardInterrupt``
+— kills the executor instead, and it is never reused. Two concurrent maps
+never share an executor (each checks out its own), so the watchdog's
+premise below holds per map. Forking a pool of a new size kills the idle
+pools of other sizes, so a process never holds more pools than the most
+maps it has run at once. The pid key keeps a forked child away from its
+parent's idle executors. Workers fork under an empty :mod:`contextvars`
+context, so a warm worker never carries the ambient telemetry of the
+sweep that forked it. Idle executors are shut down when the interpreter
+exits.
+
 Fault tolerance
 ---------------
 
@@ -23,13 +43,14 @@ a cell misbehaves. Three failure modes are survived on the pool path:
 * **worker crash** — a worker process died (segfault, OOM kill,
   ``os._exit``), which poisons the whole :class:`ProcessPoolExecutor`
   (``BrokenProcessPool``); completed in-flight results are salvaged, the
-  pool is rebuilt, and crashed attempts are retried;
+  pool is killed and the map carries on with a fresh one, and crashed
+  attempts are retried;
 * **hung cell** — a cell exceeded the per-cell ``timeout``; a watchdog
   kills the pool (the only way to abandon a running task in a process
   pool), requeues the innocent in-flight cells *without* charging them an
-  attempt, and retries the hung cell. The serial dispatcher enforces the
-  same budget by running each attempt in a watchdog thread and abandoning
-  it on expiry (:func:`_call_with_timeout`).
+  attempt, and retries the hung cell on a fresh pool. The serial
+  dispatcher enforces the same budget by running each attempt in a
+  watchdog thread and abandoning it on expiry (:func:`_call_with_timeout`).
 
 Both dispatchers report retries, backoff, crashes, watchdog expiries, an
 in-flight gauge, and per-attempt wall-clock into the ambient
@@ -63,6 +84,9 @@ exchange for never mis-blaming a queued cell that had not started).
 
 from __future__ import annotations
 
+import atexit
+import contextvars
+import os
 import random
 import threading
 import time
@@ -103,7 +127,7 @@ class BrokenWorkerError(RuntimeError):
     """A worker process died while (probably) running this cell.
 
     Deliberately *not* a ``BrokenProcessPool`` subclass: the dispatcher
-    catches ``BrokenProcessPool`` to rebuild the pool, and this error must
+    catches ``BrokenProcessPool`` to replace the pool, and this error must
     propagate to the caller instead of re-entering that recovery path.
     """
 
@@ -131,11 +155,11 @@ class FaultPolicy:
         never affects results — cells are deterministic per seed.
     timeout:
         Per-cell wall-clock budget in seconds; ``None`` disables the
-        watchdog. The pool dispatcher enforces it by killing and rebuilding
-        the pool; the serial dispatcher runs each attempt in a watchdog
-        thread and *abandons* it on expiry (threads cannot be preempted, so
-        the zombie attempt keeps computing in the background while the
-        dispatcher charges the timeout and moves on).
+        watchdog. The pool dispatcher enforces it by killing the pool and
+        carrying on with a fresh one; the serial dispatcher runs each
+        attempt in a watchdog thread and *abandons* it on expiry (threads
+        cannot be preempted, so the zombie attempt keeps computing in the
+        background while the dispatcher charges the timeout and moves on).
     on_failure:
         ``"raise"`` (default) re-raises the final error after retries are
         exhausted, cancelling all queued work; ``"record"`` completes the
@@ -443,6 +467,69 @@ class _MapState:
         raise exc
 
 
+#: Idle warm executors by ``(os.getpid(), jobs)``; see "Pool lifetime".
+_IDLE: dict[tuple[int, int], list[ProcessPoolExecutor]] = {}
+_IDLE_LOCK = threading.Lock()
+
+
+def _alive(executor: ProcessPoolExecutor) -> bool:
+    """No worker of the idle ``executor`` has died since it was returned.
+
+    Without this check a worker lost while idle (OOM kill, signal) would
+    surface as a crash charged to the next map's cells. Reads the same
+    private attributes as :meth:`ProcessPoolDispatcher._kill_pool`.
+    """
+    processes = list((getattr(executor, "_processes", None) or {}).values())
+    return not getattr(executor, "_broken", False) and all(
+        process.is_alive() for process in processes
+    )
+
+
+def _checkout(jobs: int) -> ProcessPoolExecutor:
+    """Take an idle executor with ``jobs`` workers, or make a new one.
+
+    An idle executor whose worker died meanwhile is killed, not handed out.
+    Making a new one kills this process's idle executors of other sizes.
+    """
+    pid = os.getpid()
+    stale: list[ProcessPoolExecutor] = []
+    executor = None
+    with _IDLE_LOCK:
+        idle = _IDLE.get((pid, jobs), [])
+        while idle and executor is None:
+            candidate = idle.pop()
+            if _alive(candidate):
+                executor = candidate
+            else:
+                stale.append(candidate)
+        if executor is None:
+            for key in [key for key in _IDLE if key[0] == pid and key[1] != jobs]:
+                stale.extend(_IDLE.pop(key))
+    for pool in stale:
+        ProcessPoolDispatcher._kill_pool(pool)
+    return executor if executor is not None else ProcessPoolExecutor(max_workers=jobs)
+
+
+def _checkin(jobs: int, executor: ProcessPoolExecutor) -> None:
+    """Return a drained executor to the free list for the next map."""
+    with _IDLE_LOCK:
+        _IDLE.setdefault((os.getpid(), jobs), []).append(executor)
+
+
+@atexit.register
+def _shutdown_idle() -> None:
+    """Shut down this process's idle executors (runs at interpreter exit)."""
+    pid = os.getpid()
+    with _IDLE_LOCK:
+        executors = [
+            executor
+            for key in [key for key in _IDLE if key[0] == pid]
+            for executor in _IDLE.pop(key)
+        ]
+    for executor in executors:
+        executor.shutdown(wait=True)
+
+
 class ProcessPoolDispatcher:
     """Fan items out over ``jobs`` worker processes, collect in order.
 
@@ -454,6 +541,15 @@ class ProcessPoolDispatcher:
     worker exception propagates to the caller *promptly*: in-flight and
     queued work is cancelled and the pool torn down instead of draining
     every remaining cell first.
+
+    The workers are warm: :meth:`map` checks an idle executor with ``jobs``
+    workers out of the process's free list (forking one only when none is
+    idle) and returns it when the work drains normally. On every other
+    exit — watchdog expiry, a dead worker, an exception under
+    ``on_failure="raise"``, ``KeyboardInterrupt`` — the executor is killed
+    (:meth:`_kill_pool`) and never returned, and a map that must go on
+    checks out another. Concurrent maps never share an executor, and the
+    free list is keyed by pid, so a forked child never uses its parent's.
     """
 
     def __init__(self, jobs: int) -> None:
@@ -475,13 +571,13 @@ class ProcessPoolDispatcher:
         state = _MapState(len(items), policy, on_result)
         while state.outstanding:
             max_workers = min(self.jobs, state.outstanding)
-            executor = ProcessPoolExecutor(max_workers=max_workers)
-            graceful = False
+            executor = _checkout(self.jobs)
+            drained = False
             try:
-                graceful = self._run_pool(executor, max_workers, fn, items, state)
+                drained = self._run_pool(executor, max_workers, fn, items, state)
             finally:
-                if graceful:
-                    executor.shutdown(wait=True)
+                if drained:
+                    _checkin(self.jobs, executor)
                 else:
                     self._kill_pool(executor)
         if state.metrics is not None:
@@ -498,8 +594,9 @@ class ProcessPoolDispatcher:
         items: list[T],
         state: _MapState,
     ) -> bool:
-        """Drive one pool until the work drains (``True``) or it must be
-        killed and rebuilt (``False``: a hung cell or a dead worker)."""
+        """Drive one pool until the work drains (``True``: the pool goes
+        back to the free list) or it must be killed (``False``: a hung cell
+        or a dead worker)."""
         inflight: dict[Future, int] = {}
         started: dict[int, float] = {}
         try:
@@ -521,7 +618,7 @@ class ProcessPoolDispatcher:
                     try:
                         result = future.result()
                     except BrokenProcessPool:
-                        raise  # handled below: charge in-flight, rebuild
+                        raise  # handled below: charge in-flight, kill the pool
                     except Exception as exc:
                         inflight.pop(future)
                         begun = started.pop(index, None)
@@ -590,7 +687,10 @@ class ProcessPoolDispatcher:
         still_gated: list[int] = []
         for index in state.ready:
             if capacity > 0 and state.not_before[index] <= now:
-                future = executor.submit(fn, items[index])
+                # A new executor forks its workers inside submit: under an
+                # empty context they start with telemetry off instead of
+                # keeping this thread's ambient bundle for their lifetime.
+                future = contextvars.Context().run(executor.submit, fn, items[index])
                 inflight[future] = index
                 started[index] = time.monotonic()
                 capacity -= 1
@@ -632,7 +732,7 @@ class ProcessPoolDispatcher:
         pool, because a running task in a ``ProcessPoolExecutor`` cannot be
         cancelled any other way. The innocents are requeued *without* an
         attempt charge (their computation dies with the pool through no
-        fault of their own) and recompute identically on the rebuilt pool.
+        fault of their own) and recompute identically on a fresh pool.
         """
         now = time.monotonic()
         expired = [

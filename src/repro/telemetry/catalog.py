@@ -83,7 +83,7 @@ SWEEP_BACKOFF_SECONDS = _counter(
 SWEEP_WORKER_CRASHES = _counter(
     "repro_sweep_worker_crashes_total",
     "Worker-pool breakage events (a worker process died and the "
-    "pool was rebuilt); one event may charge several in-flight cells.",
+    "pool was replaced); one event may charge several in-flight cells.",
 )
 SWEEP_WATCHDOG_EXPIRIES = _counter(
     "repro_sweep_watchdog_expiries_total",

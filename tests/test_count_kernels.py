@@ -35,7 +35,9 @@ zero-truncated draws — must stay well defined where those sums vanish: x̃
 at or next to 0 and 1, ℓ from 1 to 129, all of up to 10⁹ agents in one
 state. Every row keeps its sum, no count goes negative, no
 RuntimeWarning is raised (the suite turns one into an error), and the
-closed-form tails equal the pmf-slice sums they replace.
+closed-form tails equal the pmf-slice sums they replace. At x̃ ∈ {0, 1}
+undecided-state's three binomial splits send every agent to its one
+certain next state.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ from repro.protocols.hysteresis import HysteresisFETProtocol
 from repro.protocols.majority import MajorityProtocol
 from repro.protocols.majority_sampling import MajoritySamplingProtocol
 from repro.protocols.simple_trend import SimpleTrendProtocol
+from repro.protocols.undecided import UndecidedStateProtocol
 from repro.protocols.voter import VoterProtocol
 from repro.sweep.registry import build_protocol, protocol_names
 from reference.count_states import (
@@ -356,3 +359,19 @@ def test_majority_kernels_at_the_edges(protocol, x, n_free):
         np.testing.assert_array_equal(new[:, 1], 0)
     elif x == 1.0:
         np.testing.assert_array_equal(new[:, 0], 0)
+
+
+@pytest.mark.parametrize("n_free", EDGE_FREE)
+@pytest.mark.parametrize("x", EDGE_X)
+def test_undecided_state_kernel_at_the_edges(x, n_free):
+    # states: decided 0, undecided showing 0, decided 1, undecided showing 1
+    counts = one_state_rows(4, n_free)
+    new = UndecidedStateProtocol().step_counts(counts, {}, np.full(4, x), np.random.default_rng(7))
+    np.testing.assert_array_equal(new.sum(axis=1), n_free)
+    assert (new >= 0).all()
+    if x == 0.0:
+        # everyone sees a 0: decided 1 doubts, every other state decides 0
+        np.testing.assert_array_equal(new, n_free * np.eye(4, dtype=np.int64)[[0, 0, 3, 0]])
+    elif x == 1.0:
+        # everyone sees a 1: decided 0 doubts, every other state decides 1
+        np.testing.assert_array_equal(new, n_free * np.eye(4, dtype=np.int64)[[1, 2, 2, 2]])

@@ -47,6 +47,11 @@ def _times_ten(x: int) -> int:
     return x * 10
 
 
+def _pid_after_nap(seconds: float) -> int:
+    time.sleep(seconds)
+    return os.getpid()
+
+
 class _MarkingWorker:
     """Records which items ran (as files) and raises on item 0."""
 
@@ -307,6 +312,27 @@ class TestPoolFaults:
     def test_policy_defaults_keep_plain_behavior(self):
         results = ProcessPoolDispatcher(3).map(_times_ten, [1, 2, 3, 4, 5])
         assert results == [10, 20, 30, 40, 50]
+
+    @pytest.mark.timeout(120)
+    @pytest.mark.parametrize("fault", ["kill", "hang"])
+    def test_faulted_pool_is_never_reused(self, fault, tmp_path):
+        # The sweep checks out the warm pool the first map returned; a
+        # worker death or a watchdog expiry kills that pool, so the next
+        # map runs on other workers, and the recovered CSV is unchanged.
+        spec = chaos_spec()
+        cells = spec.expand()
+        clean = run_sweep(spec, jobs=1).write_csv(tmp_path / "clean.csv").read_bytes()
+        dispatcher = ProcessPoolDispatcher(2)
+        before = set(dispatcher.map(_pid_after_nap, [0.2] * 2))
+        plan = FaultPlan(faults={2: {0: fault}}, hang_seconds=600)
+        outcome = run_sweep(
+            spec, jobs=2, policy=record_policy(timeout=1.5),
+            work_fn=injector(plan, cells, tmp_path),
+        )
+        assert outcome.failed == 0
+        assert outcome.write_csv(tmp_path / "faulted.csv").read_bytes() == clean
+        after = set(dispatcher.map(_pid_after_nap, [0.2] * 2))
+        assert len(before) == 2 and after.isdisjoint(before)
 
 
 # --------------------------------------------------- chaos acceptance tests

@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from repro.analysis.domains import DomainPartition
-from repro.analysis.markov import ExactPairChain
 from repro.analysis.theory import theorem1_bound
 from repro.config import RunSpec
 from repro.core.engine import SynchronousEngine
 from repro.core.population import make_majority_population, make_population
-from repro.core.rng import make_rng, spawn_rngs
+from repro.core.rng import make_rng
 from repro.core.sampling import IndexSampler
 from repro.initializers.adversarial import FrozenUnanimity, TwoRoundTarget
 from repro.initializers.standard import AllWrong, ExactFraction
@@ -131,27 +130,6 @@ class TestDomainTrajectoryConsistency:
         families = [part.classify(float(x), float(y)).family for x, y in result.pairs()]
         assert families[0] == "Cyan"
         assert result.converged
-
-
-class TestExactChainAgainstHarness:
-    def test_small_n_agreement(self):
-        """Mean convergence from all-wrong agrees with the exact chain."""
-        n, ell = 8, 3
-        chain = ExactPairChain(n=n, ell=ell)
-        exact = chain.expected_time_from_all_wrong()
-        totals = []
-        for rng in spawn_rngs(99, 400):
-            proto = FETProtocol(ell)
-            pop = make_population(n, 1)
-            state = {"prev_count": rng.binomial(ell, 1 / n, size=n).astype(np.int64)}
-            result = SynchronousEngine(
-                proto, pop, rng=rng, state=state
-            ).run(2000, stability_rounds=2)
-            assert result.converged
-            # rounds is the first all-correct round; absorption into (n, n)
-            # happens one round later, matching the chain's state pair.
-            totals.append(result.rounds + 1)
-        assert np.mean(totals) == pytest.approx(exact, rel=0.15)
 
 
 class TestIndexSamplerEndToEnd:

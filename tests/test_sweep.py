@@ -3,10 +3,19 @@
 from __future__ import annotations
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.experiments.harness import TrialStats
 from repro.sweep import (
     Cell,
@@ -216,9 +225,177 @@ class TestDispatchers:
         results = ProcessPoolDispatcher(4).map(_square, list(range(8)))
         assert results == [x * x for x in range(8)]
 
+    @pytest.mark.timeout(120)
+    def test_consecutive_maps_run_on_the_same_warm_workers(self):
+        # two naps in flight at once keep both workers busy, so each map
+        # reports every pid of the pool it ran on
+        dispatcher = ProcessPoolDispatcher(2)
+        first = set(dispatcher.map(_pid_after_nap, [0.2] * 4))
+        second = set(dispatcher.map(_pid_after_nap, [0.2] * 4))
+        assert len(first) == 2 and os.getpid() not in first
+        assert second == first
+
+    @pytest.mark.timeout(120)
+    def test_concurrent_maps_never_share_an_executor(self):
+        # one idle pool is there for the taking; each map holds its first
+        # result until the other map has one too, so both run at once
+        ProcessPoolDispatcher(2).map(_pid_after_nap, [0.0])
+        barrier = threading.Barrier(2, timeout=60)
+        seen: dict[str, set[int]] = {}
+
+        def run(name: str) -> None:
+            held: list[int] = []
+
+            def hold(index: int, result: int) -> None:
+                if not held:
+                    held.append(index)
+                    barrier.wait()
+
+            pids = ProcessPoolDispatcher(2).map(_pid_after_nap, [0.1] * 4, on_result=hold)
+            seen[name] = set(pids)
+
+        threads = [threading.Thread(target=run, args=(name,)) for name in ("a", "b")]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=90)
+        assert set(seen) == {"a", "b"}
+        assert seen["a"].isdisjoint(seen["b"])
+
+    @pytest.mark.timeout(120)
+    def test_idle_pool_with_a_dead_worker_is_not_handed_out(self):
+        from repro.telemetry.ambient import Telemetry, use_telemetry
+
+        dispatcher = ProcessPoolDispatcher(2)
+        before = set(dispatcher.map(_pid_after_nap, [0.2] * 2))
+        victim = min(before)
+        os.kill(victim, signal.SIGKILL)
+        _wait_until_dead(victim)
+        # a worker that died while idle is no crash of the next map's cells
+        with use_telemetry(Telemetry.fresh(["metrics"])) as bundle:
+            after = set(dispatcher.map(_pid_after_nap, [0.2] * 2))
+        assert after.isdisjoint(before)
+        assert bundle.registry.snapshot().total("repro_sweep_worker_crashes_total") == 0
+
+    @pytest.mark.timeout(120)
+    def test_warm_workers_start_with_telemetry_off(self):
+        from repro.sweep import dispatch
+        from repro.telemetry.ambient import Telemetry, use_telemetry
+
+        dispatch._shutdown_idle()  # the next map forks its workers
+        with use_telemetry(Telemetry.fresh(["metrics", "events"])):
+            inside = ProcessPoolDispatcher(2).map(_ambient_pillars, [0, 1])
+        after = ProcessPoolDispatcher(2).map(_ambient_pillars, [0, 1])
+        assert inside == after == [(), ()]
+
+    @pytest.mark.timeout(120)
+    def test_a_process_with_warm_pools_exits_and_leaves_no_worker(self):
+        script = textwrap.dedent(
+            """
+            import os
+            from repro.sweep import SweepSpec, execute_cell, run_sweep
+
+            def cell_on_pid(cell):
+                result = execute_cell(cell)
+                result.payload["pid"] = os.getpid()
+                return result
+
+            spec = SweepSpec(
+                name="warm", seed=3, trials=2, max_rounds=200,
+                axes={"protocol": [{"name": "fet", "ell": 8}], "n": [60, 80, 100, 120]},
+            )
+            pids = set()
+            for _ in range(2):
+                outcome = run_sweep(spec, jobs=2, work_fn=cell_on_pid)
+                pids.update(result.payload["pid"] for result in outcome.results)
+            print(*sorted(pids))
+            """
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=_src_env(), capture_output=True,
+            text=True, timeout=90,
+        )
+        assert done.returncode == 0, done.stderr
+        pids = [int(pid) for pid in done.stdout.split()]
+        # the second sweep ran on the first sweep's workers
+        assert 1 <= len(pids) <= 2
+        for pid in pids:
+            _wait_until_dead(pid)
+
+    @pytest.mark.timeout(120)
+    def test_a_forked_child_does_not_reuse_its_parents_idle_executor(self):
+        script = textwrap.dedent(
+            """
+            import json, os, time
+            from repro.sweep import ProcessPoolDispatcher, dispatch
+
+            def pid_after_nap(seconds):
+                time.sleep(seconds)
+                return os.getpid()
+
+            def pids():
+                return sorted(set(ProcessPoolDispatcher(2).map(pid_after_nap, [0.2] * 2)))
+
+            parent = pids()
+            read, write = os.pipe()
+            child = os.fork()
+            if child == 0:
+                os.write(write, json.dumps(pids()).encode())
+                dispatch._shutdown_idle()
+                os._exit(0)
+            os.close(write)
+            _, status = os.waitpid(child, 0)
+            with os.fdopen(read) as pipe:
+                in_child = json.loads(pipe.read())
+            print(json.dumps({"parent": parent, "child": in_child,
+                              "status": status, "again": pids()}))
+            """
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=_src_env(), capture_output=True,
+            text=True, timeout=90,
+        )
+        assert done.returncode == 0, done.stderr
+        seen = json.loads(done.stdout.splitlines()[-1])
+        assert seen["status"] == 0
+        assert len(seen["parent"]) == 2 and len(seen["child"]) == 2
+        assert set(seen["child"]).isdisjoint(seen["parent"])
+        # the child left its parent's idle executor alone
+        assert seen["again"] == seen["parent"]
+
 
 def _square(x: int) -> int:
     return x * x
+
+
+def _pid_after_nap(seconds: float) -> int:
+    time.sleep(seconds)
+    return os.getpid()
+
+
+def _ambient_pillars(_: int) -> tuple[str, ...]:
+    from repro.telemetry.ambient import current_telemetry
+
+    return current_telemetry().pillars
+
+
+def _wait_until_dead(pid: int, seconds: float = 10.0) -> None:
+    """Wait for ``pid`` to exit (gone, or a zombie awaiting its reaper)."""
+    stat = Path(f"/proc/{pid}/stat")
+    deadline = time.monotonic() + seconds
+    while time.monotonic() < deadline:
+        try:
+            if stat.read_text().rsplit(")", 1)[1].split()[0] == "Z":
+                return
+        except (OSError, IndexError):
+            return
+        time.sleep(0.02)
+    raise AssertionError(f"process {pid} is still running")
+
+
+def _src_env() -> dict[str, str]:
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
 
 
 class TestRunSweep:
