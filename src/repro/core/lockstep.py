@@ -266,8 +266,12 @@ def run_lockstep(
     # before it retires. A row's clock is ``rounds_done + ahead``: the
     # iterations run plus the extra rounds its jumps covered; ``lead``
     # bounds ``ahead`` over the working set, so rounds that nobody jumped
-    # keep the scalar budget test.
-    streak = condition(work).astype(np.int64)
+    # keep the scalar budget test. A row locks only on a round its condition
+    # held and retires only once locked or out of budget, so a round where
+    # neither can happen pays one reduction, ``holds.any()``.
+    holds = condition(work)
+    streak = holds.astype(np.int64)
+    any_locked = False
     locked = np.zeros(total, dtype=bool)
     locked_round = np.full(total, -1, dtype=np.int64)
     countdown = np.zeros(total, dtype=np.int64)
@@ -284,36 +288,38 @@ def run_lockstep(
         return np.where(locked, countdown, budget)
 
     while True:
-        newly_locked = ~locked & (streak >= stability_rounds)
-        if newly_locked.any():
-            first_round = rounds_done + ahead + 1 - streak
-            locked_round = np.where(newly_locked, first_round, locked_round)
-            countdown = np.where(newly_locked, linger_rounds, countdown)
-            locked = locked | newly_locked
-        done = locked & (countdown <= 0)
-        if rounds_done + lead >= max_rounds:
-            # Budget exhausted: unconverged replicas stop here; locked
-            # replicas mid-linger keep stepping their settle window out.
-            done = done | (~locked & (rounds_done + ahead >= max_rounds))
-        if done.any():
-            retired = ids[done]
-            conv = locked[done]
-            clock = rounds_done + ahead[done]
-            converged[retired] = conv
-            rounds[retired] = np.where(conv, locked_round[done], clock)
-            rounds_executed[retired] = clock
-            engine._retire(retired, work, done)
-            keep = ~done
-            engine.states = {key: value[keep] for key, value in engine.states.items()}
-            ids = ids[keep]
-            streak = streak[keep]
-            locked = locked[keep]
-            locked_round = locked_round[keep]
-            countdown = countdown[keep]
-            ahead = ahead[keep]
-            lead = int(ahead.max()) if ahead.size else 0
-            if ids.size:
-                work = work.select(keep)
+        if holds.any():
+            newly_locked = ~locked & (streak >= stability_rounds)
+            if newly_locked.any():
+                first_round = rounds_done + ahead + 1 - streak
+                locked_round = np.where(newly_locked, first_round, locked_round)
+                countdown = np.where(newly_locked, linger_rounds, countdown)
+                locked = locked | newly_locked
+                any_locked = True
+        out_of_budget = rounds_done + lead >= max_rounds
+        if any_locked or out_of_budget:
+            done = locked & (countdown <= 0)
+            if out_of_budget:
+                # Budget exhausted: unconverged replicas stop here; locked
+                # replicas mid-linger keep stepping their settle window out.
+                done = done | (~locked & (rounds_done + ahead >= max_rounds))
+            if done.any():
+                retired = ids[done]
+                conv = locked[done]
+                clock = rounds_done + ahead[done]
+                converged[retired] = conv
+                rounds[retired] = np.where(conv, locked_round[done], clock)
+                rounds_executed[retired] = clock
+                engine._retire(retired, work, done)
+                keep = ~done
+                engine.states = {key: value[keep] for key, value in engine.states.items()}
+                ids, streak, locked, locked_round, countdown, ahead = (
+                    array[keep] for array in (ids, streak, locked, locked_round, countdown, ahead)
+                )
+                lead = int(ahead.max()) if ahead.size else 0
+                any_locked = bool(locked.any())
+                if ids.size:
+                    work = work.select(keep)
         if ids.size == 0:
             break
         flips, delta = engine._step(work, wants_flips, None if recorder is not None else horizon)

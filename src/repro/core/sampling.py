@@ -357,21 +357,10 @@ def _sparse_binomial_rows(
     return out
 
 
-def _record_tier_rows(
-    metrics: MetricsRegistry,
-    zeros: np.ndarray,
-    ones: np.ndarray,
-    sparse_rows: np.ndarray,
-    scalar_rows: np.ndarray,
-    histogram_rows: np.ndarray,
-) -> None:
+def _record_tier_rows(metrics: MetricsRegistry, **tiers: np.ndarray) -> None:
     """Count per-call tier routing of the ``"auto"`` strategy (rows per tier)."""
-    for tier, rows in (
-        ("consensus", int(np.count_nonzero(zeros)) + int(np.count_nonzero(ones))),
-        ("sparse", int(np.count_nonzero(sparse_rows))),
-        ("grouped", int(np.count_nonzero(scalar_rows))),
-        ("histogram", int(np.count_nonzero(histogram_rows))),
-    ):
+    for tier, mask in tiers.items():
+        rows = int(np.count_nonzero(mask))
         if rows:
             catalog.SAMPLER_TIER_ROWS.on(metrics, tier=tier).inc(rows)
 
@@ -431,7 +420,8 @@ def _batched_binomial_counts(
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError(f"x must be a 1-d per-replica vector, got shape {x.shape}")
-    if x.size and (x.min() < 0.0 or x.max() > 1.0):
+    lo, hi = (x.min(), x.max()) if x.size else (0.0, 0.0)
+    if lo < 0.0 or hi > 1.0:
         raise ValueError("probabilities must lie in [0, 1]")
     replicas = x.shape[0]
     if ell == 0 or replicas == 0 or blocks == 0 or n == 0:
@@ -442,6 +432,15 @@ def _batched_binomial_counts(
         return _histogram_binomial_rows(rng, ell, x, blocks, n)
     if method == "sparse":
         return _sparse_binomial_rows(rng, ell, x, blocks, n)
+    # Single-strategy fast paths — the overwhelmingly common rounds (all
+    # replicas at consensus, or all in lock-step near one end) skip the
+    # allocate-and-scatter entirely. All rows at x = 0 (or all at x = 1) is
+    # read off the range check's extremes, before any tier mask is built.
+    metrics = current_registry()
+    if hi == 0.0 or lo == 1.0:
+        if metrics is not None:
+            _record_tier_rows(metrics, consensus=x == lo)
+        return np.full((blocks, replicas, n), ell if lo == 1.0 else 0, dtype=np.int32)
     zeros = x == 0.0
     ones = x == 1.0
     tail = ell * np.minimum(x, 1.0 - x)
@@ -449,16 +448,11 @@ def _batched_binomial_counts(
     sparse_rows = extreme & (tail <= _SPARSE_CUTOFF)
     scalar_rows = extreme & ~sparse_rows & (tail <= _INVERSION_CUTOFF)
     histogram_rows = extreme & (tail > _INVERSION_CUTOFF)
-    metrics = current_registry()
     if metrics is not None:
-        _record_tier_rows(metrics, zeros, ones, sparse_rows, scalar_rows, histogram_rows)
-    # Single-strategy fast paths — the overwhelmingly common rounds (all
-    # replicas in lock-step near one end, or all at consensus) skip the
-    # allocate-and-scatter entirely.
-    if zeros.all():
-        return np.zeros((blocks, replicas, n), dtype=np.int32)
-    if ones.all():
-        return np.full((blocks, replicas, n), ell, dtype=np.int32)
+        _record_tier_rows(
+            metrics, consensus=~extreme, sparse=sparse_rows, grouped=scalar_rows,
+            histogram=histogram_rows,
+        )
     if sparse_rows.all():
         return _sparse_binomial_rows(rng, ell, x, blocks, n)
     if scalar_rows.all() and (x == x[0]).all():
@@ -466,10 +460,8 @@ def _batched_binomial_counts(
     if histogram_rows.all():
         return _histogram_binomial_rows(rng, ell, x, blocks, n)
     out = np.empty((blocks, replicas, n), dtype=np.int32)
-    if zeros.any():
-        out[:, zeros, :] = 0
-    if ones.any():
-        out[:, ones, :] = ell
+    out[:, zeros, :] = 0
+    out[:, ones, :] = ell
     if sparse_rows.any():
         indices = np.nonzero(sparse_rows)[0]
         out[:, indices, :] = _sparse_binomial_rows(rng, ell, x[indices], blocks, n)

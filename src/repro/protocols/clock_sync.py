@@ -30,9 +30,10 @@ advances by one) and step 3 depends on the samples only through how many
 ones they hold, so ``step_batch`` steps such a replica in closed form —
 one uniform per agent against ``1 - x̃^ℓ`` (zero subphase) or
 ``1 - (1-x̃)^ℓ`` (one subphase) — instead of drawing identities. The law
-is unchanged; only replicas whose clocks disagree consume the stream as
-the per-agent reference in ``tests/reference/clock_sync.py`` does, so the
-bitwise comparison with it holds only up to synchronization.
+is unchanged; only replicas whose clocks disagree draw identities, as the
+per-agent reference in ``tests/reference/clock_sync.py`` does, and they
+tally clocks alone (a sampled opinion enters only through the ones seen),
+so the bitwise comparison with it holds only up to synchronization.
 """
 
 from __future__ import annotations
@@ -50,12 +51,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 __all__ = ["ClockSyncProtocol"]
 
-#: Ceiling on elements per intermediate array in ``step_batch``. The identity
-#: samples and the per-(agent, clock, opinion) tallies are ``(A, n, ell)`` /
-#: ``(A, n, 2·period)`` shaped; replicas are processed in chunks so neither
-#: exceeds this. Besides bounding peak memory, the cap keeps each chunk's
-#: tensors cache-resident — measured fastest around 0.25–0.5M elements; a
-#: 4× larger budget was ~1.9× slower end to end.
+#: Ceiling on elements per chunk of ``step_batch``'s plurality tier, which
+#: holds ``max(1, budget // (n·max(ell, 2·period)))`` replicas: its identity
+#: samples are ``(A, n, ell)`` and its clock tallies ``(A, n, period)``. The
+#: rule's ``2·period`` (room for a (clock, opinion) tally) stays because the
+#: chunk sizes fix the identity draws' shapes, and so the stream. Besides
+#: bounding peak memory, the cap keeps each chunk cache-resident — measured
+#: fastest around 0.25–0.5M elements; a 4× larger budget was ~1.9× slower.
 _CHUNK_ELEMENT_BUDGET = 500_000
 
 
@@ -114,70 +116,61 @@ class ClockSyncProtocol(Protocol):
         subphase with probability ``1 - (1-x̃)^ell``: one uniform per agent,
         the same law as the literal rule.
 
-        *Plurality tier.* Every other replica draws ``ell`` uniform
-        identities per agent (an ``(A, n, ell)`` tensor), and the per-agent
-        plurality over sampled clocks is a single bincount over flattened
-        ``(replica, agent, clock)`` keys; ``argmax`` along the clock axis
-        resolves ties to the smallest clock value. These replicas are
-        processed first, in chunks so the ``(A, n, ell)`` sample tensor and
-        the ``(A, n, period)`` tally tensor stay within a fixed element
-        budget; the synchronized replicas' uniforms are drawn after them.
-        So the unsynchronized rows of a batch consume the stream exactly as
-        a batch of those rows alone, and with one replica per chunk a
-        replica matches the per-agent reference in
-        ``tests/reference/clock_sync.py`` bitwise until its clocks agree.
+        *Plurality tier.* Every other replica draws ``ell`` uniform identities
+        per agent, one ``(c, n, ell)`` draw per chunk of ``c`` replicas
+        (:data:`_CHUNK_ELEMENT_BUDGET`), and gathers the sampled agents' packed
+        (clock, opinion-bit) keys. The ones seen are the keys' low bits summed;
+        the plurality over sampled clocks is one bincount over flat ``(replica,
+        agent, clock)`` keys, ``argmax`` resolving ties to the smallest clock.
+        These replicas draw before the synchronized ones, so they consume the
+        stream exactly as a batch of those rows alone. Until its clocks agree,
+        a chunk matches the per-agent reference in
+        ``tests/reference/clock_sync.py`` run on its replicas in turn, bitwise
+        when ε = 0 and one ``(c, n, ell)`` draw is ``c`` draws of ``(1, n,
+        ell)`` (one replica per chunk, or ``n`` a power of two).
         """
         n = batch.n
         clocks = states["clock"]
         opinions = batch.opinions
         new_opinions = np.empty_like(opinions)
         new_clocks = np.empty_like(clocks)
-        width = 2 * self.period
         epsilon = _observation_epsilon(sampler)
         synced = clocks.min(axis=1) == clocks.max(axis=1)
         lagging = np.flatnonzero(~synced)
         # Reading a sampled agent's state is one gather: its clock and its
-        # opinion are packed into a single key (clock, opinion-bit), so the
-        # bincount below tallies both at once.
+        # opinion are packed into a single key (clock, opinion-bit).
         packed = (clocks[lagging] * 2 + opinions[lagging]).astype(np.int32)
-        per_replica = n * max(self.ell, width)
+        per_replica = n * max(self.ell, 2 * self.period)
         chunk = max(1, _CHUNK_ELEMENT_BUDGET // per_replica)
         for start in range(0, lagging.size, chunk):
             stop = min(start + chunk, lagging.size)
             c = stop - start
             idx = rng.integers(0, n, size=(c, n, self.ell), dtype=np.int32)
-            rows = np.arange(start, stop)[:, None, None]
-            sampled = packed[rows, idx].reshape(c * n, self.ell)  # (c·n, ell)
+            sampled = np.empty_like(idx)
+            # One 1-D take per replica; mode="clip" (a no-op on in-range
+            # indices) spares numpy the out-buffer copy of mode="raise".
+            for row in range(c):
+                packed[start + row].take(idx[row], out=sampled[row], mode="clip")
+            sampled = sampled.reshape(c * n, self.ell)
             if epsilon:
                 # Per-bit observation noise on the opinion channel: flipping
                 # an observed bit is an XOR on the packed key's low bit (the
                 # clock message stays clean).
-                sampled = sampled ^ (rng.random(sampled.shape) < epsilon)
-            # One flat bincount over (replica, agent, clock, opinion) keys:
-            # entry (r, i, v, b) counts how often agent i of replica r sampled
-            # clock value v from an agent with opinion b.
-            flat = (np.arange(c * n)[:, None] * width + sampled).ravel()
-            tallies = np.bincount(flat, minlength=c * n * width).reshape(
-                c, n, self.period, 2
-            )
-            # Plurality over clock values ignores the opinion bit; argmax
-            # resolves ties to the smallest clock value.
-            # Slice-add instead of sum(axis=3): numpy's reduction over a
-            # length-2 axis pays per-element loop overhead (~7× slower here).
-            clock_tallies = tallies[:, :, :, 0] + tallies[:, :, :, 1]
-            chunk_clocks = (clock_tallies.argmax(axis=2) + 1) % self.period
-
-            ones_seen = tallies[:, :, :, 1].sum(axis=2)
-            saw_one = ones_seen > 0
-            saw_zero = ones_seen < self.ell
+                sampled ^= rng.random(sampled.shape) < epsilon
+            ones_seen = (sampled & 1).sum(axis=1).reshape(c, n)
+            # The plurality ignores the opinion bit: one bincount over flat
+            # (replica, agent, clock) keys; argmax takes the smallest clock.
+            sampled >>= 1
+            sampled += np.arange(0, c * n * self.period, self.period, dtype=np.int32)[:, None]
+            tallies = np.bincount(sampled.ravel(), minlength=c * n * self.period)
+            chunk_clocks = (tallies.reshape(c, n, self.period).argmax(axis=2) + 1) % self.period
             in_zero_subphase = chunk_clocks < self.subphase_len
-
             targets = lagging[start:stop]
             new_opinions[targets] = np.where(
-                in_zero_subphase & saw_zero,
+                in_zero_subphase & (ones_seen < self.ell),
                 np.uint8(0),
-                np.where(~in_zero_subphase & saw_one, np.uint8(1), opinions[targets]),
-            ).astype(np.uint8)
+                np.where(~in_zero_subphase & (ones_seen > 0), np.uint8(1), opinions[targets]),
+            )
             new_clocks[targets] = chunk_clocks
 
         aligned = np.flatnonzero(synced)

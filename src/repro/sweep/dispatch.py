@@ -16,21 +16,21 @@ Pool lifetime
 -------------
 
 Workers outlive the map that started them. A process keeps a free list of
-idle executors keyed by ``(os.getpid(), jobs)``; each
-:meth:`ProcessPoolDispatcher.map` checks one out (or forks a new one with
-``jobs`` workers), and puts it back when its work drains normally, so a
-run of small sweeps pays the fork and every worker's first-call costs
-once, not once per sweep. Any other way out — a watchdog expiry, a dead
-worker, an exception under ``on_failure="raise"``, ``KeyboardInterrupt``
-— kills the executor instead, and it is never reused. Two concurrent maps
-never share an executor (each checks out its own), so the watchdog's
-premise below holds per map. Forking a pool of a new size kills the idle
-pools of other sizes, so a process never holds more pools than the most
-maps it has run at once. The pid key keeps a forked child away from its
-parent's idle executors. Workers fork under an empty :mod:`contextvars`
-context, so a warm worker never carries the ambient telemetry of the
-sweep that forked it. Idle executors are shut down when the interpreter
-exits.
+idle executors keyed by ``jobs``; each :meth:`ProcessPoolDispatcher.map`
+checks one out (or forks a new one with ``jobs`` workers), and puts it
+back when its work drains normally, so a run of small sweeps pays the fork
+and every worker's first-call costs once, not once per sweep. Any other
+way out — a watchdog expiry, a dead worker, an exception under
+``on_failure="raise"``, ``KeyboardInterrupt`` — kills the executor
+instead, and it is never reused. Two concurrent maps never share an
+executor (each checks out its own), so the watchdog's premise below holds
+per map. Forking a pool of a new size kills the idle pools of other sizes,
+so a process never holds more pools than the most maps it has run at once.
+A child made by :func:`os.fork` forgets its parent's executors and
+workers, so it neither reuses nor joins them. Workers fork under an empty
+:mod:`contextvars` context, so a warm worker never carries the ambient
+telemetry of the sweep that forked it. Idle executors are shut down when
+the interpreter exits.
 
 Fault tolerance
 ---------------
@@ -86,6 +86,7 @@ from __future__ import annotations
 
 import atexit
 import contextvars
+import multiprocessing.process
 import os
 import random
 import threading
@@ -467,9 +468,21 @@ class _MapState:
         raise exc
 
 
-#: Idle warm executors by ``(os.getpid(), jobs)``; see "Pool lifetime".
-_IDLE: dict[tuple[int, int], list[ProcessPoolExecutor]] = {}
+#: Idle warm executors by ``jobs``; see "Pool lifetime".
+_IDLE: dict[int, list[ProcessPoolExecutor]] = {}
 _IDLE_LOCK = threading.Lock()
+
+
+def _forget_parent_pools() -> None:
+    """In a forked child: drop the parent's free list, its lock and the
+    workers its exit hook would try to join ("can only join a child")."""
+    global _IDLE_LOCK
+    _IDLE_LOCK = threading.Lock()
+    _IDLE.clear()
+    multiprocessing.process._children.clear()
+
+
+os.register_at_fork(after_in_child=_forget_parent_pools)
 
 
 def _alive(executor: ProcessPoolExecutor) -> bool:
@@ -491,11 +504,10 @@ def _checkout(jobs: int) -> ProcessPoolExecutor:
     An idle executor whose worker died meanwhile is killed, not handed out.
     Making a new one kills this process's idle executors of other sizes.
     """
-    pid = os.getpid()
     stale: list[ProcessPoolExecutor] = []
     executor = None
     with _IDLE_LOCK:
-        idle = _IDLE.get((pid, jobs), [])
+        idle = _IDLE.get(jobs, [])
         while idle and executor is None:
             candidate = idle.pop()
             if _alive(candidate):
@@ -503,7 +515,7 @@ def _checkout(jobs: int) -> ProcessPoolExecutor:
             else:
                 stale.append(candidate)
         if executor is None:
-            for key in [key for key in _IDLE if key[0] == pid and key[1] != jobs]:
+            for key in [key for key in _IDLE if key != jobs]:
                 stale.extend(_IDLE.pop(key))
     for pool in stale:
         ProcessPoolDispatcher._kill_pool(pool)
@@ -513,19 +525,14 @@ def _checkout(jobs: int) -> ProcessPoolExecutor:
 def _checkin(jobs: int, executor: ProcessPoolExecutor) -> None:
     """Return a drained executor to the free list for the next map."""
     with _IDLE_LOCK:
-        _IDLE.setdefault((os.getpid(), jobs), []).append(executor)
+        _IDLE.setdefault(jobs, []).append(executor)
 
 
 @atexit.register
 def _shutdown_idle() -> None:
     """Shut down this process's idle executors (runs at interpreter exit)."""
-    pid = os.getpid()
     with _IDLE_LOCK:
-        executors = [
-            executor
-            for key in [key for key in _IDLE if key[0] == pid]
-            for executor in _IDLE.pop(key)
-        ]
+        executors = [executor for key in list(_IDLE) for executor in _IDLE.pop(key)]
     for executor in executors:
         executor.shutdown(wait=True)
 
@@ -548,8 +555,9 @@ class ProcessPoolDispatcher:
     exit — watchdog expiry, a dead worker, an exception under
     ``on_failure="raise"``, ``KeyboardInterrupt`` — the executor is killed
     (:meth:`_kill_pool`) and never returned, and a map that must go on
-    checks out another. Concurrent maps never share an executor, and the
-    free list is keyed by pid, so a forked child never uses its parent's.
+    checks out another. Concurrent maps never share an executor, and a
+    forked child starts with an empty free list, so it never uses its
+    parent's.
     """
 
     def __init__(self, jobs: int) -> None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from repro.initializers.standard import AllWrong, BernoulliRandom
 from repro.protocols.clock_sync import ClockSyncProtocol
 from repro.protocols.fet import ell_for
 from repro.protocols.oracle_clock import OracleClockProtocol
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestOracleClockConstruction:
@@ -210,6 +213,46 @@ class TestClockSyncBatched:
         assert np.array_equal(mixed_states["clock"][lagging], alone_states["clock"])
         assert (mixed_states["clock"][1::2] == clocks[1::2] + 1).all()
 
+    def test_default_chunking_matches_reference_replica_by_replica(self):
+        # The paper-auto baseline's shape (n = 2048, ell = 61) packs two
+        # replicas per chunk at the default element budget; five
+        # unsynchronized rows among synced ones make chunks of 2, 2 and 1.
+        import repro.protocols.clock_sync as clock_sync_module
+
+        proto, batch, states, lagging = _default_chunking_batch()
+        n, ell = batch.n, proto.ell
+        per_replica = n * max(ell, 2 * proto.period)
+        assert clock_sync_module._CHUNK_ELEMENT_BUDGET // per_replica == 2
+        # On a power-of-two n one (2, n, ell) identity draw is two (1, n, ell)
+        # draws, so a chunk consumes the stream as its replicas one by one.
+        joint, split = make_rng(4), make_rng(4)
+        assert np.array_equal(
+            joint.integers(0, n, size=(2, n, ell), dtype=np.int32),
+            np.concatenate(
+                [split.integers(0, n, size=(1, n, ell), dtype=np.int32) for _ in range(2)]
+            ),
+        )
+        opinions, clocks = batch.opinions.copy(), states["clock"].copy()
+        new = proto.step_batch(batch, states, BatchedNoisyCountSampler(0.0), make_rng(8))
+        rng = make_rng(8)
+        for r in lagging:
+            state = {"clock": clocks[r].copy()}
+            expected = clock_sync_step(proto, opinions[r], state, 0.0, rng)
+            assert np.array_equal(new[r], expected), r
+            assert np.array_equal(states["clock"][r], state["clock"]), r
+        synced = np.setdiff1d(np.arange(batch.replicas), lagging)
+        assert (states["clock"][synced] == (clocks[synced] + 1) % proto.period).all()
+
+    def test_default_chunking_noisy_step_matches_recording(self):
+        # With noise a chunk draws its identities for all its replicas before
+        # their noise bits, so the reference's per-replica order no longer
+        # applies; the whole mixed batch is held to its recorded output.
+        proto, batch, states, _ = _default_chunking_batch()
+        new = proto.step_batch(batch, states, BatchedNoisyCountSampler(0.1), make_rng(8))
+        with np.load(DATA / "clock_sync_default_chunking_eps0.1.npz") as recorded:
+            assert np.array_equal(new, recorded["opinions"])
+            assert np.array_equal(states["clock"], recorded["clocks"])
+
     def test_batched_state_shapes(self):
         proto = ClockSyncProtocol(128, 6)
         rng = make_rng(0)
@@ -323,6 +366,20 @@ class TestClockSyncObservationNoise:
         # extra noise draws.
         rounds = _compare_with_reference_until_synced(epsilon=0.1)
         assert rounds >= 5
+
+
+def _default_chunking_batch():
+    """Seven n = 2048 replicas, ell = 61: synced clocks in rows 1 and 4,
+    adversarial clocks elsewhere, random opinions. Returns ``(protocol,
+    batch, states, lagging rows)``."""
+    n, replicas = 2048, 7
+    proto = ClockSyncProtocol(n, ell_for(n))
+    opinions = (make_rng(1).random((replicas, n)) < 0.5).astype(np.uint8)
+    clocks = proto.randomize_state_batch(replicas, n, make_rng(2))["clock"]
+    clocks[1], clocks[4] = 3, proto.period - 1
+    batch = BatchedPopulation.from_population(make_population(n, 1), replicas)
+    batch.adversarial_opinions(opinions, pin_sources=False)
+    return proto, batch, {"clock": clocks}, np.array([0, 2, 3, 5, 6])
 
 
 def _compare_with_reference_until_synced(epsilon: float) -> int:

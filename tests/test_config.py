@@ -493,6 +493,19 @@ class TestLegacySpecLoading:
         assert out.read_bytes() == (DATA / "golden_v1_theta_aggregate.csv").read_bytes()
 
 
+class TestGoldenPaths:
+    def test_per_agent_and_never_converging_paths_byte_identical(self, tmp_path):
+        """The v1 goldens run FET on counts; this grid pins the other paths
+        a round can take: clock-sync (its plurality and synchronized tiers)
+        and oracle-clock on the batched engine, voter and undecided-state
+        from all-wrong on counts with a budget they never meet, and the
+        Section 1.2 impossibility witness on ``engine="sequential"``."""
+        spec = load_spec(DATA / "golden_v2_paths_spec.json")
+        out = tmp_path / "agg.csv"
+        run_sweep(spec).write_csv(out)
+        assert out.read_bytes() == (DATA / "golden_v2_paths_aggregate.csv").read_bytes()
+
+
 class TestMultisourceMigration:
     def test_invalid_source_count_raises_before_any_cell_runs(self, tmp_path):
         """Regression: a bad count used to surface mid-loop, after earlier
