@@ -72,8 +72,8 @@ def test_single_source_contrast(benchmark):
         n = 128
         pop = make_population(n, 1)
         proto = FETProtocol(ell_for(n))
-        pop.set_opinions(np.ones(n, dtype=np.uint8))
-        state = {"prev_count": np.full(n, proto.ell, dtype=np.int64)}
+        pop.set_opinions(np.ones((1, n), dtype=np.uint8))
+        state = {"prev_count": np.full((1, n), proto.ell, dtype=np.int64)}
         result = SynchronousEngine(proto, pop, rng=make_rng(0), state=state).run(200)
         return result
 

@@ -31,7 +31,7 @@ def main() -> None:
     engine = SynchronousEngine(protocol, population, rng=rng, initializer=AllWrong())
 
     print(f"n = {n} agents, 1 source, ell = {protocol.ell} samples per block")
-    print(f"initial fraction holding the correct opinion: {population.fraction_ones():.4f}")
+    print(f"initial fraction holding the correct opinion: {population.fraction_ones()[0]:.4f}")
 
     result = engine.run(max_rounds=2000)
 

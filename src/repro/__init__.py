@@ -35,14 +35,15 @@ Quickstart::
     from repro import FETProtocol, RunSpec, SynchronousEngine, ell_for, make_population
     from repro.initializers import AllWrong
 
-    # One live population, round by round through the lock-step driver:
+    # One live population — a one-row batch, shape (1, n) — run through
+    # the lock-step driver; runs chain, each continuing where the last ended:
     n = 1000
     population = make_population(n, correct_opinion=1)
     engine = SynchronousEngine(
         FETProtocol(ell_for(n)), population, rng=0, initializer=AllWrong()
     )
     result = engine.run(2000)
-    print(result.converged, result.rounds)
+    print(result.converged, result.rounds, population.fraction_ones()[0])
 
     # A batch of independent trials of one declared condition:
     stats = RunSpec(protocol={"name": "fet"}, n=n, trials=100, seed=0).execute()
@@ -62,8 +63,8 @@ from .analysis import (
 )
 from .core import (
     BatchedBinomialSampler,
+    BatchedPopulation,
     IndexSampler,
-    PopulationState,
     Protocol,
     RunResult,
     SynchronousEngine,
@@ -90,6 +91,7 @@ __version__ = "1.6.0"
 __all__ = [
     "BatchTrace",
     "BatchedBinomialSampler",
+    "BatchedPopulation",
     "ClockSyncProtocol",
     "Domain",
     "DomainPartition",
@@ -100,7 +102,6 @@ __all__ = [
     "MajorityProtocol",
     "MajoritySamplingProtocol",
     "OracleClockProtocol",
-    "PopulationState",
     "Protocol",
     "ResultsStore",
     "RunSpec",

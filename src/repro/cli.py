@@ -42,7 +42,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .analysis.domains import DomainPartition
-from .config import RunSpec
+from .config import ENGINES, RunSpec
 from .core.engine import SynchronousEngine
 from .core.population import make_population
 from .core.rng import make_rng
@@ -447,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--trials", type=int, default=5, help="trials per protocol (default 5)")
     compare.add_argument(
         "--engine",
-        choices=["auto", "batched", "sequential", "counts"],
+        choices=ENGINES,
         default="auto",
         help=(
             "trial execution engine (default auto: counts for count-capable "

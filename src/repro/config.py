@@ -47,7 +47,7 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .core.batch import BatchedEngine
     from .core.counts import CountEngine
-    from .core.population import PopulationState
+    from .core.batch import BatchedPopulation
     from .core.protocol import Protocol
     from .core.sampling import BatchedSampler
     from .experiments.harness import TrialStats
@@ -55,6 +55,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .trace.recorder import TraceRecorder
 
 __all__ = [
+    "ENGINES",
     "RUN_SCHEMA",
     "RunSpec",
     "canonical_json",
@@ -67,6 +68,9 @@ __all__ = [
 #: entries miss instead of deserializing into the wrong shape. (Additive,
 #: default-elided fields do NOT bump it — see the hash-compatibility note.)
 RUN_SCHEMA = 1
+
+#: The ``engine`` policies a run or sweep may declare.
+ENGINES = ("auto", "batched", "sequential", "counts")
 
 #: Default of the ``batched_sampler`` keyword of :meth:`RunSpec.resolve_engine`
 #: and :meth:`RunSpec.counts_obstacle`: resolve the spec's own sampler.
@@ -224,7 +228,7 @@ class RunSpec:
             raise ValueError(f"stability_rounds must be >= 1, got {self.stability_rounds}")
         if self.linger_rounds < 0:
             raise ValueError(f"linger_rounds must be >= 0, got {self.linger_rounds}")
-        if self.engine not in ("auto", "batched", "sequential", "counts"):
+        if self.engine not in ENGINES:
             raise ValueError(
                 f"engine must be 'auto', 'batched', 'sequential' or 'counts', "
                 f"got {self.engine!r}"
@@ -343,7 +347,7 @@ class RunSpec:
 
         return build_initializer(self.initializer)
 
-    def population_factory(self) -> Callable[[], "PopulationState"] | None:
+    def population_factory(self) -> Callable[[], "BatchedPopulation"] | None:
         """Factory for the declared population layout, or ``None`` when the
         engines should build the standard layout natively from the shape
         fields (no component declared, or the explicit ``standard`` one —
@@ -466,7 +470,7 @@ class RunSpec:
         protocol: "Protocol | None" = None,
         initializer: "Initializer | None" = None,
         batched_sampler: "BatchedSampler | None" = None,
-        population_factory: Callable[[], "PopulationState"] | None = None,
+        population_factory: Callable[[], "BatchedPopulation"] | None = None,
     ) -> "TrialStats":
         """Run the condition's batch of trials and aggregate the outcomes.
 

@@ -24,8 +24,9 @@ configuration*. Two layers keep it fast:
 
 The batched form is the only per-agent form: every protocol, sampler and
 initializer has one implementation written against the ``(R, n)`` batch, and
-a single population (``engine="sequential"``, :class:`SynchronousEngine`) is
-its ``R = 1`` case. It covers the count-observing protocols (observation =
+a single population is a one-row batch (:func:`make_population`), run by
+``engine="sequential"`` and :class:`SynchronousEngine` as the ``R = 1``
+case. It covers the count-observing protocols (observation =
 1-count, via ``sampler.counts`` / ``count_blocks``) *and* the
 identity-sampling clock-sync baseline, whose per-agent plurality vote
 vectorizes as one flat bincount over (replica, agent, clock) keys. Identity
@@ -47,7 +48,7 @@ process pool scales across cells.
 from .batch import BatchedEngine, BatchedPopulation, BatchRunResult
 from .engine import SynchronousEngine
 from .noise import BatchedNoisyCountSampler, noisy_fraction
-from .population import PopulationState, make_majority_population, make_population
+from .population import make_majority_population, make_population
 from .protocol import Protocol, ProtocolState
 from .records import RunResult
 from .rng import as_rng, make_rng, spawn_rngs
@@ -66,7 +67,6 @@ __all__ = [
     "BatchedPopulation",
     "BatchedSampler",
     "IndexSampler",
-    "PopulationState",
     "Protocol",
     "ProtocolState",
     "RunResult",

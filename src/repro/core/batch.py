@@ -18,8 +18,10 @@ matrix-shaped system:
 
 This is the only per-agent representation: protocols, samplers and
 initializers each have one implementation, written against the batch, and a
-single population is the ``R = 1`` case (:class:`SequentialEngine`, which
-also serves :class:`~repro.core.engine.SynchronousEngine`).
+single population is a one-row batch
+(:func:`~repro.core.population.make_population`), run by the ``R = 1``
+engine (:class:`SequentialEngine`, which also serves
+:class:`~repro.core.engine.SynchronousEngine`).
 
 :class:`BatchedEngine` drives the batch through the shared lock-step driver
 (:mod:`repro.core.lockstep`): per-replica stability-window tracking,
@@ -47,7 +49,6 @@ from typing import Callable
 import numpy as np
 
 from .lockstep import BatchRunResult, LockstepEngine
-from .population import PopulationState
 from .protocol import Protocol, ProtocolState
 from .rng import as_rng
 from .sampling import BatchedBinomialSampler, BatchedSampler
@@ -65,10 +66,9 @@ class BatchedPopulation:
 
     All replicas share the source structure (``source_mask``,
     ``source_preferences``, ``correct_opinion``, ``pin_each_round``); each row
-    is an independent copy of the opinion vector. The per-replica one-counts
-    are cached exactly like :class:`PopulationState` caches its scalar count;
-    callers that write into ``opinions`` directly must call
-    :meth:`invalidate_cache`.
+    is an independent copy of the opinion vector. A single population is the
+    one-row case. The per-replica one-counts are cached; callers that write
+    into ``opinions`` directly must call :meth:`invalidate_cache`.
     """
 
     def __init__(
@@ -124,19 +124,6 @@ class BatchedPopulation:
         batch._ones_count = None
         return batch
 
-    @classmethod
-    def from_population(cls, population: PopulationState, replicas: int) -> "BatchedPopulation":
-        """Tile one population into ``replicas`` identical rows."""
-        if replicas < 1:
-            raise ValueError(f"replicas must be >= 1, got {replicas}")
-        return cls(
-            opinions=np.tile(population.opinions, (replicas, 1)),
-            source_mask=population.source_mask.copy(),
-            source_preferences=population.source_preferences.copy(),
-            correct_opinion=population.correct_opinion,
-            pin_each_round=population.pin_each_round,
-        )
-
     # ------------------------------------------------------------------ views
 
     @property
@@ -169,26 +156,16 @@ class BatchedPopulation:
         """Drop the cached one-counts after a direct write into ``opinions``."""
         self._ones_count = None
 
-    def replica(self, r: int) -> PopulationState:
-        """Single-replica :class:`PopulationState` over row ``r``.
-
-        The returned state is a read snapshot backed by a *view* of row ``r``;
-        it shares the source arrays. Mutating it through its own methods
-        rebinds its arrays and does not propagate back to the batch. Rows of
-        a batch are valid by construction, so the view skips re-validation.
-        """
-        return PopulationState._trusted(
-            self.opinions[r],
-            self.source_mask,
-            self.source_preferences,
-            self.correct_opinion,
-            self.pin_each_round,
-        )
-
     # -------------------------------------------------------------- mutation
 
     def set_opinions(self, new_opinions: np.ndarray) -> None:
-        """Replace all rows, then re-pin sources in every replica."""
+        """Replace all rows, then re-pin sources in every replica.
+
+        Protocols compute tentative opinions for everyone; the population
+        enforces the model invariant that a source always outputs its
+        preference — the paper's source "adopts the correct opinion and
+        remains with it throughout the execution".
+        """
         new_opinions = np.asarray(new_opinions, dtype=np.uint8)
         if new_opinions.shape != self.opinions.shape:
             raise ValueError("opinion matrix shape mismatch")
@@ -207,7 +184,12 @@ class BatchedPopulation:
     ) -> None:
         """Install an adversarial ``(R, n)`` opinion configuration.
 
-        The batched analogue of :meth:`PopulationState.adversarial_opinions`;
+        By default sources are re-pinned (the adversary "may initially set a
+        different opinion to the source, but then the value of the correct
+        bit would change" — modelled by keeping the correct bit fixed and
+        pinning). ``pin_sources=False`` reproduces the impossibility
+        construction of Section 1.2, in which the adversary also controls
+        the opinions that conflicted sources publicly display.
         ``validate=False`` skips the O(R·n) 0/1 check for initializers whose
         matrices are 0/1 by construction.
         """
@@ -246,7 +228,8 @@ class BatchedPopulation:
         """New batch holding only ``rows`` (boolean mask or index array).
 
         Opinion rows are copied; the shared source structure is not. Used by
-        the engine to compact the working set when replicas retire.
+        the engine to compact the working set when replicas retire, and to
+        tile a one-row population into replicas (repeated row ``0``).
         """
         sub = BatchedPopulation._trusted(
             opinions=self.opinions[rows],
@@ -354,14 +337,6 @@ class BatchedEngine(LockstepEngine):
 class SequentialEngine(BatchedEngine):
     """One-row :class:`BatchedEngine`: the ``R = 1`` case that serves
     ``engine="sequential"`` and :class:`~repro.core.engine.SynchronousEngine`.
-
-    Its spans and metrics carry ``engine="sequential"``, and it keeps the
-    row's final protocol state (:attr:`final_states`) when the row retires,
-    so a caller can write that state back and continue.
-    """
+    Its spans and metrics carry ``engine="sequential"``."""
 
     engine_name = "sequential"
-
-    def _retire(self, retired: np.ndarray, work: BatchedPopulation, done: np.ndarray) -> None:
-        self.final_states = self.states
-        super()._retire(retired, work, done)

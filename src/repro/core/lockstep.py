@@ -186,8 +186,9 @@ class LockstepEngine(ABC):
         engine has no coherent state to resume from and is rejected. To
         continue simulating one population, run it through
         :class:`~repro.core.engine.SynchronousEngine`, whose every ``run``
-        drives a fresh one-row engine and writes the final opinions and
-        state back into the population.
+        drives a fresh one-row engine over the same one-row population and
+        stacked ``(1, …)`` state: retirement writes the final row back into
+        the population, and the state dict was stepped in place.
         """
         # Same bound and message as RunSpec's: a 0-round budget cannot
         # observe anything.

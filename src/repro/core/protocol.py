@@ -91,12 +91,6 @@ class Protocol(ABC):
         """
         return self.init_state_batch(replicas, n, rng)
 
-    def init_state(self, n: int, rng: np.random.Generator) -> ProtocolState:
-        """Clean initial state of a single population: the one-row case of
-        :meth:`init_state_batch`, for
-        :class:`~repro.core.engine.SynchronousEngine` callers."""
-        return {key: value[0] for key, value in self.init_state_batch(1, n, rng).items()}
-
     @abstractmethod
     def step_batch(
         self,

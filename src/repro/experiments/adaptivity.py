@@ -78,8 +78,8 @@ def run_changing_environment(
         raise ValueError(f"flips must be >= 1, got {flips}")
     protocol = FETProtocol(ell)
     population = make_population(n, correct_opinion=1)
-    population.set_opinions(np.ones(n, dtype=np.uint8))
-    state = {"prev_count": np.full(n, ell, dtype=np.int64)}
+    population.set_opinions(np.ones((1, n), dtype=np.uint8))
+    state = {"prev_count": np.full((1, n), ell, dtype=np.int64)}
     engine = SynchronousEngine(protocol, population, rng=as_rng(seed), state=state)
 
     result = AdaptivityResult(n=n, period=period, flips=flips)
@@ -104,6 +104,6 @@ def run_changing_environment(
     return result
 
 
-def _never(population) -> bool:
+def _never(rows) -> np.ndarray:
     """Stop condition of a cycle: run its full period."""
-    return False
+    return np.zeros(rows.replicas, dtype=bool)

@@ -60,7 +60,7 @@ import numpy as np
 from ..config import RunSpec
 from ..core.batch import BatchedEngine, BatchedPopulation, SequentialEngine
 from ..core.counts import CountEngine, CountPopulation, make_count_population
-from ..core.population import PopulationState, make_population
+from ..core.population import make_population
 from ..core.lockstep import LockstepEngine
 from ..core.protocol import Protocol, ProtocolState
 from ..core.records import RunResult
@@ -133,7 +133,7 @@ def execute_run(
     protocol: Protocol | None = None,
     initializer: Initializer | None = None,
     batched_sampler: BatchedSampler | None = None,
-    population_factory: Callable[[], PopulationState] | None = None,
+    population_factory: Callable[[], BatchedPopulation] | None = None,
 ) -> TrialStats:
     """Execution core of :meth:`RunSpec.execute` (see the module docstring).
 
@@ -205,7 +205,7 @@ def make_lockstep_engines(
     protocol: Protocol | None = None,
     initializer: Initializer | None = None,
     sampler: BatchedSampler | None = None,
-    population_factory: Callable[[], PopulationState] | None = None,
+    population_factory: Callable[[], BatchedPopulation] | None = None,
 ) -> Iterable[LockstepEngine]:
     """The prepared lock-step engines that run ``spec``'s trials on the
     resolved ``engine`` — the one assembly behind every execution path.
@@ -253,9 +253,9 @@ def _template(
     n: int,
     correct_opinion: int,
     num_sources: int,
-    population_factory: Callable[[], PopulationState] | None,
-) -> PopulationState:
-    """The population layout every replica of a run shares."""
+    population_factory: Callable[[], BatchedPopulation] | None,
+) -> BatchedPopulation:
+    """The one-row population layout every replica of a run shares."""
     if population_factory is not None:
         return population_factory()
     return make_population(n, correct_opinion, num_sources=num_sources)
@@ -263,14 +263,15 @@ def _template(
 
 def _initialized_batch(
     protocol: Protocol,
-    template: PopulationState,
+    template: BatchedPopulation,
     initializer: Initializer,
     replicas: int,
     rng: np.random.Generator,
 ) -> tuple[BatchedPopulation, ProtocolState]:
-    """``replicas`` rows of ``template`` with their stacked protocol states,
-    installed by the initializer's one implementation on ``rng``."""
-    batch = BatchedPopulation.from_population(template, replicas)
+    """``replicas`` rows of the one-row ``template`` with their stacked
+    protocol states, installed by the initializer's one implementation on
+    ``rng``."""
+    batch = template.select(np.zeros(replicas, dtype=int))
     states = protocol.init_state_batch(replicas, batch.n, rng)
     initializer.apply_batch(batch, protocol, states, rng)
     return batch, states
@@ -285,7 +286,7 @@ def prepare_batch(
     seed: int,
     correct_opinion: int = 1,
     num_sources: int = 1,
-    population_factory: Callable[[], PopulationState] | None = None,
+    population_factory: Callable[[], BatchedPopulation] | None = None,
 ) -> tuple[BatchedPopulation, ProtocolState, np.random.Generator]:
     """Build the initialized ``(R, n)`` batch for ``trials`` trials of a run.
 
@@ -314,7 +315,7 @@ def make_batched_engine(
     protocol: Protocol | None = None,
     initializer: Initializer | None = None,
     batched_sampler: BatchedSampler | None = None,
-    population_factory: Callable[[], PopulationState] | None = None,
+    population_factory: Callable[[], BatchedPopulation] | None = None,
 ) -> BatchedEngine:
     """A fully prepared lock-step engine for ``spec`` — the core behind
     :meth:`RunSpec.batched_engine`.

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..config import ENGINES
 from ..core.rng import spawn_rngs
 from ..initializers.standard import Initializer
 from ..protocols.fet import FETProtocol
@@ -96,7 +97,7 @@ def collect_transitions(
     single-population engine per trial on its own spawned stream (the
     cross-check path the equivalence tests compare against).
     """
-    if engine not in ("auto", "batched", "sequential"):
+    if engine not in ENGINES or engine == "counts":
         raise ValueError(f"engine must be 'auto', 'batched' or 'sequential', got {engine!r}")
     summary = TransitionSummary()
     if trials_per_init == 0:

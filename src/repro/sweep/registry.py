@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from typing import Callable
 
+from ..core.batch import BatchedPopulation
 from ..core.noise import BatchedNoisyCountSampler
 from ..core.protocol import Protocol
 from ..core.sampling import (
@@ -38,7 +39,7 @@ from ..core.sampling import (
     BatchedSampler,
     IndexSampler,
 )
-from ..core.population import PopulationState, make_majority_population, make_population
+from ..core.population import make_majority_population, make_population
 from ..initializers.adversarial import (
     FrozenUnanimity,
     PoisonedCounters,
@@ -136,14 +137,14 @@ _INITIALIZERS: dict[str, tuple[Callable[[dict], Initializer], set[str]]] = {
     ),
 }
 
-#: name -> (builder(params, n, num_sources, correct_opinion) -> PopulationState,
+#: name -> (builder(params, n, num_sources, correct_opinion) -> BatchedPopulation,
 #:          allowed parameter names). ``standard`` is what every run spec
 #:          builds natively when no population component is declared — it is
 #:          registered so specs can say so explicitly, and resolution treats
 #:          it as "no override" to keep the vectorized batch-init fast path.
 _POPULATIONS: dict[
     str,
-    tuple[Callable[[dict, int, int, int], PopulationState], set[str]],
+    tuple[Callable[[dict, int, int, int], BatchedPopulation], set[str]],
 ] = {
     "standard": (
         lambda p, n, num_sources, correct: make_population(
@@ -158,7 +159,7 @@ _POPULATIONS: dict[
 }
 
 
-def _build_majority(params: dict, n: int, correct_opinion: int) -> PopulationState:
+def _build_majority(params: dict, n: int, correct_opinion: int) -> BatchedPopulation:
     if "k0" not in params or "k1" not in params:
         raise ValueError("the 'majority' population needs 'k0' and 'k1' source counts")
     k0, k1 = int(params["k0"]), int(params["k1"])
@@ -240,8 +241,9 @@ def build_initializer(spec: dict) -> Initializer:
 
 def build_population(
     spec: dict, n: int, *, num_sources: int = 1, correct_opinion: int = 1
-) -> PopulationState:
-    """Instantiate the population layout described by ``spec``.
+) -> BatchedPopulation:
+    """Instantiate the population layout described by ``spec``, as a
+    one-row batch.
 
     ``standard`` reproduces exactly what ``make_population`` builds from the
     run spec's shape fields; ``majority`` builds the Section-1.2 variant
@@ -260,7 +262,7 @@ def build_population(
 
 def population_factory(
     spec: dict, n: int, *, num_sources: int = 1, correct_opinion: int = 1
-) -> Callable[[], PopulationState] | None:
+) -> Callable[[], BatchedPopulation] | None:
     """Zero-argument factory building a fresh population per call.
 
     Returns ``None`` for the ``standard`` layout — it is precisely what the

@@ -49,7 +49,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
-from ..config import RunSpec, canonical_json, derive_seed, normalize_component
+from ..config import ENGINES, RunSpec, canonical_json, derive_seed, normalize_component
 
 __all__ = [
     "AXES",
@@ -157,7 +157,7 @@ class SweepSpec:
             raise ValueError(f"max_rounds must be >= 1, got {self.max_rounds}")
         if self.stability_rounds < 1:
             raise ValueError(f"stability_rounds must be >= 1, got {self.stability_rounds}")
-        if self.engine not in ("auto", "batched", "sequential", "counts"):
+        if self.engine not in ENGINES:
             raise ValueError(
                 f"engine must be 'auto', 'batched', 'sequential' or 'counts', "
                 f"got {self.engine!r}"
@@ -215,7 +215,7 @@ class SweepSpec:
             ]
         if "engine" in axes:
             for value in axes["engine"]:
-                if value not in ("auto", "batched", "sequential", "counts"):
+                if value not in ENGINES:
                     raise ValueError(
                         f"engine axis values must be 'auto', 'batched', "
                         f"'sequential' or 'counts', got {value!r}"

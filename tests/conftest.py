@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.batch import BatchedPopulation
 from repro.core.population import make_population
 from repro.core.rng import make_rng
 from repro.core.sampling import BatchedSampler
@@ -38,16 +37,24 @@ def scripted_sampler(*vectors) -> ScriptedCountSampler:
     return ScriptedCountSampler(list(vectors))
 
 
-def step_row(protocol, population, state, sampler, rng):
-    """One ``step_batch`` round of ``population`` as a one-row batch.
+def never(rows):
+    """Stop condition that never holds: run the whole round budget."""
+    return np.zeros(rows.replicas, dtype=bool)
 
-    ``state`` holds single-population ``(n,)``-shaped arrays and is updated
-    in place to the round-``t+1`` values; returns the ``(n,)`` tentative
-    opinions.
+
+def tiled(population, replicas):
+    """``replicas`` copies of a one-row population's row, as one batch."""
+    return population.select(np.zeros(replicas, dtype=int))
+
+
+def step_row(protocol, population, state, sampler, rng):
+    """One ``step_batch`` round of the one-row ``population``.
+
+    ``state`` holds the row's ``(n,)``-shaped arrays and is updated in place
+    to the round-``t+1`` values; returns the ``(n,)`` tentative opinions.
     """
-    batch = BatchedPopulation.from_population(population, 1)
     states = {key: np.array(value)[None] for key, value in state.items()}
-    new = protocol.step_batch(batch, states, sampler, rng)
+    new = protocol.step_batch(population, states, sampler, rng)
     state.update({key: value[0] for key, value in states.items()})
     return new[0]
 

@@ -43,7 +43,7 @@ class TestVoter:
         n = 100
         proto = VoterProtocol()
         pop = make_population(n, 1)
-        pop.set_opinions(np.ones(n, dtype=np.uint8))
+        pop.set_opinions(np.ones((1, n), dtype=np.uint8))
         result = SynchronousEngine(proto, pop, rng=1).run(20)
         assert result.converged
         assert result.rounds == 0
@@ -81,7 +81,7 @@ class TestMajority:
         pop = make_population(n, 1)
         opinions = np.zeros(n, dtype=np.uint8)
         opinions[:700] = 1
-        pop.adversarial_opinions(opinions)
+        pop.adversarial_opinions(opinions[None])
         result = SynchronousEngine(proto, pop, rng=3).run(200)
         assert result.converged
 
@@ -94,7 +94,7 @@ class TestMajoritySampling:
     def test_threshold_and_tie(self):
         proto = MajoritySamplingProtocol(4)
         pop = make_population(5, 1)
-        pop.adversarial_opinions(np.array([0, 0, 1, 1, 0], dtype=np.uint8))
+        pop.adversarial_opinions(np.array([[0, 0, 1, 1, 0]], dtype=np.uint8))
         sampler = scripted_sampler(np.array([3, 1, 2, 2, 4]))
         new = step_row(proto, pop, {}, sampler, make_rng(0))
         # counts 3>2 -> 1; 1<2 -> 0; tie keeps 1; tie keeps 1; 4>2 -> 1
@@ -119,7 +119,7 @@ class TestUndecided:
     def test_decided_agent_becomes_undecided_on_disagreement(self):
         proto = UndecidedStateProtocol()
         pop = make_population(3, 1)
-        pop.adversarial_opinions(np.array([1, 0, 1], dtype=np.uint8))
+        pop.adversarial_opinions(np.array([[1, 0, 1]], dtype=np.uint8))
         state = {"undecided": np.zeros(3, dtype=bool)}
         sampler = scripted_sampler(np.array([0, 0, 1]))  # sees 0, 0, 1
         new = step_row(proto, pop, state, sampler, make_rng(0))
@@ -130,7 +130,7 @@ class TestUndecided:
     def test_undecided_agent_adopts_seen(self):
         proto = UndecidedStateProtocol()
         pop = make_population(3, 1)
-        pop.adversarial_opinions(np.array([1, 0, 0], dtype=np.uint8))
+        pop.adversarial_opinions(np.array([[1, 0, 0]], dtype=np.uint8))
         state = {"undecided": np.array([False, True, True])}
         sampler = scripted_sampler(np.array([1, 1, 0]))
         new = step_row(proto, pop, state, sampler, make_rng(0))

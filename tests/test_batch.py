@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
+from conftest import tiled
 from repro.config import RunSpec
 from repro.core.batch import BatchedEngine, BatchedPopulation
 from repro.core.population import make_population
@@ -49,15 +50,16 @@ class FlipAllProtocol(Protocol):
 
 
 class TestBatchedPopulation:
-    def test_from_population_tiles(self):
+    def test_select_tiles_a_one_row_population(self):
         pop = make_population(10, 1)
-        batch = BatchedPopulation.from_population(pop, 4)
+        batch = pop.select(np.zeros(4, dtype=int))
         assert batch.replicas == 4 and batch.n == 10
         assert np.array_equal(batch.opinions, np.tile(pop.opinions, (4, 1)))
+        assert not np.shares_memory(batch.opinions, pop.opinions)
 
     def test_per_replica_predicates(self):
         pop = make_population(4, 1)
-        batch = BatchedPopulation.from_population(pop, 3)
+        batch = tiled(pop, 3)
         batch.opinions[0] = [1, 1, 1, 1]
         batch.opinions[1] = [1, 0, 0, 0]
         batch.opinions[2] = [1, 1, 0, 0]
@@ -68,26 +70,19 @@ class TestBatchedPopulation:
 
     def test_pin_sources_every_row(self):
         pop = make_population(6, 1)
-        batch = BatchedPopulation.from_population(pop, 3)
+        batch = tiled(pop, 3)
         batch.set_opinions(np.zeros((3, 6), dtype=np.uint8))
         assert (batch.opinions[:, 0] == 1).all()
 
     def test_select_rows_and_cache(self):
         pop = make_population(5, 1)
-        batch = BatchedPopulation.from_population(pop, 4)
+        batch = tiled(pop, 4)
         batch.opinions[2] = 1
         batch.invalidate_cache()
         counts = batch.count_ones()
         sub = batch.select(np.array([2, 3]))
         assert sub.replicas == 2
         assert np.array_equal(sub.count_ones(), counts[[2, 3]])
-
-    def test_replica_view_snapshot(self):
-        pop = make_population(5, 1)
-        batch = BatchedPopulation.from_population(pop, 2)
-        view = batch.replica(1)
-        assert view.n == 5
-        assert np.shares_memory(view.opinions, batch.opinions)
 
     def test_rejects_non_binary(self):
         pop = make_population(5, 1)
@@ -103,13 +98,13 @@ class TestBatchedPopulation:
 class TestBatchedEngineSemantics:
     def test_validates_stability_rounds(self):
         pop = make_population(10, 1)
-        engine = BatchedEngine(FlipAllProtocol(), BatchedPopulation.from_population(pop, 2), rng=0)
+        engine = BatchedEngine(FlipAllProtocol(), tiled(pop, 2), rng=0)
         with pytest.raises(ValueError):
             engine.run(10, stability_rounds=0)
 
     def test_validates_max_rounds(self):
         pop = make_population(10, 1)
-        engine = BatchedEngine(FlipAllProtocol(), BatchedPopulation.from_population(pop, 2), rng=0)
+        engine = BatchedEngine(FlipAllProtocol(), tiled(pop, 2), rng=0)
         with pytest.raises(ValueError):
             engine.run(-1)
 
@@ -117,7 +112,7 @@ class TestBatchedEngineSemantics:
         # Regression: the engine used to accept max_rounds=0 while the trial
         # harness rejected it; both layers must refuse with the same message.
         pop = make_population(10, 1)
-        engine = BatchedEngine(FlipAllProtocol(), BatchedPopulation.from_population(pop, 2), rng=0)
+        engine = BatchedEngine(FlipAllProtocol(), tiled(pop, 2), rng=0)
         with pytest.raises(ValueError, match="max_rounds must be >= 1, got 0"):
             engine.run(0)
         with pytest.raises(ValueError, match="max_rounds must be >= 1, got 0"):
@@ -129,7 +124,7 @@ class TestBatchedEngineSemantics:
         # Retirement compacts the state arrays, so a second run has nothing
         # coherent to resume from — the engine must refuse, not crash.
         pop = make_population(10, 1)
-        engine = BatchedEngine(GrowOneProtocol(), BatchedPopulation.from_population(pop, 2), rng=0)
+        engine = BatchedEngine(GrowOneProtocol(), tiled(pop, 2), rng=0)
         engine.run(100)
         with pytest.raises(RuntimeError):
             engine.run(100)
@@ -139,7 +134,7 @@ class TestBatchedEngineSemantics:
         # all-ones after n - (r+1) rounds, which is t_con with stability 1.
         n, replicas = 8, 5
         pop = make_population(n, 1)
-        batch = BatchedPopulation.from_population(pop, replicas)
+        batch = tiled(pop, replicas)
         for r in range(replicas):
             batch.opinions[r, : r + 1] = 1
         batch.invalidate_cache()
@@ -156,7 +151,7 @@ class TestBatchedEngineSemantics:
         # on the very first step, so an unchanged final state proves the
         # active-mask actually removed it from the dynamics.
         pop = make_population(6, 1)
-        batch = BatchedPopulation.from_population(pop, 2)
+        batch = tiled(pop, 2)
         batch.opinions[0] = 1
         # a mixed row stays mixed under flip-all (+ re-pin), so it never
         # reaches any consensus
@@ -174,9 +169,7 @@ class TestBatchedEngineSemantics:
         # grow-one with stability 2: t_con is still the first all-correct
         # round; the extra confirmation round only delays retirement.
         n = 6
-        pop = make_population(n, 1)
-        batch = BatchedPopulation.from_population(pop, 1)
-        engine = BatchedEngine(GrowOneProtocol(), batch, rng=0)
+        engine = BatchedEngine(GrowOneProtocol(), make_population(n, 1), rng=0)
         result = engine.run(100, stability_rounds=2)
         assert result.converged.all()
         assert result.rounds[0] == n - 1
@@ -184,7 +177,7 @@ class TestBatchedEngineSemantics:
 
     def test_non_converged_reports_max_rounds(self):
         pop = make_population(6, 1)
-        engine = BatchedEngine(FlipAllProtocol(), BatchedPopulation.from_population(pop, 3), rng=0)
+        engine = BatchedEngine(FlipAllProtocol(), tiled(pop, 3), rng=0)
         result = engine.run(9)
         assert not result.converged.any()
         assert (result.rounds == 9).all()
@@ -430,7 +423,7 @@ class TestBatchedSamplerStatistics:
     def test_block_independence_shape(self):
         rng = make_rng(2)
         pop = make_population(50, 1)
-        batch = BatchedPopulation.from_population(pop, 3)
+        batch = tiled(pop, 3)
         sampler = BatchedBinomialSampler()
         blocks = sampler.count_blocks(batch, 7, 2, rng)
         assert blocks.shape == (2, 3, 50)
@@ -442,7 +435,7 @@ class TestBatchedSamplerStatistics:
     def test_rejects_negative_ell(self):
         rng = make_rng(3)
         pop = make_population(50, 1)
-        batch = BatchedPopulation.from_population(pop, 2)
+        batch = tiled(pop, 2)
         with pytest.raises(ValueError):
             BatchedBinomialSampler().count_blocks(batch, -1, 2, rng)
 

@@ -9,10 +9,9 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from conftest import step_row
+from conftest import step_row, tiled
 from reference.clock_sync import clock_sync_step
 from repro.config import RunSpec
-from repro.core.batch import BatchedPopulation
 from repro.core.engine import SynchronousEngine
 from repro.core.noise import BatchedNoisyCountSampler
 from repro.core.population import make_population
@@ -65,7 +64,7 @@ class TestOracleClockBehaviour:
         proto = OracleClockProtocol(n, ell=1)
         pop = make_population(n, 1)
         rng = make_rng(9)
-        state = {"clock": np.array([proto.period // 2 + 3])}
+        state = {"clock": np.array([[proto.period // 2 + 3]])}
         result = SynchronousEngine(proto, pop, rng=rng, state=state).run(10 * proto.period)
         assert result.converged
 
@@ -73,10 +72,10 @@ class TestOracleClockBehaviour:
         proto = OracleClockProtocol(64, ell=1)
         pop = make_population(16, 1)
         rng = make_rng(0)
-        state = proto.init_state(16, rng)
-        step_row(proto, pop, state, BatchedBinomialSampler(), rng)
-        step_row(proto, pop, state, BatchedBinomialSampler(), rng)
-        assert int(state["clock"][0]) == 2
+        states = proto.init_state_batch(1, 16, rng)
+        proto.step_batch(pop, states, BatchedBinomialSampler(), rng)
+        proto.step_batch(pop, states, BatchedBinomialSampler(), rng)
+        assert int(states["clock"][0, 0]) == 2
 
 
 class TestClockSync:
@@ -110,7 +109,7 @@ class TestClockSync:
         sampler = BatchedBinomialSampler()
         for _ in range(5 * proto.period):
             new = step_row(proto, pop, state, sampler, rng)
-            pop.set_opinions(new)
+            pop.set_opinions(new[None])
         assert proto.clock_agreement(state) > 0.99
 
     def test_converges_from_adversarial_start(self):
@@ -155,7 +154,7 @@ class TestClockSyncBatched:
         # Identical rows with round(x·n) ones (sources included), clocks at c.
         opinions = np.zeros(n, dtype=np.uint8)
         opinions[: round(x * n)] = 1
-        batch = BatchedPopulation.from_population(make_population(n, 1), replicas)
+        batch = tiled(make_population(n, 1), replicas)
         batch.adversarial_opinions(np.tile(opinions, (replicas, 1)))
         states = {"clock": np.full((replicas, n), c, dtype=np.int64)}
         others = opinions != adopt
@@ -196,14 +195,14 @@ class TestClockSyncBatched:
         clocks[1::2] = np.arange(replicas // 2)[:, None] * 3
         lagging = np.arange(0, replicas, 2)
 
-        mixed = BatchedPopulation.from_population(make_population(n, 1), replicas)
+        mixed = tiled(make_population(n, 1), replicas)
         mixed.adversarial_opinions(opinions, pin_sources=False)
         mixed_states = {"clock": clocks.copy()}
         mixed_new = proto.step_batch(
             mixed, mixed_states, BatchedNoisyCountSampler(0.1), make_rng(9)
         )
 
-        alone = BatchedPopulation.from_population(make_population(n, 1), lagging.size)
+        alone = tiled(make_population(n, 1), lagging.size)
         alone.adversarial_opinions(opinions[lagging], pin_sources=False)
         alone_states = {"clock": clocks[lagging].copy()}
         alone_new = proto.step_batch(
@@ -276,7 +275,7 @@ class TestClockSyncBatched:
     def test_batched_clocks_synchronize_from_adversarial_start(self):
         n, replicas = 400, 6
         proto = ClockSyncProtocol(n, ell_for(n))
-        batch = BatchedPopulation.from_population(make_population(n, 1), replicas)
+        batch = tiled(make_population(n, 1), replicas)
         rng = make_rng(11)
         states = proto.randomize_state_batch(replicas, n, rng)
         sampler = BatchedBinomialSampler()
@@ -338,8 +337,8 @@ class TestClockSyncObservationNoise:
         n = 400
         proto = ClockSyncProtocol(n, 8)
         pop = make_population(n, 1)
-        pop.adversarial_opinions(np.ones(n, dtype=np.uint8))
-        state = proto.init_state(n, make_rng(0))  # clock 0: zero-subphase
+        pop.adversarial_opinions(np.ones((1, n), dtype=np.uint8))
+        state = {"clock": np.zeros(n, dtype=np.int64)}  # clock 0: zero-subphase
         new = step_row(proto, pop, state, BatchedNoisyCountSampler(0.5), make_rng(1))
         # At the all-ones consensus with eps=1/2 every agent sees a flipped
         # bit w.p. 1 - 2^-8 and the zero-subphase rule adopts 0; noiseless,
@@ -352,8 +351,8 @@ class TestClockSyncObservationNoise:
         n, replicas = 400, 3
         proto = ClockSyncProtocol(n, 8)
         pop = make_population(n, 1)
-        pop.adversarial_opinions(np.ones(n, dtype=np.uint8))
-        batch = BatchedPopulation.from_population(pop, replicas)
+        pop.adversarial_opinions(np.ones((1, n), dtype=np.uint8))
+        batch = tiled(pop, replicas)
         states = proto.init_state_batch(replicas, n, make_rng(0))
         new = proto.step_batch(batch, states, BatchedNoisyCountSampler(0.5), make_rng(1))
         assert (new == 0).mean() > 0.9
@@ -377,7 +376,7 @@ def _default_chunking_batch():
     opinions = (make_rng(1).random((replicas, n)) < 0.5).astype(np.uint8)
     clocks = proto.randomize_state_batch(replicas, n, make_rng(2))["clock"]
     clocks[1], clocks[4] = 3, proto.period - 1
-    batch = BatchedPopulation.from_population(make_population(n, 1), replicas)
+    batch = tiled(make_population(n, 1), replicas)
     batch.adversarial_opinions(opinions, pin_sources=False)
     return proto, batch, {"clock": clocks}, np.array([0, 2, 3, 5, 6])
 
@@ -393,16 +392,16 @@ def _compare_with_reference_until_synced(epsilon: float) -> int:
     rng_scalar, rng_batch = make_rng(7), make_rng(7)
     batch_state = proto.randomize_state_batch(1, n, make_rng(3))
     state = {"clock": batch_state["clock"][0].copy()}
-    batch = BatchedPopulation.from_population(pop, 1)
+    batch = tiled(pop, 1)
     sampler = BatchedNoisyCountSampler(epsilon)
     for round_index in range(3 * proto.period):
         if (state["clock"] == state["clock"][0]).all():
             return round_index
-        new_scalar = clock_sync_step(proto, pop.opinions, state, epsilon, rng_scalar)
+        new_scalar = clock_sync_step(proto, pop.opinions[0], state, epsilon, rng_scalar)
         new_batched = proto.step_batch(batch, batch_state, sampler, rng_batch)
         assert np.array_equal(new_scalar, new_batched[0]), round_index
         assert np.array_equal(state["clock"], batch_state["clock"][0]), round_index
-        pop.set_opinions(new_scalar)
+        pop.set_opinions(new_scalar[None])
         batch.set_opinions(new_batched)
     raise AssertionError(f"clocks did not synchronize in {3 * proto.period} rounds")
 
@@ -414,12 +413,12 @@ def _reference_trial(n, rng, max_rounds, stability_rounds=2):
     ``stability_rounds`` rounds."""
     proto = ClockSyncProtocol(n, ell_for(n))
     pop = make_population(n, 1)
-    pop.adversarial_opinions((rng.random(n) < 0.5).astype(np.uint8))
+    pop.adversarial_opinions((rng.random(n) < 0.5).astype(np.uint8)[None])
     state = {"clock": rng.integers(0, proto.period, size=n, dtype=np.int64)}
-    streak = int(pop.at_correct_consensus())
+    streak = int(pop.at_correct_consensus()[0])
     for rounds_done in range(1, max_rounds + 1):
-        pop.set_opinions(clock_sync_step(proto, pop.opinions, state, 0.0, rng))
-        streak = streak + 1 if pop.at_correct_consensus() else 0
+        pop.set_opinions(clock_sync_step(proto, pop.opinions[0], state, 0.0, rng)[None])
+        streak = streak + 1 if pop.at_correct_consensus()[0] else 0
         if streak >= stability_rounds:
             return True, rounds_done + 1 - streak
     return False, max_rounds

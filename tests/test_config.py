@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
+from conftest import tiled
 from repro.config import RunSpec, canonical_json, derive_seed
 from repro.core.noise import BatchedNoisyCountSampler
 from repro.core.population import make_population
@@ -252,14 +253,13 @@ class TestSamplerRegistry:
         eps, ell, n, reps = 0.2, 20, 400, 50
         batched_sampler = build_samplers({"name": "noisy", "epsilon": eps})
         population = make_population(n, 1)
-        population.adversarial_opinions((np.arange(n) % 3 == 0).astype(np.uint8))
-        from repro.core.batch import BatchedPopulation
+        population.adversarial_opinions((np.arange(n) % 3 == 0).astype(np.uint8)[None])
         from repro.core.noise import noisy_fraction
         from repro.core.rng import make_rng
 
-        batch = BatchedPopulation.from_population(population, reps)
+        batch = tiled(population, reps)
         law = make_rng(100).binomial(
-            ell, noisy_fraction(population.fraction_ones(), eps), size=n * reps
+            ell, noisy_fraction(population.fraction_ones()[0], eps), size=n * reps
         )
         batched_counts = batched_sampler.counts(batch, ell, make_rng(999)).ravel()
         ks = scipy_stats.ks_2samp(law, batched_counts, method="asymp")

@@ -48,7 +48,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from repro.core.batch import BatchedPopulation
+from conftest import tiled
 from repro.core.noise import BatchedNoisyCountSampler
 from repro.core.population import make_population
 from repro.core.sampling import _binomial_pmf_rows
@@ -127,7 +127,7 @@ def test_count_step_matches_the_per_agent_rule(protocol_name, epsilon):
     vector = start_vector(protocol)
     num_states = vector.size
 
-    batch = BatchedPopulation.from_population(make_population(N, 1), REPLICAS)
+    batch = tiled(make_population(N, 1), REPLICAS)
     states = protocol.init_state_batch(REPLICAS, N, np.random.default_rng(0))
     free = batch.nonsource_mask
     index = np.repeat(np.arange(num_states), vector)

@@ -23,9 +23,10 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
+from conftest import tiled
 from repro.analysis.markov import ExactPairChain, next_count_distribution
 from repro.config import RunSpec
-from repro.core.batch import BatchedEngine, BatchedPopulation
+from repro.core.batch import BatchedEngine
 from repro.core.counts import CountEngine, CountPopulation, make_count_population
 from repro.core.population import make_population
 from repro.core.sampling import BatchedBinomialSampler
@@ -185,7 +186,7 @@ class TestExactChain:
         )
 
         rng2 = np.random.default_rng(555)
-        batch = BatchedPopulation.from_population(make_population(self.N, 1), 3000)
+        batch = tiled(make_population(self.N, 1), 3000)
         states = {
             "prev_count": rng2.binomial(
                 self.ELL, 1.0 / self.N, size=(3000, self.N)

@@ -3,18 +3,24 @@
 from __future__ import annotations
 
 import copy
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
+from conftest import never
 from repro.config import RunSpec
 from repro.core.engine import SynchronousEngine
-from repro.core.population import PopulationState, make_population
+from repro.core.population import make_population
 from repro.core.protocol import Protocol
 from repro.core.rng import make_rng
-from repro.initializers.standard import AllWrong
-from repro.protocols.fet import FETProtocol
+from repro.initializers.standard import AllWrong, RandomizeProtocolState
+from repro.protocols.clock_sync import ClockSyncProtocol
+from repro.protocols.fet import FETProtocol, ell_for
+from repro.protocols.voter import VoterProtocol
+
+DATA = Path(__file__).parent / "data"
 
 
 class ConstantProtocol(Protocol):
@@ -38,36 +44,32 @@ class FlipFlopProtocol(Protocol):
         return (1 - batch.opinions).astype(np.uint8)
 
 
-def _never(population: PopulationState) -> bool:
-    return False
-
-
 class TestEngineBasics:
     def test_runs_count_rounds(self):
         pop = make_population(10, 1)
         engine = SynchronousEngine(ConstantProtocol(1), pop, rng=0)
-        engine.run(1, stop_condition=_never)
-        engine.run(1, stop_condition=_never)
+        engine.run(1, stop_condition=never)
+        engine.run(1, stop_condition=never)
         assert engine.round_index == 2
 
     def test_one_round_trajectory_and_flips(self):
         pop = make_population(10, 1)
         engine = SynchronousEngine(ConstantProtocol(1), pop, rng=0)
-        result = engine.run(1, record_flips=True, stop_condition=_never)
+        result = engine.run(1, record_flips=True, stop_condition=never)
         assert result.trajectory.tolist() == pytest.approx([0.1, 1.0])
         assert result.flips.tolist() == [9]
 
     def test_source_pinned_by_engine(self):
         pop = make_population(10, 1)
         engine = SynchronousEngine(ConstantProtocol(0), pop, rng=0)
-        engine.run(1, stop_condition=_never)
-        assert pop.opinions[0] == 1  # source re-pinned after each round
+        engine.run(1, stop_condition=never)
+        assert pop.opinions[0, 0] == 1  # source re-pinned after each round
 
     def test_engine_pins_at_construction(self):
         pop = make_population(10, 1)
-        pop.opinions[0] = 0  # sloppy caller corrupts the source
+        pop.opinions[0, 0] = 0  # sloppy caller corrupts the source
         SynchronousEngine(ConstantProtocol(0), pop, rng=0)
-        assert pop.opinions[0] == 1
+        assert pop.opinions[0, 0] == 1
 
 
 class TestRun:
@@ -105,7 +107,7 @@ class TestRun:
 
     def test_already_converged_start(self):
         pop = make_population(10, 1)
-        pop.set_opinions(np.ones(10, dtype=np.uint8))
+        pop.set_opinions(np.ones((1, 10), dtype=np.uint8))
         result = SynchronousEngine(ConstantProtocol(1), pop, rng=0).run(50)
         assert result.converged
         assert result.rounds == 0
@@ -133,7 +135,7 @@ class TestRun:
         result = engine.run(
             30,
             stability_rounds=1,
-            stop_condition=lambda p: p.fraction_ones() > 0.5,
+            stop_condition=lambda rows: rows.fraction_ones() > 0.5,
         )
         assert result.converged
         assert result.rounds == 1  # first flip sends everyone (but source) to 1
@@ -145,7 +147,7 @@ class TestEngineWithFET:
             pop = make_population(300, 1)
             proto = FETProtocol(20)
             rng = make_rng(99)
-            state = proto.init_state(300, rng)
+            state = proto.init_state_batch(1, 300, rng)
             return SynchronousEngine(proto, pop, rng=rng, state=state).run(500)
 
         r1, r2 = run_once(), run_once()
@@ -156,9 +158,9 @@ class TestEngineWithFET:
         """Two all-correct rounds are provably absorbing for FET."""
         n = 200
         pop = make_population(n, 1)
-        pop.set_opinions(np.ones(n, dtype=np.uint8))
+        pop.set_opinions(np.ones((1, n), dtype=np.uint8))
         proto = FETProtocol(10)
-        state = {"prev_count": np.full(n, 10, dtype=np.int64)}  # as after an all-1 round
+        state = {"prev_count": np.full((1, n), 10, dtype=np.int64)}  # as after an all-1 round
         result = SynchronousEngine(proto, pop, rng=0, state=state).run(50)
         assert result.converged
         assert (result.trajectory == 1.0).all()
@@ -187,18 +189,18 @@ class TestFlipAccounting:
         # engine re-pins the source, so the *published* vector flips only the
         # 9 non-source agents. Counting before the pin would report 10.
         pop = make_population(10, 1)
-        pop.set_opinions(np.ones(10, dtype=np.uint8))
+        pop.set_opinions(np.ones((1, 10), dtype=np.uint8))
         engine = SynchronousEngine(SourceDeviatorProtocol(), pop, rng=0)
-        result = engine.run(1, record_flips=True, stop_condition=_never)
+        result = engine.run(1, record_flips=True, stop_condition=never)
         assert result.flips.tolist() == [9]
 
     def test_steady_source_not_a_flip(self):
         # From the all-correct configuration a constant-correct protocol
         # publishes an identical vector: zero flips, source included.
         pop = make_population(10, 1)
-        pop.set_opinions(np.ones(10, dtype=np.uint8))
+        pop.set_opinions(np.ones((1, 10), dtype=np.uint8))
         engine = SynchronousEngine(ConstantProtocol(1), pop, rng=0)
-        assert engine.run(1, record_flips=True, stop_condition=_never).flips.tolist() == [0]
+        assert engine.run(1, record_flips=True, stop_condition=never).flips.tolist() == [0]
 
 
 class TestStabilityValidation:
@@ -228,15 +230,15 @@ class TestSingleReplicaView:
         engine = self._fet_engine()
         pop, state = engine.population, engine.state
         before = state["prev_count"].copy()
-        result = engine.run(3, stop_condition=_never)
+        result = engine.run(3, stop_condition=never)
         assert engine.population is pop and engine.state is state
-        assert pop.fraction_ones() == pytest.approx(result.final_fraction)
+        assert pop.fraction_ones()[0] == pytest.approx(result.final_fraction)
         assert not np.array_equal(state["prev_count"], before)
         assert engine.round_index == 3
 
     def test_second_run_continues_from_first(self):
         engine = self._fet_engine()
-        engine.run(4, stop_condition=_never)
+        engine.run(4, stop_condition=never)
         # A twin built from the first run's final opinions, state and rng
         # position must replay the second run exactly.
         twin = SynchronousEngine(
@@ -245,7 +247,7 @@ class TestSingleReplicaView:
             rng=copy.deepcopy(engine.rng),
             state={key: value.copy() for key, value in engine.state.items()},
         )
-        x_mid = engine.population.fraction_ones()
+        x_mid = engine.population.fraction_ones()[0]
         second = engine.run(400)
         replay = twin.run(400)
         assert second.trajectory[0] == pytest.approx(x_mid)
@@ -256,8 +258,8 @@ class TestSingleReplicaView:
         # Everyone proposes 0; only the pinned source can hold 1.
         pop = make_population(10, 1)
         engine = SynchronousEngine(ConstantProtocol(0), pop, rng=0)
-        first = engine.run(1, record_flips=True, stop_condition=_never)
-        assert first.flips.tolist() == [0] and pop.opinions[0] == 1
+        first = engine.run(1, record_flips=True, stop_condition=never)
+        assert first.flips.tolist() == [0] and pop.opinions[0, 0] == 1
 
         def flip_environment(opinion):
             pop.correct_opinion = opinion
@@ -268,31 +270,36 @@ class TestSingleReplicaView:
         # Each run pins sources to the live preference before round 0.
         assert result.converged and result.rounds == 0
         flip_environment(1)
-        last = engine.run(1, record_flips=True, stop_condition=_never)
+        last = engine.run(1, record_flips=True, stop_condition=never)
         # The source moved to 1 when the run pinned it, before round 0.
         assert last.trajectory.tolist() == pytest.approx([0.1, 0.1])
-        assert last.flips.tolist() == [0] and pop.opinions[0] == 1
-        assert (pop.opinions[1:] == 0).all()
+        assert last.flips.tolist() == [0] and pop.opinions[0, 0] == 1
+        assert (pop.opinions[0, 1:] == 0).all()
 
-    def test_scalar_stop_condition_sees_population_state(self):
+    def test_stop_condition_sees_the_one_row_batch(self):
         seen = []
 
-        def condition(population):
-            seen.append(type(population))
-            return population.nonsource_correct_fraction() >= 0.5
+        def condition(rows):
+            seen.append(rows.opinions.shape)
+            return rows.nonsource_correct_fraction() >= 0.5
 
         engine = self._fet_engine()
         result = engine.run(400, stability_rounds=1, stop_condition=condition)
         assert result.converged
-        assert set(seen) == {PopulationState}
-        assert engine.population.nonsource_correct_fraction() >= 0.5
+        assert set(seen) == {(1, 200)}
+        assert engine.population.nonsource_correct_fraction()[0] >= 0.5
+
+    def test_rejects_a_multi_row_batch(self):
+        pop = make_population(10, 1)
+        with pytest.raises(ValueError, match="one row"):
+            SynchronousEngine(ConstantProtocol(1), pop.select(np.zeros(2, dtype=int)), rng=0)
 
     def test_chained_one_round_runs_replay_one_long_run(self):
         long_engine = self._fet_engine()
         chained_engine = self._fet_engine()
-        result = long_engine.run(25, record_flips=True, stop_condition=_never)
+        result = long_engine.run(25, record_flips=True, stop_condition=never)
         rounds = [
-            chained_engine.run(1, record_flips=True, stop_condition=_never) for _ in range(25)
+            chained_engine.run(1, record_flips=True, stop_condition=never) for _ in range(25)
         ]
         assert result.flips.tolist() == [r.flips[0] for r in rounds]
         assert np.array_equal(result.trajectory[1:], [r.trajectory[1] for r in rounds])
@@ -351,3 +358,68 @@ def test_sequential_and_batched_agree_in_distribution(cell):
     else:
         assert min(seq.successes, bat.successes) >= 30
         assert scipy_stats.ks_2samp(seq.times, bat.times).pvalue > 1e-3
+
+
+_RECORDED_CASES = [
+    ("fet", 64), ("fet", 200), ("voter", 64), ("voter", 128), ("clock-sync", 96),
+    ("clock-sync", 200),
+]
+_RECORDED_INITIALIZERS = {"all-wrong": AllWrong, "randomize-state": RandomizeProtocolState}
+
+
+def _recorded_protocol(name, n):
+    if name == "fet":
+        return FETProtocol(ell_for(n))
+    if name == "voter":
+        return VoterProtocol()
+    return ClockSyncProtocol(n, ell=3)
+
+
+def _record_synchronous_runs() -> dict:
+    """The runs held in ``tests/data/synchronous_runs.npz``: per case, a
+    2-round first run and a chained second run to any consensus (at most
+    ``3n`` rounds), then a 3-trial ``engine="sequential"`` FET cell."""
+    out = {}
+    for i, (name, n) in enumerate(_RECORDED_CASES):
+        for j, init in enumerate(sorted(_RECORDED_INITIALIZERS)):
+            key = f"{name}-{n}-{init}"
+            engine = SynchronousEngine(
+                _recorded_protocol(name, n),
+                make_population(n, 1),
+                rng=1000 + 10 * i + j,
+                initializer=_RECORDED_INITIALIZERS[init](),
+            )
+            first = engine.run(2, record_flips=True, stop_condition=never)
+            out[key + "/first_trajectory"] = first.trajectory
+            out[key + "/first_flips"] = first.flips
+            out[key + "/mid_opinions"] = engine.population.opinions[0].copy()
+            second = engine.run(3 * n, stop_condition=lambda rows: rows.at_consensus())
+            out[key + "/second_trajectory"] = second.trajectory
+            out[key + "/second_outcome"] = np.array(
+                [second.converged, second.rounds, engine.round_index]
+            )
+            out[key + "/final_opinions"] = engine.population.opinions[0].copy()
+            for name_, value in engine.state.items():
+                out[key + "/final_state/" + name_] = value[0].copy()
+    stats = RunSpec(
+        protocol={"name": "fet"},
+        n=150,
+        trials=3,
+        seed=7,
+        engine="sequential",
+        initializer={"name": "zero-speed-center"},
+    ).execute(keep_results=True)
+    out["sequential-fet/rounds"] = np.array([r.rounds for r in stats.results])
+    out["sequential-fet/converged"] = np.array([r.converged for r in stats.results])
+    return out
+
+
+def test_synchronous_runs_match_recording():
+    """Every draw of a live population's run — the ``init_state_batch``,
+    ``apply_batch`` and dynamics calls on the engine's rng, in that order —
+    and of a sequential cell's trials is pinned bitwise to a recording."""
+    runs = _record_synchronous_runs()
+    with np.load(DATA / "synchronous_runs.npz") as recorded:
+        assert sorted(recorded.files) == sorted(runs)
+        for key, value in runs.items():
+            assert np.array_equal(value, recorded[key]), key

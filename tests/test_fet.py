@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import scripted_sampler, step_row
+from conftest import never, scripted_sampler, step_row, tiled
 from repro.core.engine import SynchronousEngine
 from repro.core.population import make_population
 from repro.core.rng import make_rng
@@ -53,7 +53,8 @@ class TestConstruction:
 
 class TestState:
     def test_init_state_zeroed(self):
-        state = FETProtocol(5).init_state(10, make_rng(0))
+        state = FETProtocol(5).init_state_batch(1, 10, make_rng(0))
+        assert state["prev_count"].shape == (1, 10)
         assert (state["prev_count"] == 0).all()
 
     def test_randomize_state_in_range(self):
@@ -90,15 +91,15 @@ class TestStepSemantics:
     def test_tie_keeps_opinion(self):
         proto, pop = self.make()
         opinions = np.array([1, 0, 1, 0, 1, 0], dtype=np.uint8)
-        pop.adversarial_opinions(opinions)
+        pop.adversarial_opinions(opinions[None])
         state = {"prev_count": np.full(6, 2, dtype=np.int64)}
         sampler = scripted_sampler(np.full(6, 2), np.zeros(6))  # tie
         new = step_row(proto, pop, state, sampler, make_rng(0))
-        assert np.array_equal(new, pop.opinions)
+        assert np.array_equal(new, pop.opinions[0])
 
     def test_mixed_rules_per_agent(self):
         proto, pop = self.make()
-        pop.adversarial_opinions(np.array([1, 1, 0, 0, 1, 0], dtype=np.uint8))
+        pop.adversarial_opinions(np.array([[1, 1, 0, 0, 1, 0]], dtype=np.uint8))
         state = {"prev_count": np.array([2, 2, 2, 2, 2, 2], dtype=np.int64)}
         counts = np.array([3, 1, 2, 3, 2, 1], dtype=np.int64)
         sampler = scripted_sampler(counts, np.zeros(6))
@@ -164,7 +165,7 @@ class TestConvergence:
         result = engine.run(2000)
         assert result.converged
         # Continue for 100 extra rounds: the opinion vector must not move.
-        after = engine.run(100, stop_condition=lambda population: False)
+        after = engine.run(100, stop_condition=never)
         assert (after.trajectory == 1.0).all()
 
 
@@ -174,14 +175,13 @@ class TestFusedBatchStep:
     tie → keep."""
 
     def test_fused_step_batch_matches_three_way_rule(self):
-        from repro.core.batch import BatchedPopulation
         from repro.core.sampling import BatchedSampler
 
         ell, replicas, n = 9, 7, 40
         rng = make_rng(77)
         proto = FETProtocol(ell)
         pop = make_population(n, 1)
-        batch = BatchedPopulation.from_population(pop, replicas)
+        batch = tiled(pop, replicas)
         opinions = (make_rng(1).random((replicas, n)) < 0.5).astype("uint8")
         batch.adversarial_opinions(opinions)
         prev = make_rng(2).integers(0, ell + 1, size=(replicas, n))
@@ -211,13 +211,13 @@ class TestFusedBatchStep:
         ell, n = 6, 30
         proto = FETProtocol(ell)
         pop = make_population(n, 1)
-        pop.adversarial_opinions((make_rng(4).random(n) < 0.5).astype("uint8"))
+        pop.adversarial_opinions((make_rng(4).random(n) < 0.5).astype("uint8")[None])
         counts = make_rng(5).integers(0, ell + 1, size=(2, n))
         prev = make_rng(6).integers(0, ell + 1, size=n)
         state = {"prev_count": prev.copy()}
         new = step_row(proto, pop, state, scripted_sampler(counts[0], counts[1]), make_rng(0))
         expected = [
-            1 if c > p else 0 if c < p else o for c, p, o in zip(counts[0], prev, pop.opinions)
+            1 if c > p else 0 if c < p else o for c, p, o in zip(counts[0], prev, pop.opinions[0])
         ]
         assert new.tolist() == expected
         assert np.array_equal(state["prev_count"], counts[1])
@@ -226,13 +226,12 @@ class TestFusedBatchStep:
         """A buffer-reusing sampler (returns the same tensor every call)
         aliases this round's blocks with the carried previous count; the
         fused update must detect the overlap and not corrupt the buffer."""
-        from repro.core.batch import BatchedPopulation
         from repro.core.sampling import BatchedSampler
 
         ell, replicas, n = 5, 3, 20
         proto = FETProtocol(ell)
         pop = make_population(n, 1)
-        batch = BatchedPopulation.from_population(pop, replicas)
+        batch = tiled(pop, replicas)
         cached = make_rng(8).integers(0, ell + 1, size=(2, replicas, n))
         snapshot = cached.copy()
 

@@ -33,7 +33,7 @@ class TestStepSemantics:
     def test_band_suppresses_small_trends(self):
         proto = HysteresisFETProtocol(10, band=2)
         pop = make_population(4, 1)
-        pop.adversarial_opinions(np.array([1, 0, 1, 0], dtype=np.uint8))
+        pop.adversarial_opinions(np.array([[1, 0, 1, 0]], dtype=np.uint8))
         state = {"prev_count": np.full(4, 5, dtype=np.int64)}
         # diffs: +2 (within band), -2 (within band), +3 (above), -3 (below)
         counts = np.array([7, 3, 8, 2], dtype=np.int64)
@@ -52,7 +52,7 @@ class TestStepSemantics:
         results = []
         for proto in (HysteresisFETProtocol(4, 0), FETProtocol(4)):
             pop = make_population(n, 1)
-            pop.adversarial_opinions(opinions.copy())
+            pop.adversarial_opinions(opinions[None])
             state = {"prev_count": prev.copy()}
             sampler = scripted_sampler(counts.copy(), second.copy())
             results.append(step_row(proto, pop, state, sampler, make_rng(0)))

@@ -32,7 +32,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from repro.core.batch import BatchedPopulation
+from conftest import tiled
 from repro.core.counts import make_count_population
 from repro.core.population import make_population
 from repro.sweep.registry import (
@@ -66,7 +66,7 @@ def test_both_engines_install_one_law(protocol_name, init_name):
     initializer = build_initializer({"name": init_name, **INIT_PARAMS.get(init_name, {})})
     num_states = protocol.count_display().size
 
-    batch = BatchedPopulation.from_population(make_population(N, 1), REPLICAS)
+    batch = tiled(make_population(N, 1), REPLICAS)
     states = protocol.init_state_batch(REPLICAS, N, np.random.default_rng(0))
     initializer.apply_batch(batch, protocol, states, np.random.default_rng(SEED))
     free = batch.nonsource_mask

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.batch import BatchedPopulation
+from conftest import tiled
 from repro.config import RunSpec
 from repro.core.engine import SynchronousEngine
 from repro.core.population import make_majority_population, make_population
@@ -27,8 +27,8 @@ from repro.protocols.fet import FETProtocol
 
 
 def install(initializer, pop, proto, state, rng):
-    """The single-population case: ``apply_batch`` on a one-row batch,
-    written back into ``pop`` and ``state``."""
+    """The single-population case: ``apply_batch`` on the one-row ``pop``
+    and its stacked ``state``, in place."""
     SynchronousEngine(proto, pop, rng=rng, state=state, initializer=initializer)
 
 
@@ -36,7 +36,7 @@ def fresh(n=100, ell=10, correct=1):
     proto = FETProtocol(ell)
     pop = make_population(n, correct)
     rng = make_rng(0)
-    state = proto.init_state(n, rng)
+    state = proto.init_state_batch(1, n, rng)
     return proto, pop, state, rng
 
 
@@ -44,13 +44,13 @@ class TestAllWrong:
     def test_nonsources_wrong(self):
         proto, pop, state, rng = fresh()
         install(AllWrong(), pop, proto, state, rng)
-        assert (pop.opinions[~pop.source_mask] == 0).all()
-        assert pop.opinions[pop.source_mask].tolist() == [1]
+        assert (pop.opinions[:, ~pop.source_mask] == 0).all()
+        assert pop.opinions[:, pop.source_mask].tolist() == [[1]]
 
     def test_respects_correct_zero(self):
         proto, pop, state, rng = fresh(correct=0)
         install(AllWrong(), pop, proto, state, rng)
-        assert (pop.opinions[~pop.source_mask] == 1).all()
+        assert (pop.opinions[:, ~pop.source_mask] == 1).all()
 
     def test_randomizes_internal_state(self):
         proto, pop, state, rng = fresh(ell=20)
@@ -148,7 +148,7 @@ class TestPoisonedCounters:
         proto, pop, state, rng = fresh(ell=10)
         install(PoisonedCounters(), pop, proto, state, rng)
         assert (state["prev_count"] == 10).all()
-        assert (pop.opinions[~pop.source_mask] == 0).all()
+        assert (pop.opinions[:, ~pop.source_mask] == 0).all()
 
     def test_fet_recovers(self):
         n = 1000
@@ -173,7 +173,7 @@ class TestFrozenUnanimity:
         pop = make_majority_population(40, k0=10, k1=5)
         proto = FETProtocol(8)
         rng = make_rng(0)
-        state = proto.init_state(40, rng)
+        state = proto.init_state_batch(1, 40, rng)
         install(FrozenUnanimity(opinion=1), pop, proto, state, rng)
         assert (pop.opinions == 1).all()
         assert (state["prev_count"] == 8).all()
@@ -206,7 +206,7 @@ class TestAdversarialBatched:
     def batch(self, n=60, replicas=8, ell=10):
         proto = FETProtocol(ell)
         rng = make_rng(0)
-        batch = BatchedPopulation.from_population(make_population(n, 1), replicas)
+        batch = tiled(make_population(n, 1), replicas)
         states = proto.init_state_batch(replicas, n, rng)
         return proto, batch, states, rng
 
@@ -217,7 +217,7 @@ class TestAdversarialBatched:
         for init in (TwoRoundTarget(0.3, 0.7), ZeroSpeedCenter(), PoisonedCounters(), FrozenUnanimity()):
             for replicas in (1, 3):
                 proto = FETProtocol(6)
-                batch = BatchedPopulation.from_population(pop, replicas)
+                batch = tiled(pop, replicas)
                 states = proto.init_state_batch(replicas, 30, make_rng(0))
                 init.apply_batch(batch, proto, states, make_rng(1))
                 assert batch.opinions.shape == states["prev_count"].shape == (replicas, 30)
@@ -270,7 +270,7 @@ class TestAdversarialBatched:
         proto = FETProtocol(8)
         rng = make_rng(0)
         pop = make_majority_population(40, k0=10, k1=5)
-        batch = BatchedPopulation.from_population(pop, 4)
+        batch = tiled(pop, 4)
         states = proto.init_state_batch(4, 40, rng)
         FrozenUnanimity(opinion=1).apply_batch(batch, proto, states, rng)
         assert (batch.opinions == 1).all()

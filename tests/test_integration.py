@@ -113,8 +113,8 @@ class TestImpossibilityWitness:
         pop = make_population(n, 1)
         proto = FETProtocol(16)
         rng = make_rng(6)
-        state = {"prev_count": np.full(n, 16, dtype=np.int64)}
-        pop.set_opinions(np.ones(n, dtype=np.uint8))
+        state = {"prev_count": np.full((1, n), 16, dtype=np.int64)}
+        pop.set_opinions(np.ones((1, n), dtype=np.uint8))
         result = SynchronousEngine(proto, pop, rng=rng, state=state).run(100)
         assert result.converged
 

@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import never, tiled
 from repro.core.engine import SynchronousEngine
-from repro.core.batch import BatchedPopulation
 from repro.core.noise import BatchedNoisyCountSampler, noisy_fraction
 from repro.core.population import make_population
 from repro.core.rng import make_rng
@@ -15,10 +15,6 @@ from repro.initializers.standard import AllWrong
 from repro.protocols.clock_sync import ClockSyncProtocol
 from repro.protocols.fet import FETProtocol, ell_for
 from repro.trace import FullTrace, nonsource_correct_fractions
-
-
-def _never(population) -> bool:
-    return False
 
 
 class TestNoisyFraction:
@@ -49,26 +45,25 @@ class TestNoisyCountSampler:
         pop = make_population(4000, 1)
         opinions = np.zeros(4000, dtype=np.uint8)
         opinions[:1200] = 1
-        pop.adversarial_opinions(opinions)
-        batch = BatchedPopulation.from_population(pop, 1)
-        counts = BatchedNoisyCountSampler(0.0).counts(batch, 20, make_rng(0))
-        assert counts.mean() / 20 == pytest.approx(pop.fraction_ones(), abs=0.02)
+        pop.adversarial_opinions(opinions[None])
+        counts = BatchedNoisyCountSampler(0.0).counts(pop, 20, make_rng(0))
+        assert counts.mean() / 20 == pytest.approx(pop.fraction_ones()[0], abs=0.02)
 
     def test_noise_biases_toward_half(self):
         # x ~ 1/4000: nearly all zeros
-        batch = BatchedPopulation.from_population(make_population(4000, 1), 1)
+        batch = make_population(4000, 1)
         counts = BatchedNoisyCountSampler(0.2).counts(batch, 20, make_rng(1))
         assert counts.mean() / 20 == pytest.approx(0.2, abs=0.02)
 
     def test_blocks_shape(self):
-        batch = BatchedPopulation.from_population(make_population(100, 1), 1)
+        batch = make_population(100, 1)
         blocks = BatchedNoisyCountSampler(0.1).count_blocks(batch, 8, 2, make_rng(2))
         assert blocks.shape == (2, 1, 100)
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
             BatchedNoisyCountSampler(0.7)
-        batch = BatchedPopulation.from_population(make_population(10, 1), 1)
+        batch = make_population(10, 1)
         with pytest.raises(ValueError):
             BatchedNoisyCountSampler(0.1).counts(batch, -1, make_rng(0))
 
@@ -83,12 +78,12 @@ class TestNoisyFET:
         n = 1000
         proto = FETProtocol(30)
         pop = make_population(n, 1)
-        pop.set_opinions(np.ones(n, dtype=np.uint8))
-        state = {"prev_count": np.full(n, 30, dtype=np.int64)}
+        pop.set_opinions(np.ones((1, n), dtype=np.uint8))
+        state = {"prev_count": np.full((1, n), 30, dtype=np.int64)}
         engine = SynchronousEngine(
             proto, pop, sampler=BatchedNoisyCountSampler(0.2), rng=make_rng(3), state=state
         )
-        fractions = engine.run(50, stop_condition=_never).trajectory[1:]
+        fractions = engine.run(50, stop_condition=never).trajectory[1:]
         assert min(fractions) < 0.5  # consensus collapsed at least once
         assert max(fractions) > 0.9  # ... and was re-approached: oscillation
 
@@ -101,13 +96,13 @@ class TestNoisyFET:
         ell = 30
         proto = FETProtocol(ell)
         pop = make_population(n, 1)
-        pop.set_opinions(np.ones(n, dtype=np.uint8))
-        state = {"prev_count": np.full(n, ell, dtype=np.int64)}
+        pop.set_opinions(np.ones((1, n), dtype=np.uint8))
+        state = {"prev_count": np.full((1, n), ell, dtype=np.int64)}
         engine = SynchronousEngine(
             proto, pop, sampler=BatchedNoisyCountSampler(1e-5), rng=make_rng(4), state=state
         )
         recorder = FullTrace()
-        engine.run(50, stop_condition=_never, recorder=recorder)
+        engine.run(50, stop_condition=never, recorder=recorder)
         fractions = nonsource_correct_fractions(recorder.trace())[0, 1:]
         assert min(fractions) < 0.9  # collapsed at least once
         assert max(fractions) > 0.95  # and recovered: oscillation, not death
@@ -141,11 +136,11 @@ class TestNoisyClockSync:
         for eps in (0.0, 0.5):
             proto = ClockSyncProtocol(n, 16)
             pop = make_population(n, 1)
-            pop.set_opinions(np.ones(n, dtype=np.uint8))
+            pop.set_opinions(np.ones((1, n), dtype=np.uint8))
             engine = SynchronousEngine(
                 proto, pop, sampler=BatchedNoisyCountSampler(eps), rng=make_rng(5)
             )
-            fractions = engine.run(2 * proto.period, stop_condition=_never).trajectory[1:]
+            fractions = engine.run(2 * proto.period, stop_condition=never).trajectory[1:]
             levels[eps] = min(fractions)
         assert levels[0.0] == 1.0
         assert levels[0.5] < 0.5

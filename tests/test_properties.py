@@ -13,6 +13,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import never
 from repro.analysis.coins import compare_binomials
 from repro.analysis.domains import Domain, DomainPartition, YellowArea
 from repro.analysis.drift import drift_g
@@ -134,12 +135,12 @@ class TestEngineProperties:
         proto = FETProtocol(ell)
         pop = make_population(n, 1)
         rng = make_rng(seed)
-        state = {"prev_count": proto.randomize_state_batch(1, n, rng)["prev_count"][0]}
-        pop.adversarial_opinions(rng.integers(0, 2, size=n).astype(np.uint8))
+        state = proto.randomize_state_batch(1, n, rng)
+        pop.adversarial_opinions(rng.integers(0, 2, size=(1, n)).astype(np.uint8))
         engine = SynchronousEngine(proto, pop, rng=rng, state=state)
         for _ in range(rounds):
-            engine.run(1, stop_condition=lambda population: False)
-            assert pop.opinions[pop.source_mask].tolist() == [1]
+            engine.run(1, stop_condition=never)
+            assert pop.opinions[:, pop.source_mask].tolist() == [[1]]
             assert np.isin(pop.opinions, (0, 1)).all()
             assert state["prev_count"].min() >= 0
             assert state["prev_count"].max() <= ell
@@ -153,9 +154,9 @@ class TestEngineProperties:
         """From (1, 1) — consensus held two rounds — FET never moves."""
         proto = FETProtocol(5)
         pop = make_population(n, 1)
-        pop.set_opinions(np.ones(n, dtype=np.uint8))
-        state = {"prev_count": np.full(n, 5, dtype=np.int64)}
+        pop.set_opinions(np.ones((1, n), dtype=np.uint8))
+        state = {"prev_count": np.full((1, n), 5, dtype=np.int64)}
         engine = SynchronousEngine(proto, pop, rng=make_rng(seed), state=state)
-        result = engine.run(5, stop_condition=lambda population: False)
+        result = engine.run(5, stop_condition=never)
         assert (result.trajectory == 1.0).all()
-        assert pop.at_correct_consensus()
+        assert pop.at_correct_consensus().all()

@@ -62,8 +62,6 @@ class TestProtocolDefaults:
         proto = Bare()
         rng = np.random.default_rng(0)
         assert np.array_equal(proto.randomize_state_batch(2, 4, rng)["x"], [np.arange(4)] * 2)
-        # the single-population state is the one-row case
-        assert np.array_equal(proto.init_state(4, rng)["x"], np.arange(4))
 
     def test_stateless_by_default(self):
         class Bare(Protocol):
@@ -73,7 +71,6 @@ class TestProtocolDefaults:
         rng = np.random.default_rng(0)
         assert Bare().init_state_batch(3, 4, rng) == {}
         assert Bare().randomize_state_batch(3, 4, rng) == {}
-        assert Bare().init_state(4, rng) == {}
 
     def test_fet_repr(self):
         assert "FETProtocol" in repr(FETProtocol(5))

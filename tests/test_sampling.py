@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import tiled
 from repro.core.batch import BatchedPopulation
 from repro.core.population import make_population
 from repro.core.rng import make_rng
@@ -17,8 +18,8 @@ def population_with_fraction(n: int, x: float, replicas: int = 1) -> BatchedPopu
     pop = make_population(n, 1)
     opinions = np.zeros(n, dtype=np.uint8)
     opinions[: int(round(x * n))] = 1
-    pop.adversarial_opinions(opinions)
-    return BatchedPopulation.from_population(pop, replicas)
+    pop.adversarial_opinions(opinions[None])
+    return tiled(pop, replicas)
 
 
 class TestBinomialCountSampler:
@@ -101,6 +102,20 @@ class TestIndexSampler:
         # each row counts ones within its own replica
         for r in range(2):
             assert np.array_equal(counts[r], pop.opinions[r][idx[r]].sum(axis=1))
+
+    @pytest.mark.parametrize("exclude_self", [False, True])
+    def test_counts_equal_the_fancy_index_gather(self, exclude_self):
+        # The per-row take must count exactly what the 2-axis fancy gather
+        # over the same drawn indices counts.
+        pop = tiled(make_population(300, 1), 4)
+        pop.adversarial_opinions((make_rng(0).random((4, 300)) < [[0.1], [0.4], [0.7], [1.0]]))
+        sampler = IndexSampler(exclude_self=exclude_self)
+        idx = sampler.indices(pop, 7, make_rng(5))
+        rows = np.arange(pop.replicas)[:, None, None]
+        reference = pop.opinions[rows, idx].sum(axis=2, dtype=np.int64)
+        counts = sampler.counts(pop, 7, make_rng(5))
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, reference)
 
     def test_zero_ell_counts(self):
         pop = population_with_fraction(40, 0.25)

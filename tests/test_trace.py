@@ -13,8 +13,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import never, tiled
 from repro.config import RunSpec
-from repro.core.batch import BatchedEngine, BatchedPopulation
+from repro.core.batch import BatchedEngine
 from repro.core.engine import SynchronousEngine
 from repro.core.population import make_population
 from repro.core.protocol import Protocol
@@ -51,7 +52,7 @@ class GrowOneProtocol(Protocol):
 def _staggered_engine(n=8, replicas=5):
     """Replica r starts with r+1 ones; grow-one retires them in reverse order."""
     pop = make_population(n, 1)
-    batch = BatchedPopulation.from_population(pop, replicas)
+    batch = tiled(pop, replicas)
     for r in range(replicas):
         batch.opinions[r, : r + 1] = 1
     batch.invalidate_cache()
@@ -132,7 +133,7 @@ class TestEngineRecording:
         results = recorder.trace().to_run_results(result)
         for r, batched in enumerate(results):
             pop = make_population(n, 1)
-            pop.opinions[: r + 1] = 1
+            pop.opinions[0, : r + 1] = 1
             pop.invalidate_cache()
             sequential = SynchronousEngine(GrowOneProtocol(), pop, rng=0).run(
                 100, stability_rounds=1, record_flips=True
@@ -146,7 +147,7 @@ class TestEngineRecording:
         pop = make_population(200, 1)
         rng_seed = 3
         protocol = FETProtocol(24)
-        state = protocol.init_state(200, np.random.default_rng(rng_seed))
+        state = protocol.init_state_batch(1, 200, np.random.default_rng(rng_seed))
         recorder = FullTrace(record_flips=True)
         engine = SynchronousEngine(protocol, pop, rng=rng_seed, state=state)
         result = engine.run(400, recorder=recorder, record_flips=True)
@@ -161,7 +162,7 @@ class TestEngineRecording:
         # execute, so the trace keeps rising through the linger window.
         n = 8
         pop = make_population(n, 1)
-        batch = BatchedPopulation.from_population(pop, 2)
+        batch = tiled(pop, 2)
         recorder = FullTrace()
         engine = BatchedEngine(GrowOneProtocol(), batch, rng=0)
         result = engine.run(
@@ -183,9 +184,7 @@ class TestEngineRecording:
         # Lock lands on the final budgeted round; the settle window runs past
         # max_rounds exactly like sequential settle stepping does.
         n = 8
-        pop = make_population(n, 1)
-        batch = BatchedPopulation.from_population(pop, 1)
-        engine = BatchedEngine(GrowOneProtocol(), batch, rng=0)
+        engine = BatchedEngine(GrowOneProtocol(), make_population(n, 1), rng=0)
         result = engine.run(
             3,
             stability_rounds=1,
@@ -197,8 +196,7 @@ class TestEngineRecording:
         assert result.rounds_executed[0] == 7
 
     def test_rejects_negative_linger(self):
-        pop = make_population(8, 1)
-        engine = BatchedEngine(GrowOneProtocol(), BatchedPopulation.from_population(pop, 1), rng=0)
+        engine = BatchedEngine(GrowOneProtocol(), make_population(8, 1), rng=0)
         with pytest.raises(ValueError):
             engine.run(10, linger_rounds=-1)
 
@@ -207,7 +205,7 @@ def _two_identical_runs(recorder_a, recorder_b, *, max_rounds=400):
     """Run the same seeded FET batch twice, once per recorder."""
     for recorder in (recorder_a, recorder_b):
         pop = make_population(150, 1)
-        batch = BatchedPopulation.from_population(pop, 6)
+        batch = tiled(pop, 6)
         engine = BatchedEngine(FETProtocol(20), batch, rng=42)
         engine.run(max_rounds, recorder=recorder)
     return recorder_a.trace(), recorder_b.trace()
@@ -282,10 +280,8 @@ class TestStrideAndRing:
         assert isinstance(ring, RingBufferTrace) and ring.capacity == 16
 
     def test_to_run_results_rejects_partial_traces(self):
-        pop = make_population(8, 1)
         for recorder in (FullTrace(stride=2), RingBufferTrace(2)):
-            batch = BatchedPopulation.from_population(pop, 1)
-            engine = BatchedEngine(GrowOneProtocol(), batch, rng=0)
+            engine = BatchedEngine(GrowOneProtocol(), make_population(8, 1), rng=0)
             result = engine.run(100, stability_rounds=1, recorder=recorder)
             with pytest.raises(ValueError):
                 recorder.trace().to_run_results(result)
@@ -391,7 +387,7 @@ class TestThetaAgreement:
                 initializer=AllWrong(),
             )
             recorder = FullTrace()
-            engine.run(max_rounds, stop_condition=lambda population: False, recorder=recorder)
+            engine.run(max_rounds, stop_condition=never, recorder=recorder)
             curves.append(nonsource_correct_fractions(recorder.trace())[0])
         values = np.asarray(curves)
         rounds = np.arange(max_rounds + 1)
