@@ -230,8 +230,7 @@ class RunSpec:
             raise ValueError(f"linger_rounds must be >= 0, got {self.linger_rounds}")
         if self.engine not in ENGINES:
             raise ValueError(
-                f"engine must be 'auto', 'batched', 'sequential' or 'counts', "
-                f"got {self.engine!r}"
+                f"engine must be one of {', '.join(map(repr, ENGINES))}, got {self.engine!r}"
             )
         if not 0.0 <= self.noise <= 0.5:
             raise ValueError(f"noise levels must be in [0, 1/2], got {self.noise}")

@@ -130,12 +130,8 @@ class IndexSampler(BatchedSampler):
         rng: np.random.Generator,
     ) -> np.ndarray:
         idx = self.indices(batch, ell, rng)
-        sampled = np.empty(idx.shape, dtype=batch.opinions.dtype)
-        # One 1-D take per replica; mode="clip" (a no-op on in-range
-        # indices) spares numpy the out-buffer copy of mode="raise".
-        for row, opinions in enumerate(batch.opinions):
-            opinions.take(idx[row], out=sampled[row], mode="clip")
-        return sampled.sum(axis=2, dtype=np.int64)
+        rows = np.arange(batch.replicas)[:, None, None]
+        return batch.opinions[rows, idx].sum(axis=2, dtype=np.int64)
 
 
 #: Use numpy's scalar-p binomial generator (geometric-search inversion, cheap

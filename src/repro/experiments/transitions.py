@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..config import ENGINES
 from ..core.rng import spawn_rngs
 from ..initializers.standard import Initializer
 from ..protocols.fet import FETProtocol
@@ -97,7 +96,7 @@ def collect_transitions(
     single-population engine per trial on its own spawned stream (the
     cross-check path the equivalence tests compare against).
     """
-    if engine not in ENGINES or engine == "counts":
+    if engine not in ("auto", "batched", "sequential"):
         raise ValueError(f"engine must be 'auto', 'batched' or 'sequential', got {engine!r}")
     summary = TransitionSummary()
     if trials_per_init == 0:

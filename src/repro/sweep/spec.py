@@ -159,8 +159,7 @@ class SweepSpec:
             raise ValueError(f"stability_rounds must be >= 1, got {self.stability_rounds}")
         if self.engine not in ENGINES:
             raise ValueError(
-                f"engine must be 'auto', 'batched', 'sequential' or 'counts', "
-                f"got {self.engine!r}"
+                f"engine must be one of {', '.join(map(repr, ENGINES))}, got {self.engine!r}"
             )
 
         axes = dict(self.axes)
@@ -217,8 +216,8 @@ class SweepSpec:
             for value in axes["engine"]:
                 if value not in ENGINES:
                     raise ValueError(
-                        f"engine axis values must be 'auto', 'batched', "
-                        f"'sequential' or 'counts', got {value!r}"
+                        f"engine axis values must be one of "
+                        f"{', '.join(map(repr, ENGINES))}, got {value!r}"
                     )
         if "correct_opinion" in axes:
             for value in axes["correct_opinion"]:

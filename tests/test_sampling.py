@@ -103,20 +103,6 @@ class TestIndexSampler:
         for r in range(2):
             assert np.array_equal(counts[r], pop.opinions[r][idx[r]].sum(axis=1))
 
-    @pytest.mark.parametrize("exclude_self", [False, True])
-    def test_counts_equal_the_fancy_index_gather(self, exclude_self):
-        # The per-row take must count exactly what the 2-axis fancy gather
-        # over the same drawn indices counts.
-        pop = tiled(make_population(300, 1), 4)
-        pop.adversarial_opinions((make_rng(0).random((4, 300)) < [[0.1], [0.4], [0.7], [1.0]]))
-        sampler = IndexSampler(exclude_self=exclude_self)
-        idx = sampler.indices(pop, 7, make_rng(5))
-        rows = np.arange(pop.replicas)[:, None, None]
-        reference = pop.opinions[rows, idx].sum(axis=2, dtype=np.int64)
-        counts = sampler.counts(pop, 7, make_rng(5))
-        assert counts.dtype == np.int64
-        assert np.array_equal(counts, reference)
-
     def test_zero_ell_counts(self):
         pop = population_with_fraction(40, 0.25)
         counts = IndexSampler().counts(pop, 0, make_rng(2))
