@@ -39,7 +39,7 @@ import numpy as np
 
 from bench_common import banner, results_path, run_once
 from repro.config import RunSpec
-from repro.experiments.harness import TrialStats
+from repro.experiments.harness import TrialStats, make_lockstep_engines
 from repro.protocols.fet import ell_for
 from repro.viz.tables import format_table
 
@@ -96,7 +96,7 @@ def _time(spec: RunSpec) -> tuple[float, TrialStats]:
 def counts_state_bytes(spec: RunSpec) -> tuple[int, int]:
     """Count states per replica, and the bytes of the counts engine's whole
     replica state: the count matrix plus the carried protocol state."""
-    engine = spec.count_engine()
+    (engine,) = make_lockstep_engines(spec, "counts")
     carried = sum(value.nbytes for value in engine.states.values())
     return engine.population.num_states, engine.population.counts.nbytes + carried
 

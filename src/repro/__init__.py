@@ -21,7 +21,7 @@ Communication" (arXiv:2203.11522). The package provides:
 * the trace subsystem (:mod:`repro.trace`): batched per-replica trajectory
   recording (full, strided, or ring-buffered) with vectorized trace-derived
   measures — the layer that runs the trajectory-shaped workloads
-  (``keep_results``, Figure 1b transitions, θ/settle sweeps) on the batched
+  (per-trial trajectories, Figure 1b transitions, θ/settle sweeps) on the batched
   engine; ``python -m repro trace`` charts and exports recorded runs;
 * the telemetry subsystem (:mod:`repro.telemetry`): a dependency-free
   metrics registry (counters/gauges/histograms, off by default) wired

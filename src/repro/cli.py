@@ -47,6 +47,7 @@ from .core.engine import SynchronousEngine
 from .core.population import make_population
 from .core.rng import make_rng
 from .experiments.convergence import default_round_budget, fit_scaling, sweep_population_sizes
+from .experiments.harness import make_lockstep_engines
 from .initializers.standard import AllWrong
 from .protocols.fet import FETProtocol, ell_for
 from .sweep import (
@@ -542,7 +543,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     recorder = make_recorder(ring=args.ring, stride=args.stride, record_flips=args.flips)
-    engine = spec.batched_engine()
+    (engine,) = make_lockstep_engines(spec, "batched")
     result = engine.run(budget, recorder=recorder)
     trace = recorder.trace()
     settled = settle_rounds(trace.x, trace.rounds)

@@ -23,9 +23,9 @@ The layers consume it uniformly:
   a batch of trials;
 * a sweep :class:`~repro.sweep.spec.Cell` *is* a ``RunSpec`` (plus its
   derived seed), so grids, the store, and the dispatcher all speak it;
-* :meth:`RunSpec.batched_engine` hands trace/θ consumers a fully prepared
-  :class:`~repro.core.batch.BatchedEngine`, so no caller outside the
-  harness builds engines or resolves observation models by hand.
+* :func:`~repro.experiments.harness.make_lockstep_engines` hands trace/θ
+  consumers the spec's prepared lock-step engines, so no caller outside
+  the harness builds engines or resolves observation models by hand.
 
 **Hash compatibility.** :meth:`spec_dict` emits the new fields
 (``sampler``, ``num_sources``, ``correct_opinion``, ``linger_rounds``)
@@ -40,13 +40,11 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .core.batch import BatchedEngine
-    from .core.counts import CountEngine
     from .core.batch import BatchedPopulation
     from .core.protocol import Protocol
     from .core.sampling import BatchedSampler
@@ -71,10 +69,6 @@ RUN_SCHEMA = 1
 
 #: The ``engine`` policies a run or sweep may declare.
 ENGINES = ("auto", "batched", "sequential", "counts")
-
-#: Default of the ``batched_sampler`` keyword of :meth:`RunSpec.resolve_engine`
-#: and :meth:`RunSpec.counts_obstacle`: resolve the spec's own sampler.
-_SPEC_SAMPLER: Any = object()
 
 
 def canonical_json(obj: Any) -> str:
@@ -191,8 +185,8 @@ class RunSpec:
         registry), or ``None`` for the standard source-pinned layout built
         from the shape fields. ``{"name": "standard"}`` is the same layout
         declared explicitly; ``{"name": "majority", "k0": ..., "k1": ...}``
-        builds the Section-1.2 majority variant (crafted layouts force the
-        per-trial population path and are rejected by the counts engine).
+        builds the Section-1.2 majority variant (crafted layouts are
+        rejected by the counts engine).
     seed:
         Base RNG seed of the condition. Sweep cells carry a derived seed.
     """
@@ -346,56 +340,44 @@ class RunSpec:
 
         return build_initializer(self.initializer)
 
-    def population_factory(self) -> Callable[[], "BatchedPopulation"] | None:
-        """Factory for the declared population layout, or ``None`` when the
-        engines should build the standard layout natively from the shape
-        fields (no component declared, or the explicit ``standard`` one —
-        resolving ``standard`` to "no override" keeps the vectorized
-        batch-initialization and counts fast paths available)."""
-        if self.population is None:
-            return None
-        from .sweep.registry import population_factory
+    def build_population(self) -> "BatchedPopulation":
+        """The one-row population layout every replica of this condition
+        shares: the declared population component, else the standard
+        source-pinned layout built from the shape fields."""
+        from .sweep.registry import build_population
 
-        return population_factory(
-            self.population,
+        return build_population(
+            self.population or {"name": "standard"},
             self.n,
             num_sources=self.num_sources,
             correct_opinion=self.correct_opinion,
         )
 
-    def samplers(self) -> "BatchedSampler":
+    def build_sampler(self) -> "BatchedSampler":
         """The batched observation component every engine consumes.
 
         Resolution: an explicit ``sampler`` component wins; otherwise
         ``noise`` > 0 selects the noisy model and ``noise`` = 0 the exact
         binomial default.
         """
-        from .sweep.registry import build_samplers
+        from .sweep.registry import build_sampler
 
         if self.sampler is not None:
-            return build_samplers(self.sampler)
+            return build_sampler(self.sampler)
         if self.noise > 0.0:
-            return build_samplers({"name": "noisy", "epsilon": self.noise})
-        return build_samplers({"name": "binomial"})
+            return build_sampler({"name": "noisy", "epsilon": self.noise})
+        return build_sampler({"name": "binomial"})
 
-    def counts_obstacle(
-        self,
-        protocol: "Protocol",
-        *,
-        batched_sampler: "BatchedSampler" = _SPEC_SAMPLER,
-        custom_population: bool = False,
-    ) -> str | None:
+    def counts_obstacle(self, protocol: "Protocol") -> str | None:
         """Why this condition cannot run on the counts engine, or ``None``
         when it can — the one count-capability rule.
 
         A condition is count-capable when the protocol has a count model,
         the population is the standard source-pinned layout, the batched
         observation model is keyed on one-fractions (``effective_fractions``)
-        and no per-agent flip counts are recorded. ``batched_sampler``
-        replaces the spec's own and ``custom_population`` marks a live
-        ``population_factory`` override. :meth:`resolve_engine` and
-        ``validate_cell`` both ask this question, so "``auto`` picks counts"
-        and "explicit counts is accepted" cannot drift apart.
+        and no per-agent flip counts are recorded. :meth:`resolve_engine`
+        and ``validate_cell`` both ask this question, so "``auto`` picks
+        counts" and "explicit counts is accepted" cannot drift apart.
         """
         if not protocol.counts_supported:
             return (
@@ -409,16 +391,10 @@ class RunSpec:
                 "per-agent layout; the counts engine only models the standard "
                 "source-pinned population"
             )
-        if custom_population:
+        sampler = self.build_sampler()
+        if not hasattr(sampler, "effective_fractions"):
             return (
-                "population_factory builds a per-agent layout; the counts "
-                "engine only models the standard source-pinned population"
-            )
-        if batched_sampler is _SPEC_SAMPLER:
-            batched_sampler = self.samplers()
-        if not hasattr(batched_sampler, "effective_fractions"):
-            return (
-                f"sampler {type(batched_sampler).__name__} has no fraction-keyed "
+                f"sampler {type(sampler).__name__} has no fraction-keyed "
                 "batched observation model; the counts engine draws its own "
                 "multinomial transitions and only supports the "
                 "BatchedBinomialSampler family"
@@ -431,13 +407,7 @@ class RunSpec:
             )
         return None
 
-    def resolve_engine(
-        self,
-        protocol: "Protocol",
-        *,
-        batched_sampler: "BatchedSampler" = _SPEC_SAMPLER,
-        custom_population: bool = False,
-    ) -> str:
+    def resolve_engine(self, protocol: "Protocol") -> str:
         """The engine this condition runs on: ``"counts"``, ``"batched"`` or
         ``"sequential"`` — the one engine-resolution rule.
 
@@ -445,15 +415,11 @@ class RunSpec:
         (:meth:`counts_obstacle` is ``None``), else batched; it never picks
         sequential. Explicit engines are returned as declared, after
         checking that counts' components can run on it (``ValueError``
-        otherwise). Keywords as in :meth:`counts_obstacle`.
+        otherwise).
         """
         if self.engine in ("batched", "sequential"):
             return self.engine
-        obstacle = self.counts_obstacle(
-            protocol,
-            batched_sampler=batched_sampler,
-            custom_population=custom_population,
-        )
+        obstacle = self.counts_obstacle(protocol)
         if obstacle is None:
             return "counts"
         if self.engine == "counts":
@@ -465,69 +431,18 @@ class RunSpec:
     def execute(
         self,
         *,
-        keep_results: bool = False,
         protocol: "Protocol | None" = None,
         initializer: "Initializer | None" = None,
-        batched_sampler: "BatchedSampler | None" = None,
-        population_factory: Callable[[], "BatchedPopulation"] | None = None,
     ) -> "TrialStats":
         """Run the condition's batch of trials and aggregate the outcomes.
 
-        The keyword overrides take live objects — pre-built instances, or
-        components with no declarative form (crafted populations, scripted
-        samplers); each replaces the corresponding declared component. One
-        protocol instance serves every trial (protocol instances hold round
-        configuration only). All execution — engine choice,
-        observation-model resolution, engine assembly — happens in the
-        harness core behind this method.
+        ``protocol``/``initializer`` take live instances — pre-built ones,
+        or components with no declarative form — each replacing the
+        declared component. One protocol instance serves every trial
+        (protocol instances hold round configuration only). All execution —
+        engine choice, observation-model resolution, engine assembly —
+        happens in the harness core behind this method.
         """
         from .experiments.harness import execute_run
 
-        return execute_run(
-            self,
-            keep_results=keep_results,
-            protocol=protocol,
-            initializer=initializer,
-            batched_sampler=batched_sampler,
-            population_factory=population_factory,
-        )
-
-    def batched_engine(
-        self,
-        *,
-        protocol: "Protocol | None" = None,
-        initializer: "Initializer | None" = None,
-    ) -> "BatchedEngine":
-        """A fully prepared lock-step engine for this condition.
-
-        Builds the initialized ``(R, n)`` batch (same spawned streams as
-        :meth:`execute`'s batched path), resolves the batched observation
-        component, and returns the engine ready for
-        :meth:`~repro.core.batch.BatchedEngine.run` — the one entry point
-        for trace/θ consumers, so they never assemble engines or resolve
-        samplers by hand. ``protocol``/``initializer`` accept pre-built
-        instances to avoid rebuilding them around a registry validation.
-        """
-        from .experiments.harness import make_batched_engine
-
-        return make_batched_engine(self, protocol=protocol, initializer=initializer)
-
-    def count_engine(
-        self,
-        *,
-        protocol: "Protocol | None" = None,
-        initializer: "Initializer | None" = None,
-    ) -> "CountEngine":
-        """A fully prepared sufficient-statistic engine for this condition.
-
-        The counts analogue of :meth:`batched_engine`: builds the initialized
-        ``(R, S)`` state-count matrix and the protocol's carried count-model
-        state, resolves the fraction-keyed observation
-        component, and returns a :class:`~repro.core.counts.CountEngine`
-        ready to ``run``. Raises when any declared component has no
-        count-level form (frozen unanimity, the index sampler, protocols
-        without a count model).
-        """
-        from .experiments.harness import make_count_engine
-
-        return make_count_engine(self, protocol=protocol, initializer=initializer)
+        return execute_run(self, protocol=protocol, initializer=initializer)

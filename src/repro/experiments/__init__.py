@@ -11,7 +11,7 @@ from .convergence import (
 from .harness import (
     TrialStats,
     execute_run,
-    make_batched_engine,
+    make_lockstep_engines,
     prepare_batch,
 )
 from .multisource import SourceRow, sweep_sources
@@ -33,7 +33,7 @@ __all__ = [
     "default_round_budget",
     "execute_run",
     "fit_scaling",
-    "make_batched_engine",
+    "make_lockstep_engines",
     "prepare_batch",
     "run_annotated",
     "run_annotated_batch",

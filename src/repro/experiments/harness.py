@@ -7,13 +7,11 @@ above it speaks :class:`~repro.config.RunSpec`:
 
 * :func:`execute_run` — the execution core behind
   :meth:`RunSpec.execute`: resolves the spec's declarative components
-  (with optional live-object overrides), picks the engine, and runs the
-  batch of trials;
-* :func:`make_lockstep_engines` — the one assembly behind every engine
-  path: the prepared lock-step engines that run a spec's trials;
-* :func:`make_batched_engine` — the core behind
-  :meth:`RunSpec.batched_engine`: a fully prepared lock-step engine for
-  trace/θ consumers.
+  (``protocol=``/``initializer=`` may replace them with live instances),
+  picks the engine, and runs the batch of trials;
+* :func:`make_lockstep_engines` — the one engine builder: the prepared
+  lock-step engines that run a spec's trials, for ``execute_run``, the
+  sweep measures, ``repro trace`` and the per-trial trajectory consumers.
 
 Three execution engines are available; :meth:`RunSpec.resolve_engine`
 maps the ``engine`` policy onto one of them. All three run on the one
@@ -44,37 +42,32 @@ implementation, the batched one, and a single trial is its one-row case.
   ``engine="batched"`` and ``engine="sequential"`` are the explicit
   overrides.
 
-Per-trial trajectory consumers (``keep_results=True``) are served on every
-engine by attaching a :class:`~repro.trace.FullTrace` recorder and
-converting the recorded ``(R, T)`` matrix back into per-trial
-:class:`RunResult` objects.
+Per-trial trajectory consumers attach a :class:`~repro.trace.FullTrace`
+recorder to an engine from :func:`make_lockstep_engines` and convert the
+recorded ``(R, T)`` matrix back into per-trial
+:class:`~repro.core.records.RunResult` objects
+(``recorder.trace().to_run_results(result)``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 from ..config import RunSpec
 from ..core.batch import BatchedEngine, BatchedPopulation, SequentialEngine
 from ..core.counts import CountEngine, CountPopulation, make_count_population
-from ..core.population import make_population
 from ..core.lockstep import LockstepEngine
 from ..core.protocol import Protocol, ProtocolState
-from ..core.records import RunResult
 from ..core.rng import spawn_rngs
-from ..core.sampling import BatchedSampler
 from ..initializers.standard import Initializer
 from ..stats.summary import TimesSummary, describe_times, wilson_interval
-from ..trace import FullTrace
 
 __all__ = [
     "TrialStats",
     "execute_run",
-    "make_batched_engine",
-    "make_count_engine",
     "make_lockstep_engines",
     "prepare_batch",
     "prepare_counts",
@@ -92,8 +85,7 @@ class TrialStats:
     max_rounds: int
     successes: int
     times: np.ndarray  # convergence rounds of the successful trials
-    results: list[RunResult] = field(default_factory=list, repr=False)
-    engine: str = "sequential"  # which execution engine produced the stats
+    engine: str  # which execution engine produced the stats
 
     @property
     def success_rate(self) -> float:
@@ -129,33 +121,21 @@ class TrialStats:
 def execute_run(
     spec: RunSpec,
     *,
-    keep_results: bool = False,
     protocol: Protocol | None = None,
     initializer: Initializer | None = None,
-    batched_sampler: BatchedSampler | None = None,
-    population_factory: Callable[[], BatchedPopulation] | None = None,
 ) -> TrialStats:
     """Execution core of :meth:`RunSpec.execute` (see the module docstring).
 
-    Keyword overrides replace the spec's declarative components with live
-    objects — pre-built instances, or components with no declarative form.
-    The engine comes from :meth:`RunSpec.resolve_engine` (a live
-    ``population_factory`` keeps ``"auto"`` off the counts engine, as does a
-    ``batched_sampler`` without ``effective_fractions``).
+    ``protocol``/``initializer`` replace the spec's declared components with
+    live instances — pre-built ones, or components with no declarative
+    form. The engine comes from :meth:`RunSpec.resolve_engine`.
     """
     if protocol is None:
         protocol = spec.build_protocol()
     if initializer is None:
         initializer = spec.build_initializer()
-    custom_population = population_factory is not None
-    if batched_sampler is None:
-        batched_sampler = spec.samplers()
     max_rounds = spec.resolved_max_rounds()
-    engine = spec.resolve_engine(
-        protocol,
-        batched_sampler=batched_sampler,
-        custom_population=custom_population,
-    )
+    engine = spec.resolve_engine(protocol)
     stats = TrialStats(
         protocol_name=protocol.name,
         initializer_name=initializer.name,
@@ -174,26 +154,15 @@ def execute_run(
         return stats
     times = [stats.times]
     for lockstep in make_lockstep_engines(
-        spec,
-        engine,
-        protocol=protocol,
-        initializer=initializer,
-        sampler=batched_sampler,
-        population_factory=population_factory,
+        spec, engine, protocol=protocol, initializer=initializer
     ):
-        # Per-trial trajectory consumers (keep_results) get a full trace,
-        # converted back into per-trial RunResult objects.
-        recorder = FullTrace() if keep_results else None
         result = lockstep.run(
             max_rounds,
             stability_rounds=spec.stability_rounds,
-            recorder=recorder,
             linger_rounds=spec.linger_rounds,
         )
         stats.successes += result.successes
         times.append(result.times())
-        if recorder is not None:
-            stats.results.extend(recorder.trace().to_run_results(result))
     stats.times = np.concatenate(times)
     return stats
 
@@ -204,61 +173,37 @@ def make_lockstep_engines(
     *,
     protocol: Protocol | None = None,
     initializer: Initializer | None = None,
-    sampler: BatchedSampler | None = None,
-    population_factory: Callable[[], BatchedPopulation] | None = None,
 ) -> Iterable[LockstepEngine]:
     """The prepared lock-step engines that run ``spec``'s trials on the
-    resolved ``engine`` — the one assembly behind every execution path.
+    resolved ``engine`` — the one engine builder.
 
     ``"counts"`` and ``"batched"`` are one engine holding every trial as a
-    replica. ``"sequential"`` is one one-row
+    replica, initialized by :func:`prepare_counts` / :func:`prepare_batch`.
+    ``"sequential"`` is one one-row
     :class:`~repro.core.batch.SequentialEngine` per trial, lazily built on
     that trial's own ``spawn_rngs(seed, trials)`` stream (initialization by
     the initializer's ``apply_batch``, then dynamics), observing through the
-    same batched sampler. Live-object keywords override the spec's
-    components.
+    same batched sampler. ``protocol``/``initializer`` replace the spec's
+    declared components with live instances.
     """
     if protocol is None:
         protocol = spec.build_protocol()
     if initializer is None:
         initializer = spec.build_initializer()
-    if sampler is None:
-        sampler = spec.samplers()
+    sampler = spec.build_sampler()
     if engine == "counts":
-        return [
-            make_count_engine(spec, protocol=protocol, initializer=initializer, sampler=sampler)
-        ]
+        population, states, rng = prepare_counts(spec, protocol, initializer)
+        return [CountEngine(protocol, population, sampler=sampler, rng=rng, states=states)]
     if engine == "batched":
-        return [
-            make_batched_engine(
-                spec,
-                protocol=protocol,
-                initializer=initializer,
-                batched_sampler=sampler,
-                population_factory=population_factory,
-            )
-        ]
-    if population_factory is None and spec.population is not None:
-        population_factory = spec.population_factory()
-    template = _template(spec.n, spec.correct_opinion, spec.num_sources, population_factory)
+        batch, states, rng = prepare_batch(spec, protocol, initializer)
+        return [BatchedEngine(protocol, batch, sampler=sampler, rng=rng, states=states)]
+    template = spec.build_population()
 
     def trial(rng: np.random.Generator) -> SequentialEngine:
         batch, states = _initialized_batch(protocol, template, initializer, 1, rng)
         return SequentialEngine(protocol, batch, sampler=sampler, rng=rng, states=states)
 
     return (trial(rng) for rng in spawn_rngs(spec.seed, spec.trials))
-
-
-def _template(
-    n: int,
-    correct_opinion: int,
-    num_sources: int,
-    population_factory: Callable[[], BatchedPopulation] | None,
-) -> BatchedPopulation:
-    """The one-row population layout every replica of a run shares."""
-    if population_factory is not None:
-        return population_factory()
-    return make_population(n, correct_opinion, num_sources=num_sources)
 
 
 def _initialized_batch(
@@ -278,85 +223,30 @@ def _initialized_batch(
 
 
 def prepare_batch(
-    protocol: Protocol,
-    n: int,
-    initializer: Initializer,
-    *,
-    trials: int,
-    seed: int,
-    correct_opinion: int = 1,
-    num_sources: int = 1,
-    population_factory: Callable[[], BatchedPopulation] | None = None,
+    spec: RunSpec, protocol: Protocol, initializer: Initializer
 ) -> tuple[BatchedPopulation, ProtocolState, np.random.Generator]:
-    """Build the initialized ``(R, n)`` batch for ``trials`` trials of a run.
+    """Build the initialized ``(R, n)`` batch for ``spec``'s trials.
 
-    The shared front half of every batched workload (``execute_run``, the
-    trace-based θ sweep measure, the batched transition experiment): returns
-    the initialized batch, its stacked protocol states, and the generator for
-    the lock-step dynamics stream.
-
-    One stream initializes the whole batch with the initializer's vectorized
-    ``apply_batch``, the second drives the lock-step dynamics. Every replica
-    shares one population layout: ``population_factory``'s, else
-    ``num_sources`` sources at the canonical indices. One protocol instance
-    serves the whole batch — valid because protocol instances hold round
-    configuration only, with all per-agent state in the state dict (the
-    :class:`~repro.core.protocol.Protocol` contract).
+    Returns the initialized batch, its stacked protocol states, and the
+    generator for the lock-step dynamics stream. One stream initializes the
+    whole batch with the initializer's vectorized ``apply_batch``, the
+    second drives the lock-step dynamics. Every replica shares the spec's
+    one population layout (:meth:`RunSpec.build_population`). One protocol
+    instance serves the whole batch — valid because protocol instances hold
+    round configuration only, with all per-agent state in the state dict
+    (the :class:`~repro.core.protocol.Protocol` contract).
     """
-    init_rng, batch_rng = spawn_rngs(seed, 2)
-    template = _template(n, correct_opinion, num_sources, population_factory)
-    batch, states = _initialized_batch(protocol, template, initializer, trials, init_rng)
+    init_rng, batch_rng = spawn_rngs(spec.seed, 2)
+    batch, states = _initialized_batch(
+        protocol, spec.build_population(), initializer, spec.trials, init_rng
+    )
     return batch, states, batch_rng
 
 
-def make_batched_engine(
-    spec: RunSpec,
-    *,
-    protocol: Protocol | None = None,
-    initializer: Initializer | None = None,
-    batched_sampler: BatchedSampler | None = None,
-    population_factory: Callable[[], BatchedPopulation] | None = None,
-) -> BatchedEngine:
-    """A fully prepared lock-step engine for ``spec`` — the core behind
-    :meth:`RunSpec.batched_engine`.
-
-    Resolves the protocol, initializer, batched observation model, and
-    population layout from the spec (live-object keywords override), builds
-    the initialized batch on the spec's seed, and returns the engine ready
-    to ``run``.
-    """
-    if protocol is None:
-        protocol = spec.build_protocol()
-    if initializer is None:
-        initializer = spec.build_initializer()
-    if batched_sampler is None:
-        batched_sampler = spec.samplers()
-    if population_factory is None and spec.population is not None:
-        population_factory = spec.population_factory()
-    batch, states, rng = prepare_batch(
-        protocol,
-        spec.n,
-        initializer,
-        trials=spec.trials,
-        seed=spec.seed,
-        correct_opinion=spec.correct_opinion,
-        num_sources=spec.num_sources,
-        population_factory=population_factory,
-    )
-    return BatchedEngine(protocol, batch, sampler=batched_sampler, rng=rng, states=states)
-
-
 def prepare_counts(
-    protocol: Protocol,
-    n: int,
-    initializer: Initializer,
-    *,
-    trials: int,
-    seed: int,
-    correct_opinion: int = 1,
-    num_sources: int = 1,
+    spec: RunSpec, protocol: Protocol, initializer: Initializer
 ) -> tuple[CountPopulation, ProtocolState, np.random.Generator]:
-    """Build the initialized ``(R, S)`` count population for ``trials``
+    """Build the initialized ``(R, S)`` count population for ``spec``'s
     trials, with the protocol's carried count-model state.
 
     The counts analogue of :func:`prepare_batch`: one stream initializes
@@ -364,45 +254,14 @@ def prepare_counts(
     initializer's count-level application — the same law ``apply_batch``
     installs per agent — and the second drives the lock-step dynamics.
     """
-    init_rng, dyn_rng = spawn_rngs(seed, 2)
+    init_rng, dyn_rng = spawn_rngs(spec.seed, 2)
     population = make_count_population(
-        protocol, trials, n, num_sources=num_sources, correct_opinion=correct_opinion
+        protocol,
+        spec.trials,
+        spec.n,
+        num_sources=spec.num_sources,
+        correct_opinion=spec.correct_opinion,
     )
-    states = protocol.init_count_state(trials)
+    states = protocol.init_count_state(spec.trials)
     initializer.apply_counts(population, protocol, states, init_rng)
     return population, states, dyn_rng
-
-
-def make_count_engine(
-    spec: RunSpec,
-    *,
-    protocol: Protocol | None = None,
-    initializer: Initializer | None = None,
-    sampler: BatchedSampler | None = None,
-) -> CountEngine:
-    """A fully prepared sufficient-statistic engine for ``spec`` — the core
-    behind :meth:`RunSpec.count_engine`.
-
-    Resolves the protocol, initializer, and fraction-keyed observation model
-    from the spec (live-object keywords override), draws the initial count
-    matrix on the spec's seed, and returns the engine ready to ``run``.
-    Raises when any component has no count-level form: a protocol without a
-    count model, frozen unanimity, or an observation model that is not
-    keyed on one-fractions.
-    """
-    if protocol is None:
-        protocol = spec.build_protocol()
-    if initializer is None:
-        initializer = spec.build_initializer()
-    if sampler is None:
-        sampler = spec.samplers()
-    population, states, rng = prepare_counts(
-        protocol,
-        spec.n,
-        initializer,
-        trials=spec.trials,
-        seed=spec.seed,
-        correct_opinion=spec.correct_opinion,
-        num_sources=spec.num_sources,
-    )
-    return CountEngine(protocol, population, sampler=sampler, rng=rng, states=states)

@@ -28,7 +28,7 @@ from ..core.records import RunResult
 from ..core.rng import as_rng
 from ..initializers.standard import Initializer
 from ..trace import FullTrace
-from .harness import make_batched_engine
+from .harness import make_lockstep_engines
 
 __all__ = ["AnnotatedRun", "run_annotated", "run_annotated_batch"]
 
@@ -104,7 +104,7 @@ def run_annotated_batch(
         stability_rounds=stability_rounds,
     )
     recorder = FullTrace()
-    engine = make_batched_engine(spec, protocol=protocol, initializer=initializer)
+    (engine,) = make_lockstep_engines(spec, "batched", protocol=protocol, initializer=initializer)
     outcome = engine.run(max_rounds, stability_rounds=stability_rounds, recorder=recorder)
     partition = DomainPartition(n=n, delta=delta)
     return [

@@ -30,8 +30,6 @@ so ``state`` and ``done`` events leave as the transition happens, while
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import time
@@ -230,27 +228,13 @@ class RunServiceServer(ObservabilityServer):
                 200,
                 {
                     "job_id": job.job_id,
-                    "columns": result._columns(),
+                    "columns": result.columns(),
                     "rows": _json_safe(result.rows()),
                 },
             )
         if fmt != "csv":
             raise RouteError(400, f"format must be 'csv' or 'json', got {fmt!r}")
-        columns = result._columns()
-        buffer = io.StringIO()
-        # Same renderer as SweepResult.write_csv (csv.writer defaults, NaN
-        # blank), just into memory — the bytes must match a direct sweep's
-        # file exactly.
-        writer = csv.writer(buffer)
-        writer.writerow(columns)
-        for row in result.rows():
-            writer.writerow(
-                [
-                    "" if isinstance(value, float) and math.isnan(value) else value
-                    for value in (row[column] for column in columns)
-                ]
-            )
-        return 200, "text/csv; charset=utf-8", buffer.getvalue()
+        return 200, "text/csv; charset=utf-8", result.csv_text()
 
     # ----------------------------------------------------------------- stream
 

@@ -67,7 +67,7 @@ from .orchestrator import SweepResult, run_sweep
 from .registry import (
     build_initializer,
     build_protocol,
-    build_samplers,
+    build_sampler,
     component_catalog,
     initializer_names,
     protocol_names,
@@ -118,7 +118,7 @@ __all__ = [
     "SweepSpec",
     "build_initializer",
     "build_protocol",
-    "build_samplers",
+    "build_sampler",
     "component_catalog",
     "execute_cell",
     "fet_demo_spec",

@@ -24,6 +24,8 @@ fault-free aggregate CSVs byte-identical to their historical form.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -36,7 +38,6 @@ from ..telemetry.progress import ProgressLine
 from ..telemetry.registry import MetricsRegistry
 from ..telemetry.snapshot import MetricsSnapshot
 from ..telemetry.spans import SpanLog, SpanTracer, span
-from ..viz.csv_out import write_rows
 from ..viz.tables import format_table
 from .dispatch import FailedItem, FaultPolicy, make_dispatcher
 from .registry import validate_cell
@@ -93,7 +94,7 @@ class SweepResult:
             if result.failed
         ]
 
-    def _columns(self) -> list[str]:
+    def columns(self) -> list[str]:
         """Export columns: the ``error`` column rides along only when some
         cell failed, so fault-free exports keep their exact bytes."""
         columns = list(RESULT_COLUMNS)
@@ -108,30 +109,40 @@ class SweepResult:
 
     def table(self) -> str:
         """Aligned text table of all cells (NaN renders as ``-``)."""
-        columns = self._columns()
+        columns = self.columns()
         return format_table(
             columns,
             [[row[column] for column in columns] for row in self.rows()],
         )
 
-    def write_csv(self, path: str | Path) -> Path:
-        """Write the aggregate CSV (NaN cells blank), creating parents.
+    def csv_text(self) -> str:
+        """The aggregate CSV (``csv.writer`` defaults, NaN cells blank) —
+        what :meth:`write_csv` writes and the run service returns.
 
         Cell order and float formatting are deterministic, so two sweeps of
-        the same spec produce byte-identical files whatever their job
-        counts or cache states were — including sweeps with recorded
-        failures, whose ``error`` renderings are deterministic too.
+        the same spec render byte-identical text whatever their job counts
+        or cache states were — including sweeps with recorded failures,
+        whose ``error`` renderings are deterministic too.
         """
-        columns = self._columns()
-        table = []
+        columns = self.columns()
+        buffer = io.StringIO()
+        writer = csv.writer(buffer)
+        writer.writerow(columns)
         for row in self.rows():
-            table.append(
+            writer.writerow(
                 [
                     "" if isinstance(value, float) and math.isnan(value) else value
                     for value in (row[column] for column in columns)
                 ]
             )
-        return write_rows(path, columns, table)
+        return buffer.getvalue()
+
+    def write_csv(self, path: str | Path) -> Path:
+        """Write :meth:`csv_text` to ``path``, creating parents."""
+        path = Path(path)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(self.csv_text(), encoding="utf-8", newline="")
+        return path
 
 
 def _runs_on_counts(cell: Cell) -> bool:

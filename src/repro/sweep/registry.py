@@ -10,7 +10,7 @@ process runs the cell. Three component kinds are registered:
   constructions (:class:`~repro.initializers.adversarial.FrozenUnanimity`
   additionally needs the ``majority`` population component — the pairing
   is cross-checked by :func:`validate_cell`);
-* **samplers** — observation models (:func:`build_samplers`), each one
+* **samplers** — observation models (:func:`build_sampler`), each one
   :class:`~repro.core.sampling.BatchedSampler` that every engine consumes
   (a sequential trial observes through it as a one-row batch; the counts
   engine reads its ``effective_fractions``, which the literal ``index``
@@ -72,10 +72,9 @@ __all__ = [
     "build_initializer",
     "build_population",
     "build_protocol",
-    "build_samplers",
+    "build_sampler",
     "component_catalog",
     "initializer_names",
-    "population_factory",
     "population_names",
     "protocol_names",
     "sampler_names",
@@ -260,32 +259,7 @@ def build_population(
     return builder(_params(spec, "population", allowed), n, num_sources, correct_opinion)
 
 
-def population_factory(
-    spec: dict, n: int, *, num_sources: int = 1, correct_opinion: int = 1
-) -> Callable[[], BatchedPopulation] | None:
-    """Zero-argument factory building a fresh population per call.
-
-    Returns ``None`` for the ``standard`` layout — it is precisely what the
-    engines build natively from the shape fields, and resolving it to "no
-    override" keeps the vectorized batch-initialization and counts fast
-    paths available. Parameter errors surface immediately (the first
-    instantiation happens in the creator), before any worker is spawned.
-    """
-    name = spec.get("name")
-    if name not in _POPULATIONS:
-        raise ValueError(
-            f"unknown population {name!r}; known populations: {population_names()}"
-        )
-    _params(spec, "population", _POPULATIONS[name][1])
-    if name == "standard":
-        return None
-    build_population(spec, n, num_sources=num_sources, correct_opinion=correct_opinion)
-    return lambda: build_population(
-        spec, n, num_sources=num_sources, correct_opinion=correct_opinion
-    )
-
-
-def build_samplers(spec: dict) -> BatchedSampler:
+def build_sampler(spec: dict) -> BatchedSampler:
     """The observation model for an observation spec.
 
     Every engine consumes this one :class:`BatchedSampler`: the batched
@@ -335,6 +309,6 @@ def validate_cell(cell) -> None:
             if obstacle is not None:
                 raise ValueError(obstacle)
         if cell.sampler is not None:
-            build_samplers(cell.sampler)
+            build_sampler(cell.sampler)
     except (ValueError, KeyError, TypeError) as error:
         raise ValueError(f"invalid sweep cell [{cell.label()}]: {error}") from error

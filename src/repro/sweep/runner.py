@@ -32,6 +32,11 @@ Three kinds ship built in (``cell.measure["kind"]``):
     round per replica, optional post-settle flip rate) recorded through a
     configurable recorder (``stride``, ``ring`` capacity, ``flips``) —
     also the workload of the trace-overhead benchmark.
+
+The two trace-backed measures take their engines from
+:func:`~repro.experiments.harness.make_lockstep_engines`, the one engine
+builder; ``consensus`` goes through :meth:`~repro.config.RunSpec.execute`,
+which uses the same builder.
 """
 
 from __future__ import annotations
@@ -369,17 +374,6 @@ class MeteredCell:
         return result
 
 
-def _lockstep_engines(cell: Cell, engine: str, protocol, initializer):
-    """The prepared lock-step engines of a trace-backed measure: one counts
-    or batched engine, or one single-replica engine per trial for
-    ``"sequential"``. All share one run contract (stop condition on the
-    replica container, recorder, linger retirement), so the measures are
-    engine-agnostic."""
-    from ..experiments.harness import make_lockstep_engines
-
-    return make_lockstep_engines(cell, engine, protocol=protocol, initializer=initializer)
-
-
 def _base_payload(kind: str, protocol_name: str, initializer, engine: str) -> dict:
     return {
         "measure": kind,
@@ -437,7 +431,11 @@ def _measure_theta(cell: Cell, protocol, initializer) -> dict:
     base.update({"reached": 0, "settle_levels": [], "theta": theta, "settle_window": settle_window})
     if cell.trials == 0:
         return base
-    for lockstep in _lockstep_engines(cell, engine, protocol, initializer):
+    from ..experiments.harness import make_lockstep_engines
+
+    for lockstep in make_lockstep_engines(
+        cell, engine, protocol=protocol, initializer=initializer
+    ):
         recorder = FullTrace()
         result = lockstep.run(
             cell.max_rounds,
@@ -502,8 +500,10 @@ def _measure_trace(cell: Cell, protocol, initializer) -> dict:
     base.update({"successes": 0, "settle_rounds": [], "recorded_columns": 0})
     if cell.trials == 0:
         return base
+    from ..experiments.harness import make_lockstep_engines
+
     recorder = make_recorder(ring=ring, stride=stride, record_flips=flips)
-    (lockstep,) = _lockstep_engines(cell, engine, protocol, initializer)
+    (lockstep,) = make_lockstep_engines(cell, engine, protocol=protocol, initializer=initializer)
     result = lockstep.run(
         cell.max_rounds,
         stability_rounds=cell.stability_rounds,

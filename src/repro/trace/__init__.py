@@ -6,9 +6,9 @@ optionally flip) curves from the lock-step round loop —
 surviving replica retirement, optionally strided or ring-buffered — and
 :mod:`~repro.trace.measures` reduces the recorded ``(R, T)`` matrices into
 the trajectory-shaped quantities the experiments report (time-to-θ, settle
-level, post-settle flip rate). This is what moves the ``keep_results``
-consumers, the Figure 1b transition experiment, and the ``theta`` sweep
-measure onto the batched fast path.
+level, post-settle flip rate). This is what moves the per-trial
+trajectory consumers, the Figure 1b transition experiment, and the
+``theta`` sweep measure onto the batched fast path.
 """
 
 from .measures import (

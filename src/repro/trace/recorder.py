@@ -129,7 +129,7 @@ class BatchTrace:
         that wrapped, or any stride > 1, has lost rounds and raises). Each
         replica's trajectory is trimmed to the rounds it actually executed —
         the trajectory :class:`~repro.core.engine.SynchronousEngine` returns
-        is built exactly this way — so ``keep_results`` consumers (domain
+        is built exactly this way — so per-trial trajectory consumers (domain
         classification, Figure 1b transitions) work on every engine.
         """
         if self.stride != 1:

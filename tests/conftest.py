@@ -8,6 +8,8 @@ import pytest
 from repro.core.population import make_population
 from repro.core.rng import make_rng
 from repro.core.sampling import BatchedSampler
+from repro.experiments.harness import make_lockstep_engines
+from repro.trace import FullTrace
 
 
 class ScriptedCountSampler(BatchedSampler):
@@ -45,6 +47,29 @@ def never(rows):
 def tiled(population, replicas):
     """``replicas`` copies of a one-row population's row, as one batch."""
     return population.select(np.zeros(replicas, dtype=int))
+
+
+def run_results(spec):
+    """``spec``'s engine and its per-trial :class:`RunResult` objects.
+
+    Runs the engines :func:`make_lockstep_engines` builds for the engine
+    ``spec`` resolves to, each under a full trace converted back per trial
+    — the same run :meth:`RunSpec.execute` makes, with the recorder
+    attached.
+    """
+    protocol = spec.build_protocol()
+    engine = spec.resolve_engine(protocol)
+    results = []
+    for lockstep in make_lockstep_engines(spec, engine, protocol=protocol):
+        recorder = FullTrace()
+        outcome = lockstep.run(
+            spec.resolved_max_rounds(),
+            stability_rounds=spec.stability_rounds,
+            recorder=recorder,
+            linger_rounds=spec.linger_rounds,
+        )
+        results.extend(recorder.trace().to_run_results(outcome))
+    return engine, results
 
 
 def step_row(protocol, population, state, sampler, rng):

@@ -13,13 +13,13 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from conftest import tiled
+from conftest import run_results, tiled
 from repro.config import RunSpec
 from repro.core.batch import BatchedEngine, BatchedPopulation
 from repro.core.population import make_population
 from repro.core.protocol import Protocol
 from repro.core.rng import make_rng
-from repro.core.sampling import BatchedBinomialSampler, IndexSampler, batched_binomial_counts
+from repro.core.sampling import BatchedBinomialSampler, batched_binomial_counts
 
 
 class GrowOneProtocol(Protocol):
@@ -286,74 +286,77 @@ class TestEngineEquivalence:
 class TestRunTrialsDispatch:
     @pytest.mark.parametrize("n,engine", [(99, "batched"), (100, "counts")])
     def test_auto_keeps_results_on_either_lockstep_engine(self, n, engine):
-        # keep_results rides the lock-step engines: a FullTrace recorder
+        # Per-trial results ride the lock-step engines: a FullTrace recorder
         # captures per-replica trajectories and converts them back into
         # per-trial RunResults, on batched and counts alike. auto runs the
         # count-capable cell on counts; batched is the explicit override.
-        stats = RunSpec(
-            protocol={"name": "fet", "ell": 16},
-            n=n,
-            trials=4,
-            max_rounds=400,
-            seed=0,
-            engine="batched" if engine == "batched" else "auto",
-        ).execute(keep_results=True)
-        assert stats.engine == engine
-        assert len(stats.results) == 4
-        for result in stats.results:
+        resolved, results = run_results(
+            RunSpec(
+                protocol={"name": "fet", "ell": 16},
+                n=n,
+                trials=4,
+                max_rounds=400,
+                seed=0,
+                engine="batched" if engine == "batched" else "auto",
+            )
+        )
+        assert resolved == engine
+        assert len(results) == 4
+        for result in results:
             assert result.converged
             # trajectory covers round 0 through the rounds the replica executed
             assert result.trajectory.shape[0] >= result.rounds + 1
 
-    def test_sequential_escape_hatch_for_keep_results(self):
-        stats = RunSpec(
-            protocol={"name": "fet", "ell": 16},
-            n=100,
-            trials=4,
-            max_rounds=400,
-            seed=0,
-            engine="sequential",
-        ).execute(keep_results=True)
-        assert stats.engine == "sequential"
-        assert len(stats.results) == 4
+    def test_sequential_escape_hatch_for_per_trial_results(self):
+        engine, results = run_results(
+            RunSpec(
+                protocol={"name": "fet", "ell": 16},
+                n=100,
+                trials=4,
+                max_rounds=400,
+                seed=0,
+                engine="sequential",
+            )
+        )
+        assert engine == "sequential"
+        assert len(results) == 4
 
     def test_auto_runs_custom_sampler_batched(self):
         stats = RunSpec(
-            protocol={"name": "fet", "ell": 16}, n=100, trials=4, max_rounds=400, seed=0
-        ).execute(batched_sampler=IndexSampler())
+            protocol={"name": "fet", "ell": 16},
+            n=100,
+            trials=4,
+            max_rounds=400,
+            seed=0,
+            sampler={"name": "index"},
+        ).execute()
         assert stats.engine == "batched"
         assert stats.successes == 4
 
-    def test_batched_keep_results_matches_sequential_shape(self):
-        seq = RunSpec(
-            protocol={"name": "fet", "ell": 16},
-            n=100,
-            trials=4,
-            max_rounds=400,
-            seed=0,
-            engine="sequential",
-        ).execute(keep_results=True)
-        bat = RunSpec(
-            protocol={"name": "fet", "ell": 16},
-            n=100,
-            trials=4,
-            max_rounds=400,
-            seed=0,
-            engine="batched",
-        ).execute(keep_results=True)
-        assert len(bat.results) == len(seq.results) == 4
-        for result in bat.results + seq.results:
+    def test_batched_per_trial_results_match_sequential_shape(self):
+        kwargs = dict(protocol={"name": "fet", "ell": 16}, n=100, trials=4, max_rounds=400, seed=0)
+        _, seq = run_results(RunSpec(engine="sequential", **kwargs))
+        _, bat = run_results(RunSpec(engine="batched", **kwargs))
+        assert len(bat) == len(seq) == 4
+        for result in bat + seq:
             # same contract: trajectory[0] is the initial all-wrong fraction
             # (one source pinned correct) and the final entry is consensus
             assert result.trajectory[0] == pytest.approx(0.01)
             assert result.final_fraction == 1.0
 
     def test_index_sampler_runs_batched_but_not_on_counts(self):
-        kwargs = dict(protocol={"name": "fet", "ell": 16}, n=100, trials=4, max_rounds=400, seed=0)
-        stats = RunSpec(engine="batched", **kwargs).execute(batched_sampler=IndexSampler())
+        kwargs = dict(
+            protocol={"name": "fet", "ell": 16},
+            n=100,
+            trials=4,
+            max_rounds=400,
+            seed=0,
+            sampler={"name": "index"},
+        )
+        stats = RunSpec(engine="batched", **kwargs).execute()
         assert stats.engine == "batched" and stats.successes == 4
         with pytest.raises(ValueError, match="fraction-keyed"):
-            RunSpec(engine="counts", **kwargs).execute(batched_sampler=IndexSampler())
+            RunSpec(engine="counts", **kwargs).execute()
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError):
@@ -374,7 +377,7 @@ class TestRunTrialsDispatch:
         a, b = spec.execute(), spec.execute()
         assert np.array_equal(a.times, b.times)
 
-    def test_batched_with_population_factory(self):
+    def test_batched_with_correct_opinion_zero(self):
         stats = RunSpec(
             protocol={"name": "fet", "ell": 16},
             n=100,
@@ -382,7 +385,8 @@ class TestRunTrialsDispatch:
             max_rounds=400,
             seed=3,
             engine="batched",
-        ).execute(population_factory=lambda: make_population(100, 0))
+            correct_opinion=0,
+        ).execute()
         assert stats.successes == 6
 
 
@@ -442,8 +446,6 @@ class TestBatchedSamplerStatistics:
 
 class TestBatchedNoise:
     def test_noisy_equivalence(self):
-        from repro.core.noise import BatchedNoisyCountSampler
-
         seq = RunSpec(
             protocol={"name": "fet", "ell": 24},
             n=200,
@@ -451,7 +453,8 @@ class TestBatchedNoise:
             max_rounds=60,
             seed=21,
             engine="sequential",
-        ).execute(batched_sampler=BatchedNoisyCountSampler(0.1))
+            sampler={"name": "noisy", "epsilon": 0.1},
+        ).execute()
         bat = RunSpec(
             protocol={"name": "fet", "ell": 24},
             n=200,
@@ -459,7 +462,8 @@ class TestBatchedNoise:
             max_rounds=60,
             seed=21,
             engine="batched",
-        ).execute(batched_sampler=BatchedNoisyCountSampler(0.1))
+            sampler={"name": "noisy", "epsilon": 0.1},
+        ).execute()
         assert bat.engine == "batched"
         lo_s, hi_s = seq.success_interval
         lo_b, hi_b = bat.success_interval

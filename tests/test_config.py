@@ -17,6 +17,7 @@ from repro.config import RunSpec, canonical_json, derive_seed
 from repro.core.noise import BatchedNoisyCountSampler
 from repro.core.population import make_population
 from repro.core.sampling import BatchedBinomialSampler, IndexSampler
+from repro.experiments.harness import make_lockstep_engines
 from repro.experiments.multisource import sweep_sources
 from repro.initializers.standard import AllWrong
 from repro.protocols.fet import FETProtocol
@@ -26,7 +27,7 @@ from repro.sweep import (
     Cell,
     ResultsStore,
     SweepSpec,
-    build_samplers,
+    build_sampler,
     component_catalog,
     initializer_names,
     load_spec,
@@ -188,14 +189,16 @@ class TestRunSpecExecution:
         assert stats.engine == "counts"
         assert stats.successes == stats.trials
         # the declared source count reaches whichever engine auto picks
-        assert spec.count_engine().population.num_sources == 30
-        assert spec.batched_engine().batch.num_sources == 30
+        (counts,) = make_lockstep_engines(spec, "counts")
+        assert counts.population.num_sources == 30
+        (batched,) = make_lockstep_engines(spec, "batched")
+        assert batched.batch.num_sources == 30
 
     def test_execute_correct_opinion_zero(self):
         stats = demo_spec(correct_opinion=0).execute()
         assert stats.successes == stats.trials
 
-    def test_index_sampler_runs_on_lockstep_engines(self):
+    def test_index_sampler_runs_on_per_agent_engines(self):
         spec = demo_spec(sampler={"name": "index"}, trials=2, n=60)
         stats = spec.execute()
         assert stats.engine == "batched"
@@ -207,37 +210,37 @@ class TestRunSpecExecution:
 
     def test_batched_engine_prepared(self):
         spec = demo_spec(trials=3, num_sources=5)
-        engine = spec.batched_engine()
+        (engine,) = make_lockstep_engines(spec, "batched")
         assert engine.batch.replicas == 3
         assert engine.batch.source_mask.sum() == 5
         result = engine.run(spec.max_rounds, stability_rounds=spec.stability_rounds)
         assert result.converged.all()
 
     def test_noise_resolves_noisy_sampler(self):
-        batched = demo_spec(noise=0.1).samplers()
+        batched = demo_spec(noise=0.1).build_sampler()
         assert isinstance(batched, BatchedNoisyCountSampler)
         assert batched.epsilon == 0.1
-        assert isinstance(demo_spec().samplers(), BatchedBinomialSampler)
+        assert isinstance(demo_spec().build_sampler(), BatchedBinomialSampler)
 
 
 class TestSamplerRegistry:
     def test_noisy_sampler_carries_epsilon(self):
-        batched = build_samplers({"name": "noisy", "epsilon": 0.2})
+        batched = build_sampler({"name": "noisy", "epsilon": 0.2})
         assert isinstance(batched, BatchedNoisyCountSampler)
         assert batched.epsilon == 0.2
 
     def test_index_sampler_is_batched(self):
-        sampler = build_samplers({"name": "index", "exclude_self": True})
+        sampler = build_sampler({"name": "index", "exclude_self": True})
         assert isinstance(sampler, IndexSampler) and sampler.exclude_self
         assert not hasattr(sampler, "effective_fractions")
 
     def test_unknown_names_and_params_rejected(self):
         with pytest.raises(ValueError, match="unknown sampler"):
-            build_samplers({"name": "quantum"})
+            build_sampler({"name": "quantum"})
         with pytest.raises(ValueError, match="unknown parameters"):
-            build_samplers({"name": "binomial", "epsilon": 0.1})
+            build_sampler({"name": "binomial", "epsilon": 0.1})
         with pytest.raises(ValueError, match="epsilon"):
-            build_samplers({"name": "noisy"})
+            build_sampler({"name": "noisy"})
 
     def test_catalog_covers_registries_exactly(self):
         catalog = component_catalog()
@@ -251,7 +254,7 @@ class TestSamplerRegistry:
         """The registry's noisy sampler draws Binomial(ℓ, x + ε(1 − 2x)),
         the flip-noise observation law (KS against direct draws)."""
         eps, ell, n, reps = 0.2, 20, 400, 50
-        batched_sampler = build_samplers({"name": "noisy", "epsilon": eps})
+        sampler = build_sampler({"name": "noisy", "epsilon": eps})
         population = make_population(n, 1)
         population.adversarial_opinions((np.arange(n) % 3 == 0).astype(np.uint8)[None])
         from repro.core.noise import noisy_fraction
@@ -261,7 +264,7 @@ class TestSamplerRegistry:
         law = make_rng(100).binomial(
             ell, noisy_fraction(population.fraction_ones()[0], eps), size=n * reps
         )
-        batched_counts = batched_sampler.counts(batch, ell, make_rng(999)).ravel()
+        batched_counts = sampler.counts(batch, ell, make_rng(999)).ravel()
         ks = scipy_stats.ks_2samp(law, batched_counts, method="asymp")
         assert ks.pvalue > 1e-3
 
@@ -551,7 +554,8 @@ class TestMultisourceMigration:
                 trials=10,
                 max_rounds=500,
                 seed=100 + index,
-            ).execute(population_factory=lambda k=k: make_population(n, 1, num_sources=k))
+                num_sources=k,
+            ).execute()
             for index, k in enumerate(counts)
         ]
         for row, stats in zip(rows, manual):
@@ -716,6 +720,6 @@ class TestLiveOverrides:
         with pytest.raises(ValueError, match="engine must be"):
             RunSpec(protocol=None, n=100, engine="x").execute(protocol=protocol)
         with pytest.raises(ValueError, match="fraction-keyed"):
-            RunSpec(protocol=None, n=100, max_rounds=10, engine="counts").execute(
-                protocol=protocol, batched_sampler=IndexSampler()
-            )
+            RunSpec(
+                protocol=None, n=100, max_rounds=10, engine="counts", sampler={"name": "index"}
+            ).execute(protocol=protocol)

@@ -30,7 +30,7 @@ from repro.core.batch import BatchedEngine
 from repro.core.counts import CountEngine, CountPopulation, make_count_population
 from repro.core.population import make_population
 from repro.core.sampling import BatchedBinomialSampler
-from repro.experiments.harness import make_count_engine, prepare_counts
+from repro.experiments.harness import make_lockstep_engines, prepare_counts
 from repro.initializers.adversarial import ZeroSpeedCenter
 from repro.protocols.fet import FETProtocol
 from repro.protocols.oracle_clock import OracleClockProtocol
@@ -89,6 +89,16 @@ class TestCountPopulation:
         small = make_count_population(protocol, replicas=8, n=100)
         huge = make_count_population(protocol, replicas=8, n=10**7)
         assert small.counts.nbytes == huge.counts.nbytes
+
+    def test_whole_engine_state_fits_at_ten_million_agents(self):
+        # bench_counts_scaling's memory gate: the counts matrix plus every
+        # carried states array of a built (not run) 64-trial FET counts
+        # engine at n = 10^7 fits in 256 KiB.
+        spec = RunSpec(protocol={"name": "fet"}, n=10**7, trials=64, engine="counts")
+        (engine,) = make_lockstep_engines(spec, "counts")
+        assert "counter_law" in engine.states
+        carried = sum(value.nbytes for value in engine.states.values())
+        assert engine.population.counts.nbytes + carried <= 256 * 1024
 
     def test_row_sum_validation(self):
         protocol = FETProtocol(2)
@@ -305,7 +315,8 @@ class TestRunContract:
             seed=seed,
             engine="counts",
         )
-        return spec.count_engine()
+        (engine,) = make_lockstep_engines(spec, "counts")
+        return engine
 
     def test_retirement_accounting(self):
         stability, linger = 3, 2
@@ -396,7 +407,8 @@ class TestHoldingTimeJumps:
     def _run(self, spec: RunSpec, *, recorder: bool, linger_rounds: int = 0):
         registry = MetricsRegistry()
         with use_registry(registry):
-            result = spec.count_engine().run(
+            (engine,) = make_lockstep_engines(spec, "counts")
+            result = engine.run(
                 spec.max_rounds,
                 stability_rounds=spec.stability_rounds,
                 recorder=FullTrace() if recorder else None,
@@ -489,7 +501,8 @@ class TestHoldingTimeJumps:
         )
         registry = MetricsRegistry()
         with use_registry(registry):
-            result = spec.count_engine().run(300)
+            (engine,) = make_lockstep_engines(spec, "counts")
+            result = engine.run(300)
         rounds = registry.total("repro_engine_rounds_total")
         skipped = registry.total("repro_engine_rounds_skipped_total")
         # every row took at least one step per lock-step iteration; jumps
@@ -501,23 +514,22 @@ class TestHoldingTimeJumps:
 
 class TestHarnessDispatch:
     def test_prepare_counts_installs_crafted_initializer(self):
-        population, _, _ = prepare_counts(
-            FETProtocol(4), 64, ZeroSpeedCenter(), trials=4, seed=0
-        )
+        spec = RunSpec(protocol=None, n=64, trials=4, seed=0)
+        population, _, _ = prepare_counts(spec, FETProtocol(4), ZeroSpeedCenter())
         # round(n/2) ones over all agents, hypergeometric on the non-sources
         ones = population.count_ones()
         assert ((ones >= 32) & (ones <= 33)).all()
 
-    def test_make_count_engine_resolves_spec(self):
+    def test_make_lockstep_engines_resolves_counts_spec(self):
         spec = RunSpec(
             protocol={"name": "voter"}, n=64, trials=8, seed=1, engine="counts"
         )
-        engine = make_count_engine(spec)
+        (engine,) = make_lockstep_engines(spec, "counts")
         assert isinstance(engine, CountEngine)
         assert isinstance(engine.protocol, VoterProtocol)
         assert engine.population.replicas == 8
 
-    def test_execute_keeps_per_trial_results(self):
+    def test_full_trace_gives_per_trial_results(self):
         spec = RunSpec(
             protocol={"name": "fet", "ell": 6},
             n=128,
@@ -525,11 +537,17 @@ class TestHarnessDispatch:
             seed=4,
             engine="counts",
         )
-        stats = spec.execute(keep_results=True)
-        assert stats.engine == "counts"
-        assert len(stats.results) == 12
-        converged_rounds = sorted(r.rounds for r in stats.results if r.converged)
-        assert converged_rounds == sorted(int(t) for t in stats.times)
+        (engine,) = make_lockstep_engines(spec, "counts")
+        recorder = FullTrace()
+        result = engine.run(
+            spec.resolved_max_rounds(),
+            stability_rounds=spec.stability_rounds,
+            recorder=recorder,
+        )
+        results = recorder.trace().to_run_results(result)
+        assert len(results) == 12
+        converged_rounds = sorted(r.rounds for r in results if r.converged)
+        assert converged_rounds == sorted(int(t) for t in result.times())
 
     def test_zero_trials_reports_counts_engine(self):
         spec = RunSpec(

@@ -12,8 +12,6 @@ from __future__ import annotations
 import pytest
 
 from repro.config import RunSpec
-from repro.core.population import make_population
-from repro.core.sampling import BatchedBinomialSampler, BatchedSampler
 from repro.sweep import SweepSpec, run_sweep
 from repro.sweep.registry import (
     initializer_names,
@@ -66,19 +64,6 @@ def _fet_spec(**overrides) -> RunSpec:
     return RunSpec(**settings)
 
 
-class FractionlessSampler(BatchedSampler):
-    """A batched observation model without the ``effective_fractions`` seam."""
-
-    def __init__(self) -> None:
-        self._inner = BatchedBinomialSampler()
-
-    def counts(self, batch, ell, rng):
-        return self._inner.counts(batch, ell, rng)
-
-    def count_blocks(self, batch, ell, blocks, rng):
-        return self._inner.count_blocks(batch, ell, blocks, rng)
-
-
 class TestNeverCounts:
     """Per-agent structure keeps ``auto`` off the counts engine at any n."""
 
@@ -112,17 +97,6 @@ class TestNeverCounts:
     def test_index_sampler_stays_batched(self):
         spec = _fet_spec(sampler={"name": "index"}, trials=1, n=120, max_rounds=50)
         assert spec.execute().engine == "batched"
-
-    def test_live_population_factory_stays_batched(self):
-        stats = _fet_spec().execute(population_factory=lambda: make_population(400, 1))
-        assert stats.engine == "batched"
-
-    def test_live_sampler_without_fraction_seam_stays_off_counts(self):
-        seamless = _fet_spec().execute(batched_sampler=FractionlessSampler())
-        assert seamless.engine == "batched"
-        # a fraction-keyed sampler makes the override count-capable
-        keyed = _fet_spec().execute(batched_sampler=BatchedBinomialSampler())
-        assert keyed.engine == "counts"
 
     def test_explicit_overrides_win(self):
         assert _fet_spec(engine="batched").execute().engine == "batched"

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from conftest import never
+from conftest import never, run_results
 from repro.config import RunSpec
 from repro.core.engine import SynchronousEngine
 from repro.core.population import make_population
@@ -401,16 +401,17 @@ def _record_synchronous_runs() -> dict:
             out[key + "/final_opinions"] = engine.population.opinions[0].copy()
             for name_, value in engine.state.items():
                 out[key + "/final_state/" + name_] = value[0].copy()
-    stats = RunSpec(
+    spec = RunSpec(
         protocol={"name": "fet"},
         n=150,
         trials=3,
         seed=7,
         engine="sequential",
         initializer={"name": "zero-speed-center"},
-    ).execute(keep_results=True)
-    out["sequential-fet/rounds"] = np.array([r.rounds for r in stats.results])
-    out["sequential-fet/converged"] = np.array([r.converged for r in stats.results])
+    )
+    _, results = run_results(spec)
+    out["sequential-fet/rounds"] = np.array([r.rounds for r in results])
+    out["sequential-fet/converged"] = np.array([r.converged for r in results])
     return out
 
 

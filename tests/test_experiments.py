@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import run_results
 from repro.config import RunSpec
-from repro.core.population import make_population
 from repro.experiments.convergence import (
     fit_scaling,
     sweep_population_sizes,
@@ -51,16 +51,21 @@ class TestRunTrials:
         assert row["n"] == 300
         assert row["success"] == "3/3"
 
-    def test_keep_results(self):
-        stats = RunSpec(
-            protocol={"name": "fet", "ell": 30}, n=300, trials=3, max_rounds=500, seed=3
-        ).execute(keep_results=True)
-        assert len(stats.results) == 3
+    def test_per_trial_results(self):
+        _, results = run_results(
+            RunSpec(protocol={"name": "fet", "ell": 30}, n=300, trials=3, max_rounds=500, seed=3)
+        )
+        assert len(results) == 3
 
-    def test_custom_population_factory(self):
+    def test_correct_opinion_zero(self):
         stats = RunSpec(
-            protocol={"name": "fet", "ell": 30}, n=300, trials=2, max_rounds=500, seed=4
-        ).execute(population_factory=lambda: make_population(300, 0))
+            protocol={"name": "fet", "ell": 30},
+            n=300,
+            trials=2,
+            max_rounds=500,
+            seed=4,
+            correct_opinion=0,
+        ).execute()
         assert stats.successes == 2
 
     def test_zero_trials_degrade_gracefully(self):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import never, tiled
+from conftest import never, run_results, tiled
 from repro.config import RunSpec
 from repro.core.batch import BatchedEngine
 from repro.core.engine import SynchronousEngine
@@ -446,48 +446,50 @@ class TestThetaAgreement:
         assert row["settle"] == pytest.approx(1.0, abs=0.05)
 
 
-class TestKeepResultsMigration:
-    def test_batched_keep_results_round_trip(self):
-        stats = RunSpec(
-            protocol={"name": "fet", "ell": 20},
-            n=150,
-            trials=6,
-            max_rounds=400,
-            seed=9,
-            engine="batched",
-        ).execute(keep_results=True)
-        assert stats.engine == "batched"
-        assert len(stats.results) == 6
-        for result in stats.results:
+class TestPerTrialResults:
+    def test_batched_per_trial_results_round_trip(self):
+        engine, results = run_results(
+            RunSpec(
+                protocol={"name": "fet", "ell": 20},
+                n=150,
+                trials=6,
+                max_rounds=400,
+                seed=9,
+                engine="batched",
+            )
+        )
+        assert engine == "batched"
+        assert len(results) == 6
+        for result in results:
             assert result.converged
             assert result.trajectory[0] == pytest.approx(1 / 150)
             assert result.final_fraction == 1.0
             # trajectory covers exactly the executed rounds (t_con + window - 1)
             assert result.trajectory.shape[0] == result.rounds + 2
 
-    def test_auto_keep_results_runs_clock_sync_batched(self):
-        # Keeping per-trial results never sends auto to sequential: the
+    def test_auto_per_trial_results_run_clock_sync_batched(self):
+        # Per-trial results never send auto to sequential: the
         # non-count-capable clock-sync still runs batched.
-        from repro.protocols.clock_sync import ClockSyncProtocol
-
-        stats = RunSpec(
-            protocol={"name": "clock-sync", "ell": 4}, n=64, trials=2, max_rounds=150, seed=4
-        ).execute(keep_results=True)
-        assert stats.engine == "batched"
-        assert len(stats.results) == 2
+        engine, results = run_results(
+            RunSpec(
+                protocol={"name": "clock-sync", "ell": 4}, n=64, trials=2, max_rounds=150, seed=4
+            )
+        )
+        assert engine == "batched"
+        assert len(results) == 2
 
     def test_clock_sync_traces_ride_the_batched_engine(self):
         # The last ROADMAP trace follow-on: clock-sync trajectory recording
         # used to pay the per-replica fallback; with step_batch it runs on
         # the batched path, with retired rows frozen at their final value.
-        from repro.protocols.clock_sync import ClockSyncProtocol
-
-        stats = RunSpec(
-            protocol={"name": "clock-sync", "ell": 4}, n=64, trials=4, max_rounds=300, seed=4
-        ).execute(keep_results=True)
-        assert stats.engine == "batched"
-        assert len(stats.results) == 4
-        for result in stats.results:
+        engine, results = run_results(
+            RunSpec(
+                protocol={"name": "clock-sync", "ell": 4}, n=64, trials=4, max_rounds=300, seed=4
+            )
+        )
+        assert engine == "batched"
+        assert len(results) == 4
+        for result in results:
             assert result.converged
             assert result.trajectory[0] == pytest.approx(1 / 64)
             assert result.final_fraction == 1.0
