@@ -98,6 +98,12 @@ class TestNeverCounts:
         spec = _fet_spec(sampler={"name": "index"}, trials=1, n=120, max_rounds=50)
         assert spec.execute().engine == "batched"
 
+    def test_fraction_keyed_sampler_runs_on_counts(self):
+        # a declared sampler with the effective_fractions seam is count-capable
+        spec = _fet_spec(sampler={"name": "noisy", "epsilon": 0.05})
+        assert spec.counts_obstacle(spec.build_protocol()) is None
+        assert spec.execute().engine == "counts"
+
     def test_explicit_overrides_win(self):
         assert _fet_spec(engine="batched").execute().engine == "batched"
         assert _fet_spec(engine="sequential").execute().engine == "sequential"
