@@ -9,6 +9,15 @@ numerically.
 
 Notation: ``B_k(p)`` is a Binomial(k, p) variable; the two coins are tossed
 ``k`` times each, independently.
+
+Imports: every ``repro`` process imports this module (the package root
+re-exports the analysis), but only the analysis needs ``scipy.stats``, whose
+import alone roughly doubles the package's cold start. So
+:func:`binomial_pmf` imports ``scipy.stats.binom`` on its first call, and
+Lemma 15's Φ is ``scipy.special.ndtr`` — the ufunc ``scipy.stats.norm.cdf``
+evaluates, so the numbers are the same bits. :mod:`.markov` draws its pmfs
+from :func:`binomial_pmf` too, so this is the one place ``scipy.stats`` is
+imported.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import binom, norm
+from scipy.special import ndtr
 
 __all__ = [
     "CoinComparison",
@@ -75,6 +84,8 @@ def binomial_pmf(k: int, p: float | np.ndarray) -> np.ndarray:
     # purpose here (pmf(0) = 1 - k·p + O(p²) ≈ 1 already at p = 1e-250).
     p_arr = np.where(np.abs(p_arr) < 1e-250, 0.0, p_arr)
     p_arr = np.where(np.abs(1.0 - p_arr) < 1e-250, 1.0, p_arr)
+    from scipy.stats import binom  # deferred: see the module docstring
+
     if p_arr.ndim == 0:
         return binom.pmf(support, k, float(p_arr))
     return binom.pmf(support[None, :], k, p_arr[:, None])
@@ -140,7 +151,7 @@ def berry_esseen_underdog_bound(k: int, p: float, q: float) -> float:
     if sigma == 0.0:
         return 0.0
     z = math.sqrt(k) * (q - p) / sigma
-    return 1.0 - float(norm.cdf(z)) - BERRY_ESSEEN_C / (sigma * math.sqrt(k))
+    return 1.0 - float(ndtr(z)) - BERRY_ESSEEN_C / (sigma * math.sqrt(k))
 
 
 def lemma12_upper_bound(k: int, p: float, q: float, alpha: float = LEMMA12_ALPHA) -> float:

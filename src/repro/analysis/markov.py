@@ -24,16 +24,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coins import compare_binomials
+from .coins import binomial_pmf, compare_binomials
 
 __all__ = ["ExactPairChain", "next_count_distribution"]
-
-
-def _binom_pmf(m: int, p: float) -> np.ndarray:
-    """pmf of Binomial(m, p) on {0..m}, numerically stable for small m."""
-    from scipy.stats import binom
-
-    return binom.pmf(np.arange(m + 1), m, p)
 
 
 def next_count_distribution(n: int, i: int, j: int, ell: int) -> np.ndarray:
@@ -51,8 +44,8 @@ def next_count_distribution(n: int, i: int, j: int, ell: int) -> np.ndarray:
     # which would poison the pmf with NaNs).
     p_gain = min(1.0, max(0.0, cmp_.p_first_wins))
     p_keep = min(1.0, max(0.0, cmp_.p_first_wins + cmp_.p_tie))
-    ones_part = _binom_pmf(j - 1, p_keep)  # kept 1-holders among non-sources
-    zeros_part = _binom_pmf(n - j, p_gain)  # converted 0-holders
+    ones_part = binomial_pmf(j - 1, p_keep)  # kept 1-holders among non-sources
+    zeros_part = binomial_pmf(n - j, p_gain)  # converted 0-holders
     dist = np.convolve(ones_part, zeros_part)
     out = np.zeros(n + 1)
     out[1 : 1 + dist.size] = dist

@@ -39,22 +39,30 @@ being served as a cached result; legacy records without the field load
 unchanged. Opening the store with ``durable=True`` adds an ``fsync`` per
 append so records survive machine crashes, not just process kills.
 
-Thread safety: a single :class:`threading.RLock` guards the index and the
-append path, so the run service's worker threads can share one store
-(concurrent ``get``/``put``/``has`` interleave safely). Distinct *store
-objects* over one file remain append-compatible but see each other's new
-records only on reload — same contract as before.
+Thread and process safety: a single :class:`threading.RLock` guards the
+index and the append path, so the run service's worker threads can share
+one store (concurrent ``get``/``put``/``has`` interleave safely). Across
+processes — a CLI sweep appending to the store a running service holds —
+every append and every compaction holds an exclusive ``fcntl.flock`` on the
+file and indexes its line at the file's real end, read under that lock, so
+store objects over one file never index each other's bytes; ``get`` also
+checks the served line's ``key``. Distinct store objects see each other's
+new records only on reload.
 """
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import os
 import platform
 import threading
+from collections.abc import Iterator
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import BinaryIO
 
 from ..telemetry import catalog
 from ..telemetry.events import emit_event
@@ -114,52 +122,66 @@ class ResultsStore:
         self.corrupt_lines = 0
         self.checksum_failures = 0
         self._loaded_lines = 0
-        self._needs_newline = False
-        self._end_offset = 0
         self._lock = threading.RLock()
-        self._load()
+        if self.path.exists():
+            with self._flocked("rb", fcntl.LOCK_SH) as handle:
+                self._load(handle)
 
-    def _load(self) -> None:
-        if not self.path.exists():
-            return
-        with self._lock, self.path.open("rb") as handle:
-            offset = 0
-            tail = b""
-            while True:
-                raw = handle.readline()
-                if not raw:
+    @contextmanager
+    def _flocked(self, mode: str, operation: int = fcntl.LOCK_EX) -> Iterator[BinaryIO]:
+        """The store file opened in ``mode`` under an ``flock`` ``operation``.
+
+        :meth:`compact` swaps the file by rename, so a lock won on the
+        inode it replaced is dropped and taken again on the current one.
+        Closing the handle releases the lock.
+        """
+        while True:
+            handle = self.path.open(mode)
+            try:
+                fcntl.flock(handle, operation)
+                if os.path.samestat(os.fstat(handle.fileno()), os.stat(self.path)):
                     break
-                tail = raw
-                start, offset = offset, offset + len(raw)
-                line = raw.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line.decode("utf-8"))
-                    key = record["key"]
-                except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError):
-                    # Interrupted mid-append: the tail line is torn. Keep the
-                    # valid prefix; the lost cell simply gets recomputed.
-                    self.corrupt_lines += 1
-                    continue
-                checksum = record.get("checksum")
-                if checksum is not None and checksum != record_checksum(record):
-                    # Valid JSON whose content no longer matches its stamp —
-                    # bit rot or a hand edit. Refuse to serve it; the cell
-                    # recomputes like any miss. (Legacy records without the
-                    # field predate checksums and load unchanged.)
-                    self.checksum_failures += 1
-                    metrics = current_registry()
-                    if metrics is not None:
-                        catalog.STORE_CHECKSUM_FAILURES.on(metrics).inc()
-                    continue
-                self._loaded_lines += 1
-                self._index[key] = (start, len(raw))
-            # A file killed mid-append can end without a newline; the next
-            # append must open a fresh line or it would corrupt a record by
-            # concatenating onto the torn tail.
-            self._needs_newline = bool(tail) and not tail.endswith(b"\n")
-            self._end_offset = offset
+            except FileNotFoundError:
+                pass
+            except BaseException:
+                handle.close()
+                raise
+            handle.close()
+        with handle:
+            yield handle
+
+    def _load(self, handle: BinaryIO) -> None:
+        """Index every valid line of the open (locked) store file."""
+        offset = 0
+        while True:
+            raw = handle.readline()
+            if not raw:
+                break
+            start, offset = offset, offset + len(raw)
+            line = raw.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line.decode("utf-8"))
+                key = record["key"]
+            except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError):
+                # Interrupted mid-append: the tail line is torn. Keep the
+                # valid prefix; the lost cell simply gets recomputed.
+                self.corrupt_lines += 1
+                continue
+            checksum = record.get("checksum")
+            if checksum is not None and checksum != record_checksum(record):
+                # Valid JSON whose content no longer matches its stamp —
+                # bit rot or a hand edit. Refuse to serve it; the cell
+                # recomputes like any miss. (Legacy records without the
+                # field predate checksums and load unchanged.)
+                self.checksum_failures += 1
+                metrics = current_registry()
+                if metrics is not None:
+                    catalog.STORE_CHECKSUM_FAILURES.on(metrics).inc()
+                continue
+            self._loaded_lines += 1
+            self._index[key] = (start, len(raw))
 
     # ---------------------------------------------------------------- access
 
@@ -184,12 +206,15 @@ class ResultsStore:
                 with self.path.open("rb") as handle:
                     handle.seek(offset)
                     line = handle.read(length)
-                return json.loads(line.decode("utf-8"))
+                record = json.loads(line.decode("utf-8"))
             except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-                # The file changed under the index (truncated or rewritten
-                # externally). Treat as a miss — the cell recomputes — rather
-                # than serving garbage.
+                record = None
+            # The file changed under the index (truncated, or rewritten by a
+            # compaction elsewhere): bytes that are not this key's record are
+            # a miss — the cell recomputes — rather than another cell's result.
+            if not isinstance(record, dict) or record.get("key") != key:
                 return None
+            return record
 
     def put(self, key: str, record: dict) -> None:
         """Persist ``record`` under ``key``: append one line and flush.
@@ -209,18 +234,22 @@ class ResultsStore:
         payload = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
         with self._lock:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            with self.path.open("ab") as handle:
-                if self._needs_newline:
-                    handle.write(b"\n")
-                    self._end_offset += 1
-                    self._needs_newline = False
-                start = self._end_offset
+            with self._flocked("a+b") as handle:
+                # The real end, not one cached at load: another process may
+                # have appended since.
+                start = handle.seek(0, os.SEEK_END)
+                if start:
+                    # A file killed mid-append can end without a newline; a
+                    # record concatenated onto the torn tail would be lost.
+                    handle.seek(start - 1)
+                    if handle.read(1) != b"\n":
+                        handle.write(b"\n")
+                        start += 1
                 handle.write(payload)
                 handle.flush()
                 if self.durable:
                     os.fsync(handle.fileno())
             self._index[key] = (start, len(payload))
-            self._end_offset = start + len(payload)
             self._loaded_lines += 1
         metrics = current_registry()
         if metrics is not None:
@@ -242,38 +271,30 @@ class ResultsStore:
         flushed and fsynced before the swap, and a failure midway leaves
         the original store untouched. A reader therefore sees either the
         old file or the complete compacted one, never a partial rewrite.
-        The file is re-read immediately before the rewrite so appends made
-        since this store object loaded are kept — but compaction is not
-        synchronized against a *concurrently appending* sweep (a line
-        landing between the re-read and the rename is lost from the file
-        and simply recomputed on the next resume); compact between runs,
-        not during one.
+        The file is re-read and rewritten under the same exclusive
+        ``flock`` every append takes, so records other processes appended
+        since this store object loaded are kept, and none lands between the
+        re-read and the rename. Other store objects' indexes go stale: their
+        ``get`` misses rather than serve another key's line, and a reload
+        sees the compacted file.
 
         Returns a summary dict: ``lines_before`` (valid lines read,
         i.e. including superseded duplicates), ``corrupt_lines`` and
         ``checksum_failures`` dropped, and ``records`` kept.
         """
         with self._lock:
-            if self.path.exists():
+            if not self.path.exists():
+                return self._summary()
+            tmp = self.path.with_name(self.path.name + ".compact.tmp")
+            new_index: dict[str, tuple[int, int]] = {}
+            with self._flocked("rb") as source, tmp.open("wb") as handle:
                 # Pick up records other store handles appended after our load.
                 self._index = {}
                 self.corrupt_lines = 0
                 self.checksum_failures = 0
                 self._loaded_lines = 0
-                self._needs_newline = False
-                self._end_offset = 0
-                self._load()
-            summary = {
-                "lines_before": self._loaded_lines,
-                "corrupt_lines": self.corrupt_lines,
-                "checksum_failures": self.checksum_failures,
-                "records": len(self._index),
-            }
-            if not self.path.exists():
-                return summary
-            tmp = self.path.with_name(self.path.name + ".compact.tmp")
-            new_index: dict[str, tuple[int, int]] = {}
-            with self.path.open("rb") as source, tmp.open("wb") as handle:
+                self._load(source)
+                summary = self._summary()
                 position = 0
                 for key, (offset, length) in self._index.items():
                     source.seek(offset)
@@ -285,13 +306,11 @@ class ResultsStore:
                     position += len(line)
                 handle.flush()
                 os.fsync(handle.fileno())
-            os.replace(tmp, self.path)
+                os.replace(tmp, self.path)
             self._index = new_index
             self._loaded_lines = len(self._index)
             self.corrupt_lines = 0
             self.checksum_failures = 0
-            self._needs_newline = False
-            self._end_offset = position
         metrics = current_registry()
         if metrics is not None:
             for reason, dropped in (
@@ -302,6 +321,14 @@ class ResultsStore:
                 if dropped:
                     catalog.STORE_COMPACT_DROPPED.on(metrics, reason=reason).inc(dropped)
         return summary
+
+    def _summary(self) -> dict:
+        return {
+            "lines_before": self._loaded_lines,
+            "corrupt_lines": self.corrupt_lines,
+            "checksum_failures": self.checksum_failures,
+            "records": len(self._index),
+        }
 
     def keys(self) -> list[str]:
         with self._lock:

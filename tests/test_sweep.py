@@ -575,6 +575,73 @@ class TestResultsStore:
     def test_missing_file_is_empty(self, tmp_path):
         assert len(ResultsStore(tmp_path / "absent.jsonl")) == 0
 
+    def test_get_misses_when_the_indexed_line_is_another_key(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        store = ResultsStore(path)
+        store.put("a", {"payload": 1})
+        store.put("b", {"payload": 2})
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text(lines[1] + lines[0])  # same lengths, swapped places
+        assert store.get("a") is None and store.get("b") is None
+
+    def test_put_after_another_stores_compaction_lands_where_indexed(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        first = ResultsStore(path)
+        first.put("x", {"payload": 1})
+        first.put("x", {"payload": 2})
+        second = ResultsStore(path)
+        assert first.compact()["records"] == 1  # the file shrinks under `second`
+        second.put("y", {"payload": 3})
+        assert second.get("y")["payload"] == 3
+        assert ResultsStore(path).get("y")["payload"] == 3
+
+    @pytest.mark.timeout(120)
+    def test_two_processes_appending_to_one_file(self, tmp_path):
+        # Each process indexes its lines where they really landed, though
+        # the other process appends in between.
+        script = textwrap.dedent(
+            """
+            import json, sys, time
+            from pathlib import Path
+            from repro.sweep import ResultsStore
+
+            path, tag, peer = Path(sys.argv[1]), sys.argv[2], sys.argv[3]
+            store = ResultsStore(path)
+
+            def meet(stage):
+                (path.parent / f"{tag}.{stage}").touch()
+                while not (path.parent / f"{peer}.{stage}").exists():
+                    time.sleep(0.001)
+
+            meet("ready")
+            for i in range(200):
+                store.put(f"{tag}-{i}", {"payload": {"tag": tag, "i": i}})
+            meet("done")
+            served = sum(
+                (store.get(f"{tag}-{i}") or {}).get("payload") == {"tag": tag, "i": i}
+                for i in range(200)
+            )
+            print(json.dumps({"served": served}))
+            """
+        )
+        path = tmp_path / "shared.jsonl"
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", script, str(path), tag, peer],
+                env=_src_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            )
+            for tag, peer in (("a", "b"), ("b", "a"))
+        ]
+        for proc in procs:
+            out, err = proc.communicate(timeout=90)
+            assert proc.returncode == 0, err
+            assert json.loads(out.splitlines()[-1]) == {"served": 200}
+        fresh = ResultsStore(path)
+        assert fresh.corrupt_lines == 0 and len(fresh) == 400
+        for tag in "ab":
+            for i in range(200):
+                assert fresh.get(f"{tag}-{i}")["payload"] == {"tag": tag, "i": i}
+
 
 class TestStoreIntegrity:
     """Per-record checksums and the fsync durability knob."""
